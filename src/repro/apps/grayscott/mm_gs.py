@@ -176,8 +176,6 @@ def mm_gray_scott(ctx, L, steps, plotgap=0, pcache=None,
         if ck_u is not None:
             yield from ck_u.tx_end()
             yield from ck_v.tx_end()
-            yield from ck_u.flush(wait=False)
-            yield from ck_v.flush(wait=False)
         # Local-policy writes must be visible before neighbors read
         # ghosts next step (their READ tasks go to *their* runtime, so
         # queue ordering alone does not serialize them after ours).
@@ -204,6 +202,11 @@ def mm_gray_scott(ctx, L, steps, plotgap=0, pcache=None,
             v_out[z - z0] = vp
     yield from uc.tx_end()
     yield from vc.tx_end()
+    if ckpt_prefix is not None:
+        # The job is not done until its checkpoints are acknowledged:
+        # the last step's writer tasks were written behind, nothing
+        # above waited for them.
+        yield from ctx.mm.drain()
     if verify_tail:
         return u_out, v_out
     total = yield from ctx.comm.reduce(

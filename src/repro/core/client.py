@@ -9,7 +9,7 @@ drain them.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +31,8 @@ class MegaMmapClient:
         self.system = system
         self.rank = rank
         self.node = node
-        self._outstanding: List[Event] = []
+        #: ``(vector name, done event)`` of every async task in flight.
+        self._outstanding: List[Tuple[str, Event]] = []
         #: Tenant this client acts for (a :class:`TenantQuota`), or
         #: None outside colocation — the None path is byte-identical
         #: to pre-tenancy behavior.
@@ -156,7 +157,7 @@ class MegaMmapClient:
                 if self._m_task_lat is not None:
                     self._m_task_lat.observe(self.system.sim.now - t0)
                 return result
-        self._outstanding.append(task.done)
+        self._outstanding.append((task.vector_name, task.done))
         return None
 
     def submit_batch(self, tasks, wait: bool = True):
@@ -229,7 +230,7 @@ class MegaMmapClient:
                 self.system.runtimes[owner].submit(batch)
         if not wait:
             for _owner, batch, _chunk in batches:
-                self._outstanding.append(batch.done)
+                self._outstanding.append((batch.vector_name, batch.done))
             return None
         results: List = [None] * len(tasks)
         yield AllOf(self.system.sim, [b.done for _o, b, _c in batches])
@@ -255,7 +256,7 @@ class MegaMmapClient:
                 scores=batch)
             task.done = Event(self.system.sim)
             task.ctx = self.system.tracer.current_span_id()
-            self._outstanding.append(task.done)
+            self._outstanding.append((shared.name, task.done))
 
             def ship(t=task, o=owner):
                 yield from self.system.network.transfer(
@@ -266,11 +267,21 @@ class MegaMmapClient:
         if False:  # pragma: no cover - keeps this a generator
             yield
 
-    def drain(self):
+    def drain(self, vector_name: Optional[str] = None):
         """Wait until every outstanding async task completed
-        (generator)."""
-        pending = [e for e in self._outstanding if not e.processed]
-        self._outstanding = []
+        (generator) — only those of ``vector_name`` when given, so one
+        vector's ``flush(wait=True)`` does not wait out another
+        vector's writeback."""
+        pending = []
+        others = []
+        for name, done in self._outstanding:
+            if done.processed:
+                continue
+            if vector_name is None or name == vector_name:
+                pending.append(done)
+            else:
+                others.append((name, done))
+        self._outstanding = others
         if pending:
             with self.system.tracer.span("drain", "rpc", node=self.node,
                                          count=len(pending)):

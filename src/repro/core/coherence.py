@@ -58,6 +58,13 @@ class CoherencePolicy(Enum):
           (a replica's or the backend's), never garbage.
         * ``no_lost_appends`` — every acknowledged append is reflected
           in the final vector length and contents.
+        * *visibility window* — a write may become visible to other
+          clients **before** ``tx_end`` (write-behind ships pages the
+          transaction's stream has passed; pcache pressure evicts
+          dirty frames), never **after** the writer's ``flush``
+          returns. The checker models this by recording a pending
+          version at ``write_range`` time that any reader may legally
+          observe, and promoting it at ``flush``.
 
         Per-policy clause:
 

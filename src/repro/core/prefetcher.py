@@ -52,6 +52,18 @@ class Prefetcher:
         yield from self._apply(tx, scores)
         tx.head = tx.tail
 
+    def on_write_behind(self, pages, evicted: bool):
+        """Score pages the vector wrote behind at a range-write
+        acknowledgment, like any page Algorithm 1 acknowledges: an
+        evicted page is done with (0, the organizer may demote it), a
+        kept one is about to be re-read by this node (1). Generator."""
+        vec = self.vector
+        if not vec.client.system.config.prefetch_enabled:
+            return
+        score = 0.0 if evicted else 1.0
+        yield from vec.client.submit_scores(
+            vec.shared, [(p, score, vec.client.node) for p in pages])
+
     # -- EVICT (Algorithm 1 lines 6-15) --------------------------------------
     def _evict_scores(self, tx: Transaction) -> Dict[int, float]:
         vec = self.vector

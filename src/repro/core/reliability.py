@@ -84,8 +84,14 @@ class ReliabilityManager:
             wanted.append(node)
         for node in wanted:
             if raw is None:
-                raw = yield from hermes.get(info.node, vec.name,
-                                            page_idx)
+                try:
+                    raw = yield from hermes.get(info.node, vec.name,
+                                                page_idx)
+                except BlobNotFound:
+                    # The primary's node crashed between the write and
+                    # this copy: nothing is left to replicate, and the
+                    # next read of the page takes the recovery path.
+                    return
             dev = self.system.dmshs[node].fastest_with_room(len(raw))
             if dev is None:
                 continue

@@ -96,6 +96,7 @@ class Transaction:
         self.count = count          # total accesses declared
         self.head = 0               # acknowledged by the prefetcher
         self.tail = 0               # accesses performed
+        self.write_mark = 0         # accesses passed by range writes
         self._vector = None         # bound by Vector.tx_begin
 
     # -- intent predicates ----------------------------------------------------
@@ -179,6 +180,40 @@ class Transaction:
         (Algorithm 1's note on random transactions)."""
         return False
 
+    def acknowledge_write(self, elem_off: int, count: int) -> range:
+        """Acknowledge a range write of elements
+        ``[elem_off, elem_off + count)``; returns the pages it lets the
+        vector write behind.
+
+        Only contiguous streams (:class:`SeqTx`, stride-1
+        :class:`StrideTx`) acknowledge range writes: the generic
+        pattern cannot tell which pages a range write has finished
+        with, and a pattern that ``may_retouch`` says they are not.
+        """
+        return range(0)
+
+    def _acknowledge_contiguous(self, elem_off: int, count: int) -> range:
+        """The acknowledgment rule for a stream over
+        ``[offset, offset + count)``: a write inside the declared region
+        advances ``write_mark``, and every page lying wholly inside the
+        passed prefix ``[offset, offset + write_mark)`` is finished.
+        Returns those pages from the lower of this write and the old
+        mark upwards — the newly passed ones plus already-passed ones
+        this call rewrote. A page the region only partly covers (shared
+        with a neighbour's region) and writes reaching outside the
+        region are left to ``tx_end``.
+        """
+        lo = self.offset
+        if (not self.writes or count <= 0 or elem_off < lo
+                or elem_off + count > lo + self.count):
+            return range(0)
+        epp = self.vector.elems_per_page
+        start = min(elem_off, lo + self.write_mark)
+        self.write_mark = max(self.write_mark, elem_off + count - lo)
+        first_whole = -(-lo // epp)
+        return range(max(first_whole, start // epp),
+                     (lo + self.write_mark) // epp)
+
 
 class SeqTx(Transaction):
     """Sequential scan over elements [offset, offset + size)."""
@@ -193,6 +228,8 @@ class SeqTx(Transaction):
 
     def element(self, access_idx: int) -> int:
         return self.offset + access_idx
+
+    acknowledge_write = Transaction._acknowledge_contiguous
 
     def get_pages(self, off: int, count: int) -> List[PageRegion]:
         # Closed form for the contiguous case: one region per page
@@ -230,6 +267,11 @@ class StrideTx(Transaction):
 
     def element(self, access_idx: int) -> int:
         return self.offset + access_idx * self.stride
+
+    def acknowledge_write(self, elem_off: int, count: int) -> range:
+        if self.stride != 1:
+            return range(0)
+        return self._acknowledge_contiguous(elem_off, count)
 
     def get_pages(self, off: int, count: int) -> List[PageRegion]:
         # stride != 1 never coalesces (consecutive accesses are never

@@ -397,6 +397,44 @@ class Vector:
         h = self.client.system.history
         if h is not None:
             h.on_write(self, elem_off, array)
+        if self.tx is not None:
+            yield from self._write_behind(self.tx, elem_off, len(array))
+
+    def _write_behind(self, tx: Transaction, elem_off: int, count: int):
+        """Acknowledge a range write — the eviction half of Algorithm 1
+        for ``write_range``/``append`` (generator).
+
+        Dirty pages the declared stream has fully passed
+        (:meth:`Transaction.acknowledge_write`) ship now, in one batched
+        asynchronous submission, instead of in a burst at ``tx_end``.
+        Intent alone decides the frame's fate: without a READ bit
+        nothing reads it back, so it is evicted; with one it stays
+        resident and clean for the re-read.
+        """
+        pages = [(p, self.frames[p])
+                 for p in tx.acknowledge_write(elem_off, count)
+                 if p in self.frames and self.frames[p].dirty]
+        if not pages:
+            return
+        drop = not tx.flags & TxFlags.READ
+        kind = "evict" if drop else "keep"
+        system = self.client.system
+        with system.tracer.span(
+                "write_behind", "pcache", node=self.client.node,
+                vector=self.shared.name, kind=kind, count=len(pages),
+                nbytes=sum(f.dirty.total for _, f in pages)):
+            if drop:
+                for page_idx, _frame in pages:
+                    self._detach(page_idx)
+            yield from self._ship_dirty(pages, drop)
+            if drop:
+                for _page_idx, frame in pages:
+                    self._release(frame, dirty=True)
+            yield from self.prefetcher.on_write_behind(
+                [p for p, _ in pages], drop)
+        system.monitor.metrics.counter(
+            "pcache_write_behind", node=self.client.node,
+            vector=self.shared.name, kind=kind).inc(len(pages))
 
     def append(self, array: np.ndarray):
         """Append elements; returns their start index (generator).
@@ -922,11 +960,9 @@ class Vector:
         MemoryTask runs asynchronously (paper III-B, Lifecycle of
         Modified Data). Generator.
         """
-        frame = self.frames.pop(page_idx, None)
+        frame = self._detach(page_idx)
         if frame is None:
             return
-        if self._last_page[0] == page_idx:
-            self._last_page = (-1, None)
         tracer = self.client.system.tracer
         with tracer.span("evict", "pcache", node=self.client.node,
                          vector=self.shared.name, page=page_idx,
@@ -936,35 +972,66 @@ class Vector:
                 if frame.pending_span is not None and tracer.enabled:
                     esp.attrs.setdefault("wait_on", []).append(
                         frame.pending_span)
-            if frame.dirty:
-                # The frame was popped from self.frames above, so the
-                # WRITE task owns it exclusively: ship ndarray views of
-                # the dirty ranges instead of bytes copies. (The
-                # simulated memcpy cost below is unchanged — only the
-                # host-side copy disappears.)
-                fragments = [
-                    (start, frame.data[start:end])
-                    for start, end in frame.dirty
-                ]
-                h = self.client.system.history
-                if h is not None:
-                    h.on_commit(self, page_idx, fragments)
-                nbytes = sum(len(d) for _, d in fragments)
-                # Cost of the copy out of the pcache.
-                yield self.client.system.sim.timeout(
-                    nbytes / self.client.system.memcpy_bw)
-                task = MemoryTask(
-                    kind=TaskKind.WRITE, vector_name=self.shared.name,
-                    page_idx=page_idx, client_node=self.client.node,
-                    fragments=fragments)
-                yield from self.client.submit(task, wait=False)
-                self.client.system.monitor.count("pcache.evictions_dirty")
-                self._m_evict_dirty.inc()
-            else:
-                self.client.system.monitor.count("pcache.evictions_clean")
-                self._m_evict_clean.inc()
+            shipped = yield from self._ship_dirty([(page_idx, frame)],
+                                                  drop=True)
+        self._release(frame, dirty=bool(shipped))
+
+    def _detach(self, page_idx: int) -> Optional[Frame]:
+        """Take a frame out of the page table and this handle's budget;
+        its DRAM stays reserved until the dirty bytes are copied out."""
+        frame = self.frames.pop(page_idx, None)
+        if frame is not None:
+            self._reserved -= len(frame.data)
+            if self._last_page[0] == page_idx:
+                self._last_page = (-1, None)
+        return frame
+
+    def _release(self, frame: Frame, dirty: bool) -> None:
+        """Return a detached frame's DRAM and count the eviction."""
+        kind = "dirty" if dirty else "clean"
+        self.client.system.monitor.count(f"pcache.evictions_{kind}")
+        (self._m_evict_dirty if dirty else self._m_evict_clean).inc()
         self.client.unreserve_pcache(len(frame.data))
-        self._reserved -= len(frame.data)
+
+    def _ship_dirty(self, pages, drop: bool):
+        """Ship the dirty fragments of ``pages`` — ``[(page_idx,
+        frame), ...]`` — as writer MemoryTasks in one batched
+        asynchronous submission (under :meth:`flush`,
+        :meth:`evict_page` and write-behind). The caller pays only the
+        copy out of the pcache. Generator; returns the pages shipped.
+
+        ``drop``: the frames were detached, so their WRITE tasks own
+        them and ship ndarray views (the simulated memcpy cost is the
+        same; only the host copy disappears). Otherwise they stay
+        resident and writable, now clean, and the fragments MUST be
+        copies, or the app could mutate them before the task runs.
+        """
+        system = self.client.system
+        h = system.history
+        tasks = []
+        for page_idx, frame in pages:
+            if not frame.dirty:
+                continue
+            fragments = [
+                (start, frame.data[start:end] if drop
+                 else frame.data[start:end].tobytes())
+                for start, end in frame.dirty
+            ]
+            if h is not None:
+                h.on_commit(self, page_idx, fragments)
+            nbytes = frame.dirty.total
+            if not drop:
+                system.monitor.count("bytes.copied", nbytes)
+            yield system.sim.timeout(nbytes / system.memcpy_bw)
+            tasks.append(MemoryTask(
+                kind=TaskKind.WRITE, vector_name=self.shared.name,
+                page_idx=page_idx, client_node=self.client.node,
+                fragments=fragments))
+            frame.dirty.clear()
+        # One batched submission per owner node (a single task, or
+        # batching disabled, degrades to per-task submits).
+        yield from self.client.submit_batch(tasks, wait=False)
+        return len(tasks)
 
     def prefetch_page(self, page_idx: int) -> None:
         """Start an asynchronous pcache fill (non-blocking)."""
@@ -1076,42 +1143,19 @@ class Vector:
         executed (visibility to every process guaranteed regardless of
         worker queueing).
         """
-        tasks = []
-        h = self.client.system.history
-        for page_idx in sorted(self.frames):
-            frame = self.frames[page_idx]
-            if not frame.dirty:
-                continue
-            # Unlike evict_page, the frame stays resident and writable
-            # after a flush: the fragments MUST be copies, or the app
-            # could mutate them before the async WRITE task runs.
-            fragments = [
-                (start, frame.data[start:end].tobytes())
-                for start, end in frame.dirty
-            ]
-            if h is not None:
-                h.on_commit(self, page_idx, fragments)
-            nbytes = sum(len(d) for _, d in fragments)
-            self.client.system.monitor.count("bytes.copied", nbytes)
-            yield self.client.system.sim.timeout(
-                nbytes / self.client.system.memcpy_bw)
-            tasks.append(MemoryTask(
-                kind=TaskKind.WRITE, vector_name=self.shared.name,
-                page_idx=page_idx, client_node=self.client.node,
-                fragments=fragments))
-            frame.dirty.clear()
-        if tasks:
-            # One batched submission per owner node (degrades to
-            # per-task submits when batching is disabled).
-            yield from self.client.submit_batch(tasks, wait=False)
+        yield from self._ship_dirty(sorted(self.frames.items()),
+                                    drop=False)
         dur = self.client.system.durability
-        if wait or dur.enabled:
-            yield from self.client.drain()
         if dur.enabled:
             # The flush is the transaction barrier: the bytes it
             # promotes to globally-visible become durable here, before
-            # the commit point is recorded.
+            # the commit point is recorded — everything this client
+            # shipped, not just this vector's tasks.
+            yield from self.client.drain()
             yield from dur.commit_barrier()
+        elif wait:
+            yield from self.client.drain(self.shared.name)
+        h = self.client.system.history
         if h is not None:
             # Commit point: everything this client has shipped so far
             # (including earlier async evictions) is ordered ahead of
@@ -1134,10 +1178,7 @@ class Vector:
         else:
             yield from self.flush(wait=True)
         for page_idx in list(self.frames):
-            frame = self.frames.pop(page_idx)
-            self.client.unreserve_pcache(len(frame.data))
-            self._reserved -= len(frame.data)
-        self._last_page = (-1, None)
+            self.client.unreserve_pcache(len(self._detach(page_idx).data))
         for info in list(self.client.system.hermes.mdm.list_bucket(
                 self.shared.name)):
             task = MemoryTask(

@@ -376,8 +376,11 @@ class Hermes:
 
     def _put_partial(self, client_node, bucket, key, offset, data):
         info = yield from self.mdm.get(client_node, bucket, key)
+        # The primary can die before the payload ships or while it is
+        # on the wire.
+        self._primary_device(info)
         yield from self.network.transfer(client_node, info.node, len(data))
-        dev = self._device(info.node, info.tier)
+        dev = self._primary_device(info)
         yield from dev.put_range((bucket, key), offset, data)
         # Replicas are stale now; partial writes invalidate them.
         yield from self.invalidate_replicas(client_node, bucket, key)
@@ -498,6 +501,18 @@ class Hermes:
             raise BlobNotFound(key)
         return best
 
+    def _primary_device(self, info: BlobInfo):
+        """The device holding the authoritative copy *right now*;
+        :class:`BlobNotFound` when a node crash wiped it (the race
+        :meth:`_live_copy` describes, for paths that need the primary
+        rather than any copy)."""
+        key = (info.bucket, info.key)
+        dev = self._device(info.node, info.tier) if info.node >= 0 \
+            else None
+        if dev is None or key not in dev:
+            raise BlobNotFound(key)
+        return dev
+
     # -- replication (read-only global coherence) ---------------------------------
     def replicate(self, client_node: int, bucket: str, key):
         """Copy a blob onto the client's node for read availability.
@@ -583,12 +598,12 @@ class Hermes:
             raise BlobNotFound((bucket, key))
         if info.tier == to_tier and info.node == node:
             return info
+        src = self._primary_device(info)
         from_tier = info.tier
         with self.tracer.span("move", "hermes", node=info.node,
                               bucket=bucket, key=key,
                               src_tier=info.tier, dst_node=node,
                               dst_tier=to_tier, nbytes=info.nbytes):
-            src = self._device(info.node, info.tier)
             dst = self._device(node, to_tier)
             # A replica on the destination would collide with the
             # primary's device key: absorb it (the put below refreshes

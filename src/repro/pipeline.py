@@ -123,14 +123,20 @@ def _run_spark_rf(cluster, spec, workdir):
 
 
 def _run_mm_gray_scott(cluster, spec, workdir):
-    from repro.apps.grayscott import mm_gray_scott
+    from repro.apps.grayscott import GSParams, mm_gray_scott
     app = spec["app"]
-    prefix = None
-    if app.get("plotgap"):
-        prefix = f"posix://{os.path.join(workdir, 'gs_ckpt')}"
-    return cluster.run(mm_gray_scott, app.get("L", 32),
-                       app.get("steps", 3), app.get("plotgap", 0),
-                       app.get("pcache"))
+    L, plotgap = app.get("L", 32), app.get("plotgap", 0)
+    # The grid size is part of the name: sweep variants share a workdir
+    # and a file-backed vector adopts an existing file's length.
+    prefix = f"posix://{os.path.join(workdir, f'gs_ckpt_L{L}')}" \
+        if plotgap else None
+    res = cluster.run(mm_gray_scott, L, app.get("steps", 3), plotgap,
+                      app.get("pcache"), GSParams(), prefix)
+    if prefix is not None:
+        # End of the job: drain the stager so the checkpoints reach
+        # the PFS.
+        cluster.shutdown()
+    return res
 
 
 def _run_mm_stream(cluster, spec, workdir):

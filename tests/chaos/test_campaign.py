@@ -106,6 +106,70 @@ def test_durability_campaign_crash_seeds(tmp_path):
     assert sum(r.faults_applied for r in results) > 0
 
 
+GS_CHECKPOINTED = """
+name: chaos-gs-ckpt
+cluster:
+  n_nodes: 2
+  procs_per_node: 2
+  dram_mb: 16
+  pmem_mb: 32
+  nvme_mb: 64
+  page_size: 16384
+  replication_factor: 2
+  integrity_checks: true
+  durability: true
+  wal_snapshot_every: 4
+app:
+  kind: mm_gray_scott
+  L: 32
+  steps: 3
+  plotgap: 1
+"""
+
+
+def test_write_behind_campaign_gray_scott_with_checkpoints(tmp_path):
+    """Write-behind ships dirty pages before ``tx_end``, which moves
+    when the checker sees ``on_commit`` relative to ``on_flush``: a
+    write-heavy run (stencil state kept, checkpoints evicted, four
+    pages per slab) must stay clean under crash + partition.
+
+    ``intensity=0.6`` draws exactly one crash and one partition per
+    seed — the single-failure contract ``replication_factor: 2``
+    makes. Even so a crash can land between a stencil page's WRITE and
+    its asynchronous replica (the fields are volatile and a step's
+    first write has no committed version to roll back to); the system
+    then *declares* the loss (``NodeFailedError`` / ``BlobNotFound``)
+    and the job aborts — the parent commit does the same on this app
+    without checkpoints. That is not a coherence finding, so the
+    campaign demands a clean checker on every seed and a clean run to
+    completion on at least five."""
+    from repro.pipeline import run_pipeline
+    wd = str(tmp_path)
+    seen = {}
+
+    def count(cluster, variant, row):
+        for (name, labels), c in \
+                cluster.monitor.metrics.counters.items():
+            if name == "pcache_write_behind":
+                kind = dict(labels)["kind"]
+                seen[kind] = seen.get(kind, 0) + c.value
+
+    run_pipeline(GS_CHECKPOINTED, workdir=wd, on_variant=count)
+    assert seen.get("keep", 0) > 0 and seen.get("evict", 0) > 0
+    results = run_campaign(GS_CHECKPOINTED, range(10),
+                           kinds=("crash", "partition"),
+                           intensity=0.6, workdir=wd)
+    for r in results:
+        assert not r.violations and not r.conservation, r.summary()
+        assert r.error is None or r.error.startswith(
+            ("NodeFailedError:", "BlobNotFound:")), r.summary()
+        assert r.checked_reads > 0 and r.faults_applied >= 1
+    assert sum(r.ok for r in results) >= 5, \
+        [r.summary() for r in results if not r.ok]
+    assert {f.kind for r in results for f in r.plan.faults} \
+        == {"crash", "partition"}
+
+
 def test_cli_durability_flag(tmp_path, capsys):
     from repro.__main__ import main
     wd = str(tmp_path)

@@ -311,3 +311,32 @@ def test_node_failure_during_inflight_batched_read():
     assert when > 0.0  # the crash really happened mid-run
     assert np.array_equal(out, data)
     assert system.monitor.counter("reliability.promotions") > 0
+
+
+def test_crash_under_background_copy_and_move_is_a_typed_miss():
+    """A node crash between a page's WRITE and the background work
+    queued behind it (the async replica, an organizer move, a partial
+    overwrite) must not surface as a bare KeyError that kills the run:
+    the replica copy gives up, move/put_partial raise BlobNotFound."""
+    from repro.hermes.blob import BlobNotFound
+    sim, system = build_system(n_nodes=2)
+    client = system.client(rank=0, node=0)
+    app, _ = _write(system, client)
+    run_procs(sim, app())
+    info = next(iter(system.hermes.mdm.list_bucket("v")))
+    vec = system.vectors["v"]
+    # Wipe the primary's device the way fail_node does, keeping the
+    # metadata entry (the window a crash opens).
+    system.dmshs[info.node].tier(info.tier).delete(("v", info.key))
+    system.config.replication_factor = 2
+    assert run_procs(
+        sim, system.reliability.replicate_page(vec, info.key)) == [None]
+    assert info.replicas == []
+    other_tier = next(d.spec.kind for d in system.dmshs[info.node]
+                      if d.spec.kind != info.tier)
+    with pytest.raises(BlobNotFound):
+        run_procs(sim, system.hermes.move("v", info.key, info.node,
+                                          other_tier))
+    with pytest.raises(BlobNotFound):
+        run_procs(sim, system.hermes.put_partial(0, "v", info.key, 0,
+                                                 b"\x01" * 8))

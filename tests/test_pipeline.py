@@ -232,6 +232,35 @@ def test_repo_pipelines_parse(tmp_path):
             assert spec["app"]["kind"] in APP_REGISTRY, f
 
 
+def test_shipped_gray_scott_pipeline_checkpoints(tmp_path):
+    """Non-vacuity of ``mm_gray_scott_mega.yaml`` ("checkpoints every
+    step"): every variant really puts 2 fields x steps of checkpoint
+    bytes on the PFS, the last checkpoint file is the reference
+    solution, and the swept resolution moves the headline runtime."""
+    import re
+    from repro.apps.grayscott import GSParams, gs_reference
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "pipelines", "mm_gray_scott_mega.yaml")
+    pfs_write = re.compile(r"^pfs\d+\.\w+\.bytes_write$")
+
+    def on_variant(cluster, variant, row):
+        L, steps = variant["app"]["L"], variant["app"]["steps"]
+        written = sum(v for k, v in cluster.system.stats().items()
+                      if pfs_write.match(k))
+        assert written >= 2 * steps * L ** 3 * 8, (L, written)
+        u_ref, _v_ref = gs_reference(L, steps, GSParams())
+        last = tmp_path / f"gs_ckpt_L{L}_{steps}.u"
+        assert np.array_equal(np.fromfile(last, dtype=np.float64),
+                              u_ref.ravel()), L
+
+    rows = run_pipeline(path, workdir=str(tmp_path),
+                        on_variant=on_variant)
+    assert [r["app.L"] for r in rows] == [32, 48, 64]
+    runtimes = [r["runtime_s"] for r in rows]
+    assert runtimes == sorted(runtimes) and runtimes[0] < runtimes[-1]
+    assert not any(r["crashed"] for r in rows)
+
+
 # -- crash-safe trace export (PR 4 regression) ------------------------------
 
 BOOM_PIPELINE = """
