@@ -12,11 +12,16 @@ across their whole range.
 
 Both paths must produce identical checksums (the property/equivalence
 suites in ``tests/core/test_object_access.py`` pin the byte-level
-agreement; this benchmark re-checks the end-to-end sum). The headline
-claim — gated by ``serving.object_speedup`` in ``perf_floor.json`` —
-is that at 64 B objects and zipf 1.2 the object path serves at least
-1.5x the page path's QPS: one vectored round trip per query versus one
-sequential page fault per lookup.
+agreement; this benchmark re-checks the end-to-end sum). Since pcache
+frames are charged for the bytes they hold, both paths keep the same
+extents resident and fetch the same number of them (``page_faults`` ==
+``obj_remote`` on the 64 B cells): residency is no longer what
+separates them. The object path's remaining edge — gated by
+``serving.object_speedup`` in ``perf_floor.json`` — is vectoring: one
+batched round trip per query versus one sequential extent fault per
+lookup, worth ~1.25x at 64 B objects and zipf 1.2 (where three
+lookups in four hit locally on either path) and ~1.5x at zipf 0.6
+(where nearly all miss).
 
 Run with ``MEGAMMAP_TRACE=1`` to also export Chrome traces of the
 headline cell (categories ``object`` / ``object.batch`` carry the
@@ -50,7 +55,9 @@ WRITE_FRAC_RW = 0.05
 #: completed/runtime measures serving *capacity*, not the schedule.
 QPS_OFFERED = 1e6
 HEADLINE = (64, 1.2)
-SPEEDUP_FLOOR = 1.5
+#: Measured 1.246 on the headline cell (the lowest of the grid is
+#: 1.242); same ~8% headroom the 1.5 floor had under 1.64.
+SPEEDUP_FLOOR = 1.15
 
 
 def _run_cell(api: str, obj_bytes: int, zipf_s: float,
@@ -135,12 +142,14 @@ def test_serving_object_vs_page(benchmark):
     write_csv("serving", rows)
     assert headline is not None
     row = headline["row"]
-    # The tentpole claim: >= 1.5x QPS at 64 B objects, zipf 1.2.
+    # Vectoring alone must keep the object path ahead of the page path
+    # at 64 B objects, zipf 1.2.
     assert row["speedup"] >= SPEEDUP_FLOOR, row
     # The object path actually served at object granularity...
     assert headline["obj"]["remote_tasks"] > 0, headline
-    # ...and its extent cache caught a real share of the zipf head.
-    assert headline["obj"]["local_hit_frac"] > 0.05, headline
+    # ...and its extent cache held the zipf head (measured 0.67; it
+    # was 0.35 when every 64 B extent cost a page-sized frame).
+    assert headline["obj"]["local_hit_frac"] > 0.5, headline
     cfg = dict(table_bytes=TABLE_BYTES, obj_bytes=row["obj_bytes"],
                zipf_s=row["zipf_s"], queries=QUERIES, lookups=LOOKUPS,
                page=PAGE)

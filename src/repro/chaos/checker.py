@@ -339,8 +339,8 @@ def check_conservation(system, vectors=()) -> List[str]:
 
     * device occupancy: ``0 <= used <= capacity`` and stored blob
       bytes never exceed the ``used`` account;
-    * pcache accounting: each live Vector handle's ``_reserved``
-      equals the bytes of its resident frames.
+    * pcache accounting: each live Vector handle's ``pcache_used``
+      equals the bytes its resident frames hold (``Frame.held``).
     """
     problems: List[str] = []
     for node, dmsh in enumerate(system.dmshs):
@@ -357,12 +357,12 @@ def check_conservation(system, vectors=()) -> List[str]:
     for vec in vectors:
         if vec.shared.destroyed:
             continue
-        frame_bytes = sum(len(f.data) for f in vec.frames.values())
-        if frame_bytes != vec._reserved:
+        frame_bytes = sum(f.held for f in vec.frames.values())
+        if frame_bytes != vec.pcache_used:
             problems.append(
                 f"pcache {vec.shared.name} rank {vec.client.rank}: "
-                f"{frame_bytes} frame bytes vs {vec._reserved} "
-                f"reserved")
+                f"{frame_bytes} frame bytes vs {vec.pcache_used} "
+                f"charged")
     return problems
 
 

@@ -38,6 +38,8 @@ class MegaMmapClient:
         #: to pre-tenancy behavior.
         self.tenant = None
         self._m_task_lat = None
+        #: Every handle this process opened, in order (see :meth:`close`).
+        self._vectors: List[Vector] = []
 
     def bind_tenant(self, tenant) -> None:
         """Attach this client to a tenant: pcache charges, volatile-key
@@ -77,7 +79,9 @@ class MegaMmapClient:
                 raise VectorError(
                     f"page size is immutable after creation "
                     f"({shared.page_size} != {page_size})")
-        return Vector(self, shared)
+        vec = Vector(self, shared)
+        self._vectors.append(vec)
+        return vec
 
     def _create(self, key, dtype, size, page_size, volatile):
         if dtype is None:
@@ -286,6 +290,17 @@ class MegaMmapClient:
             with self.system.tracer.span("drain", "rpc", node=self.node,
                                          count=len(pending)):
                 yield AllOf(self.system.sim, pending)
+
+    def close(self):
+        """The process exits: every frame of every handle it opened is
+        evicted — dirty bytes ship like any eviction, the bytes held go
+        back to the node's DRAM and off the tenant's ledger. Without
+        it a finished process keeps charging a node it no longer runs
+        on. Generator."""
+        vectors, self._vectors = self._vectors, []
+        for vec in vectors:
+            for page_idx in list(vec.frames):
+                yield from vec.evict_page(page_idx)
 
     # -- pcache accounting ------------------------------------------------------------
     def reserve_pcache(self, nbytes: int) -> None:

@@ -104,13 +104,41 @@ class IntervalSet:
             return True
         return i < len(self._ivs) and self._ivs[i][0] < end
 
+    def _first_reaching(self, point: int) -> int:
+        """Index of the first interval that ends after ``point``."""
+        i = bisect.bisect_left(self._ivs, (point, point))
+        if i > 0 and self._ivs[i - 1][1] > point:
+            i -= 1
+        return i
+
     def intersect(self, start: int, end: int) -> "IntervalSet":
         """New set clipped to ``[start, end)``."""
         out = IntervalSet()
-        for s, e in self._ivs:
-            s2, e2 = max(s, start), min(e, end)
-            if s2 < e2:
-                out.add(s2, e2)
+        ivs = self._ivs
+        for i in range(self._first_reaching(start), len(ivs)):
+            s, e = ivs[i]
+            if s >= end:
+                break
+            s, e = max(s, start), min(e, end)
+            if s < e:  # an inverted window clips to nothing
+                out._ivs.append((s, e))
+        return out
+
+    def gaps(self, start: int, end: int) -> List[Tuple[int, int]]:
+        """The parts of ``[start, end)`` the set does not cover, in
+        order — O(log n + k) for k intervals inside the window."""
+        out: List[Tuple[int, int]] = []
+        ivs = self._ivs
+        pos = start
+        for i in range(self._first_reaching(start), len(ivs)):
+            s, e = ivs[i]
+            if s >= end:
+                break
+            if s > pos:
+                out.append((pos, s))
+            pos = e
+        if pos < end:
+            out.append((pos, end))
         return out
 
     def copy(self) -> "IntervalSet":

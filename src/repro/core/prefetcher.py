@@ -148,8 +148,9 @@ class Prefetcher:
             if score == 0.0:
                 yield from vec.evict_page(page_idx)
         # Asynchronous pcache read-ahead for score-1 future pages that
-        # are not resident yet — admitted in access order while the
-        # free budget lasts, one batched fill per contiguous page run.
+        # are not (fully) resident yet — admitted in access order while
+        # the free budget lasts, one batched fill per contiguous page
+        # run.
         if not tx.writes:
             window = max(1, vec.pcache_budget // vec.shared.page_size) \
                 * vec.shared.elems_per_page
@@ -160,13 +161,15 @@ class Prefetcher:
                 if page_idx in seen:
                     continue
                 seen.add(page_idx)
-                if scores.get(page_idx, 0.0) < 1.0 \
-                        or page_idx in vec.frames:
+                if scores.get(page_idx, 0.0) < 1.0:
                     continue
-                page_nbytes = vec.shared.page_nbytes(page_idx)
-                if page_nbytes > admit_budget:
+                need = sum(e - s
+                           for s, e in vec.read_ahead_gaps(page_idx))
+                if not need:
+                    continue
+                if need > admit_budget:
                     break
-                admit_budget -= page_nbytes
+                admit_budget -= need
                 ahead.append(region)
             for run in coalesce_page_runs(ahead,
                                           cfg.batch_max_pages):

@@ -7,7 +7,9 @@ the process-private **pcache** with copy-on-write dirty-interval
 tracking, faulting pages from the distributed **scache** through
 MemoryTasks, with the :class:`~repro.core.prefetcher.Prefetcher`
 (Algorithm 1) driving eviction/read-ahead at transaction
-acknowledgment points.
+acknowledgment points. Where the cached bytes live and what they cost
+is :class:`~repro.core.pcache.PCache`'s business; this module decides
+what to fetch, from whom, and in which batch.
 
 All potentially blocking methods are generators:
 ``chunk = yield from vec.next_chunk()``.
@@ -22,28 +24,10 @@ import numpy as np
 
 from repro.core.coherence import CoherencePolicy, policy_for
 from repro.core.errors import TransactionError, VectorError
-from repro.core.intervals import IntervalSet
 from repro.core.memtask import MemoryTask, TaskKind
+from repro.core.pcache import Frame, PCache
 from repro.core.prefetcher import Prefetcher
 from repro.core.transaction import Transaction, TxFlags
-
-
-class Frame:
-    """One pcache page frame: private data + validity/dirty intervals."""
-
-    __slots__ = ("data", "valid", "dirty", "last_use", "pending",
-                 "pending_span")
-
-    def __init__(self, nbytes: int):
-        self.data = np.zeros(nbytes, dtype=np.uint8)
-        self.valid = IntervalSet()
-        self.dirty = IntervalSet()
-        self.last_use = 0
-        self.pending = None  # in-flight fill event, if any
-        # Span id of the in-flight fill's prefetch span (tracing only):
-        # a fault that blocks on ``pending`` records it as ``wait_on``
-        # so the prefetch-issue -> install causal edge survives export.
-        self.pending_span = None
 
 
 @dataclass
@@ -68,18 +52,12 @@ class Vector:
     def __init__(self, client, shared):
         self.client = client
         self.shared = shared
-        self.pcache_budget = client.system.config.pcache_size
-        self.frames: Dict[int, Frame] = {}
+        #: Frames and their byte accounting (``core/pcache.py``).
+        self.pcache = PCache(client, shared.name,
+                             client.system.config.pcache_size,
+                             self.evict_page)
         self.tx: Optional[Transaction] = None
         self.prefetcher = Prefetcher(self)
-        self._use_seq = 0
-        self._reserved = 0
-        # Last-page fast path (paper III-E, Minimizing Indexing
-        # Overhead): the page last accessed is checked before any
-        # lookup. ``index_ops`` counts the extra integer/conditional
-        # work for the §III-E overhead benchmark.
-        self._last_page: Tuple[int, Optional[Frame]] = (-1, None)
-        self.index_ops = 0
         self._policy_epoch_seen = shared.policy_epoch
         # Labeled-metric handles, fetched once (hot path pays only the
         # attribute add); the flat dotted counters stay for back-compat.
@@ -88,10 +66,6 @@ class Vector:
             "pcache_faults", node=client.node, vector=shared.name)
         self._m_prefetches = _m.counter(
             "pcache_prefetches", node=client.node, vector=shared.name)
-        self._m_evict_dirty = _m.counter(
-            "pcache_evictions", node=client.node, kind="dirty")
-        self._m_evict_clean = _m.counter(
-            "pcache_evictions", node=client.node, kind="clean")
         # Object-path metric handles are created lazily on the first
         # *enabled* object operation: a run with the path disabled
         # (``object_threshold_bytes=0``) must not grow new metric
@@ -119,17 +93,22 @@ class Vector:
         return self.shared.length
 
     @property
-    def pcache_used(self) -> int:
-        """Actual pcache bytes held by frames.
+    def frames(self) -> Dict[int, Frame]:
+        return self.pcache.frames
 
-        Counts real frame sizes (``_reserved``), not
-        ``len(frames) * page_size``: tail pages and frames cached
-        before an ``append`` grew the vector are smaller than a
-        nominal page, and nominal accounting both starved the
-        prefetcher of budget it actually had and evicted frames that
-        fit.
-        """
-        return self._reserved
+    @property
+    def pcache_used(self) -> int:
+        """Bytes the frames of this handle hold (``PCache.used``): a
+        frame counts the extents it has, not a nominal page."""
+        return self.pcache.used
+
+    @property
+    def pcache_budget(self) -> int:
+        return self.pcache.budget
+
+    @property
+    def index_ops(self) -> int:
+        return self.pcache.index_ops
 
     # -- resource control (paper III-A) -----------------------------------------
     def bound_memory(self, nbytes: int) -> None:
@@ -138,7 +117,7 @@ class Vector:
             raise VectorError(
                 f"pcache bound {nbytes} below one page "
                 f"({self.shared.page_size})")
-        self.pcache_budget = nbytes
+        self.pcache.budget = nbytes
 
     def pgas(self, rank: int, nprocs: int) -> None:
         """Partition elements evenly among processes (Listing 1's
@@ -274,11 +253,11 @@ class Vector:
             allocate_only=write_only)
         n_elems = region.size // self.itemsize
         tx.advance(n_elems)
+        end = region.off + region.size
         if tx.writes:
-            frame.dirty.add(region.off, region.off + region.size)
-            frame.valid.add(region.off, region.off + region.size)
-        view = frame.data[region.off:region.off + region.size] \
-            .view(self.dtype)
+            frame.dirty.add(region.off, end)
+            frame.valid.add(region.off, end)
+        view = self.pcache.hold(frame, region.off, end).view(self.dtype)
         start = region.page_idx * self.elems_per_page \
             + region.off // self.itemsize
         if h is not None and not tx.writes:
@@ -350,8 +329,8 @@ class Vector:
                 nbytes = n * self.itemsize
                 frame = yield from self._fault(page_idx,
                                                (byte_off, nbytes))
-                out[doff:doff + n] = frame.data[
-                    byte_off:byte_off + nbytes].view(self.dtype)
+                out[doff:doff + n] = frame.read(
+                    byte_off, byte_off + nbytes).view(self.dtype)
             if h is not None:
                 h.on_read(self, elem_off, out, t0)
             return out
@@ -370,8 +349,8 @@ class Vector:
             for page_idx, poff, n, doff in wave:
                 byte_off = poff * self.itemsize
                 nbytes = n * self.itemsize
-                out[doff:doff + n] = frames[page_idx].data[
-                    byte_off:byte_off + nbytes].view(self.dtype)
+                out[doff:doff + n] = frames[page_idx].read(
+                    byte_off, byte_off + nbytes).view(self.dtype)
         if h is not None:
             h.on_read(self, elem_off, out, t0)
         return out
@@ -384,13 +363,14 @@ class Vector:
                                                         len(array)):
             byte_off = poff * self.itemsize
             nbytes = n * self.itemsize
-            covers_all = True  # write-allocate: no read needed
+            # Write-allocate: the range is fully overwritten, so no
+            # read is needed — the fault only makes room for it.
             frame = yield from self._fault(page_idx, (byte_off, nbytes),
-                                           allocate_only=covers_all)
+                                           allocate_only=True)
             # Assign the source slice's uint8 view directly — the frame
             # assignment is the one copy; a tobytes()/frombuffer round
             # trip would materialize the bytes twice per span.
-            frame.data[byte_off:byte_off + nbytes] = \
+            self.pcache.hold(frame, byte_off, byte_off + nbytes)[:] = \
                 array[soff:soff + n].view(np.uint8)
             frame.dirty.add(byte_off, byte_off + nbytes)
             frame.valid.add(byte_off, byte_off + nbytes)
@@ -425,11 +405,11 @@ class Vector:
                 nbytes=sum(f.dirty.total for _, f in pages)):
             if drop:
                 for page_idx, _frame in pages:
-                    self._detach(page_idx)
+                    self.pcache.detach(page_idx)
             yield from self._ship_dirty(pages, drop)
             if drop:
                 for _page_idx, frame in pages:
-                    self._release(frame, dirty=True)
+                    self.pcache.release(frame, dirty=True)
             yield from self.prefetcher.on_write_behind(
                 [p for p, _ in pages], drop)
         system.monitor.metrics.counter(
@@ -466,25 +446,27 @@ class Vector:
     # path via ``read_range``/``write_range``, bit-for-bit.
     #
     # Fetched extents are installed into pcache frames as *valid*
-    # (never dirty) bytes, so the pcache doubles as an object cache at
-    # extent granularity: the zipf head of a serving workload is served
-    # locally after the first touch, while the misses of a whole
-    # ``read_objects`` call — identical extents deduplicated — batch
-    # into one vectored round trip per owner node instead of one
-    # sequential page fault per lookup.
+    # (never dirty) bytes, and a frame holds — and is charged for —
+    # only the extents it has, so the pcache doubles as an object cache
+    # at extent granularity: the zipf head of a serving workload stays
+    # local until the byte budget is under pressure, while the misses
+    # of a whole ``read_objects`` call — identical extents deduplicated
+    # — batch into one vectored round trip per owner node instead of
+    # one sequential fault per lookup.
     #
     # Coherence rule (read-your-writes):
     #   * reads serve bytes that are valid in a resident pcache frame
     #     from that frame (dirty ⊆ valid, so the rank's own uncommitted
     #     page-path writes are always honoured), wait out any in-flight
     #     frame install first, and fetch only the missing extents;
-    #   * fetched extents install with ``_install`` — exactly like a
-    #     page fault's, preserving locally dirty bytes — never whole
-    #     pages;
+    #   * fetched extents install with ``PCache.install`` — exactly
+    #     like a page fault's, preserving locally dirty bytes — never
+    #     whole pages;
     #   * writes are write-through — the OBJ_WRITE ack means the owner
     #     applied (and, under replication, replicated) the bytes — and
-    #     additionally patch any resident frame in place so the rank's
-    #     later page-path reads see its own object writes.
+    #     additionally patch the bytes a resident frame holds in place
+    #     so the rank's later reads see its own object writes (bytes it
+    #     does not hold stay uncached).
 
     def read_object(self, elem_off: int, count: int):
         """Read one small object (``count`` elements) at object
@@ -510,12 +492,8 @@ class Vector:
         with tracer.span("read_object", "object", node=self.client.node,
                          vector=self.shared.name, nbytes=nbytes):
             local = yield from self._object_plan(
-                elem_off, count, out.view(np.uint8), tasks, dests, seen,
-                exclude)
-            if tasks:
-                raws = yield from self.client.submit_batch(tasks,
-                                                           wait=True)
-                self._object_fill(dests, raws)
+                elem_off, count, out.view(np.uint8), tasks, dests, seen)
+            yield from self._object_fetch(tasks, dests, exclude)
             self._count_object_reads(1, nbytes, len(tasks), local)
         if h is not None:
             h.on_read(self, elem_off, out, t0)
@@ -548,7 +526,7 @@ class Vector:
             self._check_range(elem_off, count)
             gated.append(i)
         # Frames of one vectored read protect each other from eviction
-        # while the wave is being planned (same rule as _fault_wave).
+        # while room is made for its misses (same rule as _fault_wave).
         exclude = tuple({p for i in gated
                          for p, _, _, _ in self._page_spans(*requests[i])})
         total = 0
@@ -559,18 +537,14 @@ class Vector:
             outs[i] = out
             total += count * self.itemsize
             local += yield from self._object_plan(
-                elem_off, count, out.view(np.uint8), tasks, dests, seen,
-                exclude)
+                elem_off, count, out.view(np.uint8), tasks, dests, seen)
         if gated:
             tracer = self.client.system.tracer
             with tracer.span("read_objects", "object",
                              node=self.client.node,
                              vector=self.shared.name, count=len(gated),
                              nbytes=total):
-                if tasks:
-                    raws = yield from self.client.submit_batch(
-                        tasks, wait=True)
-                    self._object_fill(dests, raws)
+                yield from self._object_fetch(tasks, dests, exclude)
                 self._count_object_reads(len(gated), total, len(tasks),
                                          local)
             if h is not None:
@@ -610,16 +584,15 @@ class Vector:
                 span_nbytes = n * self.itemsize
                 sbase = soff * self.itemsize
                 chunk = src[sbase:sbase + span_nbytes]
-                frame = self._lookup(page_idx)
+                frame = self.pcache.lookup(page_idx)
                 if frame is not None:
                     if frame.pending is not None \
                             and not frame.pending.processed:
                         # An in-flight install would clobber the patch
-                        # (_install only preserves *dirty* bytes):
+                        # (install only preserves *dirty* bytes):
                         # wait it out first.
                         yield frame.pending
-                    frame.data[byte_off:byte_off + span_nbytes] = chunk
-                    frame.valid.add(byte_off, byte_off + span_nbytes)
+                    frame.patch(byte_off, chunk)
                     # Deliberately NOT marked dirty: the write-through
                     # ships the bytes now; dirty would ship them again
                     # at commit. Ranges already dirty simply carry the
@@ -639,34 +612,35 @@ class Vector:
 
     def _object_plan(self, elem_off: int, count: int,
                      out_u8: np.ndarray, tasks: list, dests: list,
-                     seen: dict, exclude=()):
+                     seen: dict):
         """Plan one object read: copy locally-valid bytes from pcache
         frames into ``out_u8`` and append OBJ_READ tasks + fill
         destinations for the missing extents. ``seen`` dedups identical
         extents across one vectored submission (zipf-hot keys repeat
-        within a query). Generator (may allocate frames / wait on
-        in-flight installs); returns the locally-served byte count."""
+        within a query). Generator (may wait on in-flight installs);
+        returns the locally-served byte count."""
         local = 0
         for page_idx, poff, n, doff in self._page_spans(elem_off,
                                                         count):
             byte_off = poff * self.itemsize
             nbytes = n * self.itemsize
             dbase = doff * self.itemsize
-            # Allocate (and LRU-touch) the frame like a fault would —
-            # the fetched extent is installed on arrival, so the hot
-            # set ends up cached without ever faulting a whole page.
-            frame = yield from self._ensure_frame(
-                page_idx, self.shared.page_nbytes(page_idx),
-                exclude=exclude)
+            # LRU-touch the frame like a fault would — the fetched
+            # extent is installed on arrival, so the hot set ends up
+            # cached without ever faulting a whole page.
+            frame = self.pcache.ensure(page_idx)
             if frame.pending is not None \
                     and not frame.pending.processed:
                 # Read-your-writes vs in-flight page installs:
                 # settle the frame before deciding what is local.
                 yield frame.pending
-            missing = self._missing(frame, byte_off, byte_off + nbytes)
-            out_u8[dbase:dbase + nbytes] = \
-                frame.data[byte_off:byte_off + nbytes]
-            local += nbytes - sum(e - s for s, e in missing)
+            missing = self.pcache.missing(frame, byte_off,
+                                          byte_off + nbytes)
+            hit = nbytes - sum(e - s for s, e in missing)
+            if hit:
+                out_u8[dbase:dbase + nbytes] = \
+                    frame.read(byte_off, byte_off + nbytes)
+                local += hit
             for m_start, m_end in missing:
                 dst = dbase + (m_start - byte_off)
                 key = (page_idx, m_start, m_end)
@@ -688,10 +662,18 @@ class Vector:
                                   None, 0))
         return local
 
-    def _object_fill(self, dests, raws) -> None:
-        """Install fetched extents into their frames (valid, never
-        dirty — ``_install`` preserves local dirty bytes) and copy them
-        into the output slots."""
+    def _object_fetch(self, tasks, dests, exclude):
+        """Fetch the planned extents in one vectored submission:
+        reserve exactly the missing bytes, then install them (valid,
+        never dirty — ``install`` preserves local dirty bytes) and
+        copy them into the output slots. Generator."""
+        if not tasks:
+            return
+        yield from self.pcache.reserve(
+            [(frame, m_start, m_start + size)
+             for _pos, _buf, _dst, size, frame, m_start in dests
+             if frame is not None], exclude=exclude)
+        raws = yield from self.client.submit_batch(tasks, wait=True)
         for pos, buf, dst, size, frame, m_start in dests:
             raw = raws[pos]
             data = raw if isinstance(raw, np.ndarray) \
@@ -699,7 +681,7 @@ class Vector:
             if frame is not None:
                 # Harmless if the frame was evicted mid-flight: the
                 # orphaned buffer is garbage-collected with the frame.
-                self._install(frame, m_start, data)
+                self.pcache.install(frame, m_start, data)
             buf[dst:dst + size] = data
 
     def _object_metrics(self):
@@ -752,19 +734,6 @@ class Vector:
             done += n
 
     # -- fault / evict / prefetch -------------------------------------------------------
-    def _touch(self, page_idx: int, frame: Frame) -> None:
-        self._use_seq += 1
-        frame.last_use = self._use_seq
-        self._last_page = (page_idx, frame)
-
-    def _lookup(self, page_idx: int) -> Optional[Frame]:
-        # Last-page fast path first (III-E): two integer ops + branch.
-        self.index_ops += 2
-        last_idx, last_frame = self._last_page
-        if last_idx == page_idx:
-            return last_frame
-        return self.frames.get(page_idx)
-
     def _fault(self, page_idx: int, region: Tuple[int, int],
                allocate_only: bool = False, score: float = 1.0):
         """Ensure ``region`` of ``page_idx`` is valid in the pcache.
@@ -786,36 +755,10 @@ class Vector:
                 page_idx, off, size, page_nbytes, allocate_only, sp)
         return frame
 
-    def _ensure_frame(self, page_idx: int, page_nbytes: int,
-                      exclude: Tuple[int, ...] = ()):
-        """Allocate (or grow) the pcache frame for ``page_idx``,
-        evicting LRU frames as needed. Generator; returns the Frame."""
-        frame = self._lookup(page_idx)
-        if frame is None:
-            yield from self._make_room(page_nbytes, exclude=exclude)
-            frame = Frame(page_nbytes)
-            self.frames[page_idx] = frame
-            self.client.reserve_pcache(page_nbytes)
-            self._reserved += page_nbytes
-        elif len(frame.data) < page_nbytes:
-            # The vector grew (append): extend the cached frame —
-            # making room for the delta first, exactly like a fresh
-            # allocation (the growing frame itself is exempt from
-            # eviction).
-            delta = page_nbytes - len(frame.data)
-            yield from self._make_room(
-                delta, exclude=(page_idx,) + tuple(exclude))
-            grown = np.zeros(page_nbytes, dtype=np.uint8)
-            grown[:len(frame.data)] = frame.data
-            frame.data = grown
-            self.client.reserve_pcache(delta)
-            self._reserved += delta
-        self._touch(page_idx, frame)
-        return frame
-
     def _fault_timed(self, page_idx: int, off: int, size: int,
                      page_nbytes: int, allocate_only: bool, sp):
-        frame = yield from self._ensure_frame(page_idx, page_nbytes)
+        pcache = self.pcache
+        frame = pcache.ensure(page_idx)
         if frame.pending is not None and not frame.pending.processed:
             yield frame.pending
             if frame.pending_span is not None \
@@ -825,11 +768,20 @@ class Vector:
                 # fill process assigns it when its span opens).
                 sp.attrs.setdefault("wait_on", []).append(
                     frame.pending_span)
+        # Room is made for exactly the bytes the frame lacks — a whole
+        # page when none of it is resident, 64 B for a 64 B object.
         if allocate_only:
+            # The caller overwrites the range and holds it itself.
+            lacking = sum(e - s
+                          for s, e in frame.valid.gaps(off, off + size))
+            if lacking:
+                yield from pcache.make_room(lacking, exclude=(page_idx,))
             return frame
-        missing = self._missing(frame, off, off + size)
+        missing = pcache.missing(frame, off, off + size)
         if missing:
             sp["miss_bytes"] = sum(e - s for s, e in missing)
+            yield from pcache.reserve(
+                [(frame, s, e) for s, e in missing], exclude=(page_idx,))
         collective = (self.tx is not None and self.tx.is_collective
                       and not self.tx.writes)
         for m_start, m_end in missing:
@@ -849,35 +801,8 @@ class Vector:
             else:
                 raw = yield from self.client.submit(task, wait=True)
             # Do not clobber locally dirty bytes with stale data.
-            self._install(frame, m_start, raw)
+            pcache.install(frame, m_start, raw)
         return frame
-
-    def _missing(self, frame: Frame, start: int, end: int):
-        missing = IntervalSet([(start, end)])
-        for v_start, v_end in frame.valid:
-            missing.remove(v_start, v_end)
-        return list(missing)
-
-    def _install(self, frame: Frame, start: int, raw) -> None:
-        """Copy fetched bytes into a frame (the ownership boundary).
-
-        ``raw`` may be ``bytes``, a ``memoryview``, or a uint8 ndarray
-        view — the data plane ships views; the frame install here is
-        where the one real copy happens.
-        """
-        data = raw if isinstance(raw, np.ndarray) \
-            else np.frombuffer(raw, dtype=np.uint8)
-        end = start + len(data)
-        # Locally dirty bytes are newer than anything the scache holds:
-        # save and restore them around the install (matters when an
-        # async prefetch completes after local writes to the frame).
-        saved = [(s, e, frame.data[s:e].copy())
-                 for s, e in frame.dirty.intersect(start, end)]
-        frame.data[start:end] = data
-        for s, e, buf in saved:
-            frame.data[s:e] = buf
-        frame.valid.add(start, end)
-        self.client.system.monitor.count("bytes.copied", len(data))
 
     def _fault_wave(self, regions):
         """Fault one wave of page regions with a single batched READ
@@ -898,8 +823,7 @@ class Vector:
                 raise VectorError(
                     f"region [{off}, {off + size}) outside page of "
                     f"{page_nbytes} bytes")
-            frame = yield from self._ensure_frame(page_idx, page_nbytes,
-                                                  exclude=exclude)
+            frame = self.pcache.ensure(page_idx)
             if frame.pending is not None and not frame.pending.processed:
                 with tracer.span("wait_install", "pcache",
                                  node=self.client.node,
@@ -911,47 +835,27 @@ class Vector:
                         wsp.attrs.setdefault("wait_on", []).append(
                             frame.pending_span)
             frames[page_idx] = frame
-            for m_start, m_end in self._missing(frame, off, off + size):
+            for m_start, m_end in self.pcache.missing(frame, off,
+                                                      off + size):
                 self.client.system.monitor.count("pcache.faults")
                 self._m_faults.inc()
                 tasks.append(MemoryTask(
                     kind=TaskKind.READ, vector_name=self.shared.name,
                     page_idx=page_idx, client_node=self.client.node,
                     region=(m_start, m_end - m_start)))
-                installs.append((frame, m_start))
+                installs.append((frame, m_start, m_end))
         if tasks:
+            yield from self.pcache.reserve(installs, exclude=exclude)
             with tracer.span("fault_batch", "pcache",
                              node=self.client.node,
                              vector=self.shared.name, count=len(tasks),
                              nbytes=sum(t.region[1] for t in tasks)):
                 raws = yield from self.client.submit_batch(tasks,
                                                            wait=True)
-            for (frame, m_start), raw in zip(installs, raws):
+            for (frame, m_start, _end), raw in zip(installs, raws):
                 # Do not clobber locally dirty bytes with stale data.
-                self._install(frame, m_start, raw)
+                self.pcache.install(frame, m_start, raw)
         return frames
-
-    def _make_room(self, nbytes: Optional[int] = None,
-                   exclude: Tuple[int, ...] = ()):
-        """Evict LRU frames until ``nbytes`` more fit the budget.
-
-        ``nbytes`` defaults to a nominal page. ``exclude`` protects
-        frames from eviction (the frame currently being grown must not
-        be its own victim). Generator.
-        """
-        if nbytes is None:
-            nbytes = self.shared.page_size
-        # A tenant over its cluster-wide pcache quota self-evicts down
-        # toward it (soft enforcement: other handles' frames are out of
-        # reach, so the loop stops when this handle has nothing left).
-        while (self.pcache_used + nbytes > self.pcache_budget
-               or self.client.pcache_over_quota(nbytes)):
-            candidates = [p for p in self.frames if p not in exclude]
-            if not candidates:
-                break
-            victim = min(candidates,
-                         key=lambda p: self.frames[p].last_use)
-            yield from self.evict_page(victim)
 
     def evict_page(self, page_idx: int):
         """Drop a pcache frame, shipping dirty fragments to the scache.
@@ -960,7 +864,7 @@ class Vector:
         MemoryTask runs asynchronously (paper III-B, Lifecycle of
         Modified Data). Generator.
         """
-        frame = self._detach(page_idx)
+        frame = self.pcache.detach(page_idx)
         if frame is None:
             return
         tracer = self.client.system.tracer
@@ -974,24 +878,7 @@ class Vector:
                         frame.pending_span)
             shipped = yield from self._ship_dirty([(page_idx, frame)],
                                                   drop=True)
-        self._release(frame, dirty=bool(shipped))
-
-    def _detach(self, page_idx: int) -> Optional[Frame]:
-        """Take a frame out of the page table and this handle's budget;
-        its DRAM stays reserved until the dirty bytes are copied out."""
-        frame = self.frames.pop(page_idx, None)
-        if frame is not None:
-            self._reserved -= len(frame.data)
-            if self._last_page[0] == page_idx:
-                self._last_page = (-1, None)
-        return frame
-
-    def _release(self, frame: Frame, dirty: bool) -> None:
-        """Return a detached frame's DRAM and count the eviction."""
-        kind = "dirty" if dirty else "clean"
-        self.client.system.monitor.count(f"pcache.evictions_{kind}")
-        (self._m_evict_dirty if dirty else self._m_evict_clean).inc()
-        self.client.unreserve_pcache(len(frame.data))
+        self.pcache.release(frame, dirty=bool(shipped))
 
     def _ship_dirty(self, pages, drop: bool):
         """Ship the dirty fragments of ``pages`` — ``[(page_idx,
@@ -1013,8 +900,8 @@ class Vector:
             if not frame.dirty:
                 continue
             fragments = [
-                (start, frame.data[start:end] if drop
-                 else frame.data[start:end].tobytes())
+                (start, frame.read(start, end) if drop
+                 else frame.read(start, end).tobytes())
                 for start, end in frame.dirty
             ]
             if h is not None:
@@ -1037,103 +924,101 @@ class Vector:
         """Start an asynchronous pcache fill (non-blocking)."""
         self.prefetch_pages([page_idx])
 
+    def read_ahead_gaps(self, page_idx: int):
+        """The extents a read-ahead of ``page_idx`` would fetch: the
+        whole page when none of it is resident, only the missing
+        remainder of a partly resident one, nothing when it is fully
+        resident, out of range, or already being filled."""
+        if page_idx >= self.shared.n_pages:
+            return []
+        page_nbytes = self.shared.page_nbytes(page_idx)
+        frame = self.frames.get(page_idx)
+        if frame is None:
+            return [(0, page_nbytes)]
+        if frame.pending is not None:
+            return []
+        return frame.valid.gaps(0, page_nbytes)
+
     def prefetch_pages(self, pages) -> None:
         """Start asynchronous pcache fills for several pages
         (non-blocking).
 
-        Admission is per page — already-resident, out-of-range, and
-        over-budget pages are skipped. With batching enabled the
-        admitted pages ship as one batched READ submission (one fill
-        process, one vectored RPC per owner); otherwise each page gets
-        its own fill process, as before.
+        Admission is per page — fully resident, out-of-range, and
+        over-budget pages are skipped; a partly resident page is
+        admitted, and charged, for its missing remainder only. With
+        batching enabled the admitted pages ship as one batched READ
+        submission (one fill process, one vectored RPC per owner);
+        otherwise each page gets its own fill process.
         """
         admitted = []
         for page_idx in pages:
-            if page_idx >= self.shared.n_pages \
-                    or page_idx in self.frames:
+            gaps = self.read_ahead_gaps(page_idx)
+            # Budget-check the bytes the fill will actually add: a
+            # tail page is smaller than a nominal page, and a partly
+            # resident one already holds some of its bytes.
+            need = sum(e - s for s, e in gaps)
+            if not need or self.pcache_used + need > self.pcache_budget \
+                    or self.client.pcache_over_quota(need):
                 continue
-            # Budget-check the bytes this page actually occupies: the
-            # tail page is smaller than a nominal page, and testing
-            # with ``page_size`` both refused prefetches that fit and
-            # (were a frame ever larger) would over-commit the budget.
-            page_nbytes = self.shared.page_nbytes(page_idx)
-            if self.pcache_used + page_nbytes > self.pcache_budget \
-                    or self.client.pcache_over_quota(page_nbytes):
-                continue
-            frame = Frame(page_nbytes)
-            self.frames[page_idx] = frame
-            self.client.reserve_pcache(page_nbytes)
-            self._reserved += page_nbytes
-            self._touch(page_idx, frame)
-            task = MemoryTask(
-                kind=TaskKind.READ, vector_name=self.shared.name,
-                page_idx=page_idx, client_node=self.client.node,
-                region=(0, page_nbytes))
-            admitted.append((page_idx, frame, task, page_nbytes))
+            frame = self.pcache.ensure(page_idx)
+            # The fill installs into storage held — and charged — now;
+            # whatever the frame already had joins one dense extent.
+            self.pcache.hold(frame, 0, self.shared.page_nbytes(page_idx))
+            admitted.append((page_idx, frame, [
+                MemoryTask(
+                    kind=TaskKind.READ, vector_name=self.shared.name,
+                    page_idx=page_idx, client_node=self.client.node,
+                    region=(s, e - s))
+                for s, e in gaps]))
         if not admitted:
             return
-        cfg = self.client.system.config
         # Causal edge: the fill span (which runs in its own process)
         # names the span that *issued* the read-ahead as its cause.
         issue_ctx = self.client.system.tracer.current_span_id()
-        if not cfg.batching_enabled or len(admitted) == 1:
-            for page_idx, frame, task, page_nbytes in admitted:
-                self._spawn_fill(page_idx, frame, task, page_nbytes,
-                                 issue_ctx)
-            return
+        if self.client.system.config.batching_enabled:
+            self._spawn_fill(admitted, issue_ctx)
+        else:
+            for entry in admitted:
+                self._spawn_fill([entry], issue_ctx)
 
-        def fill_batch():
+    def _spawn_fill(self, admitted, issue_ctx: Optional[int]) -> None:
+        """One fill process for ``admitted`` — ``[(page_idx, frame,
+        READ tasks), ...]`` — marked ``pending`` on every frame."""
+        tasks = [t for _p, _f, page_tasks in admitted for t in page_tasks]
+        nbytes = sum(t.region[1] for t in tasks)
+        name = self.shared.name
+        if len(admitted) == 1:
+            span, attrs = "prefetch", dict(page=admitted[0][0])
+            proc_name = f"prefetch {name}[{admitted[0][0]}]"
+        else:
+            span, attrs = "prefetch_batch", dict(count=len(admitted))
+            proc_name = f"prefetch {name}x{len(admitted)}"
+        attrs["nbytes"] = nbytes
+        if issue_ctx is not None:
+            attrs["cause"] = issue_ctx
+
+        def fill():
             tracer = self.client.system.tracer
-            causal = {"cause": issue_ctx} if issue_ctx is not None \
-                else {}
-            with tracer.span("prefetch_batch", "pcache",
-                             node=self.client.node,
-                             vector=self.shared.name,
-                             count=len(admitted),
-                             nbytes=sum(n for _, _, _, n in admitted),
-                             **causal) as bsp:
+            with tracer.span(span, "pcache", node=self.client.node,
+                             vector=name, **attrs) as fsp:
                 if tracer.enabled:
-                    for _p, fr, _t, _n in admitted:
-                        fr.pending_span = bsp.span_id
-                raws = yield from self.client.submit_batch(
-                    [t for _, _, t, _ in admitted], wait=True)
-                for (page_idx, frame, _t, _n), raw in zip(admitted,
-                                                          raws):
-                    if self.frames.get(page_idx) is frame:
-                        self._install(frame, 0, raw)
+                    for _p, frame, _t in admitted:
+                        frame.pending_span = fsp.span_id
+                raws = iter((yield from self.client.submit_batch(
+                    tasks, wait=True)))
+                for page_idx, frame, page_tasks in admitted:
+                    for task in page_tasks:
+                        raw = next(raws)
+                        if self.frames.get(page_idx) is frame:
+                            self.pcache.install(frame, task.region[0],
+                                                raw)
                     frame.pending = None
                     self.client.system.monitor.count("pcache.prefetches")
                     self._m_prefetches.inc()
 
-        proc = self.client.system.sim.process(
-            fill_batch(),
-            name=f"prefetch {self.shared.name}x{len(admitted)}")
-        for _page_idx, frame, _task, _nbytes in admitted:
+        proc = self.client.system.sim.process(fill(), name=proc_name)
+        for _page_idx, frame, _tasks in admitted:
             frame.pending = proc
-
-    def _spawn_fill(self, page_idx: int, frame: Frame,
-                    task: MemoryTask, page_nbytes: int,
-                    issue_ctx: Optional[int] = None) -> None:
-        def fill():
-            tracer = self.client.system.tracer
-            causal = {"cause": issue_ctx} if issue_ctx is not None \
-                else {}
-            with tracer.span("prefetch", "pcache",
-                             node=self.client.node,
-                             vector=self.shared.name, page=page_idx,
-                             nbytes=page_nbytes, **causal) as fsp:
-                if tracer.enabled:
-                    frame.pending_span = fsp.span_id
-                raw = yield from self.client.submit(task, wait=True)
-                if page_idx in self.frames \
-                        and self.frames[page_idx] is frame:
-                    self._install(frame, 0, raw)
-                frame.pending = None
-                self.client.system.monitor.count("pcache.prefetches")
-                self._m_prefetches.inc()
-
-        frame.pending = self.client.system.sim.process(
-            fill(), name=f"prefetch {self.shared.name}[{page_idx}]")
 
     # -- flushing / persistence -------------------------------------------------------
     def flush(self, wait: bool = True):
@@ -1178,7 +1063,7 @@ class Vector:
         else:
             yield from self.flush(wait=True)
         for page_idx in list(self.frames):
-            self.client.unreserve_pcache(len(self._detach(page_idx).data))
+            self.pcache.release(self.pcache.detach(page_idx), dirty=False)
         for info in list(self.client.system.hermes.mdm.list_bucket(
                 self.shared.name)):
             task = MemoryTask(

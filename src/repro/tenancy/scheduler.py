@@ -160,6 +160,8 @@ class JobScheduler:
         self._release = self.system.sim.event()
         self._rows: Dict[str, Dict[str, Any]] = {}
         self._queued_logged: set = set()
+        #: Library handles of each running job's ranks.
+        self._clients: Dict[str, list] = {}
 
     # -- admission -------------------------------------------------------
     def _try_admit(self, job: JobSpec) -> str:
@@ -227,6 +229,14 @@ class JobScheduler:
         self._rows[job.name] = self._row(job, status=status,
                                          start=start, finish=finish)
         self._signal_release()
+        if status == "ok":
+            # The ranks have returned: their private caches go back to
+            # the nodes, or every finished tenant would keep its frames
+            # reserved in DRAM the running ones are short of. (After a
+            # crash the surviving ranks are still scheduled, so theirs
+            # stay.)
+            for mm in self._clients.pop(job.name, ()):
+                yield from mm.close()
 
     def _run_job(self, job: JobSpec):
         sim = self.system.sim
@@ -249,6 +259,7 @@ class JobScheduler:
                 comm = world.comm(r)
                 mm = self.system.client(r, comm.node)
                 mm.bind_tenant(tenant)
+                self._clients.setdefault(job.name, []).append(mm)
                 ctx = AppContext(
                     self.cluster, r, comm, mm, nprocs=job.procs,
                     rng=rng_stream(self.cluster.spec.seed, "tenant",

@@ -186,6 +186,33 @@ def test_intersect_matches_set_model(s, iv):
     assert s.intersect(a, b) == s
 
 
+@settings(max_examples=300, deadline=None)
+@given(_ivsets, _iv)
+def test_gaps_complement_the_set_inside_the_window(s, iv):
+    """gaps ∪ (s ∩ [lo, hi)) == [lo, hi), and the two are disjoint —
+    what a frame lacks plus what it has is exactly what was asked."""
+    lo, hi = iv
+    gaps = s.gaps(lo, hi)
+    assert all(lo <= a < b <= hi for a, b in gaps)
+    # Sorted, and strictly separated by the valid runs between them.
+    for (_, b0), (a1, _) in zip(gaps, gaps[1:]):
+        assert b0 < a1
+    missing = {p for a, b in gaps for p in range(a, b)}
+    held = _points(s) & set(range(lo, hi))
+    assert missing.isdisjoint(held)
+    assert missing | held == set(range(lo, hi))
+    assert sum(b - a for a, b in gaps) + s.intersect(lo, hi).total \
+        == hi - lo
+
+
+def test_gaps_of_empty_and_covering_sets():
+    assert IntervalSet().gaps(3, 9) == [(3, 9)]
+    assert IntervalSet([(0, 10)]).gaps(3, 9) == []
+    assert IntervalSet([(0, 10)]).gaps(5, 5) == []
+    assert IntervalSet([(2, 4), (6, 8)]).gaps(0, 10) == \
+        [(0, 2), (4, 6), (8, 10)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_ivsets, st.integers(0, 60), st.integers(0, 61))
 def test_intersect_split_reassembles(s, mid, width):

@@ -122,7 +122,7 @@ def test_last_page_fast_path_hits(dsm):
     (extra,) = run_procs(sim, app())
     # Exactly 2 ops per lookup, one lookup per access.
     assert extra == 2 * 19
-    assert vec._last_page[0] == 0
+    assert vec.pcache.last_page[0] == 0
 
 
 def test_evict_clean_page_no_write_task(dsm):

@@ -137,6 +137,23 @@ def test_admission_queues_until_capacity_frees():
     assert "complete" in kinds[q:]
 
 
+def test_finished_job_returns_its_pcache_to_the_node():
+    # A rank that has returned holds no frames: its bytes are off the
+    # tenant's ledger and out of the node's DRAM, which then counts
+    # nothing but blobs. (Before, every finished tenant kept its last
+    # frames reserved until the end of the campaign.)
+    cluster = _cluster()
+    sched = JobScheduler(cluster, [_gs("first"), _gs("second", 0.01)],
+                         realloc=False)
+    res = sched.run()
+    assert [r["status"] for r in res.rows] == ["ok", "ok"]
+    assert res.stats["pcache.bytes_reserved"] > 0
+    assert [t.pcache_used for t in sched.qm.tenants.values()] == [0, 0]
+    for dmsh in cluster.dmshs:
+        dram = dmsh.tiers[0]
+        assert dram.used == sum(dram.size_of(k) for k in dram.keys())
+
+
 def test_duplicate_job_names_rejected():
     with pytest.raises(PipelineError):
         JobScheduler(_cluster(), [_gs("same"), _gs("same")])

@@ -261,6 +261,41 @@ def test_shipped_gray_scott_pipeline_checkpoints(tmp_path):
     assert not any(r["crashed"] for r in rows)
 
 
+def test_shipped_serving_pipeline_pcache_size_moves_local_hits(tmp_path):
+    """Non-vacuity of ``serving_obj.yaml``'s ``pcache_size``: the byte
+    budget decides how much of the zipf head is served locally. At the
+    shipped 96 queries a rank's whole working set (~33 KB of 64 B
+    extents) fits every budget from 128 KB up — the sweep is flat by
+    construction — so the sweep runs with 8x the queries, where 128 KB
+    is under pressure and 1 MB is not."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "pipelines", "serving_obj.yaml")
+    with open(path, encoding="utf-8") as fh:
+        spec = fh.read().replace("queries: 96", "queries: 768")
+    assert "queries: 768" in spec
+    spec += """
+sweep:
+  - key: cluster.pcache_size
+    values:
+      - 131072
+      - 1048576
+"""
+    seen = []
+
+    def on_variant(cluster, variant, row):
+        stats = cluster.system.stats()
+        seen.append((stats["object.local_hit_bytes"],
+                     stats.get("pcache.evictions_clean", 0.0)))
+
+    rows = run_pipeline(spec, workdir=str(tmp_path),
+                        on_variant=on_variant)
+    assert [r["cluster.pcache_size"] for r in rows] == [131072, 1048576]
+    (small_hits, small_evictions), (large_hits, large_evictions) = seen
+    assert small_evictions > 0 == large_evictions
+    assert small_hits < large_hits
+    assert rows[0]["serving_qps"] < rows[1]["serving_qps"]
+
+
 # -- crash-safe trace export (PR 4 regression) ------------------------------
 
 BOOM_PIPELINE = """
