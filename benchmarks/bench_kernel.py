@@ -239,4 +239,12 @@ def test_kmeans_pipeline_wallclock(benchmark, tmp_path):
                 events / wall, "events/s", cfg)
     emit_result("kernel", "pipeline.kmeans.wall_s", wall, "s", cfg,
                 breakdown=bd)
+    # The one bench that reads a dataset cold: how the bytes came in.
+    # Simulated, deterministic figures, so a rerun replaces the record.
+    requests = stats["stager.requests_in"]
+    emit_result("kernel", "stagein.requests", requests, "requests", cfg,
+                replace=True)
+    emit_result("kernel", "stagein.bytes_per_request",
+                stats["stager.bytes_in"] / requests, "B", cfg,
+                replace=True)
     assert res.runtime > 0

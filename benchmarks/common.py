@@ -137,8 +137,11 @@ def critical_breakdown(cluster: SimCluster) -> Optional[Dict]:
 
 def emit_result(name: str, metric: str, value: float, unit: str,
                 sim_config: Optional[Dict] = None,
-                breakdown: Optional[Dict] = None) -> str:
-    """Append one standardized record to the perf trajectory.
+                breakdown: Optional[Dict] = None,
+                replace: bool = False) -> str:
+    """Append one standardized record to the perf trajectory
+    (``replace=True``: in place of the metric's earlier records, for
+    deterministic simulated figures a rerun only repeats).
 
     Records accumulate in ``benchmarks/results/BENCH_<name>.json`` as a
     JSON list of ``{name, metric, value, unit, sim_config}`` objects —
@@ -170,6 +173,8 @@ def emit_result(name: str, metric: str, value: float, unit: str,
     }
     if breakdown is not None:
         record["critical_path"] = breakdown
+    if replace:
+        records = [r for r in records if r.get("metric") != metric]
     records.append(record)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2)

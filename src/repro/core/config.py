@@ -89,10 +89,6 @@ class MegaMmapConfig:
     batch_max_pages: int = 64
     scale_down_periods: int = 3
     compute_bw: float = 2e9
-    #: Stage-in granularity: a page fault on a cold nonvolatile vector
-    #: stages a whole backend extent (amortizing the PFS request
-    #: latency across pages, as the bulk stager does).
-    stage_extent: int = 256 * KB
     #: Durability copies per scache page (paper §V extension): 1 = no
     #: replication (the paper's deployed configuration); k > 1 places
     #: k-1 asynchronous copies on other nodes, surviving node failure.

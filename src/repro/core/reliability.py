@@ -274,13 +274,9 @@ class ReliabilityManager:
                 raise NodeFailedError(
                     f"page {page_idx} of {vec.name!r} lost: no replica "
                     f"and no persisted copy")
-            raw = yield from self.system.stager.stage_in(vec, page_idx,
-                                                         client_node)
-            target = vec.owner_node(page_idx, client_node)
-            if target in self.failed_nodes:
-                target = client_node
-            yield from hermes.put(client_node, vec.name, page_idx, raw,
-                                  target_node=target)
+            yield from self.system.stager.materialize(
+                vec, [page_idx], client_node, client_node)
+            raw = yield from hermes.get(client_node, vec.name, page_idx)
             self.record(vec.name, page_idx, raw)
             monitor.count("reliability.restages")
             sp["reason"] = "backend_restage"

@@ -10,13 +10,33 @@ updates, replica invalidation on writes).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.coherence import CoherencePolicy
 from repro.core.errors import MegaMmapError
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.shared import SharedVector
 from repro.hermes.blob import BlobNotFound
+
+
+def _whole_page(vec: SharedVector, task: MemoryTask) -> bool:
+    frags = task.fragments
+    return (len(frags) == 1 and frags[0][0] == 0
+            and len(frags[0][1]) == vec.page_nbytes(task.page_idx))
+
+
+def _write_allocates(vec: SharedVector, task: MemoryTask) -> bool:
+    """A write of a whole absent page needs no stage-in — unless one
+    is about to publish the page, in which case the write goes on top
+    of it rather than racing it."""
+    return _whole_page(vec, task) and task.page_idx not in vec.staging
+
+
+def _write_score(vec: SharedVector) -> float:
+    """Pages of write/append-only phases are not read back soon: a
+    lower score lets hotter (about-to-be-read) pages keep the fast
+    tiers."""
+    return 0.5 if vec.policy in (
+        CoherencePolicy.WRITE_ONLY_GLOBAL,
+        CoherencePolicy.APPEND_ONLY_GLOBAL) else 1.0
 
 
 class ScacheExecutor:
@@ -132,177 +152,62 @@ class ScacheExecutor:
     # -- page materialization ------------------------------------------------
     def ensure_page(self, vec: SharedVector, page_idx: int,
                     client_node: int, score: float = 1.0):
-        """Materialize the page blob in the scache if absent.
-
-        Missing nonvolatile pages stage in from the backend; missing
-        volatile pages are zero-filled. Generator; returns BlobInfo.
-        """
-        hermes = self.system.hermes
-        info = yield from hermes.mdm.try_get(self.node_id, vec.name,
-                                             page_idx)
-        want = vec.page_nbytes(page_idx)
-        if info is not None:
-            if info.nbytes < want:
-                # The vector grew (append): extend the blob in place.
-                raw = yield from self._get_page(vec, page_idx,
-                                                self.node_id)
-                raw = raw + bytes(want - len(raw))
-                info = yield from hermes.put(
-                    self.node_id, vec.name, page_idx, raw,
-                    score=info.score, target_node=info.node)
-            return info
-        lock = self.system.stager.extent_lock(vec, page_idx)
-        yield lock.acquire()
-        try:
-            # Re-check under the lock: a concurrent fault may have
-            # created the page (replacing it would lose its writes).
-            info = yield from hermes.mdm.try_get(self.node_id, vec.name,
-                                                 page_idx)
-            if info is not None:
-                return info
-            with self.system.tracer.span(
-                    "stage_in", "scache", node=self.node_id,
-                    vector=vec.name, page=page_idx):
-                staged = yield from self.system.stager.stage_in_extent(
-                    vec, page_idx, self.node_id)
-                for p, raw in staged:
-                    if p != page_idx and hermes.mdm.peek(vec.name, p) \
-                            is not None:
-                        continue
-                    owner = vec.owner_node(p, client_node)
-                    put_info = yield from hermes.put(
-                        self.node_id, vec.name, p, raw, score=score,
-                        target_node=owner)
-                    if self.system.config.integrity_checks:
-                        # Without a baseline CRC at materialization,
-                        # corruption of a staged-in page that is never
-                        # rewritten would pass verification.
-                        self.system.reliability.record(vec.name, p, raw)
-                    if p == page_idx:
-                        info = put_info
-        finally:
-            lock.release()
-        if info is None:
-            # A concurrent fault published our page while we waited.
-            info = yield from hermes.mdm.try_get(self.node_id, vec.name,
-                                                 page_idx)
-        return info
+        """One-page :meth:`ensure_pages`; returns the page's BlobInfo."""
+        return (yield from self.ensure_pages(
+            vec, [page_idx], client_node, score))[page_idx]
 
     def ensure_pages(self, vec: SharedVector, pages, client_node: int,
                      score: float = 1.0):
-        """Materialize several pages with one stage-in round per
-        touched extent (generator; returns {page_idx: BlobInfo}).
-
-        The batched counterpart of :meth:`ensure_page`: missing pages
-        are grouped by stage-in extent, and each extent pays a single
-        lock acquisition + backend read for all of its missing pages.
-        """
+        """Materialize the page blobs the scache lacks, in one
+        :meth:`DataStager.materialize` call for all the absent ones
+        (backend bytes; zero-fill where the backend holds nothing).
+        Generator; returns {page_idx: BlobInfo}."""
         hermes = self.system.hermes
-        infos = {}
+        infos = yield from hermes.mdm.try_get_many(self.node_id, vec.name,
+                                                   pages)
         missing = []
-        lookup = yield from hermes.mdm.try_get_many(
-            self.node_id, vec.name, dict.fromkeys(pages))
-        for p, info in lookup.items():
-            want = vec.page_nbytes(p)
-            if info is not None and self._extent_restageable(vec, p,
-                                                             info):
+        for p, info in infos.items():
+            if info is None:
                 missing.append(p)
-            elif info is not None:
-                if info.nbytes < want:
-                    raw = yield from self._get_page(vec, p,
-                                                    self.node_id)
-                    raw = raw + bytes(want - len(raw))
-                    info = yield from hermes.put(
-                        self.node_id, vec.name, p, raw,
-                        score=info.score, target_node=info.node)
-                infos[p] = info
-            else:
+            elif self._extent_restageable(vec, p, info):
+                # A crash left a dead placement. Drop the stale entry
+                # so the stage-in (which never overwrites a page with
+                # live metadata) rebuilds it with its neighbours.
+                try:
+                    yield from hermes.delete(self.node_id, vec.name, p)
+                    self.system.monitor.count(
+                        "reliability.extent_restages")
+                except BlobNotFound:
+                    pass  # a concurrent batch dropped it first
                 missing.append(p)
-        if not missing:
-            return infos
-        extent = max(self.system.config.stage_extent, vec.page_size)
-        per_extent = max(1, extent // vec.page_size)
-        by_extent: dict = {}
-        for p in missing:
-            by_extent.setdefault((p // per_extent) * per_extent,
-                                 []).append(p)
-        for group in by_extent.values():
-            lock = self.system.stager.extent_lock(vec, group[0])
-            yield lock.acquire()
-            try:
-                # Re-check under the lock: a concurrent fault may have
-                # created some pages (replacing them would lose writes).
-                todo = []
-                relook = yield from hermes.mdm.try_get_many(
-                    self.node_id, vec.name, group)
-                for p in group:
-                    info = relook[p]
-                    if info is None:
-                        todo.append(p)
-                    elif self._extent_restageable(vec, p, info):
-                        # A crash mid-batch left a dead placement in
-                        # this extent. Drop the stale entry so the
-                        # extent's stage-in (which skips pages with
-                        # live metadata) rebuilds it alongside its
-                        # missing neighbours — without this the batch
-                        # hands back a partially-restaged extent.
-                        yield from hermes.delete(self.node_id,
-                                                 vec.name, p)
-                        self.system.monitor.count(
-                            "reliability.extent_restages")
-                        todo.append(p)
-                    else:
-                        infos[p] = info
-                if not todo:
-                    continue
-                with self.system.tracer.span(
-                        "stage_in_batch", "scache.batch",
-                        node=self.node_id, vector=vec.name,
-                        page=todo[0], count=len(todo)):
-                    if vec.volatile:
-                        staged = [(p, bytes(vec.page_nbytes(p)))
-                                  for p in todo]
-                    else:
-                        staged = yield from \
-                            self.system.stager.stage_in_extent(
-                                vec, todo[0], self.node_id)
-                    want_pages = set(todo)
-                    to_put = []
-                    for p, raw in staged:
-                        if p not in want_pages and hermes.mdm.peek(
-                                vec.name, p) is not None:
-                            continue
-                        to_put.append(
-                            (p, raw, vec.owner_node(p, client_node)))
-                    put_infos = yield from hermes.put_many(
-                        self.node_id, vec.name, to_put, score=score)
-                    if self.system.config.integrity_checks:
-                        for p, raw, _owner in to_put:
-                            self.system.reliability.record(vec.name, p,
-                                                           raw)
-                    for p in want_pages:
-                        if p in put_infos:
-                            infos[p] = put_infos[p]
-            finally:
-                lock.release()
-            for p in group:
-                if p not in infos:
-                    # A concurrent fault published the page meanwhile.
-                    infos[p] = yield from hermes.mdm.try_get(
-                        self.node_id, vec.name, p)
+            elif info.nbytes < vec.page_nbytes(p):
+                # The vector grew (append): extend the blob in place.
+                raw = yield from self._get_page(vec, p, self.node_id)
+                raw = raw + bytes(vec.page_nbytes(p) - len(raw))
+                infos[p] = yield from hermes.put(
+                    self.node_id, vec.name, p, raw, score=info.score,
+                    target_node=info.node)
+        if missing:
+            yield from self.system.stager.materialize(
+                vec, missing, self.node_id, client_node, score)
+            infos.update((yield from hermes.mdm.try_get_many(
+                self.node_id, vec.name, missing)))
         return infos
+
+    def _dead(self, info) -> bool:
+        """The placement's primary crashed (or never came back)."""
+        return info.node < 0 \
+            or info.node in self.system.reliability.failed_nodes
 
     def _extent_restageable(self, vec: SharedVector, page_idx: int,
                             info) -> bool:
         """A dead placement (crashed primary, no surviving replica)
-        that is safe to rebuild from the persistent backend with the
-        extent's shared stage-in. Volatile or dirty pages are excluded:
-        their only copy is gone and :meth:`ReliabilityManager.
-        recover_page` must report the loss, not mask it."""
-        rel = self.system.reliability
-        dead = info.node < 0 or info.node in rel.failed_nodes
-        return (dead and not info.replicas and not vec.volatile
-                and page_idx not in vec.dirty_pages)
+        that is safe to rebuild from the persistent backend with its
+        stripe's stage-in. Volatile or dirty pages are excluded: their
+        only copy is gone and :meth:`ReliabilityManager.recover_page`
+        must report the loss, not mask it."""
+        return (self._dead(info) and not info.replicas
+                and not vec.volatile and page_idx not in vec.dirty_pages)
 
     # -- reads ----------------------------------------------------------------
     def _get_page(self, vec: SharedVector, page_idx: int,
@@ -328,8 +233,7 @@ class ScacheExecutor:
         # Failure handling (§V extension): a lost primary recovers from
         # a surviving replica or the persistent backend.
         info = hermes.mdm.peek(vec.name, task.page_idx)
-        if info is not None and (info.node < 0
-                                 or info.node in rel.failed_nodes):
+        if info is not None and self._dead(info):
             raw = yield from rel.recover_page(vec, task.page_idx,
                                               task.client_node)
             if task.region is None:
@@ -353,13 +257,7 @@ class ScacheExecutor:
                 self.system.monitor.count("reliability.read_failovers")
                 raw = yield from rel.recover_page(vec, task.page_idx,
                                                   task.client_node)
-            if self.system.config.integrity_checks \
-                    and not rel.verify(vec.name, task.page_idx, raw):
-                self.system.monitor.count("reliability.corruptions")
-                # Recover a verified copy (tries every placement,
-                # promotes the good one, drops the corrupted copy).
-                raw = yield from rel.recover_page(vec, task.page_idx,
-                                                  task.client_node)
+            raw = yield from self._verified(vec, task, raw)
             info = hermes.mdm.peek(vec.name, task.page_idx)
             if info is not None and info.replicas:
                 vec.replicated_pages.add(task.page_idx)
@@ -374,15 +272,28 @@ class ScacheExecutor:
         if whole:
             raw = yield from self._get_page(vec, task.page_idx,
                                             task.client_node)
-            if self.system.config.integrity_checks \
-                    and not rel.verify(vec.name, task.page_idx, raw):
-                # Bit flip detected (§V): recover a good copy.
-                self.system.monitor.count("reliability.corruptions")
-                raw = yield from rel.recover_page(vec, task.page_idx,
-                                                  task.client_node)
+            raw = yield from self._verified(vec, task, raw)
             if task.region is None:
                 return raw
             return raw[:task.region[1]]
+        return (yield from self._read_region(vec, task))
+
+    def _verified(self, vec: SharedVector, task: MemoryTask, raw):
+        """``raw`` (the whole page) if it passes the integrity check;
+        else a verified copy (§V bit flip: recovery tries every
+        placement, promotes the good one, drops the corrupted one)."""
+        rel = self.system.reliability
+        if self.system.config.integrity_checks \
+                and not rel.verify(vec.name, task.page_idx, raw):
+            self.system.monitor.count("reliability.corruptions")
+            raw = yield from rel.recover_page(vec, task.page_idx,
+                                              task.client_node)
+        return raw
+
+    def _read_region(self, vec: SharedVector, task: MemoryTask):
+        """Fetch ``task.region`` of a materialized page (the tail of
+        :meth:`_read`, shared with the object batch)."""
+        rel = self.system.reliability
         off, size = task.region
         if self.system.config.integrity_checks:
             # The partial fast path used to bypass the CRC check,
@@ -392,13 +303,10 @@ class ScacheExecutor:
             # it, verify, and slice.
             raw = yield from self._get_page(vec, task.page_idx,
                                             task.client_node)
-            if not rel.verify(vec.name, task.page_idx, raw):
-                self.system.monitor.count("reliability.corruptions")
-                raw = yield from rel.recover_page(vec, task.page_idx,
-                                                  task.client_node)
+            raw = yield from self._verified(vec, task, raw)
             return raw[off:off + size]
         try:
-            return (yield from hermes.get_partial(
+            return (yield from self.system.hermes.get_partial(
                 task.client_node, vec.name, task.page_idx, off, size))
         except BlobNotFound:
             self.system.monitor.count("reliability.read_failovers")
@@ -407,19 +315,18 @@ class ScacheExecutor:
             return raw[off:off + size]
 
     def _read_batch(self, vec: SharedVector, batch: BatchTask):
-        """Serve a READ batch: healthy whole-page reads share one
-        extent-granular stage-in round and one vectored hermes get;
-        the special cases (failed primaries, replication, partial
-        regions) fall back to the per-task path, which already handles
-        them — results are identical either way."""
+        """Serve a READ batch: stage-in starts for all of its pages
+        at once, healthy whole-page reads then share one vectored
+        hermes get; the special cases (failed primaries, replication,
+        partial regions) fall back to the per-task path, which already
+        handles them — results are identical either way."""
         hermes = self.system.hermes
-        rel = self.system.reliability
         results: list = [None] * len(batch.tasks)
+        yield from self._stage_batch(vec, batch)
         bulk = []
         for i, task in enumerate(batch.tasks):
             info = hermes.mdm.peek(vec.name, task.page_idx)
-            failed = info is not None and (
-                info.node < 0 or info.node in rel.failed_nodes)
+            failed = info is not None and self._dead(info)
             page_nbytes = vec.page_nbytes(task.page_idx)
             whole = (task.region is None
                      or task.region == (0, page_nbytes))
@@ -436,7 +343,7 @@ class ScacheExecutor:
         infos = yield from self.ensure_pages(vec, pages,
                                              batch.client_node)
         # A fault racing the shared stage-in (fail_node mid-batch) can
-        # hand back a partially-restaged extent: some pages resolved to
+        # hand back a partially-restaged stripe: some pages resolved to
         # live placements, others to dead or missing entries. The bulk
         # fetch must not see the unhealthy ones — route them through
         # the per-task path (replica failover / backend restage), which
@@ -445,8 +352,7 @@ class ScacheExecutor:
         for i in bulk:
             task = batch.tasks[i]
             info = infos.get(task.page_idx)
-            if info is None or info.node < 0 \
-                    or info.node in rel.failed_nodes:
+            if info is None or self._dead(info):
                 self.system.monitor.count("reliability.read_failovers")
                 results[i] = yield from self._read(vec, task)
             else:
@@ -468,12 +374,8 @@ class ScacheExecutor:
             return results
         for i in bulk:
             task = batch.tasks[i]
-            raw = raws[task.page_idx]
-            if self.system.config.integrity_checks \
-                    and not rel.verify(vec.name, task.page_idx, raw):
-                self.system.monitor.count("reliability.corruptions")
-                raw = yield from rel.recover_page(vec, task.page_idx,
-                                                  task.client_node)
+            raw = yield from self._verified(vec, task,
+                                            raws[task.page_idx])
             self.system.monitor.count("scache.reads")
             self._m_reads.inc()
             if task.region is None:
@@ -482,6 +384,14 @@ class ScacheExecutor:
                 results[i] = raw[:task.region[1]]
         return results
 
+    def _stage_batch(self, vec: SharedVector, batch: BatchTask):
+        """Start stage-in for every absent page of a read batch up
+        front: partial-region tasks' backend reads overlap the bulk's."""
+        if not vec.volatile:
+            yield from self.system.stager.materialize(
+                vec, [task.page_idx for task in batch.tasks],
+                self.node_id, batch.client_node)
+
     def _obj_read_batch(self, vec: SharedVector, batch: BatchTask):
         """Serve an OBJ_READ batch: all tasks are extent reads, so the
         batch pays one metadata/stage-in round for its distinct pages
@@ -489,13 +399,12 @@ class ScacheExecutor:
         (crashed primary, lost replica) fall back to the per-task read
         path, which recovers page by page."""
         hermes = self.system.hermes
-        rel = self.system.reliability
         results: list = [None] * len(batch.tasks)
+        yield from self._stage_batch(vec, batch)
         pending = []
         for i, task in enumerate(batch.tasks):
             info = hermes.mdm.peek(vec.name, task.page_idx)
-            if info is not None and (info.node < 0
-                                     or info.node in rel.failed_nodes):
+            if info is not None and self._dead(info):
                 results[i] = yield from self._read(vec, task)
             else:
                 pending.append(i)
@@ -508,33 +417,13 @@ class ScacheExecutor:
         for i in pending:
             task = batch.tasks[i]
             info = infos.get(task.page_idx)
-            if info is None or info.node < 0 \
-                    or info.node in rel.failed_nodes:
+            if info is None or self._dead(info):
                 self.system.monitor.count("reliability.read_failovers")
                 results[i] = yield from self._read(vec, task)
                 continue
-            off, size = task.region
             self.system.monitor.count("scache.reads")
             self._m_reads.inc()
-            if self.system.config.integrity_checks:
-                # Verification needs the whole page (see _read).
-                raw = yield from self._get_page(vec, task.page_idx,
-                                                task.client_node)
-                if not rel.verify(vec.name, task.page_idx, raw):
-                    self.system.monitor.count("reliability.corruptions")
-                    raw = yield from rel.recover_page(
-                        vec, task.page_idx, task.client_node)
-                results[i] = raw[off:off + size]
-                continue
-            try:
-                results[i] = yield from hermes.get_partial(
-                    task.client_node, vec.name, task.page_idx, off,
-                    size)
-            except BlobNotFound:
-                self.system.monitor.count("reliability.read_failovers")
-                raw = yield from rel.recover_page(vec, task.page_idx,
-                                                  task.client_node)
-                results[i] = raw[off:off + size]
+            results[i] = yield from self._read_region(vec, task)
         return results
 
     # -- writes ----------------------------------------------------------------
@@ -542,18 +431,10 @@ class ScacheExecutor:
                sync_replicate: bool = False):
         hermes = self.system.hermes
         page_nbytes = vec.page_nbytes(task.page_idx)
-        whole_page = (len(task.fragments) == 1
-                      and task.fragments[0][0] == 0
-                      and len(task.fragments[0][1]) == page_nbytes)
-        # Pages of write/append-only phases are not read back soon:
-        # a lower score lets hotter (about-to-be-read) pages keep the
-        # fast tiers.
-        score = 0.5 if vec.policy in (
-            CoherencePolicy.WRITE_ONLY_GLOBAL,
-            CoherencePolicy.APPEND_ONLY_GLOBAL) else 1.0
+        score = _write_score(vec)
         info = yield from hermes.mdm.try_get(self.node_id, vec.name,
                                              task.page_idx)
-        if info is None and whole_page:
+        if info is None and _write_allocates(vec, task):
             # Write-allocate: no need to stage in data we fully replace.
             owner = vec.owner_node(task.page_idx, task.client_node)
             yield from hermes.put(self.node_id, vec.name, task.page_idx,
@@ -613,14 +494,11 @@ class ScacheExecutor:
         Fresh whole-page writes (write-allocate) go out as **one**
         vectored hermes put — one payload transfer per destination
         node, one metadata round per owner shard. Pages needing
-        read-modify-write are materialized with one stage-in round per
-        extent up front, then each such task applies its fragments
-        exactly as the per-task path would (same dirty/replica
-        bookkeeping, same final bytes)."""
+        read-modify-write are materialized together up front, then each
+        such task applies its fragments exactly as the per-task path
+        would (same dirty/replica bookkeeping, same final bytes)."""
         hermes = self.system.hermes
-        score = 0.5 if vec.policy in (
-            CoherencePolicy.WRITE_ONLY_GLOBAL,
-            CoherencePolicy.APPEND_ONLY_GLOBAL) else 1.0
+        score = _write_score(vec)
         pages = [task.page_idx for task in batch.tasks]
         if len(set(pages)) != len(pages):
             # Two tasks touch one page: apply strictly in task order
@@ -633,15 +511,12 @@ class ScacheExecutor:
             self.node_id, vec.name, pages)
         bulk, rest, need = [], [], []
         for task in batch.tasks:
-            page_nbytes = vec.page_nbytes(task.page_idx)
-            whole_page = (len(task.fragments) == 1
-                          and task.fragments[0][0] == 0
-                          and len(task.fragments[0][1]) == page_nbytes)
-            if whole_page and lookup.get(task.page_idx) is None:
+            if lookup.get(task.page_idx) is None \
+                    and _write_allocates(vec, task):
                 bulk.append(task)
             else:
                 rest.append(task)
-                if not whole_page:
+                if not _whole_page(vec, task):
                     need.append(task.page_idx)
         if need:
             yield from self.ensure_pages(vec, need, batch.client_node,

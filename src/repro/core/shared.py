@@ -59,6 +59,12 @@ class SharedVector:
         self.dirty_pages: Set[int] = set()
         #: pages with at least one replica (fast phase-change sweep).
         self.replicated_pages: Set[int] = set()
+        #: Stage-in bookkeeping (``DataStager.materialize``), both keyed
+        #: page -> {stripe: ...}: the requests in flight for a page's
+        #: pieces, and the pieces already fetched of a page that
+        #: straddles a stripe boundary and still waits for the rest.
+        self.staging: dict = {}
+        self.fragments: dict = {}
         self.destroyed = False
         # Deterministic per-vector salt for page->node hashing.
         self._salt = spawn_seed(0xC0FFEE, name)

@@ -119,10 +119,7 @@ class Hermes:
         """
         exclude = exclude or set()
         dmsh = self.dmshs[node]
-        idx = self.policy.ideal_index(dmsh, nbytes, score)
-        floor = self._admission_floor(node, bucket, nbytes)
-        if floor > idx:
-            idx = min(floor, len(dmsh.tiers) - 1)
+        idx, floor = self._first_tier(node, nbytes, score, bucket)
         ideal = dmsh.tiers[idx]
         if ideal.name not in exclude:
             if ideal.fits(nbytes):
@@ -158,6 +155,34 @@ class Hermes:
         raise PlacementError(
             f"node {node}: no tier with {nbytes} bytes free "
             f"(composition {dmsh.describe()})")
+
+    def _first_tier(self, node: int, nbytes: int, score: float, bucket,
+                    ahead: int = 0):
+        """``(index, floor)``: the tier a new blob's placement starts
+        at -- the policy's ideal tier, pushed down to the tenancy
+        admission floor -- and that floor. ``ahead`` is what the caller
+        has earmarked of the fast tier for blobs not yet placed."""
+        dmsh = self.dmshs[node]
+        idx = self.policy.ideal_index(dmsh, nbytes, score)
+        floor = self._admission_floor(node, bucket, ahead + nbytes)
+        return max(idx, min(floor, len(dmsh.tiers) - 1)), floor
+
+    def free_tier(self, node: int, bucket, nbytes: int, score: float,
+                  claimed: dict):
+        """The device :meth:`_place` would pick for a new blob that may
+        displace nothing (its steps 1 and 3: the first tier from the
+        starting one with room), or None. ``claimed`` -- {device: bytes
+        the caller earmarked for earlier blobs of ``bucket``} -- counts
+        as taken and is updated. Not a generator."""
+        fast = self.dmshs[node].tiers[0].spec.kind
+        idx, _floor = self._first_tier(
+            node, nbytes, score, bucket,
+            sum(n for dev, n in claimed.items() if dev.spec.kind == fast))
+        for dev in self.dmshs[node].tiers[idx:]:
+            if dev.free - claimed.get(dev, 0) >= nbytes:
+                claimed[dev] = claimed.get(dev, 0) + nbytes
+                return dev
+        return None
 
     def _put_with_retry(self, node: int, key, data, score: float,
                         bucket=None):

@@ -192,7 +192,7 @@ _CLUSTER_KEYS = {"n_nodes", "procs_per_node", "dram_mb", "pmem_mb",
 def build_cluster(section: Dict[str, Any]) -> SimCluster:
     """Construct a SimCluster from a pipeline's ``cluster`` section."""
     section = dict(section or {})
-    tiers = [scaled(DRAM, int(section.get("dram_mb", 48)) * MB)]
+    tiers = [scaled(DRAM, int(float(section.get("dram_mb", 48)) * MB))]
     if section.get("pmem_mb", 0):
         tiers.append(scaled(PMEM, int(section["pmem_mb"]) * MB))
     if section.get("nvme_mb", 128):
@@ -338,6 +338,14 @@ def run_pipeline(text_or_path: str, workdir: Optional[str] = None,
             "peak_dram_total_mb": res.peak_dram_total / 2 ** 20,
             "net_mb": res.stats.get("net.bytes_moved", 0) / 2 ** 20,
             "pcache_faults": int(res.stats.get("pcache.faults", 0)),
+            "pcache_prefetches": int(res.stats.get("pcache.prefetches",
+                                                   0)),
+            "stager_in_mb": res.stats.get("stager.bytes_in", 0) / 2 ** 20,
+            "stager_requests_in": int(res.stats.get("stager.requests_in",
+                                                    0)),
+            "nvme_read_mb": sum(
+                v for k, v in res.stats.items()
+                if k.endswith(".nvme.bytes_read")) / 2 ** 20,
         }
         if res.stats.get("serving.queries"):
             # Serving workloads surface their headline rate directly

@@ -17,6 +17,11 @@ from repro.storage.device import Device, DeviceSpec
 from repro.storage.tiers import HDD, MB
 
 
+#: Default stripe unit; the Data Stager's stage-in unit where a
+#: deployment models no PFS.
+STRIPE_SIZE = MB
+
+
 class PfsError(RuntimeError):
     """Raised for bad paths/ranges on the parallel filesystem."""
 
@@ -27,7 +32,7 @@ class ParallelFS:
     def __init__(self, sim: Simulator, network: Network,
                  server_nodes: List[int],
                  server_spec: DeviceSpec = HDD,
-                 stripe_size: int = MB,
+                 stripe_size: int = STRIPE_SIZE,
                  monitor: Optional[Monitor] = None):
         if not server_nodes:
             raise ValueError("PFS needs at least one server node")

@@ -289,10 +289,10 @@ def test_coalesce_page_runs():
         == [[0, 1], [2], [5, 6], [9]]
 
 
-def test_stage_in_batched_once_per_extent(tmp_path):
-    """A batched read over a cold nonvolatile extent pays one staged
-    backend round (hermes.vectored_gets counts the vectored fetch)."""
-    sim, system = build_system(stage_extent=8 * PAGE)
+def test_stage_in_batched_once_per_stripe(tmp_path):
+    """A batched read over a cold nonvolatile vector pays one backend
+    request per stripe it touches (here: the whole file, one stripe)."""
+    sim, system = build_system()
     data = np.arange(8 * PAGE, dtype=np.uint8)
     path = tmp_path / "cold.bin"
     path.write_bytes(data.tobytes())
@@ -310,8 +310,9 @@ def test_stage_in_batched_once_per_extent(tmp_path):
 
     (out,) = run_procs(sim, app())
     assert np.array_equal(out, data)
-    # All 8 pages were staged by a single extent read.
+    # All 8 pages were staged by a single stripe read.
     assert system.monitor.counter("stager.bytes_in") == 8 * PAGE
+    assert system.monitor.counter("stager.requests_in") == 1
 
 
 # -- vectored metadata / data-plane primitives --------------------------------

@@ -464,6 +464,7 @@ def test_hit_miss_counters_and_resident_gauge_reach_the_live_plane(api):
     queries, lookups = 24, 8
     res = cluster.run(mm_serving, 1024, OBJ, queries, lookups, 1.2,
                       0.0, 1e6, api)
+    obs.tick()  # close the window the run ended in
     store = obs.store
 
     def total(name):

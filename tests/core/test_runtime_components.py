@@ -226,8 +226,8 @@ def test_stage_out_zeroes_page_score(tmp_path):
     assert score == 0.0
 
 
-def test_stage_in_extent_reads_whole_extent_once(tmp_path):
-    sim, system = build_system(stage_extent=8 * 4096)
+def test_stage_in_reads_whole_stripe_once(tmp_path):
+    sim, system = build_system()
     data = np.arange(16 * 1024, dtype=np.uint8)  # 4 pages of 4096
     path = tmp_path / "in.bin"
     path.write_bytes(data.tobytes())
@@ -239,13 +239,14 @@ def test_stage_in_extent_reads_whole_extent_once(tmp_path):
         yield from vec.tx_begin(SeqTx(0, 4096, MM_READ_ONLY))
         yield from vec.read_range(0, 1)  # fault page 0
         yield from vec.tx_end()
-        # All 4 pages of the extent got materialized by one fault.
+        # All 4 pages of the stripe got materialized by one fault.
         return [system.hermes.mdm.peek(url, p) is not None
                 for p in range(4)]
 
     (present,) = run_procs(sim, app())
     assert all(present)
     assert system.monitor.counter("stager.bytes_in") == 16 * 1024
+    assert system.monitor.counter("stager.requests_in") == 1
 
 
 # -- MDM cache -----------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from benchmarks.common import testbed
-from repro.core import MM_READ_WRITE, MM_WRITE_ONLY, SeqTx
+from repro.core import MM_READ_ONLY, MM_READ_WRITE, MM_WRITE_ONLY, SeqTx
 from repro.obs import SpanGraph, analyze, diff_analyses, load_trace, \
     render_diff, render_report
 from repro.pipeline import run_pipeline
@@ -67,10 +67,65 @@ def test_kmeans_report_categories_sum_to_makespan(tmp_path):
     for q in analysis["queueing"].values():
         assert q["little_L"] == pytest.approx(
             q["arrival_rate"] * q["mean_wait"])
+    # The cold dataset read is booked where it happens -- the stager's
+    # backend wait, on the pfs tier -- not under the pcache that asked.
+    assert max(cp["by_category"], key=cp["by_category"].get) == "stager"
+    assert cp["by_category"]["stager"] \
+        > cp["by_category"].get("pcache", 0.0)
+    assert cp["by_tier"]["pfs"] > 0
     # The text renderer covers the whole analysis without crashing.
     text = render_report(analysis, title="km")
     assert "critical path by category" in text
     assert "overlap ratio" in text
+
+
+def _cold_scan(ctx, url, n):
+    vec = yield from ctx.mm.vector(url, dtype=np.uint8)
+    yield from vec.tx_begin(SeqTx(0, n, MM_READ_ONLY))
+    out = yield from vec.read_range(0, n)
+    yield from vec.tx_end()
+    return int(out[::4099].sum())
+
+
+def test_cold_scan_states_its_backend_requests(tmp_path, monkeypatch):
+    """A cold scan by four ranks, one vocabulary: each backend request
+    is a ``stager`` span on the pfs tier naming the scache span that
+    asked (``cause``), a rank that found its pages in flight names the
+    requests it waited for (``wait_on``), and the request counters say
+    how the bytes came in. All of it holds wherever the pages land."""
+    n = 2 * 1024 * 1024 + 300_000
+    # A relative URL: pages are placed by a hash of the URL.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scan.bin").write_bytes(np.random.default_rng(1).integers(
+        0, 256, n, dtype=np.uint8).tobytes())
+    c = testbed(n_nodes=2, procs_per_node=2, dram_mb=8, nvme_mb=64,
+                page_size=PAGE, trace=True, prefetch_enabled=False)
+    res = c.run(_cold_scan, "posix://./scan.bin", n)
+    assert len(set(res.values)) == 1
+    spans = {s.span_id: s for s in c.tracer.spans}
+    reads = [s for s in spans.values()
+             if s.category == "stager" and s.name == "stage_in"]
+    assert len(reads) == 3  # one request per 1 MiB stripe
+    assert sorted(s.attrs["stripe"] for s in reads) == [0, 1, 2]
+    assert sum(s.attrs["nbytes"] for s in reads) == n
+    for s in reads:
+        assert s.attrs["tier"] == "pfs" and s.attrs["pages"] >= 1
+        assert spans[s.attrs["cause"]].category in ("scache",
+                                                    "scache.batch")
+    joins = [s for s in spans.values() if s.name == "stage_in_join"]
+    assert joins and all(
+        s.attrs["wait_on"]
+        and set(s.attrs["wait_on"]) <= {r.span_id for r in reads}
+        for s in joins)
+    # Bytes per request is readable from the run's stats and from the
+    # labeled series the live plane scrapes.
+    assert res.stats["stager.requests_in"] == 3
+    assert res.stats["stager.bytes_in"] == n
+    labeled = {name: sum(c.value for (nm, ls), c
+                         in c.monitor.metrics.counters.items()
+                         if nm == name and dict(ls)["direction"] == "in")
+               for name in ("stager_requests", "stager_bytes")}
+    assert labeled == {"stager_requests": 3, "stager_bytes": n}
 
 
 def _exchange(ctx, n_pages):

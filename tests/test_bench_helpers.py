@@ -40,6 +40,17 @@ def test_write_csv_roundtrip(tmp_path, monkeypatch):
     assert rows == [{"k": "1", "v": "2.5"}]
 
 
+def test_emit_result_appends_or_replaces(tmp_path, monkeypatch):
+    import benchmarks.common as common
+    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+    common.emit_result("x", "wall_s", 1.0, "s")
+    common.emit_result("x", "wall_s", 2.0, "s")
+    common.emit_result("x", "requests", 5, "requests", replace=True)
+    common.emit_result("x", "requests", 3, "requests", replace=True)
+    got = [(r["metric"], r["value"]) for r in common.read_results("x")]
+    assert got == [("wall_s", 1.0), ("wall_s", 2.0), ("requests", 3.0)]
+
+
 def test_testbed_matches_paper_ratios():
     cluster = testbed(n_nodes=2, ssd_mb=256, hdd_mb=1024)
     dmsh = cluster.dmshs[0]

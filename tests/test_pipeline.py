@@ -261,6 +261,32 @@ def test_shipped_gray_scott_pipeline_checkpoints(tmp_path):
     assert not any(r["crashed"] for r in rows)
 
 
+def test_shipped_kmeans_pipeline_dram_sweep_moves_spill(tmp_path,
+                                                        monkeypatch):
+    """Non-vacuity of ``mm_kmeans_mega.yaml``'s ``cluster.dram_mb``
+    grid: the smaller DRAM sizes cannot hold the staged dataset next to
+    the pcache, so pages spill to NVMe and the scans read them back
+    from there -- the swept knob moves NVMe bytes read and the runtime.
+    The stats columns are ones this pipeline bumps (every page arrives
+    by prefetch, so ``pcache_faults`` is legitimately 0)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "pipelines", "mm_kmeans_mega.yaml")
+    # A relative workdir: pages are placed by a hash of the dataset URL.
+    monkeypatch.chdir(tmp_path)
+    rows = run_pipeline(os.path.abspath(path), workdir=".")
+    assert [r["cluster.dram_mb"] for r in rows] == [4, 0.5, 0.25]
+    assert not any(r["crashed"] for r in rows)
+    spill = [r["nvme_read_mb"] for r in rows]
+    assert spill[0] == 0 and min(spill[1:]) > 0
+    runtimes = [r["runtime_s"] for r in rows]
+    assert min(runtimes[1:]) > runtimes[0]
+    for r in rows:
+        assert r["pcache_prefetches"] > 0
+        # The dataset comes in once, in whole-stripe requests.
+        assert r["stager_in_mb"] == pytest.approx(1.2e6 / 2 ** 20)
+        assert r["stager_requests_in"] == 2
+
+
 def test_shipped_serving_pipeline_pcache_size_moves_local_hits(tmp_path):
     """Non-vacuity of ``serving_obj.yaml``'s ``pcache_size``: the byte
     budget decides how much of the zipf head is served locally. At the
