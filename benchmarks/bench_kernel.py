@@ -247,4 +247,11 @@ def test_kmeans_pipeline_wallclock(benchmark, tmp_path):
     emit_result("kernel", "stagein.bytes_per_request",
                 stats["stager.bytes_in"] / requests, "B", cfg,
                 replace=True)
+    # How many of them nobody had asked for (read ahead on an idle PFS
+    # server), and the simulated time the last backend byte was in.
+    emit_result("kernel", "stagein.requests_ahead",
+                stats.get("stager.requests_ahead", 0), "requests", cfg,
+                replace=True)
+    emit_result("kernel", "stagein.last_byte_s",
+                stats["stager.last_byte_s.peak"], "s", cfg, replace=True)
     assert res.runtime > 0

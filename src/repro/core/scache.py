@@ -62,7 +62,8 @@ class ScacheExecutor:
         """Dispatch one task. Generator; returns the READ payload or
         None."""
         vec = self.system.vectors.get(task.vector_name)
-        if vec is None or vec.destroyed:
+        if vec is None or (vec.destroyed
+                           and task.kind is not TaskKind.DELETE):
             raise MegaMmapError(
                 f"task for unknown/destroyed vector {task.vector_name!r}")
         tenancy = self.system.tenancy

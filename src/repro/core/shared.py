@@ -59,12 +59,17 @@ class SharedVector:
         self.dirty_pages: Set[int] = set()
         #: pages with at least one replica (fast phase-change sweep).
         self.replicated_pages: Set[int] = set()
-        #: Stage-in bookkeeping (``DataStager.materialize``), both keyed
+        #: Stage-in bookkeeping (``DataStager.materialize``). Keyed
         #: page -> {stripe: ...}: the requests in flight for a page's
         #: pieces, and the pieces already fetched of a page that
         #: straddles a stripe boundary and still waits for the rest.
         self.staging: dict = {}
         self.fragments: dict = {}
+        #: {device: bytes} the requests in flight will need there when
+        #: they publish, and the stripes whose read-ahead died (left to
+        #: demand from then on).
+        self.earmarked: dict = {}
+        self.no_ahead: Set[int] = set()
         self.destroyed = False
         # Deterministic per-vector salt for page->node hashing.
         self._salt = spawn_seed(0xC0FFEE, name)

@@ -15,20 +15,54 @@ live on a parallel filesystem).
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import NamedTuple
+
+from repro.core.errors import MegaMmapError, VectorError
 from repro.core.shared import SharedVector
 from repro.sim import AllOf, Lock
 from repro.hermes.blob import BlobNotFound
+from repro.hermes.dpe import PlacementError
+from repro.storage.backend import BackendError
+from repro.storage.device import DeviceFullError
 from repro.storage.pfs import STRIPE_SIZE
+
+#: What can kill a stage-in request in flight without being a bug (a
+#: failed publish, a node crash, the vector destroyed or its file cut
+#: short under it): a demand request hands it to its caller, a
+#: read-ahead is dropped.
+_REQUEST_ERRORS = (BlobNotFound, PlacementError, DeviceFullError,
+                   MegaMmapError, BackendError)
+
+
+class _Call(NamedTuple):
+    """What every request of one ``materialize`` call shares, and the
+    read-ahead requests they trigger inherit: how much of the vector
+    the backend holds, the runtime node staging it, the client node
+    (page owners under LOCAL affinity) and the pages' score."""
+
+    bsize: int
+    node: int
+    client_node: int
+    score: float
 
 
 class _Fetch:
     """One stage-in request in flight: the event a concurrent call
-    waits on and, when tracing, the id of its backend-wait span."""
+    waits on, its queued backend read, the room its pages were
+    promised (``[(device, nbytes)]``, in ``SharedVector.earmarked``
+    until they are published), for a read-ahead the request whose
+    issue or return triggered it, the process running it (none for an
+    inline zero-fill) and, when tracing, the id of its backend-wait
+    span."""
 
-    span_id = None
+    proc = span_id = None
 
-    def __init__(self, sim):
+    def __init__(self, sim, read=(), claims=(), trigger=None):
         self.done = sim.event()
+        self.read = read
+        self.claims = claims
+        self.trigger = trigger
 
 
 class DataStager:
@@ -39,13 +73,36 @@ class DataStager:
         self.sim = system.sim
         self._stop = False
         self._stageout_locks = {}
+        #: PFS server -> the stager's own requests (stage-in and
+        #: stage-out) queued or in service there.
+        self._queued = Counter()
 
     # -- timing helper -----------------------------------------------------
     def _charge_backend(self, node: int, nbytes: int, write: bool,
                         offset: int = 0):
         if self.system.pfs is not None:
-            yield from self.system.pfs._striped(node, offset, nbytes,
-                                                write=write)
+            yield from self.system.pfs.charge(node, offset, nbytes,
+                                              write=write)
+
+    def _backend_io(self, node: int, lo: int, hi: int, write: bool):
+        """Queue one request for backend bytes ``[lo, hi)`` and return
+        the generator that performs it. The request counts on its
+        servers from this call (not from the generator's first step)
+        until its last byte has moved."""
+        pfs = self.system.pfs
+        servers = {pfs.server_of(s) for s in range(
+            lo // pfs.stripe_size, -(-hi // pfs.stripe_size))} \
+            if pfs is not None else ()
+        self._queued.update(servers)
+
+        def transfer():
+            try:
+                yield from self._charge_backend(node, hi - lo, write,
+                                                offset=lo)
+            finally:
+                self._queued.subtract(servers)
+
+        return transfer()
 
     # -- stage-in -------------------------------------------------------------
     @property
@@ -88,6 +145,10 @@ class DataStager:
         zero-filled inline, and only when wanted. A request that dies
         unregisters its pages and releases its joiners: its caller sees
         the error, a joiner stages what is still absent itself.
+
+        Issuing a request, and the return of its backend read, also
+        gives every backend server the stager has left idle one stripe
+        of the vector to read ahead (:meth:`_read_ahead`).
         """
         mdm = self.system.hermes.mdm
         tracer = self.system.tracer
@@ -107,25 +168,28 @@ class DataStager:
                 yield from mdm.try_get_many(node, vec.name, sorted(
                     {*absent, *(q for s in stripes
                                 for q in self._pages_of(vec, s, bsize))}))
-            joined, runs = self._plan(vec, absent, bsize, client_node,
-                                      score)
+            call = _Call(bsize, node, client_node, score)
+            joined, zeros, need = self._plan(vec, absent, bsize)
             cause = tracer.current_span_id()
-            zeros, procs = None, []
-            for stripe, run in runs:
-                fetch = _Fetch(self.sim)
-                for p, _lo, _hi in run:
-                    vec.staging.setdefault(p, {})[stripe] = fetch
-                gen = self._fetch(fetch, vec, stripe, run, bsize, node,
-                                  client_node, score, cause)
-                if stripe < 0:
-                    zeros = gen
-                else:
-                    procs.append(self.sim.process(
-                        gen, name=f"stage_in {vec.name}@{stripe}"))
-            if zeros is not None:
-                yield from zeros  # no backend wait: published inline
-            if procs:
-                yield AllOf(self.sim, procs)
+            wanted, claimed = set(absent), dict(vec.earmarked)
+            issued = []
+            for stripe in need:
+                runs, landing = self._runs(vec, stripe, wanted, claimed,
+                                           call)
+                if len(runs) > 1:
+                    self.system.monitor.count("stager.holes_skipped",
+                                              len(runs) - 1)
+                issued += [self._issue(vec, stripe, run, landing, call,
+                                       cause) for run in runs]
+            if issued:
+                self._read_ahead(vec, need[-1], call, issued[-1])
+            if zeros:
+                # No backend wait: published inline.
+                yield from self._fetch(self._register(
+                    _Fetch(self.sim), vec, -1, zeros),
+                    vec, -1, zeros, call, cause)
+            if issued:
+                yield AllOf(self.sim, [fetch.proc for fetch in issued])
             if not joined:
                 return
             # A joined request may have died (it unregistered its
@@ -136,17 +200,12 @@ class DataStager:
                 sp["wait_on"] = [f.span_id for f in joined
                                  if f.span_id is not None]
 
-    def _plan(self, vec: SharedVector, absent, bsize: int,
-              client_node: int, score: float):
+    def _plan(self, vec: SharedVector, absent, bsize: int):
         """What a call must wait for and what it must fetch itself:
-        ``(requests to join, [(stripe, [(page, lo, hi), ...]), ...])``.
-        Each run is one backend request (stripe -1: zero-fill, no
-        backend bytes). Inside a stripe, a page nobody asked for is
-        read ahead only if it would land in a tier faster than the
-        backend, and a hole is re-read and discarded when that is
-        cheaper than a second request's latency."""
-        hermes = self.system.hermes
-        peek = hermes.mdm.peek
+        ``(requests to join, zero-fill run, stripes to request)``. The
+        zero-fill run holds the wanted pages the backend does not
+        reach (no backend bytes)."""
+        peek = self.system.hermes.mdm.peek
         joined, need, zeros = {}, set(), []
         for p in absent:
             if peek(vec.name, p) is not None:
@@ -159,101 +218,210 @@ class DataStager:
                     zeros.append((p, 0, 0))
                 elif s not in vec.fragments.get(p, ()):
                     need.add(s)
-        runs = [(-1, zeros)] if zeros else []
-        pfs = self.system.pfs
-        spec = pfs.devices[0].spec if pfs is not None else None
-        slack = spec.latency * spec.read_bw if spec is not None else 0
-        wanted, claimed = set(absent), {}
+        return list(joined), zeros, sorted(need)
 
-        def lands_fast(q):
-            tier = hermes.free_tier(
-                vec.owner_node(q, client_node), vec.name,
-                vec.page_nbytes(q), score, claimed)
-            return spec is None or (tier is not None
-                                    and tier.spec.read_bw > spec.read_bw)
+    def _runs(self, vec: SharedVector, stripe: int, wanted, claimed: dict,
+              call: _Call):
+        """``([[(page, lo, hi), ...], ...], {page: device})``: the
+        backend requests, one per run, that bring in what ``stripe``
+        still lacks, and the room each page was promised. A page
+        nobody asked for is read ahead only under the landing rule
+        (``Hermes.free_tier``: room, displacing nothing, in a tier
+        faster than the backend, after what ``claimed`` -- requests in
+        flight, earlier pages -- has taken); a hole is re-read and
+        discarded when that is cheaper than a second request's
+        latency."""
+        hermes, pfs = self.system.hermes, self.system.pfs
+        peek = hermes.mdm.peek
+        slack = pfs.server_spec.latency * pfs.server_spec.read_bw \
+            if pfs is not None else 0
+        pages = [q for q in self._pages_of(vec, stripe, call.bsize)
+                 if peek(vec.name, q) is None
+                 and stripe not in vec.staging.get(q, ())
+                 and stripe not in vec.fragments.get(q, ())]
 
-        for s in sorted(need):
-            pages = [q for q in self._pages_of(vec, s, bsize)
-                     if peek(vec.name, q) is None
-                     and s not in vec.staging.get(q, ())
-                     and s not in vec.fragments.get(q, ())]
-            for q in pages:
-                if q in wanted:
-                    lands_fast(q)  # the wanted pages take their room first
-            run = []
-            for q in pages:
-                if q not in wanted and not lands_fast(q):
+        def room(q, redundant):
+            return hermes.free_tier(
+                vec.owner_node(q, call.client_node), vec.name,
+                vec.page_nbytes(q), call.score, claimed, redundant)
+
+        # The wanted pages take their room first.
+        landing = {q: room(q, False) for q in pages if q in wanted}
+        runs = []
+        for q in pages:
+            if q not in wanted and pfs is not None:
+                landing[q] = room(q, True)
+                if landing[q] is None:
                     continue
-                lo, hi = self._pieces(vec, q, bsize)[s]
-                if run and lo - run[-1][2] > slack:
-                    self.system.monitor.count("stager.holes_skipped")
-                    runs.append((s, run))
-                    run = []
-                run.append((q, lo, hi))
-            runs.append((s, run))
-        return list(joined), runs
+            lo, hi = self._pieces(vec, q, call.bsize)[stripe]
+            if runs and lo - runs[-1][-1][2] <= slack:
+                runs[-1].append((q, lo, hi))
+            else:
+                runs.append([(q, lo, hi)])
+        return runs, landing
 
-    def _fetch(self, fetch, vec, stripe, run, bsize, node, client_node,
-               score, cause):
+    def _register(self, fetch: _Fetch, vec: SharedVector, stripe: int,
+                  run) -> _Fetch:
+        for p, _lo, _hi in run:
+            vec.staging.setdefault(p, {})[stripe] = fetch
+        for dev, n in fetch.claims:
+            vec.earmarked[dev] = vec.earmarked.get(dev, 0) + n
+        return fetch
+
+    def _issue(self, vec: SharedVector, stripe: int, run, landing: dict,
+               call: _Call, cause, trigger=None):
+        """Queue one backend request for ``run`` and start it; returns
+        the request. From here on its pages are in ``vec.staging``,
+        its server counts as busy and its pages' room is taken."""
+        read = self._backend_io(call.node, run[0][1], run[-1][2],
+                                write=False)
+        claims = [(landing[p], vec.page_nbytes(p)) for p, _lo, _hi in run
+                  if landing.get(p) is not None]
+        fetch = self._register(_Fetch(self.sim, read, claims, trigger),
+                               vec, stripe, run)
+        fetch.proc = self.sim.process(
+            self._fetch(fetch, vec, stripe, run, call, cause),
+            name=f"stage_in {vec.name}@{stripe}")
+        return fetch
+
+    def _read_ahead(self, vec: SharedVector, stripe: int, call: _Call,
+                    trigger: _Fetch) -> None:
+        """Give every backend server on which the stager has nothing
+        queued one request of ``vec`` to read ahead: the first stripe
+        on that server, from ``stripe`` on and wrapping round, with
+        pages still absent that pass the landing rule (:meth:`_runs`
+        with nothing wanted). Called when a request is issued and when
+        its backend read returns, so the chain runs until the file is
+        materialized, nothing more would land, or the vector or the
+        stager is gone -- and a demand request never finds more than
+        one stripe it did not ask for ahead of it on a server. A
+        read-ahead is an ordinary request (a later demand joins it)
+        that nobody waits for."""
+        pfs, hermes = self.system.pfs, self.system.hermes
+        if pfs is None or self._stop or vec.destroyed:
+            return
+        idle = {srv for srv in range(len(pfs.devices))
+                if not self._queued[srv]}
+        # Where no node has room for a page under the landing rule (the
+        # steady state over a slow spill tier, where every fault comes
+        # here), there is no need to go through the file's pages.
+        if not idle or not any(
+                hermes.free_tier(n, vec.name, vec.page_size, call.score,
+                                 dict(vec.earmarked), redundant=True)
+                for n in range(len(hermes.dmshs))):
+            return
+        n_stripes = -(-call.bsize // pfs.stripe_size)
+        for s in ((stripe + i) % n_stripes for i in range(n_stripes)):
+            if not idle:
+                return
+            if pfs.server_of(s) not in idle or s in vec.no_ahead:
+                continue
+            runs, landing = self._runs(vec, s, (), dict(vec.earmarked),
+                                       call)
+            if runs:
+                if len(runs) > 1:
+                    # One request per server: the next run waits its turn.
+                    self.system.monitor.count("stager.holes_skipped")
+                self._issue(vec, s, runs[0], landing, call, None, trigger)
+                idle.discard(pfs.server_of(s))
+
+    def _fetch(self, fetch: _Fetch, vec: SharedVector, stripe: int, run,
+               call: _Call, cause):
         """One backend request: read ``[run[0].lo, run[-1].hi)``, cut
         it into page pieces, publish the pages now complete with one
-        vectored put. Generator."""
+        vectored put. Generator. A read-ahead that dies is dropped and
+        counted, and its stripe left to demand."""
         system = self.system
+        node = call.node
         lo, hi = run[0][1], run[-1][2]
+        ahead = fetch.trigger is not None
+        ready = []
         try:
             raw = b""
             if hi > lo:
                 with system.tracer.span(
                         "stage_in", "stager", node=node, vector=vec.name,
                         tier="pfs", stripe=stripe, nbytes=hi - lo,
-                        pages=len(run), cause=cause) as sp:
+                        pages=len(run), ahead=ahead,
+                        cause=fetch.trigger.span_id if ahead else cause
+                        ) as sp:
                     fetch.span_id = getattr(sp, "span_id", None)
-                    yield from self._charge_backend(
-                        node, hi - lo, write=False, offset=lo)
+                    yield from fetch.read
+                # The bytes are back, their publish is still to come:
+                # a server this leaves idle need not wait for it.
+                self._read_ahead(vec, stripe, call, fetch)
+                if vec.destroyed:
+                    raise VectorError(
+                        f"vector {vec.name!r} destroyed under a stage-in")
                 raw = vec.ensure_backend().read_range(lo, hi - lo)
-                self._count(node, "in", hi - lo)
+                self._count(node, "in", hi - lo, ahead)
+                system.monitor.gauge("stager.last_byte_s").set(self.sim.now)
                 system.monitor.count("stager.reread_bytes", hi - lo - sum(
                     b - a for _p, a, b in run))
-            ready = []
             for p, a, b in run:
                 got = vec.fragments.setdefault(p, {})
                 got[stripe] = (a - p * vec.page_size, raw[a - lo:b - lo])
-                if len(got) < len(self._pieces(vec, p, bsize)):
+                if len(got) < len(self._pieces(vec, p, call.bsize)):
                     continue  # a straddler still missing its other half
-                del vec.fragments[p]
                 if system.hermes.mdm.peek(vec.name, p) is not None:
+                    del vec.fragments[p]
                     continue  # written meanwhile: never overwrite it
                 data = bytearray(vec.page_nbytes(p))
                 for off, part in got.values():
                     data[off:off + len(part)] = part
-                owner = vec.owner_node(p, client_node)
+                owner = vec.owner_node(p, call.client_node)
                 if owner in system.reliability.failed_nodes:
                     owner = node
                 ready.append((p, bytes(data), owner))
             if ready:
                 yield from system.hermes.put_many(node, vec.name, ready,
-                                                  score=score)
+                                                  score=call.score)
                 if system.config.integrity_checks:
                     # Without a baseline CRC at materialization,
                     # corruption of a staged-in page that is never
                     # rewritten would pass verification.
                     for p, data, _owner in ready:
                         system.reliability.record(vec.name, p, data)
+        except _REQUEST_ERRORS:
+            if not ahead:
+                raise
+            # Nobody waits for a read-ahead: its pages stay absent,
+            # the next demand stages them, nothing retries it.
+            vec.no_ahead.add(stripe)
+            system.monitor.count("stager.readahead_failed")
         finally:
+            # The pieces of a page count as fetched until its publish
+            # is over, or a fault in between would read them again.
+            for p, _data, _owner in ready:
+                vec.fragments.pop(p, None)
             for p, _a, _b in run:
                 del vec.staging[p][stripe]
                 if not vec.staging[p]:
                     del vec.staging[p]
+            for dev, n in fetch.claims:
+                vec.earmarked[dev] -= n
             fetch.done.succeed()
 
-    def _count(self, node: int, direction: str, nbytes: int) -> None:
+    def drain(self, vec: SharedVector):
+        """Wait out the stage-in requests of ``vec`` in flight (its
+        destruction: they issue nothing more). Generator."""
+        while vec.staging:
+            yield AllOf(self.sim, [f.done for f in dict.fromkeys(
+                f for reqs in vec.staging.values()
+                for f in reqs.values())])
+
+    def _count(self, node: int, direction: str, nbytes: int,
+               ahead: bool = False) -> None:
         monitor = self.system.monitor
         monitor.count(f"stager.bytes_{direction}", nbytes)
         monitor.count(f"stager.requests_{direction}")
+        if ahead:
+            monitor.count("stager.requests_ahead")
         monitor.metrics.counter("stager_bytes", node=node,
                                 direction=direction).inc(nbytes)
-        monitor.metrics.counter("stager_requests", node=node,
-                                direction=direction).inc()
+        monitor.metrics.counter(
+            "stager_requests", node=node, direction=direction,
+            kind="ahead" if ahead else "demand").inc()
 
     # -- stage-out -------------------------------------------------------------
     def _stageout_lock(self, vec: SharedVector, page_idx: int) -> Lock:
@@ -293,8 +461,8 @@ class DataStager:
             with self.system.tracer.span(
                     "stage_out", "stager", node=node, vector=vec.name,
                     page=page_idx, nbytes=len(raw)):
-                yield from self._charge_backend(node, len(raw),
-                                                write=True)
+                yield from self._backend_io(node, start, start + len(raw),
+                                            write=True)
             # What stage-in fetched of this page ahead of time is stale.
             vec.fragments.pop(page_idx, None)
             backend.write_range(start, raw)

@@ -60,6 +60,7 @@ class MegaMmapSystem:
                              monitor=self.monitor)
         self.hermes.tracer = self.tracer
         self.hermes.evictor = self._evict_clean_pages
+        self.hermes.backend = pfs.server_spec if pfs is not None else None
         self.vectors: Dict[str, SharedVector] = {}
         #: Chaos history recorder (``repro.chaos.checker``). When set,
         #: every client-boundary read/write/append/flush and every RPC

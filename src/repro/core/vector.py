@@ -1064,11 +1064,15 @@ class Vector:
             yield from self.flush(wait=True)
         for page_idx in list(self.frames):
             self.pcache.release(self.pcache.detach(page_idx), dirty=False)
+        # From here on only this sweep's DELETEs are served, and the
+        # stager reads nothing more ahead; what it has in flight is
+        # dropped or lands before the sweep lists the blobs.
+        self.shared.destroyed = True
+        yield from self.client.system.stager.drain(self.shared)
         for info in list(self.client.system.hermes.mdm.list_bucket(
                 self.shared.name)):
             task = MemoryTask(
                 kind=TaskKind.DELETE, vector_name=self.shared.name,
                 page_idx=info.key, client_node=self.client.node)
             yield from self.client.submit(task, wait=True)
-        self.shared.destroyed = True
         self.client.system.vectors.pop(self.shared.name, None)

@@ -84,6 +84,11 @@ class Hermes:
         #: ``read_hook(bucket, tier, nbytes)`` — untimed callback per
         #: authoritative-copy read, for per-tenant tier hit ratios.
         self.read_hook = None
+        #: :class:`DeviceSpec` of the persistent backend the blobs can
+        #: be re-read from (a PFS server), installed by the embedding
+        #: system; None where none is modelled. A redundant copy is
+        #: only worth a tier faster than this (:meth:`free_tier`).
+        self.backend = None
 
     def _account(self, bucket, node, tier, delta) -> None:
         if self.accountant is not None:
@@ -168,18 +173,26 @@ class Hermes:
         return max(idx, min(floor, len(dmsh.tiers) - 1)), floor
 
     def free_tier(self, node: int, bucket, nbytes: int, score: float,
-                  claimed: dict):
+                  claimed: dict, redundant: bool = False):
         """The device :meth:`_place` would pick for a new blob that may
         displace nothing (its steps 1 and 3: the first tier from the
         starting one with room), or None. ``claimed`` -- {device: bytes
         the caller earmarked for earlier blobs of ``bucket``} -- counts
-        as taken and is updated. Not a generator."""
+        as taken and is updated. Not a generator.
+
+        The landing rule: a ``redundant`` copy -- a page read ahead of
+        any request for it, a read-only replica -- must also land in a
+        tier faster than the backend it can be had from anyway. Written
+        to a tier as slow, it costs a write and a read for nothing."""
         fast = self.dmshs[node].tiers[0].spec.kind
         idx, _floor = self._first_tier(
             node, nbytes, score, bucket,
             sum(n for dev, n in claimed.items() if dev.spec.kind == fast))
         for dev in self.dmshs[node].tiers[idx:]:
             if dev.free - claimed.get(dev, 0) >= nbytes:
+                if redundant and self.backend is not None \
+                        and dev.spec.read_bw <= self.backend.read_bw:
+                    return None
                 claimed[dev] = claimed.get(dev, 0) + nbytes
                 return dev
         return None
@@ -542,7 +555,8 @@ class Hermes:
     def replicate(self, client_node: int, bucket: str, key):
         """Copy a blob onto the client's node for read availability.
 
-        No-op when a local copy already exists or local tiers are full.
+        No-op when a local copy already exists or no local tier faster
+        than the backend has room (:meth:`free_tier`).
         Returns the fetched bytes either way (callers replicate on the
         read path).
         """
@@ -564,19 +578,13 @@ class Hermes:
                                              len(raw))
             if self.read_hook is not None:
                 self.read_hook(bucket, src_tier, len(raw))
-            # Replicas obey the same admission floor as primaries: an
+            # Replicas obey the same admission floor as primaries (an
             # over-quota tenant must not backfill DRAM via the
-            # replication side door.
-            floor = self._admission_floor(client_node, bucket, len(raw))
-            if floor > 0:
-                local = None
-                for cand in self.dmshs[client_node].tiers[floor:]:
-                    if cand.fits(len(raw)):
-                        local = cand
-                        break
-            else:
-                local = self.dmshs[client_node].fastest_with_room(
-                    len(raw))
+            # replication side door) and the landing rule of every
+            # redundant copy: no tier with room that beats the backend,
+            # no replica -- the read was served remotely just now.
+            local = self.free_tier(client_node, bucket, len(raw),
+                                   info.score, {}, redundant=True)
             if local is not None:
                 from repro.storage.device import DeviceFullError
                 try:

@@ -343,6 +343,8 @@ def run_pipeline(text_or_path: str, workdir: Optional[str] = None,
             "stager_in_mb": res.stats.get("stager.bytes_in", 0) / 2 ** 20,
             "stager_requests_in": int(res.stats.get("stager.requests_in",
                                                     0)),
+            "stager_requests_ahead": int(res.stats.get(
+                "stager.requests_ahead", 0)),
             "nvme_read_mb": sum(
                 v for k, v in res.stats.items()
                 if k.endswith(".nvme.bytes_read")) / 2 ** 20,

@@ -42,6 +42,9 @@ class ParallelFS:
         self.network = network
         self.server_nodes = list(server_nodes)
         self.stripe_size = stripe_size
+        #: What one server is made of (every server alike): the speed a
+        #: node-local tier is measured against.
+        self.server_spec = server_spec
         self.devices = [
             Device(sim, server_spec, name=f"pfs{node}.{server_spec.kind}",
                    monitor=monitor)
@@ -70,13 +73,15 @@ class ParallelFS:
             raise PfsError(f"no such PFS file: {path}")
         return self._files[path]
 
-    def _server_of(self, stripe_idx: int) -> int:
+    def server_of(self, stripe_idx: int) -> int:
+        """Index (into ``devices`` / ``server_nodes``) of the server
+        that holds stripe ``stripe_idx`` of every file."""
         return stripe_idx % len(self.devices)
 
     # -- striped timed I/O ----------------------------------------------------
     def _stripe_op(self, client_node: int, stripe_idx: int, nbytes: int,
                    write: bool):
-        srv = self._server_of(stripe_idx)
+        srv = self.server_of(stripe_idx)
         if write:
             yield from self.network.transfer(
                 client_node, self.server_nodes[srv], nbytes)
@@ -86,9 +91,11 @@ class ParallelFS:
             yield from self.network.transfer(
                 self.server_nodes[srv], client_node, nbytes)
 
-    def _striped(self, client_node: int, offset: int, nbytes: int,
-                 write: bool):
-        """Run all stripe transfers for a range, in parallel."""
+    def charge(self, client_node: int, offset: int, nbytes: int,
+               write: bool):
+        """Timed striped transfer of a byte range whose content lives
+        elsewhere (the Data Stager's backends are real files): all its
+        stripe transfers, in parallel. Generator."""
         procs = []
         pos = offset
         end = offset + nbytes
@@ -112,7 +119,7 @@ class ParallelFS:
             raise PfsError(f"negative offset {offset}")
         if offset > len(buf):
             buf.extend(b"\0" * (offset - len(buf)))
-        yield from self._striped(client_node, offset, len(data), write=True)
+        yield from self.charge(client_node, offset, len(data), write=True)
         end = offset + len(data)
         if end > len(buf):
             buf.extend(b"\0" * (end - len(buf)))
@@ -125,7 +132,7 @@ class ParallelFS:
             raise PfsError(
                 f"range [{offset}, {offset + nbytes}) outside {path} "
                 f"of {len(buf)} bytes")
-        yield from self._striped(client_node, offset, nbytes, write=False)
+        yield from self.charge(client_node, offset, nbytes, write=False)
         return bytes(buf[offset:offset + nbytes])
 
     @property

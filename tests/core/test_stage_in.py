@@ -1,7 +1,8 @@
 """The Data Stager's one stage-in pipeline (``DataStager.materialize``):
 stripe-aligned requests, each backend byte read once under concurrent
-faults, straddling pages, pages that must not be overwritten, what is
-never read ahead, and what happens when a request dies."""
+faults, straddling pages, pages that must not be overwritten, the
+read-ahead handed to idle backend servers, what is never read ahead,
+and what happens when a request -- asked for or not -- dies."""
 
 import random
 
@@ -12,6 +13,7 @@ from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
 from repro.core.config import MegaMmapConfig
 from repro.core.system import MegaMmapSystem
 from repro.hermes.blob import BlobNotFound
+from repro.hermes.dpe import PlacementError
 from repro.net import LinkSpec, Network
 from repro.sim import Monitor, Simulator
 from repro.storage import DMSH, DRAM, HDD, NVME
@@ -46,8 +48,19 @@ def build(n_nodes=2, page_size=PAGE, stripe=STRIPE, servers=2,
     return sim, system
 
 
+@pytest.fixture(autouse=True)
+def _path_free(tmp_path, monkeypatch):
+    """Pages are placed by a hash of the vector's URL: every test runs
+    inside its ``tmp_path`` and names its file relatively, so that
+    what it sees does not depend on where pytest keeps its files."""
+    monkeypatch.chdir(tmp_path)
+
+
 def log_requests(system):
-    """Record every backend read request as (offset, nbytes)."""
+    """Record every backend read request as (offset, nbytes), in the
+    order they were issued, and switch the tracer on: ``stage_ins``
+    then tells when each was issued, when its bytes were back and
+    whether anybody had asked for it."""
     reqs = []
     charge = system.stager._charge_backend
 
@@ -57,15 +70,55 @@ def log_requests(system):
         yield from charge(node, nbytes, write, offset)
 
     system.stager._charge_backend = logged
+    system.tracer.enabled = True
     return reqs
+
+
+def stage_ins(system):
+    """The finished backend read requests in the order they were
+    issued (the order of ``log_requests``): ``stager:stage_in`` spans,
+    ``start`` = issued, ``end`` = bytes back, attrs ``stripe``,
+    ``nbytes``, ``pages``, ``ahead``, ``cause``."""
+    return sorted((sp for sp in system.tracer.spans
+                   if sp.category == "stager" and sp.name == "stage_in"),
+                  key=lambda sp: sp.span_id)
+
+
+def settle(sim, system, url):
+    """Let the read-ahead nobody waits for run out (a request's return
+    issues the next one before it unregisters, so the chain is over
+    when the in-flight table is empty)."""
+    vec = system.vectors[url]
+    while vec.staging:
+        sim.run(until=sim.now + 1e-3)
+    assert not any(vec.earmarked.values())
+    assert not any(system.stager._queued.values())
+    return vec
+
+
+def check_read_ahead_kept_to_idle_servers(system):
+    """Every request nobody asked for went to a backend server on
+    which the stager had nothing queued: each stage-in issued there
+    before it had its bytes back by then -- so a demand request never
+    finds more than one such stripe ahead of it."""
+    spans = stage_ins(system)
+    for i, sp in enumerate(spans):
+        if not sp.attrs["ahead"]:
+            continue
+        server = system.pfs.server_of(sp.attrs["stripe"])
+        for earlier in spans[:i]:
+            if system.pfs.server_of(earlier.attrs["stripe"]) == server:
+                assert earlier.end <= sp.start, (earlier, sp)
+        trigger = next(t for t in spans
+                       if t.span_id == sp.attrs["cause"])
+        assert sp.start in (trigger.start, trigger.end)
 
 
 def cold_file(tmp_path, nbytes, seed=0, name="cold.bin"):
     data = np.random.default_rng(seed).integers(
         0, 256, nbytes, dtype=np.uint8)
-    path = tmp_path / name
-    path.write_bytes(data.tobytes())
-    return f"posix://{path}", data
+    (tmp_path / name).write_bytes(data.tobytes())
+    return f"posix://./{name}", data
 
 
 def reader(system, url, rank, node, ranges, delays=None, **open_kw):
@@ -120,6 +173,7 @@ def test_random_interleavings_read_each_backend_byte_once(tmp_path, seed):
     for ranges, out in zip(asked, outs):
         for (off, n), got in zip(ranges, out):
             assert np.array_equal(got, data[off:off + n]), (off, n)
+    settle(sim, system, url)
     mon = system.monitor
     assert system.pfs.bytes_read == mon.counter("stager.bytes_in")
     assert system.pfs.bytes_read \
@@ -127,10 +181,26 @@ def test_random_interleavings_read_each_backend_byte_once(tmp_path, seed):
     touched = {s for ranges in asked for off, n in ranges
                for s in range(off // STRIPE, (off + n - 1) // STRIPE + 1)}
     assert len(reqs) == mon.counter("stager.requests_in")
-    assert len(reqs) <= len(touched) + mon.counter("stager.holes_skipped")
     assert all(off // STRIPE == (off + n - 1) // STRIPE
                for off, n in reqs)
-    assert not system.vectors[url].staging
+    # A demand request is one for a stripe somebody touched (a demand
+    # that finds its stripe in flight joins instead); every other one
+    # is flagged read-ahead and went to an idle server. Between them
+    # no stripe of the file is asked for twice.
+    spans = stage_ins(system)
+    assert [(sp.attrs["stripe"], sp.attrs["nbytes"]) for sp in spans] \
+        == [(off // STRIPE, n) for off, n in reqs]
+    demand = [sp for sp in spans if not sp.attrs["ahead"]]
+    assert {sp.attrs["stripe"] for sp in demand} <= touched
+    assert len(demand) <= len(touched) + mon.counter("stager.holes_skipped")
+    assert len(spans) - len(demand) == mon.counter("stager.requests_ahead")
+    assert len(reqs) <= -(-nbytes // STRIPE) \
+        + mon.counter("stager.holes_skipped")
+    check_read_ahead_kept_to_idle_servers(system)
+    # Every node has room faster than the backend: the chain ends with
+    # the file materialized, whatever was asked for.
+    assert blobs(system, url) == set(range(-(-nbytes // PAGE)))
+    assert mon.counter("stager.readahead_failed") == 0
 
 
 def test_cold_scan_is_one_request_per_stripe(tmp_path):
@@ -150,23 +220,34 @@ def test_cold_scan_is_one_request_per_stripe(tmp_path):
 
 def test_straddling_page_completes_when_both_stripes_are_in(tmp_path):
     page, stripe = 3000, 8192          # page 2 = [6000, 9000) straddles
-    sim, system = build(page_size=page, stripe=stripe)
-    url, data = cold_file(tmp_path, 30000)
+    # One server: stripe 1 is not read ahead while stripe 0 is on its
+    # way, so the straddler can be seen waiting for its other half.
+    sim, system = build(page_size=page, stripe=stripe, servers=1)
+    url, data = cold_file(tmp_path, 2 * stripe)
     reqs = log_requests(system)
     (out,) = run_procs(sim, reader(system, url, 0, 0, [(10, 5)]))
     assert np.array_equal(out[0], data[10:15])
-    assert reqs == [(0, stripe)]
+    # Stripe 0 is in and its server idle again: stripe 1 was asked for
+    # the moment stripe 0's bytes were back, by nobody.
+    assert reqs == [(0, stripe), (stripe, stripe)]
+    first, = stage_ins(system)
+    assert first.attrs["stripe"] == 0 and not first.attrs["ahead"]
     # Pages wholly inside stripe 0 are in; the straddler waits for its
     # other half, its head is kept so stripe 0 is never read again.
     assert blobs(system, url) == {0, 1}
     assert set(system.vectors[url].fragments) == {2}
+    # The fault on the straddler's tail joins the request in flight.
     (out,) = run_procs(sim, reader(system, url, 1, 1, [(9500, 100)]))
     assert np.array_equal(out[0], data[9500:9600])
-    assert reqs == [(0, stripe), (stripe, stripe)]
+    second = stage_ins(system)[1]
+    assert second.attrs["ahead"] and second.start == first.end
+    assert second.attrs["cause"] == first.span_id
     assert {0, 1, 2, 3, 4} <= blobs(system, url)
     (out,) = run_procs(sim, reader(system, url, 2, 0, [(6000, 3000)]))
     assert np.array_equal(out[0], data[6000:9000])
+    settle(sim, system, url)
     assert len(reqs) == 2 and system.pfs.bytes_read == 2 * stripe
+    assert not system.vectors[url].fragments
 
 
 def test_no_request_crosses_a_stripe_or_reads_a_sub_page_sliver(tmp_path):
@@ -181,12 +262,18 @@ def test_no_request_crosses_a_stripe_or_reads_a_sub_page_sliver(tmp_path):
         for r, p in enumerate((2, 5, 8))])
     for out, p in zip(outs, (2, 5, 8)):
         assert np.array_equal(out[0], data[p * page:(p + 1) * page])
+    settle(sim, system, url)
     for off, n in reqs:
         assert off // stripe == (off + n - 1) // stripe
         assert n >= page or off + n == nbytes
     assert len(reqs) == len({off // stripe for off, _ in reqs})
     assert system.pfs.bytes_read == sum(n for _off, n in reqs) <= nbytes
-    assert not system.vectors[url].staging
+    # The straddlers' stripes were asked for, the rest was read ahead.
+    assert {sp.attrs["stripe"] for sp in stage_ins(system)
+            if not sp.attrs["ahead"]} <= {0, 1, 2, 3}
+    check_read_ahead_kept_to_idle_servers(system)
+    assert blobs(system, url) == set(range(10))
+    assert not system.vectors[url].fragments
 
 
 # -- (c) a materialized page is never overwritten -----------------------------
@@ -229,8 +316,74 @@ def test_one_record_read_of_a_cold_vector(tmp_path):
     reqs = log_requests(system)
     (out,) = run_procs(sim, reader(system, url, 0, 1, [(STRIPE + 17, 1)]))
     assert out[0][0] == data[STRIPE + 17]
-    assert reqs == [(STRIPE, STRIPE)]
-    assert blobs(system, url) == set(range(16, 32))
+    # The record's stripe is the one request anybody asked for, whole;
+    # the 100-byte tail on the other server went out with it, and that
+    # server, idle again 5 ms later, fetched stripe 0.
+    assert reqs[0] == (STRIPE, STRIPE)
+    assert set(range(16, 32)) <= blobs(system, url)
+    settle(sim, system, url)
+    assert reqs == [(STRIPE, STRIPE), (2 * STRIPE, 100), (0, STRIPE)]
+    assert [sp.attrs["ahead"] for sp in stage_ins(system)] \
+        == [False, True, True]
+    check_read_ahead_kept_to_idle_servers(system)
+    assert blobs(system, url) == set(range(33))
+    assert system.pfs.bytes_read == 2 * STRIPE + 100
+
+
+def test_read_ahead_keeps_every_backend_server_busy(tmp_path):
+    """One record of a cold three-stripe file on two servers: the
+    stripe on the other server is issued at the same instant, the
+    third when its server's read returns (not when its publish ends),
+    and the scan that follows joins what is in flight and issues
+    nothing."""
+    sim, system = build(n_nodes=4)
+    nbytes = 2 * STRIPE + 20000
+    url, data = cold_file(tmp_path, nbytes)
+    reqs = log_requests(system)
+    outs = run_procs(
+        sim, reader(system, url, 0, 0, [(3, 1)]),
+        *[reader(system, url, r, r % 4, [(0, nbytes)], [2e-3])
+          for r in range(1, 4)])
+    assert outs[0][0][0] == data[3]
+    assert all(np.array_equal(out[0], data) for out in outs[1:])
+    settle(sim, system, url)
+    assert reqs == [(0, STRIPE), (STRIPE, STRIPE), (2 * STRIPE, 20000)]
+    s0, s1, s2 = stage_ins(system)
+    assert [sp.attrs["ahead"] for sp in (s0, s1, s2)] == [False, True, True]
+    assert s1.start == s0.start and s1.attrs["cause"] == s0.span_id
+    assert s2.start == s0.end and s2.attrs["cause"] == s0.span_id
+    assert system.pfs.bytes_read == nbytes
+    mon = system.monitor
+    assert mon.counter("stager.requests_in") == 3
+    assert mon.counter("stager.requests_ahead") == 2
+    # The scans found their pages in flight and waited for the
+    # read-ahead requests by name.
+    joins = [sp for sp in system.tracer.spans
+             if sp.name == "stage_in_join"]
+    assert joins and all(
+        sp.attrs["wait_on"] and set(sp.attrs["wait_on"])
+        <= {s0.span_id, s1.span_id, s2.span_id} for sp in joins)
+    assert s2.span_id in {i for sp in joins for i in sp.attrs["wait_on"]}
+
+
+def test_demand_joins_the_read_ahead_of_its_stripe(tmp_path):
+    sim, system = build()
+    url, data = cold_file(tmp_path, 2 * STRIPE)
+    reqs = log_requests(system)
+    first, second = run_procs(
+        sim, reader(system, url, 0, 0, [(5, 3)]),
+        reader(system, url, 1, 1, [(STRIPE + 9, 4)], [1e-3]))
+    assert np.array_equal(first[0], data[5:8])
+    assert np.array_equal(second[0], data[STRIPE + 9:STRIPE + 13])
+    assert reqs == [(0, STRIPE), (STRIPE, STRIPE)]
+    demand, ahead = stage_ins(system)
+    assert ahead.attrs["ahead"] and ahead.attrs["stripe"] == 1
+    # Rank 1 arrived 1 ms into the read-ahead of its stripe: it issued
+    # nothing and its wait names that request.
+    (join,) = [sp for sp in system.tracer.spans
+               if sp.name == "stage_in_join"]
+    assert join.attrs["wait_on"] == [ahead.span_id]
+    assert ahead.start < join.start < ahead.end <= join.end
 
 
 # -- (e) what is never read ahead ----------------------------------------------
@@ -242,6 +395,7 @@ def test_volatile_vector_stages_nothing_and_fills_only_what_is_asked():
                                    [(3 * PAGE + 5, 10), (9 * PAGE, PAGE)],
                                    size=64 * PAGE))
     assert not out[0].any() and not out[1].any()
+    sim.run(until=sim.now + 0.1)
     assert reqs == [] and system.pfs.bytes_read == 0
     assert blobs(system, "vol") == {3, 9}
 
@@ -279,6 +433,8 @@ def test_vector_longer_than_its_backend(tmp_path):
     sim, system = build()
     url, data = cold_file(tmp_path, 5 * PAGE)
     reqs = log_requests(system)
+    # 20 pages: the vector's last four lie in a stripe (on the other,
+    # idle server) that the file does not reach.
     (out,) = run_procs(sim, reader(system, url, 0, 0, [(12 * PAGE, 100)],
                                    size=20 * PAGE))
     assert not out[0].any()
@@ -289,8 +445,10 @@ def test_vector_longer_than_its_backend(tmp_path):
     # The second read runs off the end of the file into page 5.
     assert np.array_equal(out[1][:96], data[4 * PAGE + 4000:])
     assert not out[1][96:].any()
+    settle(sim, system, url)
     assert reqs == [(0, 5 * PAGE)]
     assert blobs(system, url) == {0, 1, 2, 3, 4, 5, 12}
+    assert system.monitor.counter("stager.requests_ahead") == 0
 
 
 def test_no_read_ahead_into_a_tier_no_faster_than_the_backend(tmp_path):
@@ -301,26 +459,84 @@ def test_no_read_ahead_into_a_tier_no_faster_than_the_backend(tmp_path):
     for nothing."""
     sim, system = build(n_nodes=1, tiers=(DRAM.with_capacity(3 * PAGE),
                                           HDD.with_capacity(64 * MB)))
-    url, data = cold_file(tmp_path, 16 * PAGE)
+    # Two stripes and a half: one and a half of them on a server that
+    # stays idle throughout, and is given nothing to read.
+    url, data = cold_file(tmp_path, 40 * PAGE)
     reqs = log_requests(system)
     (out,) = run_procs(sim, reader(system, url, 0, 0, [(7, 3)]))
     assert np.array_equal(out[0], data[7:10])
+    settle(sim, system, url)
     assert reqs == [(0, 2 * PAGE)] and blobs(system, url) == {0, 1}
     (out,) = run_procs(sim, reader(system, url, 0, 0, [(9 * PAGE, 10)]))
     assert np.array_equal(out[0], data[9 * PAGE:9 * PAGE + 10])
+    settle(sim, system, url)
     assert reqs[1:] == [(9 * PAGE, PAGE)]
     assert blobs(system, url) == {0, 1, 9}
+    assert system.monitor.counter("stager.requests_ahead") == 0
+
+
+def test_no_read_ahead_for_a_tenant_at_its_admission_floor(tmp_path):
+    """DRAM with room to spare over a node-local HDD, but the tenancy
+    admission floor keeps this bucket's new blobs out of the DRAM: a
+    page read ahead would land on the disk, so none is -- not inside
+    the stripe, not on the idle server. Over NVMe the same floor still
+    leaves a tier that beats the backend, and the file comes in."""
+    for slow, expect in ((HDD, [(PAGE, PAGE)]),
+                         (NVME, [(0, STRIPE), (STRIPE, STRIPE)])):
+        sim, system = build(tiers=(DRAM.with_capacity(4 * MB),
+                                   slow.with_capacity(16 * MB)))
+        system.hermes.admission = lambda node, bucket, nbytes: 1
+        url, data = cold_file(tmp_path, 2 * STRIPE)
+        reqs = log_requests(system)
+        (out,) = run_procs(sim, reader(system, url, 0, 0, [(PAGE + 7, 3)]))
+        assert np.array_equal(out[0], data[PAGE + 7:PAGE + 10])
+        settle(sim, system, url)
+        assert reqs == expect
+        assert {info.tier for info in system.hermes.mdm.list_bucket(url)} \
+            == {slow.kind}
+
+
+def test_read_ahead_counts_the_room_requests_in_flight_will_take(tmp_path):
+    """The landing rule sees what is promised, not only what is used:
+    with DRAM for 20 pages over an HDD, the stripe asked for takes 16
+    and the stripe read ahead beside it -- decided at the same
+    instant, before a single page is published -- only the four that
+    are left."""
+    sim, system = build(n_nodes=1, tiers=(DRAM.with_capacity(21 * PAGE),
+                                          HDD.with_capacity(64 * MB)))
+    url, data = cold_file(tmp_path, 2 * STRIPE)
+    reqs = log_requests(system)
+    (out,) = run_procs(sim, reader(system, url, 0, 0, [(7, 3)]))
+    assert np.array_equal(out[0], data[7:10])
+    settle(sim, system, url)
+    assert reqs == [(0, STRIPE), (STRIPE, 4 * PAGE)]
+    assert {info.tier for info in system.hermes.mdm.list_bucket(url)} \
+        == {"dram"}
+    assert system.dmshs[0].tier("hdd").bytes_written == 0
+
+
+def test_stopped_stager_reads_nothing_ahead(tmp_path):
+    sim, system = build()
+    url, data = cold_file(tmp_path, 2 * STRIPE)
+    reqs = log_requests(system)
+    system.stager.stop()
+    (out,) = run_procs(sim, reader(system, url, 0, 0, [(7, 3)]))
+    assert np.array_equal(out[0], data[7:10])
+    settle(sim, system, url)
+    assert reqs == [(0, STRIPE)]
 
 
 # -- a request that dies --------------------------------------------------------
 
-def fail_first_publish(system, exc):
-    """Make the first vectored publish fail after it has been queued."""
+def fail_first_publish(system, exc, of_page=None):
+    """Make the first vectored publish (the first one carrying page
+    ``of_page``, if given) fail after it has been queued."""
     put_many = system.hermes.put_many
     state = {"armed": True}
 
     def flaky(client_node, bucket, items, score=1.0):
-        if state["armed"]:
+        if state["armed"] and (of_page is None or of_page in {
+                key for key, _data, _node in items}):
             state["armed"] = False
             yield system.sim.timeout(1e-4)
             raise exc
@@ -352,12 +568,131 @@ def test_failed_request_fails_its_caller_and_joiners_restage(tmp_path, exc):
     assert len(reqs) == 2
 
 
-def test_node_crash_under_an_inflight_request(tmp_path, monkeypatch):
-    # A relative URL: pages are placed by a hash of the URL.
-    monkeypatch.chdir(tmp_path)
+@pytest.mark.parametrize("exc", [DeviceFullError("full"),
+                                 BlobNotFound(("x", 0)),
+                                 PlacementError("no tier")])
+def test_failed_read_ahead_is_dropped_and_its_stripe_left_to_demand(
+        tmp_path, exc):
+    """The same failure in a request nobody waits for: the kernel
+    would re-raise it out of ``sim.run``. It is counted and dropped
+    instead, its joiner restages, and nothing reads that stripe ahead
+    a second time."""
+    sim, system = build()
+    url, data = cold_file(tmp_path, 3 * STRIPE)
+    reqs = log_requests(system)
+    fail_first_publish(system, exc, of_page=16)
+    first, second = run_procs(
+        sim,
+        reader(system, url, 0, 0, [(0, PAGE)]),
+        reader(system, url, 1, 1, [(16 * PAGE, PAGE)], [1e-3]))
+    # Rank 0 asked for stripe 0 and got it. Stripe 1 went out beside
+    # it, unasked; rank 1 joined that request, saw it die, and staged
+    # the stripe itself.
+    assert np.array_equal(first[0], data[:PAGE])
+    assert np.array_equal(second[0], data[16 * PAGE:17 * PAGE])
+    vec = settle(sim, system, url)
+    assert system.monitor.counter("stager.readahead_failed") == 1
+    assert vec.no_ahead == {1}
+    assert reqs == [(0, STRIPE), (STRIPE, STRIPE), (2 * STRIPE, STRIPE),
+                    (STRIPE, STRIPE)]
+    assert [sp.attrs["ahead"] for sp in stage_ins(system)] \
+        == [False, True, True, False]
+    assert blobs(system, url) == set(range(48))
+    (again,) = run_procs(sim, reader(system, url, 0, 0, [(0, 3 * STRIPE)]))
+    assert np.array_equal(again[0], data)
+    assert len(reqs) == 4
+
+
+def test_read_ahead_that_keeps_failing_does_not_restart_itself(tmp_path):
+    sim, system = build()
+    url, data = cold_file(tmp_path, 6 * STRIPE)
+    reqs = log_requests(system)
+    put_many = system.hermes.put_many
+
+    def only_what_was_asked_for(client_node, bucket, items, score=1.0):
+        if 0 not in {key for key, _data, _node in items}:
+            yield sim.timeout(1e-4)
+            raise DeviceFullError("full")
+        return (yield from put_many(client_node, bucket, items,
+                                    score=score))
+
+    system.hermes.put_many = only_what_was_asked_for
+    (out,) = run_procs(sim, reader(system, url, 0, 0, [(0, PAGE)]))
+    assert np.array_equal(out[0], data[:PAGE])
+    vec = settle(sim, system, url)
+    # Each of the five other stripes was tried once, and that was it.
+    assert sorted(reqs) == [(s * STRIPE, STRIPE) for s in range(6)]
+    assert vec.no_ahead == {1, 2, 3, 4, 5}
+    assert system.monitor.counter("stager.readahead_failed") == 5
+    assert blobs(system, url) == set(range(16))
+
+
+def test_vector_destroyed_under_an_inflight_read_ahead(tmp_path):
+    sim, system = build()
+    url, data = cold_file(tmp_path, 3 * STRIPE)
+    reqs = log_requests(system)
+    client = system.client(rank=0, node=0)
+
+    def app():
+        vec = yield from client.vector(url, dtype=np.uint8)
+        yield from vec.tx_begin(SeqTx(0, vec.size, MM_READ_ONLY))
+        out = yield from vec.read_range(5, 3)
+        yield from vec.tx_end()
+        assert vec.shared.staging  # stripe 2 is on its way
+        yield from vec.destroy(drop=True)
+        return out, vec.shared
+
+    ((out, shared),) = run_procs(sim, app())
+    assert np.array_equal(out, data[5:8])
+    while shared.staging:
+        sim.run(until=sim.now + 1e-3)
+    # The request in flight came back to a vector that is gone: its
+    # bytes were dropped, not published, and the chain stopped there.
+    assert reqs == [(0, STRIPE), (STRIPE, STRIPE), (2 * STRIPE, STRIPE)]
+    assert system.monitor.counter("stager.readahead_failed") == 1
+    assert blobs(system, url) == set()
+    assert not any(system.stager._queued.values())
+
+
+def test_node_crash_under_an_inflight_read_ahead(tmp_path):
     sim, system = build(n_nodes=3)
-    _url, data = cold_file(tmp_path, 16 * PAGE)
-    url = "posix://./cold.bin"
+    url, data = cold_file(tmp_path, 2 * STRIPE)
+
+    def saboteur():
+        def ahead():
+            return [f for reqs in system.vectors[url].staging.values()
+                    for f in reqs.values() if f.trigger is not None] \
+                if url in system.vectors else []
+        while not ahead():
+            yield sim.timeout(1e-5)
+        yield sim.timeout(1e-3)
+        # Not the node that runs the requests (page 0's owner): a
+        # crash in this model wipes a node's data, not its processes.
+        vec = system.vectors[url]
+        victim = next(n for n in range(3) if n != vec.owner_node(0, 0))
+        assert victim in {vec.owner_node(p, 0) for p in range(16, 32)}
+        system.reliability.fail_node(victim)
+        return victim
+
+    out, victim = run_procs(
+        sim, reader(system, url, 0, 0, [(0, PAGE)]), saboteur())
+    assert np.array_equal(out[0], data[:PAGE])
+    settle(sim, system, url)
+    # Nothing of the read-ahead was published onto the dead node, and
+    # whatever the crash wiped is restaged by the next reader.
+    assert not any(info.node == victim
+                   for info in system.hermes.mdm.list_bucket(url)
+                   if info.key >= 16)
+    survivor = next(n for n in range(3) if n != victim)
+    (out,) = run_procs(sim, reader(system, url, 1, survivor,
+                                   [(0, 2 * STRIPE)]))
+    assert np.array_equal(out[0], data)
+    settle(sim, system, url)
+
+
+def test_node_crash_under_an_inflight_request(tmp_path):
+    sim, system = build(n_nodes=3)
+    url, data = cold_file(tmp_path, 16 * PAGE)
 
     def saboteur():
         while url not in system.vectors \

@@ -44,10 +44,12 @@ PAGE = 64 * 1024
 EXCHANGE_PAGES = 16
 
 
-def test_kmeans_report_categories_sum_to_makespan(tmp_path):
+def test_kmeans_report_categories_sum_to_makespan(tmp_path, monkeypatch):
+    # A relative workdir: pages are placed by a hash of the dataset URL,
+    # and which node owns the one cold page decides what leads the path.
+    monkeypatch.chdir(tmp_path)
     trace = tmp_path / "km.json"
-    rows = run_pipeline(KMEANS_2N, workdir=str(tmp_path),
-                        trace_path=str(trace))
+    rows = run_pipeline(KMEANS_2N, workdir=".", trace_path=str(trace))
     assert len(rows) == 1 and not rows[0]["crashed"]
     graph = load_trace(str(trace))
     assert len(graph) > 0
@@ -89,10 +91,12 @@ def _cold_scan(ctx, url, n):
 
 def test_cold_scan_states_its_backend_requests(tmp_path, monkeypatch):
     """A cold scan by four ranks, one vocabulary: each backend request
-    is a ``stager`` span on the pfs tier naming the scache span that
-    asked (``cause``), a rank that found its pages in flight names the
-    requests it waited for (``wait_on``), and the request counters say
-    how the bytes came in. All of it holds wherever the pages land."""
+    is a ``stager`` span on the pfs tier naming what caused it -- the
+    scache span that asked or, for a request read ahead on an idle
+    server (``ahead``), the request whose issue or return set it off
+    --, a rank that found its pages in flight names the requests it
+    waited for (``wait_on``), and the request counters say how the
+    bytes came in. All of it holds wherever the pages land."""
     n = 2 * 1024 * 1024 + 300_000
     # A relative URL: pages are placed by a hash of the URL.
     monkeypatch.chdir(tmp_path)
@@ -110,8 +114,15 @@ def test_cold_scan_states_its_backend_requests(tmp_path, monkeypatch):
     assert sum(s.attrs["nbytes"] for s in reads) == n
     for s in reads:
         assert s.attrs["tier"] == "pfs" and s.attrs["pages"] >= 1
-        assert spans[s.attrs["cause"]].category in ("scache",
-                                                    "scache.batch")
+        cause = spans[s.attrs["cause"]]
+        if s.attrs["ahead"]:
+            assert cause in reads and s.start in (cause.start, cause.end)
+        else:
+            assert cause.category in ("scache", "scache.batch")
+    # Whoever faults first asks for one stripe; with two PFS servers
+    # the next goes out beside it and the third behind it, unasked.
+    ahead = sum(s.attrs["ahead"] for s in reads)
+    assert 1 <= ahead <= 2
     joins = [s for s in spans.values() if s.name == "stage_in_join"]
     assert joins and all(
         s.attrs["wait_on"]
@@ -120,12 +131,19 @@ def test_cold_scan_states_its_backend_requests(tmp_path, monkeypatch):
     # Bytes per request is readable from the run's stats and from the
     # labeled series the live plane scrapes.
     assert res.stats["stager.requests_in"] == 3
+    assert res.stats["stager.requests_ahead"] == ahead
     assert res.stats["stager.bytes_in"] == n
     labeled = {name: sum(c.value for (nm, ls), c
                          in c.monitor.metrics.counters.items()
                          if nm == name and dict(ls)["direction"] == "in")
                for name in ("stager_requests", "stager_bytes")}
     assert labeled == {"stager_requests": 3, "stager_bytes": n}
+    by_kind = {kind: sum(c.value for (nm, ls), c
+                         in c.monitor.metrics.counters.items()
+                         if nm == "stager_requests"
+                         and dict(ls)["kind"] == kind)
+               for kind in ("demand", "ahead")}
+    assert by_kind == {"demand": 3 - ahead, "ahead": ahead}
 
 
 def _exchange(ctx, n_pages):

@@ -285,6 +285,9 @@ def test_shipped_kmeans_pipeline_dram_sweep_moves_spill(tmp_path,
         # The dataset comes in once, in whole-stripe requests.
         assert r["stager_in_mb"] == pytest.approx(1.2e6 / 2 ** 20)
         assert r["stager_requests_in"] == 2
+        # Rank 0's first record asks for one stripe; the other server,
+        # idle, reads the second ahead of the scan that wants it.
+        assert r["stager_requests_ahead"] == 1
 
 
 def test_shipped_serving_pipeline_pcache_size_moves_local_hits(tmp_path):
