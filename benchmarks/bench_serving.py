@@ -15,13 +15,15 @@ suites in ``tests/core/test_object_access.py`` pin the byte-level
 agreement; this benchmark re-checks the end-to-end sum). Since pcache
 frames are charged for the bytes they hold, both paths keep the same
 extents resident and fetch the same number of them (``page_faults`` ==
-``obj_remote`` on the 64 B cells): residency is no longer what
-separates them. The object path's remaining edge — gated by
-``serving.object_speedup`` in ``perf_floor.json`` — is vectoring: one
-batched round trip per query versus one sequential extent fault per
-lookup, worth ~1.25x at 64 B objects and zipf 1.2 (where three
-lookups in four hit locally on either path) and ~1.5x at zipf 0.6
-(where nearly all miss).
+``obj_remote`` on the 64 B cells): residency is not what separates
+them. The object path's edge — gated by ``serving.object_speedup`` in
+``perf_floor.json`` — is the wire contract: a query's misses cost one
+request and **one reply** per owner node, against one sequential
+extent fault (request + reply) per lookup on the page path. That is
+worth ~1.76x at 64 B objects and zipf 1.2 (where two lookups in three
+hit locally on either path) and ~3.2-3.7x at zipf 0.6 (where nearly
+all miss). Every cell asserts the contract as a count
+(``obj_msgs <= obj_msg_bound``, see :func:`_message_bound`).
 
 Run with ``MEGAMMAP_TRACE=1`` to also export Chrome traces of the
 headline cell (categories ``object`` / ``object.batch`` carry the
@@ -55,9 +57,31 @@ WRITE_FRAC_RW = 0.05
 #: completed/runtime measures serving *capacity*, not the schedule.
 QPS_OFFERED = 1e6
 HEADLINE = (64, 1.2)
-#: Measured 1.246 on the headline cell (the lowest of the grid is
-#: 1.242); same ~8% headroom the 1.5 floor had under 1.64.
-SPEEDUP_FLOOR = 1.15
+#: Measured 1.763 on the headline cell (the lowest of the grid is
+#: 1.633); same ~8-9% headroom the 1.15 floor had under 1.246.
+SPEEDUP_FLOOR = 1.6
+
+
+def _skeleton(ctx):
+    """What ``mm_serving`` does around its query loop: attach the
+    table, one barrier before the loop and one after."""
+    yield from ctx.mm.vector("kv:serving", dtype=np.uint8,
+                             size=TABLE_BYTES)
+    yield from ctx.barrier()
+    yield from ctx.barrier()
+
+
+def _message_bound(cluster, res, skeleton_msgs: int) -> int:
+    """The most ``net.transfers`` (loopback memcpys included) an
+    object-path run may need: a request and a reply per submission,
+    two per metadata RPC, one per first-touch zero-fill publish, and
+    the creation/barrier messages of the bare skeleton. One reply per
+    *object* would exceed it by ``obj_remote`` minus the batches."""
+    submissions = res.stats.get("rpc.batches", 0.0) \
+        + res.stats.get("rpc.submits", 0.0)
+    return int(2 * submissions + 2 * cluster.system.hermes.mdm.rpcs
+               + res.stats.get("hermes.vectored_puts", 0.0)
+               + skeleton_msgs)
 
 
 def _run_cell(api: str, obj_bytes: int, zipf_s: float,
@@ -91,15 +115,20 @@ def run_serving_grid():
     """Sweep the grid; returns (rows, headline record)."""
     rows = []
     headline = None
+    skeleton_msgs = int(testbed(page_size=PAGE).run(_skeleton)
+                        .stats["net.transfers"])
     for obj_bytes in SIZES:
         for zipf_s in ZIPFS:
             is_headline = (obj_bytes, zipf_s) == HEADLINE
             page, _, _ = _run_cell("page", obj_bytes, zipf_s)
-            obj, cluster, _ = _run_cell(
+            obj, cluster, res = _run_cell(
                 "object", obj_bytes, zipf_s,
                 trace=None if is_headline else False)
             assert page["checksum"] == obj["checksum"], \
                 (obj_bytes, zipf_s, page["checksum"], obj["checksum"])
+            msgs = int(res.stats["net.transfers"])
+            bound = _message_bound(cluster, res, skeleton_msgs)
+            assert msgs <= bound, (obj_bytes, zipf_s, msgs, bound)
             speedup = page["runtime_s"] / obj["runtime_s"]
             row = dict(
                 obj_bytes=obj_bytes, zipf_s=zipf_s,
@@ -111,6 +140,7 @@ def run_serving_grid():
                 obj_local_hit=round(obj["local_hit_frac"], 3),
                 page_faults=page["remote_tasks"],
                 obj_remote=obj["remote_tasks"],
+                obj_msgs=msgs, obj_msg_bound=bound,
             )
             rows.append(row)
             if is_headline:
@@ -142,8 +172,8 @@ def test_serving_object_vs_page(benchmark):
     write_csv("serving", rows)
     assert headline is not None
     row = headline["row"]
-    # Vectoring alone must keep the object path ahead of the page path
-    # at 64 B objects, zipf 1.2.
+    # One round trip per owner per query must keep the object path
+    # ahead of the page path at 64 B objects, zipf 1.2.
     assert row["speedup"] >= SPEEDUP_FLOOR, row
     # The object path actually served at object granularity...
     assert headline["obj"]["remote_tasks"] > 0, headline
@@ -154,10 +184,10 @@ def test_serving_object_vs_page(benchmark):
                zipf_s=row["zipf_s"], queries=QUERIES, lookups=LOOKUPS,
                page=PAGE)
     emit_result("serving", "serving.qps", row["obj_qps"], "q/s", cfg,
-                breakdown=headline["breakdown"])
+                breakdown=headline["breakdown"], replace=True)
     emit_result("serving", "serving.page_qps", row["page_qps"], "q/s",
-                cfg)
+                cfg, replace=True)
     emit_result("serving", "serving.p99_ms", row["obj_p99_ms"], "ms",
-                cfg)
+                cfg, replace=True)
     emit_result("serving", "serving.object_speedup", row["speedup"],
-                "x", cfg)
+                "x", cfg, replace=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim import Event
 
@@ -85,6 +85,12 @@ class BatchTask:
     the scache serves the whole batch with one stage-in round per
     contiguous extent. ``done`` fires with the list of per-task results
     in ``tasks`` order.
+
+    ``reply`` is the wire half of those results: ``{source node:
+    bytes}`` the service read but left where they were. The runtime
+    sends them to ``client_node`` -- one transfer per source node for
+    the whole request -- before ``done`` fires. Results that shipped
+    themselves (failover, page-path reads) are not in it.
     """
 
     kind: TaskKind
@@ -95,6 +101,7 @@ class BatchTask:
     submit_time: float = 0.0
     #: Causal span id of the submit_batch span (see MemoryTask.ctx).
     ctx: Optional[int] = None
+    reply: Dict[int, int] = field(default_factory=dict)
 
     @property
     def nbytes(self) -> int:

@@ -27,7 +27,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.transaction import Transaction, coalesce_page_runs
+from repro.core.transaction import (
+    Transaction,
+    TxFlags,
+    coalesce_page_runs,
+)
 
 
 class Prefetcher:
@@ -43,7 +47,13 @@ class Prefetcher:
             tx.head = tx.tail
             return
         scores = self._evict_scores(tx)
-        for page_idx, score in self._prefetch_scores(tx).items():
+        # The prefetch half predicts *reads*: without a READ bit the
+        # pages ahead will be overwritten whole, and a 1 with this
+        # node's hint would only make the organizer haul each finished
+        # page back to its writer.
+        ahead = self._prefetch_scores(tx) if tx.flags & TxFlags.READ \
+            else {}
+        for page_idx, score in ahead.items():
             # Max-merge: a page both recently touched (0) and upcoming
             # (1) keeps the higher score — the organizer applies the
             # same max rule across processes (III-D).
@@ -72,10 +82,14 @@ class Prefetcher:
         for region in tx.get_touched_pages():
             scores[region.page_idx] = 0.0
         # Pages that will be touched within one full-pcache window keep
-        # score 1 (they may be retouched; do not evict).
+        # score 1 (they may be retouched; do not evict) -- of a stream
+        # that reads nothing, only the ones it has begun (see
+        # on_advance).
         window = n_pages_window * vec.shared.elems_per_page
+        reads = tx.flags & TxFlags.READ
         for region in tx.get_future_pages(window):
-            scores[region.page_idx] = 1.0
+            if reads or region.page_idx in scores:
+                scores[region.page_idx] = 1.0
         return scores
 
     # -- PREFETCH (Algorithm 1 lines 16-33) -----------------------------------

@@ -20,7 +20,11 @@ LabStor." Scheduling rules implemented here:
   guarantee holds across the batched path. The worker that pops the
   batch's **last** shard (at which point every involved FIFO has
   reached the batch) services the whole batch in one scache round;
-  the other shard workers block until it completes.
+  the other shard workers block until it completes;
+* an ``OBJ_READ`` batch needs no such barrier (it orders against
+  nothing but its own pages): it runs as independent per-FIFO *parts*,
+  and what they read leaves for the client as **one reply** -- one
+  transfer per source node -- once the last part is serviced.
 """
 
 from __future__ import annotations
@@ -137,21 +141,13 @@ class NodeRuntime:
         while True:
             task = yield self.queue.get()
             if isinstance(task, BatchTask):
+                if task.kind is TaskKind.OBJ_READ:
+                    self._split_obj_read_batch(task)
+                    continue
                 shards: Dict[int, None] = {}
                 for sub in task.tasks:
                     shards[self._store_idx(task.vector_name,
                                            sub.page_idx)] = None
-                if task.kind is TaskKind.OBJ_READ and len(shards) > 1:
-                    # Read-only object batches need no cross-FIFO
-                    # barrier: a shard barrier would hold every
-                    # involved worker FIFO until the last one drains
-                    # (convoying a serving node's whole low-latency
-                    # pool behind one slow page). Split the batch into
-                    # independent per-FIFO parts instead — each part
-                    # still sits in its pages' FIFO, so the per-page
-                    # read-after-write guarantee is untouched.
-                    self._split_obj_read_batch(task)
-                    continue
                 state = _BatchState(task, len(shards), self.sim)
                 # All shard puts happen atomically (no yields), so two
                 # batches sharing FIFOs enqueue in a consistent order
@@ -164,8 +160,17 @@ class NodeRuntime:
 
     def _split_obj_read_batch(self, batch: BatchTask) -> None:
         """Fan an OBJ_READ batch out as one independent single-shard
-        part per worker FIFO and merge the part results back into the
-        original task order once all parts complete."""
+        part per worker FIFO; once all parts are serviced, send the
+        request's one reply and hand back the part results in the
+        original task order.
+
+        Read-only object batches need no cross-FIFO barrier: a shard
+        barrier would hold every involved worker FIFO until the last
+        one drains (convoying a serving node's whole low-latency pool
+        behind one slow page). Each part still sits in its pages' FIFO,
+        so the per-page read-after-write guarantee is untouched; a read
+        linearizes at its service, so the reply holds neither a core
+        nor a FIFO."""
         groups: Dict[int, List[int]] = {}
         for pos, sub in enumerate(batch.tasks):
             groups.setdefault(
@@ -191,6 +196,10 @@ class NodeRuntime:
         def merge():
             try:
                 yield AllOf(self.sim, [p.done for _pos, p in parts])
+                for _pos, part in parts:
+                    for src, nbytes in part.reply.items():
+                        batch.reply[src] = batch.reply.get(src, 0) + nbytes
+                yield from self._reply(batch)
             except BaseException as exc:  # noqa: BLE001 - re-raised to
                 if batch.done is not None:  # the waiting client
                     batch.done.fail(exc)
@@ -205,6 +214,15 @@ class NodeRuntime:
 
         self.sim.process(
             merge(), name=f"rt{self.node_id}.objmerge")
+
+    def _reply(self, batch: BatchTask):
+        """Send a serviced batch's reply: what it read and left on each
+        source node (``batch.reply``) travels to the client in one
+        transfer per node, its ``net`` span naming the request as
+        ``cause``. Generator."""
+        for src, nbytes in batch.reply.items():
+            yield from self.system.network.transfer(
+                src, batch.client_node, nbytes, cause=batch.ctx)
 
     def _worker(self, store: Store):
         cfg = self.system.config

@@ -17,6 +17,13 @@ from repro.core.shared import SharedVector
 from repro.hermes.blob import BlobNotFound
 
 
+def _cut(raw, region):
+    """``region = (offset, nbytes)`` of a page's bytes; all when None."""
+    if region is None:
+        return raw
+    return raw[region[0]:region[0] + region[1]]
+
+
 def _whole_page(vec: SharedVector, task: MemoryTask) -> bool:
     frags = task.fragments
     return (len(frags) == 1 and frags[0][0] == 0
@@ -237,10 +244,7 @@ class ScacheExecutor:
         if info is not None and self._dead(info):
             raw = yield from rel.recover_page(vec, task.page_idx,
                                               task.client_node)
-            if task.region is None:
-                return raw
-            off, size = task.region
-            return raw[off:off + size]
+            return _cut(raw, task.region)
         yield from self.ensure_page(vec, task.page_idx, task.client_node)
         page_nbytes = vec.page_nbytes(task.page_idx)
         # Replicate only for reads covering exactly [0, page_nbytes):
@@ -258,62 +262,48 @@ class ScacheExecutor:
                 self.system.monitor.count("reliability.read_failovers")
                 raw = yield from rel.recover_page(vec, task.page_idx,
                                                   task.client_node)
-            raw = yield from self._verified(vec, task, raw)
+            raw = yield from self._verified(vec, task.page_idx,
+                                            task.client_node, raw)
             info = hermes.mdm.peek(vec.name, task.page_idx)
             if info is not None and info.replicas:
                 vec.replicated_pages.add(task.page_idx)
             self.system.monitor.count("scache.reads")
             self._m_reads.inc()
-            if task.region is None:
-                return raw
-            off, size = task.region
-            return raw[off:off + size]
+            return _cut(raw, task.region)
         self.system.monitor.count("scache.reads")
         self._m_reads.inc()
-        if whole:
+        if whole or self.system.config.integrity_checks:
+            # Verification needs the whole page: a partial read of a
+            # checked page fetches all of it, verifies and slices (the
+            # fragment fast path used to return corrupted bytes of
+            # pages only ever read in pieces, e.g. the partition-
+            # boundary pages of a PGAS scan).
             raw = yield from self._get_page(vec, task.page_idx,
                                             task.client_node)
-            raw = yield from self._verified(vec, task, raw)
-            if task.region is None:
-                return raw
-            return raw[:task.region[1]]
-        return (yield from self._read_region(vec, task))
-
-    def _verified(self, vec: SharedVector, task: MemoryTask, raw):
-        """``raw`` (the whole page) if it passes the integrity check;
-        else a verified copy (§V bit flip: recovery tries every
-        placement, promotes the good one, drops the corrupted one)."""
-        rel = self.system.reliability
-        if self.system.config.integrity_checks \
-                and not rel.verify(vec.name, task.page_idx, raw):
-            self.system.monitor.count("reliability.corruptions")
-            raw = yield from rel.recover_page(vec, task.page_idx,
-                                              task.client_node)
-        return raw
-
-    def _read_region(self, vec: SharedVector, task: MemoryTask):
-        """Fetch ``task.region`` of a materialized page (the tail of
-        :meth:`_read`, shared with the object batch)."""
-        rel = self.system.reliability
-        off, size = task.region
-        if self.system.config.integrity_checks:
-            # The partial fast path used to bypass the CRC check,
-            # silently returning corrupted bytes for pages only ever
-            # read in fragments (e.g. partition-boundary pages of a
-            # PGAS scan). Verification needs the whole page, so fetch
-            # it, verify, and slice.
-            raw = yield from self._get_page(vec, task.page_idx,
-                                            task.client_node)
-            raw = yield from self._verified(vec, task, raw)
-            return raw[off:off + size]
+            raw = yield from self._verified(vec, task.page_idx,
+                                            task.client_node, raw)
+            return _cut(raw, task.region)
         try:
-            return (yield from self.system.hermes.get_partial(
-                task.client_node, vec.name, task.page_idx, off, size))
+            return (yield from hermes.get_partial(
+                task.client_node, vec.name, task.page_idx, *task.region))
         except BlobNotFound:
             self.system.monitor.count("reliability.read_failovers")
             raw = yield from rel.recover_page(vec, task.page_idx,
                                               task.client_node)
-            return raw[off:off + size]
+            return _cut(raw, task.region)
+
+    def _verified(self, vec: SharedVector, page_idx: int,
+                  client_node: int, raw):
+        """``raw`` (the whole page, at ``client_node``) if it passes
+        the integrity check; else a verified copy (§V bit flip:
+        recovery tries every placement, promotes the good one, drops
+        the corrupted one)."""
+        rel = self.system.reliability
+        if self.system.config.integrity_checks \
+                and not rel.verify(vec.name, page_idx, raw):
+            self.system.monitor.count("reliability.corruptions")
+            raw = yield from rel.recover_page(vec, page_idx, client_node)
+        return raw
 
     def _read_batch(self, vec: SharedVector, batch: BatchTask):
         """Serve a READ batch: stage-in starts for all of its pages
@@ -375,14 +365,12 @@ class ScacheExecutor:
             return results
         for i in bulk:
             task = batch.tasks[i]
-            raw = yield from self._verified(vec, task,
-                                            raws[task.page_idx])
+            raw = yield from self._verified(
+                vec, task.page_idx, task.client_node,
+                raws[task.page_idx])
             self.system.monitor.count("scache.reads")
             self._m_reads.inc()
-            if task.region is None:
-                results[i] = raw
-            else:
-                results[i] = raw[:task.region[1]]
+            results[i] = _cut(raw, task.region)
         return results
 
     def _stage_batch(self, vec: SharedVector, batch: BatchTask):
@@ -394,11 +382,13 @@ class ScacheExecutor:
                 self.node_id, batch.client_node)
 
     def _obj_read_batch(self, vec: SharedVector, batch: BatchTask):
-        """Serve an OBJ_READ batch: all tasks are extent reads, so the
-        batch pays one metadata/stage-in round for its distinct pages
-        and then one partial fetch per object. Unhealthy placements
-        (crashed primary, lost replica) fall back to the per-task read
-        path, which recovers page by page."""
+        """Serve an OBJ_READ batch: one metadata/stage-in round for its
+        distinct pages, then one vectored hermes read of every healthy
+        extent. Nothing is shipped from here: the bytes read add up
+        per source node in ``batch.reply`` and the runtime sends the
+        request's reply once. Unhealthy placements (crashed primary,
+        lost replica) fall back to the per-task read path, which
+        recovers page by page and ships its own payload."""
         hermes = self.system.hermes
         results: list = [None] * len(batch.tasks)
         yield from self._stage_batch(vec, batch)
@@ -415,17 +405,53 @@ class ScacheExecutor:
             batch.tasks[i].page_idx for i in pending))
         infos = yield from self.ensure_pages(vec, pages,
                                              batch.client_node)
+        healthy = []
         for i in pending:
             task = batch.tasks[i]
             info = infos.get(task.page_idx)
             if info is None or self._dead(info):
                 self.system.monitor.count("reliability.read_failovers")
                 results[i] = yield from self._read(vec, task)
-                continue
+            else:
+                healthy.append(i)
+        if not healthy:
+            return results
+        tasks = [batch.tasks[i] for i in healthy]
+        try:
+            raws, batch.reply = yield from self._read_extents(
+                vec, batch.client_node, tasks)
+        except BlobNotFound:
+            # A node crashed under the vectored read.
+            self.system.monitor.count("reliability.read_failovers")
+            for i, task in zip(healthy, tasks):
+                results[i] = yield from self._read(vec, task)
+            return results
+        for i, raw in zip(healthy, raws):
             self.system.monitor.count("scache.reads")
             self._m_reads.inc()
-            results[i] = yield from self._read_region(vec, task)
+            results[i] = raw
         return results
+
+    def _read_extents(self, vec: SharedVector, client_node: int, tasks):
+        """The regions of ``tasks`` (healthy pages of one batch), read
+        but not shipped. Generator; returns ``(extents in order,
+        {source node: bytes})``."""
+        hermes = self.system.hermes
+        if not self.system.config.integrity_checks:
+            return (yield from hermes.read_many(
+                client_node, vec.name,
+                [(task.page_idx, task.region) for task in tasks]))
+        # Verification needs the whole page: bring each distinct page
+        # to this node once, verify it here, slice -- only the extents
+        # travel on to the client.
+        pages = list(dict.fromkeys(task.page_idx for task in tasks))
+        raws = yield from hermes.get_many(self.node_id, vec.name, pages)
+        for page_idx in pages:
+            raws[page_idx] = yield from self._verified(
+                vec, page_idx, self.node_id, raws[page_idx])
+        extents = [_cut(raws[task.page_idx], task.region)
+                   for task in tasks]
+        return extents, {self.node_id: sum(len(e) for e in extents)}
 
     # -- writes ----------------------------------------------------------------
     def _write(self, vec: SharedVector, task: MemoryTask,

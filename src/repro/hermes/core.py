@@ -424,95 +424,90 @@ class Hermes:
         yield from self.invalidate_replicas(client_node, bucket, key)
         return info
 
-    def get(self, client_node: int, bucket: str, key):
-        """Fetch a whole blob, preferring a same-node copy."""
-        lock = self._lock(bucket, key)
-        yield lock.acquire()
-        try:
-            return (yield from self._get(client_node, bucket, key))
-        finally:
-            lock.release()
-
-    def _get(self, client_node, bucket, key):
+    def _read(self, client_node: int, bucket: str, key, extent=None):
+        """The one blob read every get is made of (caller holds the
+        blob's lock): resolve the metadata, pick a copy that is live
+        *now* (:meth:`_live_copy`), read the blob -- or only ``extent =
+        (offset, nbytes)`` of it -- from that device, feed the tenancy
+        hook and the counters. The bytes stay on the source node: how
+        they travel is the caller's business. Generator; returns
+        ``(bytes, source node)``."""
         info = yield from self.mdm.get(client_node, bucket, key)
         node, tier = self._live_copy(info, client_node)
         dev = self._device(node, tier)
-        raw = yield from dev.get((bucket, key))
-        yield from self.network.transfer(node, client_node, len(raw))
+        if extent is None:
+            raw = yield from dev.get((bucket, key))
+        else:
+            raw = yield from dev.get_range((bucket, key), *extent)
         if self.read_hook is not None:
             self.read_hook(bucket, tier, len(raw))
         if self.monitor is not None:
             self.monitor.count("hermes.gets")
             self.monitor.metrics.counter(
                 "hermes_gets", node=node, tier=tier).inc()
+        return raw, node
+
+    def _get(self, client_node, bucket, key, extent=None):
+        """:meth:`_read`, shipped to ``client_node`` under the lock."""
+        raw, node = yield from self._read(client_node, bucket, key, extent)
+        yield from self.network.transfer(node, client_node, len(raw))
         return raw
 
-    def get_many(self, client_node: int, bucket: str, keys):
-        """Vectored whole-blob fetch (the batched read path's data
-        plane).
+    def get(self, client_node: int, bucket: str, key, extent=None):
+        """Fetch a whole blob -- or ``extent = (offset, nbytes)`` of it
+        -- preferring a same-node copy."""
+        lock = self._lock(bucket, key)
+        yield lock.acquire()
+        try:
+            return (yield from self._get(client_node, bucket, key, extent))
+        finally:
+            lock.release()
 
-        Each blob is read from its device individually (the device
-        time is real either way), but the payloads travel to
-        ``client_node`` in **one network transfer per source node**
-        instead of one per blob — the transfer batching that makes
-        multi-page scache reads cheap. Generator; returns
-        ``{key: bytes}``.
+    def get_partial(self, client_node: int, bucket: str, key,
+                    offset: int, nbytes: int):
+        return (yield from self.get(client_node, bucket, key,
+                                    (offset, nbytes)))
+
+    def read_many(self, client_node: int, bucket: str, reads):
+        """Vectored read that leaves the network alone (the data plane
+        of every batched read).
+
+        ``reads`` is ``[(key, extent)]``: a whole blob where ``extent``
+        is None, else ``(offset, nbytes)`` of it. Each one is a
+        :meth:`_read` under its blob's lock (the device time is real
+        either way). Nothing is shipped: whoever answers the request
+        sends the payloads in **one network transfer per source node**,
+        from the manifest returned with them. Generator; returns
+        ``(payloads in order, {source node: bytes})``.
         """
+        raws = []
+        manifest: dict = {}
+        for key, extent in reads:
+            lock = self._lock(bucket, key)
+            yield lock.acquire()
+            try:
+                raw, node = yield from self._read(client_node, bucket,
+                                                  key, extent)
+            finally:
+                lock.release()
+            raws.append(raw)
+            manifest[node] = manifest.get(node, 0) + len(raw)
+        if self.monitor is not None and raws:
+            self.monitor.count("hermes.vectored_gets")
+        return raws, manifest
+
+    def get_many(self, client_node: int, bucket: str, keys):
+        """Vectored whole-blob fetch: :meth:`read_many` shipped to
+        ``client_node``. Generator; returns ``{key: bytes}``."""
         keys = list(keys)
         # Warm the client's metadata cache with one batched RPC per
         # owner shard; the per-key lookups below then hit the cache.
         yield from self.mdm.try_get_many(client_node, bucket, keys)
-        out = {}
-        by_src: dict = {}
-        for key in keys:
-            lock = self._lock(bucket, key)
-            yield lock.acquire()
-            try:
-                info = yield from self.mdm.get(client_node, bucket, key)
-                node, tier = self._live_copy(info, client_node)
-                dev = self._device(node, tier)
-                raw = yield from dev.get((bucket, key))
-            finally:
-                lock.release()
-            out[key] = raw
-            by_src[node] = by_src.get(node, 0) + len(raw)
-            if self.read_hook is not None:
-                self.read_hook(bucket, tier, len(raw))
-            if self.monitor is not None:
-                self.monitor.count("hermes.gets")
-                self.monitor.metrics.counter(
-                    "hermes_gets", node=node, tier=tier).inc()
-        for node, nbytes in by_src.items():
+        raws, manifest = yield from self.read_many(
+            client_node, bucket, [(key, None) for key in keys])
+        for node, nbytes in manifest.items():
             yield from self.network.transfer(node, client_node, nbytes)
-        if self.monitor is not None and out:
-            self.monitor.count("hermes.vectored_gets")
-        return out
-
-    def get_partial(self, client_node: int, bucket: str, key,
-                    offset: int, nbytes: int):
-        lock = self._lock(bucket, key)
-        yield lock.acquire()
-        try:
-            return (yield from self._get_partial(client_node, bucket, key,
-                                                 offset, nbytes))
-        finally:
-            lock.release()
-
-    def _get_partial(self, client_node, bucket, key, offset, nbytes):
-        info = yield from self.mdm.get(client_node, bucket, key)
-        node, tier = self._live_copy(info, client_node)
-        dev = self._device(node, tier)
-        raw = yield from dev.get_range((bucket, key), offset, nbytes)
-        yield from self.network.transfer(node, client_node, len(raw))
-        if self.read_hook is not None:
-            self.read_hook(bucket, tier, len(raw))
-        return raw
-
-    def _nearest_copy(self, info: BlobInfo, client_node: int):
-        for node, tier in info.placements:
-            if node == client_node:
-                return node, tier
-        return info.node, info.tier
+        return dict(zip(keys, raws))
 
     def _live_copy(self, info: BlobInfo, client_node: int):
         """A placement whose device holds the blob *right now*.
@@ -569,15 +564,9 @@ class Hermes:
 
     def _replicate(self, client_node: int, bucket: str, key):
         info = yield from self.mdm.get(client_node, bucket, key)
-        raw = None
-        if all(node != client_node for node, _ in info.placements):
-            src_node, src_tier = self._live_copy(info, client_node)
-            src_dev = self._device(src_node, src_tier)
-            raw = yield from src_dev.get((bucket, key))
-            yield from self.network.transfer(src_node, client_node,
-                                             len(raw))
-            if self.read_hook is not None:
-                self.read_hook(bucket, src_tier, len(raw))
+        remote = all(node != client_node for node, _ in info.placements)
+        raw = yield from self._get(client_node, bucket, key)
+        if remote:
             # Replicas obey the same admission floor as primaries (an
             # over-quota tenant must not backfill DRAM via the
             # replication side door) and the landing rule of every
@@ -595,8 +584,6 @@ class Hermes:
                     info.replicas.append((client_node, local.spec.kind))
                     if self.monitor is not None:
                         self.monitor.count("hermes.replications")
-        else:
-            raw = yield from self._get(client_node, bucket, key)
         return raw
 
     def invalidate_replicas(self, client_node: int, bucket: str, key):

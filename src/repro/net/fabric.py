@@ -87,14 +87,17 @@ class Network:
             raise ValueError(f"node {node} outside [0, {self.n_nodes})")
 
     def transfer(self, src: int, dst: int, nbytes: int,
-                 link: Optional[LinkSpec] = None):
+                 link: Optional[LinkSpec] = None,
+                 cause: Optional[int] = None):
         """Timed movement of ``nbytes`` from ``src`` to ``dst``.
 
         Generator: ``yield from net.transfer(...)``. Same-node
         transfers cost a memcpy. The sending NIC is held for the
         duration, serializing concurrent sends from one node.
         ``link`` overrides the route's link class (e.g. a TCP stack
-        pinned to the slow 10 Gb/s network).
+        pinned to the slow 10 Gb/s network). ``cause`` is the id of the
+        span this message answers from another process (an RPC reply
+        names its request), stamped on the ``net`` span.
         """
         self._check_node(src)
         self._check_node(dst)
@@ -105,9 +108,10 @@ class Network:
         if self.chaos is not None:
             yield from self.chaos.on_transfer(self, src, dst, nbytes,
                                               link)
+        causal = {} if cause is None else {"cause": cause}
         with self.tracer.span("memcpy" if src == dst else "transfer",
                               "net", node=src, src=src, dst=dst,
-                              nbytes=nbytes):
+                              nbytes=nbytes, **causal):
             if src == dst:
                 yield self.sim.timeout(link.xfer_time(nbytes))
             else:

@@ -127,3 +127,67 @@ def test_serving_campaign_crash_partition_corrupt(tmp_path):
     assert all(r.checked_reads > 0 for r in results)
     # The campaign genuinely injected faults, not just clean runs.
     assert sum(r.faults_applied for r in results) > 0
+
+
+def test_partition_between_service_and_reply_delays_the_read():
+    """The reply is a message like any other: a partition that opens
+    after the owner serviced a batch and before its reply left stalls
+    the reply until the cut heals. The client's ``read_objects``
+    completes then, with the value served — it neither hangs nor reads
+    garbage, and the checker sees nothing wrong."""
+    from repro.chaos import ChaosInjector, ChaosPlan, \
+        CoherenceChecker, HistoryRecorder
+    from repro.chaos.plan import Fault
+
+    n = 1 << 16
+    table = (np.arange(n) % 251).astype(np.uint8)
+    heal_after = 0.002
+
+    def app(ctx):
+        vec = yield from ctx.mm.vector("kv:cut", dtype=np.uint8, size=n)
+        if ctx.rank == 0:
+            yield from vec.write_range(0, table)
+            yield from vec.flush(wait=True)
+        yield from ctx.barrier()
+        if ctx.node == 0:
+            return None
+        # Node 1 reads extents of pages node 0 owns: one remote batch.
+        pages = [p for p in range(n // 4096)
+                 if vec.shared.owner_node(p, ctx.node) == 0][:3]
+        outs = yield from vec.read_objects(
+            [(p * 4096 + 100, 64) for p in pages])
+        ok = all(np.array_equal(out, table[p * 4096 + 100:][:64])
+                 for p, out in zip(pages, outs))
+        return ok, ctx.sim.now
+
+    def run(faults):
+        c = testbed(n_nodes=2, procs_per_node=1, page_size=4096,
+                    object_threshold_bytes=4096, trace=True)
+        plan = ChaosPlan(seed=0, n_nodes=2, horizon=1.0, faults=faults)
+        checker = CoherenceChecker()
+        recorder = HistoryRecorder(c.system, checker)
+        c.system.history = recorder
+        ChaosInjector(c.system, plan, recorder).install()
+        res = c.run(app)
+        checker.finalize(c.system)
+        assert checker.violations == []
+        served = max(sp.end for sp in c.tracer.spans
+                     if sp.name == "exec:batch:obj_read")
+        replies = [sp for sp in c.tracer.spans if sp.category == "net"
+                   and sp.attrs.get("cause") is not None]
+        return res, served, replies
+
+    # A clean run tells when the batch is serviced (simulated time is a
+    # pure function of the run up to the first fault).
+    res, served, replies = run([])
+    (ok, t_clean), = [v for v in res.values if v is not None]
+    assert ok and len(replies) == 1 and replies[0].start == served
+    # Same run; the cut opens at the instant the service ends.
+    res, served2, replies = run([Fault(kind="partition", time=served,
+                                       duration=heal_after, nodes=(0,))])
+    (ok, t_cut), = [v for v in res.values if v is not None]
+    assert ok and served2 == served
+    assert res.stats.get("chaos.partition_stalls", 0) == 1
+    assert len(replies) == 1
+    assert replies[0].end >= served + heal_after
+    assert t_cut >= served + heal_after > t_clean

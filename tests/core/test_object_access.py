@@ -20,6 +20,12 @@ import numpy as np
 import pytest
 
 from benchmarks.common import testbed
+from repro.core import MM_WRITE_ONLY, SeqTx
+from repro.core.memtask import BatchTask, MemoryTask, TaskKind
+from repro.core.reliability import corrupt_page
+from repro.net.message import batched_nbytes
+from repro.sim import Event
+from tests.core.conftest import build_system, run_procs
 
 PAGE = 4096          # small pages -> plenty of straddling objects
 SHARD_PAGES = 8
@@ -44,7 +50,7 @@ def _interleave(ctx, seed, n_ops, threshold):
     bad = 0
     for _ in range(n_ops):
         op = rnd.choice(("wr_range", "wr_obj", "rd_range", "rd_obj",
-                         "rd_objs", "rd_objs"))
+                         "rd_objs", "rd_objs", "rd_objs_wide"))
         off = rnd.randrange(SHARD - 1)
         n = rnd.randint(1, min(3 * threshold, SHARD - off))
         if op == "wr_range":
@@ -67,6 +73,13 @@ def _interleave(ctx, seed, n_ops, threshold):
                 roff = rnd.randrange(SHARD - 1)
                 rn = rnd.randint(1, min(2 * threshold, SHARD - roff))
                 reqs.append((roff, rn))
+            if op == "rd_objs_wide":
+                # One more extent in every page of the shard: each
+                # owner's batch spreads over several worker FIFOs, so
+                # the runtime splits it and merges the parts' replies.
+                reqs += [(p * PAGE + rnd.randrange(PAGE - threshold),
+                          rnd.randint(1, threshold))
+                         for p in range(SHARD_PAGES)]
             outs = yield from vec.read_objects(
                 [(lo + o, c) for o, c in reqs])
             for (roff, rn), out in zip(reqs, outs):
@@ -92,6 +105,12 @@ def test_random_interleavings_agree_with_shadow(seed):
     assert res.stats.get("object.reads", 0) > 0
     assert res.stats.get("object.writes", 0) > 0
     assert res.stats.get("pcache.faults", 0) > 0
+    # ... and batches the owner's runtime had to split.
+    shared = c.system.vectors["prop:objects"]
+    fifos = {(owner, c.system.runtimes[owner]._store_idx(shared.name, p))
+             for p in range(SHARD_PAGES)
+             for owner in (shared.owner_node(p, 0),)}
+    assert len(fifos) >= 3
 
 
 def test_straddling_object_crosses_page_boundary():
@@ -190,3 +209,314 @@ def test_threshold_zero_disables_object_counters():
     assert out == list(range(64)) and outs == list(range(64))
     assert not [k for k in res.stats if k.startswith("object.")], \
         res.stats
+
+
+# -- the wire contract -------------------------------------------------------
+#
+# One ``read_objects`` call costs one request and one reply per remote
+# owner of its misses — whatever the number of objects, of worker FIFOs
+# the owner's runtime spreads them over, of pages an object straddles —
+# and the bytes on the wire are the envelopes plus the extents.
+
+TABLE_PAGES = 64
+READER_NODE = 0
+
+
+def _log_transfers(system):
+    """Every ``Network.transfer`` from here on, as ``(src, dst, nbytes,
+    cause)`` in issue order (loopback memcpys included). Tracing is
+    switched on so that a reply names its request as ``cause``."""
+    log = []
+    inner = system.network.transfer
+    system.tracer.enabled = True
+
+    def logged(src, dst, nbytes, *args, **kw):
+        log.append((src, dst, nbytes, kw.get("cause")))
+        yield from inner(src, dst, nbytes, *args, **kw)
+
+    system.network.transfer = logged
+    return log
+
+
+def _table(**cfg):
+    """A 4-node deployment serving a written ``TABLE_PAGES``-page uint8
+    table whose byte ``i`` is ``i % 251``; returns ``(sim, system,
+    shadow)``. The organizer is off: pages stay on their hashed
+    owners."""
+    cfg.setdefault("object_threshold_bytes", 256)
+    sim, system = build_system(n_nodes=4, organizer_enabled=False, **cfg)
+    shadow = (np.arange(TABLE_PAGES * PAGE) % 251).astype(np.uint8)
+
+    def fill():
+        vec = yield from system.client(rank=9, node=1).vector(
+            "kv", dtype=np.uint8, size=len(shadow))
+        yield from vec.tx_begin(SeqTx(0, len(shadow), MM_WRITE_ONLY))
+        yield from vec.write_range(0, shadow)
+        yield from vec.tx_end()
+        yield from vec.flush(wait=True)
+        yield sim.timeout(1.0)      # replication copies land
+
+    run_procs(sim, fill())
+    return sim, system, shadow
+
+
+def _pages_by_owner(system, name="kv"):
+    """{owner node: {worker FIFO: [pages]}} of the table, as seen from
+    the reader's node."""
+    shared = system.vectors[name]
+    out: dict = {}
+    for p in range(TABLE_PAGES):
+        owner = shared.owner_node(p, READER_NODE)
+        fifo = system.runtimes[owner]._store_idx(name, p)
+        out.setdefault(owner, {}).setdefault(fifo, []).append(p)
+    return out
+
+
+def _measured_read(sim, system, requests, sabotage=None):
+    """Warm every metadata cache the call will consult (a first read of
+    *other* bytes of the same pages), call ``sabotage()`` if given,
+    then run ``read_objects(requests)`` on a reader at ``READER_NODE``
+    with the wire logged. Returns ``(arrays, log of the measured call,
+    counters moved by it)``."""
+    log = _log_transfers(system)
+    mon = system.monitor
+    names = ("net.transfers", "net.bytes", "object.dedup_hits",
+             "object.remote_tasks", "reliability.corruptions")
+
+    def app():
+        vec = yield from system.client(rank=0, node=READER_NODE).vector(
+            "kv", dtype=np.uint8)
+        epp = vec.elems_per_page
+        pages = {p for off, n in requests
+                 for p in range(off // epp, (off + n - 1) // epp + 1)}
+        yield from vec.read_objects([(p * epp + 1500, 8)
+                                     for p in sorted(pages)])
+        if sabotage is not None:
+            sabotage()
+        del log[:]
+        before = [mon.counter(n) for n in names]
+        outs = yield from vec.read_objects(requests)
+        return outs, [mon.counter(n) - b for n, b in zip(names, before)]
+
+    (outs, moved), = run_procs(sim, app())
+    return outs, list(log), dict(zip(names, moved))
+
+
+def _assert_wire_contract(requests, outs, log, moved, shadow,
+                          n_tasks_by_owner, extent_bytes_by_owner):
+    """k remote owners -> k requests + k replies, envelopes + extents."""
+    for (off, n), out in zip(requests, outs):
+        assert np.array_equal(out, shadow[off:off + n])
+    remote = sorted(o for o in n_tasks_by_owner if o != READER_NODE)
+    wire = [t for t in log if t[0] != t[1]]
+    requests_out = [t for t in wire if t[0] == READER_NODE]
+    replies = [t for t in wire if t[1] == READER_NODE]
+    assert len(wire) == 2 * len(remote), wire
+    assert sorted(t[1] for t in requests_out) == remote
+    assert sorted(t[0] for t in replies) == remote
+    for _src, owner, nbytes, _cause in requests_out:
+        assert nbytes == batched_nbytes([0] * n_tasks_by_owner[owner])
+    for owner, _dst, nbytes, cause in replies:
+        assert nbytes == extent_bytes_by_owner[owner]
+        assert cause is not None
+    # The program's own counters tell the same story (they also count
+    # the loopback memcpys of the reader's own node).
+    assert moved["net.transfers"] == len(log)
+    assert moved["net.bytes"] == sum(t[2] for t in log)
+
+
+def test_one_fifo_batch_costs_one_request_and_one_reply():
+    sim, system, shadow = _table()
+    owner, fifos = next((o, f) for o, f in _pages_by_owner(system).items()
+                        if o != READER_NODE)
+    page = next(iter(fifos.values()))[0]
+    requests = [(page * PAGE + off, 64) for off in (0, 256, 1024)]
+    outs, log, moved = _measured_read(sim, system, requests)
+    _assert_wire_contract(requests, outs, log, moved, shadow,
+                          {owner: 3}, {owner: 3 * 64})
+
+
+def test_batch_split_over_fifos_still_replies_once():
+    sim, system, shadow = _table()
+    owner, fifos = next((o, f) for o, f in _pages_by_owner(system).items()
+                        if o != READER_NODE and len(f) >= 3)
+    pages = [ps[0] for ps in fifos.values()]
+    assert len(pages) >= 3
+    requests = [(p * PAGE + 100, 64) for p in pages] \
+        + [(pages[0] * PAGE + 900, 32)]
+    outs, log, moved = _measured_read(sim, system, requests)
+    _assert_wire_contract(requests, outs, log, moved, shadow,
+                          {owner: len(requests)},
+                          {owner: 64 * len(pages) + 32})
+    assert system.monitor.counter("object.remote_tasks") >= len(requests)
+
+
+def test_every_remote_owner_gets_one_request_and_sends_one_reply():
+    """All four nodes own misses; the reader's own node costs memcpys
+    only. Duplicate extents are fetched once."""
+    sim, system, shadow = _table()
+    by_owner = _pages_by_owner(system)
+    assert sorted(by_owner) == [0, 1, 2, 3]
+    requests, n_tasks, nbytes = [], {}, {}
+    for owner, fifos in by_owner.items():
+        pages = [p for ps in fifos.values() for p in ps][:5]
+        requests += [(p * PAGE + 7, 48) for p in pages]
+        n_tasks[owner], nbytes[owner] = len(pages), 48 * len(pages)
+    dup = requests[:6]
+    outs, log, moved = _measured_read(sim, system, requests + dup)
+    assert moved["object.dedup_hits"] == len(dup)
+    _assert_wire_contract(requests + dup, outs, log, moved, shadow,
+                          n_tasks, nbytes)
+
+
+def test_straddling_object_on_two_owners_costs_two_round_trips():
+    sim, system, shadow = _table()
+    shared = system.vectors["kv"]
+    p = next(p for p in range(TABLE_PAGES - 1)
+             if READER_NODE not in (shared.owner_node(p, READER_NODE),
+                                    shared.owner_node(p + 1, READER_NODE))
+             and shared.owner_node(p, READER_NODE)
+             != shared.owner_node(p + 1, READER_NODE))
+    lo, hi = (shared.owner_node(q, READER_NODE) for q in (p, p + 1))
+    requests = [((p + 1) * PAGE - 40, 100)]
+    outs, log, moved = _measured_read(sim, system, requests)
+    _assert_wire_contract(requests, outs, log, moved, shadow,
+                          {lo: 1, hi: 1}, {lo: 40, hi: 60})
+
+
+def test_vectored_read_equals_a_loop_of_read_object():
+    sim, system, shadow = _table()
+    rnd = random.Random(5)
+    requests = [(rnd.randrange(len(shadow) - 200), rnd.randint(1, 200))
+                for _ in range(40)]
+
+    def app(rank, vectored):
+        vec = yield from system.client(rank=rank, node=READER_NODE) \
+            .vector("kv", dtype=np.uint8)
+        if vectored:
+            return (yield from vec.read_objects(requests))
+        outs = []
+        for off, n in requests:
+            outs.append((yield from vec.read_object(off, n)))
+        return outs
+
+    batch, loop = run_procs(sim, app(0, True), app(1, False))
+    for (off, n), a, b in zip(requests, batch, loop):
+        assert a.tobytes() == b.tobytes() == shadow[off:off + n].tobytes()
+
+
+def test_integrity_checks_move_no_more_bytes_and_still_catch_a_flip():
+    """Verification happens where the page lives: with
+    ``integrity_checks`` the same call ships the same extents (the page
+    itself never travels), and a flipped bit is still detected and
+    repaired from the replica before any of it reaches the reader."""
+    wire_bytes = {}
+    for checks in (False, True):
+        sim, system, shadow = _table(integrity_checks=checks,
+                                     replication_factor=2)
+        owner, fifos = next(
+            (o, f) for o, f in _pages_by_owner(system).items()
+            if o != READER_NODE and len(f) >= 2)
+        pages = [ps[0] for ps in fifos.values()][:2]
+        requests = [(p * PAGE + off, 64) for p in pages
+                    for off in (0, 2048)]
+        outs, log, moved = _measured_read(sim, system, requests)
+        _assert_wire_contract(requests, outs, log, moved, shadow,
+                              {owner: 4}, {owner: 4 * 64})
+        wire_bytes[checks] = sum(t[2] for t in log if t[0] != t[1])
+    assert wire_bytes[True] <= wire_bytes[False]
+    # The last deployment has checks on: flip a bit under the reader.
+    requests = [(pages[0] * PAGE + 2990, 64), (pages[1] * PAGE + 512, 64)]
+    outs, log, moved = _measured_read(
+        sim, system, requests,
+        sabotage=lambda: corrupt_page(system, "kv", pages[0], 3000))
+    for (off, n), out in zip(requests, outs):
+        assert np.array_equal(out, shadow[off:off + n])
+    assert moved["reliability.corruptions"] > 0
+    assert len([t for t in log if t[3] is not None]) == 1   # one reply
+
+
+# -- failure rules ----------------------------------------------------------------
+
+def test_a_failing_part_fails_the_batch_once_and_ships_no_reply():
+    sim, system, _shadow = _table()
+    owner, fifos = next((o, f) for o, f in _pages_by_owner(system).items()
+                        if o != READER_NODE and len(f) >= 3)
+    pages = [ps[0] for ps in fifos.values()]
+    bad = pages[1]
+    executor = system.runtimes[owner].executor
+    inner = executor.execute_batch
+
+    def failing(batch):
+        if bad in batch.pages:
+            yield sim.timeout(1e-4)     # the healthy parts finish first
+            raise RuntimeError("part failed")
+        return (yield from inner(batch))
+
+    executor.execute_batch = failing
+    log = _log_transfers(system)
+    batch = BatchTask(
+        kind=TaskKind.OBJ_READ, vector_name="kv", client_node=READER_NODE,
+        tasks=[MemoryTask(kind=TaskKind.OBJ_READ, vector_name="kv",
+                          page_idx=p, client_node=READER_NODE,
+                          region=(0, 64)) for p in pages])
+    batch.done = Event(sim)
+    batch.ctx = 4242                # what a reply would carry as cause
+    fired = []
+    batch.done.callbacks.append(lambda evt: fired.append(evt.ok))
+
+    def app():
+        system.runtimes[owner].submit(batch)
+        try:
+            yield batch.done
+        except RuntimeError as exc:
+            return str(exc)
+
+    assert run_procs(sim, app()) == ["part failed"]
+    sim.run(until=sim.now + 1.0)
+    assert fired == [False]
+    assert not [t for t in log if t[3] is not None]
+    assert system.runtimes[owner].idle
+
+
+def test_dead_primary_in_a_batch_fails_over_and_the_rest_replies_once(
+        tmp_path, monkeypatch):
+    """A page whose primary died falls back to the per-task read (which
+    restages it from the backend and ships it itself); the healthy
+    extents of the same batch still come back in one reply."""
+    monkeypatch.chdir(tmp_path)
+    shadow = (np.arange(TABLE_PAGES * PAGE) % 249).astype(np.uint8)
+    shadow.tofile("kv.bin")
+    sim, system = build_system(n_nodes=4, organizer_enabled=False,
+                               prefetch_enabled=False,
+                               object_threshold_bytes=256)
+    name = "posix://./kv.bin"
+    log = _log_transfers(system)
+
+    def app():
+        vec = yield from system.client(rank=0, node=READER_NODE).vector(
+            name, dtype=np.uint8)
+        owner, fifos = next(
+            (o, f) for o, f in _pages_by_owner(system, name).items()
+            if o != READER_NODE and len(f) >= 3)
+        dead, *alive = [ps[0] for ps in fifos.values()][:3]
+        pages = [dead] + alive
+        yield from vec.read_objects([(p * PAGE, 8) for p in pages])
+        # The owner crashes and comes back empty; two of the three
+        # pages are read again (restaged), one stays lost.
+        system.reliability.fail_node(owner)
+        system.reliability.restore_node(owner)
+        for p in alive:
+            yield from vec.read_object(p * PAGE + 64, 8)
+        assert system.hermes.mdm.peek(name, dead).node < 0
+        del log[:]
+        requests = [(p * PAGE + 1000, 64) for p in pages]
+        outs = yield from vec.read_objects(requests)
+        return requests, outs, owner
+
+    (requests, outs, owner), = run_procs(sim, app())
+    for (off, n), out in zip(requests, outs):
+        assert np.array_equal(out, shadow[off:off + n])
+    assert system.monitor.counter("reliability.restages") >= 3
+    replies = [t for t in log if t[3] is not None]
+    assert replies == [(owner, READER_NODE, 2 * 64, replies[0][3])]

@@ -37,6 +37,35 @@ def test_evict_scores_zero_for_touched_one_for_upcoming(dsm):
         assert scores[p] == 1.0
 
 
+def test_write_only_stream_scores_only_what_it_touched(dsm):
+    """The prefetch half predicts reads. A stream without a READ bit
+    ships its evict scores and nothing about the pages ahead — they
+    will be overwritten whole, and a 1 with this node's hint would have
+    the organizer haul each of them here once written. A page it is
+    still in the middle of keeps its 1 (not evicted)."""
+    sim, system = dsm
+    tx = SeqTx(0, 16 * EPP, MM_WRITE_ONLY)
+    vec = _vector_with_tx(sim, system, 16 * EPP, budget_pages=4, tx=tx)
+    tx.advance(2 * EPP + EPP // 2)  # pages 0-1 passed, page 2 half done
+    assert vec.prefetcher._evict_scores(tx) == {0: 0.0, 1: 0.0, 2: 1.0}
+    shipped = []
+    system.organizer.ingest = lambda _vec, scores: shipped.extend(scores)
+
+    def app():
+        yield from vec.prefetcher.on_advance(tx)
+        yield from vec.client.drain()
+
+    run_procs(sim, app())
+    assert sorted(shipped) == [(0, 0.0, 0), (1, 0.0, 0), (2, 1.0, 0)]
+    # The same stream with a READ bit is scored ahead, as before.
+    rw = SeqTx(0, 16 * EPP, MM_READ_ONLY | MM_WRITE_ONLY)
+    rw.bind(vec)
+    rw.advance(2 * EPP + EPP // 2)
+    ahead = vec.prefetcher._evict_scores(rw)
+    assert [ahead[p] for p in (3, 4, 5)] == [1.0, 1.0, 1.0]
+    assert max(vec.prefetcher._prefetch_scores(rw)) > 5
+
+
 def test_rand_tx_retouched_pages_not_evicted(dsm):
     """Algorithm 1's note: 'The scores between Tx.Head and Tx.Tail may
     not be 0 if a page is expected to be retouched.'"""

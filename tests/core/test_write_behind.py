@@ -11,6 +11,7 @@ the region, no transaction at all) must not ship anything early.
 import numpy as np
 import pytest
 
+from benchmarks.common import testbed
 from repro.core import (
     MM_APPEND_ONLY,
     MM_READ_ONLY,
@@ -433,3 +434,40 @@ def test_write_behind_span_and_counter_reach_the_live_plane():
                if s.category == "rpc" and s.name == "submit:write"]
     assert len(submits) == 4
     assert all(s.parent_id in ids for s in submits)
+
+
+def test_write_only_stream_is_not_hauled_back_to_its_writer():
+    """Regression: Algorithm 1's prefetch half scored the pages *ahead*
+    of every stream 1.0 with the caller's node as hint — also for a
+    stream without a READ bit, whose pages ahead are about to be
+    overwritten whole. The organizer max-merges inside its score
+    window, so the 0 sent when the page was written behind never
+    replaced that 1, and the next sweep relocated each freshly written
+    page from its hashed owner to the node that wrote it. On a
+    DRAM-only deployment (nowhere to demote to) a write-only stream
+    moves nothing at all."""
+    k = 24
+    n = k * PAGE
+    data = (np.arange(n) % 239).astype(np.uint8)
+
+    def app(ctx):
+        vec = yield from ctx.mm.vector("ckpt", dtype=np.uint8, size=n)
+        if ctx.rank == 0:
+            vec.bound_memory(n)     # the whole stream is "ahead" at first
+            yield from vec.tx_begin(SeqTx(0, n, MM_WRITE_ONLY))
+            for off in range(0, n, PAGE // 2):
+                yield from vec.write_range(off, data[off:off + PAGE // 2])
+            yield from vec.tx_end()
+            yield from vec.flush(wait=True)
+        yield from ctx.compute_seconds(
+            2.5 * ctx.cluster.spec.config.organizer_period)
+
+    c = testbed(n_nodes=2, procs_per_node=1, nvme_mb=0, page_size=PAGE)
+    c.run(app)
+    shared = c.system.vectors["ckpt"]
+    assert shared.policy.local_affinity is False    # hash-placed
+    where = {p: c.system.hermes.mdm.peek("ckpt", p).node for p in range(k)}
+    assert where == {p: shared.owner_node(p, 0) for p in range(k)}
+    assert set(where.values()) == {0, 1}
+    assert c.monitor.counter("organizer.scores") > 0
+    assert c.monitor.counter("hermes.moves") == 0

@@ -12,7 +12,7 @@ from repro.hermes import (
     ScoreAware,
 )
 from repro.net import LinkSpec, Network
-from repro.sim import Simulator
+from repro.sim import Monitor, Simulator
 from repro.storage import DMSH, DeviceSpec
 
 FAST = DeviceSpec("dram", capacity=1000, read_bw=1e6, write_bw=1e6,
@@ -131,6 +131,46 @@ def test_get_partial_range():
         return out
 
     assert run(sim, proc()) == bytes([20, 21, 22, 23, 24])
+
+
+def test_read_many_is_the_vectored_twin_and_ships_nothing():
+    """``read_many`` returns what ``get_partial`` / ``get`` return, in
+    order, and a manifest instead of transfers: one entry per source
+    node, summing to the bytes returned. Every blob read counts once in
+    ``hermes.gets``, the call once in ``hermes.vectored_gets``."""
+    sim = Simulator()
+    mon = Monitor(sim)
+    net = Network(sim, 3, intra=LinkSpec(bandwidth=1e9, latency=0.0),
+                  monitor=mon)
+    h = Hermes(sim, net, [DMSH(sim, (FAST, MID, SLOW), node_id=i)
+                          for i in range(3)], monitor=mon)
+    blob = bytes(range(100))
+
+    def proc():
+        for key, node in (("a", 0), ("b", 1), ("c", 2), ("d", 2)):
+            yield from h.put(0, "bkt", key, blob, target_node=node)
+        reads = [("a", (20, 5)), ("b", (0, 3)), ("c", None),
+                 ("d", (90, 10)), ("b", (3, 2))]
+        # Warm node 0's metadata cache: what is left is payload only.
+        yield from h.mdm.try_get_many(0, "bkt", "abcd")
+        before = (mon.counter("net.transfers"), mon.counter("hermes.gets"))
+        raws, manifest = yield from h.read_many(0, "bkt", reads)
+        after = (mon.counter("net.transfers"), mon.counter("hermes.gets"))
+        singles = []
+        for key, extent in reads:
+            singles.append((yield from h.get(0, "bkt", key, extent)))
+        return raws, manifest, singles, before, after
+
+    raws, manifest, singles, before, after = run(sim, proc())
+    assert [bytes(r) for r in raws] == [bytes(r) for r in singles] == [
+        blob[20:25], blob[0:3], blob, blob[90:100], blob[3:5]]
+    assert manifest == {0: 5, 1: 3 + 2, 2: 100 + 10}
+    assert sum(manifest.values()) == sum(len(r) for r in raws)
+    assert after[0] == before[0]            # nothing crossed the network
+    assert after[1] - before[1] == len(raws)
+    assert mon.counter("hermes.vectored_gets") == 1
+    # A partial read is a read: get_partial counts like get.
+    assert mon.counter("hermes.gets") == 2 * len(raws)
 
 
 def test_target_node_placement():
