@@ -140,8 +140,11 @@ def emit_result(name: str, metric: str, value: float, unit: str,
                 breakdown: Optional[Dict] = None,
                 replace: bool = False) -> str:
     """Append one standardized record to the perf trajectory
-    (``replace=True``: in place of the metric's earlier records, for
-    deterministic simulated figures a rerun only repeats).
+    (``replace=True``: in place of the earlier records of the same
+    ``(metric, sim_config)``, for deterministic simulated figures a
+    rerun only repeats — a metric recorded once per configuration,
+    like ``fig5``'s ``<app>.mm_runtime`` per node count, keeps one
+    record per configuration).
 
     Records accumulate in ``benchmarks/results/BENCH_<name>.json`` as a
     JSON list of ``{name, metric, value, unit, sim_config}`` objects —
@@ -174,7 +177,9 @@ def emit_result(name: str, metric: str, value: float, unit: str,
     if breakdown is not None:
         record["critical_path"] = breakdown
     if replace:
-        records = [r for r in records if r.get("metric") != metric]
+        key = (metric, record["sim_config"])
+        records = [r for r in records
+                   if (r.get("metric"), r.get("sim_config")) != key]
     records.append(record)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2)

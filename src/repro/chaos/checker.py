@@ -338,7 +338,9 @@ def check_conservation(system, vectors=()) -> List[str]:
     """Conservation invariants that must hold at *any* instant.
 
     * device occupancy: ``0 <= used <= capacity`` and stored blob
-      bytes never exceed the ``used`` account;
+      bytes — on a node's DRAM, plus the dropped frames its clients
+      handed off and have not shipped yet
+      (``pcache_inflight_bytes``) — never exceed the ``used`` account;
     * pcache accounting: each live Vector handle's ``pcache_used``
       equals the bytes its resident frames hold (``Frame.held``).
     """
@@ -350,10 +352,13 @@ def check_conservation(system, vectors=()) -> List[str]:
                     f"{dev.name}: used {dev.used} outside "
                     f"[0, {dev.capacity}]")
             blob_bytes = sum(len(b) for b in dev._blobs.values())
+            if dev is dmsh.tiers[0]:
+                blob_bytes += int(system.monitor.metrics.gauge(
+                    "pcache_inflight_bytes", node=node).value)
             if blob_bytes > dev.used:
                 problems.append(
-                    f"{dev.name}: {blob_bytes} blob bytes exceed used "
-                    f"account {dev.used}")
+                    f"{dev.name}: {blob_bytes} blob + in-flight bytes "
+                    f"exceed used account {dev.used}")
     for vec in vectors:
         if vec.shared.destroyed:
             continue

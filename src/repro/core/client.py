@@ -2,14 +2,16 @@
 
 Each application rank links one :class:`MegaMmapClient`: it creates or
 attaches vectors by key, submits MemoryTasks to the owning node's
-runtime (paying the request's wire cost), and tracks outstanding
-asynchronous writer tasks so ``flush(wait=True)`` and barriers can
-drain them.
+runtime, and tracks outstanding asynchronous writer tasks so
+``flush(wait=True)`` and barriers can drain them. A waited submission
+pays the request's wire cost; an asynchronous one is handed to the
+client's outbound path (:meth:`MegaMmapClient._hand_off`) and costs
+its caller nothing more.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +35,11 @@ class MegaMmapClient:
         self.node = node
         #: ``(vector name, done event)`` of every async task in flight.
         self._outstanding: List[Tuple[str, Event]] = []
+        #: The outbound path: per destination node, the enqueue event
+        #: of the last shipment handed off to it (:meth:`_hand_off`).
+        self._tails: Dict[int, Event] = {}
+        self._m_inflight = system.monitor.metrics.gauge(
+            "pcache_inflight_bytes", node=node)
         #: Tenant this client acts for (a :class:`TenantQuota`), or
         #: None outside colocation — the None path is byte-identical
         #: to pre-tenancy behavior.
@@ -125,12 +132,13 @@ class MegaMmapClient:
 
     # -- task submission ---------------------------------------------------------
     def submit(self, task: MemoryTask, wait: bool = True):
-        """Ship a MemoryTask to the owning node's runtime (generator).
+        """Send a MemoryTask to the owning node's runtime (generator).
 
-        ``wait=True`` returns the task result. ``wait=False`` returns
-        after the task is *enqueued* at the owner (per-page worker FIFO
-        then guarantees read-after-write for later tasks), with
-        completion tracked for :meth:`drain`.
+        ``wait=True`` ships the task — behind whatever this client
+        already handed off to that node (read-your-writes) — and
+        returns its result. ``wait=False`` returns at once: the task is
+        handed to the outbound path (:meth:`_hand_off`), ``task.done``
+        exists from that moment and is tracked for :meth:`drain`.
         """
         vec = self.system.vectors[task.vector_name]
         target = vec.owner_node(task.page_idx, task.client_node)
@@ -153,19 +161,20 @@ class MegaMmapClient:
                 **extra) as sp:
             if self.system.tracer.enabled:
                 task.ctx = sp.span_id
+            if not wait:
+                self._hand_off(target, task, nbytes)
+                return None
+            yield from self._behind(target)
             yield from self.system.network.transfer(self.node, target,
                                                     nbytes)
             self.system.runtimes[target].submit(task)
-            if wait:
-                result = yield task.done
-                if self._m_task_lat is not None:
-                    self._m_task_lat.observe(self.system.sim.now - t0)
-                return result
-        self._outstanding.append((task.vector_name, task.done))
-        return None
+            result = yield task.done
+            if self._m_task_lat is not None:
+                self._m_task_lat.observe(self.system.sim.now - t0)
+            return result
 
     def submit_batch(self, tasks, wait: bool = True):
-        """Ship several same-kind MemoryTasks, batched per owner node
+        """Send several same-kind MemoryTasks, batched per owner node
         (generator).
 
         Tasks are grouped by the node whose runtime owns their page;
@@ -174,11 +183,13 @@ class MegaMmapClient:
         unit (single stage-in round per contiguous extent). Groups are
         capped at ``batch_max_pages`` tasks.
 
-        ``wait=True`` returns the per-task results in ``tasks`` order;
-        ``wait=False`` returns after every batch is enqueued at its
-        owner, with completion tracked for :meth:`drain`. When batching
-        is disabled (or a single task is given) this degrades to
-        per-task :meth:`submit` calls — results are bit-identical
+        ``wait=True`` ships every batch (each behind what this client
+        already handed off to its owner) and returns the per-task
+        results in ``tasks`` order; ``wait=False`` hands every batch to
+        the outbound path (:meth:`_hand_off`) and returns at once, with
+        completion tracked for :meth:`drain`. When batching is disabled
+        (or a single task is given) this degrades to per-task
+        :meth:`submit` calls — same hand-off, results bit-identical
         either way.
         """
         tasks = list(tasks)
@@ -229,12 +240,14 @@ class MegaMmapClient:
                     **extra) as sp:
                 if self.system.tracer.enabled:
                     batch.ctx = sp.span_id
+                if not wait:
+                    self._hand_off(owner, batch, nbytes)
+                    continue
+                yield from self._behind(owner)
                 yield from self.system.network.transfer(self.node, owner,
                                                         nbytes)
                 self.system.runtimes[owner].submit(batch)
         if not wait:
-            for _owner, batch, _chunk in batches:
-                self._outstanding.append((batch.vector_name, batch.done))
             return None
         results: List = [None] * len(tasks)
         yield AllOf(self.system.sim, [b.done for _o, b, _c in batches])
@@ -244,6 +257,86 @@ class MegaMmapClient:
             for pos, value in zip(chunk, batch.done.value):
                 results[pos] = value
         return results
+
+    # -- the outbound path -------------------------------------------------------
+    def _hand_off(self, target: int, task, nbytes: int) -> None:
+        """Give an asynchronous task (or batch) to the outbound path:
+        a background shipment carries it to ``target``'s runtime while
+        the caller goes on (paper III-B, Lifecycle of Modified Data:
+        the application pays only the memory copy).
+
+        Shipments to one destination leave, and are enqueued at its
+        runtime, in hand-off order — each waits for its predecessor's
+        enqueue — so per-page FIFO order at the owner is submission
+        order whatever the wire does to one transfer. The task counts
+        as in flight for :meth:`MegaMmapSystem.quiesce` from here, not
+        from its arrival. The DRAM of the dropped frames it carries
+        (``task.pinned``) stays charged to this node until the
+        shipment has left it. A shipment that raises fails
+        ``task.done``, so whoever drains it re-raises (and a failure
+        nobody waits for surfaces from the simulator, like a failed
+        service).
+        """
+        system = self.system
+        prev = self._tails.get(target)
+        enqueued = self._tails[target] = Event(system.sim)
+        pinned = task.pinned
+        if pinned:
+            self._m_inflight.add(pinned)
+        system.in_transit += 1
+        self._outstanding.append((task.vector_name, task.done))
+        # The shipment's span continues the submit span that handed it
+        # off (same category), which it names as its cause.
+        span, category = ("ship_batch", "rpc.batch") \
+            if isinstance(task, BatchTask) else ("ship", "rpc")
+        causal = {} if task.ctx is None else {"cause": task.ctx}
+
+        def ship():
+            try:
+                try:
+                    with system.tracer.span(
+                            f"{span}:{task.kind.value}", category,
+                            node=self.node, target=target,
+                            vector=task.vector_name, nbytes=nbytes,
+                            **causal):
+                        if prev is not None and not prev.triggered:
+                            yield prev
+                        yield from system.network.transfer(
+                            self.node, target, nbytes)
+                finally:
+                    # On the wire or lost with it: either way the
+                    # bytes are no longer held here.
+                    if pinned:
+                        self._m_inflight.sub(pinned)
+                        self.unreserve_pcache(pinned)
+                    system.in_transit -= 1
+                system.runtimes[target].submit(task)
+            except Exception as exc:  # noqa: BLE001 - handed to the
+                task.done.fail(exc)   # task's waiter
+            enqueued.succeed()
+
+        system.sim.process(ship(), name=f"ship {self.node}->{target}")
+
+    def _behind(self, target: int):
+        """Read-your-writes: hold a waited submission to ``target``
+        until everything already handed off to that node is enqueued
+        there — never later than when the hand-off itself blocked.
+        Generator."""
+        tail = self._tails.get(target)
+        if tail is not None and not tail.triggered:
+            yield tail
+
+    def settle(self):
+        """Wait until every task handed off so far is *enqueued* at its
+        owner (not serviced): from then on any process's later task for
+        those pages queues behind them. The commit point of a
+        transaction (:meth:`Vector.flush`). Generator."""
+        pending = [tail for tail in self._tails.values()
+                   if not tail.triggered]
+        if pending:
+            with self.system.tracer.span("settle", "rpc", node=self.node,
+                                         count=len(pending)):
+                yield AllOf(self.system.sim, pending)
 
     def submit_scores(self, shared: SharedVector, scores):
         """Batch score updates to each page's owner node (generator;

@@ -62,6 +62,11 @@ class MemoryTask:
     #: owning runtime stamps it as ``cause`` on the queue-wait and
     #: service spans so the cross-process edge survives export.
     ctx: Optional[int] = None
+    #: Bytes of the client node's DRAM this task's payload still
+    #: occupies — the storage of the dropped frame an evicting WRITE
+    #: owns. The client's outbound path returns them to the node once
+    #: the shipment has left it.
+    pinned: int = 0
 
     @property
     def nbytes(self) -> int:
@@ -106,6 +111,10 @@ class BatchTask:
     @property
     def nbytes(self) -> int:
         return sum(t.nbytes for t in self.tasks)
+
+    @property
+    def pinned(self) -> int:
+        return sum(t.pinned for t in self.tasks)
 
     @property
     def pages(self) -> List[int]:

@@ -267,7 +267,8 @@ class PCache:
 
     def detach(self, page_idx: int) -> Optional[Frame]:
         """Take a frame out of the page table and this handle's budget;
-        its DRAM stays reserved until the dirty bytes are copied out."""
+        its DRAM stays reserved until :meth:`release` — or, for dirty
+        bytes, until they have left the node."""
         frame = self.frames.pop(page_idx, None)
         if frame is not None:
             self.used -= frame.held
@@ -277,8 +278,12 @@ class PCache:
         return frame
 
     def release(self, frame: Frame, dirty: bool) -> None:
-        """Return a detached frame's DRAM and count the eviction."""
+        """Count a detached frame's eviction and return its DRAM — a
+        clean frame's now; a dirty one's stays charged to the node (and
+        the tenant) until the WRITE that owns its bytes
+        (``MemoryTask.pinned``) has left the node."""
         kind = "dirty" if dirty else "clean"
         self._monitor.count(f"pcache.evictions_{kind}")
         (self._m_evict_dirty if dirty else self._m_evict_clean).inc()
-        self.client.unreserve_pcache(frame.held)
+        if not dirty:
+            self.client.unreserve_pcache(frame.held)

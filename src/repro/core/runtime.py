@@ -11,8 +11,10 @@ LabStor." Scheduling rules implemented here:
 * tasks under 16 KB execute on the **low-latency** CPU core pool,
   larger ones on the high-latency pool, so latency-sensitive requests
   of other pages are never stalled behind bulk transfers;
-* the high-latency pool's core count is adjusted with load by the
-  scaling controller (LabStor-style);
+* the high-latency pool's core count follows the load (LabStor-style):
+  it grows where a task is enqueued (:meth:`NodeRuntime.submit`), the
+  moment more than two tasks per core wait, and a periodic controller
+  gives cores back after sustained low backlog;
 * a :class:`~repro.core.memtask.BatchTask` fans out as one *shard*
   per involved worker FIFO. Every shard sits in its page's FIFO, so
   tasks submitted before the batch execute first and tasks submitted
@@ -90,9 +92,18 @@ class NodeRuntime:
         # Labeled backlog gauge: +1 on submit, -1 when a worker gets a
         # core. Its time average is an L measurement *independent* of
         # the rt.queue wait spans, so `repro report` can cross-check
-        # Little's law (L = lambda * W) from two sources.
-        self._backlog_gauge = system.monitor.metrics.gauge(
-            "rt_backlog", node=node_id)
+        # Little's law (L = lambda * W) from two sources -- over the
+        # same window, hence the sample at construction. It is also
+        # the scaling rule's input (:attr:`backlog`).
+        metrics = system.monitor.metrics
+        self._backlog_gauge = metrics.gauge("rt_backlog", node=node_id)
+        self._backlog_gauge.set(0)
+        # Capacity over time, so core-seconds can be read off a run.
+        metrics.gauge("rt_cores", node=node_id, pool="low").set(
+            cfg.low_latency_workers)
+        self._cores_gauge = metrics.gauge("rt_cores", node=node_id,
+                                          pool="high")
+        self._cores_gauge.set(cfg.workers_min)
         self._procs = []
         if active:
             self._procs.append(self.sim.process(
@@ -115,11 +126,15 @@ class NodeRuntime:
         self.inflight += 1
         task.submit_time = self.sim.now
         self._backlog_gauge.add(1)
+        self._grow(self.backlog)
         self.queue.put(task)
 
     @property
     def backlog(self) -> int:
-        return len(self.queue) + sum(len(s) for s in self._stores)
+        """Tasks enqueued here that no core has picked up yet -- in the
+        queue, in a worker FIFO, or popped by a worker that still waits
+        for a core: the count the ``rt_backlog`` gauge reports."""
+        return int(self._backlog_gauge.value)
 
     def _count_failure(self, kind: str, exc: BaseException) -> None:
         """Labeled failure counter so chaos triage can attribute task
@@ -322,19 +337,37 @@ class NodeRuntime:
             state.complete.succeed()
 
     def _scaling_controller(self):
-        """Grow the high-latency pool's core count under backlog and
-        shrink it again on sustained low backlog (paper III-B,
-        LabStor-style)."""
+        """The patient half of core scaling: once per organizer period,
+        give a high-latency core back after sustained low backlog
+        (paper III-B, LabStor-style). Growth does not wait for it --
+        see :meth:`submit`."""
         cfg = self.system.config
         while True:
             yield self.sim.timeout(cfg.organizer_period)
             self._scale_tick()
 
+    def _grow(self, backlog: int) -> bool:
+        """The growth rule: one more high-latency core when the backlog
+        exceeds twice the pool (up to ``workers_max``). Applied to
+        every enqueued task, so a burst is met while it waits."""
+        cap = self.high_cores.capacity
+        if backlog <= 2 * cap or cap >= self.system.config.workers_max:
+            return False
+        self._resize(cap + 1, "up")
+        return True
+
+    def _resize(self, capacity: int, direction: str) -> None:
+        self.high_cores.set_capacity(capacity)
+        self._cores_gauge.set(capacity)
+        self._low_streak = 0
+        self.system.monitor.count(f"rt{self.node_id}.scale_{direction}")
+        self.system.monitor.metrics.counter(
+            "rt_scale", node=self.node_id, direction=direction).inc()
+
     def _scale_tick(self, backlog=None) -> None:
         """One controller period: grow fast, shrink patiently.
 
-        Growth triggers immediately when the backlog exceeds twice the
-        pool; shrinking requires ``scale_down_periods`` *consecutive*
+        Shrinking requires ``scale_down_periods`` *consecutive*
         low-backlog observations (``backlog < capacity``) — requiring a
         completely empty queue pinned the pool at ``workers_max``
         forever under any trickle of tasks.
@@ -343,22 +376,13 @@ class NodeRuntime:
         if backlog is None:
             backlog = self.backlog
         cap = self.high_cores.capacity
-        if backlog > 2 * cap and cap < cfg.workers_max:
-            self.high_cores.set_capacity(cap + 1)
-            self._low_streak = 0
-            self.system.monitor.count(f"rt{self.node_id}.scale_up")
-            self.system.monitor.metrics.counter(
-                "rt_scale", node=self.node_id, direction="up").inc()
-        elif backlog < cap:
+        if self._grow(backlog):
+            return
+        if backlog < cap:
             self._low_streak += 1
             if (self._low_streak >= cfg.scale_down_periods
                     and cap > cfg.workers_min):
-                self.high_cores.set_capacity(cap - 1)
-                self._low_streak = 0
-                self.system.monitor.count(f"rt{self.node_id}.scale_down")
-                self.system.monitor.metrics.counter(
-                    "rt_scale", node=self.node_id,
-                    direction="down").inc()
+                self._resize(cap - 1, "down")
         else:
             self._low_streak = 0
 

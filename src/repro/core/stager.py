@@ -483,6 +483,13 @@ class DataStager:
         vec.ensure_backend().ensure_size(vec.nbytes)
         for page_idx in sorted(vec.dirty_pages):
             yield from self.stage_out(vec, page_idx, node)
+        # A stage-out claims the dirty bit before it writes: a page a
+        # background flusher is still writing is in neither set above,
+        # and the vector is not persisted until that write is down.
+        for (name, _page), lock in list(self._stageout_locks.items()):
+            if name == vec.name and lock.locked:
+                yield lock.acquire()
+                lock.release()
         vec.ensure_backend().flush()
 
     def persist_all(self, node: int = 0):

@@ -72,6 +72,9 @@ class MegaMmapSystem:
         #: by the colocation scheduler. ``None`` (the default) keeps
         #: every tenancy hook on the one-attribute-test fast path.
         self.tenancy = None
+        #: Async tasks handed to a client's outbound path that have not
+        #: reached their runtime yet (``MegaMmapClient._hand_off``).
+        self.in_transit = 0
         #: In-flight collective page fetches: (vector, page) -> entry.
         self._collective: Dict = {}
         self.organizer = DataOrganizer(self)
@@ -178,8 +181,9 @@ class MegaMmapSystem:
         return MegaMmapClient(self, rank, node)
 
     def quiesce(self):
-        """Wait until every runtime queue drains (generator)."""
-        while any(not rt.idle for rt in self.runtimes):
+        """Wait until every runtime queue drains — and nothing handed
+        off by a client is still on its way to one (generator)."""
+        while self.in_transit or any(not rt.idle for rt in self.runtimes):
             yield self.sim.timeout(self.config.organizer_period)
 
     def shutdown(self):

@@ -166,10 +166,13 @@ class Vector:
         """Commit the active transaction (generator).
 
         Dirty pcache data is shipped to the scache as writer
-        MemoryTasks. Under asynchronous-writeback policies
-        (write/append-only, local) the tasks complete in the
-        background; otherwise visibility is immediate once a peer's
-        read reaches the same page worker (task ordering).
+        MemoryTasks, and the commit returns once every one of them —
+        written behind earlier or shipped now — is enqueued at its
+        owner. Nobody waits for their service: under
+        asynchronous-writeback policies (write/append-only, local) the
+        tasks complete in the background; otherwise visibility is
+        immediate once a peer's read reaches the same page worker
+        (task ordering).
         """
         if self.tx is None:
             raise TransactionError("no active transaction")
@@ -860,9 +863,12 @@ class Vector:
     def evict_page(self, page_idx: int):
         """Drop a pcache frame, shipping dirty fragments to the scache.
 
-        The application only pays the memory-copy cost; the writer
-        MemoryTask runs asynchronously (paper III-B, Lifecycle of
-        Modified Data). Generator.
+        The application only pays the memory-copy cost: the writer
+        MemoryTask is handed to the client's outbound path and travels,
+        queues and runs asynchronously (paper III-B, Lifecycle of
+        Modified Data). The frame leaves this handle's budget at once;
+        a dirty frame's DRAM stays charged to the node until its bytes
+        have left it. Generator.
         """
         frame = self.pcache.detach(page_idx)
         if frame is None:
@@ -884,14 +890,20 @@ class Vector:
         """Ship the dirty fragments of ``pages`` — ``[(page_idx,
         frame), ...]`` — as writer MemoryTasks in one batched
         asynchronous submission (under :meth:`flush`,
-        :meth:`evict_page` and write-behind). The caller pays only the
-        copy out of the pcache. Generator; returns the pages shipped.
+        :meth:`evict_page` and write-behind). The caller pays the copy
+        out of the pcache — ``nbytes / memcpy_bw`` per page — and
+        nothing else: the submission is a hand-off
+        (:meth:`MegaMmapClient._hand_off`), the wire and the owner's
+        queue are the shipment's business. Generator; returns the
+        pages shipped.
 
         ``drop``: the frames were detached, so their WRITE tasks own
         them and ship ndarray views (the simulated memcpy cost is the
-        same; only the host copy disappears). Otherwise they stay
-        resident and writable, now clean, and the fragments MUST be
-        copies, or the app could mutate them before the task runs.
+        same; only the host copy disappears) — and pin the frames'
+        DRAM on this node (``MemoryTask.pinned``) until the shipment
+        has left it. Otherwise they stay resident and writable, now
+        clean, and the fragments MUST be copies, or the app could
+        mutate them before the task runs.
         """
         system = self.client.system
         h = system.history
@@ -913,10 +925,11 @@ class Vector:
             tasks.append(MemoryTask(
                 kind=TaskKind.WRITE, vector_name=self.shared.name,
                 page_idx=page_idx, client_node=self.client.node,
-                fragments=fragments))
+                fragments=fragments,
+                pinned=frame.held if drop else 0))
             frame.dirty.clear()
-        # One batched submission per owner node (a single task, or
-        # batching disabled, degrades to per-task submits).
+        # One batched hand-off per owner node (a single task, or
+        # batching disabled, degrades to per-task hand-offs).
         yield from self.client.submit_batch(tasks, wait=False)
         return len(tasks)
 
@@ -1024,7 +1037,12 @@ class Vector:
     def flush(self, wait: bool = True):
         """Ship all dirty pcache fragments to the scache (generator).
 
-        ``wait=True`` additionally blocks until the writer tasks have
+        The commit point: when it returns, everything this client has
+        shipped — the fragments above and every page evicted or
+        written behind before — is enqueued at its owner
+        (:meth:`MegaMmapClient.settle`), so a later task of *any*
+        process for those pages runs after the write. ``wait=True``
+        additionally blocks until this vector's writer tasks have
         executed (visibility to every process guaranteed regardless of
         worker queueing).
         """
@@ -1040,6 +1058,8 @@ class Vector:
             yield from dur.commit_barrier()
         elif wait:
             yield from self.client.drain(self.shared.name)
+        else:
+            yield from self.client.settle()
         h = self.client.system.history
         if h is not None:
             # Commit point: everything this client has shipped so far

@@ -286,11 +286,20 @@ class Hermes:
                         tier=dev.spec.kind, nbytes=len(data), score=score)
         self._account(bucket, node, dev.spec.kind, len(data))
         yield from self.mdm.put(client_node, info)
+        yield from self._store_again_if_wiped(dev, (bucket, key), data)
         if self.monitor is not None:
             self.monitor.count("hermes.puts")
             self.monitor.metrics.counter(
                 "hermes_puts", node=node, tier=dev.spec.kind).inc()
         return info
+
+    def _store_again_if_wiped(self, dev, key, data):
+        """A node crash between a blob's device put and its metadata
+        publish wipes the bytes and leaves the entry pointing at
+        nothing. The writer still holds them: store them again, so a
+        put that returns has stored what it registered. Generator."""
+        if key not in dev:
+            yield from dev.put(key, data)
 
     def restore_blob(self, node: int, bucket: str, key, data,
                      score: float = 0.5):
@@ -362,6 +371,7 @@ class Hermes:
             yield from self.network.transfer(client_node, node, nbytes)
         out = {}
         new_infos = []
+        stored = []
         for key, data, node in items:
             lock = self._lock(bucket, key)
             yield lock.acquire()
@@ -385,6 +395,7 @@ class Hermes:
                                 score=score)
                 self._account(bucket, node, dev.spec.kind, len(data))
                 new_infos.append(info)
+                stored.append((dev, (bucket, key), data))
                 out[key] = info
                 if self.monitor is not None:
                     self.monitor.count("hermes.puts")
@@ -395,6 +406,8 @@ class Hermes:
                 lock.release()
         if new_infos:
             yield from self.mdm.put_many(client_node, new_infos)
+            for entry in stored:
+                yield from self._store_again_if_wiped(*entry)
         if self.monitor is not None:
             self.monitor.count("hermes.vectored_puts")
         return out

@@ -198,3 +198,43 @@ def test_stage_out_never_loses_a_concurrent_write(tmp_path):
     sim.run(until=sim.process(system.shutdown(), name="shutdown"))
     on_disk = np.fromfile(tmp_path / "race.bin", dtype=np.int32)
     assert np.array_equal(on_disk, v2)
+
+
+def test_shutdown_waits_for_a_stage_out_in_flight(tmp_path):
+    """Regression (a placement-dependent flake of the shipped
+    Gray-Scott pipeline: one checkpoint page of zeros in the file on
+    ~1 workdir path in 15): a stage-out claims the page's dirty bit
+    before it writes, so a page a background flusher was still writing
+    when the runtime terminated was in nobody's dirty set -- the
+    termination flush skipped it, the simulation ended, and the write
+    never reached the file. A vector is persisted only once the
+    stage-outs in flight on it are down too."""
+    url = f"posix://{tmp_path}/tail.bin"
+    sim, system = build_system(flush_period=1e9)
+    c = system.client(rank=0, node=0)
+    data = np.arange(1024, dtype=np.int32)        # exactly one page
+
+    def writer():
+        vec = yield from c.vector(url, dtype=np.int32, size=1024)
+        yield from vec.tx_begin(SeqTx(0, 1024, MM_WRITE_ONLY))
+        yield from vec.write_range(0, data)
+        yield from vec.tx_end()
+        yield from vec.flush(wait=True)           # scache yes, backend no
+
+    run_procs(sim, writer())
+    svec = system.vectors[url]
+    orig = system.stager._charge_backend
+
+    def slow_charge(node, nbytes, write, offset=0):
+        yield sim.timeout(1.0)                    # a busy PFS server
+        yield from orig(node, nbytes, write, offset=offset)
+
+    system.stager._charge_backend = slow_charge
+    # The flusher's pass: claims the dirty bit, parks on the backend.
+    sim.process(system.stager.stage_out(svec, 0, 0), name="flusher")
+    sim.run(until=sim.now + 1e-3)
+    assert 0 not in svec.dirty_pages and sim.now < 0.5
+    sim.run(until=sim.process(system.shutdown(), name="shutdown"))
+    assert sim.now >= 1.0                         # it waited the write out
+    assert np.array_equal(
+        np.fromfile(tmp_path / "tail.bin", dtype=np.int32), data)

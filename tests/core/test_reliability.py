@@ -345,3 +345,42 @@ def test_crash_under_background_copy_and_move_is_a_typed_miss():
     with pytest.raises(BlobNotFound):
         run_procs(sim, system.hermes.put_partial(0, "v", info.key, 0,
                                                  b"\x01" * 8))
+
+
+@pytest.mark.parametrize("batching", [True, False],
+                         ids=["put_many", "put"])
+def test_crash_between_device_put_and_metadata_publish_keeps_the_write(
+        batching):
+    """Regression: a first write whose owner crashed while its service
+    sat between the device put and the metadata publish left an entry
+    pointing at a wiped device -- no replica, no committed version, a
+    declared loss at the next read. The put still holds the bytes and
+    stores them again, so the write it acknowledges is there (and
+    replicates) like one that arrived just after the crash."""
+    sim, system = build_system(n_nodes=2, replication_factor=2,
+                               batching_enabled=batching)
+    rel, mdm = system.reliability, system.hermes.mdm
+    crashed = []
+
+    def crash_then(publish):
+        def wrapped(client_node, infos):
+            if not crashed:
+                first = infos[0] if isinstance(infos, list) else infos
+                crashed.append(first.node)
+                assert rel.fail_node(first.node) > 0   # wipes the blob
+            yield from publish(client_node, infos)
+        return wrapped
+
+    mdm.put = crash_then(mdm.put)
+    mdm.put_many = crash_then(mdm.put_many)
+    c0 = system.client(rank=0, node=0)
+    app, data = _write(system, c0)
+    run_procs(sim, app())
+    (victim,) = crashed
+    rel.restore_node(victim)
+    for info in mdm.list_bucket("v"):
+        dev = system.dmshs[info.node].tier(info.tier)
+        assert ("v", info.key) in dev
+    assert system.monitor.counter("reliability.replicas") > 0
+    out, = run_procs(sim, _read(system.client(1, 1 - victim))())
+    assert np.array_equal(out, data)

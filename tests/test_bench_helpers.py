@@ -51,6 +51,24 @@ def test_emit_result_appends_or_replaces(tmp_path, monkeypatch):
     assert got == [("wall_s", 1.0), ("wall_s", 2.0), ("requests", 3.0)]
 
 
+def test_emit_result_replaces_per_configuration(tmp_path, monkeypatch):
+    """One metric recorded once per configuration (fig5's runtimes at
+    1/2/4 nodes): a rerun replaces each configuration's record and
+    leaves the others alone."""
+    import benchmarks.common as common
+    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+    for value in (1.0, 2.0):
+        for nodes in (1, 2, 4):
+            common.emit_result("f", "app.mm_runtime", value * nodes,
+                               "sim_s", dict(nodes=nodes, scale=1.0),
+                               replace=True)
+    common.emit_result("f", "app.mm_runtime", 9.0, "sim_s",
+                       dict(scale=1.0, nodes=2), replace=True)
+    got = [(r["sim_config"]["nodes"], r["value"])
+           for r in common.read_results("f")]
+    assert got == [(1, 2.0), (4, 8.0), (2, 9.0)]
+
+
 def test_testbed_matches_paper_ratios():
     cluster = testbed(n_nodes=2, ssd_mb=256, hdd_mb=1024)
     dmsh = cluster.dmshs[0]
