@@ -210,17 +210,13 @@ def _emit_rows(rows, breakdowns):
     for r in rows:
         cfg = dict(nodes=r["nodes"], racks=r["racks"], scale=scale)
         key = r["app"].lower().replace("-", "")
-        # Simulated figures: a rerun replaces the configuration's
-        # record instead of piling a copy onto the trajectory.
         emit_result("fig5", f"{key}.mm_runtime", r["mm_s"], "sim_s",
                     cfg, breakdown=breakdowns.get((r["app"],
-                                                   r["nodes"])),
-                    replace=True)
+                                                   r["nodes"])))
         if r["baseline_s"] is not None:
             emit_result("fig5", f"{key}.speedup_vs_baseline",
                         r["baseline_s"] / max(r["mm_s"], 1e-9), "x",
-                        dict(**cfg, baseline=r["baseline"]),
-                        replace=True)
+                        dict(**cfg, baseline=r["baseline"]))
 
 
 @pytest.mark.benchmark(group="fig5")

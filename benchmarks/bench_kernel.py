@@ -10,9 +10,9 @@ what it computes. Three tiers of measurement:
   events as fast as the kernel allows; the fast-path kernel must beat
   the heap-only kernel (``MEGAMMAP_SLOW_KERNEL=1`` equivalent,
   constructed here as ``Simulator(fast=False)``) by >= 2x.
-* **Timer wheel** — all events carry nonzero delays, so both kernels
-  do the same heap work; guards against the fast paths taxing the
-  workloads they cannot help.
+* **Heap-bound timers** — all events carry nonzero delays, so both
+  kernels do the same heap work; guards against the fast paths' checks
+  taxing the workloads they cannot help.
 * **Two-node exchange + KMeans pipeline** — end-to-end faults/sec and
   data-plane MB/s through pcache/scache/hermes/net, plus the proof
   that both kernels produce bit-identical simulated results.
@@ -58,7 +58,7 @@ def _churn(sim: Simulator, n: int) -> None:
     sim.run()
 
 
-def _timer_wheel(sim: Simulator, n: int) -> None:
+def _timers(sim: Simulator, n: int) -> None:
     """Heap-bound churn: every event carries a nonzero delay."""
     def proc(delay):
         for _ in range(n):
@@ -106,23 +106,23 @@ def test_event_churn_speedup(benchmark):
 
 
 @pytest.mark.benchmark(group="kernel")
-def test_timer_wheel_parity(benchmark):
+def test_heap_bound_parity(benchmark):
     def run():
-        slow = _best_rate(_timer_wheel, fast=False, n=TIMER_EVENTS)
-        fast = _best_rate(_timer_wheel, fast=True, n=TIMER_EVENTS)
+        slow = _best_rate(_timers, fast=False, n=TIMER_EVENTS)
+        fast = _best_rate(_timers, fast=True, n=TIMER_EVENTS)
         return slow, fast
 
     slow, fast = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [dict(kernel="heap-only", events_per_sec=round(slow)),
             dict(kernel="fast-path", events_per_sec=round(fast))]
-    print_table("Kernel timer wheel (heap-bound events)", rows)
+    print_table("Kernel heap-bound timers", rows)
     cfg = dict(events=TIMER_EVENTS, repeats=REPEATS)
     emit_result("kernel", "kernel.timer_events_per_sec", fast,
                 "events/s", cfg)
     emit_result("kernel", "kernel.timer_events_per_sec_slow", slow,
                 "events/s", cfg)
-    # Fast paths must not tax workloads they cannot help: the heap-bound
-    # wheel runs within noise of the heap-only kernel, never at half.
+    # Fast paths must not tax workloads they cannot help: heap-bound
+    # events run within noise of the heap-only kernel, never at half.
     assert fast >= 0.5 * slow, rows
 
 
@@ -240,18 +240,14 @@ def test_kmeans_pipeline_wallclock(benchmark, tmp_path):
     emit_result("kernel", "pipeline.kmeans.wall_s", wall, "s", cfg,
                 breakdown=bd)
     # The one bench that reads a dataset cold: how the bytes came in.
-    # Simulated, deterministic figures, so a rerun replaces the record.
     requests = stats["stager.requests_in"]
-    emit_result("kernel", "stagein.requests", requests, "requests", cfg,
-                replace=True)
+    emit_result("kernel", "stagein.requests", requests, "requests", cfg)
     emit_result("kernel", "stagein.bytes_per_request",
-                stats["stager.bytes_in"] / requests, "B", cfg,
-                replace=True)
+                stats["stager.bytes_in"] / requests, "B", cfg)
     # How many of them nobody had asked for (read ahead on an idle PFS
     # server), and the simulated time the last backend byte was in.
     emit_result("kernel", "stagein.requests_ahead",
-                stats.get("stager.requests_ahead", 0), "requests", cfg,
-                replace=True)
+                stats.get("stager.requests_ahead", 0), "requests", cfg)
     emit_result("kernel", "stagein.last_byte_s",
-                stats["stager.last_byte_s.peak"], "s", cfg, replace=True)
+                stats["stager.last_byte_s.peak"], "s", cfg)
     assert res.runtime > 0

@@ -184,10 +184,10 @@ def test_serving_object_vs_page(benchmark):
                zipf_s=row["zipf_s"], queries=QUERIES, lookups=LOOKUPS,
                page=PAGE)
     emit_result("serving", "serving.qps", row["obj_qps"], "q/s", cfg,
-                breakdown=headline["breakdown"], replace=True)
+                breakdown=headline["breakdown"])
     emit_result("serving", "serving.page_qps", row["page_qps"], "q/s",
-                cfg, replace=True)
+                cfg)
     emit_result("serving", "serving.p99_ms", row["obj_p99_ms"], "ms",
-                cfg, replace=True)
+                cfg)
     emit_result("serving", "serving.object_speedup", row["speedup"],
-                "x", cfg, replace=True)
+                "x", cfg)

@@ -137,19 +137,15 @@ def critical_breakdown(cluster: SimCluster) -> Optional[Dict]:
 
 def emit_result(name: str, metric: str, value: float, unit: str,
                 sim_config: Optional[Dict] = None,
-                breakdown: Optional[Dict] = None,
-                replace: bool = False) -> str:
-    """Append one standardized record to the perf trajectory
-    (``replace=True``: in place of the earlier records of the same
-    ``(metric, sim_config)``, for deterministic simulated figures a
-    rerun only repeats — a metric recorded once per configuration,
-    like ``fig5``'s ``<app>.mm_runtime`` per node count, keeps one
-    record per configuration).
+                breakdown: Optional[Dict] = None) -> str:
+    """Record one standardized result in the perf trajectory, in place
+    of the earlier record of the same ``(metric, sim_config)``.
 
-    Records accumulate in ``benchmarks/results/BENCH_<name>.json`` as a
-    JSON list of ``{name, metric, value, unit, sim_config}`` objects —
-    one file per benchmark, one record per (re)run and metric, so CI
-    can diff throughput across commits. Returns the file path.
+    ``benchmarks/results/BENCH_<name>.json`` is a JSON list of
+    ``{name, metric, value, unit, sim_config}`` objects -- one file per
+    benchmark, one record per metric and configuration (``fig5``'s
+    ``<app>.mm_runtime`` keeps one per node count), the newest last, so
+    CI can diff throughput across commits. Returns the file path.
 
     ``breakdown`` (see :func:`critical_breakdown`) attaches a
     ``critical_path`` field — per-category durations plus the overlap
@@ -176,10 +172,9 @@ def emit_result(name: str, metric: str, value: float, unit: str,
     }
     if breakdown is not None:
         record["critical_path"] = breakdown
-    if replace:
-        key = (metric, record["sim_config"])
-        records = [r for r in records
-                   if (r.get("metric"), r.get("sim_config")) != key]
+    key = (metric, record["sim_config"])
+    records = [r for r in records
+               if (r.get("metric"), r.get("sim_config")) != key]
     records.append(record)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2)

@@ -121,7 +121,7 @@ def plot_breakdowns(want=None) -> bool:
             continue
         if not isinstance(records, list):
             continue
-        # Latest record per metric wins (the file is append-only).
+        # Latest record per metric wins (one per configuration).
         latest = {}
         for rec in records:
             if isinstance(rec, dict) and rec.get("critical_path"):

@@ -55,21 +55,18 @@ def churn_workload(n_events: int) -> dict:
 
 
 def timer_workload(n_events: int) -> dict:
-    """Heap/wheel-bound churn: every event carries a nonzero delay,
-    half of them far enough out to land in the far-timer wheel."""
+    """Heap-bound churn: every event carries a nonzero delay."""
     from repro.sim.engine import Simulator
 
     sim = Simulator()
 
     def proc(delay):
-        for _ in range(n_events // 2):
+        for _ in range(n_events):
             yield sim.timeout(delay)
 
-    sim.process(proc(1e-4))       # near: binary heap
-    sim.process(proc(5e-3))       # far: numpy-backed timer wheel
+    sim.process(proc(1e-4))
     sim.run()
-    return {"heap_events": sim.heap_events,
-            "wheel_events": sim.wheel_events}
+    return {"heap_events": sim.heap_events}
 
 
 def exchange_workload(pages_per_rank: int) -> dict:

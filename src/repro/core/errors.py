@@ -14,10 +14,6 @@ class TransactionError(MegaMmapError):
     outside the declared region, write under a read-only intent)."""
 
 
-class RuntimeShutdownError(MegaMmapError):
-    """Operation submitted to a runtime that has been shut down."""
-
-
 class QuotaExceededError(MegaMmapError):
     """A tenant exceeded a hard quota, or a job's minimum quota cannot
     be admitted against the cluster's capacity."""

@@ -28,10 +28,6 @@ from repro.core.errors import MegaMmapError
 from repro.hermes.blob import BlobNotFound
 
 
-class CorruptionError(MegaMmapError):
-    """A page failed its integrity check and could not be recovered."""
-
-
 class NodeFailedError(MegaMmapError):
     """Data lived only on a failed node and has no replica/backend."""
 

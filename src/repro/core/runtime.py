@@ -21,12 +21,15 @@ LabStor." Scheduling rules implemented here:
   after it wait for the batch — the per-page read-after-write
   guarantee holds across the batched path. The worker that pops the
   batch's **last** shard (at which point every involved FIFO has
-  reached the batch) services the whole batch in one scache round;
-  the other shard workers block until it completes;
+  reached the batch) services the whole batch in one scache round and
+  sends its reply; the other shard workers block until it completes;
 * an ``OBJ_READ`` batch needs no such barrier (it orders against
   nothing but its own pages): it runs as independent per-FIFO *parts*,
-  and what they read leaves for the client as **one reply** -- one
-  transfer per source node -- once the last part is serviced.
+  and its reply leaves once the last part is serviced;
+* either way what a batch read leaves for the client as **one reply**
+  -- one transfer per source node (:meth:`NodeRuntime._reply`) -- and
+  a task or a batch gets its core, its spans and its completion from
+  the one :meth:`NodeRuntime._service`.
 """
 
 from __future__ import annotations
@@ -44,16 +47,20 @@ class _BatchState:
 
     ``complete`` succeeds once the batch has been serviced (or failed);
     shard workers that were not the last to arrive wait on it so later
-    tasks in their FIFOs keep ordering with the batch.
+    tasks in their FIFOs keep ordering with the batch. ``replies`` is
+    False for the parts of a split request: what they read leaves with
+    the request's one reply, not with theirs.
     """
 
-    __slots__ = ("batch", "n_shards", "arrived", "complete")
+    __slots__ = ("batch", "n_shards", "arrived", "complete", "replies")
 
-    def __init__(self, batch: BatchTask, n_shards: int, sim):
+    def __init__(self, batch: BatchTask, n_shards: int, sim,
+                 replies: bool = True):
         self.batch = batch
         self.n_shards = n_shards
         self.arrived = 0
         self.complete = Event(sim)
+        self.replies = replies
 
 
 class _BatchShard:
@@ -136,13 +143,6 @@ class NodeRuntime:
         for a core: the count the ``rt_backlog`` gauge reports."""
         return int(self._backlog_gauge.value)
 
-    def _count_failure(self, kind: str, exc: BaseException) -> None:
-        """Labeled failure counter so chaos triage can attribute task
-        aborts to a node/kind/error without parsing tracebacks."""
-        self.system.monitor.metrics.counter(
-            "rt_task_failures", node=self.node_id, kind=kind,
-            error=type(exc).__name__).inc()
-
     @property
     def idle(self) -> bool:
         return self.inflight == 0
@@ -200,8 +200,8 @@ class NodeRuntime:
             part.done = Event(self.sim)
             part.submit_time = batch.submit_time
             part.ctx = batch.ctx
-            self._stores[idx].put(
-                _BatchShard(_BatchState(part, 1, self.sim)))
+            self._stores[idx].put(_BatchShard(
+                _BatchState(part, 1, self.sim, replies=False)))
             parts.append((positions, part))
         # The parent batch counted once at submit(); every part's
         # worker decrements, so account for the extras.
@@ -215,6 +215,8 @@ class NodeRuntime:
                     for src, nbytes in part.reply.items():
                         batch.reply[src] = batch.reply.get(src, 0) + nbytes
                 yield from self._reply(batch)
+            except (GeneratorExit, KeyboardInterrupt, SystemExit):
+                raise
             except BaseException as exc:  # noqa: BLE001 - re-raised to
                 if batch.done is not None:  # the waiting client
                     batch.done.fail(exc)
@@ -240,101 +242,85 @@ class NodeRuntime:
                 src, batch.client_node, nbytes, cause=batch.ctx)
 
     def _worker(self, store: Store):
-        cfg = self.system.config
-        tracer = self.system.tracer
         while True:
             task = yield store.get()
-            if isinstance(task, _BatchShard):
-                state = task.state
-                state.arrived += 1
-                if state.arrived < state.n_shards:
-                    # Ordering barrier: hold this FIFO until the batch
-                    # (serviced by the last-arriving shard's worker)
-                    # completes, so later same-page tasks stay ordered.
-                    yield state.complete
-                    continue
-                yield from self._run_batch(state, tracer, cfg)
+            if not isinstance(task, _BatchShard):
+                yield from self._service(
+                    task, task.kind.value, self.executor.execute(task),
+                    page=task.page_idx)
                 continue
-            pool = self.low_cores \
-                if task.nbytes < cfg.low_latency_threshold \
-                else self.high_cores
-            req = pool.request()
-            yield req
-            self._backlog_gauge.sub(1)
-            # Queue wait: enqueue at the runtime until a CPU core of
-            # the right pool picks the task up. ``cause`` links back to
-            # the client-side submit span across the process boundary.
-            causal = {"cause": task.ctx} if task.ctx is not None else {}
-            if tracer.enabled:
-                tracer.record(
-                    f"wait:{task.kind.value}", "rt.queue",
-                    self.node_id, task.submit_time, self.sim.now,
-                    vector=task.vector_name, page=task.page_idx,
-                    pool="low" if pool is self.low_cores else "high",
-                    **causal)
+            state = task.state
+            state.arrived += 1
+            if state.arrived < state.n_shards:
+                # Ordering barrier: hold this FIFO until the batch
+                # (serviced by the last-arriving shard's worker)
+                # completes, so later same-page tasks stay ordered.
+                yield state.complete
+                continue
+            # Every involved FIFO has drained all earlier tasks for the
+            # batch's pages by now. (No local for the batch: this frame
+            # lives as long as the runtime and would keep its payload.)
             try:
-                with tracer.span(f"exec:{task.kind.value}",
-                                 "rt.service", node=self.node_id,
-                                 vector=task.vector_name,
-                                 page=task.page_idx,
-                                 nbytes=task.nbytes, **causal):
-                    result = yield from self.executor.execute(task)
-                if task.done is not None:
-                    task.done.succeed(result)
-            except (GeneratorExit, KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                self._count_failure(task.kind.value, exc)
-                if task.done is not None:
-                    task.done.fail(exc)
-                else:
-                    raise
+                yield from self._service(
+                    state.batch, f"batch:{state.batch.kind.value}",
+                    self._serve_batch(state), count=len(state.batch))
             finally:
-                self.inflight -= 1
-                pool.release(req)
+                # Release the other shard workers only after the batch
+                # is fully serviced (read-after-write for later tasks).
+                state.complete.succeed()
 
-    def _run_batch(self, state: _BatchState, tracer, cfg):
-        """Service a whole BatchTask (runs on the worker that popped
-        the batch's last shard; every involved FIFO has drained all
-        earlier tasks for the batch's pages by now)."""
-        batch = state.batch
-        pool = self.low_cores \
-            if batch.nbytes < cfg.low_latency_threshold \
-            else self.high_cores
+    def _serve_batch(self, state: _BatchState):
+        """One scache round for the whole batch, then its reply --
+        sent from inside the service, so a barrier batch's bytes are on
+        the wire before any later task of its FIFOs runs."""
+        results = yield from self.executor.execute_batch(state.batch)
+        if state.replies:
+            yield from self._reply(state.batch)
+        return results
+
+    def _service(self, unit, label: str, run, **attrs):
+        """Give a MemoryTask or BatchTask a core of its size class and
+        run it there (``run``: the generator that services it):
+        records the queue wait, opens the ``rt.service`` span,
+        completes ``unit.done`` with the result or the failure, which
+        it counts under ``label``. Generator."""
+        tracer = self.system.tracer
+        low = unit.nbytes < self.system.config.low_latency_threshold
+        pool = self.low_cores if low else self.high_cores
         req = pool.request()
         yield req
         self._backlog_gauge.sub(1)
-        causal = {"cause": batch.ctx} if batch.ctx is not None else {}
+        # Queue wait: enqueue at the runtime until a CPU core of the
+        # right pool picks the unit up. ``cause`` links back to the
+        # client-side submit span across the process boundary.
+        causal = {"cause": unit.ctx} if unit.ctx is not None else {}
         if tracer.enabled:
             tracer.record(
-                f"wait:batch:{batch.kind.value}", "rt.queue",
-                self.node_id, batch.submit_time, self.sim.now,
-                vector=batch.vector_name, count=len(batch),
-                pool="low" if pool is self.low_cores else "high",
-                **causal)
+                f"wait:{label}", "rt.queue", self.node_id,
+                unit.submit_time, self.sim.now, vector=unit.vector_name,
+                **attrs, pool="low" if low else "high", **causal)
         try:
-            with tracer.span(f"exec:batch:{batch.kind.value}",
-                             "rt.service", node=self.node_id,
-                             vector=batch.vector_name,
-                             count=len(batch), nbytes=batch.nbytes,
-                             **causal):
-                results = yield from self.executor.execute_batch(batch)
-            if batch.done is not None:
-                batch.done.succeed(results)
+            with tracer.span(f"exec:{label}", "rt.service",
+                             node=self.node_id, vector=unit.vector_name,
+                             **attrs, nbytes=unit.nbytes, **causal):
+                result = yield from run
+            if unit.done is not None:
+                unit.done.succeed(result)
         except (GeneratorExit, KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:
-            self._count_failure(f"batch:{batch.kind.value}", exc)
-            if batch.done is not None:
-                batch.done.fail(exc)
+            # Labeled, so chaos triage can attribute task aborts to a
+            # node/kind/error without parsing tracebacks.
+            self.system.monitor.metrics.counter(
+                "rt_task_failures", node=self.node_id, kind=label,
+                error=type(exc).__name__).inc()
+            if unit.done is not None:
+                unit.done.fail(exc)
             else:
                 raise
         finally:
             self.inflight -= 1
             pool.release(req)
-            # Release the other shard workers only after the batch is
-            # fully serviced (read-after-write for later tasks).
-            state.complete.succeed()
 
     def _scaling_controller(self):
         """The patient half of core scaling: once per organizer period,
@@ -385,8 +371,3 @@ class NodeRuntime:
                 self._resize(cap - 1, "down")
         else:
             self._low_streak = 0
-
-    # Backwards-compatible alias used by tests/stats.
-    @property
-    def cores(self) -> Resource:
-        return self.high_cores

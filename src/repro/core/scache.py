@@ -24,6 +24,14 @@ def _cut(raw, region):
     return raw[region[0]:region[0] + region[1]]
 
 
+def _extent(vec: SharedVector, task: MemoryTask):
+    """What a read task asks for, as a blob extent: its ``(offset,
+    nbytes)``, or None when that is the whole page."""
+    if task.region == (0, vec.page_nbytes(task.page_idx)):
+        return None
+    return task.region
+
+
 def _whole_page(vec: SharedVector, task: MemoryTask) -> bool:
     frags = task.fragments
     return (len(frags) == 1 and frags[0][0] == 0
@@ -151,7 +159,7 @@ class ScacheExecutor:
                 self.system.monitor.count("object.scache_reads",
                                           len(batch))
                 self._m_obj_reads.inc(len(batch))
-                return (yield from self._obj_read_batch(vec, batch))
+                return (yield from self._read_batch(vec, batch))
         results = []
         for task in batch.tasks:
             results.append((yield from self.execute(task)))
@@ -246,15 +254,7 @@ class ScacheExecutor:
                                               task.client_node)
             return _cut(raw, task.region)
         yield from self.ensure_page(vec, task.page_idx, task.client_node)
-        page_nbytes = vec.page_nbytes(task.page_idx)
-        # Replicate only for reads covering exactly [0, page_nbytes):
-        # the old predicate (``region[1] >= page_nbytes``) also fired
-        # for offset regions, returning a slice from offset 0 — a
-        # short/shifted result for the caller's [off, off+size) ask.
-        whole = task.region is None or task.region == (0, page_nbytes)
-        replicate = (vec.policy is CoherencePolicy.READ_ONLY_GLOBAL
-                     and task.client_node != self.node_id and whole)
-        if replicate:
+        if self._replicates(vec, task):
             try:
                 raw = yield from hermes.replicate(
                     task.client_node, vec.name, task.page_idx)
@@ -272,7 +272,8 @@ class ScacheExecutor:
             return _cut(raw, task.region)
         self.system.monitor.count("scache.reads")
         self._m_reads.inc()
-        if whole or self.system.config.integrity_checks:
+        if _extent(vec, task) is None \
+                or self.system.config.integrity_checks:
             # Verification needs the whole page: a partial read of a
             # checked page fetches all of it, verifies and slices (the
             # fragment fast path used to return corrupted bytes of
@@ -305,97 +306,38 @@ class ScacheExecutor:
             raw = yield from rel.recover_page(vec, page_idx, client_node)
         return raw
 
+    def _replicates(self, vec: SharedVector, task: MemoryTask) -> bool:
+        """A read that leaves a copy behind on the client's node: a
+        whole page of a READ_ONLY_GLOBAL vector, asked for from another
+        node. Exactly [0, page_nbytes): a replicating read returns the
+        page from offset 0, which is not what an offset region that
+        runs past the page's end asked for."""
+        return (vec.policy is CoherencePolicy.READ_ONLY_GLOBAL
+                and task.client_node != self.node_id
+                and _extent(vec, task) is None)
+
     def _read_batch(self, vec: SharedVector, batch: BatchTask):
-        """Serve a READ batch: stage-in starts for all of its pages
-        at once, healthy whole-page reads then share one vectored
-        hermes get; the special cases (failed primaries, replication,
-        partial regions) fall back to the per-task path, which already
-        handles them — results are identical either way."""
-        hermes = self.system.hermes
-        results: list = [None] * len(batch.tasks)
-        yield from self._stage_batch(vec, batch)
-        bulk = []
-        for i, task in enumerate(batch.tasks):
-            info = hermes.mdm.peek(vec.name, task.page_idx)
-            failed = info is not None and self._dead(info)
-            page_nbytes = vec.page_nbytes(task.page_idx)
-            whole = (task.region is None
-                     or task.region == (0, page_nbytes))
-            replicate = (vec.policy is CoherencePolicy.READ_ONLY_GLOBAL
-                         and task.client_node != self.node_id and whole)
-            if failed or replicate or not whole:
-                results[i] = yield from self._read(vec, task)
-            else:
-                bulk.append(i)
-        if not bulk:
-            return results
-        pages = list(dict.fromkeys(
-            batch.tasks[i].page_idx for i in bulk))
-        infos = yield from self.ensure_pages(vec, pages,
-                                             batch.client_node)
-        # A fault racing the shared stage-in (fail_node mid-batch) can
-        # hand back a partially-restaged stripe: some pages resolved to
-        # live placements, others to dead or missing entries. The bulk
-        # fetch must not see the unhealthy ones — route them through
-        # the per-task path (replica failover / backend restage), which
-        # re-checks residency page by page.
-        healthy = []
-        for i in bulk:
-            task = batch.tasks[i]
-            info = infos.get(task.page_idx)
-            if info is None or self._dead(info):
-                self.system.monitor.count("reliability.read_failovers")
-                results[i] = yield from self._read(vec, task)
-            else:
-                healthy.append(i)
-        bulk = healthy
-        if not bulk:
-            return results
-        pages = list(dict.fromkeys(
-            batch.tasks[i].page_idx for i in bulk))
-        try:
-            raws = yield from hermes.get_many(batch.client_node,
-                                              vec.name, pages)
-        except BlobNotFound:
-            # A node crashed under the vectored fetch. Fall back to
-            # the per-task path, which recovers page by page.
-            self.system.monitor.count("reliability.read_failovers")
-            for i in bulk:
-                results[i] = yield from self._read(vec, batch.tasks[i])
-            return results
-        for i in bulk:
-            task = batch.tasks[i]
-            raw = yield from self._verified(
-                vec, task.page_idx, task.client_node,
-                raws[task.page_idx])
-            self.system.monitor.count("scache.reads")
-            self._m_reads.inc()
-            results[i] = _cut(raw, task.region)
-        return results
-
-    def _stage_batch(self, vec: SharedVector, batch: BatchTask):
-        """Start stage-in for every absent page of a read batch up
-        front: partial-region tasks' backend reads overlap the bulk's."""
-        if not vec.volatile:
-            yield from self.system.stager.materialize(
-                vec, [task.page_idx for task in batch.tasks],
-                self.node_id, batch.client_node)
-
-    def _obj_read_batch(self, vec: SharedVector, batch: BatchTask):
-        """Serve an OBJ_READ batch: one metadata/stage-in round for its
-        distinct pages, then one vectored hermes read of every healthy
-        extent. Nothing is shipped from here: the bytes read add up
-        per source node in ``batch.reply`` and the runtime sends the
-        request's reply once. Unhealthy placements (crashed primary,
+        """Serve a batch of reads (each an extent of a page, possibly
+        all of it): one metadata/stage-in round for its distinct pages,
+        then one vectored hermes read of every healthy extent. Nothing
+        is shipped from here: the bytes read add up per source node in
+        ``batch.reply`` and the runtime sends the request's reply once.
+        Replicating reads and unhealthy placements (crashed primary,
         lost replica) fall back to the per-task read path, which
         recovers page by page and ships its own payload."""
         hermes = self.system.hermes
         results: list = [None] * len(batch.tasks)
-        yield from self._stage_batch(vec, batch)
+        if not vec.volatile:
+            # Start stage-in for every absent page up front, so the
+            # per-task fallbacks' backend reads overlap the vectored
+            # read's.
+            yield from self.system.stager.materialize(
+                vec, batch.pages, self.node_id, batch.client_node)
         pending = []
         for i, task in enumerate(batch.tasks):
             info = hermes.mdm.peek(vec.name, task.page_idx)
-            if info is not None and self._dead(info):
+            if (info is not None and self._dead(info)) \
+                    or self._replicates(vec, task):
                 results[i] = yield from self._read(vec, task)
             else:
                 pending.append(i)
@@ -405,6 +347,12 @@ class ScacheExecutor:
             batch.tasks[i].page_idx for i in pending))
         infos = yield from self.ensure_pages(vec, pages,
                                              batch.client_node)
+        # A fault racing the shared stage-in (fail_node mid-batch) can
+        # hand back a partially-restaged stripe: some pages resolved to
+        # live placements, others to dead or missing entries. The
+        # vectored read must not see the unhealthy ones -- route them
+        # through the per-task path (replica failover / backend
+        # restage), which re-checks residency page by page.
         healthy = []
         for i in pending:
             task = batch.tasks[i]
@@ -440,7 +388,7 @@ class ScacheExecutor:
         if not self.system.config.integrity_checks:
             return (yield from hermes.read_many(
                 client_node, vec.name,
-                [(task.page_idx, task.region) for task in tasks]))
+                [(task.page_idx, _extent(vec, task)) for task in tasks]))
         # Verification needs the whole page: bring each distinct page
         # to this node once, verify it here, slice -- only the extents
         # travel on to the client.

@@ -94,9 +94,6 @@ class SharedVector:
         rem = self.nbytes - last * self.page_size
         return rem
 
-    def page_of(self, elem_idx: int) -> int:
-        return elem_idx // self.elems_per_page
-
     def owner_node(self, page_idx: int, client_node: int) -> int:
         """Runtime node whose workers serialize this page's tasks.
 

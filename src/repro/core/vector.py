@@ -271,19 +271,6 @@ class Vector:
             h.on_read(self, start, view, t0)
         return Chunk(start=start, data=view)
 
-    def chunks(self):
-        """Convenience driver: ``yield from vec.chunks()`` is not
-        possible across chunk boundaries in generator style, so apps
-        loop::
-
-            while True:
-                chunk = yield from vec.next_chunk()
-                if chunk is None:
-                    break
-        """
-        raise TransactionError(
-            "use `while True: chunk = yield from vec.next_chunk()`")
-
     def _require_tx(self) -> Transaction:
         if self.tx is None:
             raise TransactionError(
@@ -473,34 +460,10 @@ class Vector:
 
     def read_object(self, elem_off: int, count: int):
         """Read one small object (``count`` elements) at object
-        granularity (generator; returns a private copy).
-
-        Above the threshold (or with the path disabled) this *is*
-        ``read_range``.
-        """
-        nbytes = count * self.itemsize
-        cfg = self.client.system.config
-        if not 0 < nbytes <= cfg.object_threshold_bytes:
-            return (yield from self.read_range(elem_off, count))
-        self._check_range(elem_off, count)
-        h = self.client.system.history
-        t0 = self.client.system.sim.now if h is not None else 0.0
-        out = np.empty(count, dtype=self.dtype)
-        tasks: list = []
-        dests: list = []
-        seen: dict = {}
-        exclude = tuple(p for p, _, _, _ in self._page_spans(elem_off,
-                                                             count))
-        tracer = self.client.system.tracer
-        with tracer.span("read_object", "object", node=self.client.node,
-                         vector=self.shared.name, nbytes=nbytes):
-            local = yield from self._object_plan(
-                elem_off, count, out.view(np.uint8), tasks, dests, seen)
-            yield from self._object_fetch(tasks, dests, exclude)
-            self._count_object_reads(1, nbytes, len(tasks), local)
-        if h is not None:
-            h.on_read(self, elem_off, out, t0)
-        return out
+        granularity (generator; returns a private copy):
+        :meth:`read_objects` of one request. Above the threshold (or
+        with the path disabled) this *is* ``read_range``."""
+        return (yield from self.read_objects([(elem_off, count)]))[0]
 
     def read_objects(self, requests):
         """Read several small objects with one vectored submission

@@ -493,6 +493,10 @@ class Hermes:
         from the manifest returned with them. Generator; returns
         ``(payloads in order, {source node: bytes})``.
         """
+        # Warm the client's metadata cache with one batched RPC per
+        # owner shard; the per-key lookups below then hit the cache.
+        yield from self.mdm.try_get_many(client_node, bucket,
+                                         [key for key, _ in reads])
         raws = []
         manifest: dict = {}
         for key, extent in reads:
@@ -513,9 +517,6 @@ class Hermes:
         """Vectored whole-blob fetch: :meth:`read_many` shipped to
         ``client_node``. Generator; returns ``{key: bytes}``."""
         keys = list(keys)
-        # Warm the client's metadata cache with one batched RPC per
-        # owner shard; the per-key lookups below then hit the cache.
-        yield from self.mdm.try_get_many(client_node, bucket, keys)
         raws, manifest = yield from self.read_many(
             client_node, bucket, [(key, None) for key in keys])
         for node, nbytes in manifest.items():

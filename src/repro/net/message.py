@@ -28,19 +28,6 @@ ITEM_HEADER = 32
 RETRY_HEADER = 64
 
 
-def retry_nbytes(nbytes: int, attempts: int) -> int:
-    """Total wire bytes for a transfer that needed ``attempts`` sends.
-
-    One clean send costs ``nbytes``; every extra attempt re-pays the
-    payload plus a :data:`RETRY_HEADER` for the loss signal. Used by
-    the chaos engine's drop-with-retry fault to keep ``net.bytes``
-    accounting honest under injected loss.
-    """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    return nbytes + (attempts - 1) * (nbytes + RETRY_HEADER)
-
-
 def batched_nbytes(payload_sizes, envelope: int = ENVELOPE,
                    header: int = ITEM_HEADER) -> int:
     """Wire size of one vectored request carrying several operations.

@@ -10,7 +10,7 @@ categories account for the runtime delta.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.graph import SpanGraph
 
@@ -248,13 +248,3 @@ def analysis_summary(analysis: Dict[str, Any]) -> Dict[str, Any]:
         "overlap_ratio": analysis["overlap_ratio"],
         "makespan": analysis["makespan"],
     }
-
-
-def queueing_is_consistent(analysis: Dict[str, Any]) -> Optional[bool]:
-    """True/False when the gauge leg of the Little's-law check was
-    available on every queue; None for trace-file analyses."""
-    qs = analysis.get("queueing") or {}
-    flags = [q["consistent"] for q in qs.values() if "consistent" in q]
-    if not flags:
-        return None
-    return all(flags)

@@ -32,19 +32,10 @@ heap without changing the processing order:
   as ``step()`` would) and keeps executing without returning to the
   scheduler. Chains of immediate events then run entirely inside one
   ``_resume`` call.
-* **Far-timer wheel** — delayed events whose horizon exceeds
-  ``wheel_threshold`` (service periods, long compute timeouts) bypass
-  the heap into a numpy-backed far store: an unsorted append-only
-  level above the heap. Entries are promoted back into the heap in
-  time-sliced cohorts (one vectorized mask + a batched heap insert)
-  the moment the far minimum could become the next pop, so the heap
-  stays small for the dense near-term traffic while far timers cost
-  O(1) amortized to park. Promotion re-inserts the original ``(time,
-  priority, seq)`` tuples, so the pop order — and therefore every
-  simulated result — is bit-for-bit identical to the heap-only kernel.
 
+Every delayed event, near or far, lives in the one time heap.
 ``MEGAMMAP_SLOW_KERNEL=1`` (or ``Simulator(fast=False)``) disables
-all three paths, restoring the heap-only kernel — simulated results
+both paths, restoring the heap-only kernel — simulated results
 and timings are bit-for-bit identical either way; only wall-clock
 differs.
 """
@@ -56,8 +47,6 @@ import os
 import random
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
-
-import numpy as np
 
 #: Priority for "urgent" events (process resumption) so that control
 #: transfer happens before same-time ordinary timeouts.
@@ -397,20 +386,6 @@ class Simulator:
     set to a non-empty value other than ``"0"``.
     """
 
-    #: Delays at or above this horizon park in the far wheel instead of
-    #: the heap; promotion pulls them back in ``WHEEL_SPAN``-wide
-    #: cohorts. Both are tuned to sit above the fabric's transfer
-    #: timescale (tens of µs) and at the service-period timescale (ms).
-    WHEEL_THRESHOLD = 1e-3
-    WHEEL_SPAN = 1e-3
-    #: The wheel only turns on once the heap holds this many entries:
-    #: parking exists to keep the near-term heap small under a large
-    #: long-horizon timer population (one service-timer pair per node
-    #: at 64 nodes), and is pure overhead when the heap is already
-    #: tiny — a couple of long timers ping-ponging through the wheel
-    #: would pay a promotion per pop for nothing.
-    WHEEL_MIN_HEAP = 32
-
     def __init__(self, fast: Optional[bool] = None):
         self.now: float = 0.0
         self._heap: list[tuple[float, int, int, Event]] = []
@@ -421,17 +396,6 @@ class Simulator:
         if fast is None:
             fast = os.environ.get("MEGAMMAP_SLOW_KERNEL", "") in ("", "0")
         self._fast = bool(fast)
-        #: Far-timer wheel: entries with ``delay >= _wheel_threshold``
-        #: park here unsorted (``_far_entries`` holds the exact heap
-        #: tuples) until promoted. ``_far_min`` is the running minimum
-        #: time; the kernel invariant is that the wheel minimum is
-        #: strictly above the heap head whenever the schedule is
-        #: consulted, so no wheel entry can ever be the next pop.
-        self._wheel_threshold = self.WHEEL_THRESHOLD if self._fast \
-            else float("inf")
-        self._far_entries: list[tuple[float, int, int, Event]] = []
-        self._far_n = 0
-        self._far_min = float("inf")
         #: Schedule perturbation (chaos testing): when armed via
         #: :meth:`enable_perturbation`, ties among same-``(time,
         #: priority)`` events are broken by a seeded random draw
@@ -454,9 +418,9 @@ class Simulator:
         #: as ``_seq - heap_events`` to keep the hot path increment-free.
         self.heap_events = 0
         self.trampolines = 0
-        #: Events that parked in the far wheel (subset of
-        #: ``heap_events`` — they still pay one batched heap insert at
-        #: promotion time).
+        #: Always 0: the far-timer wheel is gone. Kept only because
+        #: ``benchmarks/e2e/workloads.py`` and ``BENCHMARK.json``'s
+        #: ``sim.wheel_events`` read it.
         self.wheel_events = 0
 
     @property
@@ -520,16 +484,9 @@ class Simulator:
         # and tuple tie-break keys must never coexist in one heap (a
         # same-(time, priority) comparison between them would raise),
         # and the microqueue merge in step() compares heap keys
-        # against integer ``_qseq`` values. The far wheel drains into
-        # the same re-keyed heap and stays disabled from here on.
+        # against integer ``_qseq`` values.
         entries = [(t, p, (rng.random(), s), e)
                    for t, p, s, e in self._heap]
-        entries.extend((t, p, (rng.random(), s), e)
-                       for t, p, s, e in self._far_entries[:self._far_n])
-        self._wheel_threshold = float("inf")
-        self._far_entries = []
-        self._far_n = 0
-        self._far_min = float("inf")
         for prio, q in ((URGENT, self._imm_urgent),
                         (NORMAL, self._imm_normal)):
             while q:
@@ -565,63 +522,14 @@ class Simulator:
                 event._qseq = seq
                 self._imm_normal.append(event)
                 return
-        if delay >= self._wheel_threshold and (
-                self._far_n or len(self._heap) >= self.WHEEL_MIN_HEAP):
-            self._far_push(self.now + delay, priority, seq, event)
-            return
         heapq.heappush(self._heap, (self.now + delay, priority, seq, event))
         self.heap_events += 1
-
-    def _far_push(self, when: float, priority: int, seq: int,
-                  event: Event) -> None:
-        """Park a long-horizon entry in the far wheel (O(1))."""
-        self._far_entries.append((when, priority, seq, event))
-        self._far_n += 1
-        if when < self._far_min:
-            self._far_min = when
-        self.heap_events += 1
-        self.wheel_events += 1
-
-    def _promote_far(self) -> None:
-        """Move the next time-slice of far entries into the heap.
-
-        Promotes every entry within ``WHEEL_SPAN`` of the far minimum,
-        re-inserting the original ``(time, priority, seq, event)``
-        tuples so heap order is exactly what it would have been
-        without the wheel. Small far sets scan in Python; large ones
-        (the 64-node service-timer population) use one vectorized
-        numpy mask over the parked times. Postcondition: the heap head
-        is at or below every remaining far entry, so no wheel entry
-        can be the next pop.
-        """
-        n = self._far_n
-        cutoff = self._far_min + self.WHEEL_SPAN
-        entries = self._far_entries
-        heap = self._heap
-        heappush = heapq.heappush
-        if n <= 64:
-            kept = [e for e in entries if e[0] > cutoff]
-            for e in entries:
-                if e[0] <= cutoff:
-                    heappush(heap, e)
-        else:
-            t = np.fromiter((e[0] for e in entries), np.float64, n)
-            keep = np.nonzero(t > cutoff)[0]
-            heap.extend(entries[i] for i in np.nonzero(t <= cutoff)[0])
-            heapq.heapify(heap)
-            kept = [entries[i] for i in keep]
-        self._far_entries = kept
-        self._far_n = len(kept)
-        self._far_min = min((e[0] for e in kept), default=float("inf"))
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` when nothing is scheduled."""
         if self._imm_urgent or self._imm_normal:
             return self.now
-        heap = self._heap
-        if self._far_n and (not heap or self._far_min <= heap[0][0]):
-            self._promote_far()
-        return heap[0][0] if heap else float("inf")
+        return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         """Pop and process a single event.
@@ -647,9 +555,7 @@ class Simulator:
                     event = heapq.heappop(heap)[3]
             if event is None:
                 event = q.popleft()
-        elif heap or self._far_n:
-            if self._far_n and (not heap or self._far_min <= heap[0][0]):
-                self._promote_far()
+        elif heap:
             when, _prio, _seq, event = heapq.heappop(heap)
             if when < self.now:  # pragma: no cover - defensive
                 raise SimulationError("time went backwards")
@@ -688,7 +594,7 @@ class Simulator:
         iu = self._imm_urgent
         inm = self._imm_normal
         heappop = heapq.heappop
-        while iu or inm or heap or self._far_n:
+        while iu or inm or heap:
             if stop_evt is not None and stop_evt.processed:
                 return
             q = iu
@@ -707,9 +613,6 @@ class Simulator:
                 if event is None:
                     event = q.popleft()
             else:
-                if self._far_n and (not heap
-                                    or self._far_min <= heap[0][0]):
-                    self._promote_far()
                 when, _prio, _seq, event = heappop(heap)
                 self.now = when
             callbacks = event.callbacks
@@ -770,8 +673,7 @@ class Simulator:
             if deadline == float("inf"):
                 self._run_cohorts(stop_evt)
             else:
-                while self._heap or self._imm_urgent or self._imm_normal \
-                        or self._far_n:
+                while self._heap or self._imm_urgent or self._imm_normal:
                     if stop_evt is not None and stop_evt.processed:
                         break
                     if self.peek() > deadline:

@@ -49,15 +49,6 @@ class DMSH:
                 return dev
         raise KeyError(f"no tier {kind!r} on node {self.node_id}")
 
-    def has_tier(self, kind: str) -> bool:
-        return any(d.spec.kind == kind for d in self.tiers)
-
-    def index_of(self, kind: str) -> int:
-        for i, dev in enumerate(self.tiers):
-            if dev.spec.kind == kind:
-                return i
-        raise KeyError(kind)
-
     def fastest_with_room(self, nbytes: int) -> Optional[Device]:
         """Fastest tier that can absorb ``nbytes`` right now, or None."""
         for dev in self.tiers:
@@ -95,14 +86,6 @@ class DMSH:
         return None
 
     # -- accounting -------------------------------------------------------
-    @property
-    def total_capacity(self) -> int:
-        return sum(d.capacity for d in self.tiers)
-
-    @property
-    def total_used(self) -> int:
-        return sum(d.used for d in self.tiers)
-
     def hardware_cost(self) -> float:
         """$ cost of the composition: capacity × $/GB summed over tiers."""
         return sum(d.capacity / GB * d.spec.cost_per_gb for d in self.tiers)

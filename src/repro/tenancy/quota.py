@@ -220,9 +220,6 @@ class QuotaManager:
     def active_tenants(self) -> List[TenantQuota]:
         return [t for t in self.tenants.values() if t.active]
 
-    def committed_min_dram(self) -> int:
-        return sum(t.min_dram for t in self.tenants.values() if t.active)
-
     # -- stats -----------------------------------------------------------
     def read_stats(self, name: str):
         """Cumulative (fast_bytes, slow_bytes) read by tenant

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from benchmarks.common import testbed
-from repro.core import MM_WRITE_ONLY, SeqTx
+from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.reliability import corrupt_page
 from repro.net.message import batched_nbytes
@@ -213,10 +213,12 @@ def test_threshold_zero_disables_object_counters():
 
 # -- the wire contract -------------------------------------------------------
 #
-# One ``read_objects`` call costs one request and one reply per remote
-# owner of its misses — whatever the number of objects, of worker FIFOs
-# the owner's runtime spreads them over, of pages an object straddles —
-# and the bytes on the wire are the envelopes plus the extents.
+# One batched read -- a ``read_objects`` call, or a multi-page
+# ``read_range`` (the page path: one READ task per missing extent) --
+# costs one request and one reply per remote owner of its misses —
+# whatever the number of extents, of worker FIFOs the owner's runtime
+# spreads them over, of pages an object straddles — and the bytes on
+# the wire are the envelopes plus the extents.
 
 TABLE_PAGES = 64
 READER_NODE = 0
@@ -272,34 +274,62 @@ def _pages_by_owner(system, name="kv"):
     return out
 
 
-def _measured_read(sim, system, requests, sabotage=None):
-    """Warm every metadata cache the call will consult (a first read of
-    *other* bytes of the same pages), call ``sabotage()`` if given,
-    then run ``read_objects(requests)`` on a reader at ``READER_NODE``
-    with the wire logged. Returns ``(arrays, log of the measured call,
-    counters moved by it)``."""
+def _measured_read(sim, system, requests, sabotage=None,
+                   api="read_objects"):
+    """Warm every metadata cache the call will consult (another process
+    of the reader's node reads the same pages first), call
+    ``sabotage()`` if given, then run the measured call on a reader at
+    ``READER_NODE`` with the wire logged: ``read_objects(requests)``,
+    or with ``api="read_range"`` one ``read_range`` per request.
+    Returns ``(arrays, log of the measured call, counters moved by
+    it)``."""
     log = _log_transfers(system)
     mon = system.monitor
     names = ("net.transfers", "net.bytes", "object.dedup_hits",
-             "object.remote_tasks", "reliability.corruptions")
+             "object.remote_tasks", "reliability.corruptions",
+             "pcache.faults")
 
     def app():
+        warm = yield from system.client(rank=1, node=READER_NODE).vector(
+            "kv", dtype=np.uint8)
+        yield from warm.read_objects(
+            [(p * PAGE + 1500, 8) for p in _pages_of(requests)])
         vec = yield from system.client(rank=0, node=READER_NODE).vector(
             "kv", dtype=np.uint8)
-        epp = vec.elems_per_page
-        pages = {p for off, n in requests
-                 for p in range(off // epp, (off + n - 1) // epp + 1)}
-        yield from vec.read_objects([(p * epp + 1500, 8)
-                                     for p in sorted(pages)])
         if sabotage is not None:
             sabotage()
         del log[:]
         before = [mon.counter(n) for n in names]
-        outs = yield from vec.read_objects(requests)
+        if api == "read_objects":
+            outs = yield from vec.read_objects(requests)
+        else:
+            outs = []
+            for off, n in requests:
+                outs.append((yield from vec.read_range(off, n)))
         return outs, [mon.counter(n) - b for n, b in zip(names, before)]
 
     (outs, moved), = run_procs(sim, app())
     return outs, list(log), dict(zip(names, moved))
+
+
+def _pages_of(requests):
+    return sorted({p for off, n in requests
+                   for p in range(off // PAGE, (off + n - 1) // PAGE + 1)})
+
+
+def _extents_by_owner(system, requests, name="kv"):
+    """What a cold reader at ``READER_NODE`` asks each owner for:
+    ``({owner: extents}, {owner: bytes})`` with one extent per page a
+    request touches."""
+    shared = system.vectors[name]
+    n_tasks, nbytes = {}, {}
+    for off, n in requests:
+        for p in _pages_of([(off, n)]):
+            owner = shared.owner_node(p, READER_NODE)
+            size = min(off + n, (p + 1) * PAGE) - max(off, p * PAGE)
+            n_tasks[owner] = n_tasks.get(owner, 0) + 1
+            nbytes[owner] = nbytes.get(owner, 0) + size
+    return n_tasks, nbytes
 
 
 def _assert_wire_contract(requests, outs, log, moved, shadow,
@@ -384,6 +414,21 @@ def test_straddling_object_on_two_owners_costs_two_round_trips():
                           {lo: 1, hi: 1}, {lo: 40, hi: 60})
 
 
+def test_page_path_batch_costs_one_request_and_one_reply_per_owner():
+    """A cold multi-page ``read_range`` that starts and ends mid-page:
+    every remote owner gets one request and sends one reply, and the
+    head and tail pages travel as the extents asked for, not whole."""
+    sim, system, shadow = _table()
+    requests = [(10 * PAGE + 1000, 4 * PAGE + 500)]     # pages 10..14
+    n_tasks, nbytes = _extents_by_owner(system, requests)
+    assert len([o for o in n_tasks if o != READER_NODE]) >= 2
+    outs, log, moved = _measured_read(sim, system, requests,
+                                      api="read_range")
+    assert moved["pcache.faults"] == 5 and not moved["object.remote_tasks"]
+    _assert_wire_contract(requests, outs, log, moved, shadow,
+                          n_tasks, nbytes)
+
+
 def test_vectored_read_equals_a_loop_of_read_object():
     sim, system, shadow = _table()
     rnd = random.Random(5)
@@ -405,7 +450,8 @@ def test_vectored_read_equals_a_loop_of_read_object():
         assert a.tobytes() == b.tobytes() == shadow[off:off + n].tobytes()
 
 
-def test_integrity_checks_move_no_more_bytes_and_still_catch_a_flip():
+def test_integrity_checks_move_no_more_bytes_and_still_catch_a_flip(
+        api="read_objects"):
     """Verification happens where the page lives: with
     ``integrity_checks`` the same call ships the same extents (the page
     itself never travels), and a flipped bit is still detected and
@@ -414,26 +460,40 @@ def test_integrity_checks_move_no_more_bytes_and_still_catch_a_flip():
     for checks in (False, True):
         sim, system, shadow = _table(integrity_checks=checks,
                                      replication_factor=2)
-        owner, fifos = next(
-            (o, f) for o, f in _pages_by_owner(system).items()
-            if o != READER_NODE and len(f) >= 2)
-        pages = [ps[0] for ps in fifos.values()][:2]
-        requests = [(p * PAGE + off, 64) for p in pages
-                    for off in (0, 2048)]
-        outs, log, moved = _measured_read(sim, system, requests)
+        if api == "read_objects":
+            owner, fifos = next(
+                (o, f) for o, f in _pages_by_owner(system).items()
+                if o != READER_NODE and len(f) >= 2)
+            pages = [ps[0] for ps in fifos.values()][:2]
+            requests = [(p * PAGE + off, 64) for p in pages
+                        for off in (0, 2048)]
+            again = [(pages[0] * PAGE + 2990, 64),
+                     (pages[1] * PAGE + 512, 64)]
+        else:
+            pages = [10, 11, 12]
+            requests = [(10 * PAGE + 3500, 2 * PAGE)]   # mid-10..mid-12
+            again = [(10 * PAGE + 2990, 2 * PAGE)]
+        outs, log, moved = _measured_read(sim, system, requests, api=api)
         _assert_wire_contract(requests, outs, log, moved, shadow,
-                              {owner: 4}, {owner: 4 * 64})
+                              *_extents_by_owner(system, requests))
         wire_bytes[checks] = sum(t[2] for t in log if t[0] != t[1])
     assert wire_bytes[True] <= wire_bytes[False]
     # The last deployment has checks on: flip a bit under the reader.
-    requests = [(pages[0] * PAGE + 2990, 64), (pages[1] * PAGE + 512, 64)]
     outs, log, moved = _measured_read(
-        sim, system, requests,
+        sim, system, again, api=api,
         sabotage=lambda: corrupt_page(system, "kv", pages[0], 3000))
-    for (off, n), out in zip(requests, outs):
+    for (off, n), out in zip(again, outs):
         assert np.array_equal(out, shadow[off:off + n])
     assert moved["reliability.corruptions"] > 0
-    assert len([t for t in log if t[3] is not None]) == 1   # one reply
+    remote = {o for o in _extents_by_owner(system, again)[0]
+              if o != READER_NODE}
+    # One reply per remote owner.
+    assert len([t for t in log if t[3] is not None]) == len(remote)
+
+
+def test_page_path_integrity_checks_move_no_more_bytes_and_catch_a_flip():
+    test_integrity_checks_move_no_more_bytes_and_still_catch_a_flip(
+        api="read_range")
 
 
 # -- failure rules ----------------------------------------------------------------
@@ -480,7 +540,7 @@ def test_a_failing_part_fails_the_batch_once_and_ships_no_reply():
 
 
 def test_dead_primary_in_a_batch_fails_over_and_the_rest_replies_once(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, api="read_objects"):
     """A page whose primary died falls back to the per-task read (which
     restages it from the backend and ships it itself); the healthy
     extents of the same batch still come back in one reply."""
@@ -496,27 +556,85 @@ def test_dead_primary_in_a_batch_fails_over_and_the_rest_replies_once(
     def app():
         vec = yield from system.client(rank=0, node=READER_NODE).vector(
             name, dtype=np.uint8)
-        owner, fifos = next(
-            (o, f) for o, f in _pages_by_owner(system, name).items()
-            if o != READER_NODE and len(f) >= 3)
-        dead, *alive = [ps[0] for ps in fifos.values()][:3]
+        if api == "read_objects":
+            owner, fifos = next(
+                (o, f) for o, f in _pages_by_owner(system, name).items()
+                if o != READER_NODE and len(f) >= 3)
+            dead, *alive = [ps[0] for ps in fifos.values()][:3]
+            requests = [(p * PAGE + 1000, 64) for p in [dead] + alive]
+        else:
+            # Three consecutive pages of one remote owner, entered and
+            # left mid-page: a sub-page head and tail and a whole page.
+            shared = system.vectors[name]
+            owners = [shared.owner_node(p, READER_NODE)
+                      for p in range(TABLE_PAGES)]
+            dead = next(p for p in range(TABLE_PAGES - 2)
+                        if owners[p] != READER_NODE
+                        and owners[p] == owners[p + 1] == owners[p + 2])
+            owner, alive = owners[dead], [dead + 1, dead + 2]
+            requests = [(dead * PAGE + 1000, 2 * PAGE)]
         pages = [dead] + alive
-        yield from vec.read_objects([(p * PAGE, 8) for p in pages])
+        # Another process of the reader's node: the reader stays cold.
+        warm = yield from system.client(rank=1, node=READER_NODE).vector(
+            name, dtype=np.uint8)
+        yield from warm.read_objects([(p * PAGE, 8) for p in pages])
         # The owner crashes and comes back empty; two of the three
         # pages are read again (restaged), one stays lost.
         system.reliability.fail_node(owner)
         system.reliability.restore_node(owner)
         for p in alive:
-            yield from vec.read_object(p * PAGE + 64, 8)
+            yield from warm.read_object(p * PAGE + 64, 8)
         assert system.hermes.mdm.peek(name, dead).node < 0
         del log[:]
-        requests = [(p * PAGE + 1000, 64) for p in pages]
-        outs = yield from vec.read_objects(requests)
-        return requests, outs, owner
+        restaged = system.monitor.counter("reliability.restages")
+        if api == "read_objects":
+            outs = yield from vec.read_objects(requests)
+        else:
+            outs = [(yield from vec.read_range(*requests[0]))]
+        return requests, outs, owner, restaged
 
-    (requests, outs, owner), = run_procs(sim, app())
+    (requests, outs, owner, restaged), = run_procs(sim, app())
     for (off, n), out in zip(requests, outs):
         assert np.array_equal(out, shadow[off:off + n])
-    assert system.monitor.counter("reliability.restages") >= 3
+    # Restaged after the crash: the alive pages, then the dead one.
+    assert restaged >= 2
+    assert system.monitor.counter("reliability.restages") > restaged
+    n_tasks, nbytes = _extents_by_owner(system, requests, name)
+    assert n_tasks == {owner: 3}
+    dead_nbytes = 64 if api == "read_objects" else PAGE - 1000
     replies = [t for t in log if t[3] is not None]
-    assert replies == [(owner, READER_NODE, 2 * 64, replies[0][3])]
+    assert replies == [(owner, READER_NODE, nbytes[owner] - dead_nbytes,
+                        replies[0][3])]
+
+
+def test_dead_primary_in_a_page_batch_fails_over_and_the_rest_replies_once(
+        tmp_path, monkeypatch):
+    test_dead_primary_in_a_batch_fails_over_and_the_rest_replies_once(
+        tmp_path, monkeypatch, api="read_range")
+
+
+def test_whole_page_read_only_reads_replicate_and_sub_page_ones_do_not():
+    """Replication is a property of the task, not of the batch: in a
+    READ_ONLY_GLOBAL phase the whole pages of a batched read from
+    another node leave a copy on the reader's node (and ship
+    themselves); its sub-page head and tail do not."""
+    sim, system, shadow = _table(prefetch_enabled=False)
+    off, n = 10 * PAGE + 1000, 4 * PAGE + 500           # pages 10..14
+    shared = system.vectors["kv"]
+    whole_remote = {p for p in (11, 12, 13)
+                    if shared.owner_node(p, READER_NODE) != READER_NODE}
+    assert len(whole_remote) >= 2
+
+    def app():
+        vec = yield from system.client(rank=0, node=READER_NODE).vector(
+            "kv", dtype=np.uint8)
+        yield from vec.tx_begin(SeqTx(off, n, MM_READ_ONLY))
+        out = yield from vec.read_range(off, n)
+        yield from vec.tx_end()
+        return out
+
+    out, = run_procs(sim, app())
+    assert np.array_equal(out, shadow[off:off + n])
+    assert system.monitor.counter("hermes.replications") \
+        == len(whole_remote)
+    assert shared.replicated_pages == whole_remote

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
-from repro.core.memtask import MemoryTask, TaskKind
+from repro.core.errors import MegaMmapError
+from repro.core.memtask import BatchTask, MemoryTask, TaskKind
+from repro.sim import Event
 from tests.core.conftest import build_system, run_procs
 
 
@@ -118,6 +120,33 @@ def test_failed_task_propagates_to_waiter(dsm):
 
     (name,) = run_procs(sim, app())
     assert name == "MegaMmapError"
+
+
+def test_failures_are_counted_under_the_task_or_batch_kind(dsm):
+    """A failing task lands in ``rt_task_failures`` under its kind, a
+    failing batch under ``batch:<kind>`` -- the labels chaos triage
+    reads."""
+    sim, system = dsm
+    read = dict(kind=TaskKind.READ, vector_name="no such vector",
+                client_node=0)
+    task = MemoryTask(page_idx=0, **read)
+    batch = BatchTask(tasks=[MemoryTask(page_idx=p, **read)
+                             for p in (0, 1)], **read)
+
+    def app(unit):
+        unit.done = Event(sim)
+        system.runtimes[0].submit(unit)
+        try:
+            yield unit.done
+        except MegaMmapError:
+            return "failed"
+
+    assert run_procs(sim, app(task), app(batch)) == ["failed", "failed"]
+    for kind in ("read", "batch:read"):
+        assert system.monitor.metrics.counter(
+            "rt_task_failures", node=0, kind=kind,
+            error="MegaMmapError").value == 1
+    assert system.runtimes[0].idle
 
 
 # -- organizer ----------------------------------------------------------------

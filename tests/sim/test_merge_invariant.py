@@ -1,6 +1,6 @@
 """Property test: the kernel's pop order is the (time, priority, seq)
-total order, whatever mix of microqueues, heap, and far-timer wheel
-the events were routed through.
+total order, whatever mix of microqueues and heap the events were
+routed through.
 
 This is the invariant every fast path must preserve — and the one the
 shard coordinator relies on at window boundaries: injecting boundary
@@ -20,8 +20,8 @@ def _random_schedule(sim, rng, budget):
     """Drive a randomized event storm; return (expected, fired).
 
     Every scheduled callback may schedule more events with random
-    delays (zero → microqueues, short → heap, long → far wheel) and
-    random priorities. ``expected`` records (time, priority, seq) in
+    delays (zero → microqueues; µs to tens of ms → heap) and random
+    priorities. ``expected`` records (time, priority, seq) in
     scheduling order — the kernel assigns its internal seq in the same
     order — and ``fired`` records execution order.
     """
@@ -58,11 +58,10 @@ def _random_schedule(sim, rng, budget):
             elif kind == 2:
                 delay = rng.uniform(5e-4, 2e-3)
             else:
-                delay = rng.uniform(2e-3, 5e-2)  # far-wheel territory
+                delay = rng.uniform(2e-3, 5e-2)  # service-period range
             schedule(delay, rng.choice((URGENT, NORMAL)))
 
-    # A seed burst big enough to pass the wheel's adaptive-activation
-    # threshold, with duplicate timestamps to stress the tiebreaks.
+    # A seed burst with duplicate timestamps to stress the tiebreaks.
     times = [0.0, 1e-3, 1e-3, 2e-3] + \
         [rng.choice((5e-4, 1e-3, rng.uniform(0, 4e-2)))
          for _ in range(60)]
@@ -88,7 +87,7 @@ def test_pop_order_is_time_priority_seq_total_order(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_total_order_matches_slow_kernel(monkeypatch, seed):
-    """The fast kernel (microqueues + cohorts + wheel) fires the exact
+    """The fast kernel (microqueues + cohorts) fires the exact
     sequence the plain-heap kernel fires."""
     runs = []
     for slow in ("0", "1"):
@@ -99,11 +98,3 @@ def test_total_order_matches_slow_kernel(monkeypatch, seed):
     (_, fired_fast), (_, fired_slow) = runs
     assert fired_fast == fired_slow
 
-
-def test_wheel_engaged_by_storm():
-    """The randomized storm actually routes entries through the far
-    wheel (guards against the property passing vacuously)."""
-    sim = Simulator()
-    _random_schedule(sim, random.Random(1), budget=400)
-    if sim._fast:
-        assert sim.wheel_events > 0

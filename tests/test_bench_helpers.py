@@ -44,11 +44,11 @@ def test_emit_result_appends_or_replaces(tmp_path, monkeypatch):
     import benchmarks.common as common
     monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
     common.emit_result("x", "wall_s", 1.0, "s")
-    common.emit_result("x", "wall_s", 2.0, "s")
-    common.emit_result("x", "requests", 5, "requests", replace=True)
-    common.emit_result("x", "requests", 3, "requests", replace=True)
+    common.emit_result("x", "requests", 5, "requests")
+    common.emit_result("x", "wall_s", 2.0, "s")     # same key: replaces
+    common.emit_result("x", "wall_s", 4.0, "s", dict(nodes=2))  # another
     got = [(r["metric"], r["value"]) for r in common.read_results("x")]
-    assert got == [("wall_s", 1.0), ("wall_s", 2.0), ("requests", 3.0)]
+    assert got == [("requests", 5.0), ("wall_s", 2.0), ("wall_s", 4.0)]
 
 
 def test_emit_result_replaces_per_configuration(tmp_path, monkeypatch):
@@ -60,10 +60,9 @@ def test_emit_result_replaces_per_configuration(tmp_path, monkeypatch):
     for value in (1.0, 2.0):
         for nodes in (1, 2, 4):
             common.emit_result("f", "app.mm_runtime", value * nodes,
-                               "sim_s", dict(nodes=nodes, scale=1.0),
-                               replace=True)
+                               "sim_s", dict(nodes=nodes, scale=1.0))
     common.emit_result("f", "app.mm_runtime", 9.0, "sim_s",
-                       dict(scale=1.0, nodes=2), replace=True)
+                       dict(scale=1.0, nodes=2))
     got = [(r["sim_config"]["nodes"], r["value"])
            for r in common.read_results("f")]
     assert got == [(1, 2.0), (4, 8.0), (2, 9.0)]
