@@ -11,11 +11,9 @@ Scale ladder overrides (so CI runs a small ladder while the 64-node
 run stays reproducible from the CLI):
 
 * ``MEGAMMAP_FIG5_NODES`` / ``--nodes`` — comma-separated node counts
-  (default ``1,2,4``). Counts of :data:`SHARD_MIN` nodes and above run
-  rack-decomposed on the sharded simulator (``racks = nodes/4``,
-  workers bounded by the host's cores), MegaMmap KMeans + Gray-Scott
-  only — the Spark/MPI baselines stay on the small scales the paper's
-  figure spans.
+  (default ``1,2,4``). Counts of :data:`LARGE_MIN` nodes and above run
+  MegaMmap KMeans + Gray-Scott only — the Spark/MPI baselines stay on
+  the small scales the paper's figure spans.
 * ``MEGAMMAP_FIG5_SCALE`` / ``--scale`` — multiplier on the per-node
   dataset sizes (default 1.0). Weak scaling is preserved at any value:
   the per-node workload is constant across the ladder.
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 
 if __package__ in (None, ""):  # script mode: python benchmarks/bench_...
     _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -48,12 +45,12 @@ from repro.apps.kmeans import mm_kmeans, spark_kmeans
 from repro.apps.rf import mm_random_forest
 from repro.apps.rf.spark_rf import spark_random_forest
 from benchmarks.common import critical_breakdown, emit_result, \
-    export_trace, print_table, sharded_testbed, testbed, write_csv
+    export_trace, print_table, testbed, write_csv
 
 NODE_COUNTS = [1, 2, 4]
 
-#: Node counts at or above this run on the sharded simulator.
-SHARD_MIN = 8
+#: Node counts at or above this run the MegaMmap versions only.
+LARGE_MIN = 8
 PROCS_PER_NODE = 2
 
 #: Scaled per-node dataset sizes (records), before MEGAMMAP_FIG5_SCALE.
@@ -89,21 +86,13 @@ def _gs_l(n_nodes: int, scale: float = 1.0) -> int:
     return max(int(round(raw / 4) * 4), -(-nprocs // 4) * 4)
 
 
-def _shards_for(racks: int) -> int:
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        cores = os.cpu_count() or 1
-    return max(1, min(racks, cores))
-
-
 def run_weak_scaling(tmp_path):
     rows = []
     breakdowns = {}
     scale = _scale()
     for n in _node_counts():
-        if n >= SHARD_MIN:
-            rows.extend(_run_sharded_scale(tmp_path, n, scale))
+        if n >= LARGE_MIN:
+            rows.extend(_run_large_scale(tmp_path, n, scale))
             continue
         km_n = _per_node(KMEANS_PER_NODE, scale)
         db_n = _per_node(DBSCAN_PER_NODE, scale)
@@ -121,7 +110,7 @@ def run_weak_scaling(tmp_path):
         c2 = testbed(n_nodes=n)
         sp = c2.run_driver(spark_kmeans(c2, url, 8, 4))
         rows.append(dict(app="KMeans", nodes=n, procs=c.spec.nprocs,
-                         racks=1, mm_s=mm.runtime, baseline="Spark",
+                         mm_s=mm.runtime, baseline="Spark",
                          baseline_s=sp.runtime,
                          mm_dram_mb=mm.peak_dram_total / 2**20,
                          baseline_dram_mb=sp.peak_dram_total / 2**20))
@@ -135,7 +124,7 @@ def run_weak_scaling(tmp_path):
         c2 = testbed(n_nodes=n)
         mpi = c2.run(mpi_dbscan, url, 8.0, 16)
         rows.append(dict(app="DBSCAN", nodes=n, procs=c.spec.nprocs,
-                         racks=1, mm_s=mm.runtime, baseline="MPI",
+                         mm_s=mm.runtime, baseline="MPI",
                          baseline_s=mpi.runtime,
                          mm_dram_mb=mm.peak_dram_total / 2**20,
                          baseline_dram_mb=mpi.peak_dram_total / 2**20))
@@ -154,7 +143,7 @@ def run_weak_scaling(tmp_path):
         sp = c2.run_driver(spark_random_forest(
             c2, url, lurl, num_trees=1, max_depth=10, oob=4))
         rows.append(dict(app="RF", nodes=n, procs=c.spec.nprocs,
-                         racks=1, mm_s=mm.runtime, baseline="Spark",
+                         mm_s=mm.runtime, baseline="Spark",
                          baseline_s=sp.runtime,
                          mm_dram_mb=mm.peak_dram_total / 2**20,
                          baseline_dram_mb=sp.peak_dram_total / 2**20))
@@ -166,39 +155,35 @@ def run_weak_scaling(tmp_path):
         c2 = testbed(n_nodes=n)
         mpi = c2.run(mpi_gray_scott, L, 3)
         rows.append(dict(app="Gray-Scott", nodes=n, procs=c.spec.nprocs,
-                         racks=1, mm_s=mm.runtime, baseline="MPI",
+                         mm_s=mm.runtime, baseline="MPI",
                          baseline_s=mpi.runtime,
                          mm_dram_mb=mm.peak_dram_total / 2**20,
                          baseline_dram_mb=mpi.peak_dram_total / 2**20))
     return rows, breakdowns
 
 
-def _run_sharded_scale(tmp_path, n, scale):
-    """One large rung of the ladder: MegaMmap KMeans + Gray-Scott on
-    the rack-decomposed simulator (no Spark/MPI baselines — the paper's
-    figure compares those at the small scales only)."""
-    racks = n // 4
-    if racks * 4 != n:
-        raise ValueError(f"sharded scales must be multiples of 4: {n}")
-    shards = _shards_for(racks)
+def _run_large_scale(tmp_path, n, scale):
+    """One large rung of the ladder: MegaMmap KMeans + Gray-Scott (no
+    Spark/MPI baselines — the paper's figure compares those at the
+    small scales only)."""
     rows = []
 
     km_n = _per_node(KMEANS_PER_NODE, scale)
     path = tmp_path / f"km{n}.parquet"
     write_parquet_points(str(path), km_n * n, 8, seed=n)
-    c = sharded_testbed(n, racks=racks)
-    mm = c.run(mm_kmeans, f"parquet://{path}", 8, 4, shards=shards)
+    c = testbed(n_nodes=n)
+    mm = c.run(mm_kmeans, f"parquet://{path}", 8, 4)
     rows.append(dict(app="KMeans", nodes=n, procs=c.spec.nprocs,
-                     racks=racks, mm_s=mm.runtime, baseline=None,
+                     mm_s=mm.runtime, baseline=None,
                      baseline_s=None,
                      mm_dram_mb=mm.peak_dram_total / 2**20,
                      baseline_dram_mb=None))
 
     L = _gs_l(n, scale)
-    c = sharded_testbed(n, racks=racks)
-    mm = c.run(mm_gray_scott, L, 3, 0, 2 * 1024 * 1024, shards=shards)
+    c = testbed(n_nodes=n)
+    mm = c.run(mm_gray_scott, L, 3, 0, 2 * 1024 * 1024)
     rows.append(dict(app="Gray-Scott", nodes=n, procs=c.spec.nprocs,
-                     racks=racks, mm_s=mm.runtime, baseline=None,
+                     mm_s=mm.runtime, baseline=None,
                      baseline_s=None,
                      mm_dram_mb=mm.peak_dram_total / 2**20,
                      baseline_dram_mb=None))
@@ -208,7 +193,7 @@ def _run_sharded_scale(tmp_path, n, scale):
 def _emit_rows(rows, breakdowns):
     scale = _scale()
     for r in rows:
-        cfg = dict(nodes=r["nodes"], racks=r["racks"], scale=scale)
+        cfg = dict(nodes=r["nodes"], scale=scale)
         key = r["app"].lower().replace("-", "")
         emit_result("fig5", f"{key}.mm_runtime", r["mm_s"], "sim_s",
                     cfg, breakdown=breakdowns.get((r["app"],
@@ -229,7 +214,7 @@ def test_fig5_weak_scaling(benchmark, tmp_path):
     by_app = {}
     for r in rows:
         by_app.setdefault(r["app"], []).append(r)
-    # Shape claims of Fig. 5 (baseline rows only — the sharded rungs
+    # Shape claims of Fig. 5 (baseline rows only — the large rungs
     # carry no Spark/MPI runs):
     for r in rows:
         if r["baseline"] == "Spark":
@@ -250,65 +235,6 @@ def test_fig5_weak_scaling(benchmark, tmp_path):
         assert last["mm_s"] < factor * max(first["mm_s"], 1e-9) * 2, app
 
 
-# -- sharded-vs-single speedup (the scaling-smoke CI gate) ------------------
-SCALING_NODES = 16
-SCALING_RACKS = 4
-SCALING_PER_NODE = 10_000
-
-
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_shard_scaling(benchmark, tmp_path):
-    """16-node KMeans, 4 racks: ``shards=1`` vs ``shards=4`` must be
-    bit-for-bit identical, and on a multicore host the fork workers
-    must at least double wall-clock throughput.  Emits the
-    ``scaling.*`` metrics the scaling-smoke CI job gates on."""
-    path = tmp_path / "km_scaling.parquet"
-    write_parquet_points(str(path), SCALING_PER_NODE * SCALING_NODES,
-                         8, seed=7)
-    url = f"parquet://{path}"
-
-    def once(shards):
-        c = sharded_testbed(SCALING_NODES, racks=SCALING_RACKS)
-        t0 = time.perf_counter()
-        res = c.run(mm_kmeans, url, 8, 4, shards=shards)
-        return res, time.perf_counter() - t0
-
-    def run():
-        return once(1), once(SCALING_RACKS)
-
-    (res1, wall1), (res4, wall4) = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-    # Bit-for-bit: sharding may only change wall-clock, never results.
-    assert res1.runtime == res4.runtime
-    for (ca, ia), (cb, ib) in zip(res1.values, res4.values):
-        assert np.array_equal(ca, cb) and ia == ib
-    assert res1.stats == res4.stats
-    assert res1.stats.get("net.boundary_exports", 0) > 0
-
-    events = res4.stats["kernel.fast_events"] \
-        + res4.stats["kernel.heap_events"]
-    speedup = wall1 / wall4
-    events_per_sec = events / wall4
-    rows = [dict(shards=1, wall_s=round(wall1, 2)),
-            dict(shards=SCALING_RACKS, wall_s=round(wall4, 2),
-                 speedup=round(speedup, 2),
-                 events_per_sec=round(events_per_sec))]
-    print_table(f"Shard scaling ({SCALING_NODES} nodes, "
-                f"{SCALING_RACKS} racks)", rows)
-    cfg = dict(nodes=SCALING_NODES, racks=SCALING_RACKS,
-               shards=SCALING_RACKS, per_node=SCALING_PER_NODE)
-    emit_result("scaling", "scaling.shard_speedup", speedup, "x", cfg)
-    emit_result("scaling", "scaling.events_per_sec", events_per_sec,
-                "events/s", cfg)
-    cores = _shards_for(SCALING_RACKS)
-    if cores >= 4:
-        # The perf-floor claim, asserted here too so a local multicore
-        # run fails fast; single-core hosts can only check overheads.
-        assert speedup >= 2.0, rows
-    else:
-        assert speedup > 0.3, rows
-
-
 def main(argv=None) -> int:
     import argparse
     import tempfile
@@ -319,7 +245,7 @@ def main(argv=None) -> int:
                     "ladder (e.g. --nodes 1,4,16,64)")
     ap.add_argument("--nodes", default=None,
                     help="comma-separated node counts "
-                         "(default 1,2,4; >= 8 runs sharded)")
+                         "(default 1,2,4; >= 8 runs MegaMmap only)")
     ap.add_argument("--scale", type=float, default=None,
                     help="per-node dataset multiplier (default 1.0)")
     args = ap.parse_args(argv)

@@ -19,7 +19,8 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster import ClusterSpec, ShardedCluster, SimCluster
+from benchmarks.e2e.cli import provenance
+from repro.cluster import ClusterSpec, SimCluster
 from repro.core.config import MegaMmapConfig
 from repro.storage.device import DeviceSpec
 from repro.storage.tiers import (DRAM, HDD, MB, NVME, PMEM, SATA_SSD,
@@ -78,35 +79,6 @@ def testbed(n_nodes=4, procs_per_node=2, dram_mb=NODE_DRAM_MB,
 testbed.__test__ = False  # a helper whose name pytest would collect
 
 
-def sharded_testbed(n_nodes, racks, procs_per_node=2,
-                    dram_mb=NODE_DRAM_MB, nvme_mb=NODE_NVME_MB,
-                    page_size=64 * 1024, pcache=512 * 1024,
-                    pfs_spec=None, pfs_servers=2, seed=0,
-                    **cfg) -> ShardedCluster:
-    """The scaled testbed in its rack-decomposed form.
-
-    ``racks`` splits the compute nodes into equal racks, each modeled
-    by its own simulator; ``run(app, *args, shards=N)`` distributes
-    the rack simulators over N worker processes (results identical at
-    every N). The per-node hardware matches :func:`testbed`.
-    """
-    tiers = [scaled(DRAM, dram_mb * MB)]
-    if nvme_mb:
-        tiers.append(scaled(NVME, nvme_mb * MB))
-    return ShardedCluster(
-        n_nodes=n_nodes, procs_per_node=procs_per_node, racks=racks,
-        tiers=tuple(tiers),
-        pfs_servers=pfs_servers,
-        pfs_spec=pfs_spec or scaled(HDD, 16 * 1024 * MB),
-        config=MegaMmapConfig(page_size=page_size, pcache_size=pcache,
-                              **cfg),
-        seed=seed,
-    )
-
-
-sharded_testbed.__test__ = False
-
-
 def export_trace(cluster: SimCluster, name: str) -> str:
     """Write a cluster's recorded spans to
     ``benchmarks/results/<name>.trace.json`` (Chrome trace format);
@@ -142,10 +114,12 @@ def emit_result(name: str, metric: str, value: float, unit: str,
     of the earlier record of the same ``(metric, sim_config)``.
 
     ``benchmarks/results/BENCH_<name>.json`` is a JSON list of
-    ``{name, metric, value, unit, sim_config}`` objects -- one file per
-    benchmark, one record per metric and configuration (``fig5``'s
-    ``<app>.mm_runtime`` keeps one per node count), the newest last, so
-    CI can diff throughput across commits. Returns the file path.
+    ``{name, metric, value, unit, sim_config, commit, utc, host_cpus}``
+    objects -- one file per benchmark, one record per metric and
+    configuration (``fig5``'s ``<app>.mm_runtime`` keeps one per node
+    count), the newest last, so CI can diff throughput across commits
+    and a wall-clock figure names the host it was taken on. Returns the
+    file path.
 
     ``breakdown`` (see :func:`critical_breakdown`) attaches a
     ``critical_path`` field — per-category durations plus the overlap
@@ -170,6 +144,8 @@ def emit_result(name: str, metric: str, value: float, unit: str,
         "unit": unit,
         "sim_config": dict(sim_config or {}),
     }
+    where = provenance(0)
+    record.update({k: where[k] for k in ("commit", "utc", "host_cpus")})
     if breakdown is not None:
         record["critical_path"] = breakdown
     key = (metric, record["sim_config"])

@@ -22,26 +22,11 @@ from repro.core import MM_LOCAL, MM_READ_ONLY, MM_READ_WRITE, \
 #: pages (placed node-locally); ghost planes are explicit remote reads.
 RW_LOCAL = MM_READ_WRITE | MM_LOCAL
 
-#: Halo-exchange user tags (below the collective tag space): a rank's
-#: bottom plane travels under BOT, its top plane under TOP.
-HALO_TAG_BOT = 101
-HALO_TAG_TOP = 102
-
 
 def _slab_bounds(L, rank, nprocs):
     base, rem = divmod(L, nprocs)
     z0 = rank * base + min(rank, rem)
     return z0, base + (1 if rank < rem else 0)
-
-
-def _plane_owner(L, z, nprocs):
-    """Rank whose slab contains plane ``z`` (inverse of
-    :func:`_slab_bounds`)."""
-    base, rem = divmod(L, nprocs)
-    head = rem * (base + 1)
-    if z < head:
-        return z // (base + 1)
-    return rem + (z - head) // base
 
 
 def mm_gray_scott(ctx, L, steps, plotgap=0, pcache=None,
@@ -71,24 +56,9 @@ def mm_gray_scott(ctx, L, steps, plotgap=0, pcache=None,
     del u_s, v_s
     yield from ctx.barrier()
 
-    def read_plane(vec, z, halo=None):
-        if halo is not None:
-            cached = halo.get(z)
-            if cached is not None:
-                return cached
+    def read_plane(vec, z):
         raw = yield from vec.read_range(((z % L) + L) % L * plane, plane)
         return raw.reshape(L, L)
-
-    # Rack-boundary geometry: ghost planes owned by a rank in another
-    # rack cannot come from the DSM (scache state is rack-local under
-    # sharded execution), so those sides fall back to classic MPI halo
-    # exchange — the cross-rack messages ride the shard boundary.
-    prev_rank = _plane_owner(L, (z0 - 1) % L, ctx.nprocs) if nz else None
-    next_rank = _plane_owner(L, (z0 + nz) % L, ctx.nprocs) if nz else None
-    lower_cross = (nz and prev_rank != ctx.rank
-                   and not ctx.same_rack(prev_rank))
-    upper_cross = (nz and next_rank != ctx.rank
-                   and not ctx.same_rack(next_rank))
 
     for step in range(steps):
         cur, nxt = step % 2, (step + 1) % 2
@@ -98,40 +68,12 @@ def mm_gray_scott(ctx, L, steps, plotgap=0, pcache=None,
             yield from vec.tx_begin(SeqTx(z0 * plane, nz * plane,
                                           RW_LOCAL))
         # Acquire the neighbor-owned ghost planes: drop any cached
-        # copy, then the reads below refault fresh data. Cross-rack
-        # sides are served by the halo exchange instead.
+        # copy, then the reads below refault fresh data.
         for vec in (uc, vc):
-            if not lower_cross:
-                yield from vec.invalidate_range(
-                    (((z0 - 1) % L) + L) % L * plane, plane)
-            if not upper_cross:
-                yield from vec.invalidate_range(
-                    (((z0 + nz) % L) + L) % L * plane, plane)
-        u_halo = {}
-        v_halo = {}
-        if lower_cross or upper_cross:
-            send_reqs = []
-            rx_low = rx_high = None
-            if lower_cross:
-                ub = yield from read_plane(uc, z0)
-                vb = yield from read_plane(vc, z0)
-                send_reqs.append(ctx.comm.isend(
-                    np.stack([ub, vb]), prev_rank, HALO_TAG_BOT))
-                rx_low = ctx.comm.irecv(prev_rank, HALO_TAG_TOP)
-            if upper_cross:
-                ut = yield from read_plane(uc, z0 + nz - 1)
-                vt = yield from read_plane(vc, z0 + nz - 1)
-                send_reqs.append(ctx.comm.isend(
-                    np.stack([ut, vt]), next_rank, HALO_TAG_TOP))
-                rx_high = ctx.comm.irecv(next_rank, HALO_TAG_BOT)
-            if rx_low is not None:
-                got = (yield rx_low).payload
-                u_halo[z0 - 1], v_halo[z0 - 1] = got[0], got[1]
-            if rx_high is not None:
-                got = (yield rx_high).payload
-                u_halo[z0 + nz], v_halo[z0 + nz] = got[0], got[1]
-            for req in send_reqs:
-                yield req
+            yield from vec.invalidate_range(
+                (((z0 - 1) % L) + L) % L * plane, plane)
+            yield from vec.invalidate_range(
+                (((z0 + nz) % L) + L) % L * plane, plane)
         # Checkpoint vectors for this step (written inline from the
         # freshly computed planes — no re-read; the Data Stager
         # persists them in the background while the next step runs).
@@ -153,8 +95,8 @@ def mm_gray_scott(ctx, L, steps, plotgap=0, pcache=None,
         u_win = {}
         v_win = {}
         for z in (z0 - 1, z0, z0 + 1):
-            u_win[z] = yield from read_plane(uc, z, u_halo)
-            v_win[z] = yield from read_plane(vc, z, v_halo)
+            u_win[z] = yield from read_plane(uc, z)
+            v_win[z] = yield from read_plane(vc, z)
         for z in range(z0, z0 + nz):
             yield from ctx.compute_bytes(2 * plane * 8, factor=8.0)
             nu, nv = gs_step_slab(
@@ -169,8 +111,8 @@ def mm_gray_scott(ctx, L, steps, plotgap=0, pcache=None,
             u_win.pop(z - 1)
             v_win.pop(z - 1)
             if z + 2 <= z0 + nz:
-                u_win[z + 2] = yield from read_plane(uc, z + 2, u_halo)
-                v_win[z + 2] = yield from read_plane(vc, z + 2, v_halo)
+                u_win[z + 2] = yield from read_plane(uc, z + 2)
+                v_win[z + 2] = yield from read_plane(vc, z + 2)
         for vec in (uc, vc, un, vn):
             yield from vec.tx_end()
         if ck_u is not None:

@@ -21,11 +21,6 @@ from repro.core.system import MegaMmapSystem
 from repro.mpi import Comm, MpiWorld
 from repro.net.fabric import ETH_40G, LinkSpec, Network
 from repro.sim import AllOf, Monitor, Simulator, rng_stream
-from repro.sim.shard import (
-    ShardBoundary,
-    run_windows,
-    run_windows_parallel,
-)
 from repro.storage.device import DeviceFullError, DeviceSpec
 from repro.storage.dmsh import DMSH
 from repro.storage.pfs import ParallelFS
@@ -47,13 +42,6 @@ class ClusterSpec:
 
     n_nodes: int = 4
     procs_per_node: int = 4
-    #: Rack decomposition (DESIGN.md, sharded simulation): compute
-    #: nodes split into ``racks`` equal racks, each with its own PFS
-    #: server slice; page placement and runtime services are
-    #: rack-scoped, and all cross-rack coupling is MPI traffic on the
-    #: inter-rack link. ``racks > 1`` topologies run under
-    #: :class:`ShardedCluster` (one simulator per rack).
-    racks: int = 1
     tiers: Sequence[DeviceSpec] = field(default_factory=lambda: (
         scaled(DRAM, 48 * MB),
         scaled(NVME, 128 * MB),
@@ -73,22 +61,6 @@ class ClusterSpec:
     @property
     def nprocs(self) -> int:
         return self.n_nodes * self.procs_per_node
-
-    @property
-    def rack_size(self) -> int:
-        """Compute nodes per rack."""
-        if self.racks < 1 or self.n_nodes % self.racks:
-            raise ValueError(
-                f"{self.racks} racks do not evenly partition "
-                f"{self.n_nodes} nodes")
-        return self.n_nodes // self.racks
-
-    @property
-    def lookahead(self) -> float:
-        """Window-sync lookahead: the minimum cross-rack latency."""
-        inter = self.inter or LinkSpec(self.intra.bandwidth,
-                                       self.intra.latency * 2.5)
-        return inter.latency
 
 
 @dataclass
@@ -162,72 +134,39 @@ class AppContext:
     def barrier(self):
         return self.comm.barrier()
 
-    def same_rack(self, other_rank: int) -> bool:
-        """Whether ``other_rank`` runs in this process's rack (always
-        true in single-rack topologies). Rack-decomposed applications
-        use this to pick MPI halo exchange over DSM reads at rack
-        boundaries."""
-        rs = self.cluster.rack_size
-        return self.comm.node_of(other_rank) // rs == self.node // rs
-
 
 class SimCluster:
     """One simulated deployment; reusable across several app runs."""
 
-    def __init__(self, spec: Optional[ClusterSpec] = None,
-                 rack_id: Optional[int] = None, **kwargs):
+    def __init__(self, spec: Optional[ClusterSpec] = None, **kwargs):
         if spec is None:
             spec = ClusterSpec(**kwargs)
         elif kwargs:
             raise TypeError("pass either a spec or keyword overrides")
-        if spec.racks > 1 and rack_id is None:
-            raise ValueError(
-                "racks > 1 topologies run one simulator per rack — "
-                "use ShardedCluster")
-        if rack_id is not None and not 0 <= rack_id < spec.racks:
-            raise ValueError(f"rack {rack_id} outside 0..{spec.racks})")
         self.spec = spec
-        self.rack_id = rack_id
-        self.rack_size = spec.rack_size
         self.sim = Simulator()
         self.monitor = Monitor(self.sim)
-        # Every rack simulator carries the *global* node id space; the
-        # structures of remote racks are inert mirrors (their NICs,
-        # DMSHs and runtimes never see traffic — rack-scoped placement
-        # keeps all scache/PFS paths inside the local rack, and the
-        # only cross-rack coupling is MPI messages routed through the
-        # shard boundary). That keeps node numbering identical across
-        # racks and across shard counts.
-        total_nodes = spec.n_nodes + spec.racks * spec.pfs_servers
+        # Node ids: the compute rack first, then the storage rack's
+        # PFS servers, reached over the inter-rack link.
         self.network = Network(
-            self.sim, total_nodes, intra=spec.intra, inter=spec.inter,
-            rack_size=spec.n_nodes if spec.racks == 1
-            else self.rack_size,
+            self.sim, spec.n_nodes + spec.pfs_servers,
+            intra=spec.intra, inter=spec.inter, rack_size=spec.n_nodes,
             monitor=self.monitor)
         self.dmshs = [
             DMSH(self.sim, spec.tiers, node_id=i, monitor=self.monitor)
             for i in range(spec.n_nodes)
         ]
-        if rack_id is None:
-            self.local_nodes = list(range(spec.n_nodes))
-            pfs_lo = spec.n_nodes
-        else:
-            self.local_nodes = list(range(
-                rack_id * self.rack_size, (rack_id + 1) * self.rack_size))
-            pfs_lo = spec.n_nodes + rack_id * spec.pfs_servers
         self.pfs = None
         if spec.pfs_servers > 0:
             self.pfs = ParallelFS(
                 self.sim, self.network,
-                server_nodes=list(range(pfs_lo,
-                                        pfs_lo + spec.pfs_servers)),
+                server_nodes=list(range(
+                    spec.n_nodes, spec.n_nodes + spec.pfs_servers)),
                 server_spec=spec.pfs_spec, stripe_size=spec.pfs_stripe,
                 monitor=self.monitor)
         self.system = MegaMmapSystem(
             self.sim, self.network, self.dmshs, config=spec.config,
-            pfs=self.pfs, monitor=self.monitor,
-            local_nodes=None if rack_id is None else self.local_nodes,
-            rack_size=self.rack_size)
+            pfs=self.pfs, monitor=self.monitor)
         self.tracer = self.system.tracer
         self.tracer.enabled = spec.trace
         if spec.trace and spec.config.trace_sample_rate < 1.0:
@@ -237,27 +176,15 @@ class SimCluster:
             # application or placement randomness.
             self.tracer.sampler = TraceSampler(
                 py_rng(spec.seed, "trace-sample"),
-                spec.config.trace_sample_rate,
-                spec.config.trace_slow_factor)
+                spec.config.trace_sample_rate)
         rank_to_node = [r // spec.procs_per_node
                         for r in range(spec.nprocs)]
         self.world = MpiWorld(self.sim, self.network, rank_to_node)
-        if rack_id is not None and spec.racks > 1:
-            self.network.boundary = ShardBoundary(
-                rack_id, self.local_nodes[0], self.local_nodes[-1] + 1,
-                self.rack_size)
 
     # -- running applications ------------------------------------------------------
-    def local_ranks(self) -> List[int]:
-        """Ranks hosted by this simulator (all of them outside sharded
-        runs)."""
-        lo, hi = self.local_nodes[0], self.local_nodes[-1] + 1
-        return [r for r in range(self.spec.nprocs)
-                if lo <= r // self.spec.procs_per_node < hi]
-
     def contexts(self) -> List[AppContext]:
         out = []
-        for rank in self.local_ranks():
+        for rank in range(self.spec.nprocs):
             comm = self.world.comm(rank)
             mm = self.system.client(rank, comm.node)
             out.append(AppContext(self, rank, comm, mm))
@@ -267,12 +194,9 @@ class SimCluster:
             quiesce: bool = True) -> RunResult:
         """Launch ``app(ctx, *args)`` on every rank and run to
         completion."""
-        ctxs = self.contexts()
         procs = [self.sim.process(app(ctx, *args), name=f"rank{ctx.rank}")
-                 for ctx in ctxs]
+                 for ctx in self.contexts()]
         t0 = self.sim.now
-        mark = {dev.name: dev.spec.kind == "dram" and dev.used
-                for dmsh in self.dmshs for dev in dmsh}
         oom = False
         values: List[Any] = []
         try:
@@ -281,31 +205,24 @@ class SimCluster:
             oom = True
             if not allow_oom:
                 raise
-        if not oom and quiesce:
-            self.sim.run(until=self.sim.process(
-                self.system.quiesce(), name="quiesce"))
-        runtime = self.sim.now - t0
-        peaks = [self.monitor.peak(f"{dmsh.tiers[0].name}.used")
-                 for dmsh in self.dmshs]
-        return RunResult(
-            values=values, runtime=runtime, oom=oom,
-            peak_dram_node=max(peaks, default=0.0),
-            peak_dram_total=sum(peaks),
-            stats=self.system.stats())
+        return self._result(values, t0, oom, quiesce and not oom)
 
     def run_driver(self, gen, quiesce: bool = True) -> RunResult:
         """Run a single driver-style generator (Spark jobs) to
         completion."""
         t0 = self.sim.now
-        proc = self.sim.process(gen, name="driver")
-        value = self.sim.run(until=proc)
+        value = self.sim.run(until=self.sim.process(gen, name="driver"))
+        return self._result([value], t0, False, quiesce)
+
+    def _result(self, values: List[Any], t0: float, oom: bool,
+                quiesce: bool) -> RunResult:
         if quiesce:
             self.sim.run(until=self.sim.process(
                 self.system.quiesce(), name="quiesce"))
         peaks = [self.monitor.peak(f"{dmsh.tiers[0].name}.used")
                  for dmsh in self.dmshs]
         return RunResult(
-            values=[value], runtime=self.sim.now - t0, oom=False,
+            values=values, runtime=self.sim.now - t0, oom=oom,
             peak_dram_node=max(peaks, default=0.0),
             peak_dram_total=sum(peaks),
             stats=self.system.stats())
@@ -327,154 +244,3 @@ class SimCluster:
 
     def describe_tiers(self) -> str:
         return self.dmshs[0].describe() if self.dmshs else ""
-
-
-class RackHandle:
-    """One rack's simulator, driven by the window-sync coordinator.
-
-    Implements the handle protocol of :mod:`repro.sim.shard`
-    (``peek``/``inject``/``run_window``/``drain_exports``/``done``/
-    ``finish``). Constructed inside the owning worker process in
-    parallel runs.
-    """
-
-    def __init__(self, spec: ClusterSpec, rack_id: int, app: Callable,
-                 args: tuple):
-        self.cluster = SimCluster(spec, rack_id=rack_id)
-        self.rack_id = rack_id
-        sim = self.cluster.sim
-        ctxs = self.cluster.contexts()
-        self._ranks = [ctx.rank for ctx in ctxs]
-        procs = [sim.process(app(ctx, *args), name=f"rank{ctx.rank}")
-                 for ctx in ctxs]
-        self._allof = AllOf(sim, procs)
-        self._values: Optional[List[Any]] = None
-        self._error: Optional[BaseException] = None
-        self.finished_at: Optional[float] = None
-        # The callback both records completion and absorbs failures so
-        # they surface at the next barrier instead of mid-window.
-        self._allof.callbacks.append(self._record)
-
-    def _record(self, evt) -> None:
-        if evt._ok:
-            self._values = evt._value
-            self.finished_at = self.cluster.sim.now
-        else:
-            self._error = evt._value
-
-    # -- handle protocol ---------------------------------------------------
-    def peek(self) -> float:
-        return self.cluster.sim.peek()
-
-    def inject(self, msgs) -> None:
-        """Schedule boundary messages at their delivery times, in the
-        coordinator's canonical order (same-time deliveries then pop in
-        injection order — the kernel's seq tiebreak)."""
-        world = self.cluster.world
-        sim = self.cluster.sim
-        for m in msgs:
-            sim.call_at(m.time,
-                        lambda _evt, m=m:
-                        world.mailbox(*m.key).deliver(m.payload))
-
-    def run_window(self, horizon: float) -> int:
-        count = self.cluster.sim.run_window(horizon)
-        if self._error is not None:
-            raise self._error
-        return count
-
-    def drain_exports(self):
-        boundary = self.cluster.network.boundary
-        return boundary.drain() if boundary is not None else []
-
-    def done(self) -> bool:
-        return self._values is not None
-
-    def finish(self) -> dict:
-        """Quiesce the rack and return its (picklable) share of the
-        run result."""
-        if self._error is not None:
-            raise self._error
-        cluster = self.cluster
-        sim = cluster.sim
-        sim.run(until=sim.process(cluster.system.quiesce(),
-                                  name="quiesce"))
-        boundary = cluster.network.boundary
-        if boundary is not None and boundary.drain():
-            raise RuntimeError(
-                f"rack {self.rack_id} exported messages during "
-                f"quiesce (boundary traffic after app completion)")
-        peaks = [cluster.monitor.peak(f"{dmsh.tiers[0].name}.used")
-                 for dmsh in cluster.dmshs]
-        return {
-            "rack": self.rack_id,
-            "values": dict(zip(self._ranks, self._values or [])),
-            "runtime": sim.now,
-            "peaks": peaks,
-            "stats": cluster.system.stats(),
-        }
-
-
-def merge_stats(per_rack: List[dict]) -> dict:
-    """Combine per-rack stats dicts: counters add, peaks take the max.
-
-    Deterministic in rack order, and independent of how racks were
-    grouped onto workers — each rack's dict is identical at every
-    shard count.
-    """
-    merged: dict = {}
-    for stats in per_rack:
-        for key, value in stats.items():
-            if key in merged:
-                if key.endswith((".peak", ".avg", ".max")):
-                    merged[key] = max(merged[key], value)
-                else:
-                    merged[key] = merged[key] + value
-            else:
-                merged[key] = value
-    return merged
-
-
-class ShardedCluster:
-    """A rack-decomposed deployment run as one simulator per rack.
-
-    ``run(app, *args, shards=N)`` executes the identical window-sync
-    protocol whatever ``shards`` is — ``shards=1`` drives every rack
-    simulator round-robin in this process; ``shards>1`` forks workers
-    and distributes the racks — so results are bit-for-bit identical
-    across shard counts (the equivalence suite pins this).
-    """
-
-    def __init__(self, spec: Optional[ClusterSpec] = None, **kwargs):
-        if spec is None:
-            spec = ClusterSpec(**kwargs)
-        elif kwargs:
-            raise TypeError("pass either a spec or keyword overrides")
-        spec.rack_size  # validates the rack decomposition
-        self.spec = spec
-
-    def run(self, app: Callable, *args, shards: int = 1) -> RunResult:
-        spec = self.spec
-
-        def build(rack_id: int) -> RackHandle:
-            return RackHandle(spec, rack_id, app, args)
-
-        if shards == 1:
-            handles = {rid: build(rid) for rid in range(spec.racks)}
-            results = run_windows(handles, spec.lookahead)
-        else:
-            results = run_windows_parallel(
-                range(spec.racks), shards, build, spec.lookahead)
-        per_rack = [results[rid] for rid in range(spec.racks)]
-        values_by_rank: dict = {}
-        for res in per_rack:
-            values_by_rank.update(res["values"])
-        peaks = [max(res["peaks"][node] for res in per_rack)
-                 for node in range(spec.n_nodes)]
-        return RunResult(
-            values=[values_by_rank[r] for r in sorted(values_by_rank)],
-            runtime=max(res["runtime"] for res in per_rack),
-            oom=False,
-            peak_dram_node=max(peaks, default=0.0),
-            peak_dram_total=sum(peaks),
-            stats=merge_stats([res["stats"] for res in per_rack]))

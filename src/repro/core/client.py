@@ -105,8 +105,7 @@ class MegaMmapClient:
         shared = SharedVector(
             name=key, dtype=dtype, page_size=page_size,
             length=size or 0, volatile=volatile,
-            n_nodes=len(self.system.dmshs),
-            rack_size=self.system.rack_size)
+            n_nodes=len(self.system.dmshs))
         if not volatile:
             backend = shared.ensure_backend(create=True)
             existing = backend.size() // itemsize
@@ -116,9 +115,8 @@ class MegaMmapClient:
                 shared.length = max(size, existing)
         if shared.length == 0 and size is None:
             shared.length = 0
-        # Creation is a metadata operation at the (rack-local)
-        # coordinator.
-        coord = shared.coordinator_for(self.node)
+        # Creation is a metadata operation at the coordinator.
+        coord = shared.coordinator_node
         yield from self.system.network.transfer(self.node, coord, 128)
         yield from self.system.network.transfer(coord, self.node, 128)
         # Another process may have won the race while we yielded.

@@ -39,9 +39,6 @@ class MegaMmapConfig:
         Seconds between Data Organizer sweeps (III-D: "Periodically
         (configurable by the user) the Data Organizer interprets the
         scores").
-    score_window:
-        Seconds within which the organizer takes the max of scores set
-        by different processes for the same page.
     low_latency_threshold:
         MemoryTask byte size below which tasks go to the low-latency
         worker pool (III-B: 16 KB).
@@ -76,7 +73,6 @@ class MegaMmapConfig:
     pcache_size: int = 4 * MB
     min_score: float = 0.25
     organizer_period: float = 0.05
-    score_window: float = 0.2
     low_latency_threshold: int = 16 * KB
     low_latency_workers: int = 2
     high_latency_workers: int = 2
@@ -122,10 +118,6 @@ class MegaMmapConfig:
     #: (:mod:`repro.obs.live`): each tick closes one fixed window of
     #: counter deltas / gauge samples / latency sketches.
     obs_window: float = 0.01
-    #: Closed windows retained per series — the windowed store's ring
-    #: size. Memory is O(retention) per series regardless of run
-    #: length.
-    obs_retention: int = 120
     #: Head-sampling probability for span retention when tracing is on
     #: (:mod:`repro.sim.trace` tail-based sampler). 1.0 keeps every
     #: span (classic full tracing, the default); below 1.0 spans are
@@ -134,10 +126,6 @@ class MegaMmapConfig:
     #: or inside a firing-alert window. Percentile statistics stay
     #: exact either way.
     trace_sample_rate: float = 1.0
-    #: A finished span is "slow" — and tail-promoted into the kept
-    #: sample — when its duration exceeds ``trace_slow_factor`` x the
-    #: recent windowed p99 of its category.
-    trace_slow_factor: float = 4.0
     #: Object-granular access gate (DOLMA-style object vs page
     #: disaggregation): ``Vector.read_object``/``write_object`` requests
     #: of at most this many bytes bypass the pcache page fault and go
@@ -181,15 +169,9 @@ class MegaMmapConfig:
         if self.obs_window <= 0:
             raise ValueError(f"obs_window must be positive, got "
                              f"{self.obs_window}")
-        if self.obs_retention < 2:
-            raise ValueError(f"obs_retention must be at least 2, got "
-                             f"{self.obs_retention}")
         if not 0.0 < self.trace_sample_rate <= 1.0:
             raise ValueError(f"trace_sample_rate must be in (0,1], got "
                              f"{self.trace_sample_rate}")
-        if self.trace_slow_factor < 1.0:
-            raise ValueError(f"trace_slow_factor must be >= 1, got "
-                             f"{self.trace_slow_factor}")
         if self.object_threshold_bytes < 0:
             raise ValueError(f"object_threshold_bytes must be >= 0, "
                              f"got {self.object_threshold_bytes}")

@@ -17,8 +17,3 @@ class TransactionError(MegaMmapError):
 class QuotaExceededError(MegaMmapError):
     """A tenant exceeded a hard quota, or a job's minimum quota cannot
     be admitted against the cluster's capacity."""
-
-
-class ShardBoundaryError(MegaMmapError):
-    """A rack-local component was asked to touch state owned by
-    another rack's simulator (sharded execution invariant violated)."""

@@ -20,6 +20,10 @@ from repro.hermes.blob import BlobNotFound
 from repro.hermes.dpe import PlacementError
 from repro.storage.device import DeviceFullError
 
+#: Seconds within which the organizer takes the max of the scores
+#: different processes set for the same page; older ones age out.
+SCORE_WINDOW = 0.2
+
 
 @dataclass
 class _Pending:
@@ -43,12 +47,11 @@ class DataOrganizer:
     # -- ingest (called by SCORE MemoryTasks) ---------------------------------
     def ingest(self, vec: SharedVector, scores) -> None:
         """Record score updates; max-merge within the score window."""
-        window = self.system.config.score_window
         now = self.sim.now
         for page_idx, score, node_hint in scores:
             key = (vec.name, page_idx)
             cur = self._pending.get(key)
-            if cur is not None and now - cur.stamp <= window:
+            if cur is not None and now - cur.stamp <= SCORE_WINDOW:
                 if score > cur.score:
                     cur.score = score
                     cur.node_hint = node_hint
@@ -73,8 +76,7 @@ class DataOrganizer:
         move data based on an access pattern that no longer holds.
         Returns the number of entries dropped.
         """
-        window = self.system.config.score_window
-        cutoff = self.sim.now - window
+        cutoff = self.sim.now - SCORE_WINDOW
         stale = [key for key, pend in self._pending.items()
                  if pend.stamp < cutoff]
         for key in stale:

@@ -75,11 +75,10 @@ class _BatchShard:
 class NodeRuntime:
     """One node's runtime process group."""
 
-    def __init__(self, system, node_id: int, active: bool = True):
+    def __init__(self, system, node_id: int):
         self.system = system
         self.node_id = node_id
         self.sim = system.sim
-        self.active = active
         cfg = system.config
         self.executor = ScacheExecutor(system, node_id)
         self.queue: Store = Store(self.sim, name=f"rt{node_id}.queue")
@@ -111,25 +110,17 @@ class NodeRuntime:
         self._cores_gauge = metrics.gauge("rt_cores", node=node_id,
                                           pool="high")
         self._cores_gauge.set(cfg.workers_min)
-        self._procs = []
-        if active:
+        self._procs = [self.sim.process(
+            self._scheduler(), name=f"rt{node_id}.sched")]
+        for i, store in enumerate(self._stores):
             self._procs.append(self.sim.process(
-                self._scheduler(), name=f"rt{node_id}.sched"))
-            for i, store in enumerate(self._stores):
-                self._procs.append(self.sim.process(
-                    self._worker(store), name=f"rt{node_id}.w{i}"))
-            self._procs.append(self.sim.process(
-                self._scaling_controller(), name=f"rt{node_id}.scale"))
+                self._worker(store), name=f"rt{node_id}.w{i}"))
+        self._procs.append(self.sim.process(
+            self._scaling_controller(), name=f"rt{node_id}.scale"))
 
     # -- submission -----------------------------------------------------------
     def submit(self, task) -> None:
         """Enqueue a MemoryTask or BatchTask at this runtime."""
-        if not self.active:
-            from repro.core.errors import ShardBoundaryError
-            raise ShardBoundaryError(
-                f"task for node {self.node_id} submitted in a rack "
-                f"that does not own it (rack-scoped placement should "
-                f"make this unreachable)")
         self.inflight += 1
         task.submit_time = self.sim.now
         self._backlog_gauge.add(1)

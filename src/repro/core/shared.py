@@ -23,7 +23,7 @@ class SharedVector:
 
     def __init__(self, name: str, dtype, page_size: int,
                  length: int = 0, volatile: bool = True,
-                 n_nodes: int = 1, rack_size: Optional[int] = None):
+                 n_nodes: int = 1):
         self.name = name
         self.dtype = np.dtype(dtype)
         self.itemsize = self.dtype.itemsize
@@ -40,15 +40,6 @@ class SharedVector:
         self.length = length
         self.volatile = volatile
         self.n_nodes = n_nodes
-        # Placement domain: GLOBAL hashing stays inside the client's
-        # rack so scache traffic never crosses a shard boundary (the
-        # rack-decomposed topology; DESIGN.md, sharded simulation).
-        # Defaults to the whole cluster — one rack.
-        self.rack_size = n_nodes if rack_size is None else rack_size
-        if self.rack_size < 1 or n_nodes % self.rack_size:
-            raise VectorError(
-                f"rack size {rack_size} does not partition "
-                f"{n_nodes} nodes")
         self.policy: CoherencePolicy = CoherencePolicy.READ_WRITE_GLOBAL
         #: Incremented on every policy change; clients compare against
         #: their last-seen epoch to invalidate private caches exactly
@@ -103,20 +94,12 @@ class SharedVector:
         """
         if self.policy.local_affinity:
             return client_node
-        rack_lo = (client_node // self.rack_size) * self.rack_size
-        return rack_lo + spawn_seed(self._salt, page_idx) % self.rack_size
+        return spawn_seed(self._salt, page_idx) % self.n_nodes
 
     @property
     def coordinator_node(self) -> int:
         """Node that arbitrates appends/resizes for this vector."""
         return self._salt % self.n_nodes
-
-    def coordinator_for(self, client_node: int) -> int:
-        """Rack-local coordinator: the arbitration point as seen from
-        ``client_node``'s rack (equals :attr:`coordinator_node` in the
-        single-rack topology)."""
-        rack_lo = (client_node // self.rack_size) * self.rack_size
-        return rack_lo + self._salt % self.rack_size
 
     # -- backend ----------------------------------------------------------
     def ensure_backend(self, create: bool = True) -> Backend:

@@ -32,20 +32,10 @@ class MegaMmapSystem:
                  config: Optional[MegaMmapConfig] = None,
                  pfs: Optional[ParallelFS] = None,
                  monitor: Optional[Monitor] = None,
-                 tracer: Optional[Tracer] = None,
-                 local_nodes: Optional[List[int]] = None,
-                 rack_size: Optional[int] = None):
+                 tracer: Optional[Tracer] = None):
         self.sim = sim
         self.network = network
         self.dmshs = dmshs
-        # Sharded runs: this deployment mirror owns only `local_nodes`
-        # (its rack); runtimes and background services for the other
-        # nodes stay inert so their state never diverges from the rack
-        # that does own them. `rack_size` scopes GLOBAL page placement
-        # (see SharedVector). Defaults model the whole cluster.
-        self.local_nodes = (list(range(len(dmshs)))
-                            if local_nodes is None else list(local_nodes))
-        self.rack_size = rack_size if rack_size is not None else len(dmshs)
         self.config = (config or MegaMmapConfig()).validated()
         self.pfs = pfs
         self.monitor = monitor or Monitor(sim)
@@ -86,11 +76,9 @@ class MegaMmapSystem:
         if self.reliability.enabled:
             sim.process(self.reliability.repair_loop(),
                         name="replica-repair")
-        local = set(self.local_nodes)
-        self.runtimes = [NodeRuntime(self, i, active=i in local)
-                         for i in range(len(dmshs))]
+        self.runtimes = [NodeRuntime(self, i) for i in range(len(dmshs))]
         self._services = []
-        for node in self.local_nodes:
+        for node in range(len(dmshs)):
             if self.config.organizer_enabled:
                 self._services.append(sim.process(
                     self.organizer.run(node), name=f"organizer{node}"))

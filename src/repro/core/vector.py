@@ -419,7 +419,7 @@ class Vector:
         h = self.client.system.history
         if h is not None:
             h.on_append(self, start, len(array))
-        coord = self.shared.coordinator_for(self.client.node)
+        coord = self.shared.coordinator_node
         net = self.client.system.network
         yield from net.transfer(self.client.node, coord, 64)
         yield from net.transfer(coord, self.client.node, 64)

@@ -101,20 +101,6 @@ class Comm:
             payload = payload.copy()
         nbytes = payload_nbytes(payload)
         dst_node = self.node_of(dest)
-        boundary = self.world.network.boundary
-        if boundary is not None and not boundary.local_node(dst_node):
-            # Sharded run, destination rank lives in another rack's
-            # simulator: pay the sender-side cost here and hand the
-            # message (with its delivery time) to the shard boundary;
-            # the coordinator injects it into the destination rack at
-            # the window barrier.
-            msg = Message(src=self.rank, dst=dest, tag=tag,
-                          payload=payload, nbytes=nbytes)
-            key = (self.comm_id, self.members[dest])
-            yield from self.world.network.transfer_export(
-                self.node, dst_node, nbytes,
-                lambda t: boundary.export(t, dst_node, key, msg))
-            return
         yield from self.world.network.transfer(
             self.node, dst_node, nbytes)
         self._mailbox(dest).deliver(

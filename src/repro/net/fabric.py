@@ -63,11 +63,6 @@ class Network:
         #: or drop-with-retry re-sends. ``None`` (the default) leaves
         #: the data path untouched.
         self.chaos = None
-        #: Shard boundary (``repro.sim.shard.ShardBoundary``). Set only
-        #: on per-rack networks in sharded runs; the MPI transport
-        #: consults it to route cross-rack sends through
-        #: :meth:`transfer_export`.
-        self.boundary = None
         # Per-source-node labeled handles, filled lazily on first
         # transfer from each node (one dict hit per transfer after).
         self._m_per_src: dict = {}
@@ -133,62 +128,6 @@ class Network:
                                                  node=src))
             handles[0].inc(nbytes)
             handles[1].inc()
-
-    def transfer_export(self, src: int, dst: int, nbytes: int,
-                        export):
-        """Sender-side half of a cross-rack transfer in a sharded run.
-
-        Pays the same NIC-acquire + wire cost as :meth:`transfer`, but
-        ``dst`` lives in another rack's simulator: instead of touching
-        any destination state, ``export(delivery_time)`` is called the
-        moment the NIC is acquired, handing the delivery timestamp to
-        the shard boundary. Exporting at acquire time (not completion)
-        is what the window-sync safety argument needs: with acquire at
-        ``t >= T`` (the window start), delivery lands at
-        ``t + link.xfer_time >= T + inter.latency``, i.e. at or past
-        the next horizon ``T + lookahead``.
-
-        Chaos must be off in sharded runs — perturbed wire times could
-        undercut the lookahead.
-        """
-        self._check_node(src)
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
-        if self.chaos is not None:
-            raise RuntimeError(
-                "chaos injection is incompatible with sharded "
-                "execution (perturbed latency breaks the window "
-                "lookahead bound)")
-        link = self.inter
-        with self.tracer.span("transfer", "net", node=src, src=src,
-                              dst=dst, nbytes=nbytes):
-            req = self._nics[src].request()
-            yield req
-            try:
-                xfer = link.xfer_time(nbytes)
-                export(self.sim.now + xfer)
-                yield self.sim.timeout(xfer)
-            finally:
-                self._nics[src].release(req)
-        self.bytes_moved += nbytes
-        if self.monitor is not None:
-            self.monitor.count("net.bytes", nbytes)
-            self.monitor.count("net.transfers")
-            self.monitor.count("net.boundary_exports")
-            handles = self._m_per_src.get(src)
-            if handles is None:
-                handles = self._m_per_src[src] = (
-                    self.monitor.metrics.counter("net_bytes", node=src),
-                    self.monitor.metrics.counter("net_transfers",
-                                                 node=src))
-            handles[0].inc(nbytes)
-            handles[1].inc()
-
-    def lookahead(self) -> float:
-        """Minimum cross-rack message latency — the window-sync
-        lookahead. Every cross-rack delivery is at least this far
-        ahead of its send time."""
-        return self.inter.latency
 
     def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
         """Uncontended estimate (used by the prefetcher's score model)."""

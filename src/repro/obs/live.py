@@ -8,7 +8,7 @@ fixed window per ``obs_window`` seconds; at each tick the
 :class:`~repro.sim.monitor.MetricsRegistry`'s labeled series, and the
 tracer's per-category durations into per-window rollups
 (sum/count/min/max + a bounded :class:`QuantileSketch`) kept in a ring
-of ``obs_retention`` windows — O(1) memory regardless of run length.
+of :data:`RETENTION` windows — O(1) memory regardless of run length.
 
 Scrape-at-tick is the load-bearing design decision: nothing hooks the
 hot paths, the ticker is a plain timeout-yielding process that only
@@ -38,6 +38,9 @@ from repro.sim.monitor import Monitor, _labelset
 __all__ = ["QuantileSketch", "WindowStats", "WindowedStore", "LiveObs"]
 
 LabelSet = Tuple[Tuple[str, str], ...]
+
+#: Closed windows retained per series — the windowed store's ring size.
+RETENTION = 120
 
 
 def _labels_key(labels) -> LabelSet:
@@ -203,7 +206,7 @@ class WindowedStore:
     """
 
     def __init__(self, monitor: Monitor, tracer=None,
-                 window: float = 0.01, retention: int = 120):
+                 window: float = 0.01, retention: int = RETENTION):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         if retention < 2:
@@ -383,7 +386,7 @@ class LiveObs:
     """
 
     def __init__(self, sim, monitor: Monitor, tracer=None,
-                 window: float = 0.01, retention: int = 120):
+                 window: float = 0.01, retention: int = RETENTION):
         self.sim = sim
         self.monitor = monitor
         self.store = WindowedStore(monitor, tracer=tracer,
@@ -399,15 +402,13 @@ class LiveObs:
         self._proc = None
 
     @classmethod
-    def attach(cls, cluster, window: Optional[float] = None,
-               retention: Optional[int] = None) -> "LiveObs":
-        """Build from a :class:`~repro.cluster.SimCluster` (knobs
-        default from its config) and install the ticker."""
+    def attach(cls, cluster,
+               window: Optional[float] = None) -> "LiveObs":
+        """Build from a :class:`~repro.cluster.SimCluster` (the window
+        defaults from its config) and install the ticker."""
         cfg = cluster.spec.config
         obs = cls(cluster.sim, cluster.monitor, tracer=cluster.tracer,
-                  window=cfg.obs_window if window is None else window,
-                  retention=(cfg.obs_retention if retention is None
-                             else retention))
+                  window=cfg.obs_window if window is None else window)
         return obs.install(cluster.system)
 
     def install(self, system=None) -> "LiveObs":

@@ -33,14 +33,6 @@ from repro.sim.engine import (
 from repro.sim.monitor import Gauge, Monitor, TimeSeries
 from repro.sim.rand import rng_stream, spawn_seed
 from repro.sim.resources import Request, Resource, Store
-from repro.sim.shard import (
-    BoundaryMsg,
-    ShardBoundary,
-    ShardWorkerError,
-    partition_nodes,
-    run_windows,
-    run_windows_parallel,
-)
 from repro.sim.sync import Barrier, Condition, Lock
 from repro.sim.trace import NOOP_TRACER, Span, Tracer
 
@@ -48,7 +40,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Barrier",
-    "BoundaryMsg",
     "Condition",
     "Event",
     "Gauge",
@@ -59,8 +50,6 @@ __all__ = [
     "Process",
     "Request",
     "Resource",
-    "ShardBoundary",
-    "ShardWorkerError",
     "SimulationError",
     "Simulator",
     "Span",
@@ -68,9 +57,6 @@ __all__ = [
     "TimeSeries",
     "Timeout",
     "Tracer",
-    "partition_nodes",
     "rng_stream",
-    "run_windows",
-    "run_windows_parallel",
     "spawn_seed",
 ]

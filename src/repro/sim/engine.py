@@ -444,27 +444,6 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def call_at(self, when: float, fn: Callable[[Event], None],
-                priority: int = NORMAL) -> Event:
-        """Run ``fn(event)`` at absolute time ``when`` (>= now).
-
-        The shard coordinator uses this to inject cross-shard boundary
-        messages at their precomputed delivery time: the event is
-        scheduled through the ordinary ``(time, priority, seq)``
-        machinery, so calling ``call_at`` in canonical order for
-        same-time deliveries reproduces the single-kernel pop order
-        exactly.
-        """
-        if when < self.now:
-            raise SimulationError(
-                f"call_at({when}) lies in the past (now={self.now})")
-        evt = Event(self)
-        evt.callbacks = [fn]
-        evt._ok = True
-        evt._value = None
-        self._schedule(evt, priority, when - self.now)
-        return evt
-
     def enable_perturbation(self, seed: int) -> None:
         """Arm randomized tie-breaking among same-timestamp events.
 
@@ -628,24 +607,6 @@ class Simulator:
             event.processed = True
             if not event._ok and not callbacks:
                 raise event._value
-
-    def run_window(self, horizon: float) -> int:
-        """Process every event strictly before ``horizon``; return the
-        count.
-
-        The conservative-window primitive for sharded execution: a
-        shard runs its local schedule up to (not including) the window
-        horizon, after which boundary messages for the next window can
-        be injected with :meth:`call_at` — all of them land at or past
-        the horizon, so nothing already processed could have depended
-        on them. ``now`` is left at the last processed event (time only
-        advances by popping, exactly as in the single kernel).
-        """
-        count = 0
-        while self.peek() < horizon:
-            self.step()
-            count += 1
-        return count
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the schedule drains, a deadline passes, or an event

@@ -106,6 +106,11 @@ class _NoopSpan:
 
 _NOOP_SPAN = _NoopSpan()
 
+#: A finished span is "slow" — and tail-promoted into the kept sample —
+#: when its duration exceeds this many times the recent windowed p99 of
+#: its category.
+SLOW_FACTOR = 4.0
+
 
 class TraceSampler:
     """Tail-based adaptive retention policy for always-on tracing.
@@ -138,7 +143,7 @@ class TraceSampler:
     ERROR_ATTRS = ("error", "unfinished", "corrupt")
 
     def __init__(self, rng, head_rate: float,
-                 slow_factor: float = 4.0):
+                 slow_factor: float = SLOW_FACTOR):
         if not 0.0 < head_rate <= 1.0:
             raise ValueError(f"head_rate must be in (0,1], got "
                              f"{head_rate}")

@@ -3,12 +3,13 @@
 Pre-fix, scores for pages that never materialize (speculative
 prefetcher scores past the end of a stream) sat in ``_pending``
 forever — every sweep re-walked them and the dict grew without bound
-over a long run. Entries older than ``score_window`` must age out.
+over a long run. Entries older than ``SCORE_WINDOW`` must age out.
 """
 
 import numpy as np
 
 from repro.core import MM_WRITE_ONLY, SeqTx
+from repro.core.organizer import SCORE_WINDOW
 from tests.core.conftest import build_system, run_procs
 
 
@@ -16,7 +17,7 @@ def test_pending_bounded_for_never_materializing_pages():
     sim, system = build_system(prefetch_enabled=False)
     org = system.organizer
     client = system.client(rank=0, node=0)
-    window = system.config.score_window
+    window = SCORE_WINDOW
     rounds = 60
 
     def app():

@@ -6,6 +6,7 @@ import pytest
 from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
 from repro.core.errors import MegaMmapError
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
+from repro.core.organizer import SCORE_WINDOW
 from repro.sim import Event
 from tests.core.conftest import build_system, run_procs
 
@@ -163,7 +164,7 @@ def test_organizer_demotes_zero_scored_pages():
         yield from vec.flush(wait=True)
         # Wait out the score window first: the tx itself scored these
         # pages hot, and the organizer max-merges within the window.
-        yield sim.timeout(2 * system.config.score_window)
+        yield sim.timeout(2 * SCORE_WINDOW)
         yield from client.submit_scores(vec.shared,
                                         [(0, 0.0, 0), (1, 0.0, 0)])
         yield from client.drain()

@@ -2,18 +2,26 @@
 total order, whatever mix of microqueues and heap the events were
 routed through.
 
-This is the invariant every fast path must preserve — and the one the
-shard coordinator relies on at window boundaries: injecting boundary
-messages with ``call_at`` in canonical order reproduces the
-single-kernel schedule exactly.
+This is the invariant every fast path must preserve.
 """
 
 import random
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.sim.engine import NORMAL, URGENT
+
+
+def _fire_at(sim, when, fn, priority):
+    """Run ``fn()`` at absolute time ``when`` at the given priority,
+    through the kernel's ordinary ``(time, priority, seq)`` schedule
+    (the public API has no delayed URGENT event)."""
+    evt = Event(sim)
+    evt.callbacks = [lambda _evt: fn()]
+    evt._ok = True
+    evt._value = None
+    sim._schedule(evt, priority, when - sim.now)
 
 
 def _random_schedule(sim, rng, budget):
@@ -37,8 +45,7 @@ def _random_schedule(sim, rng, budget):
         label = (when, priority, seq)
         expected.append(label)
         pending.add(label)
-        sim.call_at(when, lambda _evt, label=label: on_fire(label),
-                    priority=priority)
+        _fire_at(sim, when, lambda: on_fire(label), priority)
 
     def on_fire(label):
         # The kernel invariant: every pop is the (time, priority, seq)

@@ -49,6 +49,9 @@ def test_emit_result_appends_or_replaces(tmp_path, monkeypatch):
     common.emit_result("x", "wall_s", 4.0, "s", dict(nodes=2))  # another
     got = [(r["metric"], r["value"]) for r in common.read_results("x")]
     assert got == [("requests", 5.0), ("wall_s", 2.0), ("wall_s", 4.0)]
+    # A figure names the commit and the host it was taken on.
+    for rec in common.read_results("x"):
+        assert rec["commit"] and rec["utc"] and rec["host_cpus"] >= 1
 
 
 def test_emit_result_replaces_per_configuration(tmp_path, monkeypatch):
@@ -66,6 +69,25 @@ def test_emit_result_replaces_per_configuration(tmp_path, monkeypatch):
     got = [(r["sim_config"]["nodes"], r["value"])
            for r in common.read_results("f")]
     assert got == [(1, 2.0), (4, 8.0), (2, 9.0)]
+
+
+def test_committed_fig5_records_have_todays_sim_config(tmp_path,
+                                                       monkeypatch):
+    """``emit_result`` replaces by ``(metric, sim_config)``: a record
+    written under an older key set is never replaced, so it would sit
+    in the committed trajectory forever."""
+    import benchmarks.common as common
+    from benchmarks.bench_fig5_weak_scaling import _emit_rows
+    committed = common.read_results("fig5")
+    assert committed
+    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+    _emit_rows([dict(app="KMeans", nodes=1, mm_s=1.0, baseline="Spark",
+                     baseline_s=2.0)], {})
+    today = {r["metric"].split(".")[1]: set(r["sim_config"])
+             for r in common.read_results("fig5")}
+    for rec in committed:
+        assert set(rec["sim_config"]) == \
+            today[rec["metric"].split(".")[1]], rec
 
 
 def test_testbed_matches_paper_ratios():
