@@ -62,15 +62,11 @@ def _build(obs_on: bool):
                 **({"trace_sample_rate": HEAD_RATE,
                     "obs_window": OBS_WINDOW} if obs_on else {}))
     if obs_on:
-        from repro.obs import LiveObs, SLOMonitor, SLOSpec
-        from repro.obs.anomaly import attach_detectors, \
-            standard_detectors
-        obs = LiveObs.attach(c)
-        SLOMonitor(obs, [SLOSpec(
+        from repro.obs import LiveObs, SLOSpec
+        LiveObs.attach(c, slos=[SLOSpec(
             name="task-latency", objective="latency_p99",
             threshold_ms=50.0, target=0.95,
             fast_window_s=10 * OBS_WINDOW)])
-        attach_detectors(obs, standard_detectors(n_nodes=2))
     return c
 
 

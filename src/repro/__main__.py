@@ -233,8 +233,7 @@ def _run_with_obs(args, workdir, slos=None):
     """Run the target (pipeline or colocation spec) with the live
     observability plane attached; returns ``[(title, obs, result)]``
     where ``result`` is the ColocationResult or the pipeline row."""
-    from repro.obs import LiveObs, SLOMonitor
-    from repro.obs.anomaly import attach_detectors, standard_detectors
+    from repro.obs import LiveObs
     window = getattr(args, "window", None)
     out = []
     if _is_colocation_spec(args.target):
@@ -249,12 +248,9 @@ def _run_with_obs(args, workdir, slos=None):
         out[:] = [(t, o, result) for t, o, _r in out]
     else:
         def hook(cluster, variant):
-            obs = LiveObs.attach(cluster, window=window)
-            if slos:
-                SLOMonitor(obs, slos)
-            attach_detectors(obs, standard_detectors(
-                n_nodes=cluster.spec.n_nodes))
-            out.append((variant.get("name", "run"), obs, None))
+            out.append((variant.get("name", "run"),
+                        LiveObs.attach(cluster, window=window,
+                                       slos=slos), None))
 
         run_pipeline(args.target, workdir=workdir, on_cluster=hook)
     return out

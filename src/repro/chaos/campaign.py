@@ -82,16 +82,9 @@ def _attach_case_obs(cluster, slos, obs_window: Optional[float],
     windowed p99 of network spans: partitions, delay/drop jitter and
     stalls all surface there first.
     """
-    from repro.obs import LiveObs
-    from repro.obs.anomaly import (EwmaMadDetector, attach_detectors,
-                                   standard_detectors)
-    live = LiveObs.attach(cluster, window=obs_window)
-    if slos:
-        from repro.obs.slo import SLOMonitor
-        SLOMonitor(live, list(slos))
-    n_nodes = len(cluster.system.dmshs)
-    dets = standard_detectors(n_nodes=n_nodes, threshold=threshold,
-                              warmup=warmup)
+    from repro.obs import EwmaMadDetector, LiveObs
+    live = LiveObs.attach(cluster, window=obs_window, slos=slos,
+                          threshold=threshold, warmup=warmup)
     tracer = cluster.tracer
     if tracer is not None and tracer.enabled:
         def net_p99(store, _now):
@@ -99,10 +92,9 @@ def _attach_case_obs(cluster, slos, obs_window: Optional[float],
             if stats is None or not stats.count:
                 return None
             return stats.sketch.quantile(0.99)
-        dets.append(EwmaMadDetector(
+        live.detectors.append(EwmaMadDetector(
             "net_p99", "trace.net", net_p99, threshold=threshold,
             warmup=warmup, direction="up"))
-    attach_detectors(live, dets)
     return live
 
 

@@ -40,6 +40,7 @@ class MegaMmapClient:
         self._tails: Dict[int, Event] = {}
         self._m_inflight = system.monitor.metrics.gauge(
             "pcache_inflight_bytes", node=node)
+        self._m_submits = system.monitor.metrics.counter("rpc.submits")
         #: Tenant this client acts for (a :class:`TenantQuota`), or
         #: None outside colocation — the None path is byte-identical
         #: to pre-tenancy behavior.
@@ -144,7 +145,7 @@ class MegaMmapClient:
         nbytes = TASK_ENVELOPE + task.nbytes \
             if task.kind in (TaskKind.WRITE, TaskKind.OBJ_WRITE) \
             else TASK_ENVELOPE
-        self.system.monitor.count("rpc.submits")
+        self._m_submits.inc()
         h = self.system.history
         if h is not None:
             h.on_task(self, task.kind.value, task.vector_name,

@@ -39,9 +39,6 @@ class MegaMmapConfig:
         Seconds between Data Organizer sweeps (III-D: "Periodically
         (configurable by the user) the Data Organizer interprets the
         scores").
-    low_latency_threshold:
-        MemoryTask byte size below which tasks go to the low-latency
-        worker pool (III-B: 16 KB).
     low_latency_workers / high_latency_workers:
         Worker counts per pool per node runtime.
     workers_min / workers_max:
@@ -60,10 +57,6 @@ class MegaMmapConfig:
     batch_max_pages:
         Cap on the number of pages a single batched task may carry
         (bounds per-batch latency and worker monopolization).
-    scale_down_periods:
-        Consecutive low-backlog controller periods required before the
-        high-latency worker pool gives back a core (a trickle of tasks
-        must not pin the pool at ``workers_max`` forever).
     compute_bw:
         Simulated per-process compute throughput (bytes/s) used by
         ``ctx.compute_bytes`` when applications charge compute time.
@@ -73,7 +66,6 @@ class MegaMmapConfig:
     pcache_size: int = 4 * MB
     min_score: float = 0.25
     organizer_period: float = 0.05
-    low_latency_threshold: int = 16 * KB
     low_latency_workers: int = 2
     high_latency_workers: int = 2
     workers_min: int = 1
@@ -83,7 +75,6 @@ class MegaMmapConfig:
     organizer_enabled: bool = True
     batching_enabled: bool = True
     batch_max_pages: int = 64
-    scale_down_periods: int = 3
     compute_bw: float = 2e9
     #: Durability copies per scache page (paper §V extension): 1 = no
     #: replication (the paper's deployed configuration); k > 1 places
@@ -107,13 +98,6 @@ class MegaMmapConfig:
     realloc_period: float = 0.25
     #: Bytes of DRAM-tier quota moved from donor to receiver per sweep.
     realloc_step: int = 2 * MB
-    #: Receiver reuse density must exceed donor density by this factor
-    #: before quota moves (hysteresis against thrash between tenants
-    #: with similar miss profiles).
-    realloc_hysteresis: float = 1.5
-    #: Cap on blob demotions+promotions enforced per sweep (bounds the
-    #: data movement a single reallocation decision can trigger).
-    realloc_max_moves: int = 32
     #: Simulated seconds per windowed-observability rollup interval
     #: (:mod:`repro.obs.live`): each tick closes one fixed window of
     #: counter deltas / gauge samples / latency sketches.
@@ -148,9 +132,6 @@ class MegaMmapConfig:
         if self.batch_max_pages < 1:
             raise ValueError(f"batch_max_pages must be at least 1, got "
                              f"{self.batch_max_pages}")
-        if self.scale_down_periods < 1:
-            raise ValueError(f"scale_down_periods must be at least 1, "
-                             f"got {self.scale_down_periods}")
         if self.wal_snapshot_every < 1:
             raise ValueError(f"wal_snapshot_every must be at least 1, "
                              f"got {self.wal_snapshot_every}")
@@ -160,12 +141,6 @@ class MegaMmapConfig:
         if self.realloc_step < 1:
             raise ValueError(f"realloc_step must be at least 1, got "
                              f"{self.realloc_step}")
-        if self.realloc_hysteresis < 1.0:
-            raise ValueError(f"realloc_hysteresis must be >= 1, got "
-                             f"{self.realloc_hysteresis}")
-        if self.realloc_max_moves < 1:
-            raise ValueError(f"realloc_max_moves must be at least 1, "
-                             f"got {self.realloc_max_moves}")
         if self.obs_window <= 0:
             raise ValueError(f"obs_window must be positive, got "
                              f"{self.obs_window}")

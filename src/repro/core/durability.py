@@ -203,9 +203,7 @@ class DurabilityManager:
             sp["restored"] = stats["restored"]
             sp["pages"] = stats["pages_scanned"]
         stats["rto"] = sim.now - t0
-        monitor.count("durability.recoveries")
+        monitor.count("durability.recoveries", node=node)
         monitor.count("durability.pages_restored",
                       int(stats["restored"]))
-        monitor.metrics.counter("durability_recoveries",
-                                node=node).inc()
         return stats

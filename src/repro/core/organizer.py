@@ -59,9 +59,7 @@ class DataOrganizer:
             else:
                 self._pending[key] = _Pending(score, node_hint, now)
             self.system.hermes.set_score(vec.name, page_idx, score)
-            self.system.monitor.count("organizer.scores")
-            self.system.monitor.metrics.counter(
-                "organizer_scores", vector=vec.name).inc()
+            self.system.monitor.count("organizer.scores", vector=vec.name)
 
     # -- periodic placement sweep ----------------------------------------------
     def expire_pending(self) -> int:
@@ -143,10 +141,9 @@ class DataOrganizer:
                 try:
                     yield from hermes.move(vec_name, page_idx,
                                            target_node, desired.spec.kind)
-                    self.system.monitor.count("organizer.moves")
-                    self.system.monitor.metrics.counter(
-                        "organizer_moves", node=node,
-                        tier=desired.spec.kind).inc()
+                    self.system.monitor.count(
+                        "organizer.moves", node=node,
+                        tier=desired.spec.kind)
                 except (BlobNotFound, PlacementError, DeviceFullError):
                     pass
             self._pending.pop((vec_name, page_idx), None)

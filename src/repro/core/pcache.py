@@ -153,18 +153,17 @@ class PCache:
         # work for the §III-E overhead benchmark.
         self.last_page: Tuple[int, Optional[Frame]] = (-1, None)
         self.index_ops = 0
-        # Labeled-metric handles, fetched once (hot path pays only the
-        # attribute add); the flat dotted counters stay for back-compat.
-        self._monitor = client.system.monitor
-        _m = self._monitor.metrics
+        # Metric handles, fetched once (the hot path pays one add).
+        _m = client.system.monitor.metrics
         labels = dict(node=client.node, vector=vector_name)
         self._m_resident = _m.gauge("pcache_resident_bytes", **labels)
         self._m_hit = _m.counter("pcache_hit_bytes", **labels)
         self._m_miss = _m.counter("pcache_miss_bytes", **labels)
         self._m_evict_dirty = _m.counter(
-            "pcache_evictions", node=client.node, kind="dirty")
+            "pcache.evictions_dirty", node=client.node)
         self._m_evict_clean = _m.counter(
-            "pcache_evictions", node=client.node, kind="clean")
+            "pcache.evictions_clean", node=client.node)
+        self._m_copied = _m.counter("bytes.copied")
 
     # -- lookup ------------------------------------------------------------
     def lookup(self, page_idx: int) -> Optional[Frame]:
@@ -263,7 +262,7 @@ class PCache:
         else:
             dst[:] = data
         frame.valid.add(start, end)
-        self._monitor.count("bytes.copied", len(data))
+        self._m_copied.inc(len(data))
 
     def detach(self, page_idx: int) -> Optional[Frame]:
         """Take a frame out of the page table and this handle's budget;
@@ -282,8 +281,6 @@ class PCache:
         clean frame's now; a dirty one's stays charged to the node (and
         the tenant) until the WRITE that owns its bytes
         (``MemoryTask.pinned``) has left the node."""
-        kind = "dirty" if dirty else "clean"
-        self._monitor.count(f"pcache.evictions_{kind}")
         (self._m_evict_dirty if dirty else self._m_evict_clean).inc()
         if not dirty:
             self.client.unreserve_pcache(frame.held)

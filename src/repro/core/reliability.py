@@ -109,8 +109,6 @@ class ReliabilityManager:
         of replicated stores). Generator service."""
         period = 4 * self.system.config.organizer_period
         monitor = self.system.monitor
-        m_repairs = monitor.metrics.counter("reliability_repairs",
-                                            reason="under_replicated")
         while True:
             yield self.system.sim.timeout(period)
             if not self.enabled:
@@ -127,7 +125,6 @@ class ReliabilityManager:
                             reason="under_replicated"):
                         yield from self.replicate_page(vec, info.key)
                     monitor.count("reliability.repairs")
-                    m_repairs.inc()
 
     # -- failure injection ----------------------------------------------------------
     def fail_node(self, node: int) -> int:
@@ -225,9 +222,6 @@ class ReliabilityManager:
                             info.node, info.tier = node, tier
                             monitor.count("reliability.promotions")
                         sp["reason"] = "replica_failover"
-                        monitor.metrics.counter(
-                            "reliability_repairs",
-                            reason="replica_failover").inc()
                         return raw
             # Drop the bad entry and re-stage from the backend if
             # possible.
@@ -260,9 +254,6 @@ class ReliabilityManager:
                     self.record(vec.name, page_idx, raw)
                     monitor.count("durability.wal_reads")
                     sp["reason"] = "wal_replay"
-                    monitor.metrics.counter(
-                        "reliability_repairs",
-                        reason="wal_replay").inc()
                     return raw
                 monitor.count("durability.crc_failures")
             if vec.volatile or page_idx in vec.dirty_pages:
@@ -276,8 +267,6 @@ class ReliabilityManager:
             self.record(vec.name, page_idx, raw)
             monitor.count("reliability.restages")
             sp["reason"] = "backend_restage"
-            monitor.metrics.counter("reliability_repairs",
-                                    reason="backend_restage").inc()
             return raw
 
 

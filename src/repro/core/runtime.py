@@ -41,6 +41,14 @@ from repro.core.scache import ScacheExecutor
 from repro.sim import AllOf, Event, Resource, Store
 from repro.sim.rand import spawn_seed
 
+#: MemoryTask byte size below which tasks go to the low-latency worker
+#: pool (III-B: 16 KB).
+LOW_LATENCY_THRESHOLD = 16 * 1024
+#: Consecutive low-backlog controller periods required before the
+#: high-latency worker pool gives back a core (a trickle of tasks must
+#: not pin the pool at ``workers_max`` forever).
+SCALE_DOWN_PERIODS = 3
+
 
 class _BatchState:
     """Coordination record for one BatchTask inside a runtime.
@@ -95,7 +103,7 @@ class NodeRuntime:
                                    name=f"rt{node_id}.highcores")
         self.inflight = 0
         self._low_streak = 0
-        # Labeled backlog gauge: +1 on submit, -1 when a worker gets a
+        # Backlog gauge: +1 on submit, -1 when a worker gets a
         # core. Its time average is an L measurement *independent* of
         # the rt.queue wait spans, so `repro report` can cross-check
         # Little's law (L = lambda * W) from two sources -- over the
@@ -276,7 +284,7 @@ class NodeRuntime:
         completes ``unit.done`` with the result or the failure, which
         it counts under ``label``. Generator."""
         tracer = self.system.tracer
-        low = unit.nbytes < self.system.config.low_latency_threshold
+        low = unit.nbytes < LOW_LATENCY_THRESHOLD
         pool = self.low_cores if low else self.high_cores
         req = pool.request()
         yield req
@@ -338,13 +346,11 @@ class NodeRuntime:
         self._cores_gauge.set(capacity)
         self._low_streak = 0
         self.system.monitor.count(f"rt{self.node_id}.scale_{direction}")
-        self.system.monitor.metrics.counter(
-            "rt_scale", node=self.node_id, direction=direction).inc()
 
     def _scale_tick(self, backlog=None) -> None:
         """One controller period: grow fast, shrink patiently.
 
-        Shrinking requires ``scale_down_periods`` *consecutive*
+        Shrinking requires :data:`SCALE_DOWN_PERIODS` *consecutive*
         low-backlog observations (``backlog < capacity``) — requiring a
         completely empty queue pinned the pool at ``workers_max``
         forever under any trickle of tasks.
@@ -357,7 +363,7 @@ class NodeRuntime:
             return
         if backlog < cap:
             self._low_streak += 1
-            if (self._low_streak >= cfg.scale_down_periods
+            if (self._low_streak >= SCALE_DOWN_PERIODS
                     and cap > cfg.workers_min):
                 self._resize(cap - 1, "down")
         else:

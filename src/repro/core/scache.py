@@ -61,17 +61,9 @@ class ScacheExecutor:
         self.system = system
         self.node_id = node_id
         self.sim = system.sim
-        # Cached labeled-metric handles (the flat dotted counters stay
-        # for back-compat; these add the node/kind dimensions).
         _m = system.monitor.metrics
-        self._m_reads = _m.counter("scache_ops", node=node_id,
-                                   kind="read")
-        self._m_writes = _m.counter("scache_ops", node=node_id,
-                                    kind="write")
-        self._m_obj_reads = _m.counter("scache_ops", node=node_id,
-                                       kind="obj_read")
-        self._m_obj_writes = _m.counter("scache_ops", node=node_id,
-                                        kind="obj_write")
+        self._m_reads = _m.counter("scache.reads", node=node_id)
+        self._m_writes = _m.counter("scache.writes", node=node_id)
 
     def execute(self, task: MemoryTask):
         """Dispatch one task. Generator; returns the READ payload or
@@ -102,8 +94,8 @@ class ScacheExecutor:
             with tracer.span("obj_read", "object", node=self.node_id,
                              vector=vec.name, page=task.page_idx,
                              nbytes=task.nbytes):
-                self.system.monitor.count("object.scache_reads")
-                self._m_obj_reads.inc()
+                self.system.monitor.count("object.scache_reads",
+                                          node=self.node_id)
                 return (yield from self._read(vec, task))
         if task.kind is TaskKind.OBJ_WRITE:
             # Write-through: once the ack reaches the client, the bytes
@@ -112,8 +104,8 @@ class ScacheExecutor:
             with tracer.span("obj_write", "object", node=self.node_id,
                              vector=vec.name, page=task.page_idx,
                              nbytes=task.nbytes):
-                self.system.monitor.count("object.scache_writes")
-                self._m_obj_writes.inc()
+                self.system.monitor.count("object.scache_writes",
+                                          node=self.node_id)
                 return (yield from self._write(vec, task,
                                                sync_replicate=True))
         if task.kind is TaskKind.SCORE:
@@ -157,8 +149,7 @@ class ScacheExecutor:
                              node=self.node_id, vector=vec.name,
                              count=len(batch), nbytes=batch.nbytes):
                 self.system.monitor.count("object.scache_reads",
-                                          len(batch))
-                self._m_obj_reads.inc(len(batch))
+                                          len(batch), node=self.node_id)
                 return (yield from self._read_batch(vec, batch))
         results = []
         for task in batch.tasks:
@@ -267,10 +258,8 @@ class ScacheExecutor:
             info = hermes.mdm.peek(vec.name, task.page_idx)
             if info is not None and info.replicas:
                 vec.replicated_pages.add(task.page_idx)
-            self.system.monitor.count("scache.reads")
             self._m_reads.inc()
             return _cut(raw, task.region)
-        self.system.monitor.count("scache.reads")
         self._m_reads.inc()
         if _extent(vec, task) is None \
                 or self.system.config.integrity_checks:
@@ -375,7 +364,6 @@ class ScacheExecutor:
                 results[i] = yield from self._read(vec, task)
             return results
         for i, raw in zip(healthy, raws):
-            self.system.monitor.count("scache.reads")
             self._m_reads.inc()
             results[i] = raw
         return results
@@ -437,7 +425,6 @@ class ScacheExecutor:
         dirty/replica tracking, integrity records, durability copies."""
         vec.dirty_pages.add(task.page_idx)
         vec.replicated_pages.discard(task.page_idx)
-        self.system.monitor.count("scache.writes")
         self._m_writes.inc()
         rel = self.system.reliability
         dur = self.system.durability

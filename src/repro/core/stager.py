@@ -413,15 +413,10 @@ class DataStager:
     def _count(self, node: int, direction: str, nbytes: int,
                ahead: bool = False) -> None:
         monitor = self.system.monitor
-        monitor.count(f"stager.bytes_{direction}", nbytes)
-        monitor.count(f"stager.requests_{direction}")
+        monitor.count(f"stager.bytes_{direction}", nbytes, node=node)
+        monitor.count(f"stager.requests_{direction}", node=node)
         if ahead:
-            monitor.count("stager.requests_ahead")
-        monitor.metrics.counter("stager_bytes", node=node,
-                                direction=direction).inc(nbytes)
-        monitor.metrics.counter(
-            "stager_requests", node=node, direction=direction,
-            kind="ahead" if ahead else "demand").inc()
+            monitor.count("stager.requests_ahead", node=node)
 
     # -- stage-out -------------------------------------------------------------
     def _stageout_lock(self, vec: SharedVector, page_idx: int) -> Lock:

@@ -59,20 +59,12 @@ class Vector:
         self.tx: Optional[Transaction] = None
         self.prefetcher = Prefetcher(self)
         self._policy_epoch_seen = shared.policy_epoch
-        # Labeled-metric handles, fetched once (hot path pays only the
-        # attribute add); the flat dotted counters stay for back-compat.
+        # Metric handles, fetched once (the hot path pays one add).
         _m = client.system.monitor.metrics
         self._m_faults = _m.counter(
-            "pcache_faults", node=client.node, vector=shared.name)
+            "pcache.faults", node=client.node, vector=shared.name)
         self._m_prefetches = _m.counter(
-            "pcache_prefetches", node=client.node, vector=shared.name)
-        # Object-path metric handles are created lazily on the first
-        # *enabled* object operation: a run with the path disabled
-        # (``object_threshold_bytes=0``) must not grow new metric
-        # series, or it would no longer be bit-identical to a run that
-        # never heard of objects.
-        self._m_obj_reads = None
-        self._m_obj_writes = None
+            "pcache.prefetches", node=client.node, vector=shared.name)
 
     # -- geometry / identity ---------------------------------------------------
     @property
@@ -650,34 +642,23 @@ class Vector:
                 self.pcache.install(frame, m_start, data)
             buf[dst:dst + size] = data
 
-    def _object_metrics(self):
-        if self._m_obj_reads is None:
-            _m = self.client.system.monitor.metrics
-            self._m_obj_reads = _m.counter(
-                "object_ops", node=self.client.node, kind="read")
-            self._m_obj_writes = _m.counter(
-                "object_ops", node=self.client.node, kind="write")
-        return self._m_obj_reads, self._m_obj_writes
-
     def _count_object_reads(self, n: int, nbytes: int, remote: int,
                             local: int) -> None:
         mon = self.client.system.monitor
-        mon.count("object.reads", n)
+        mon.count("object.reads", n, node=self.client.node)
         mon.count("object.read_bytes", nbytes)
         if remote:
             mon.count("object.remote_tasks", remote)
         if local:
             mon.count("object.local_hit_bytes", local)
-        self._object_metrics()[0].inc(n)
 
     def _count_object_writes(self, n: int, nbytes: int,
                              remote: int) -> None:
         mon = self.client.system.monitor
-        mon.count("object.writes", n)
+        mon.count("object.writes", n, node=self.client.node)
         mon.count("object.write_bytes", nbytes)
         if remote:
             mon.count("object.remote_tasks", remote)
-        self._object_metrics()[1].inc(n)
 
     def _check_range(self, elem_off: int, count: int) -> None:
         if elem_off < 0 or count < 0 \
@@ -751,7 +732,6 @@ class Vector:
         collective = (self.tx is not None and self.tx.is_collective
                       and not self.tx.writes)
         for m_start, m_end in missing:
-            self.client.system.monitor.count("pcache.faults")
             self._m_faults.inc()
             task = MemoryTask(
                 kind=TaskKind.READ, vector_name=self.shared.name,
@@ -803,7 +783,6 @@ class Vector:
             frames[page_idx] = frame
             for m_start, m_end in self.pcache.missing(frame, off,
                                                       off + size):
-                self.client.system.monitor.count("pcache.faults")
                 self._m_faults.inc()
                 tasks.append(MemoryTask(
                     kind=TaskKind.READ, vector_name=self.shared.name,
@@ -989,7 +968,6 @@ class Vector:
                             self.pcache.install(frame, task.region[0],
                                                 raw)
                     frame.pending = None
-                    self.client.system.monitor.count("pcache.prefetches")
                     self._m_prefetches.inc()
 
         proc = self.client.system.sim.process(fill(), name=proc_name)

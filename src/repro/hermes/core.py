@@ -89,6 +89,18 @@ class Hermes:
         #: system; None where none is modelled. A redundant copy is
         #: only worth a tier faster than this (:meth:`free_tier`).
         self.backend = None
+        # ``hermes.<op>{node,tier}`` handles, fetched on first use.
+        self._m_ops: dict = {}
+
+    def _count_op(self, op: str, node: int, tier: str) -> None:
+        if self.monitor is None:
+            return
+        handle = self._m_ops.get((op, node, tier))
+        if handle is None:
+            handle = self._m_ops[(op, node, tier)] = \
+                self.monitor.metrics.counter(f"hermes.{op}", node=node,
+                                             tier=tier)
+        handle.inc()
 
     def _account(self, bucket, node, tier, delta) -> None:
         if self.accountant is not None:
@@ -287,10 +299,7 @@ class Hermes:
         self._account(bucket, node, dev.spec.kind, len(data))
         yield from self.mdm.put(client_node, info)
         yield from self._store_again_if_wiped(dev, (bucket, key), data)
-        if self.monitor is not None:
-            self.monitor.count("hermes.puts")
-            self.monitor.metrics.counter(
-                "hermes_puts", node=node, tier=dev.spec.kind).inc()
+        self._count_op("puts", node, dev.spec.kind)
         return info
 
     def _store_again_if_wiped(self, dev, key, data):
@@ -337,10 +346,7 @@ class Hermes:
             yield from self.mdm.put(node, info)
         finally:
             lock.release()
-        if self.monitor is not None:
-            self.monitor.count("hermes.restores")
-            self.monitor.metrics.counter(
-                "hermes_restores", node=node, tier=dev.spec.kind).inc()
+        self._count_op("restores", node, dev.spec.kind)
         return True
 
     def put_many(self, client_node: int, bucket: str, items,
@@ -397,11 +403,7 @@ class Hermes:
                 new_infos.append(info)
                 stored.append((dev, (bucket, key), data))
                 out[key] = info
-                if self.monitor is not None:
-                    self.monitor.count("hermes.puts")
-                    self.monitor.metrics.counter(
-                        "hermes_puts", node=node,
-                        tier=dev.spec.kind).inc()
+                self._count_op("puts", node, dev.spec.kind)
             finally:
                 lock.release()
         if new_infos:
@@ -454,10 +456,7 @@ class Hermes:
             raw = yield from dev.get_range((bucket, key), *extent)
         if self.read_hook is not None:
             self.read_hook(bucket, tier, len(raw))
-        if self.monitor is not None:
-            self.monitor.count("hermes.gets")
-            self.monitor.metrics.counter(
-                "hermes_gets", node=node, tier=tier).inc()
+        self._count_op("gets", node, tier)
         return raw, node
 
     def _get(self, client_node, bucket, key, extent=None):
@@ -654,10 +653,8 @@ class Hermes:
             self._account(bucket, node, to_tier, info.nbytes)
             info.node, info.tier = node, to_tier
         if self.monitor is not None:
-            self.monitor.count("hermes.moves")
-            self.monitor.metrics.counter(
-                "hermes_moves", node=node, src_tier=from_tier,
-                dst_tier=to_tier).inc()
+            self.monitor.count("hermes.moves", node=node,
+                               src_tier=from_tier, dst_tier=to_tier)
         return info
 
     def delete(self, client_node: int, bucket: str, key):

@@ -63,8 +63,8 @@ class Network:
         #: or drop-with-retry re-sends. ``None`` (the default) leaves
         #: the data path untouched.
         self.chaos = None
-        # Per-source-node labeled handles, filled lazily on first
-        # transfer from each node (one dict hit per transfer after).
+        # ``(net.bytes, net.transfers)`` handles per source node,
+        # filled on the node's first transfer.
         self._m_per_src: dict = {}
 
     def rack_of(self, node: int) -> int:
@@ -118,13 +118,11 @@ class Network:
                     self._nics[src].release(req)
         self.bytes_moved += nbytes
         if self.monitor is not None:
-            self.monitor.count("net.bytes", nbytes)
-            self.monitor.count("net.transfers")
             handles = self._m_per_src.get(src)
             if handles is None:
                 handles = self._m_per_src[src] = (
-                    self.monitor.metrics.counter("net_bytes", node=src),
-                    self.monitor.metrics.counter("net_transfers",
+                    self.monitor.metrics.counter("net.bytes", node=src),
+                    self.monitor.metrics.counter("net.transfers",
                                                  node=src))
             handles[0].inc(nbytes)
             handles[1].inc()

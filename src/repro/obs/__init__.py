@@ -16,13 +16,12 @@ from repro.obs.report import analyze, diff_analyses, render_diff, \
     render_report
 from repro.obs.live import LiveObs, QuantileSketch, WindowedStore
 from repro.obs.slo import SLOMonitor, SLOSpec, load_slos
-from repro.obs.anomaly import EwmaMadDetector, attach_detectors, \
-    standard_detectors
+from repro.obs.anomaly import EwmaMadDetector, standard_detectors
 
 __all__ = [
     "IO_CATEGORIES", "SpanGraph", "SpanNode", "load_trace",
     "analyze", "diff_analyses", "render_diff", "render_report",
     "LiveObs", "QuantileSketch", "WindowedStore",
     "SLOMonitor", "SLOSpec", "load_slos",
-    "EwmaMadDetector", "attach_detectors", "standard_detectors",
+    "EwmaMadDetector", "standard_detectors",
 ]

@@ -193,26 +193,3 @@ def standard_detectors(tenants=(), n_nodes: int = 0,
         _realloc_move_source, threshold=threshold, warmup=warmup,
         direction="up"))
     return dets
-
-
-def attach_detectors(obs, detectors: List[EwmaMadDetector]):
-    """Register detectors on a :class:`~repro.obs.live.LiveObs` and
-    mirror their events into metrics + ``anomaly.*`` spans."""
-    obs.detectors.extend(detectors)
-    cursor = {"n": 0}
-
-    def on_tick(o, now):
-        new = o.events[cursor["n"]:]
-        cursor["n"] = len(o.events)
-        tracer = o.store.tracer
-        for event in new:
-            o.monitor.metrics.counter(
-                "obs_anomalies", detector=event["detector"]).inc()
-            if tracer is not None and tracer.enabled:
-                tracer.record(event["detector"], "anomaly", -1, now,
-                              now, metric=event["metric"],
-                              zscore=event["zscore"],
-                              direction=event["direction"])
-
-    obs.on_tick.append(on_tick)
-    return obs

@@ -4,9 +4,9 @@
 this module answers *what is happening right now*, cheaply enough to
 leave on for production-shaped runs. A sim-time ticker closes one
 fixed window per ``obs_window`` seconds; at each tick the
-:class:`WindowedStore` scrapes the monitor's flat counters/gauges, the
-:class:`~repro.sim.monitor.MetricsRegistry`'s labeled series, and the
-tracer's per-category durations into per-window rollups
+:class:`WindowedStore` scrapes the
+:class:`~repro.sim.monitor.MetricsRegistry`'s series and the tracer's
+per-category durations into per-window rollups
 (sum/count/min/max + a bounded :class:`QuantileSketch`) kept in a ring
 of :data:`RETENTION` windows — O(1) memory regardless of run length.
 
@@ -33,24 +33,14 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, \
     Optional, Tuple
 
-from repro.sim.monitor import Monitor, _labelset
+from repro.obs.anomaly import standard_detectors
+from repro.obs.slo import SLOMonitor
+from repro.sim.monitor import LabelSet, Monitor, select
 
 __all__ = ["QuantileSketch", "WindowStats", "WindowedStore", "LiveObs"]
 
-LabelSet = Tuple[Tuple[str, str], ...]
-
 #: Closed windows retained per series — the windowed store's ring size.
 RETENTION = 120
-
-
-def _labels_key(labels) -> LabelSet:
-    """Normalize dict / kwarg / tuple label specs to the registry's
-    sorted-tuple form."""
-    if not labels:
-        return ()
-    if isinstance(labels, dict):
-        return _labelset(labels)
-    return tuple(sorted((str(k), str(v)) for k, v in labels))
 
 
 class QuantileSketch:
@@ -188,9 +178,10 @@ class WindowStats:
 class WindowedStore:
     """Fixed-interval rollup rings over every live metric source.
 
-    Keys are ``(name, labelset)`` like the registry's; the monitor's
-    flat counters/gauges appear with an empty labelset, and tracer
-    categories appear as ``("trace.<category>", ())``. Three ring
+    Keys are ``(name, labelset)`` like the registry's; tracer
+    categories appear as ``("trace.<category>", ())``. Queries take the
+    registry's selector (:func:`~repro.sim.monitor.select`): labels
+    asked for match every series that carries them. Three ring
     families:
 
     * **counters** — ``(t0, t1, delta)`` per window, appended only for
@@ -246,31 +237,19 @@ class WindowedStore:
 
     def _scrape_counters(self, t0: float, t1: float) -> None:
         last = self._last_counter
-        for name, value in self.monitor.counters.items():
-            key = (name, ())
-            delta = value - last.get(key, 0.0)
-            if delta:
-                last[key] = value
-                self._ring(self.counters, key).append((t0, t1, delta))
-        for (name, ls), c in self.monitor.metrics.counters.items():
-            key = (name, ls)
+        for key, c in self.monitor.metrics.counters.items():
             delta = c.value - last.get(key, 0.0)
             if delta:
                 last[key] = c.value
                 self._ring(self.counters, key).append((t0, t1, delta))
 
     def _scrape_gauges(self, t0: float, t1: float) -> None:
-        for name, g in self.monitor.gauges.items():
-            self._ring(self.gauges, (name, ())).append(
-                (t0, t1, g.value))
-        for (name, ls), g in self.monitor.metrics.gauges.items():
-            self._ring(self.gauges, (name, ls)).append(
-                (t0, t1, g.value))
+        for key, g in self.monitor.metrics.gauges.items():
+            self._ring(self.gauges, key).append((t0, t1, g.value))
 
     def _scrape_histograms(self, t0: float, t1: float) -> None:
         consumed = self._last_obs
-        for (name, ls), h in self.monitor.metrics.histograms.items():
-            key = (name, ls)
+        for key, h in self.monitor.metrics.histograms.items():
             seen = consumed.get(key, 0)
             obs = h.observations
             if len(obs) > seen:
@@ -292,13 +271,13 @@ class WindowedStore:
 
     # -- queries -----------------------------------------------------------
     def _windows(self, rings, name, labels, window_s, now):
-        ring = rings.get((name, _labels_key(labels)))
-        if not ring:
-            return []
+        """Entries of every matching series, one series after the
+        other."""
+        entries = [e for ring in select(rings, name, labels) for e in ring]
         if window_s is None:
-            return list(ring)
+            return entries
         cutoff = (self.last_tick if now is None else now) - window_s
-        return [entry for entry in ring if entry[1] > cutoff]
+        return [entry for entry in entries if entry[1] > cutoff]
 
     def delta(self, name: str, labels=(), window_s: Optional[float] = None,
               now: Optional[float] = None) -> float:
@@ -316,15 +295,19 @@ class WindowedStore:
         return d / window_s if window_s > 0 else 0.0
 
     def gauge_last(self, name: str, labels=()) -> Optional[float]:
-        ring = self.gauges.get((name, _labels_key(labels)))
-        return ring[-1][2] if ring else None
+        rings = select(self.gauges, name, labels)
+        return sum(ring[-1][2] for ring in rings) if rings else None
 
     def gauge_series(self, name: str, labels=(),
                      window_s: Optional[float] = None
                      ) -> List[Tuple[float, float]]:
-        """``(t1, value)`` samples over the trailing window."""
-        return [(t1, v) for _t0, t1, v in
-                self._windows(self.gauges, name, labels, window_s, None)]
+        """``(t1, value)`` samples over the trailing window, matching
+        series added tick by tick."""
+        out: Dict[float, float] = {}
+        for _t0, t1, v in self._windows(self.gauges, name, labels,
+                                        window_s, None):
+            out[t1] = out.get(t1, 0.0) + v
+        return sorted(out.items())
 
     def window_stats(self, name: str, labels=(),
                      window_s: Optional[float] = None,
@@ -336,7 +319,8 @@ class WindowedStore:
                                 window_s, now)
         if not entries:
             return None
-        merged = WindowStats(entries[0][0], entries[-1][1])
+        merged = WindowStats(min(e[0] for e in entries),
+                             max(e[1] for e in entries))
         for _t0, _t1, stats in entries:
             merged.count += stats.count
             merged.total += stats.total
@@ -360,12 +344,6 @@ class WindowedStore:
             return 0.0, 0.0
         return stats.sketch.frac_above(threshold), float(stats.count)
 
-    def keys(self) -> Dict[str, List[Tuple[str, LabelSet]]]:
-        """Live series keys by family (for ``repro top``)."""
-        return {"counters": sorted(self.counters),
-                "gauges": sorted(self.gauges),
-                "histograms": sorted(self.histograms)}
-
 
 class LiveObs:
     """The always-on observability plane of one simulated deployment.
@@ -378,7 +356,8 @@ class LiveObs:
     1. scrape the window into the store;
     2. refresh the tail sampler's per-category slowness thresholds;
     3. evaluate SLO burn rates (may fire/resolve alerts);
-    4. run anomaly detectors (append structured events);
+    4. run anomaly detectors (append structured events, mirrored
+       into ``obs_anomalies{detector}`` and ``anomaly`` spans);
     5. invoke registered ``on_tick(obs, now)`` callbacks.
 
     The ticker never mutates simulated state, so installing it leaves
@@ -402,14 +381,30 @@ class LiveObs:
         self._proc = None
 
     @classmethod
-    def attach(cls, cluster,
-               window: Optional[float] = None) -> "LiveObs":
-        """Build from a :class:`~repro.cluster.SimCluster` (the window
-        defaults from its config) and install the ticker."""
-        cfg = cluster.spec.config
-        obs = cls(cluster.sim, cluster.monitor, tracer=cluster.tracer,
-                  window=cfg.obs_window if window is None else window)
-        return obs.install(cluster.system)
+    def attach(cls, cluster, window: Optional[float] = None, slos=(),
+               tenants=(), threshold: float = 4.0,
+               warmup: int = 8) -> "LiveObs":
+        """Install the plane on a :class:`~repro.cluster.SimCluster` —
+        the ticker (the window defaults from the cluster's config), the
+        SLO monitor when objectives are given, and the standard
+        detector bank (whose ``realloc_thrash`` events the
+        :class:`ReallocLoop` consumes for backoff). A cluster that has
+        a plane (``system.obs``) keeps it: what is attached stays, what
+        is missing is added, so a later call may name the tenants."""
+        obs = getattr(cluster.system, "obs", None)
+        if obs is None:
+            cfg = cluster.spec.config
+            obs = cls(cluster.sim, cluster.monitor, tracer=cluster.tracer,
+                      window=cfg.obs_window if window is None else window
+                      ).install(cluster.system)
+        if slos and obs.slo is None:
+            SLOMonitor(obs, list(slos))
+        have = {d.name: d for d in obs.detectors}
+        bank = standard_detectors(tenants, cluster.spec.n_nodes,
+                                  threshold, warmup)
+        obs.detectors = [have.pop(d.name, d) for d in bank] \
+            + list(have.values())
+        return obs
 
     def install(self, system=None) -> "LiveObs":
         """Spawn the ticker; expose self as ``system.obs`` so runtime
@@ -440,7 +435,15 @@ class LiveObs:
         if self.slo is not None:
             self.slo.evaluate(now)
         for det in self.detectors:
-            self.events.extend(det.tick(self.store, now))
+            for event in det.tick(self.store, now):
+                self.events.append(event)
+                self.monitor.count("obs_anomalies",
+                                   detector=event["detector"])
+                if tracer is not None and tracer.enabled:
+                    tracer.record(event["detector"], "anomaly", -1, now,
+                                  now, metric=event["metric"],
+                                  zscore=event["zscore"],
+                                  direction=event["direction"])
         for cb in self.on_tick:
             cb(self, now)
 

@@ -82,7 +82,7 @@ def analyze(graph: SpanGraph, monitor=None,
                     or max(q["little_L"], gauge_l) < 0.05)
     occupancy: Dict[str, Dict[str, Any]] = {}
     if monitor is not None:
-        for name, gauge in sorted(monitor.gauges.items()):
+        for (name, _ls), gauge in sorted(monitor.metrics.gauges.items()):
             if not name.endswith(".used") \
                     or not name.startswith("node"):
                 continue

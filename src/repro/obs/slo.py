@@ -39,6 +39,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.core.config import load_yaml_subset
+from repro.sim.monitor import select
 
 __all__ = ["SLOSpec", "Alert", "SLOMonitor", "load_slos"]
 
@@ -139,35 +140,24 @@ class SLOSpec:
         """Whole-run good fraction from the registry's exact series
         (no sketches): the CLI's pass/fail basis."""
         metrics = monitor.metrics
+        labels = self._labels()
+
+        def total_of(name, **more):
+            return sum(c.value for c in select(
+                metrics.counters, name, {**labels, **more}))
+
         if self.objective == "latency_p99":
-            hist = metrics.histograms.get(
-                (self.metric, tuple(sorted(
-                    (k, str(v)) for k, v in self._labels().items()))))
-            obs = hist.observations if hist is not None else []
+            obs = [v for h in select(metrics.histograms, self.metric,
+                                     labels) for v in h.observations]
             bad = sum(1 for v in obs if v > self.threshold_ms / 1e3)
             total = float(len(obs))
         elif self.objective == "hit_ratio":
-            labels = self._labels()
-            def counter_value(speed):
-                key = (self.metric, tuple(sorted(
-                    [(k, str(v)) for k, v in labels.items()]
-                    + [("speed", speed)])))
-                c = metrics.counters.get(key)
-                return c.value if c is not None else 0.0
-            bad = counter_value("slow")
-            total = bad + counter_value("fast")
+            bad = total_of(self.metric, speed="slow")
+            total = bad + total_of(self.metric, speed="fast")
         else:
-            def flat_or_labeled(name):
-                if name is None:
-                    return 0.0
-                key = (name, tuple(sorted(
-                    (k, str(v)) for k, v in self._labels().items())))
-                c = metrics.counters.get(key)
-                if c is not None:
-                    return c.value
-                return monitor.counters.get(name, 0.0)
-            bad = flat_or_labeled(self.bad_metric)
-            total = bad + flat_or_labeled(self.good_metric)
+            bad = total_of(self.bad_metric)
+            total = bad + (total_of(self.good_metric)
+                           if self.good_metric else 0.0)
         good_frac = 1.0 - (bad / total) if total else 1.0
         return {"name": self.name, "tenant": self.tenant,
                 "objective": self.objective, "target": self.target,

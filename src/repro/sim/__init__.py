@@ -30,7 +30,7 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.monitor import Gauge, Monitor, TimeSeries
+from repro.sim.monitor import Monitor, TimeSeries
 from repro.sim.rand import rng_stream, spawn_seed
 from repro.sim.resources import Request, Resource, Store
 from repro.sim.sync import Barrier, Condition, Lock
@@ -42,7 +42,6 @@ __all__ = [
     "Barrier",
     "Condition",
     "Event",
-    "Gauge",
     "Interrupt",
     "Lock",
     "Monitor",

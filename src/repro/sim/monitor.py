@@ -7,14 +7,17 @@ plays that role: simulated components record gauges (bytes resident in
 DRAM, device queue depth, ...) and counters (bytes read/written, page
 faults), and the benchmark harness aggregates peaks/averages per run.
 
-:class:`MetricsRegistry` adds *dimensioned* metrics on top of the flat
-dotted-name counters: counters, gauges, and histograms labeled by
-``node=``, ``tier=``, ``category=`` (any string labels), with
-Prometheus-text and JSON snapshot exporters. Hot call sites fetch a
-handle once (``ctr = monitor.metrics.counter("pcache_faults",
-node=0)``) and pay one attribute add per event — the same
-zero-cost-when-hot pattern the tracer uses, so enabling the registry
-does not slow the fast kernel.
+Every quantity lives once, in :class:`MetricsRegistry`, as a counter,
+gauge or histogram keyed by ``(name, labels)`` — ``node=``, ``tier=``,
+``vector=``, any string labels — with Prometheus-text and JSON
+snapshot exporters. A name is the dotted one ``RunResult.stats``
+and ``stats_dict.csv`` carry (``hermes.gets``, ``node0.dram.used``);
+labels slice it further and never repeat what the name says.
+:class:`Monitor` fronts the registry for one-line call sites
+(``monitor.count("rpc.batches", n)``); hot sites fetch a handle once
+(``ctr = monitor.metrics.counter("pcache.faults", node=0)``) and pay
+one attribute add per event — the same zero-cost-when-hot pattern the
+tracer uses.
 """
 
 from __future__ import annotations
@@ -30,7 +33,26 @@ LabelSet = Tuple[Tuple[str, str], ...]
 
 
 def _labelset(labels: Dict[str, object]) -> LabelSet:
+    if not labels:
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def select(series: Dict[Tuple[str, LabelSet], object], name: str,
+           labels=()) -> list:
+    """Every series of ``name`` whose labels include ``labels`` (a
+    dict or pairs): ``select(counters, "hermes.gets", {"node": 0})``
+    is node 0's gets on every tier, and no labels selects them all.
+    Readers sum what comes back (counters, histograms) or add last
+    samples (gauges). A name carries one label schema, so an exact hit
+    — the fast path — is the only match."""
+    want = _labelset(dict(labels))
+    hit = series.get((name, want))
+    if hit is not None:
+        return [hit]
+    want = set(want)
+    return [s for (n, ls), s in series.items()
+            if n == name and want.issubset(ls)]
 
 
 class TimeSeries:
@@ -206,35 +228,6 @@ class TimeSeries:
         if span <= 0:
             return 0.0
         return self._area_until(end) / span
-
-
-class Gauge:
-    """A named instantaneous quantity with add/sub convenience."""
-
-    __slots__ = ("monitor", "name", "value", "series")
-
-    def __init__(self, monitor: "Monitor", name: str):
-        self.monitor = monitor
-        self.name = name
-        self.value = 0.0
-        self.series = TimeSeries()
-
-    def set(self, value: float) -> None:
-        self.value = value
-        self.series.record(self.monitor.sim.now, value)
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
-
-    def sub(self, delta: float) -> None:
-        self.set(self.value - delta)
-
-    @property
-    def peak(self) -> float:
-        return self.series.peak
-
-    def time_average(self) -> float:
-        return self.series.time_average(until=self.monitor.sim.now)
 
 
 class LabeledCounter:
@@ -436,9 +429,9 @@ def parse_prometheus(text: str) -> Dict[Tuple[str, LabelSet], float]:
 class MetricsRegistry:
     """Dimensioned counters/gauges/histograms keyed by (name, labels).
 
-    ``monitor.metrics.counter("scache_ops", node=0, kind="read")``
-    gets-or-creates a handle; labels are normalized to a sorted tuple
-    of string pairs so any kwarg order maps to the same series.
+    ``monitor.metrics.counter("scache.reads", node=0)`` gets-or-creates
+    a handle; labels are normalized to a sorted tuple of string pairs
+    so any kwarg order maps to the same series.
     """
 
     def __init__(self, monitor: "Monitor"):
@@ -520,44 +513,46 @@ class MetricsRegistry:
 
 
 class Monitor:
-    """Registry of gauges and counters keyed by dotted names."""
+    """One-line front over :class:`MetricsRegistry`, the only store."""
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self.gauges: Dict[str, Gauge] = {}
-        self.counters: Dict[str, float] = {}
-        #: Dimensioned (labeled) metrics; see :class:`MetricsRegistry`.
+        #: Every counter, gauge and histogram of the run.
         self.metrics = MetricsRegistry(self)
         #: Optional :class:`~repro.sim.trace.Tracer` whose per-category
         #: latency percentiles fold into :meth:`summary`.
         self.tracer = None
 
-    def gauge(self, name: str) -> Gauge:
-        if name not in self.gauges:
-            self.gauges[name] = Gauge(self, name)
-        return self.gauges[name]
+    def gauge(self, name: str, **labels) -> LabeledGauge:
+        return self.metrics.gauge(name, **labels)
 
-    def count(self, name: str, delta: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + delta
+    def count(self, name: str, delta: float = 1.0, **labels) -> None:
+        self.metrics.counter(name, **labels).inc(delta)
 
     def counter(self, name: str) -> float:
-        return self.counters.get(name, 0.0)
+        """Total of ``name`` over all of its label sets."""
+        return sum(c.value for c in select(self.metrics.counters, name))
 
     def peak(self, name: str) -> float:
-        g = self.gauges.get(name)
+        g = self.metrics.gauges.get((name, ()))
         return g.peak if g else 0.0
 
     def summary(self) -> Dict[str, float]:
-        """Flat dict of counters plus per-gauge peak and time average,
-        plus per-category trace latency percentiles when a tracer is
+        """Flat dict of every counter summed over its label sets, plus
+        peak and time average of each label-free gauge, plus
+        per-category trace latency percentiles when a tracer is
         attached and was enabled.
 
         ``kernel.*`` keys report host-side scheduling counters; they
         describe wall-clock behaviour, not simulated time, so
         equivalence comparisons between kernels should exclude them.
         """
-        out: Dict[str, float] = dict(self.counters)
-        for name, g in self.gauges.items():
+        out: Dict[str, float] = {}
+        for (name, _ls), c in self.metrics.counters.items():
+            out[name] = out.get(name, 0.0) + c.value
+        for (name, ls), g in self.metrics.gauges.items():
+            if ls:
+                continue
             out[f"{name}.peak"] = g.peak
             avg = g.time_average()
             out[f"{name}.avg"] = avg if math.isfinite(avg) else 0.0

@@ -90,18 +90,10 @@ class Device:
         self.used = 0
         self.bytes_read = 0
         self.bytes_written = 0  # doubles as the wear counter
-        # Cached labeled-metric handles (the flat f-string counters and
-        # the `{name}.used` gauge stay for back-compat).
         if monitor is not None:
-            _m = monitor.metrics
-            self._m_read = _m.counter("device_bytes", device=name,
-                                      tier=spec.kind, direction="read")
-            self._m_write = _m.counter("device_bytes", device=name,
-                                       tier=spec.kind, direction="write")
-            self._m_used = _m.gauge("device_used", device=name,
-                                    tier=spec.kind)
-        else:
-            self._m_read = self._m_write = self._m_used = None
+            self._m_read = monitor.metrics.counter(f"{name}.bytes_read")
+            self._m_write = monitor.metrics.counter(f"{name}.bytes_write")
+            self._m_used = monitor.gauge(f"{name}.used")
         #: Fault-injection hook (``repro.chaos``). When set, each timed
         #: transfer asks ``chaos.stall_time(device, nbytes, write)`` for
         #: extra service time (slow-tier stall windows). ``None`` (the
@@ -141,8 +133,6 @@ class Device:
         finally:
             self._queue.release(req)
         if self.monitor is not None:
-            direction = "write" if write else "read"
-            self.monitor.count(f"{self.name}.bytes_{direction}", nbytes)
             (self._m_write if write else self._m_read).inc(nbytes)
 
     def put(self, key, data):
@@ -168,7 +158,6 @@ class Device:
         self.used += delta
         self.bytes_written += len(raw)
         if self.monitor is not None:
-            self.monitor.gauge(f"{self.name}.used").set(self.used)
             self._m_used.set(self.used)
 
     def get(self, key):
@@ -219,7 +208,6 @@ class Device:
                 f"(OOM)")
         self.used += nbytes
         if self.monitor is not None:
-            self.monitor.gauge(f"{self.name}.used").set(self.used)
             self._m_used.set(self.used)
 
     def unreserve(self, nbytes: int) -> None:
@@ -228,7 +216,6 @@ class Device:
                              f"{self.used}")
         self.used -= nbytes
         if self.monitor is not None:
-            self.monitor.gauge(f"{self.name}.used").set(self.used)
             self._m_used.set(self.used)
 
     def charge(self, nbytes: int, write: bool):
@@ -251,7 +238,6 @@ class Device:
         raw = self._blobs.pop(key)
         self.used -= len(raw)
         if self.monitor is not None:
-            self.monitor.gauge(f"{self.name}.used").set(self.used)
             self._m_used.set(self.used)
         return len(raw)
 

@@ -27,7 +27,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.monitor import select
 from repro.tenancy.quota import QuotaManager, TenantQuota
+
+
+#: Receiver reuse density must exceed donor density by this factor
+#: before quota moves (hysteresis against thrash between tenants with
+#: similar miss profiles).
+HYSTERESIS = 1.5
+#: Cap on blob demotions+promotions enforced per sweep (bounds the
+#: data movement a single reallocation decision can trigger).
+MAX_MOVES = 32
 
 
 class ReallocLoop:
@@ -39,8 +49,6 @@ class ReallocLoop:
         cfg = self.system.config
         self.period = cfg.realloc_period
         self.step = cfg.realloc_step
-        self.hysteresis = cfg.realloc_hysteresis
-        self.max_moves = cfg.realloc_max_moves
         self.stop = False
         self.sweeps = 0
         self._last_reads: Dict[str, Tuple[float, float]] = {}
@@ -107,10 +115,8 @@ class ReallocLoop:
         return out
 
     def _backlog(self) -> float:
-        metrics = self.system.monitor.metrics
-        return sum(
-            metrics.gauge("rt_backlog", node=n).value
-            for n in range(len(self.system.dmshs)))
+        return sum(g.value for g in select(
+            self.system.monitor.metrics.gauges, "rt_backlog"))
 
     # -- decision --------------------------------------------------------
     def rebalance(self) -> Optional[Tuple[TenantQuota, TenantQuota, int]]:
@@ -173,7 +179,7 @@ class ReallocLoop:
             donor = min(idle, key=lambda t: (density(t), t.name))
         else:
             donor = min(donors, key=lambda t: (density(t), t.name))
-            if density(receiver) <= self.hysteresis * density(donor):
+            if density(receiver) <= HYSTERESIS * density(donor):
                 return None
         moved = min(self.step, donor.dram_quota - donor.min_dram)
         if moved <= 0:
@@ -244,7 +250,7 @@ class ReallocLoop:
         and have unfilled quota. Runs every sweep — a quota grant is
         worthless until the granted bytes hold the receiver's data,
         and other tenants' stage-ins keep demoting pages between
-        grants. Generator; bounded by ``realloc_max_moves``."""
+        grants. Generator; bounded by :data:`MAX_MOVES`."""
         from repro.hermes.blob import BlobNotFound
         from repro.storage.device import DeviceFullError
         mgr = self.manager
@@ -265,7 +271,7 @@ class ReallocLoop:
                 key=lambda i: (i.score, i.bucket, str(i.key)))
             for info in victims:
                 if t.dram_used <= t.dram_quota \
-                        or moves >= self.max_moves:
+                        or moves >= MAX_MOVES:
                     break
                 dmsh = self.system.dmshs[info.node]
                 lower = dmsh.slower_than(dmsh.tier(fast))
@@ -294,7 +300,7 @@ class ReallocLoop:
                  if i.tier != fast),
                 key=lambda i: (-i.score, i.bucket, str(i.key)))
             for info in candidates:
-                if moves >= self.max_moves:
+                if moves >= MAX_MOVES:
                     break
                 if t.dram_used + info.nbytes > t.dram_quota:
                     continue

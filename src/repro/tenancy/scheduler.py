@@ -356,25 +356,6 @@ def collect_slos(spec: Dict[str, Any], jobs: List[JobSpec],
     return specs
 
 
-def _attach_obs(cluster, jobs: List[JobSpec], slo_specs: list):
-    """Install the live observability plane on a colocated cluster:
-    windowed store + ticker, the SLO monitor when objectives exist,
-    and the standard anomaly-detector bank (whose ``realloc_thrash``
-    events the :class:`ReallocLoop` consumes for backoff)."""
-    from repro.obs import LiveObs, SLOMonitor
-    from repro.obs.anomaly import attach_detectors, standard_detectors
-    obs = getattr(cluster.system, "obs", None)
-    if obs is None:
-        obs = LiveObs.attach(cluster)
-    if slo_specs and obs.slo is None:
-        SLOMonitor(obs, slo_specs)
-    if not obs.detectors:
-        attach_detectors(obs, standard_detectors(
-            tenants=[j.name for j in jobs],
-            n_nodes=cluster.spec.n_nodes))
-    return obs
-
-
 def run_colocation(text_or_path: str, workdir: Optional[str] = None,
                    on_cluster=None, slos=None
                    ) -> ColocationResult:
@@ -422,7 +403,9 @@ def run_colocation(text_or_path: str, workdir: Optional[str] = None,
             on_cluster(cluster)
         obs = None
         if slo_specs or getattr(cluster.system, "obs", None) is not None:
-            obs = _attach_obs(cluster, jobs, slo_specs)
+            from repro.obs import LiveObs
+            obs = LiveObs.attach(cluster, slos=slo_specs,
+                                 tenants=[j.name for j in jobs])
         sched = JobScheduler(
             cluster, jobs, workdir=workdir,
             realloc=bool(tenancy.get("realloc", True)),

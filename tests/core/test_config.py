@@ -8,7 +8,6 @@ from repro.core import MegaMmapConfig, load_yaml_subset
 def test_defaults_validate():
     cfg = MegaMmapConfig().validated()
     assert cfg.page_size == 64 * 1024
-    assert cfg.low_latency_threshold == 16 * 1024
 
 
 def test_invalid_page_size_rejected():

@@ -405,10 +405,8 @@ def test_burst_grows_the_pool_before_the_first_task_completes():
     (t0,) = run_procs(sim, app())
     grown = cfg.workers_max - cfg.workers_min
     assert grown > 0 and 0 < first_done["after"] < cfg.organizer_period
-    # Counted once per core, in both vocabularies.
+    # Counted once per core.
     assert system.monitor.counter("rt0.scale_up") == grown
-    assert system.monitor.metrics.counter(
-        "rt_scale", node=0, direction="up").value == grown
     cores = system.monitor.metrics.gauge("rt_cores", node=0, pool="high")
     assert cores.series.samples[0] == (0.0, cfg.workers_min)
     assert cores.series.samples[-1] == (t0, cfg.workers_max)

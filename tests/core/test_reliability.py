@@ -195,9 +195,6 @@ def test_recover_page_restages_when_every_replica_node_failed(
     out, = run_procs(sim, _read(system.client(1, survivor), url)())
     assert np.array_equal(out, data)
     assert system.monitor.counter("reliability.restages") > 0
-    restaged = system.monitor.metrics.counter(
-        "reliability_repairs", reason="backend_restage")
-    assert restaged.value > 0
 
 
 def test_ensure_pages_restages_dead_extent_in_one_round(tmp_path):

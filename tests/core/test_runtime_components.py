@@ -7,6 +7,7 @@ from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
 from repro.core.errors import MegaMmapError
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.organizer import SCORE_WINDOW
+from repro.core.runtime import SCALE_DOWN_PERIODS
 from repro.sim import Event
 from tests.core.conftest import build_system, run_procs
 
@@ -68,9 +69,9 @@ def test_scaling_controller_shrinks_on_sustained_low_backlog():
     """Regression: the controller only shrank the high-latency pool
     when the backlog was *exactly zero*, so any trickle of tasks
     pinned it at ``workers_max`` forever. It must shrink after
-    ``scale_down_periods`` consecutive low-backlog (< capacity)
+    ``SCALE_DOWN_PERIODS`` consecutive low-backlog (< capacity)
     observations — and a burst in between must reset the streak."""
-    sim, system = build_system(scale_down_periods=3)
+    sim, system = build_system()
     rt = system.runtimes[0]
     cfg = system.config
 
@@ -81,7 +82,7 @@ def test_scaling_controller_shrinks_on_sustained_low_backlog():
     assert system.monitor.counter("rt0.scale_up") > 0
 
     # A nonzero trickle (backlog 1 < capacity) for N periods shrinks.
-    for _ in range(cfg.scale_down_periods - 1):
+    for _ in range(SCALE_DOWN_PERIODS - 1):
         rt._scale_tick(backlog=1)
     assert rt.high_cores.capacity == cfg.workers_max  # not yet
     rt._scale_tick(backlog=1)
@@ -100,7 +101,7 @@ def test_scaling_controller_shrinks_on_sustained_low_backlog():
     assert rt.high_cores.capacity == cfg.workers_max - 2
 
     # Sustained idleness bottoms out at workers_min, never below.
-    for _ in range(10 * cfg.scale_down_periods):
+    for _ in range(10 * SCALE_DOWN_PERIODS):
         rt._scale_tick(backlog=0)
     assert rt.high_cores.capacity == cfg.workers_min
 

@@ -4,8 +4,7 @@ consumer."""
 
 import pytest
 
-from repro.obs.anomaly import EwmaMadDetector, attach_detectors, \
-    standard_detectors
+from repro.obs.anomaly import EwmaMadDetector, standard_detectors
 from repro.obs.live import LiveObs
 from repro.sim import Monitor, Simulator
 
@@ -95,7 +94,7 @@ def test_backlog_detector_end_to_end():
     sim = Simulator()
     mon = Monitor(sim)
     obs = LiveObs(sim, mon, window=0.01, retention=64).install()
-    attach_detectors(obs, standard_detectors(n_nodes=1, warmup=5))
+    obs.detectors.extend(standard_detectors(n_nodes=1, warmup=5))
     g = mon.metrics.gauge("rt_backlog", node=0)
 
     def work():
@@ -112,7 +111,7 @@ def test_backlog_detector_end_to_end():
     events = obs.events_since(0.0, detector="rt_backlog")
     assert len(events) == 1
     assert events[0]["value"] == 500.0
-    # Mirrored into the metrics registry by attach_detectors.
+    # Mirrored into the metrics registry by the tick.
     c = mon.metrics.counter("obs_anomalies", detector="rt_backlog")
     assert c.value == 1.0
 
@@ -121,7 +120,7 @@ def test_hit_ratio_detector_collapse():
     sim = Simulator()
     mon = Monitor(sim)
     obs = LiveObs(sim, mon, window=0.01, retention=64).install()
-    attach_detectors(obs, standard_detectors(tenants=["a"], warmup=5))
+    obs.detectors.extend(standard_detectors(tenants=["a"], warmup=5))
     fast = mon.metrics.counter("tenant_read_bytes", tenant="a",
                                speed="fast")
     slow = mon.metrics.counter("tenant_read_bytes", tenant="a",
@@ -160,8 +159,6 @@ def test_realloc_backoff_consumes_thrash_events():
         class config:
             realloc_period = 0.01
             realloc_step = 1
-            realloc_hysteresis = 1.5
-            realloc_max_moves = 4
         sim = None
         monitor = None
         dmshs = []

@@ -84,6 +84,32 @@ def test_counter_deltas_per_window():
     assert store.rate("faults", window_s=1.0) == pytest.approx(2.0)
 
 
+def test_selector_matches_label_subsets():
+    """Labels asked for select every series that carries them: a
+    counter named without its labels is the sum over its label sets,
+    not "nothing happened" (it was, while matching was exact)."""
+    sim, mon, store = _store()
+    mon.count("hermes.gets", 5, node=0, tier="dram")
+    mon.count("hermes.gets", 2, node=1, tier="nvme")
+    for node, depth in ((0, 3.0), (1, 4.0)):
+        mon.gauge("rt_backlog", node=node).set(depth)
+        mon.metrics.histogram("lat", node=node).observe(float(node))
+    sim._now = 1.0
+    store.tick(1.0)
+    assert store.delta("hermes.gets") == 7.0
+    assert store.delta("hermes.gets", {"node": 0}) == 5.0
+    assert store.delta("hermes.gets", {"tier": "nvme"}) == 2.0
+    assert store.delta("hermes.gets", {"node": 0, "tier": "dram"}) == 5.0
+    assert store.delta("hermes.gets", {"node": 2}) == 0.0
+    assert store.rate("hermes.gets", window_s=1.0) == pytest.approx(7.0)
+    assert store.gauge_last("rt_backlog") == 7.0
+    assert store.gauge_last("rt_backlog", {"node": 1}) == 4.0
+    assert store.gauge_series("rt_backlog") == [(1.0, 7.0)]
+    merged = store.window_stats("lat")
+    assert merged.count == 2 and (merged.vmin, merged.vmax) == (0.0, 1.0)
+    assert store.window_stats("lat", {"node": 1}).count == 1
+
+
 def test_gauge_point_samples_and_series():
     sim, mon, store = _store()
     g = mon.gauge("backlog")

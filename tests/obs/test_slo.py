@@ -158,6 +158,30 @@ def test_availability_alert_flat_counters():
     assert len(slo.history) == 1
 
 
+def test_availability_slo_sums_labels_it_does_not_name():
+    """``bad_metric`` carries a ``node`` label the SLO does not name:
+    the errors count, windowed (the alert fires) and whole-run (the
+    report is violated) — exact label matching read neither."""
+    spec = SLOSpec(name="avail", objective="availability",
+                   target=0.9, good_metric="tasks.ok",
+                   bad_metric="rt_task_failures",
+                   fast_window_s=0.02, slow_window_s=0.1)
+    sim, mon, obs, slo = _rig([spec])
+
+    def work():
+        for i in range(10):
+            mon.count("tasks.ok", 1)
+            mon.count("rt_task_failures", 9, node=i % 2, kind="read")
+            yield sim.timeout(0.01)
+
+    sim.run(until=sim.process(work(), name="work"))
+    assert len(slo.history) == 1
+    report = slo.report()
+    assert report["slos"][0]["samples"] == 100.0
+    assert report["slos"][0]["compliance"] == pytest.approx(0.1)
+    assert not report["slos"][0]["ok"]
+
+
 # -- reporting -------------------------------------------------------------
 
 def test_report_exact_compliance_and_violations():

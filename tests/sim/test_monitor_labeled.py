@@ -20,19 +20,19 @@ def monitor(sim):
 # -- registry semantics -----------------------------------------------------
 
 def test_counter_get_or_create_is_identity(monitor):
-    a = monitor.metrics.counter("net_bytes", node=3)
-    b = monitor.metrics.counter("net_bytes", node=3)
+    a = monitor.metrics.counter("net.bytes", node=3)
+    b = monitor.metrics.counter("net.bytes", node=3)
     assert a is b
     # Label order never matters.
     c = monitor.metrics.counter("x", tier="dram", node=0)
     d = monitor.metrics.counter("x", node=0, tier="dram")
     assert c is d
     # Different labels are different series.
-    assert monitor.metrics.counter("net_bytes", node=4) is not a
+    assert monitor.metrics.counter("net.bytes", node=4) is not a
 
 
 def test_counter_accumulates(monitor):
-    ctr = monitor.metrics.counter("scache_ops", node=1, kind="read")
+    ctr = monitor.metrics.counter("scache.reads", node=1)
     ctr.inc()
     ctr.inc(41.0)
     assert ctr.value == pytest.approx(42.0)
@@ -80,17 +80,14 @@ def test_snapshot_shape(monitor):
 # -- Prometheus exporter round trip ----------------------------------------
 
 def test_prometheus_round_trip(monitor):
-    monitor.metrics.counter("net_bytes", node=3).inc(1024)
-    monitor.metrics.counter("net_bytes", node=4).inc(2048)
-    monitor.metrics.gauge("device_used", device="node0.dram",
-                          tier="dram").set(777)
+    monitor.metrics.counter("net.bytes", node=3).inc(1024)
+    monitor.metrics.counter("net.bytes", node=4).inc(2048)
+    monitor.gauge("node0.dram.used").set(777)
     text = monitor.metrics.to_prometheus()
     parsed = parse_prometheus(text)
     assert parsed[("net_bytes", (("node", "3"),))] == 1024.0
     assert parsed[("net_bytes", (("node", "4"),))] == 2048.0
-    assert parsed[("device_used",
-                   (("device", "node0.dram"), ("tier", "dram")))] \
-        == 777.0
+    assert parsed[("node0_dram_used", ())] == 777.0
 
 
 def test_prometheus_escapes_label_values(monitor):
@@ -198,10 +195,14 @@ def test_summary_single_sample_trace_percentiles_collapse(sim,
         == summary["trace.net.p99"] == pytest.approx(0.5)
 
 
-def test_summary_unaffected_by_labeled_metrics(sim, monitor):
-    # The labeled registry is a separate export surface: populating it
-    # must not change the flat summary dict's keys.
+def test_summary_sums_labeled_counters_and_skips_labeled_gauges(
+        sim, monitor):
+    # One store: a labeled counter appears in the summary as the sum
+    # over its label sets, a labeled gauge does not appear at all.
     before = set(monitor.summary())
-    monitor.metrics.counter("net_bytes", node=0).inc()
+    monitor.metrics.counter("net.bytes", node=0).inc(3)
+    monitor.count("net.bytes", 4, node=1)
     monitor.metrics.gauge("rt_backlog", node=0).set(3)
-    assert set(monitor.summary()) == before
+    summary = monitor.summary()
+    assert set(summary) == before | {"net.bytes"}
+    assert summary["net.bytes"] == 7 == monitor.counter("net.bytes")

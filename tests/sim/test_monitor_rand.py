@@ -1,9 +1,9 @@
-"""Unit tests for Monitor/Gauge/TimeSeries and the RNG streams."""
+"""Unit tests for Monitor/TimeSeries and the RNG streams."""
 
 import numpy as np
 import pytest
 
-from repro.sim import Gauge, Monitor, Simulator, TimeSeries, rng_stream, spawn_seed
+from repro.sim import Monitor, Simulator, TimeSeries, rng_stream, spawn_seed
 
 
 def test_timeseries_peak_and_last():
