@@ -1,31 +1,33 @@
-"""CLI: run pipeline workflow files against the simulated cluster.
+"""CLI: run spec files against the simulated cluster.
 
     python -m repro run pipelines/mm_kmeans_mega.yaml [--workdir DIR]
     python -m repro trace pipelines/mm_kmeans_mega.yaml [--out T.json]
-    python -m repro report <pipeline.yaml | trace.json> [--json]
+    python -m repro report <spec.yaml | trace.json> [--json]
     python -m repro diff A.trace.json B.trace.json [--json]
     python -m repro chaos pipelines/chaos_kmeans_2n.yaml --seeds 25
     python -m repro colocate pipelines/colocate_mixed.yaml
     python -m repro top pipelines/colocate_mixed.yaml
     python -m repro slo pipelines/colocate_mixed.yaml --slos slos.yaml
 
-Mirrors the artifact's ``jarvis ppl run yaml /path/to/workflow.yaml``;
-the ``trace`` subcommand additionally records latency spans and writes
-a Chrome-trace-format JSON timeline (load in ``chrome://tracing`` or
-Perfetto). ``report`` analyzes where the time went — critical-path
-breakdown, overlap ratio, top spans, queueing stats — either live (run
-a pipeline with tracing on) or post-hoc (from a trace JSON file).
-``diff`` aligns two trace files by span category and reports which
-categories account for the runtime delta. ``chaos`` runs seeded
-fault-injection campaigns with the coherence model-checker attached,
-shrinks the first failing seed's fault schedule to a minimal repro,
-and writes a replay file. ``top`` runs a pipeline or colocation spec
-with the live observability plane attached and prints the final
-windowed dashboard (rates, gauges, latency quantiles, firing alerts,
-anomalies); ``slo`` additionally evaluates declarative SLOs with
-burn-rate alerting and exits 1 when any objective is violated. The
-bare form ``python -m repro <file.yaml>`` is kept as an alias for
-``run``.
+Mirrors the artifact's ``jarvis ppl run yaml /path/to/workflow.yaml``.
+A spec is a pipeline (one ``app:``, optionally swept) or a colocation
+spec (``jobs:``, tenants of one deployment); ``run``, ``trace``,
+``report``, ``colocate``, ``top`` and ``slo`` take either — the target
+is loaded once, run by :func:`_run_target`, and each verb is a printer
+over what it returns. ``run``/``colocate`` print the stats rows;
+``trace`` also records latency spans and writes a Chrome-trace-format
+JSON timeline (``chrome://tracing`` or Perfetto); ``report`` says
+where the time went — critical-path breakdown, overlap ratio, top
+spans, queueing stats — live or from a trace JSON file; ``diff``
+aligns two trace files by span category; ``top`` prints the final
+windowed dashboard of the live observability plane; ``slo`` evaluates
+declarative SLOs with burn-rate alerting and exits 1 when an objective
+is violated. ``chaos`` (pipelines only) runs seeded fault-injection
+campaigns with the coherence model-checker attached, shrinks the first
+failing seed's fault schedule and writes a replay file. The bare form
+``python -m repro <file.yaml>`` is an alias for ``run``. A malformed
+spec, or one of the wrong shape for the verb, is one ``error:`` line
+and exit status 2.
 """
 
 from __future__ import annotations
@@ -36,10 +38,50 @@ import os
 import sys
 import tempfile
 
-from repro.pipeline import run_pipeline
+from repro.pipeline import PipelineError, load_spec, run_pipeline
 
-_SUBCOMMANDS = ("run", "trace", "report", "diff", "chaos", "colocate",
-                "top", "slo")
+
+def _run_target(args, trace=None, obs=False, slos=()):
+    """Run ``args.spec`` — either shape — in ``args.workdir``; returns
+    ``[(title, cluster, result)]``: one entry per sweep variant of a
+    pipeline with its stats row, one for a colocation campaign with
+    its :class:`~repro.tenancy.ColocationResult`. ``trace`` is where
+    to export the recorded spans (pipeline sweeps append ``.<i>``),
+    ``obs`` attaches the live observability plane (``system.obs``),
+    ``slos`` are evaluated on it."""
+    colocation = "jobs" in args.spec
+    clusters = []
+
+    def hook(cluster):
+        clusters.append(cluster)
+        if trace:
+            cluster.tracer.enabled = True
+        if obs:
+            from repro.obs import LiveObs
+            # A campaign's SLOs are merged with the spec's own by
+            # run_colocation, which knows the tenants.
+            LiveObs.attach(cluster, window=getattr(args, "window", None),
+                           slos=() if colocation else slos)
+
+    if not colocation:
+        rows = run_pipeline(args.spec, workdir=args.workdir,
+                            trace_path=trace, on_cluster=hook)
+        return [(row["app"], c, row) for c, row in zip(clusters, rows)]
+    from repro.tenancy import run_colocation
+    try:
+        result = run_colocation(args.spec, workdir=args.workdir,
+                                on_cluster=hook, slos=slos)
+    finally:
+        if trace and clusters:
+            clusters[0].export_trace(trace)
+    return [(os.path.basename(args.target), clusters[0], result)]
+
+
+def _emit_json(payloads, fh=None) -> None:
+    """One run prints its payload, a sweep the list of them."""
+    json.dump(payloads[0] if len(payloads) == 1 else payloads,
+              fh or sys.stdout, indent=2)
+    print(file=fh or sys.stdout)
 
 
 def _print_rows(rows) -> None:
@@ -51,8 +93,50 @@ def _print_rows(rows) -> None:
             for c in cols))
 
 
+def _cmd_run(args) -> int:
+    """``run`` / ``trace`` / ``colocate``: the stats rows."""
+    trace = None
+    if args.command == "trace":
+        # Default the trace next to the run's stats inside the workdir
+        # (never the CWD) and always resolve to an absolute path so the
+        # printed location is unambiguous.
+        trace = os.path.abspath(
+            args.out or os.path.join(args.workdir, "trace.json"))
+        os.makedirs(os.path.dirname(trace), exist_ok=True)
+    results = [r for _t, _c, r in _run_target(args, trace=trace)]
+    written = [trace]
+    if "jobs" in args.spec:
+        (result,) = results
+        _print_rows(result.rows)
+        ok = [r for r in result.rows if r["status"] == "ok"]
+        print(f"\n{len(ok)}/{len(result.rows)} jobs completed in "
+              f"{result.makespan:.3f}s simulated "
+              f"({len(result.decisions)} scheduler decisions)")
+        if getattr(args, "decisions", False):
+            for d in result.decisions:
+                print("  " + json.dumps(d))
+        rates = [1.0 / r["service_s"] for r in ok if r["service_s"]]
+        if len(rates) > 1:
+            jain = sum(rates) ** 2 / (len(rates)
+                                      * sum(x * x for x in rates))
+            print(f"Jain fairness index over per-job service rates: "
+                  f"{jain:.4f}")
+    else:
+        _print_rows(results)
+        print()
+        # Sweeps write one trace per variant (<out>.<i>.json): report
+        # the paths actually written, not the requested one.
+        written = [r.get("trace_file") for r in results]
+    print(f"stats written to {args.workdir}/", flush=True)
+    for p in filter(None, written):
+        print(f"trace written to {os.path.abspath(p)} "
+              f"(open in chrome://tracing or https://ui.perfetto.dev)",
+              flush=True)
+    return 0
+
+
 def _is_trace_file(path: str) -> bool:
-    """A JSON file is a trace; anything else is a pipeline YAML."""
+    """A JSON file is a trace; anything else is a spec."""
     if not path.endswith(".json"):
         return False
     try:
@@ -70,45 +154,25 @@ def _analyze_trace_file(path: str, top_k: int):
 
 def _cmd_report(args) -> int:
     from repro.obs import SpanGraph, analyze, render_report
-    analyses = []  # (title, analysis)
-    if _is_trace_file(args.target):
-        analyses.append((os.path.basename(args.target),
-                         _analyze_trace_file(args.target, args.top)))
+    if args.spec is None:
+        analyses = [(os.path.basename(args.target),
+                     _analyze_trace_file(args.target, args.top))]
     else:
-        workdir = args.workdir or tempfile.mkdtemp(prefix="megammap-ppl-")
-        trace_path = os.path.abspath(os.path.join(workdir, "trace.json"))
-
-        def on_variant(cluster, variant, row):
-            graph = SpanGraph.from_tracer(cluster.tracer)
-            analyses.append((row.get("app", "run"),
-                             analyze(graph, monitor=cluster.monitor,
-                                     top_k=args.top)))
-
-        run_rows = run_pipeline(args.target, workdir=workdir,
-                                trace_path=trace_path,
-                                on_variant=on_variant)
-        if not run_rows:
-            print("pipeline produced no rows", file=sys.stderr)
-            return 1
-    if not analyses:
-        print("no spans recorded — nothing to report", file=sys.stderr)
-        return 1
+        runs = _run_target(args, trace=os.path.abspath(
+            os.path.join(args.workdir, "trace.json")))
+        analyses = [(title, analyze(SpanGraph.from_tracer(c.tracer),
+                                    monitor=c.monitor, top_k=args.top))
+                    for title, c, _result in runs]
     if args.out:
-        payload = [a for _, a in analyses]
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload[0] if len(payload) == 1 else payload,
-                      fh, indent=2)
+            _emit_json([a for _t, a in analyses], fh)
         print(f"report JSON written to {os.path.abspath(args.out)}",
               file=sys.stderr)
     if args.json:
-        payload = [a for _, a in analyses]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         indent=2))
+        _emit_json([a for _t, a in analyses])
     else:
-        for i, (title, analysis) in enumerate(analyses):
-            if i:
-                print()
-            print(render_report(analysis, title=title))
+        print("\n\n".join(render_report(a, title=t)
+                          for t, a in analyses))
     return 0
 
 
@@ -129,7 +193,7 @@ def _cmd_diff(args) -> int:
 
     diff = diff_analyses(load_analysis(args.a), load_analysis(args.b))
     if args.json:
-        print(json.dumps(diff, indent=2))
+        _emit_json([diff])
     else:
         print(render_diff(diff, label_a=os.path.basename(args.a),
                           label_b=os.path.basename(args.b)))
@@ -141,7 +205,9 @@ def _cmd_chaos(args) -> int:
     from repro.chaos.campaign import (detection_stats, run_campaign,
                                       run_case, shrink_case,
                                       write_replay)
-    workdir = args.workdir or tempfile.mkdtemp(prefix="megammap-chaos-")
+    if "jobs" in args.spec:
+        raise PipelineError("chaos campaigns run pipelines only; "
+                            f"{args.target} is a colocation spec")
     if args.faults is not None:
         kinds = tuple(k.strip() for k in args.faults.split(",")
                       if k.strip())
@@ -156,21 +222,16 @@ def _cmd_chaos(args) -> int:
     def log(msg):
         print(msg, flush=True)
 
-    if args.durability:
-        from repro.core.config import load_yaml_subset
-        with open(args.pipeline, encoding="utf-8") as fh:
-            spec = load_yaml_subset(fh.read())
-        cluster_cfg = (spec or {}).get("cluster") or {}
-        if not cluster_cfg.get("durability"):
-            print(f"error: --durability needs the pipeline to declare "
-                  f"'durability: true' in its cluster section "
-                  f"({args.pipeline} does not)", file=sys.stderr)
-            return 2
+    if args.durability \
+            and not (args.spec.get("cluster") or {}).get("durability"):
+        raise PipelineError(
+            f"--durability needs the pipeline to declare 'durability: "
+            f"true' in its cluster section ({args.target} does not)")
 
     if args.replay:
         plan = ChaosPlan.from_json(args.replay)
-        res = run_case(args.pipeline, plan.seed, horizon=plan.horizon,
-                       plan=plan, workdir=workdir)
+        res = run_case(args.target, plan.seed, horizon=plan.horizon,
+                       plan=plan, workdir=args.workdir)
         log(res.summary())
         for v in res.violations[:10]:
             log(f"  violation: {v}")
@@ -179,10 +240,10 @@ def _cmd_chaos(args) -> int:
         return 0 if res.ok else 1
 
     seeds = range(args.seed_base, args.seed_base + args.seeds)
-    results = run_campaign(args.pipeline, seeds, kinds=kinds,
+    results = run_campaign(args.target, seeds, kinds=kinds,
                            intensity=args.intensity,
                            perturb=args.perturb,
-                           horizon=args.horizon, workdir=workdir,
+                           horizon=args.horizon, workdir=args.workdir,
                            log=log, obs=args.obs)
     bad = [r for r in results if not r.ok]
     log(f"campaign: {len(results) - len(bad)}/{len(results)} seeds "
@@ -210,50 +271,16 @@ def _cmd_chaos(args) -> int:
     if first.plan is not None and len(first.plan.faults) > 1:
         log(f"shrinking seed {first.seed} "
             f"({len(first.plan.faults)} faults)...")
-        minimal, keep = shrink_case(args.pipeline, first,
-                                    workdir=workdir, log=log)
+        minimal, keep = shrink_case(args.target, first,
+                                    workdir=args.workdir, log=log)
         log(f"minimal repro: faults {keep} of seed {first.seed}")
         for f in minimal.faults:
             log(f"  {f}")
-    out = args.out or os.path.join(workdir,
+    out = args.out or os.path.join(args.workdir,
                                    f"chaos-replay-{first.seed}.json")
     write_replay(out, first, minimal)
     log(f"replay file written to {os.path.abspath(out)}")
     return 1
-
-
-def _is_colocation_spec(path: str) -> bool:
-    from repro.core.config import load_yaml_subset
-    with open(path, encoding="utf-8") as fh:
-        spec = load_yaml_subset(fh.read())
-    return isinstance(spec, dict) and "jobs" in spec
-
-
-def _run_with_obs(args, workdir, slos=None):
-    """Run the target (pipeline or colocation spec) with the live
-    observability plane attached; returns ``[(title, obs, result)]``
-    where ``result`` is the ColocationResult or the pipeline row."""
-    from repro.obs import LiveObs
-    window = getattr(args, "window", None)
-    out = []
-    if _is_colocation_spec(args.target):
-        from repro.tenancy import run_colocation
-
-        def hook(cluster):
-            out.append((os.path.basename(args.target),
-                        LiveObs.attach(cluster, window=window), None))
-
-        result = run_colocation(args.target, workdir=workdir,
-                                on_cluster=hook, slos=slos)
-        out[:] = [(t, o, result) for t, o, _r in out]
-    else:
-        def hook(cluster, variant):
-            out.append((variant.get("name", "run"),
-                        LiveObs.attach(cluster, window=window,
-                                       slos=slos), None))
-
-        run_pipeline(args.target, workdir=workdir, on_cluster=hook)
-    return out
 
 
 def _fmt_series(name: str, labels) -> str:
@@ -351,20 +378,12 @@ def _top_json(obs) -> dict:
 
 
 def _cmd_top(args) -> int:
-    workdir = args.workdir or tempfile.mkdtemp(prefix="megammap-top-")
-    runs = _run_with_obs(args, workdir)
-    if not runs:
-        print("run produced no output", file=sys.stderr)
-        return 1
+    runs = _run_target(args, obs=True)
     if args.json:
-        payload = [_top_json(obs) for _t, obs, _r in runs]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         indent=2))
+        _emit_json([_top_json(c.system.obs) for _t, c, _r in runs])
     else:
-        for i, (title, obs, _result) in enumerate(runs):
-            if i:
-                print()
-            print(_render_top(title, obs, args.limit))
+        print("\n\n".join(_render_top(title, c.system.obs, args.limit)
+                          for title, c, _r in runs))
     return 0
 
 
@@ -406,121 +425,84 @@ def _render_slo(title: str, report: dict) -> str:
 
 def _cmd_slo(args) -> int:
     from repro.obs import load_slos
+    if args.slos and not os.path.exists(args.slos):
+        raise PipelineError(f"file not found: {args.slos}")
     extra = load_slos(args.slos) if args.slos else []
-    workdir = args.workdir or tempfile.mkdtemp(prefix="megammap-slo-")
-    if not extra and not _is_colocation_spec(args.target):
-        print("error: pipeline targets need --slos <spec.yaml>",
-              file=sys.stderr)
-        return 2
-    runs = _run_with_obs(args, workdir, slos=extra)
-    if not runs:
-        print("run produced no output", file=sys.stderr)
-        return 1
-    reports = []
-    for title, obs, _result in runs:
-        if obs.slo is None:
-            print(f"error: no SLOs attached for {title} (use --slos "
-                  f"or embed 'slos:'/per-job 'slo:' blocks in the "
-                  f"spec)", file=sys.stderr)
-            return 2
-        reports.append((title, obs.slo.report()))
+    spec = args.spec
+    embedded = "jobs" in spec and (spec.get("slos") or any(
+        isinstance(j, dict) and j.get("slo") for j in spec["jobs"] or ()))
+    if not (extra or embedded):
+        raise PipelineError(
+            "no SLOs to evaluate: pass --slos <spec.yaml>, or embed "
+            "'slos:' / per-job 'slo:' blocks in a colocation spec")
+    reports = [(title, c.system.obs.slo.report())
+               for title, c, _r in _run_target(args, obs=True, slos=extra)]
     if args.json:
-        payload = [r for _t, r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         indent=2))
+        _emit_json([r for _t, r in reports])
     else:
-        for i, (title, report) in enumerate(reports):
-            if i:
-                print()
-            print(_render_slo(title, report))
-    violations = sum(r["violations"] for _t, r in reports)
-    return 1 if violations else 0
+        print("\n\n".join(_render_slo(t, r) for t, r in reports))
+    return 1 if any(r["violations"] for _t, r in reports) else 0
 
 
-def _cmd_colocate(args) -> int:
-    from repro.tenancy import run_colocation
-    workdir = args.workdir or tempfile.mkdtemp(prefix="megammap-colo-")
-    result = run_colocation(args.spec, workdir=workdir)
-    if not result.rows:
-        print("colocation produced no rows", file=sys.stderr)
-        return 1
-    _print_rows(result.rows)
-    ok = [r for r in result.rows if r["status"] == "ok"]
-    print(f"\n{len(ok)}/{len(result.rows)} jobs completed in "
-          f"{result.makespan:.3f}s simulated "
-          f"({len(result.decisions)} scheduler decisions)")
-    if args.decisions:
-        for d in result.decisions:
-            print("  " + json.dumps(d))
-    rates = [1.0 / r["service_s"] for r in ok if r["service_s"]]
-    if len(rates) > 1:
-        jain = (sum(rates) ** 2) / (len(rates) * sum(x * x
-                                                     for x in rates))
-        print(f"Jain fairness index over per-job service rates: "
-              f"{jain:.4f}")
-    print(f"stats written to {workdir}/", flush=True)
-    return 0
+_COMMANDS = {"run": _cmd_run, "trace": _cmd_run, "colocate": _cmd_run,
+             "report": _cmd_report, "diff": _cmd_diff,
+             "chaos": _cmd_chaos, "top": _cmd_top, "slo": _cmd_slo}
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Back-compat: `python -m repro file.yaml` means `run file.yaml`.
-    if argv and argv[0] not in _SUBCOMMANDS \
-            and argv[0] not in ("-h", "--help"):
-        argv.insert(0, "run")
+def _parser() -> argparse.ArgumentParser:
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument(
+        "target", help="a spec YAML file: a pipeline ('app:') or a "
+                       "colocation spec ('jobs:')")
+    target.add_argument(
+        "--workdir", default=None,
+        help="directory for datasets, stats CSVs, traces and replay "
+             "files (default: a fresh temp directory)")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true",
+                         help="print the result as JSON")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--window", type=float, default=None,
+                        help="obs window in simulated seconds "
+                             "(default: the config's obs_window)")
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Run a MegaMmap workflow pipeline (Jarvis-style).")
+        description="Run a MegaMmap workflow spec (Jarvis-style).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser(
-        "run", help="execute a pipeline and print its stats rows")
-    p_run.add_argument("pipeline", help="path to a workflow YAML file")
-    p_run.add_argument("--workdir", default=None,
-                       help="directory for datasets + stats_dict.csv "
-                            "(default: a fresh temp directory)")
+    sub.add_parser("run", parents=[target],
+                   help="execute a spec and print its stats rows")
 
     p_trace = sub.add_parser(
-        "trace",
-        help="execute a pipeline with span tracing enabled and write "
-             "a Chrome-trace-format JSON timeline")
-    p_trace.add_argument("pipeline", help="path to a workflow YAML file")
-    p_trace.add_argument("--workdir", default=None,
-                         help="directory for datasets + stats (default: "
-                              "a fresh temp directory)")
+        "trace", parents=[target],
+        help="execute a spec with span tracing enabled and write a "
+             "Chrome-trace-format JSON timeline")
     p_trace.add_argument("--out", default=None,
                          help="trace JSON path (default: "
                               "<workdir>/trace.json)")
 
     p_report = sub.add_parser(
-        "report",
-        help="critical-path triage report: pass a pipeline YAML (runs "
-             "it traced) or an existing trace JSON")
-    p_report.add_argument("target",
-                          help="pipeline YAML or Chrome-trace JSON")
-    p_report.add_argument("--workdir", default=None,
-                          help="workdir when running a pipeline")
+        "report", parents=[target, as_json],
+        help="critical-path triage report: pass a spec (runs it "
+             "traced) or an existing trace JSON")
     p_report.add_argument("--top", type=int, default=10,
                           help="number of top spans to list")
     p_report.add_argument("--out", default=None,
                           help="also write the analysis as JSON here")
-    p_report.add_argument("--json", action="store_true",
-                          help="print the analysis as JSON")
 
     p_diff = sub.add_parser(
-        "diff",
+        "diff", parents=[as_json],
         help="compare two runs: which span categories account for the "
              "runtime delta")
     p_diff.add_argument("a", help="baseline trace/report JSON")
     p_diff.add_argument("b", help="comparison trace/report JSON")
-    p_diff.add_argument("--json", action="store_true",
-                        help="print the diff as JSON")
 
     p_chaos = sub.add_parser(
-        "chaos",
-        help="seeded fault-injection campaign with the coherence "
-             "model-checker; shrinks and persists failing schedules")
-    p_chaos.add_argument("pipeline", help="path to a workflow YAML file")
+        "chaos", parents=[target],
+        help="seeded fault-injection campaign on a pipeline with the "
+             "coherence model-checker; shrinks and persists failing "
+             "schedules")
     p_chaos.add_argument("--seeds", type=int, default=25,
                          help="number of seeded cases to run")
     p_chaos.add_argument("--seed-base", type=int, default=0,
@@ -548,8 +530,6 @@ def main(argv=None) -> int:
                          help="attach the live observability plane to "
                               "every case and report per-fault-kind "
                               "detection latency")
-    p_chaos.add_argument("--workdir", default=None,
-                         help="directory for datasets + replay files")
     p_chaos.add_argument("--out", default=None,
                          help="replay-file path for a failing seed")
     p_chaos.add_argument("--replay", default=None,
@@ -557,113 +537,58 @@ def main(argv=None) -> int:
                               "a seeded campaign")
 
     p_colo = sub.add_parser(
-        "colocate",
+        "colocate", parents=[target],
         help="run N jobs as tenants of one shared deployment with "
              "per-tenant quotas, admission control and fast-memory "
              "reallocation")
-    p_colo.add_argument("spec", help="path to a colocation YAML spec")
-    p_colo.add_argument("--workdir", default=None,
-                        help="directory for datasets + "
-                             "colocate_stats.csv (default: a fresh "
-                             "temp directory)")
     p_colo.add_argument("--decisions", action="store_true",
                         help="also print the admission/reallocation "
                              "decision log")
 
     p_top = sub.add_parser(
-        "top",
-        help="run a pipeline or colocation spec with the live "
-             "observability plane attached and print the windowed "
-             "dashboard: counter rates, gauges, latency quantiles, "
-             "alerts, anomalies")
-    p_top.add_argument("target",
-                       help="pipeline YAML or colocation spec")
-    p_top.add_argument("--workdir", default=None,
-                       help="directory for datasets + stats (default: "
-                            "a fresh temp directory)")
-    p_top.add_argument("--window", type=float, default=None,
-                       help="obs window in simulated seconds "
-                            "(default: the config's obs_window)")
+        "top", parents=[target, as_json, window],
+        help="run a spec with the live observability plane attached "
+             "and print the windowed dashboard: counter rates, "
+             "gauges, latency quantiles, alerts, anomalies")
     p_top.add_argument("--limit", type=int, default=12,
                        help="max rows per dashboard section")
-    p_top.add_argument("--json", action="store_true",
-                       help="print the dashboard as JSON")
 
     p_slo = sub.add_parser(
-        "slo",
-        help="run a pipeline or colocation spec under declarative "
-             "SLOs with burn-rate alerting; prints compliance and "
-             "exits 1 when any objective is violated")
-    p_slo.add_argument("target",
-                       help="pipeline YAML or colocation spec")
+        "slo", parents=[target, as_json, window],
+        help="run a spec under declarative SLOs with burn-rate "
+             "alerting; prints compliance and exits 1 when any "
+             "objective is violated")
     p_slo.add_argument("--slos", default=None,
                        help="SLO spec YAML (a 'slos:' list); merged "
                             "with SLOs embedded in a colocation spec")
-    p_slo.add_argument("--workdir", default=None,
-                       help="directory for datasets + stats (default: "
-                            "a fresh temp directory)")
-    p_slo.add_argument("--window", type=float, default=None,
-                       help="obs window in simulated seconds "
-                            "(default: the config's obs_window)")
-    p_slo.add_argument("--json", action="store_true",
-                       help="print the report as JSON")
+    return parser
 
-    args = parser.parse_args(argv)
-    if args.command == "diff":
-        for path in (args.a, args.b):
-            if not os.path.exists(path):
-                print(f"error: file not found: {path}", file=sys.stderr)
-                return 2
-        return _cmd_diff(args)
-    if args.command in ("report", "top", "slo"):
-        target = args.target
-    elif args.command == "colocate":
-        target = args.spec
-    else:
-        target = args.pipeline
-    if not os.path.exists(target):
-        print(f"error: file not found: {target}", file=sys.stderr)
-        return 2
-    if args.command == "slo" and args.slos \
-            and not os.path.exists(args.slos):
-        print(f"error: file not found: {args.slos}", file=sys.stderr)
-        return 2
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "colocate":
-        return _cmd_colocate(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "slo":
-        return _cmd_slo(args)
 
-    workdir = args.workdir or tempfile.mkdtemp(prefix="megammap-ppl-")
-    trace_path = None
-    if args.command == "trace":
-        # Default the trace next to the run's stats inside the workdir
-        # (never the CWD) and always resolve to an absolute path so the
-        # printed location is unambiguous.
-        trace_path = os.path.abspath(
-            args.out or os.path.join(workdir, "trace.json"))
-        os.makedirs(os.path.dirname(trace_path), exist_ok=True)
-    rows = run_pipeline(args.pipeline, workdir=workdir,
-                        trace_path=trace_path)
-    if not rows:
-        print("pipeline produced no rows", file=sys.stderr)
-        return 1
-    _print_rows(rows)
-    print(f"\nstats written to {workdir}/", flush=True)
-    if trace_path:
-        # Sweeps write one trace per variant (<out>.<i>.json); report
-        # the paths actually written, not the requested one.
-        written = [r["trace_file"] for r in rows if r.get("trace_file")]
-        for p in dict.fromkeys(written):
-            print(f"trace written to {os.path.abspath(p)} "
-                  f"(open in chrome://tracing or https://ui.perfetto.dev)",
-                  flush=True)
-    return 0
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # Back-compat: `python -m repro file.yaml` means `run file.yaml`.
+    if argv and argv[0] not in _COMMANDS \
+            and argv[0] not in ("-h", "--help"):
+        argv.insert(0, "run")
+    args = _parser().parse_args(argv)
+    for path in ((args.a, args.b) if args.command == "diff"
+                 else (args.target,)):
+        if not os.path.exists(path):
+            print(f"error: file not found: {path}", file=sys.stderr)
+            return 2
+    try:
+        # The target is loaded here, once; a verb asks `"jobs" in
+        # args.spec` for its shape. (`report` also takes a trace file.)
+        args.spec = None
+        if args.command != "diff" and not (
+                args.command == "report" and _is_trace_file(args.target)):
+            args.spec, args.workdir = load_spec(
+                args.target, args.workdir or tempfile.mkdtemp(
+                    prefix=f"megammap-{args.command}-"))
+        return _COMMANDS[args.command](args)
+    except PipelineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

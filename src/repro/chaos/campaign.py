@@ -156,7 +156,7 @@ def run_case(pipeline: str, seed: int, *, horizon: float,
         obs_window = horizon / 256.0
     state: Dict[str, object] = {}
 
-    def hook(cluster, variant):
+    def hook(cluster):
         system = cluster.system
         p = plan if plan is not None else ChaosPlan.build(
             seed, n_nodes=len(system.dmshs), horizon=horizon,

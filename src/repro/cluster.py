@@ -83,19 +83,17 @@ class AppContext:
     """Everything one application process sees."""
 
     def __init__(self, cluster: "SimCluster", rank: int, comm: Comm,
-                 mm: MegaMmapClient, nprocs: Optional[int] = None,
-                 rng=None):
+                 mm: MegaMmapClient, nprocs: int, rng, name: str):
         self.cluster = cluster
         self.sim = cluster.sim
         self.rank = rank
-        # Colocated jobs see their own world size and rng stream, not
-        # the cluster's — the defaults keep plain runs bit-identical.
-        self.nprocs = cluster.spec.nprocs if nprocs is None else nprocs
+        self.nprocs = nprocs
         self.comm = comm
         self.node = comm.node
         self.mm = mm
-        self.rng = rng if rng is not None \
-            else rng_stream(cluster.spec.seed, "proc", rank)
+        self.rng = rng
+        #: The rank's process (and trace track) name.
+        self.name = name
         self._allocs = 0
 
     # -- compute charging ------------------------------------------------------
@@ -182,20 +180,42 @@ class SimCluster:
         self.world = MpiWorld(self.sim, self.network, rank_to_node)
 
     # -- running applications ------------------------------------------------------
-    def contexts(self) -> List[AppContext]:
+    def contexts(self, world: Optional[MpiWorld] = None,
+                 job: Optional[str] = None, tenant=None
+                 ) -> List[AppContext]:
+        """One :class:`AppContext` per rank of ``world``. The default
+        is the cluster's own world: blocked rank→node map, ``proc``
+        rng streams, ``rank<r>`` names. A colocated job brings its own
+        world; its name keys its rng streams and process names, and
+        its clients are bound to ``tenant``."""
+        world = world or self.world
+        stream, prefix = ("proc",), ""
+        if job is not None:
+            stream, prefix = ("tenant", job, "proc"), f"{job}:"
         out = []
-        for rank in range(self.spec.nprocs):
-            comm = self.world.comm(rank)
+        for rank in range(world.size):
+            comm = world.comm(rank)
             mm = self.system.client(rank, comm.node)
-            out.append(AppContext(self, rank, comm, mm))
+            if tenant is not None:
+                mm.bind_tenant(tenant)
+            out.append(AppContext(
+                self, rank, comm, mm, world.size,
+                rng_stream(self.spec.seed, *stream, rank),
+                f"{prefix}rank{rank}"))
         return out
+
+    def start(self, app: Callable, args: tuple = (), **whose):
+        """Spawn ``app(ctx, *args)`` on every rank :meth:`contexts`
+        builds for ``whose``; returns ``(contexts, processes)``."""
+        ctxs = self.contexts(**whose)
+        return ctxs, [self.sim.process(app(ctx, *args), name=ctx.name)
+                      for ctx in ctxs]
 
     def run(self, app: Callable, *args, allow_oom: bool = False,
             quiesce: bool = True) -> RunResult:
         """Launch ``app(ctx, *args)`` on every rank and run to
         completion."""
-        procs = [self.sim.process(app(ctx, *args), name=f"rank{ctx.rank}")
-                 for ctx in self.contexts()]
+        _ctxs, procs = self.start(app, args)
         t0 = self.sim.now
         oom = False
         values: List[Any] = []

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import memtask
 from repro.core.errors import VectorError
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.shared import SharedVector
@@ -180,7 +181,7 @@ class MegaMmapClient:
         each group pays **one** envelope + payload transfer (vectored
         RPC) instead of one per task, and is serviced by the owner as a
         unit (single stage-in round per contiguous extent). Groups are
-        capped at ``batch_max_pages`` tasks.
+        capped at ``memtask.BATCH_MAX_PAGES`` tasks.
 
         ``wait=True`` ships every batch (each behind what this client
         already handed off to its owner) and returns the per-task
@@ -208,8 +209,8 @@ class MegaMmapClient:
             groups.setdefault(key, []).append(pos)
         batches = []
         for (owner, kind, vec_name), positions in groups.items():
-            for lo in range(0, len(positions), cfg.batch_max_pages):
-                chunk = positions[lo:lo + cfg.batch_max_pages]
+            for lo in range(0, len(positions), memtask.BATCH_MAX_PAGES):
+                chunk = positions[lo:lo + memtask.BATCH_MAX_PAGES]
                 batch = BatchTask(
                     kind=kind, vector_name=vec_name,
                     client_node=self.node,

@@ -33,8 +33,6 @@ class MegaMmapConfig:
     pcache_size:
         Default per-process private cache budget in bytes
         (overridden per vector by ``Vector.bound_memory``).
-    min_score:
-        Prefetcher cutoff (Algorithm 1's ``MinScore``).
     organizer_period:
         Seconds between Data Organizer sweeps (III-D: "Periodically
         (configurable by the user) the Data Organizer interprets the
@@ -54,9 +52,6 @@ class MegaMmapConfig:
         shipped with one envelope per owner node (vectored RPCs); off
         reverts to the one-task-per-page path (ablation/debug switch —
         results are bit-identical either way).
-    batch_max_pages:
-        Cap on the number of pages a single batched task may carry
-        (bounds per-batch latency and worker monopolization).
     compute_bw:
         Simulated per-process compute throughput (bytes/s) used by
         ``ctx.compute_bytes`` when applications charge compute time.
@@ -64,7 +59,6 @@ class MegaMmapConfig:
 
     page_size: int = 64 * KB
     pcache_size: int = 4 * MB
-    min_score: float = 0.25
     organizer_period: float = 0.05
     low_latency_workers: int = 2
     high_latency_workers: int = 2
@@ -74,7 +68,6 @@ class MegaMmapConfig:
     prefetch_enabled: bool = True
     organizer_enabled: bool = True
     batching_enabled: bool = True
-    batch_max_pages: int = 64
     compute_bw: float = 2e9
     #: Durability copies per scache page (paper §V extension): 1 = no
     #: replication (the paper's deployed configuration); k > 1 places
@@ -122,16 +115,10 @@ class MegaMmapConfig:
         if self.page_size <= 0:
             raise ValueError(f"page_size must be positive, got "
                              f"{self.page_size}")
-        if not 0.0 <= self.min_score <= 1.0:
-            raise ValueError(f"min_score must be in [0,1], got "
-                             f"{self.min_score}")
         if self.low_latency_workers < 1 or self.high_latency_workers < 1:
             raise ValueError("each worker pool needs at least one worker")
         if self.workers_min > self.workers_max:
             raise ValueError("workers_min exceeds workers_max")
-        if self.batch_max_pages < 1:
-            raise ValueError(f"batch_max_pages must be at least 1, got "
-                             f"{self.batch_max_pages}")
         if self.wal_snapshot_every < 1:
             raise ValueError(f"wal_snapshot_every must be at least 1, "
                              f"got {self.wal_snapshot_every}")

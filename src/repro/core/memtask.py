@@ -78,6 +78,12 @@ class MemoryTask:
         return 0
 
 
+#: Cap on the pages one batched task may carry (bounds per-batch
+#: latency and worker monopolization). Read as
+#: ``memtask.BATCH_MAX_PAGES`` so a test can patch it in one place.
+BATCH_MAX_PAGES = 64
+
+
 @dataclass(slots=True)
 class BatchTask:
     """Several same-kind MemoryTasks for one owner node, shipped and

@@ -27,11 +27,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.core import memtask
 from repro.core.transaction import (
     Transaction,
     TxFlags,
     coalesce_page_runs,
 )
+
+#: Algorithm 1's ``MinScore``: the horizon is scored until a page's
+#: score decays to this.
+MIN_SCORE = 0.25
 
 
 class Prefetcher:
@@ -95,7 +100,6 @@ class Prefetcher:
     # -- PREFETCH (Algorithm 1 lines 16-33) -----------------------------------
     def _prefetch_scores(self, tx: Transaction) -> Dict[int, float]:
         vec = self.vector
-        cfg = vec.client.system.config
         page_size = vec.shared.page_size
         free = max(0, vec.pcache_budget - vec.pcache_used)
         n = free // page_size
@@ -113,7 +117,7 @@ class Prefetcher:
         est_time = base_time
         pos = tx.tail + sum(r.size for r in near) // vec.shared.itemsize
         score = 1.0
-        while score > cfg.min_score and pos < tx.count:
+        while score > MIN_SCORE and pos < tx.count:
             regions = tx.get_pages(pos, epp)
             if not regions:
                 break
@@ -147,7 +151,6 @@ class Prefetcher:
     # -- applying the decisions -----------------------------------------------
     def _apply(self, tx: Transaction, scores: Dict[int, float]):
         vec = self.vector
-        cfg = vec.client.system.config
         # Read-ahead admission budget: the bytes free *before* this
         # round's evictions. The evictions below free the just-touched
         # window for the pages the application will fault next; handing
@@ -186,7 +189,7 @@ class Prefetcher:
                 admit_budget -= need
                 ahead.append(region)
             for run in coalesce_page_runs(ahead,
-                                          cfg.batch_max_pages):
+                                          memtask.BATCH_MAX_PAGES):
                 vec.prefetch_pages([r.page_idx for r in run])
         # Ship all scores (with our node id) to the Data Organizer.
         batched: List[Tuple[int, float, int]] = [

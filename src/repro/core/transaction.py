@@ -63,7 +63,7 @@ def coalesce_page_runs(regions: List[PageRegion],
     pipeline: each run maps onto one extent-granular batch — a single
     stage-in round at the scache and one vectored RPC per owner node,
     instead of a round trip per page. ``max_run`` caps run length (the
-    ``batch_max_pages`` knob).
+    ``memtask.BATCH_MAX_PAGES`` cap).
     """
     runs: List[List[PageRegion]] = []
     for region in regions:

@@ -22,6 +22,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.core import memtask
 from repro.core.coherence import CoherencePolicy, policy_for
 from repro.core.errors import TransactionError, VectorError
 from repro.core.memtask import MemoryTask, TaskKind
@@ -321,7 +322,7 @@ class Vector:
         # from eviction, so an unbounded wave could overcommit).
         budget_pages = max(1, self.pcache_budget
                            // self.shared.page_size)
-        wave_cap = max(1, min(cfg.batch_max_pages, budget_pages))
+        wave_cap = max(1, min(memtask.BATCH_MAX_PAGES, budget_pages))
         for lo in range(0, len(spans), wave_cap):
             wave = spans[lo:lo + wave_cap]
             frames = yield from self._fault_wave(

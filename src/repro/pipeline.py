@@ -37,19 +37,21 @@ from __future__ import annotations
 
 import copy
 import csv
+import importlib
 import itertools
+import json
 import os
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.apps.datagen import write_gadget_like, write_parquet_points
-from repro.cluster import SimCluster
-from repro.core.config import MegaMmapConfig
+from repro.cluster import RunResult, SimCluster
+from repro.core.config import MegaMmapConfig, load_yaml_subset
 from repro.core.errors import MegaMmapError
 from repro.storage.tiers import (DRAM, HDD, MB, NVME, PMEM, SATA_SSD,
                                  scaled)
-from repro.core.config import load_yaml_subset
 
 
 class PipelineError(MegaMmapError):
@@ -57,131 +59,158 @@ class PipelineError(MegaMmapError):
 
 
 # ---------------------------------------------------------------------------
-# Application registry: kind -> launcher(cluster, spec, workdir) -> RunResult
+# The app table: kind -> where the function lives, how its arguments
+# are read off the spec, how it is started. ``run_pipeline`` and the
+# tenant scheduler both launch from it.
 # ---------------------------------------------------------------------------
 
-def _kmeans_urls(spec, workdir):
-    return f"parquet://{os.path.join(workdir, spec['dataset']['path'])}"
+class Urls:
+    """Where one launch's files live: the spec's dataset, and outputs
+    in the workdir under the owner's name (``"<job>."`` for a tenant,
+    so two colocated jobs cannot collide)."""
+
+    def __init__(self, dataset: Optional[Dict[str, Any]], workdir: str,
+                 owner: str = ""):
+        self.dataset, self.workdir, self.owner = dataset, workdir, owner
+        #: An output URL was handed out: the launch ends by draining
+        #: the stager, so what the app persisted reaches the PFS.
+        self.wrote = False
+
+    def data(self, scheme: str, suffix: str = "") -> str:
+        if not self.dataset or "path" not in self.dataset:
+            raise PipelineError(
+                f"{self.owner}app needs a dataset with a 'path'")
+        path = os.path.join(self.workdir, self.dataset["path"])
+        return f"{scheme}://{path}{suffix}"
+
+    def out(self, name: str) -> str:
+        self.wrote = True
+        return f"posix://{os.path.join(self.workdir, self.owner + name)}"
 
 
-def _run_mm_kmeans(cluster, spec, workdir):
-    from repro.apps.kmeans import mm_kmeans
-    app = spec["app"]
-    return cluster.run(mm_kmeans, _kmeans_urls(spec, workdir),
-                       app.get("k", 8), app.get("max_iter", 4),
-                       app.get("seed", 0), app.get("pcache"))
+def _mm_kmeans(app, urls, cluster):
+    return (urls.data("parquet"), app.get("k", 8), app.get("max_iter", 4),
+            app.get("seed", 0), app.get("pcache"))
 
 
-def _run_spark_kmeans(cluster, spec, workdir):
-    from repro.apps.kmeans import spark_kmeans
-    app = spec["app"]
-    return cluster.run_driver(spark_kmeans(
-        cluster, _kmeans_urls(spec, workdir), app.get("k", 8),
-        app.get("max_iter", 4), app.get("seed", 0)))
+def _spark_kmeans(app, urls, cluster):
+    return (urls.data("parquet"), app.get("k", 8), app.get("max_iter", 4),
+            app.get("seed", 0))
 
 
-def _run_mm_dbscan(cluster, spec, workdir):
-    from repro.apps.dbscan import mm_dbscan
-    app = spec["app"]
-    return cluster.run(mm_dbscan, _kmeans_urls(spec, workdir),
-                       float(app.get("eps", 8.0)),
-                       app.get("min_pts", 64), app.get("seed", 0),
-                       app.get("pcache"))
+def _mpi_dbscan(app, urls, cluster):
+    return (urls.data("parquet"), float(app.get("eps", 8.0)),
+            app.get("min_pts", 64), app.get("seed", 0))
 
 
-def _run_mpi_dbscan(cluster, spec, workdir):
-    from repro.apps.dbscan import mpi_dbscan
-    app = spec["app"]
-    return cluster.run(mpi_dbscan, _kmeans_urls(spec, workdir),
-                       float(app.get("eps", 8.0)),
-                       app.get("min_pts", 64), app.get("seed", 0))
+def _mm_dbscan(app, urls, cluster):
+    return _mpi_dbscan(app, urls, cluster) + (app.get("pcache"),)
 
 
-def _rf_urls(spec, workdir):
-    base = os.path.join(workdir, spec["dataset"]["path"])
-    return f"hdf5://{base}:parttype0", f"posix://{base}.labels"
+def _spark_rf(app, urls, cluster):
+    return (urls.data("hdf5", ":parttype0"), urls.data("posix", ".labels"),
+            app.get("num_trees", 1), app.get("max_depth", 10),
+            app.get("oob", 4), app.get("seed", 0))
 
 
-def _run_mm_rf(cluster, spec, workdir):
-    from repro.apps.rf import mm_random_forest
-    url, lurl = _rf_urls(spec, workdir)
-    app = spec["app"]
-    return cluster.run(mm_random_forest, url, lurl,
-                       app.get("num_trees", 1), app.get("max_depth", 10),
-                       app.get("oob", 4), app.get("seed", 0),
-                       app.get("pcache"))
+def _mm_rf(app, urls, cluster):
+    return _spark_rf(app, urls, cluster) + (app.get("pcache"),)
 
 
-def _run_spark_rf(cluster, spec, workdir):
-    from repro.apps.rf.spark_rf import spark_random_forest
-    url, lurl = _rf_urls(spec, workdir)
-    app = spec["app"]
-    return cluster.run_driver(spark_random_forest(
-        cluster, url, lurl, num_trees=app.get("num_trees", 1),
-        max_depth=app.get("max_depth", 10), oob=app.get("oob", 4),
-        seed=app.get("seed", 0)))
-
-
-def _run_mm_gray_scott(cluster, spec, workdir):
-    from repro.apps.grayscott import GSParams, mm_gray_scott
-    app = spec["app"]
+def _mm_gray_scott(app, urls, cluster):
+    from repro.apps.grayscott import GSParams
     L, plotgap = app.get("L", 32), app.get("plotgap", 0)
     # The grid size is part of the name: sweep variants share a workdir
     # and a file-backed vector adopts an existing file's length.
-    prefix = f"posix://{os.path.join(workdir, f'gs_ckpt_L{L}')}" \
-        if plotgap else None
-    res = cluster.run(mm_gray_scott, L, app.get("steps", 3), plotgap,
-                      app.get("pcache"), GSParams(), prefix)
-    if prefix is not None:
-        # End of the job: drain the stager so the checkpoints reach
-        # the PFS.
+    prefix = urls.out(f"gs_ckpt_L{L}") if plotgap else None
+    return (L, app.get("steps", 3), plotgap, app.get("pcache"),
+            GSParams(), prefix)
+
+
+def _mpi_gray_scott(app, urls, cluster):
+    plotgap = app.get("plotgap", 0)
+    return (app.get("L", 32), app.get("steps", 3), plotgap,
+            cluster.pfs if plotgap else None)
+
+
+def _mm_stream(app, urls, cluster):
+    return urls.data("parquet"), app.get("passes", 1), app.get("pcache")
+
+
+def _mm_serving(app, urls, cluster):
+    return (app.get("n_keys", 1 << 14), app.get("obj_bytes", 64),
+            app.get("queries", 128), app.get("lookups", 8),
+            app.get("zipf_s", 1.2), app.get("write_frac", 0.05),
+            app.get("qps", 2000.0), app.get("api", "object"),
+            app.get("pcache"), app.get("partition_writes", True))
+
+
+@dataclass(frozen=True)
+class App:
+    """One row of the app table."""
+
+    #: ``"module:function"``, imported on the first launch — importing
+    #: this module loads no app.
+    target: str
+    #: ``(app section, Urls, cluster) -> tuple`` of the function's
+    #: arguments after its first; every default is written here, once.
+    args: Callable[[Dict[str, Any], Urls, SimCluster], tuple]
+    #: ``fn(cluster, *args)`` is one driver generator (Spark) instead
+    #: of ``fn(ctx, *args)`` on every rank.
+    driver: bool = False
+    #: May run as a colocated tenant (its keys are namespaced, its
+    #: pages charged to a quota).
+    tenant: bool = False
+
+    def load(self) -> Callable:
+        module, name = self.target.split(":")
+        return getattr(importlib.import_module(module), name)
+
+
+APP_REGISTRY: Dict[str, App] = {
+    "mm_kmeans": App("repro.apps.kmeans:mm_kmeans", _mm_kmeans,
+                     tenant=True),
+    "spark_kmeans": App("repro.apps.kmeans:spark_kmeans", _spark_kmeans,
+                        driver=True, tenant=True),
+    "mm_dbscan": App("repro.apps.dbscan:mm_dbscan", _mm_dbscan,
+                     tenant=True),
+    "mpi_dbscan": App("repro.apps.dbscan:mpi_dbscan", _mpi_dbscan),
+    "mm_random_forest": App("repro.apps.rf:mm_random_forest", _mm_rf),
+    "spark_random_forest": App(
+        "repro.apps.rf.spark_rf:spark_random_forest", _spark_rf,
+        driver=True),
+    "mm_gray_scott": App("repro.apps.grayscott:mm_gray_scott",
+                         _mm_gray_scott, tenant=True),
+    "mpi_gray_scott": App("repro.apps.grayscott:mpi_gray_scott",
+                          _mpi_gray_scott),
+    "mm_stream": App("repro.apps.stream:mm_stream", _mm_stream,
+                     tenant=True),
+    "mm_serving": App("repro.apps.serving:mm_serving", _mm_serving),
+}
+
+
+def app_entry(app: Dict[str, Any]) -> App:
+    """The table row an ``app:`` section names."""
+    kind = app.get("kind") if isinstance(app, dict) else None
+    if kind not in APP_REGISTRY:
+        raise PipelineError(
+            f"unknown app kind {kind!r}; known: {sorted(APP_REGISTRY)}")
+    return APP_REGISTRY[kind]
+
+
+def launch(cluster: SimCluster, app: Dict[str, Any],
+           urls: Urls) -> RunResult:
+    """Run one ``app:`` section on the whole cluster, to completion."""
+    entry = app_entry(app)
+    fn, args = entry.load(), entry.args(app, urls, cluster)
+    if entry.driver:
+        res = cluster.run_driver(fn(cluster, *args))
+    else:
+        res = cluster.run(fn, *args)
+    if urls.wrote:
         cluster.shutdown()
     return res
 
-
-def _run_mm_stream(cluster, spec, workdir):
-    from repro.apps.stream import mm_stream
-    app = spec["app"]
-    return cluster.run(mm_stream, _kmeans_urls(spec, workdir),
-                       app.get("passes", 1), app.get("pcache"))
-
-
-def _run_mm_serving(cluster, spec, workdir):
-    from repro.apps.serving import mm_serving
-    app = spec["app"]
-    return cluster.run(mm_serving,
-                       app.get("n_keys", 1 << 14),
-                       app.get("obj_bytes", 64),
-                       app.get("queries", 128),
-                       app.get("lookups", 8),
-                       app.get("zipf_s", 1.2),
-                       app.get("write_frac", 0.05),
-                       app.get("qps", 2000.0),
-                       app.get("api", "object"),
-                       app.get("pcache"),
-                       app.get("partition_writes", True))
-
-
-def _run_mpi_gray_scott(cluster, spec, workdir):
-    from repro.apps.grayscott import mpi_gray_scott
-    app = spec["app"]
-    io = cluster.pfs if app.get("plotgap") else None
-    return cluster.run(mpi_gray_scott, app.get("L", 32),
-                       app.get("steps", 3), app.get("plotgap", 0), io)
-
-
-APP_REGISTRY: Dict[str, Callable] = {
-    "mm_kmeans": _run_mm_kmeans,
-    "spark_kmeans": _run_spark_kmeans,
-    "mm_dbscan": _run_mm_dbscan,
-    "mpi_dbscan": _run_mpi_dbscan,
-    "mm_random_forest": _run_mm_rf,
-    "spark_random_forest": _run_spark_rf,
-    "mm_gray_scott": _run_mm_gray_scott,
-    "mpi_gray_scott": _run_mpi_gray_scott,
-    "mm_stream": _run_mm_stream,
-    "mm_serving": _run_mm_serving,
-}
 
 #: cluster-section keys consumed by the builder (everything else goes
 #: to MegaMmapConfig).
@@ -219,19 +248,33 @@ def prepare_dataset(section: Optional[Dict[str, Any]],
     if not section or section.get("kind", "none") == "none":
         return
     kind = section["kind"]
+    if kind not in ("points", "gadget"):
+        raise PipelineError(f"unknown dataset kind {kind!r}")
     path = os.path.join(workdir, section.get("path", "data"))
-    if os.path.exists(path):
-        return
     n = int(section.get("n", 10_000))
     k = int(section.get("k", 8))
     seed = int(section.get("seed", 0))
+    made_from = {"kind": kind, "n": n, "k": k, "seed": seed}
+    # A file is reused only when it was generated from these very
+    # parameters (recorded beside it, after the data): a sweep over
+    # ``dataset.n`` or an edited spec must not meet the first file.
+    stamp = path + ".gen.json"
+    try:
+        with open(stamp, encoding="utf-8") as fh:
+            if json.load(fh) == made_from and os.path.exists(path):
+                return
+    except (OSError, ValueError):
+        pass
+    for stale in (stamp, path, path + ".labels"):
+        if os.path.exists(stale):
+            os.remove(stale)
     if kind == "points":
         write_parquet_points(path, n, k, seed=seed)
-    elif kind == "gadget":
+    else:
         labels = write_gadget_like(path, n, k, seed=seed)
         (labels + 1).astype(np.int32).tofile(path + ".labels")
-    else:
-        raise PipelineError(f"unknown dataset kind {kind!r}")
+    with open(stamp, "w", encoding="utf-8") as fh:
+        json.dump(made_from, fh)
 
 
 def _expand_sweep(spec: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -241,8 +284,11 @@ def _expand_sweep(spec: Dict[str, Any]) -> List[Dict[str, Any]]:
         return [spec]
     axes = []
     for axis in sweep:
-        if "key" not in axis or "values" not in axis:
-            raise PipelineError("sweep entries need 'key' and 'values'")
+        if not isinstance(axis, dict) or "key" not in axis \
+                or not isinstance(axis.get("values"), list) \
+                or not axis["values"]:
+            raise PipelineError("sweep entries need a 'key' and a "
+                                "non-empty 'values' list")
         axes.append([(axis["key"], v) for v in axis["values"]])
     out = []
     for combo in itertools.product(*axes):
@@ -268,7 +314,39 @@ def _get_path(spec: Dict[str, Any], dotted: str) -> Any:
     return node
 
 
-def run_pipeline(text_or_path: str, workdir: Optional[str] = None,
+def load_spec(source, workdir: Optional[str] = None
+              ) -> Tuple[Dict[str, Any], str]:
+    """``(spec, workdir)`` of a pipeline or colocation spec given as a
+    file path, YAML text or an already loaded mapping. The workdir
+    defaults to the file's directory (the CWD for text) and is
+    created."""
+    default_dir, spec = os.getcwd(), source
+    if not isinstance(source, dict):
+        if os.path.exists(source):
+            default_dir = os.path.dirname(os.path.abspath(source))
+            with open(source, encoding="utf-8") as fh:
+                source = fh.read()
+        try:
+            spec = load_yaml_subset(source)
+        except ValueError as exc:
+            raise PipelineError(f"not a YAML spec: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise PipelineError("a spec must be a mapping")
+    workdir = workdir or default_dir
+    os.makedirs(workdir, exist_ok=True)
+    return spec, workdir
+
+
+def write_rows(path: str, rows: List[Dict[str, Any]]) -> None:
+    """Persist stats rows as CSV (nothing is written for no rows)."""
+    if rows:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+
+
+def run_pipeline(source, workdir: Optional[str] = None,
                  trace_path: Optional[str] = None,
                  on_variant: Optional[Callable] = None,
                  on_cluster: Optional[Callable] = None
@@ -277,30 +355,17 @@ def run_pipeline(text_or_path: str, workdir: Optional[str] = None,
 
     ``trace_path`` enables span tracing on every variant's cluster and
     writes Chrome-trace-format JSON there (sweep variants append
-    ``.<i>`` before the extension). ``on_variant(cluster, variant,
-    row)`` is invoked after each variant completes, while the cluster
-    (tracer, monitor) is still live — the hook `repro report` uses for
-    live-mode analysis. ``on_cluster(cluster, variant)`` is invoked
+    ``.<i>`` before the extension). ``on_cluster(cluster)`` is invoked
     right after each variant's cluster is built and before the app
-    runs — the hook `repro chaos` uses to install fault injection and
-    the history recorder.
+    runs — where the CLI and ``repro chaos`` install tracing, the obs
+    plane, fault injection and the history recorder.
+    ``on_variant(cluster, variant, row)`` is invoked after each variant
+    completes, while the cluster (tracer, monitor) is still live.
     """
-    if os.path.exists(text_or_path):
-        with open(text_or_path, encoding="utf-8") as fh:
-            text = fh.read()
-        default_dir = os.path.dirname(os.path.abspath(text_or_path))
-    else:
-        text = text_or_path
-        default_dir = os.getcwd()
-    spec = load_yaml_subset(text)
-    if not isinstance(spec, dict) or "app" not in spec:
+    spec, workdir = load_spec(source, workdir)
+    if "app" not in spec:
         raise PipelineError("pipeline must be a mapping with an 'app'")
-    kind = spec["app"].get("kind")
-    if kind not in APP_REGISTRY:
-        raise PipelineError(
-            f"unknown app kind {kind!r}; known: {sorted(APP_REGISTRY)}")
-    workdir = workdir or default_dir
-    os.makedirs(workdir, exist_ok=True)
+    app_entry(spec["app"])
     rows: List[Dict[str, Any]] = []
     variants = _expand_sweep(spec)
     for i, variant in enumerate(variants):
@@ -309,7 +374,7 @@ def run_pipeline(text_or_path: str, workdir: Optional[str] = None,
         if trace_path:
             cluster.tracer.enabled = True
         if on_cluster is not None:
-            on_cluster(cluster, variant)
+            on_cluster(cluster)
         trace_file = None
         if trace_path:
             trace_file = trace_path
@@ -317,19 +382,17 @@ def run_pipeline(text_or_path: str, workdir: Optional[str] = None,
                 root, ext = os.path.splitext(trace_path)
                 trace_file = f"{root}.{i}{ext or '.json'}"
         try:
-            res = APP_REGISTRY[kind](cluster, variant, workdir)
-        except BaseException:
-            # Still export the partial trace on a mid-run crash —
-            # spans open at the failure point come out clipped at
-            # sim.now with an `unfinished` marker, which is exactly
-            # the timeline a post-mortem needs.
+            res = launch(cluster, variant["app"],
+                         Urls(variant.get("dataset"), workdir))
+        finally:
+            # A mid-run crash still exports the partial trace — spans
+            # open at the failure point come out clipped at sim.now
+            # with an `unfinished` marker, which is exactly the
+            # timeline a post-mortem needs.
             if trace_file:
                 cluster.export_trace(trace_file)
-            raise
-        if trace_file:
-            cluster.export_trace(trace_file)
         row: Dict[str, Any] = {
-            "app": variant.get("name", kind),
+            "app": variant.get("name", variant["app"]["kind"]),
             "nprocs": cluster.spec.nprocs,
             "nodes": cluster.spec.n_nodes,
             "runtime_s": res.runtime,
@@ -364,11 +427,6 @@ def run_pipeline(text_or_path: str, workdir: Optional[str] = None,
         if on_variant is not None:
             on_variant(cluster, variant, row)
         rows.append(row)
-    out_name = spec.get("output", "stats_dict.csv")
-    out_path = os.path.join(workdir, out_name)
-    if rows:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+    write_rows(os.path.join(workdir,
+                            spec.get("output", "stats_dict.csv")), rows)
     return rows

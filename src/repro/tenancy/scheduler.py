@@ -15,34 +15,31 @@ cluster — shared scache, devices and fabric. The scheduler:
 * optionally runs the MaxMem-style :class:`ReallocLoop` shifting
   DRAM-tier quota between tenants while jobs run.
 
-A single-job spec with tenancy disabled takes the *plain* path — the
-exact launcher :func:`repro.pipeline.run_pipeline` uses, same rng
-streams, no quota manager — and is therefore bit-identical to running
-the equivalent pipeline file.
+What a job runs comes from the one app table
+(:data:`repro.pipeline.APP_REGISTRY`): the same argument builder a
+pipeline launch uses, for the kinds marked tenant-capable. A one-job
+spec is a campaign like any other.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.cluster import AppContext, SimCluster
-from repro.core.config import MB, load_yaml_subset
-from repro.core.errors import QuotaExceededError
+from repro.cluster import SimCluster
+from repro.core.config import MB
 from repro.mpi import MpiWorld
-from repro.pipeline import (APP_REGISTRY, PipelineError, build_cluster,
-                            prepare_dataset)
-from repro.sim import AllOf, rng_stream
+from repro.pipeline import (APP_REGISTRY, PipelineError, Urls, app_entry,
+                            build_cluster, load_spec, prepare_dataset,
+                            write_rows)
+from repro.sim import AllOf
 from repro.tenancy.quota import QuotaManager, TenantQuota
 from repro.tenancy.realloc import ReallocLoop
 
-#: App kinds a colocated (multi-tenant) run can launch. Rank-style
-#: entries get one process per job rank; driver-style entries run as a
-#: single generator (the Spark driver model).
-RANK_APPS = ("mm_kmeans", "mm_dbscan", "mm_gray_scott", "mm_stream")
-DRIVER_APPS = ("spark_kmeans",)
+#: ``tenancy:`` section keys of a colocation spec: the scheduler's
+#: keyword arguments of the same names.
+_TENANCY_KEYS = ("realloc", "namespace", "overcommit")
 
 
 @dataclass
@@ -60,9 +57,17 @@ class JobSpec:
     min_dram: int = 0
     slo: Optional[Dict[str, Any]] = None
 
+    def __post_init__(self):
+        if not app_entry(self.app).tenant:
+            raise PipelineError(
+                f"job {self.name!r}: app kind {self.app['kind']!r} "
+                f"cannot run as a tenant; tenant-capable: "
+                f"{sorted(k for k, a in APP_REGISTRY.items() if a.tenant)}")
+
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
-        if "name" not in data or "app" not in data:
+        if not isinstance(data, dict) or "name" not in data \
+                or "app" not in data:
             raise PipelineError("each job needs 'name' and 'app'")
 
         def mb(key):
@@ -97,42 +102,6 @@ class ColocationResult:
     obs_events: List[dict] = field(default_factory=list)
 
 
-def _dataset_url(job: JobSpec, workdir: str) -> str:
-    if not job.dataset or "path" not in job.dataset:
-        raise PipelineError(
-            f"job {job.name!r}: app kind {job.app.get('kind')!r} needs "
-            f"a dataset with a 'path'")
-    return f"parquet://{os.path.join(workdir, job.dataset['path'])}"
-
-
-def _rank_launcher(job: JobSpec, workdir: str) -> Tuple[Callable, tuple]:
-    """(app_generator_fn, args) for a rank-style job."""
-    app = job.app
-    kind = app.get("kind")
-    if kind == "mm_kmeans":
-        from repro.apps.kmeans import mm_kmeans
-        return mm_kmeans, (_dataset_url(job, workdir), app.get("k", 8),
-                           app.get("max_iter", 4), app.get("seed", 0),
-                           app.get("pcache"))
-    if kind == "mm_dbscan":
-        from repro.apps.dbscan import mm_dbscan
-        return mm_dbscan, (_dataset_url(job, workdir),
-                           float(app.get("eps", 8.0)),
-                           app.get("min_pts", 64), app.get("seed", 0),
-                           app.get("pcache"))
-    if kind == "mm_gray_scott":
-        from repro.apps.grayscott import mm_gray_scott
-        return mm_gray_scott, (app.get("L", 32), app.get("steps", 3),
-                               app.get("plotgap", 0), app.get("pcache"))
-    if kind == "mm_stream":
-        from repro.apps.stream import mm_stream
-        return mm_stream, (_dataset_url(job, workdir),
-                           app.get("passes", 1), app.get("pcache"))
-    raise PipelineError(
-        f"job {job.name!r}: app kind {kind!r} not colocatable; "
-        f"known: {sorted(RANK_APPS + DRIVER_APPS)}")
-
-
 class JobScheduler:
     """Admission control + launch + reallocation for one campaign."""
 
@@ -162,6 +131,8 @@ class JobScheduler:
         self._queued_logged: set = set()
         #: Library handles of each running job's ranks.
         self._clients: Dict[str, list] = {}
+        #: A job was handed an output URL (Gray-Scott checkpoints).
+        self._wrote = False
 
     # -- admission -------------------------------------------------------
     def _try_admit(self, job: JobSpec) -> str:
@@ -240,32 +211,21 @@ class JobScheduler:
 
     def _run_job(self, job: JobSpec):
         sim = self.system.sim
-        tenant = self.qm.tenants[job.name]
-        kind = job.app.get("kind")
-        n_nodes = len(self.system.dmshs)
-        if kind in DRIVER_APPS:
-            from repro.apps.kmeans import spark_kmeans
-            gen = spark_kmeans(
-                self.cluster, _dataset_url(job, self.workdir),
-                job.app.get("k", 8), job.app.get("max_iter", 4),
-                job.app.get("seed", 0))
-            procs = [sim.process(gen, name=f"{job.name}:driver")]
+        entry = APP_REGISTRY[job.app["kind"]]
+        urls = Urls(job.dataset, self.workdir, owner=f"{job.name}.")
+        fn, args = entry.load(), entry.args(job.app, urls, self.cluster)
+        self._wrote |= urls.wrote
+        if entry.driver:
+            procs = [sim.process(fn(self.cluster, *args),
+                                 name=f"{job.name}:driver")]
         else:
-            app_fn, args = _rank_launcher(job, self.workdir)
+            n_nodes = len(self.system.dmshs)
             world = MpiWorld(sim, self.system.network,
                              [r % n_nodes for r in range(job.procs)])
-            procs = []
-            for r in range(job.procs):
-                comm = world.comm(r)
-                mm = self.system.client(r, comm.node)
-                mm.bind_tenant(tenant)
-                self._clients.setdefault(job.name, []).append(mm)
-                ctx = AppContext(
-                    self.cluster, r, comm, mm, nprocs=job.procs,
-                    rng=rng_stream(self.cluster.spec.seed, "tenant",
-                                   job.name, "proc", r))
-                procs.append(sim.process(app_fn(ctx, *args),
-                                         name=f"{job.name}:rank{r}"))
+            ctxs, procs = self.cluster.start(
+                fn, args, world=world, job=job.name,
+                tenant=self.qm.tenants[job.name])
+            self._clients[job.name] = [ctx.mm for ctx in ctxs]
         values = yield AllOf(sim, procs)
         return values
 
@@ -315,22 +275,31 @@ class JobScheduler:
         makespan = sim.now - t0
         rows = [self._rows[j.name] for j in self.jobs
                 if j.name in self._rows]
-        return ColocationResult(rows=rows, decisions=self.qm.decisions,
-                                makespan=makespan,
-                                stats=self.system.stats())
+        result = ColocationResult(rows=rows, decisions=self.qm.decisions,
+                                  makespan=makespan,
+                                  stats=self.system.stats())
+        if self._wrote:
+            # As at the end of a checkpointing pipeline launch: drain
+            # the stager so the checkpoints reach the PFS.
+            self.cluster.shutdown()
+        return result
 
 
-def load_colocation_spec(text_or_path: str) -> Dict[str, Any]:
-    if os.path.exists(text_or_path):
-        with open(text_or_path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = text_or_path
-    spec = load_yaml_subset(text)
-    if not isinstance(spec, dict) or "jobs" not in spec:
+def load_colocation_spec(source) -> Dict[str, Any]:
+    spec, _workdir = _load(source)
+    return spec
+
+
+def _load(source, workdir: Optional[str] = None):
+    spec, workdir = load_spec(source, workdir)
+    if not isinstance(spec.get("jobs"), list) or not spec["jobs"]:
         raise PipelineError(
             "colocation spec must be a mapping with a 'jobs' list")
-    return spec
+    unknown = sorted(set(spec.get("tenancy") or {}) - set(_TENANCY_KEYS))
+    if unknown:
+        raise PipelineError(f"unknown tenancy keys {unknown}; known: "
+                            f"{sorted(_TENANCY_KEYS)}")
+    return spec, workdir
 
 
 def collect_slos(spec: Dict[str, Any], jobs: List[JobSpec],
@@ -356,106 +325,41 @@ def collect_slos(spec: Dict[str, Any], jobs: List[JobSpec],
     return specs
 
 
-def run_colocation(text_or_path: str, workdir: Optional[str] = None,
+def run_colocation(source, workdir: Optional[str] = None,
                    on_cluster=None, slos=None
                    ) -> ColocationResult:
     """Execute a colocation spec; returns (and persists) per-job rows.
 
-    Single-job specs with tenancy disabled run through the plain
-    pipeline launcher (bit-identical to ``repro run`` on the
-    equivalent pipeline file); everything else goes through the
-    :class:`JobScheduler`.
-
     ``on_cluster(cluster)`` is invoked right after the cluster is
-    built, before any job runs — the hook ``repro top``/``repro slo``
-    use to install the live observability plane. ``slos`` (a list of
-    :class:`~repro.obs.slo.SLOSpec`) is merged with SLOs embedded in
+    built, before any job runs — the hook the CLI uses to switch on
+    tracing and install the live observability plane. ``slos`` (a list
+    of :class:`~repro.obs.slo.SLOSpec`) is merged with SLOs embedded in
     the spec (top-level ``slos:`` and per-job ``slo:`` blocks); when
     any exist the obs plane is attached automatically and the result
     carries the compliance/alert report in ``.slo``.
     """
-    spec = load_colocation_spec(text_or_path)
-    if os.path.exists(text_or_path):
-        default_dir = os.path.dirname(os.path.abspath(text_or_path))
-    else:
-        default_dir = os.getcwd()
-    workdir = workdir or default_dir
-    os.makedirs(workdir, exist_ok=True)
+    spec, workdir = _load(source, workdir)
+    # Everything is validated before a dataset is materialized: a bad
+    # spec leaves nothing behind in the workdir.
     jobs = [JobSpec.from_dict(j) for j in spec["jobs"]]
-    tenancy = dict(spec.get("tenancy") or {})
-    enabled = tenancy.get("enabled")
-    if enabled is None:
-        enabled = len(jobs) > 1
-    if not enabled and len(jobs) != 1:
-        # Validate before materializing datasets: a bad spec should
-        # leave nothing behind in the workdir.
-        raise QuotaExceededError(
-            "tenancy cannot be disabled with more than one job")
     slo_specs = collect_slos(spec, jobs, extra=slos)
     for job in jobs:
         prepare_dataset(job.dataset, workdir)
-    if not enabled:
-        result = _run_plain(spec, jobs[0], workdir,
-                            on_cluster=on_cluster)
-    else:
-        cluster = build_cluster(spec.get("cluster"))
-        if on_cluster is not None:
-            on_cluster(cluster)
-        obs = None
-        if slo_specs or getattr(cluster.system, "obs", None) is not None:
-            from repro.obs import LiveObs
-            obs = LiveObs.attach(cluster, slos=slo_specs,
-                                 tenants=[j.name for j in jobs])
-        sched = JobScheduler(
-            cluster, jobs, workdir=workdir,
-            realloc=bool(tenancy.get("realloc", True)),
-            namespace=bool(tenancy.get("namespace", True)),
-            overcommit=float(tenancy.get("overcommit", 1.0)))
-        result = sched.run()
-        if obs is not None:
-            result.obs_events = list(obs.events)
-            if obs.slo is not None:
-                result.slo = obs.slo.report()
-    out_path = os.path.join(workdir,
-                            spec.get("output", "colocate_stats.csv"))
-    if result.rows:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(result.rows[0]))
-            writer.writeheader()
-            writer.writerows(result.rows)
-    return result
-
-
-def _run_plain(spec: Dict[str, Any], job: JobSpec,
-               workdir: str, on_cluster=None) -> ColocationResult:
-    """Single-tenant fast path: the exact plain-pipeline launcher (no
-    QuotaManager, global rank rng streams, same process names)."""
-    kind = job.app.get("kind")
-    if kind not in APP_REGISTRY:
-        raise PipelineError(
-            f"unknown app kind {kind!r}; known: {sorted(APP_REGISTRY)}")
-    if job.arrival:
-        raise PipelineError("plain (single-tenant) runs start at t=0")
     cluster = build_cluster(spec.get("cluster"))
     if on_cluster is not None:
         on_cluster(cluster)
-    variant = {"app": dict(job.app), "dataset": job.dataset,
-               "name": job.name}
-    res = APP_REGISTRY[kind](cluster, variant, workdir)
-    row = {
-        "job": job.name,
-        "kind": kind,
-        "procs": cluster.spec.nprocs,
-        "status": "crashed" if res.oom else "ok",
-        "arrival_s": 0.0,
-        "start_s": 0.0,
-        "finish_s": round(res.runtime, 9),
-        "turnaround_s": round(res.runtime, 9),
-        "service_s": round(res.runtime, 9),
-        "task_p99_ms": "",
-        "tasks": "",
-        "hit_ratio": "",
-        "dram_quota_mb": "",
-    }
-    return ColocationResult(rows=[row], decisions=[],
-                            makespan=res.runtime, stats=res.stats)
+    obs = None
+    if slo_specs or getattr(cluster.system, "obs", None) is not None:
+        from repro.obs import LiveObs
+        obs = LiveObs.attach(cluster, slos=slo_specs,
+                             tenants=[j.name for j in jobs])
+    result = JobScheduler(cluster, jobs, workdir=workdir,
+                          **(spec.get("tenancy") or {})).run()
+    if obs is not None:
+        result.obs_events = list(obs.events)
+        if obs.slo is not None:
+            result.slo = obs.slo.report()
+    write_rows(os.path.join(workdir,
+                            spec.get("output", "colocate_stats.csv")),
+               result.rows)
+    return result

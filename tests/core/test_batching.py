@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import MM_APPEND_ONLY, MM_READ_ONLY, MM_READ_WRITE, \
     MM_WRITE_ONLY, SeqTx
+from repro.core import memtask
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.transaction import PageRegion, coalesce_page_runs
 from repro.net.message import ENVELOPE, ITEM_HEADER, batched_nbytes
@@ -185,8 +186,9 @@ def test_tasks_after_batch_wait_for_it(dsm):
     assert raw == b"\x42\x42\x42\x42"
 
 
-def test_submit_batch_groups_by_owner_and_caps_size():
-    sim, system = build_system(batch_max_pages=2)
+def test_submit_batch_groups_by_owner_and_caps_size(monkeypatch):
+    monkeypatch.setattr(memtask, "BATCH_MAX_PAGES", 2)
+    sim, system = build_system()
     client = system.client(rank=0, node=0)
 
     def app():

@@ -15,11 +15,6 @@ def test_invalid_page_size_rejected():
         MegaMmapConfig(page_size=0).validated()
 
 
-def test_invalid_min_score_rejected():
-    with pytest.raises(ValueError):
-        MegaMmapConfig(min_score=1.5).validated()
-
-
 def test_worker_bounds_rejected():
     with pytest.raises(ValueError):
         MegaMmapConfig(workers_min=5, workers_max=2).validated()
@@ -34,11 +29,11 @@ def test_from_yaml_roundtrip():
     cfg = MegaMmapConfig.from_yaml(
         """
         page_size: 4096
-        min_score: 0.5
+        organizer_period: 0.5
         prefetch_enabled: false
         """)
     assert cfg.page_size == 4096
-    assert cfg.min_score == 0.5
+    assert cfg.organizer_period == 0.5
     assert cfg.prefetch_enabled is False
 
 

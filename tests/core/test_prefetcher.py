@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, RandTx, SeqTx
+from repro.core.prefetcher import MIN_SCORE
 from tests.core.conftest import build_system, run_procs
 
 PAGE = 4096
@@ -84,7 +85,7 @@ def test_horizon_scores_decay_below_min_score(dsm):
     tx = SeqTx(0, 64 * EPP, MM_READ_ONLY)
     vec = _vector_with_tx(sim, system, 64 * EPP, budget_pages=2, tx=tx)
     scores = vec.prefetcher._prefetch_scores(tx)
-    min_score = system.config.min_score
+    min_score = MIN_SCORE
     vals = [v for v in scores.values() if v < 1.0]
     assert vals, "expected a scored horizon beyond the free window"
     # Decaying, bounded sequence: all in (min_score_epsilon, 1).

@@ -174,12 +174,97 @@ def test_row_schema_and_csv_output(tmp_path):
     assert (tmp_path / "colocate_stats.csv").exists()
 
 
-def test_multi_job_requires_tenancy(tmp_path):
-    from repro.tenancy import QuotaExceededError
-    spec = SPEC + "\n"  # copy
-    spec = spec.replace("realloc: true",
+ONE_JOB = """
+name: One-Job
+cluster:
+  n_nodes: 2
+  procs_per_node: 2
+  dram_mb: 8
+  nvme_mb: 64
+  seed: 11
+jobs:
+  - name: solo
+    app:
+      kind: mm_kmeans
+      k: 4
+      max_iter: 2
+    dataset:
+      kind: points
+      n: 3000
+      k: 4
+      seed: 3
+      path: pts_solo.parquet
+    procs: 1
+    dram_quota_mb: 4
+    slo:
+      objective: hit_ratio
+      target: 0.05
+"""
+
+
+def test_one_job_spec_honours_procs_quota_and_slo(tmp_path, capsys):
+    """A one-job spec is a campaign like any other: its ``procs``,
+    quota and ``slo:`` block mean what they say (the single-tenant
+    fork ran it on every rank of the cluster, ignored quotas and left
+    ``tasks`` / ``task_p99_ms`` / ``.slo`` blank)."""
+    res = run_colocation(ONE_JOB, workdir=str(tmp_path))
+    (row,) = res.rows
+    assert row["status"] == "ok"
+    assert row["procs"] == 1
+    assert row["tasks"] > 0 and row["task_p99_ms"] > 0
+    assert row["dram_quota_mb"] == 4.0
+    assert [e["kind"] for e in res.decisions] == ["admit", "complete"]
+    assert [s["name"] for s in res.slo["slos"]] == ["solo-hit_ratio"]
+
+    from repro.__main__ import main
+    path = tmp_path / "one.yaml"
+    path.write_text(ONE_JOB)
+    assert main(["slo", str(path), "--workdir", str(tmp_path)]) == 0
+    assert "1/1 SLOs met" in capsys.readouterr().out
+
+
+def test_unknown_tenancy_key_is_rejected_by_name(tmp_path):
+    # `enabled` selected the removed single-tenant path; a leftover
+    # must not be swallowed.
+    spec = SPEC.replace("realloc: true",
                         "realloc: true\n  enabled: false")
-    with pytest.raises(QuotaExceededError):
+    with pytest.raises(PipelineError, match=r"\['enabled'\]"):
         run_colocation(spec, workdir=str(tmp_path))
     # Fail-fast: the bad spec must not have materialized datasets.
     assert not list(tmp_path.iterdir())
+
+
+def test_non_tenant_kind_is_refused_before_anything_runs(tmp_path):
+    spec = SPEC.replace("kind: mm_stream", "kind: mm_serving")
+    with pytest.raises(PipelineError, match="cannot run as a tenant"):
+        run_colocation(spec, workdir=str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
+def test_colocated_gray_scott_writes_its_checkpoints(tmp_path):
+    """``plotgap`` means the same in a job as in a pipeline: every
+    tenant's checkpoints reach the PFS under its own name (the tenant
+    launcher used to pass no prefix and silently wrote none)."""
+    import numpy as np
+    from repro.apps.grayscott import GSParams, gs_reference
+    job = """
+  - name: {name}
+    app:
+      kind: mm_gray_scott
+      L: 16
+      steps: 2
+      plotgap: 1
+    procs: {procs}
+    arrival: {arrival}
+"""
+    spec = ("cluster:\n  n_nodes: 2\n  procs_per_node: 1\n"
+            "  dram_mb: 8\n  nvme_mb: 64\njobs:"
+            + job.format(name="a", procs=2, arrival=0.0)
+            + job.format(name="b", procs=1, arrival=0.001))
+    res = run_colocation(spec, workdir=str(tmp_path))
+    assert [r["status"] for r in res.rows] == ["ok", "ok"]
+    u_ref, _v = gs_reference(16, 2, GSParams())
+    for name in "ab":
+        last = np.fromfile(tmp_path / f"{name}.gs_ckpt_L16_2.u",
+                           dtype=np.float64)
+        assert np.array_equal(last, u_ref.ravel()), name

@@ -201,49 +201,3 @@ def test_object_path_threshold_zero_is_bit_identical_to_page():
     # And the workload did real data-plane work, writes included.
     assert res_obj.stats.get("pcache.faults", 0) > 0
     assert res_obj.stats.get("serving.queries", 0) > 0
-
-
-def test_single_tenant_colocation_is_bit_identical_to_plain():
-    """The acceptance gate for the tenancy plane: a one-job colocation
-    spec with tenancy disabled takes the plain-pipeline launcher — no
-    QuotaManager, no scoped keys, global rng streams — and must
-    reproduce ``run_pipeline`` bit for bit: same simulated runtime,
-    same non-kernel counters."""
-    import tempfile
-
-    from repro.pipeline import run_pipeline
-    from repro.tenancy import run_colocation
-
-    cluster = """cluster:
-  n_nodes: 2
-  procs_per_node: 1
-  dram_mb: 8
-  nvme_mb: 64
-  seed: 11
-"""
-    app = """app:
-  kind: mm_gray_scott
-  L: 16
-  steps: 2
-"""
-    pipeline_spec = "name: Plain-GS\n" + cluster + app
-    colocate_spec = ("name: Colo-GS\n" + cluster
-                     + "tenancy:\n  enabled: false\n"
-                     + "jobs:\n  - name: gs\n    "
-                     + app.replace("\n  ", "\n      ").rstrip() + "\n")
-
-    with tempfile.TemporaryDirectory() as wd:
-        rows = run_pipeline(pipeline_spec, workdir=wd)
-        colo = run_colocation(colocate_spec, workdir=wd)
-
-    assert len(colo.rows) == 1
-    assert colo.rows[0]["status"] == "ok"
-    assert colo.decisions == []  # no scheduler in the plain path
-    assert colo.rows[0]["finish_s"] == round(rows[0]["runtime_s"], 9)
-    assert colo.makespan == rows[0]["runtime_s"]
-    assert colo.stats.get("pcache.faults", 0) == \
-        rows[0]["pcache_faults"]
-    assert colo.stats.get("net.bytes_moved", 0) / 2 ** 20 == \
-        rows[0]["net_mb"]
-    # And no tenancy machinery leaked into the plain run.
-    assert "tenancy.realloc_moves" not in colo.stats

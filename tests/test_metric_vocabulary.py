@@ -145,7 +145,7 @@ def _runs(workdir):
     out = []
 
     def keep(name):
-        def hook(cluster, _variant=None):
+        def hook(cluster):
             cluster.tracer.enabled = True
             out.append([name, cluster])
         return hook

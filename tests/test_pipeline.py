@@ -8,6 +8,7 @@ import pytest
 
 from repro.pipeline import (
     APP_REGISTRY,
+    App,
     PipelineError,
     build_cluster,
     prepare_dataset,
@@ -139,6 +140,34 @@ def test_prepare_dataset_idempotent(tmp_path):
     assert (tmp_path / "d.parquet").read_bytes() == first
 
 
+def test_swept_dataset_size_is_regenerated_not_reused(tmp_path,
+                                                      monkeypatch):
+    """A file is reused only when it was generated from the same
+    parameters: the second variant of a ``dataset.n`` sweep stages in
+    its own 4x larger dataset (it used to meet the first file and
+    report the first row twice under the label 8000)."""
+    monkeypatch.chdir(tmp_path)    # placement hashes the dataset URL
+    spec = MINI_KMEANS.replace("  n: 4000\n", "  n: 2000\n") + """
+sweep:
+  - key: dataset.n
+    values:
+      - 2000
+      - 8000
+"""
+    small, large = run_pipeline(spec, workdir=".")
+    assert (small["dataset.n"], large["dataset.n"]) == (2000, 8000)
+    assert large["stager_in_mb"] == pytest.approx(
+        4 * small["stager_in_mb"], rel=0.02)
+    # Same parameters again: the file on disk is kept, byte for byte.
+    before = (tmp_path / "pts.parquet").read_bytes()
+    prepare_dataset({"kind": "points", "n": 8000, "k": 4, "seed": 7,
+                     "path": "pts.parquet"}, ".")
+    assert (tmp_path / "pts.parquet").read_bytes() == before
+    prepare_dataset({"kind": "points", "n": 8000, "k": 4, "seed": 8,
+                     "path": "pts.parquet"}, ".")
+    assert (tmp_path / "pts.parquet").read_bytes() != before
+
+
 def test_prepare_dataset_gadget_writes_labels(tmp_path):
     prepare_dataset({"kind": "gadget", "n": 200, "k": 2,
                      "path": "snap.h5"}, str(tmp_path))
@@ -155,6 +184,35 @@ def test_registry_covers_all_eight_artifact_apps():
         "mm_kmeans", "spark_kmeans", "mm_dbscan", "mpi_dbscan",
         "mm_random_forest", "spark_random_forest", "mm_gray_scott",
         "mpi_gray_scott", "mm_stream", "mm_serving"}
+    # Every row is data that resolves: the function exists, the Spark
+    # jobs are the drivers, and the tenant-capable kinds are the ones
+    # whose vectors a quota can be charged for.
+    for kind, entry in APP_REGISTRY.items():
+        assert callable(entry.load()), kind
+        assert entry.driver == kind.startswith("spark_"), kind
+    assert {k for k, e in APP_REGISTRY.items() if e.tenant} == {
+        "mm_kmeans", "spark_kmeans", "mm_dbscan", "mm_gray_scott",
+        "mm_stream"}
+
+
+def test_app_defaults_are_the_spec_omitted_values(tmp_path):
+    """One argument builder per kind: an empty ``app:`` section gets
+    every default, and a pipeline launch and a tenant launch read the
+    same ones."""
+    from repro.pipeline import Urls
+    urls = Urls({"path": "d.parquet"}, "wd")
+    assert APP_REGISTRY["mm_kmeans"].args({}, urls, None) == (
+        "parquet://wd/d.parquet", 8, 4, 0, None)
+    assert APP_REGISTRY["mm_dbscan"].args({"eps": 2}, urls, None) == (
+        "parquet://wd/d.parquet", 2.0, 64, 0, None)
+    with pytest.raises(PipelineError, match="dataset"):
+        APP_REGISTRY["mm_stream"].args({}, Urls(None, "wd"), None)
+    # An output URL carries its owner's name and marks the launch.
+    tenant = Urls(None, "wd", owner="gsB.")
+    args = APP_REGISTRY["mm_gray_scott"].args(
+        {"L": 8, "plotgap": 1}, tenant, None)
+    assert args[-1] == "posix://wd/gsB.gs_ckpt_L8" and tenant.wrote
+    assert not urls.wrote
 
 
 def test_cli_main(tmp_path, capsys):
@@ -338,24 +396,22 @@ app:
 """
 
 
-def _boom_app(cluster, spec, workdir):
+def _boom_app(ctx):
     """An app that dies while a traced process still holds an open
     span — the shape of any real mid-run pipeline failure."""
-    sim = cluster.system.sim
-    tracer = cluster.tracer
-
     def stuck():
-        with tracer.span("stuck", "pcache", node=0):
-            yield sim.timeout(100.0)
+        with ctx.cluster.tracer.span("stuck", "pcache", node=0):
+            yield ctx.sim.timeout(100.0)
 
-    sim.process(stuck())
-    sim.run(until=1.0)
+    ctx.sim.process(stuck())
+    yield ctx.sim.timeout(1.0)
     raise RuntimeError("boom")
 
 
 def test_failing_pipeline_still_exports_trace(tmp_path, monkeypatch):
     import json
-    monkeypatch.setitem(APP_REGISTRY, "boom", _boom_app)
+    monkeypatch.setitem(APP_REGISTRY, "boom",
+                        App(f"{__name__}:_boom_app", lambda *_: ()))
     trace = tmp_path / "crash.json"
     with pytest.raises(RuntimeError, match="boom"):
         run_pipeline(BOOM_PIPELINE, workdir=str(tmp_path),
@@ -526,3 +582,48 @@ def test_cli_diff_rejects_non_json(tmp_path, capsys):
     path.write_text(MINI_KMEANS)
     rc = main(["diff", str(path), str(path)])
     assert rc == 2
+
+
+def test_importing_the_runners_loads_no_app_and_no_tooling():
+    """``setup_s`` of the benchmark is timed from process spawn: the
+    two library runners must not drag in the obs plane, the chaos
+    engine, Spark or any application (the app table imports a kind on
+    its first launch)."""
+    import subprocess
+    import sys
+    code = ("import sys, repro.pipeline, repro.tenancy\n"
+            "print('\\n'.join(sorted(m for m in sys.modules "
+            "if m.startswith('repro.'))))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "repro.pipeline" in out and "repro.tenancy.scheduler" in out
+    heavy = [m for m in out
+             if m.split(".")[1] in ("obs", "chaos", "spark")
+             or (m.startswith("repro.apps.")
+                 and m != "repro.apps.datagen")]
+    assert not heavy, heavy
+
+
+def app_table() -> str:
+    """DESIGN.md "Running a spec": the app table, from the registry."""
+    lines = ["| `app.kind` | function | style | tenant |",
+             "|---|---|---|---|"]
+    for kind, entry in APP_REGISTRY.items():
+        lines.append(f"| `{kind}` | `{entry.target}` | "
+                     f"{'driver' if entry.driver else 'per rank'} | "
+                     f"{'yes' if entry.tenant else 'no'} |")
+    return "\n".join(lines)
+
+
+def test_design_app_table_is_the_registry():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "DESIGN.md"), encoding="utf-8") as fh:
+        block = fh.read().split("<!-- app-table:begin -->")[1] \
+            .split("<!-- app-table:end -->")[0].strip()
+    assert block == app_table(), (
+        "DESIGN.md's app table is stale; regenerate it with "
+        "`PYTHONPATH=src python -m tests.test_pipeline`")
+
+
+if __name__ == "__main__":
+    print(app_table())
