@@ -96,9 +96,13 @@ class DataOrganizer:
         # Demotions (low scores) first: they free fast-tier capacity
         # that the promotions in the same sweep then use.
         ordered = sorted(self._pending.items(), key=lambda kv: kv[1].score)
+        tenancy = self.system.tenancy
         for (vec_name, page_idx), pend in ordered:
             vec = self.system.vectors.get(vec_name)
-            if vec is None or vec.destroyed:
+            if vec is None or vec.destroyed or (
+                    tenancy is not None and tenancy.places(vec_name)):
+                # Gone, or placed by the reallocation loop from the
+                # score ingested above: one mover per blob.
                 self._pending.pop((vec_name, page_idx), None)
                 continue
             info = hermes.mdm.peek(vec_name, page_idx)
@@ -119,12 +123,11 @@ class DataOrganizer:
             if desired is None:
                 continue
             if hermes.admission is not None:
-                # Tenancy: score-driven promotion must respect the
-                # owner's admission floor — a hot page of an
-                # over-quota tenant stays below the fast tier instead
-                # of displacing other tenants' capacity (the
-                # reallocation loop, not the organizer, is what grows
-                # a tenant's fast-memory slice).
+                # Tenancy outside the loop's buckets (e.g. a static
+                # campaign): promotion respects the owner's admission
+                # floor — a hot page of an over-quota tenant stays
+                # below the fast tier instead of displacing other
+                # tenants' capacity.
                 floor = hermes._admission_floor(
                     target_node, vec_name, info.nbytes)
                 if floor > 0:
@@ -140,7 +143,8 @@ class DataOrganizer:
                     or target_node != info.node):
                 try:
                     yield from hermes.move(vec_name, page_idx,
-                                           target_node, desired.spec.kind)
+                                           target_node, desired.spec.kind,
+                                           by="organizer")
                     self.system.monitor.count(
                         "organizer.moves", node=node,
                         tier=desired.spec.kind)

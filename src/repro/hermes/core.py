@@ -81,8 +81,9 @@ class Hermes:
         #: spill to the next tier instead of demoting other tenants'
         #: hot pages out of DRAM.
         self.admission = None
-        #: ``read_hook(bucket, tier, nbytes)`` — untimed callback per
-        #: authoritative-copy read, for per-tenant tier hit ratios.
+        #: ``read_hook(bucket, key, tier, nbytes)`` — untimed callback
+        #: per authoritative-copy read, for per-tenant tier hit ratios
+        #: and re-read bytes.
         self.read_hook = None
         #: :class:`DeviceSpec` of the persistent backend the blobs can
         #: be re-read from (a PFS server), installed by the embedding
@@ -455,7 +456,7 @@ class Hermes:
         else:
             raw = yield from dev.get_range((bucket, key), *extent)
         if self.read_hook is not None:
-            self.read_hook(bucket, tier, len(raw))
+            self.read_hook(bucket, key, tier, len(raw))
         self._count_op("gets", node, tier)
         return raw, node
 
@@ -615,17 +616,20 @@ class Hermes:
         return dropped
 
     # -- management ------------------------------------------------------------------
-    def move(self, bucket: str, key, node: int, to_tier: str):
-        """Relocate the authoritative copy to another node/tier
-        (the organizer's demote/promote primitive)."""
+    def move(self, bucket: str, key, node: int, to_tier: str,
+             by: str = "hermes"):
+        """Relocate the authoritative copy to another node/tier (the
+        demote/promote primitive). ``by`` names who asked --
+        ``"organizer"``, ``"realloc"``, or ``"hermes"`` for a placement
+        making room -- and is stamped on the ``hermes:move`` span."""
         lock = self._lock(bucket, key)
         yield lock.acquire()
         try:
-            return (yield from self._move(bucket, key, node, to_tier))
+            return (yield from self._move(bucket, key, node, to_tier, by))
         finally:
             lock.release()
 
-    def _move(self, bucket, key, node, to_tier):
+    def _move(self, bucket, key, node, to_tier, by):
         info = self.mdm.peek(bucket, key)
         if info is None:
             raise BlobNotFound((bucket, key))
@@ -636,7 +640,8 @@ class Hermes:
         with self.tracer.span("move", "hermes", node=info.node,
                               bucket=bucket, key=key,
                               src_tier=info.tier, dst_node=node,
-                              dst_tier=to_tier, nbytes=info.nbytes):
+                              dst_tier=to_tier, nbytes=info.nbytes,
+                              by=by):
             dst = self._device(node, to_tier)
             # A replica on the destination would collide with the
             # primary's device key: absorb it (the put below refreshes

@@ -12,10 +12,10 @@ The :class:`QuotaManager` installs three untimed hooks on
 destroy / move deltas against the owner's ledger), ``admission``
 (minimum tier index for new placements: an over-quota tenant spills to
 the next tier instead of demoting other tenants' hot pages) and
-``read_hook`` (per-tenant fast/slow read bytes, the hit-ratio signal
-the reallocation loop consumes). Every hook is a no-op-by-default
-attribute: runs without a manager keep the exact pre-tenancy event
-sequence.
+``read_hook`` (per-tenant fast/slow read bytes, the hit-ratio signal,
+and slow-tier *re-read* bytes, the reallocation loop's signal). Every
+hook is a no-op-by-default attribute: runs without a manager keep the
+exact pre-tenancy event sequence.
 """
 
 from __future__ import annotations
@@ -110,7 +110,14 @@ class QuotaManager:
         self._c_overcommit: Dict = {}
         self._c_fast_reads: Dict = {}
         self._c_slow_reads: Dict = {}
+        self._c_rereads: Dict = {}
         self._c_ops: Dict = {}
+        #: ``(bucket, key)`` of every blob read so far: a slow read of
+        #: one of these is a re-read of bytes its owner had before.
+        self._read_before: set = set()
+        #: The :class:`~repro.tenancy.realloc.ReallocLoop` attached to
+        #: this manager, if any (it registers itself).
+        self.loop = None
         #: Tier kind counted as "fast memory" (the DRAM-quota tier).
         self.fast_kind = system.dmshs[0].tiers[0].spec.kind
         hermes = system.hermes
@@ -140,6 +147,8 @@ class QuotaManager:
                                              tenant=name, speed="fast")
         self._c_slow_reads[name] = m.counter("tenant_read_bytes",
                                              tenant=name, speed="slow")
+        self._c_rereads[name] = m.counter("tenant_reread_bytes",
+                                          tenant=name)
         if quota.dram_quota is not None:
             self._g_quota[name].set(quota.dram_quota)
         return quota
@@ -152,6 +161,17 @@ class QuotaManager:
     def owner_of(self, bucket: str) -> Optional[TenantQuota]:
         name = self.bucket_owner.get(bucket)
         return self.tenants.get(name) if name is not None else None
+
+    def places(self, bucket: str) -> bool:
+        """True when the reallocation loop is the one mover of
+        ``bucket``'s blobs: a loop is running and the owner holds a
+        DRAM quota. The organizer then leaves the bucket alone — two
+        movers of the same blobs undo each other's moves."""
+        loop = self.loop
+        if loop is None or loop.stop:
+            return False
+        t = self.owner_of(bucket)
+        return t is not None and t.dram_quota is not None
 
     # -- hermes hooks ----------------------------------------------------
     def _on_account(self, bucket: str, node: int, tier: str,
@@ -186,14 +206,18 @@ class QuotaManager:
             return 1
         return 0
 
-    def _on_read(self, bucket: str, tier: str, nbytes: int) -> None:
+    def _on_read(self, bucket: str, key, tier: str, nbytes: int) -> None:
         t = self.owner_of(bucket)
         if t is None:
             return
+        blob = (bucket, key)
         if tier == self.fast_kind:
             self._c_fast_reads[t.name].inc(nbytes)
         else:
             self._c_slow_reads[t.name].inc(nbytes)
+            if blob in self._read_before:
+                self._c_rereads[t.name].inc(nbytes)
+        self._read_before.add(blob)
 
     # -- scache op attribution (called from ScacheExecutor) --------------
     def note_scache_op(self, bucket: str, kind: str, n: int = 1) -> None:
@@ -226,6 +250,11 @@ class QuotaManager:
         ``name``."""
         return (self._c_fast_reads[name].value,
                 self._c_slow_reads[name].value)
+
+    def reread_bytes(self, name: str) -> float:
+        """Cumulative slow-tier bytes tenant ``name`` read from blobs
+        it had read before (first-touch stage-in excluded)."""
+        return self._c_rereads[name].value
 
     def hit_ratio(self, name: str) -> float:
         fast, slow = self.read_stats(name)

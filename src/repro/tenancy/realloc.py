@@ -1,23 +1,29 @@
 """MaxMem-style periodic fast-memory reallocation between tenants.
 
 Every ``realloc_period`` seconds the loop snapshots each registered
-tenant's slow-read bytes since the previous sweep and computes a
-*reuse density* — slow-read bytes per byte of scache footprint,
-smoothed with an exponential moving average so one quiet window does
-not flip a steady re-reader into a donor. A tenant rereading a
-working set that misses DRAM has high density; a streaming antagonist
-touches enormous footprints once and scores low. Quota then flows to
+tenant's slow-tier *re-read* bytes since the previous sweep — reads
+of blobs the tenant had read before, so first-touch stage-in does not
+count — and computes a *reuse density*: re-read bytes per byte of
+scache footprint, smoothed with an exponential moving average so one
+quiet window does not flip a steady re-reader into a donor. A tenant
+rereading a working set that misses DRAM has high density; a
+streaming antagonist touches enormous footprints once and scores low
+(MaxMem's signal: misses on pages that were hot). Quota then flows to
 the highest-density receiver, taken first from *idle* quota — a
 tenant holding fast-memory headroom it is not using — and only then
 from the lowest-density active tenant (bounded by ``min_dram`` and
 damped by a hysteresis factor). Every sweep — whether or not quota
 moved — *enforces* the current split: over-quota owners' coldest DRAM
-blobs demote to the next tier, and tenants with recent slow traffic
-and unfilled quota get their hottest deep blobs promoted into the
+blobs demote to the next tier, and tenants with recent re-reads and
+unfilled quota get their hottest deep blobs promoted into the
 headroom. Enforcement is continuous rather than grant-triggered
 because placements drift between grants: other tenants' stage-in
 bursts demote a victim's pages, and a grant is worthless until the
-granted bytes actually hold the receiver's data. Each decision is
+granted bytes actually hold the receiver's data. While the loop runs
+it is the only mover of a quota'd tenant's blobs
+(:meth:`QuotaManager.places`): the Data Organizer still feeds it the
+prefetcher's scores, which order demotions and promotions here, but
+moves none of those blobs itself. Each decision is
 appended to the manager's decision log with the metric readings that
 justified it (including the ``rt_backlog`` congestion gauge), so
 same-seed runs produce bit-identical logs.
@@ -56,8 +62,8 @@ class ReallocLoop:
         #: first observation.
         self._ewma: Dict[str, float] = {}
         self.EWMA_ALPHA = 0.5
-        #: (fast, slow) read-byte deltas from the most recent sweep,
-        #: shared between the decision and the enforcement pass.
+        #: (read, slow-tier re-read) byte deltas from the most recent
+        #: sweep, shared between the decision and the enforcement pass.
         self._window: Dict[str, Tuple[float, float]] = {}
         #: Sweeps to sit out after the thrash anomaly detector trips
         #: (only consulted when a :class:`~repro.obs.live.LiveObs` is
@@ -65,6 +71,7 @@ class ReallocLoop:
         self.BACKOFF_SWEEPS = 3
         self._backoff = 0
         self._obs_cursor = 0
+        manager.loop = self
 
     # -- main loop -------------------------------------------------------
     def run(self):
@@ -102,17 +109,24 @@ class ReallocLoop:
         return False
 
     def _window_deltas(self) -> Dict[str, Tuple[float, float]]:
-        """(fast, slow) read bytes per registered tenant since the
-        last sweep. All tenants, not just active ones: an idle
+        """(read, slow-tier re-read) bytes per registered tenant since
+        the last sweep. All tenants, not just active ones: an idle
         tenant's zero delta decays its EWMA density toward zero, which
         is what marks its quota as reclaimable."""
+        mgr = self.manager
         out = {}
-        for t in self.manager.tenants.values():
-            fast, slow = self.manager.read_stats(t.name)
-            pf, ps = self._last_reads.get(t.name, (0.0, 0.0))
-            out[t.name] = (fast - pf, slow - ps)
-            self._last_reads[t.name] = (fast, slow)
+        for t in mgr.tenants.values():
+            read = sum(mgr.read_stats(t.name))
+            reread = mgr.reread_bytes(t.name)
+            last_read, last_reread = self._last_reads.get(t.name,
+                                                          (0.0, 0.0))
+            out[t.name] = (read - last_read, reread - last_reread)
+            self._last_reads[t.name] = (read, reread)
         return out
+
+    def _rereads(self, t: TenantQuota) -> float:
+        """``t``'s slow-tier re-read bytes in the current window."""
+        return self._window.get(t.name, (0.0, 0.0))[1]
 
     def _backlog(self) -> float:
         return sum(g.value for g in select(
@@ -134,12 +148,12 @@ class ReallocLoop:
 
         alpha = self.EWMA_ALPHA
         for t in quotaed:
-            _fast, slow = deltas.get(t.name, (0.0, 0.0))
-            # Reuse density: slow-read bytes per byte the tenant could
+            # Reuse density: re-read bytes per byte the tenant could
             # conceivably hold fast. Normalizing by at least the quota
             # keeps a tenant with a tiny footprint from posting an
             # absurd density off a near-zero denominator.
-            inst = slow / max(t.scache_used, t.dram_quota or 0, 1)
+            inst = self._rereads(t) / max(t.scache_used,
+                                          t.dram_quota or 0, 1)
             prev = self._ewma.get(t.name)
             self._ewma[t.name] = inst if prev is None \
                 else alpha * inst + (1.0 - alpha) * prev
@@ -147,11 +161,12 @@ class ReallocLoop:
         def density(t: TenantQuota) -> float:
             return self._ewma.get(t.name, 0.0)
 
-        # A receiver must be missing DRAM *and* able to use the grant:
-        # once its quota covers its whole scache footprint, more fast
+        # A receiver must be missing DRAM on data it had (re-reads,
+        # not first-touch stage-in) *and* able to use the grant: once
+        # its quota covers its whole scache footprint, more fast
         # memory cannot convert any further misses.
         wanting = [t for t in active
-                   if deltas.get(t.name, (0, 0))[1] > 0
+                   if self._rereads(t) > 0
                    and t.scache_used > t.dram_quota]
         if not wanting:
             return None
@@ -174,7 +189,7 @@ class ReallocLoop:
         # (with hysteresis) arbitrate, so steady re-readers are robbed
         # last.
         idle = [t for t in donors
-                if sum(deltas.get(t.name, (0.0, 0.0))) == 0.0]
+                if deltas.get(t.name, (0.0, 0.0))[0] == 0.0]
         if idle:
             donor = min(idle, key=lambda t: (density(t), t.name))
         else:
@@ -193,6 +208,8 @@ class ReallocLoop:
                 src_idle=int(donor in idle),
                 src_density=round(density(donor), 9),
                 dst_density=round(density(receiver), 9),
+                src_reread=self._rereads(donor),
+                dst_reread=self._rereads(receiver),
                 dst_hit_ratio=round(mgr.hit_ratio(receiver.name), 6),
                 rt_backlog=self._backlog())
         return donor, receiver, moved
@@ -238,7 +255,8 @@ class ReallocLoop:
                 continue
             try:
                 yield from hermes.move(info.bucket, info.key,
-                                       info.node, lower.spec.kind)
+                                       info.node, lower.spec.kind,
+                                       by="realloc")
             except (BlobNotFound, DeviceFullError):
                 continue
         return dev.fits(nbytes)
@@ -246,7 +264,7 @@ class ReallocLoop:
     def enforce_all(self):
         """Make placements match quotas: demote every over-quota
         owner's coldest DRAM blobs, then promote the hottest deep
-        blobs of tenants that are missing DRAM (recent slow traffic)
+        blobs of tenants that are missing DRAM (recent re-reads)
         and have unfilled quota. Runs every sweep — a quota grant is
         worthless until the granted bytes hold the receiver's data,
         and other tenants' stage-ins keep demoting pages between
@@ -281,16 +299,17 @@ class ReallocLoop:
                     continue
                 try:
                     yield from hermes.move(info.bucket, info.key,
-                                           info.node, lower.spec.kind)
+                                           info.node, lower.spec.kind,
+                                           by="realloc")
                     moves += 1
                 except (BlobNotFound, DeviceFullError):
                     continue
-        # Promote: tenants that are actually missing (slow reads this
+        # Promote: tenants that are actually missing (re-reads this
         # window) fill their quota headroom, hottest blobs first.
         active_names = {t.name for t in mgr.active_tenants()}
         missing = [t for t in quotaed
                    if t.name in active_names
-                   and self._window.get(t.name, (0.0, 0.0))[1] > 0
+                   and self._rereads(t) > 0
                    and t.dram_used < t.dram_quota]
         missing.sort(key=lambda t: (-self._ewma.get(t.name, 0.0),
                                     t.name))
@@ -315,7 +334,7 @@ class ReallocLoop:
                         continue
                 try:
                     yield from hermes.move(info.bucket, info.key,
-                                           info.node, fast)
+                                           info.node, fast, by="realloc")
                     moves += 1
                 except (BlobNotFound, DeviceFullError):
                     continue

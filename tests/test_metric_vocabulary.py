@@ -135,7 +135,7 @@ NEEDS = {
                         "benchmarks/bench_ablation_collective.py)",
     "collective.forwards": "same",
     "tenancy.realloc_moves": "a reallocation sweep that moves blobs "
-                             "(the benchmark's colocate_mixed: 40)",
+                             "(the benchmark's colocate_mixed: 30)",
 }
 
 
