@@ -59,9 +59,11 @@ def _run_target(args, trace=None, obs=False, slos=()):
         if obs:
             from repro.obs import LiveObs
             # A campaign's SLOs are merged with the spec's own by
-            # run_colocation, which knows the tenants.
+            # run_colocation.
             LiveObs.attach(cluster, window=getattr(args, "window", None),
-                           slos=() if colocation else slos)
+                           slos=() if colocation else slos,
+                           tenants=[j["name"] for j in args.spec["jobs"]]
+                           if colocation else ())
 
     if not colocation:
         rows = run_pipeline(args.spec, workdir=args.workdir,
@@ -283,148 +285,19 @@ def _cmd_chaos(args) -> int:
     return 1
 
 
-def _fmt_series(name: str, labels) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in labels)
-    return f"{name}{{{inner}}}"
-
-
-def _render_top(title: str, obs, limit: int) -> str:
-    store = obs.store
-    now = store.last_tick
-    lines = [f"== top: {title} @ t={now:.3f}s  "
-             f"(window {store.window * 1e3:g} ms x {store.retention}, "
-             f"{obs.ticks} ticks) =="]
-
-    counters = sorted(
-        ((store.delta(name, ls), name, ls)
-         for name, ls in store.counters), reverse=True)[:limit]
-    if counters:
-        lines.append("-- counters (retained window) --")
-        width = max(len(_fmt_series(n, ls)) for _d, n, ls in counters)
-        for delta, name, ls in counters:
-            lines.append(f"  {_fmt_series(name, ls).ljust(width)}  "
-                         f"+{delta:.6g}  "
-                         f"({store.rate(name, ls):.6g}/s)")
-
-    gauges = sorted(store.gauges)[:limit]
-    if gauges:
-        lines.append("-- gauges (last sample) --")
-        width = max(len(_fmt_series(n, ls)) for n, ls in gauges)
-        for name, ls in gauges:
-            lines.append(f"  {_fmt_series(name, ls).ljust(width)}  "
-                         f"{store.gauge_last(name, ls):.6g}")
-
-    hists = []
-    for name, ls in sorted(store.histograms):
-        stats = store.window_stats(name, ls)
-        if stats is not None and stats.count:
-            hists.append((stats.count, name, ls, stats))
-    hists.sort(reverse=True, key=lambda h: (h[0], h[1]))
-    if hists:
-        lines.append("-- latencies (retained window, ms) --")
-        width = max(len(_fmt_series(n, ls))
-                    for _c, n, ls, _s in hists[:limit])
-        for count, name, ls, stats in hists[:limit]:
-            p50 = stats.sketch.quantile(50) * 1e3
-            p99 = stats.sketch.quantile(99) * 1e3
-            lines.append(f"  {_fmt_series(name, ls).ljust(width)}  "
-                         f"n={count:<6d} mean={stats.mean * 1e3:.4g} "
-                         f"p50={p50:.4g} p99={p99:.4g}")
-
-    if obs.slo is not None and obs.slo.history:
-        lines.append("-- alerts --")
-        for alert in obs.slo.history:
-            state = ("firing" if alert.firing else
-                     f"resolved at {alert.resolved_at:.3f}s")
-            lines.append(f"  {alert.slo}: fired at "
-                         f"{alert.fired_at:.3f}s, {state} "
-                         f"(burn fast {alert.fast_burn:.2f}x / "
-                         f"slow {alert.slow_burn:.2f}x)")
-
-    if obs.events:
-        lines.append("-- anomalies --")
-        for e in obs.events[-limit:]:
-            lines.append(f"  t={e['t']:.3f}s {e['detector']} "
-                         f"{e['direction']} z={e['zscore']:.1f} "
-                         f"value={e['value']:.6g}")
-    return "\n".join(lines)
-
-
-def _top_json(obs) -> dict:
-    store = obs.store
-    doc = {"t": store.last_tick, "ticks": obs.ticks,
-           "window_s": store.window, "retention": store.retention,
-           "counters": {}, "gauges": {}, "histograms": {},
-           "anomalies": list(obs.events)}
-    for name, ls in sorted(store.counters):
-        doc["counters"][_fmt_series(name, ls)] = {
-            "delta": store.delta(name, ls),
-            "rate": store.rate(name, ls)}
-    for name, ls in sorted(store.gauges):
-        doc["gauges"][_fmt_series(name, ls)] = store.gauge_last(name, ls)
-    for name, ls in sorted(store.histograms):
-        stats = store.window_stats(name, ls)
-        if stats is None or not stats.count:
-            continue
-        doc["histograms"][_fmt_series(name, ls)] = {
-            "count": stats.count, "mean": stats.mean,
-            "p50": stats.sketch.quantile(50),
-            "p99": stats.sketch.quantile(99)}
-    if obs.slo is not None:
-        doc["alerts"] = [a.to_dict() for a in obs.slo.history]
-    return doc
-
-
 def _cmd_top(args) -> int:
+    from repro.obs import render_top, top_json
     runs = _run_target(args, obs=True)
     if args.json:
-        _emit_json([_top_json(c.system.obs) for _t, c, _r in runs])
+        _emit_json([top_json(c.system.obs) for _t, c, _r in runs])
     else:
-        print("\n\n".join(_render_top(title, c.system.obs, args.limit)
+        print("\n\n".join(render_top(title, c.system.obs, args.limit)
                           for title, c, _r in runs))
     return 0
 
 
-def _render_slo(title: str, report: dict) -> str:
-    lines = [f"== slo: {title} @ t={report['t']:.3f}s =="]
-    rows = report["slos"]
-    if rows:
-        cols = ("name", "tenant", "objective", "target", "compliance",
-                "samples", "alerts", "ok")
-
-        def cell(s, col):
-            if col == "alerts":
-                return str(len(s["alerts"]))
-            if col == "ok":
-                return "ok" if s["ok"] else "VIOLATED"
-            v = s.get(col)
-            if isinstance(v, float):
-                return f"{v:.4f}" if col == "compliance" else f"{v:g}"
-            return str(v if v is not None else "-")
-
-        table = [[cell(s, c) for c in cols] for s in rows]
-        widths = [max(len(c), *(len(r[i]) for r in table))
-                  for i, c in enumerate(cols)]
-        lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
-        for r in table:
-            lines.append("  ".join(v.ljust(w)
-                                   for v, w in zip(r, widths)))
-    for alert in report["alerts"]:
-        state = ("still firing" if alert["resolved_at"] is None else
-                 f"resolved at {alert['resolved_at']:.3f}s")
-        lines.append(f"  alert {alert['slo']}: fired at "
-                     f"{alert['fired_at']:.3f}s, {state}")
-    n = len(report["slos"])
-    lines.append(f"{n - report['violations']}/{n} SLOs met"
-                 + (f", {report['violations']} violated"
-                    if report["violations"] else ""))
-    return "\n".join(lines)
-
-
 def _cmd_slo(args) -> int:
-    from repro.obs import load_slos
+    from repro.obs import load_slos, render_slo
     if args.slos and not os.path.exists(args.slos):
         raise PipelineError(f"file not found: {args.slos}")
     extra = load_slos(args.slos) if args.slos else []
@@ -440,7 +313,7 @@ def _cmd_slo(args) -> int:
     if args.json:
         _emit_json([r for _t, r in reports])
     else:
-        print("\n\n".join(_render_slo(t, r) for t, r in reports))
+        print("\n\n".join(render_slo(t, r) for t, r in reports))
     return 1 if any(r["violations"] for _t, r in reports) else 0
 
 

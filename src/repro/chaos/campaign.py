@@ -76,11 +76,11 @@ def _attach_case_obs(cluster, slos, obs_window: Optional[float],
                      threshold: float, warmup: int):
     """Install the live observability plane on a chaos case's cluster.
 
-    The stock detector bank (backlog spike, WAL growth, realloc
-    thrash) is the pipeline-shaped subset — chaos cases have no
-    tenants — plus, when the cluster traces, a detector on the
-    windowed p99 of network spans: partitions, delay/drop jitter and
-    stalls all surface there first.
+    The stock detector bank (backlog spike, WAL growth) is the
+    pipeline-shaped subset — chaos cases have no tenants — plus, when
+    the cluster traces, a detector on the windowed p99 of network
+    spans: partitions, delay/drop jitter and stalls all surface there
+    first.
     """
     from repro.obs import EwmaMadDetector, LiveObs
     live = LiveObs.attach(cluster, window=obs_window, slos=slos,
@@ -88,12 +88,11 @@ def _attach_case_obs(cluster, slos, obs_window: Optional[float],
     tracer = cluster.tracer
     if tracer is not None and tracer.enabled:
         def net_p99(store, _now):
-            stats = store.window_stats("trace.net", (), store.window)
-            if stats is None or not stats.count:
-                return None
-            return stats.sketch.quantile(0.99)
+            stats = store.window_stats("span_seconds",
+                                       {"category": "net"}, store.window)
+            return stats.quantile(99) if stats is not None else None
         live.detectors.append(EwmaMadDetector(
-            "net_p99", "trace.net", net_p99, threshold=threshold,
+            "net_p99", "span_seconds", net_p99, threshold=threshold,
             warmup=warmup, direction="up"))
     return live
 

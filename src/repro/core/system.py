@@ -39,7 +39,8 @@ class MegaMmapSystem:
         self.config = (config or MegaMmapConfig()).validated()
         self.pfs = pfs
         self.monitor = monitor or Monitor(sim)
-        self.tracer = tracer or Tracer(sim)
+        self.tracer = tracer or Tracer(sim,
+                                       metrics=self.monitor.metrics)
         self.monitor.tracer = self.tracer
         network.tracer = self.tracer
         if network.monitor is None:

@@ -13,15 +13,16 @@ including the overlap ratio that quantifies the paper's central claim
 from repro.obs.graph import (IO_CATEGORIES, SpanGraph, SpanNode,
                              load_trace)
 from repro.obs.report import analyze, diff_analyses, render_diff, \
-    render_report
-from repro.obs.live import LiveObs, QuantileSketch, WindowedStore
+    render_report, render_slo, render_top, top_json
+from repro.obs.live import LiveObs, WindowedStore
 from repro.obs.slo import SLOMonitor, SLOSpec, load_slos
 from repro.obs.anomaly import EwmaMadDetector, standard_detectors
 
 __all__ = [
     "IO_CATEGORIES", "SpanGraph", "SpanNode", "load_trace",
     "analyze", "diff_analyses", "render_diff", "render_report",
-    "LiveObs", "QuantileSketch", "WindowedStore",
+    "render_slo", "render_top", "top_json",
+    "LiveObs", "WindowedStore",
     "SLOMonitor", "SLOSpec", "load_slos",
     "EwmaMadDetector", "standard_detectors",
 ]

@@ -3,10 +3,10 @@
 SLOs catch what operators *declared*; the detector bank catches what
 they did not: a tenant's hit ratio collapsing before its latency SLO
 burns, runtime backlog spiking under a partition, a write-ahead log
-growing without bound, the reallocation loop thrashing quota back and
-forth. Each detector keeps an exponentially weighted moving average of
-its series and a matching EWMA of absolute deviations (a streaming
-stand-in for the median absolute deviation); a sample scores
+growing without bound. Each detector keeps an exponentially weighted
+moving average of its series and a matching EWMA of absolute
+deviations (a streaming stand-in for the median absolute deviation);
+a sample scores
 
     z = |x - ewma| / (1.4826 * mad + eps)
 
@@ -18,11 +18,9 @@ of hot-path hooks.
 Structured events (``{"t", "detector", "metric", "value", "zscore",
 "direction"}``) append to :attr:`LiveObs.events`, are counted as
 ``obs_anomalies{detector=}``, and are recorded as ``anomaly.*`` spans
-when tracing — the tail sampler keeps those windows. Consumers:
-chaos campaigns use them as detection signals
-(:mod:`repro.chaos.campaign`), and the tenancy
-:class:`~repro.tenancy.realloc.ReallocLoop` backs off its sweep
-cadence when the thrash detector trips.
+when tracing — the tail sampler keeps those windows. Chaos campaigns
+use them as detection signals (:mod:`repro.chaos.campaign`); nothing
+in the simulated system reads them.
 """
 
 from __future__ import annotations
@@ -152,16 +150,6 @@ def _wal_source(n_nodes: int):
     return source
 
 
-def _realloc_move_source(store, _now):
-    moves = store.delta("tenancy.realloc_moves", (), store.window)
-    # Idle windows are skipped rather than scored: the loop moving
-    # *nothing* most of the time would otherwise make the baseline
-    # all-zero (MAD -> 0) and any single move an infinite-z anomaly.
-    # Learning only from active windows means "thrash" is a burst
-    # well above the typical per-window move count.
-    return moves if moves else None
-
-
 def standard_detectors(tenants=(), n_nodes: int = 0,
                        threshold: float = 4.0,
                        warmup: int = 8) -> List[EwmaMadDetector]:
@@ -171,9 +159,7 @@ def standard_detectors(tenants=(), n_nodes: int = 0,
       (direction down) for each named tenant;
     * ``rt_backlog`` — summed runtime queue depth spike;
     * ``wal_growth`` — summed per-node write-ahead-log bytes spike
-      (only produces samples in durable mode);
-    * ``realloc_thrash`` — reallocation data-movement rate spike (the
-      loop moving blobs back and forth every sweep).
+      (only produces samples in durable mode).
     """
     dets: List[EwmaMadDetector] = []
     for tenant in tenants:
@@ -188,8 +174,4 @@ def standard_detectors(tenants=(), n_nodes: int = 0,
         dets.append(EwmaMadDetector(
             "wal_growth", "wal_bytes", _wal_source(n_nodes),
             threshold=threshold, warmup=warmup, direction="up"))
-    dets.append(EwmaMadDetector(
-        "realloc_thrash", "tenancy.realloc_moves",
-        _realloc_move_source, threshold=threshold, warmup=warmup,
-        direction="up"))
     return dets

@@ -4,18 +4,21 @@
 this module answers *what is happening right now*, cheaply enough to
 leave on for production-shaped runs. A sim-time ticker closes one
 fixed window per ``obs_window`` seconds; at each tick the
-:class:`WindowedStore` scrapes the
-:class:`~repro.sim.monitor.MetricsRegistry`'s series and the tracer's
-per-category durations into per-window rollups
-(sum/count/min/max + a bounded :class:`QuantileSketch`) kept in a ring
-of :data:`RETENTION` windows — O(1) memory regardless of run length.
+:class:`WindowedStore` indexes what the
+:class:`~repro.sim.monitor.MetricsRegistry` gained in the window —
+counter deltas, gauge samples, and for each histogram (span durations
+are the ``span_seconds{category}`` histograms) the range of its
+observations that landed — in a ring of :data:`RETENTION` windows.
+The registry is the one store: a windowed quantile is an exact
+nearest-rank over those slices of it, never a copy or a sketch.
 
 Scrape-at-tick is the load-bearing design decision: nothing hooks the
 hot paths, the ticker is a plain timeout-yielding process that only
 *reads* simulated state, and the sampler/detector/SLO consumers all
-run off the same scrape. Observability-on runs therefore produce
-bit-identical application results to observability-off runs (the
-kernel-equivalence suite pins this).
+run off the same scrape. No component of the simulated system reads
+the plane back, so observability-on runs produce bit-identical
+application results to observability-off runs (the kernel-equivalence
+suite pins this).
 
 Consumers:
 
@@ -23,163 +26,88 @@ Consumers:
   bad-fractions each tick;
 * :mod:`repro.obs.anomaly` detectors score windowed series each tick;
 * the tracer's tail sampler refreshes its per-category slowness
-  thresholds from the windowed duration quantiles each tick;
+  thresholds from the windowed ``span_seconds`` p99 each tick;
 * ``repro top`` renders the store directly.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterable, List, \
     Optional, Tuple
 
 from repro.obs.anomaly import standard_detectors
 from repro.obs.slo import SLOMonitor
-from repro.sim.monitor import LabelSet, Monitor, select
+from repro.sim.monitor import LabeledHistogram, LabelSet, Monitor, \
+    nearest_rank, select
 
-__all__ = ["QuantileSketch", "WindowStats", "WindowedStore", "LiveObs"]
+__all__ = ["WindowStats", "WindowedStore", "LiveObs"]
 
 #: Closed windows retained per series — the windowed store's ring size.
 RETENTION = 120
 
 
-class QuantileSketch:
-    """Bounded, deterministic, mergeable quantile summary.
-
-    A KLL-style multi-level compactor with deterministic survivor
-    selection: level ``i`` buffers values that each stand for ``2**i``
-    original observations; when a level's buffer exceeds ``capacity``
-    it is sorted and every other value (parity alternating per
-    compaction — deterministic, no randomness) is promoted to level
-    ``i + 1``, discarding the rest. Memory is O(``capacity`` x
-    log(n)); any rank is off by at most a small fraction of ``n``.
-    Identical insertion sequences produce identical sketches, so
-    sketch-derived alerts are reproducible run-to-run. ``count`` and
-    ``total`` are tracked exactly regardless of compaction.
-    """
-
-    __slots__ = ("levels", "count", "total", "capacity", "_parity")
-
-    CAPACITY = 64
-
-    def __init__(self, capacity: Optional[int] = None):
-        #: ``levels[i]`` holds values of implicit weight ``2**i``.
-        self.levels: List[List[float]] = [[]]
-        self.count = 0.0
-        self.total = 0.0
-        self.capacity = self.CAPACITY if capacity is None \
-            else int(capacity)
-        self._parity = 0
-
-    @property
-    def size(self) -> int:
-        """Stored values across all levels (the memory bound)."""
-        return sum(len(lvl) for lvl in self.levels)
-
-    def add(self, value: float) -> None:
-        self.count += 1.0
-        self.total += value
-        self.levels[0].append(value)
-        if len(self.levels[0]) > self.capacity:
-            self._compact()
-
-    def add_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.add(v)
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` in level-wise (weights line up exactly)."""
-        for i, lvl in enumerate(other.levels):
-            while i >= len(self.levels):
-                self.levels.append([])
-            self.levels[i].extend(lvl)
-        self.count += other.count
-        self.total += other.total
-        self._compact()
-        return self
-
-    def _compact(self) -> None:
-        i = 0
-        while i < len(self.levels):
-            if len(self.levels[i]) > self.capacity:
-                buf = sorted(self.levels[i])
-                if i + 1 == len(self.levels):
-                    self.levels.append([])
-                self._parity ^= 1
-                self.levels[i + 1].extend(buf[self._parity::2])
-                self.levels[i] = []
-            i += 1
-
-    def _weighted(self) -> List[Tuple[float, float]]:
-        out: List[Tuple[float, float]] = []
-        for i, lvl in enumerate(self.levels):
-            w = float(1 << i)
-            out.extend((v, w) for v in lvl)
-        return out
-
-    def quantile(self, q: float) -> float:
-        """Weighted nearest-rank quantile, ``q`` in [0, 100]."""
-        entries = sorted(self._weighted())
-        if not entries:
-            return 0.0
-        # Rank against the retained weight (survivor parity makes it
-        # differ from ``count`` by at most one value per compaction).
-        weight = sum(w for _v, w in entries)
-        target = q / 100.0 * weight
-        cum = 0.0
-        for value, w in entries:
-            cum += w
-            if cum >= target:
-                return value
-        return entries[-1][0]
-
-    def frac_above(self, threshold: float) -> float:
-        """Fraction of observations strictly above ``threshold``."""
-        entries = self._weighted()
-        weight = sum(w for _v, w in entries)
-        if not weight:
-            return 0.0
-        above = sum(w for v, w in entries if v > threshold)
-        return above / weight
-
-
 class WindowStats:
-    """Rollup of the observations that landed in one window."""
+    """Exact rollup of the observations that landed in a span of
+    windows: count, total, extremes, and nearest-rank quantiles over
+    the values themselves."""
 
-    __slots__ = ("t0", "t1", "count", "total", "vmin", "vmax", "sketch")
+    __slots__ = ("t0", "t1", "values")
 
     def __init__(self, t0: float, t1: float,
-                 values: Optional[Iterable[float]] = None):
+                 values: Iterable[float] = ()):
         self.t0 = t0
         self.t1 = t1
-        self.count = 0
-        self.total = 0.0
-        self.vmin = float("inf")
-        self.vmax = float("-inf")
-        self.sketch = QuantileSketch()
-        if values is not None:
-            for v in values:
-                self.observe(v)
+        #: Every observation, ascending.
+        self.values = sorted(values)
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.vmin:
-            self.vmin = value
-        if value > self.vmax:
-            self.vmax = value
-        self.sketch.add(value)
+    @property
+    def count(self) -> int:
+        return len(self.values)
+
+    @property
+    def total(self) -> float:
+        return sum(self.values)
+
+    @property
+    def vmin(self) -> float:
+        return self.values[0] if self.values else float("inf")
+
+    @property
+    def vmax(self) -> float:
+        return self.values[-1] if self.values else float("-inf")
 
     @property
     def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+        return self.total / self.count if self.values else 0.0
+
+    def quantile(self, q: float) -> float:
+        """Nearest-rank quantile, ``q`` in [0, 100]."""
+        return nearest_rank(self.values, q)
+
+    def frac_above(self, threshold: float) -> float:
+        """Fraction of observations strictly above ``threshold``."""
+        n = len(self.values)
+        return (n - bisect_right(self.values, threshold)) / n if n \
+            else 0.0
+
+
+class _Slices(deque):
+    """One histogram series' windows: ``(t0, t1, lo, hi)`` index ranges
+    into ``series.observations`` (the registry's own list, never
+    copied)."""
+
+    def __init__(self, series: LabeledHistogram, retention: int):
+        super().__init__(maxlen=retention)
+        self.series = series
 
 
 class WindowedStore:
-    """Fixed-interval rollup rings over every live metric source.
+    """Fixed-interval rollup rings over the metrics registry.
 
-    Keys are ``(name, labelset)`` like the registry's; tracer
-    categories appear as ``("trace.<category>", ())``. Queries take the
+    Keys are ``(name, labelset)`` like the registry's — span durations
+    are the ``span_seconds{category}`` histograms. Queries take the
     registry's selector (:func:`~repro.sim.monitor.select`): labels
     asked for match every series that carries them. Three ring
     families:
@@ -187,33 +115,31 @@ class WindowedStore:
     * **counters** — ``(t0, t1, delta)`` per window, appended only for
       nonzero deltas (queries treat missing windows as zero);
     * **gauges** — ``(t0, t1, value)`` point-sampled at each tick;
-    * **histograms** — ``(t0, t1, WindowStats)`` over the observations
-      (histogram ``observe`` calls, span durations) that landed in the
-      window.
+    * **histograms** — ``(t0, t1, lo, hi)`` per window with new
+      observations: the index range of the registry series'
+      ``observations`` that landed in it. Queries read those slices,
+      so windowed quantiles are exact.
 
     Every ring is a ``deque(maxlen=retention)``; per-source cursors
-    (last counter value, observation counts consumed) make each tick
+    (last counter value, the newest window's ``hi``) make each tick
     O(live series), not O(history).
     """
 
-    def __init__(self, monitor: Monitor, tracer=None,
-                 window: float = 0.01, retention: int = RETENTION):
+    def __init__(self, monitor: Monitor, window: float = 0.01,
+                 retention: int = RETENTION):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         if retention < 2:
             raise ValueError(f"retention must be >= 2, got {retention}")
         self.monitor = monitor
-        self.tracer = tracer if tracer is not None else monitor.tracer
         self.window = window
         self.retention = retention
         self.counters: Dict[Tuple[str, LabelSet],
                             Deque[Tuple[float, float, float]]] = {}
         self.gauges: Dict[Tuple[str, LabelSet],
                           Deque[Tuple[float, float, float]]] = {}
-        self.histograms: Dict[Tuple[str, LabelSet],
-                              Deque[Tuple[float, float, WindowStats]]] = {}
+        self.histograms: Dict[Tuple[str, LabelSet], _Slices] = {}
         self._last_counter: Dict[Tuple[str, LabelSet], float] = {}
-        self._last_obs: Dict[Tuple[str, LabelSet], int] = {}
         self.last_tick = monitor.sim.now
         self.ticks = 0
 
@@ -248,36 +174,28 @@ class WindowedStore:
             self._ring(self.gauges, key).append((t0, t1, g.value))
 
     def _scrape_histograms(self, t0: float, t1: float) -> None:
-        consumed = self._last_obs
         for key, h in self.monitor.metrics.histograms.items():
-            seen = consumed.get(key, 0)
-            obs = h.observations
-            if len(obs) > seen:
-                consumed[key] = len(obs)
-                self._ring(self.histograms, key).append(
-                    (t0, t1, WindowStats(t0, t1, obs[seen:])))
-        tracer = self.tracer
-        if tracer is None or not getattr(tracer, "enabled", False):
-            return
-        for cat, durs in tracer._durations.items():
-            if "[" in cat:       # tenant-split series duplicate the base
-                continue
-            key = (f"trace.{cat}", ())
-            seen = consumed.get(key, 0)
-            if len(durs) > seen:
-                consumed[key] = len(durs)
-                self._ring(self.histograms, key).append(
-                    (t0, t1, WindowStats(t0, t1, durs[seen:])))
+            ring = self.histograms.get(key)
+            if ring is None or ring.series is not h:
+                # New, or dropped and re-created (``Tracer.reset``).
+                ring = self.histograms[key] = _Slices(h, self.retention)
+            lo = ring[-1][3] if ring else 0
+            hi = len(h.observations)
+            if hi > lo:
+                ring.append((t0, t1, lo, hi))
 
     # -- queries -----------------------------------------------------------
+    def _cutoff(self, window_s, now) -> float:
+        if window_s is None:
+            return float("-inf")
+        return (self.last_tick if now is None else now) - window_s
+
     def _windows(self, rings, name, labels, window_s, now):
         """Entries of every matching series, one series after the
         other."""
-        entries = [e for ring in select(rings, name, labels) for e in ring]
-        if window_s is None:
-            return entries
-        cutoff = (self.last_tick if now is None else now) - window_s
-        return [entry for entry in entries if entry[1] > cutoff]
+        cutoff = self._cutoff(window_s, now)
+        return [entry for ring in select(rings, name, labels)
+                for entry in ring if entry[1] > cutoff]
 
     def delta(self, name: str, labels=(), window_s: Optional[float] = None,
               now: Optional[float] = None) -> float:
@@ -313,26 +231,23 @@ class WindowedStore:
                      window_s: Optional[float] = None,
                      now: Optional[float] = None
                      ) -> Optional[WindowStats]:
-        """Merged rollup of every histogram window in the trailing
-        ``window_s`` (None when no observations landed)."""
-        entries = self._windows(self.histograms, name, labels,
-                                window_s, now)
-        if not entries:
-            return None
-        merged = WindowStats(min(e[0] for e in entries),
-                             max(e[1] for e in entries))
-        for _t0, _t1, stats in entries:
-            merged.count += stats.count
-            merged.total += stats.total
-            merged.vmin = min(merged.vmin, stats.vmin)
-            merged.vmax = max(merged.vmax, stats.vmax)
-            merged.sketch.merge(stats.sketch)
-        return merged
+        """Every observation of every matching series in the trailing
+        ``window_s``, rolled up exactly (None when none landed)."""
+        cutoff = self._cutoff(window_s, now)
+        values: List[float] = []
+        t0, t1 = float("inf"), float("-inf")
+        for ring in select(self.histograms, name, labels):
+            obs = ring.series.observations
+            for w0, w1, lo, hi in ring:
+                if w1 > cutoff:
+                    values.extend(obs[lo:hi])
+                    t0, t1 = min(t0, w0), max(t1, w1)
+        return WindowStats(t0, t1, values) if values else None
 
     def quantile(self, name: str, q: float, labels=(),
                  window_s: Optional[float] = None) -> float:
         stats = self.window_stats(name, labels, window_s)
-        return stats.sketch.quantile(q) if stats is not None else 0.0
+        return stats.quantile(q) if stats is not None else 0.0
 
     def frac_above(self, name: str, threshold: float, labels=(),
                    window_s: Optional[float] = None
@@ -340,9 +255,9 @@ class WindowedStore:
         """``(fraction_above, observation_count)`` over the trailing
         window — the SLO monitor's bad-fraction primitive."""
         stats = self.window_stats(name, labels, window_s)
-        if stats is None or not stats.count:
+        if stats is None:
             return 0.0, 0.0
-        return stats.sketch.frac_above(threshold), float(stats.count)
+        return stats.frac_above(threshold), float(stats.count)
 
 
 class LiveObs:
@@ -360,7 +275,8 @@ class LiveObs:
        into ``obs_anomalies{detector}`` and ``anomaly`` spans);
     5. invoke registered ``on_tick(obs, now)`` callbacks.
 
-    The ticker never mutates simulated state, so installing it leaves
+    The ticker never mutates simulated state and nothing in the
+    simulated system reads the plane, so installing it leaves
     application results bit-identical.
     """
 
@@ -368,8 +284,11 @@ class LiveObs:
                  window: float = 0.01, retention: int = RETENTION):
         self.sim = sim
         self.monitor = monitor
-        self.store = WindowedStore(monitor, tracer=tracer,
-                                   window=window, retention=retention)
+        #: Where alert and anomaly spans go, and whose sampler the
+        #: tick refreshes.
+        self.tracer = tracer if tracer is not None else monitor.tracer
+        self.store = WindowedStore(monitor, window=window,
+                                   retention=retention)
         self.slo = None
         self.detectors: List[Any] = []
         self.on_tick: List[Callable[["LiveObs", float], None]] = []
@@ -387,10 +306,9 @@ class LiveObs:
         """Install the plane on a :class:`~repro.cluster.SimCluster` —
         the ticker (the window defaults from the cluster's config), the
         SLO monitor when objectives are given, and the standard
-        detector bank (whose ``realloc_thrash`` events the
-        :class:`ReallocLoop` consumes for backoff). A cluster that has
-        a plane (``system.obs``) keeps it: what is attached stays, what
-        is missing is added, so a later call may name the tenants."""
+        detector bank. A cluster that has a plane (``system.obs``)
+        keeps it: what is attached stays, what is missing is added, so
+        a later call may name the tenants."""
         obs = getattr(cluster.system, "obs", None)
         if obs is None:
             cfg = cluster.spec.config
@@ -407,12 +325,12 @@ class LiveObs:
         return obs
 
     def install(self, system=None) -> "LiveObs":
-        """Spawn the ticker; expose self as ``system.obs`` so runtime
-        components (ReallocLoop, chaos hooks) can consume events."""
+        """Spawn the ticker; expose self as ``system.obs`` for the
+        surfaces that render it (``repro top``/``slo``) and for
+        :meth:`attach` to find."""
         if system is not None:
             system.obs = self
-        sampler = getattr(self.store.tracer, "sampler", None) \
-            if self.store.tracer is not None else None
+        sampler = getattr(self.tracer, "sampler", None)
         if sampler is not None:
             sampler.obs = self
         if self._proc is None:
@@ -428,8 +346,8 @@ class LiveObs:
         now = self.sim.now
         self.store.tick(now)
         self.ticks += 1
-        tracer = self.store.tracer
-        sampler = getattr(tracer, "sampler", None) if tracer else None
+        tracer = self.tracer
+        sampler = getattr(tracer, "sampler", None)
         if sampler is not None:
             sampler.refresh_thresholds(self.store)
         if self.slo is not None:

@@ -4,7 +4,9 @@
 :class:`~repro.sim.monitor.Monitor`) into one JSON-serializable dict;
 :func:`render_report` pretty-prints it; :func:`diff_analyses` /
 :func:`render_diff` align two runs by span category and report which
-categories account for the runtime delta.
+categories account for the runtime delta. :func:`render_top` /
+:func:`top_json` and :func:`render_slo` print the live plane's final
+windows and SLO report (``repro top`` / ``repro slo``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from typing import Any, Dict, List
 
 from repro.obs.graph import SpanGraph
 
-__all__ = ["analyze", "render_report", "diff_analyses", "render_diff"]
+__all__ = ["analyze", "render_report", "render_top", "top_json",
+           "render_slo", "diff_analyses", "render_diff"]
 
 #: Relative tolerance for the Little's-law cross-check between the
 #: span-derived L and the independently sampled backlog gauge. Loose on
@@ -184,6 +187,141 @@ def render_report(analysis: Dict[str, Any],
                 f"  {dev:<14} |{occ['timeline']}| "
                 f"peak={occ['peak'] / 2 ** 20:.1f}MB "
                 f"avg={occ['avg'] / 2 ** 20:.1f}MB")
+    return "\n".join(lines)
+
+
+def _fmt_series(name: str, labels) -> str:
+    if not labels:
+        return name
+    inner = ",".join(f"{k}={v}" for k, v in labels)
+    return f"{name}{{{inner}}}"
+
+
+def render_top(title: str, obs, limit: int) -> str:
+    """``repro top``: the final windowed dashboard of a
+    :class:`~repro.obs.live.LiveObs` plane."""
+    store = obs.store
+    now = store.last_tick
+    lines = [f"== top: {title} @ t={now:.3f}s  "
+             f"(window {store.window * 1e3:g} ms x {store.retention}, "
+             f"{obs.ticks} ticks) =="]
+
+    counters = sorted(
+        ((store.delta(name, ls), name, ls)
+         for name, ls in store.counters), reverse=True)[:limit]
+    if counters:
+        lines.append("-- counters (retained window) --")
+        width = max(len(_fmt_series(n, ls)) for _d, n, ls in counters)
+        for delta, name, ls in counters:
+            lines.append(f"  {_fmt_series(name, ls).ljust(width)}  "
+                         f"+{delta:.6g}  "
+                         f"({store.rate(name, ls):.6g}/s)")
+
+    gauges = sorted(store.gauges)[:limit]
+    if gauges:
+        lines.append("-- gauges (last sample) --")
+        width = max(len(_fmt_series(n, ls)) for n, ls in gauges)
+        for name, ls in gauges:
+            lines.append(f"  {_fmt_series(name, ls).ljust(width)}  "
+                         f"{store.gauge_last(name, ls):.6g}")
+
+    hists = []
+    for name, ls in sorted(store.histograms):
+        stats = store.window_stats(name, ls)
+        if stats is not None:
+            hists.append((stats.count, name, ls, stats))
+    hists.sort(reverse=True, key=lambda h: (h[0], h[1]))
+    if hists:
+        lines.append("-- latencies (retained window, ms) --")
+        width = max(len(_fmt_series(n, ls))
+                    for _c, n, ls, _s in hists[:limit])
+        for count, name, ls, stats in hists[:limit]:
+            p50 = stats.quantile(50) * 1e3
+            p99 = stats.quantile(99) * 1e3
+            lines.append(f"  {_fmt_series(name, ls).ljust(width)}  "
+                         f"n={count:<6d} mean={stats.mean * 1e3:.4g} "
+                         f"p50={p50:.4g} p99={p99:.4g}")
+
+    if obs.slo is not None and obs.slo.history:
+        lines.append("-- alerts --")
+        for alert in obs.slo.history:
+            state = ("firing" if alert.firing else
+                     f"resolved at {alert.resolved_at:.3f}s")
+            lines.append(f"  {alert.slo}: fired at "
+                         f"{alert.fired_at:.3f}s, {state} "
+                         f"(burn fast {alert.fast_burn:.2f}x / "
+                         f"slow {alert.slow_burn:.2f}x)")
+
+    if obs.events:
+        lines.append("-- anomalies --")
+        for e in obs.events[-limit:]:
+            lines.append(f"  t={e['t']:.3f}s {e['detector']} "
+                         f"{e['direction']} z={e['zscore']:.1f} "
+                         f"value={e['value']:.6g}")
+    return "\n".join(lines)
+
+
+def top_json(obs) -> dict:
+    """``repro top --json``: :func:`render_top` as one document."""
+    store = obs.store
+    doc = {"t": store.last_tick, "ticks": obs.ticks,
+           "window_s": store.window, "retention": store.retention,
+           "counters": {}, "gauges": {}, "histograms": {},
+           "anomalies": list(obs.events)}
+    for name, ls in sorted(store.counters):
+        doc["counters"][_fmt_series(name, ls)] = {
+            "delta": store.delta(name, ls),
+            "rate": store.rate(name, ls)}
+    for name, ls in sorted(store.gauges):
+        doc["gauges"][_fmt_series(name, ls)] = store.gauge_last(name, ls)
+    for name, ls in sorted(store.histograms):
+        stats = store.window_stats(name, ls)
+        if stats is None:
+            continue
+        doc["histograms"][_fmt_series(name, ls)] = {
+            "count": stats.count, "mean": stats.mean,
+            "p50": stats.quantile(50),
+            "p99": stats.quantile(99)}
+    if obs.slo is not None:
+        doc["alerts"] = [a.to_dict() for a in obs.slo.history]
+    return doc
+
+
+def render_slo(title: str, report: dict) -> str:
+    """``repro slo``: one :meth:`SLOMonitor.report` as a table and
+    alert timeline."""
+    lines = [f"== slo: {title} @ t={report['t']:.3f}s =="]
+    rows = report["slos"]
+    if rows:
+        cols = ("name", "tenant", "objective", "target", "compliance",
+                "samples", "alerts", "ok")
+
+        def cell(s, col):
+            if col == "alerts":
+                return str(len(s["alerts"]))
+            if col == "ok":
+                return "ok" if s["ok"] else "VIOLATED"
+            v = s.get(col)
+            if isinstance(v, float):
+                return f"{v:.4f}" if col == "compliance" else f"{v:g}"
+            return str(v if v is not None else "-")
+
+        table = [[cell(s, c) for c in cols] for s in rows]
+        widths = [max(len(c), *(len(r[i]) for r in table))
+                  for i, c in enumerate(cols)]
+        lines.append("  ".join(c.ljust(w) for c, w in zip(cols, widths)))
+        for r in table:
+            lines.append("  ".join(v.ljust(w)
+                                   for v, w in zip(r, widths)))
+    for alert in report["alerts"]:
+        state = ("still firing" if alert["resolved_at"] is None else
+                 f"resolved at {alert['resolved_at']:.3f}s")
+        lines.append(f"  alert {alert['slo']}: fired at "
+                     f"{alert['fired_at']:.3f}s, {state}")
+    n = len(report["slos"])
+    lines.append(f"{n - report['violations']}/{n} SLOs met"
+                 + (f", {report['violations']} violated"
+                    if report["violations"] else ""))
     return "\n".join(lines)
 
 

@@ -15,8 +15,8 @@ simulated time.
 Objectives:
 
 ``latency_p99``
-    Bad = task latency above ``threshold_ms``; the fraction comes from
-    the windowed sketch over ``tenant_task_latency{tenant=}``
+    Bad = task latency above ``threshold_ms``; the fraction is exact
+    over the windowed observations of ``tenant_task_latency{tenant=}``
     (``metric`` overrides the series name).
 ``hit_ratio``
     Bad = bytes read from slow tiers; the fraction is
@@ -28,9 +28,9 @@ Objectives:
 
 Alert lifecycle: firing alerts are recorded as ``alert.*`` spans (the
 tail sampler always keeps them) and ``slo_alerts{slo=,event=}``
-labeled metrics; ``report()`` computes exact full-run compliance from
-the registry (the un-windowed histograms/counters), so the CLI's exit
-code never depends on sketch approximation.
+labeled metrics; ``report()`` computes full-run compliance from the
+registry's whole series (not just the retained windows), which is the
+CLI's exit code.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class SLOSpec:
 
     # -- exact full-run compliance ----------------------------------------
     def compliance(self, monitor) -> Dict[str, Any]:
-        """Whole-run good fraction from the registry's exact series
-        (no sketches): the CLI's pass/fail basis."""
+        """Whole-run good fraction from the registry's series: the
+        CLI's pass/fail basis."""
         metrics = monitor.metrics
         labels = self._labels()
 
@@ -214,7 +214,7 @@ class SLOMonitor:
     def evaluate(self, now: float) -> None:
         store = self.store
         metrics = self.monitor.metrics
-        tracer = store.tracer
+        tracer = self.obs.tracer
         for spec in self.specs:
             fast_frac, fast_n = spec.bad_fraction(store,
                                                   spec.fast_window_s)

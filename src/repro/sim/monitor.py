@@ -55,6 +55,15 @@ def select(series: Dict[Tuple[str, LabelSet], object], name: str,
             if n == name and want.issubset(ls)]
 
 
+def nearest_rank(ordered: List[float], q: float) -> float:
+    """Nearest-rank ``q``-th percentile (``q`` in [0, 100]) of an
+    ascending list; 0.0 when it is empty."""
+    if not ordered:
+        return 0.0
+    n = len(ordered)
+    return ordered[max(0, min(n - 1, int(-(-q * n // 100)) - 1))]
+
+
 class TimeSeries:
     """A step-wise time series of (time, value) samples with bounded
     retention.
@@ -275,8 +284,8 @@ class LabeledGauge:
 
 class LabeledHistogram:
     """Observation histogram for one (name, labelset); exported as
-    Prometheus summary quantiles (nearest-rank, matching the
-    tracer's percentile convention)."""
+    Prometheus summary quantiles (:func:`nearest_rank`, the rule every
+    percentile of the run uses)."""
 
     __slots__ = ("observations",)
 
@@ -295,13 +304,7 @@ class LabeledHistogram:
         return sum(self.observations)
 
     def percentile(self, q: float) -> float:
-        obs = self.observations
-        if not obs:
-            return 0.0
-        ordered = sorted(obs)
-        rank = max(0, min(len(ordered) - 1,
-                          int(-(-q * len(ordered) // 100)) - 1))
-        return ordered[rank]
+        return nearest_rank(sorted(self.observations), q)
 
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")

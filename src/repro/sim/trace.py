@@ -49,6 +49,8 @@ import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.engine import Simulator
+from repro.sim.monitor import LabeledHistogram, MetricsRegistry, \
+    Monitor, nearest_rank
 
 __all__ = ["Span", "Tracer", "TraceSampler", "NOOP_TRACER"]
 
@@ -130,12 +132,12 @@ class TraceSampler:
     * an error attribute (``error``/``unfinished``/``corrupt``);
     * closing inside a firing-alert window (``obs.alert_active()``).
 
-    Per-category duration statistics are *never* sampled — the tracer
-    accumulates them for every span — so ``latency_summary`` stays
-    exact; only span-object retention (the memory and export cost) is
-    reduced. The RNG stream is seeded and private, so enabling
-    sampling perturbs no other random draw and simulated results stay
-    bit-identical.
+    Per-category duration statistics are *never* sampled — every
+    span's duration lands in ``span_seconds{category}`` — so
+    ``latency_summary`` stays exact; only span-object retention (the
+    memory and export cost) is reduced. The RNG stream is seeded and
+    private, so enabling sampling perturbs no other random draw and
+    simulated results stay bit-identical.
     """
 
     ALWAYS_KEEP_CATEGORIES = frozenset({"chaos", "alert", "anomaly"})
@@ -179,14 +181,15 @@ class TraceSampler:
 
     def refresh_thresholds(self, store) -> None:
         """Pull ``slow_factor`` x windowed-p99 per category from a
-        :class:`~repro.obs.live.WindowedStore` (its trace categories
-        are keyed ``("trace.<cat>", ())``)."""
+        :class:`~repro.obs.live.WindowedStore`'s ``span_seconds``
+        series."""
         for (name, labels) in store.histograms:
-            if labels or not name.startswith("trace."):
+            if name != "span_seconds":
                 continue
-            p99 = store.quantile(name, 99)
+            p99 = store.quantile(name, 99, labels)
             if p99 > 0.0:
-                self.thresholds[name[6:]] = self.slow_factor * p99
+                self.thresholds[dict(labels)["category"]] = \
+                    self.slow_factor * p99
 
 
 class _SpanCtx:
@@ -221,20 +224,29 @@ class Tracer:
     are recorded even if the tracer is disabled before they close.
     ``max_spans`` bounds memory: past it, span objects are dropped
     (the drop count is reported in :meth:`latency_summary` so the
-    truncation is never silent) but per-category durations continue to
-    accumulate, keeping percentiles exact.
+    truncation is never silent) but every duration is still observed
+    into ``span_seconds{category}``, keeping percentiles exact.
+
+    Durations live in ``metrics`` (the run's
+    :class:`~repro.sim.monitor.MetricsRegistry`; a private one when
+    none is given), so the live plane windows them like any other
+    histogram.
     """
 
     def __init__(self, sim: Simulator, enabled: bool = False,
-                 max_spans: int = 500_000):
+                 max_spans: int = 500_000,
+                 metrics: Optional[MetricsRegistry] = None):
         self.sim = sim
         self.enabled = enabled
         self.max_spans = max_spans
+        self.metrics = metrics if metrics is not None \
+            else Monitor(sim).metrics
         self.spans: List[Span] = []
         self.dropped = 0
         #: Optional :class:`TraceSampler`; None keeps every span.
         self.sampler: Optional[TraceSampler] = None
-        self._durations: Dict[str, List[float]] = {}
+        #: ``span_seconds`` handle per category.
+        self._hists: Dict[str, LabeledHistogram] = {}
         self._stacks: Dict[int, List[Span]] = {}
         self._next_id = 1
 
@@ -336,13 +348,11 @@ class Tracer:
         self._finish(span)
 
     def _finish(self, span: Span) -> None:
-        self._durations.setdefault(span.category, []).append(
-            span.duration)
-        tenant = span.attrs.get("tenant") if span.attrs else None
-        if tenant is not None:
-            self._durations.setdefault(
-                f"{span.category}[tenant={tenant}]", []).append(
-                span.duration)
+        hist = self._hists.get(span.category)
+        if hist is None:
+            hist = self._hists[span.category] = self.metrics.histogram(
+                "span_seconds", category=span.category)
+        hist.observe(span.duration)
         if not span.keep:
             # Head-rejected and not tail-promoted: the duration above
             # is still counted (percentiles stay exact), only the span
@@ -356,7 +366,10 @@ class Tracer:
 
     def reset(self) -> None:
         self.spans.clear()
-        self._durations.clear()
+        for cat in self._hists:
+            del self.metrics.histograms[
+                ("span_seconds", (("category", cat),))]
+        self._hists.clear()
         self._stacks.clear()
         self.dropped = 0
         self._next_id = 1
@@ -365,35 +378,20 @@ class Tracer:
             self.sampler.tail_promoted = 0
 
     # -- statistics --------------------------------------------------------
-    @property
-    def categories(self) -> List[str]:
-        return sorted(self._durations)
-
-    def percentile(self, category: str, q: float) -> float:
-        """Nearest-rank percentile of span durations (``q`` in
-        [0, 100]); 0.0 for an unseen category."""
-        durs = self._durations.get(category)
-        if not durs:
-            return 0.0
-        ordered = sorted(durs)
-        rank = max(0, min(len(ordered) - 1,
-                          int(-(-q * len(ordered) // 100)) - 1))
-        return ordered[rank]
-
     def latency_summary(self) -> Dict[str, float]:
-        """Flat dict of per-category latency statistics, keyed
-        ``trace.<category>.<stat>`` — the histogram block
-        :meth:`~repro.sim.monitor.Monitor.summary` folds in."""
+        """Flat dict of per-category latency statistics from the
+        ``span_seconds`` histograms, keyed ``trace.<category>.<stat>``
+        — the block :meth:`~repro.sim.monitor.Monitor.summary` folds
+        in."""
         out: Dict[str, float] = {}
-        for cat, durs in self._durations.items():
-            ordered = sorted(durs)
+        for cat, hist in self._hists.items():
+            ordered = sorted(hist.observations)
             n = len(ordered)
             out[f"trace.{cat}.count"] = float(n)
             out[f"trace.{cat}.total"] = sum(ordered)
             out[f"trace.{cat}.mean"] = sum(ordered) / n
             for q in (50, 95, 99):
-                rank = max(0, min(n - 1, int(-(-q * n // 100)) - 1))
-                out[f"trace.{cat}.p{q}"] = ordered[rank]
+                out[f"trace.{cat}.p{q}"] = nearest_rank(ordered, q)
         if self.dropped:
             out["trace.dropped_spans"] = float(self.dropped)
         if self.sampler is not None:

@@ -65,12 +65,6 @@ class ReallocLoop:
         #: (read, slow-tier re-read) byte deltas from the most recent
         #: sweep, shared between the decision and the enforcement pass.
         self._window: Dict[str, Tuple[float, float]] = {}
-        #: Sweeps to sit out after the thrash anomaly detector trips
-        #: (only consulted when a :class:`~repro.obs.live.LiveObs` is
-        #: installed on the system — plain runs never back off).
-        self.BACKOFF_SWEEPS = 3
-        self._backoff = 0
-        self._obs_cursor = 0
         manager.loop = self
 
     # -- main loop -------------------------------------------------------
@@ -82,31 +76,8 @@ class ReallocLoop:
             if self.stop:
                 return
             self.sweeps += 1
-            if self._thrash_backoff():
-                continue
             self.rebalance()
             yield from self.enforce_all()
-
-    def _thrash_backoff(self) -> bool:
-        """Consume ``realloc_thrash`` anomaly events from an installed
-        observability plane: each trip pauses rebalancing (decisions
-        *and* enforcement churn) for ``BACKOFF_SWEEPS`` sweeps, giving
-        placements time to settle instead of ping-ponging blobs. A
-        no-op without obs — the attribute does not exist and plain
-        colocated runs are byte-identical to pre-obs behaviour."""
-        obs = getattr(self.system, "obs", None)
-        if obs is None:
-            return False
-        new = obs.events[self._obs_cursor:]
-        self._obs_cursor = len(obs.events)
-        if any(e["detector"] == "realloc_thrash" for e in new):
-            self._backoff = self.BACKOFF_SWEEPS
-            self.manager.log("realloc_backoff", sweep=self.sweeps,
-                             sweeps=self.BACKOFF_SWEEPS)
-        if self._backoff > 0:
-            self._backoff -= 1
-            return True
-        return False
 
     def _window_deltas(self) -> Dict[str, Tuple[float, float]]:
         """(read, slow-tier re-read) bytes per registered tenant since

@@ -332,8 +332,9 @@ def run_colocation(source, workdir: Optional[str] = None,
 
     ``on_cluster(cluster)`` is invoked right after the cluster is
     built, before any job runs — the hook the CLI uses to switch on
-    tracing and install the live observability plane. ``slos`` (a list
-    of :class:`~repro.obs.slo.SLOSpec`) is merged with SLOs embedded in
+    tracing and install the live observability plane (naming the
+    jobs as its tenants). ``slos`` (a list of
+    :class:`~repro.obs.slo.SLOSpec`) is merged with SLOs embedded in
     the spec (top-level ``slos:`` and per-job ``slo:`` blocks); when
     any exist the obs plane is attached automatically and the result
     carries the compliance/alert report in ``.slo``.
@@ -349,7 +350,7 @@ def run_colocation(source, workdir: Optional[str] = None,
     if on_cluster is not None:
         on_cluster(cluster)
     obs = None
-    if slo_specs or getattr(cluster.system, "obs", None) is not None:
+    if slo_specs:
         from repro.obs import LiveObs
         obs = LiveObs.attach(cluster, slos=slo_specs,
                              tenants=[j.name for j in jobs])
@@ -357,8 +358,7 @@ def run_colocation(source, workdir: Optional[str] = None,
                           **(spec.get("tenancy") or {})).run()
     if obs is not None:
         result.obs_events = list(obs.events)
-        if obs.slo is not None:
-            result.slo = obs.slo.report()
+        result.slo = obs.slo.report()
     write_rows(os.path.join(workdir,
                             spec.get("output", "colocate_stats.csv")),
                result.rows)

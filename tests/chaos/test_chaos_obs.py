@@ -116,3 +116,20 @@ def test_obs_plane_does_not_perturb_chaos_execution(
                      obs=True)
     assert again.detections == observed.detections
     assert again.obs_anomalies == observed.obs_anomalies
+
+
+def test_net_p99_detector_samples_the_exact_p99():
+    """The traced case's ``net_p99`` detector scores the window's
+    nearest-rank 99th percentile of network spans: 99 fast spans and
+    one slow one sample the slowest fast span, not the fastest."""
+    from repro.chaos.campaign import _attach_case_obs
+    from repro.pipeline import build_cluster
+    cluster = build_cluster({"n_nodes": 2, "procs_per_node": 1})
+    cluster.tracer.enabled = True
+    live = _attach_case_obs(cluster, (), 1.0, threshold=4.0, warmup=8)
+    (det,) = [d for d in live.detectors if d.name == "net_p99"]
+    durations = [i * 1e-3 for i in range(1, 100)] + [1.0]
+    for d in durations:
+        cluster.tracer.record("xfer", "net", 0, 0.0, d)
+    live.store.tick(1.0)
+    assert det.source(live.store, 1.0) == sorted(durations)[98] == 0.099

@@ -52,7 +52,8 @@ def _traced_workload():
 
 def test_fault_lifecycle_categories_present():
     _, system = _traced_workload()
-    cats = set(system.tracer.categories)
+    cats = {dict(ls)["category"] for name, ls
+            in system.monitor.metrics.histograms if name == "span_seconds"}
     assert {"pcache", "rpc", "rt.queue", "rt.service",
             "scache", "net"} <= cats
 

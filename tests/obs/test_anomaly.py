@@ -1,6 +1,6 @@
 """Anomaly detectors: EWMA+MAD scoring, one-event-per-episode
-semantics, the standard bank's wiring, and the ReallocLoop backoff
-consumer."""
+semantics, the standard bank's wiring, and that no simulated
+component consumes their events."""
 
 import pytest
 
@@ -87,7 +87,7 @@ def test_standard_bank_names():
     dets = standard_detectors(tenants=["a", "b"], n_nodes=2)
     names = {d.name for d in dets}
     assert names == {"hit_ratio:a", "hit_ratio:b", "rt_backlog",
-                     "wal_growth", "realloc_thrash"}
+                     "wal_growth"}
 
 
 def test_backlog_detector_end_to_end():
@@ -141,44 +141,75 @@ def test_hit_ratio_detector_collapse():
     assert events[0]["direction"] == "down"
 
 
-def test_realloc_backoff_consumes_thrash_events():
-    """A thrash event pauses the loop for BACKOFF_SWEEPS sweeps and
-    logs the decision; without obs the path is inert."""
-    from repro.tenancy.realloc import ReallocLoop
+COLOCATION = """
+name: obs-does-not-steer
+cluster:
+  n_nodes: 2
+  procs_per_node: 1
+  dram_mb: 8
+  nvme_mb: 64
+  seed: 11
+  realloc_period: 0.002
+tenancy:
+  realloc: true
+jobs:
+  - name: km
+    app:
+      kind: mm_kmeans
+      k: 4
+      max_iter: 2
+    dataset:
+      kind: points
+      n: 3000
+      k: 4
+      seed: 3
+      path: pts_a.parquet
+    procs: 2
+    dram_quota_mb: 4
+    min_dram_mb: 2
+  - name: antag
+    app:
+      kind: mm_stream
+      passes: 2
+    dataset:
+      kind: points
+      n: 8000
+      k: 4
+      seed: 5
+      path: pts_b.parquet
+    procs: 1
+    arrival: 0.01
+    dram_quota_mb: 2
+    min_dram_mb: 1
+"""
 
-    class _Mgr:
-        def __init__(self, system):
-            self.system = system
-            self.tenants = {}
-            self.decisions = []
 
-        def log(self, kind, **kw):
-            self.decisions.append({"kind": kind, **kw})
+def test_anomaly_events_do_not_steer_realloc(tmp_path, monkeypatch):
+    """The plane only observes: flooding ``obs.events`` with
+    ``realloc_thrash`` (and any other detector's) events every tick
+    leaves the reallocation loop's sweeps, its decision log and every
+    job row exactly as in the same run with a quiet plane."""
+    from repro.tenancy import run_colocation
+    monkeypatch.chdir(tmp_path)       # relative dataset URLs
 
-    class _Sys:
-        class config:
-            realloc_period = 0.01
-            realloc_step = 1
-        sim = None
-        monitor = None
-        dmshs = []
+    def colocate(flood):
+        clusters = []
 
-    sys_ = _Sys()
-    loop = ReallocLoop(_Mgr(sys_))
-    # No obs installed: never backs off.
-    assert loop._thrash_backoff() is False
+        def hook(cluster):
+            clusters.append(cluster)
+            obs = LiveObs.attach(cluster, tenants=["km", "antag"])
+            if flood:
+                obs.on_tick.append(lambda o, now: o.events.extend(
+                    {"t": now, "detector": name, "metric": "m",
+                     "value": 9.0, "zscore": 9.0, "direction": "up"}
+                    for name in ("realloc_thrash", "rt_backlog")))
 
-    sim = Simulator()
-    mon = Monitor(sim)
-    obs = LiveObs(sim, mon, window=0.01, retention=8).install()
-    sys_.obs = obs
-    obs.events.append({"t": 0.0, "detector": "realloc_thrash",
-                       "value": 9.0})
-    assert loop._thrash_backoff() is True       # trip: sweep 1 skipped
-    assert loop._backoff == loop.BACKOFF_SWEEPS - 1
-    assert loop.manager.decisions[0]["kind"] == "realloc_backoff"
-    assert loop._thrash_backoff() is True       # still backing off
-    assert loop._thrash_backoff() is True
-    assert loop._thrash_backoff() is False      # resumed
-    # The same event is not consumed twice.
-    assert len(loop.manager.decisions) == 1
+        res = run_colocation(COLOCATION, workdir=".", on_cluster=hook)
+        return res, clusters[0].system.tenancy.loop.sweeps
+
+    quiet, quiet_sweeps = colocate(False)
+    loud, loud_sweeps = colocate(True)
+    assert quiet_sweeps > 0 and loud_sweeps == quiet_sweeps
+    assert loud.decisions == quiet.decisions
+    assert loud.rows == quiet.rows
+    assert loud.makespan == quiet.makespan

@@ -1,56 +1,12 @@
-"""Windowed time-series engine (repro.obs.live): sketch correctness,
-scrape-at-tick rollups, bounded retention, ticker integration."""
+"""Windowed time-series engine (repro.obs.live): exact windowed
+quantiles over the registry, scrape-at-tick rollups, bounded
+retention, ticker integration."""
 
+import numpy as np
 import pytest
 
-from repro.obs.live import LiveObs, QuantileSketch, WindowStats, \
-    WindowedStore
+from repro.obs.live import LiveObs, WindowStats, WindowedStore
 from repro.sim import Monitor, Simulator
-
-
-# -- QuantileSketch --------------------------------------------------------
-
-def test_sketch_exact_when_small():
-    sk = QuantileSketch(capacity=128)
-    sk.add_many(float(i) for i in range(1, 101))
-    assert sk.count == 100
-    assert sk.quantile(50) == 50.0
-    assert sk.quantile(99) == 99.0
-    assert sk.frac_above(90.0) == pytest.approx(0.10)
-
-
-def test_sketch_bounded_and_close_when_large():
-    sk = QuantileSketch()
-    n = 100_000
-    sk.add_many(float(i) for i in range(n))
-    # O(capacity * log n) memory, not O(n).
-    assert sk.size <= sk.capacity * (len(sk.levels) + 1)
-    assert len(sk.levels) < 20
-    assert sk.count == n
-    # Compaction keeps quantiles within a few percent.
-    assert sk.quantile(50) == pytest.approx(n / 2, rel=0.05)
-    assert sk.quantile(99) == pytest.approx(0.99 * n, rel=0.05)
-    assert sk.frac_above(0.9 * n) == pytest.approx(0.10, abs=0.02)
-
-
-def test_sketch_deterministic():
-    def build():
-        sk = QuantileSketch()
-        sk.add_many(float((i * 7919) % 1000) for i in range(10_000))
-        return sk
-    a, b = build(), build()
-    assert a.levels == b.levels
-    assert a.quantile(95) == b.quantile(95)
-
-
-def test_sketch_merge_matches_union():
-    a, b, u = QuantileSketch(), QuantileSketch(), QuantileSketch()
-    a.add_many(float(i) for i in range(50))
-    b.add_many(float(i) for i in range(50, 100))
-    u.add_many(float(i) for i in range(100))
-    a.merge(b)
-    assert a.count == u.count
-    assert a.quantile(50) == u.quantile(50)
 
 
 def test_window_stats():
@@ -156,21 +112,58 @@ def test_retention_bounds_ring():
     assert store.delta("c") == 4.0
 
 
+def test_windowed_quantiles_are_exact_over_large_windows():
+    """Windows of thousands of observations answer ``quantile`` and
+    ``frac_above`` with NumPy's nearest rank over the raw observations
+    the retained windows hold — nothing is compacted."""
+    sim, mon, store = _store(retention=3)
+    h = mon.metrics.histogram("lat", node=0)
+    rng = np.random.default_rng(5)
+    for i in range(4):                    # the first window ages out
+        for v in rng.lognormal(-6.0, 1.0, 1500 + 100 * i):
+            h.observe(float(v))
+        sim._now = float(i + 1)
+        store.tick(sim._now)
+    held = np.array(h.observations[1500:])
+    assert store.window_stats("lat").count == len(held) == 5100
+    for q in (1, 50, 90, 99, 99.9, 100):
+        assert store.quantile("lat", q) == np.percentile(
+            held, q, method="inverted_cdf")
+    for cut in (np.median(held), np.percentile(held, 99)):
+        frac, n = store.frac_above("lat", float(cut))
+        assert n == len(held)
+        assert frac == np.count_nonzero(held > cut) / len(held)
+    last = np.array(h.observations[-1800:])
+    assert store.quantile("lat", 99, window_s=1.0) == np.percentile(
+        last, 99, method="inverted_cdf")
+
+
 def test_trace_durations_scraped():
+    """Span durations are the ``span_seconds{category}`` histograms of
+    the run's registry; the store windows them like any other."""
     from repro.sim.trace import Tracer
     sim = Simulator()
     mon = Monitor(sim)
-    tracer = Tracer(sim, enabled=True)
-    mon.tracer = tracer
-    store = WindowedStore(mon, tracer=tracer, window=1.0, retention=8)
+    tracer = Tracer(sim, enabled=True, metrics=mon.metrics)
+    store = WindowedStore(mon, window=1.0, retention=8)
     tracer.record("op", "pcache", 0, 0.0, 0.25)
     tracer.record("op", "pcache", 0, 0.0, 0.5, tenant="a")
+    tracer.record("op", "net", 0, 0.0, 0.125)
     sim._now = 1.0
     store.tick(1.0)
-    stats = store.window_stats("trace.pcache")
-    assert stats is not None and stats.count == 2
-    # Tenant-split duplicate categories are not double-scraped.
-    assert ("trace.pcache[tenant=a]", ()) not in store.histograms
+    stats = store.window_stats("span_seconds", {"category": "pcache"})
+    assert stats.count == 2 and stats.vmax == 0.5
+    assert store.window_stats("span_seconds").count == 3
+    assert set(store.histograms) == {
+        ("span_seconds", (("category", "pcache"),)),
+        ("span_seconds", (("category", "net"),))}
+    # A reset drops the series; its re-creation starts a fresh ring.
+    tracer.reset()
+    tracer.record("op", "net", 0, 0.0, 0.75)
+    sim._now = 2.0
+    store.tick(2.0)
+    assert store.quantile("span_seconds", 100, {"category": "net"}) \
+        == 0.75
 
 
 # -- LiveObs ticker --------------------------------------------------------

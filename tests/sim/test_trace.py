@@ -31,7 +31,7 @@ def test_disabled_tracer_is_noop(sim):
 
     _run(sim, proc())
     assert tr.spans == []
-    assert tr._durations == {}
+    assert tr.metrics.histograms == {}
     assert tr.latency_summary() == {}
 
 
@@ -124,15 +124,22 @@ def test_enable_mid_run_records_only_while_enabled(sim):
 
 # -- statistics -------------------------------------------------------------
 
+def _span_hist(tr, category):
+    return tr.metrics.histograms[("span_seconds",
+                                  (("category", category),))]
+
+
 def test_percentiles_nearest_rank(sim):
     tr = Tracer(sim, enabled=True)
     for i in range(1, 101):  # durations 1..100
         tr.record("op", "cat", 0, 0.0, float(i))
-    assert tr.percentile("cat", 50) == 50.0
-    assert tr.percentile("cat", 95) == 95.0
-    assert tr.percentile("cat", 99) == 99.0
-    assert tr.percentile("cat", 100) == 100.0
-    assert tr.percentile("missing", 50) == 0.0
+    hist = _span_hist(tr, "cat")
+    assert hist.percentile(50) == 50.0
+    assert hist.percentile(95) == 95.0
+    assert hist.percentile(99) == 99.0
+    assert hist.percentile(100) == 100.0
+    assert set(tr.metrics.histograms) == {("span_seconds",
+                                           (("category", "cat"),))}
 
 
 def test_latency_summary_keys(sim):
@@ -156,7 +163,7 @@ def test_max_spans_cap_counts_drops_keeps_percentiles(sim):
     assert len(tr.spans) == 3
     assert tr.dropped == 7
     # Durations keep accumulating past the cap: percentiles stay exact.
-    assert tr.percentile("cat", 100) == 10.0
+    assert _span_hist(tr, "cat").percentile(100) == 10.0
     out = tr.latency_summary()
     assert out["trace.cat.count"] == 10.0
     assert out["trace.dropped_spans"] == 7.0
@@ -170,6 +177,7 @@ def test_reset(sim):
     tr.reset()
     assert tr.spans == [] and tr.dropped == 0
     assert tr.latency_summary() == {}
+    assert tr.metrics.histograms == {}
 
 
 # -- Chrome export ----------------------------------------------------------

@@ -38,7 +38,7 @@ def test_head_sampling_drops_most_spans_keeps_stats():
     kept = len(tracer.spans)
     assert kept < 300                      # ~100 expected at 10%
     assert tracer.sampler.sampled_out == 1000 - kept
-    # Percentiles come from _durations, which saw every span.
+    # Percentiles come from span_seconds, which saw every span.
     summary = tracer.latency_summary()
     assert summary["trace.pcache.count"] == 1000.0
     assert summary["trace.sampled_out"] == float(1000 - kept)
@@ -133,11 +133,10 @@ def test_refresh_thresholds_from_store():
     from repro.obs.live import WindowedStore
     sim = Simulator()
     mon = Monitor(sim)
-    tracer = Tracer(sim, enabled=True)
-    mon.tracer = tracer
+    tracer = Tracer(sim, enabled=True, metrics=mon.metrics)
     tracer.sampler = TraceSampler(py_rng(0, "trace-sample"), 0.5,
                                   slow_factor=4.0)
-    store = WindowedStore(mon, tracer=tracer, window=1.0, retention=8)
+    store = WindowedStore(mon, window=1.0, retention=8)
     for _ in range(20):
         tracer.record("op", "pcache", 0, 0.0, 0.01)
     sim._now = 1.0

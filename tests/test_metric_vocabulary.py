@@ -5,12 +5,16 @@ a 2-job colocation) fill the registry; everything that *consumes* a
 metric by name — the benchmark's ``_STAT_KEYS``, the pipeline's stats
 row, the standard detector bank, the SLO defaults — must resolve to a
 series those runs registered, non-zero in at least one of them, and no
-two registered names may collide in the Prometheus exposition. The
+two registered names may collide in the Prometheus exposition. Span
+durations are one of those series (``span_seconds{category}``), and
+every floor CI enforces names a figure some benchmark emits. The
 "Metrics" table of DESIGN.md is this module's registry dump:
 ``PYTHONPATH=src python -m tests.test_metric_vocabulary`` prints it.
 """
 
+import glob
 import inspect
+import json
 import os
 import re
 
@@ -229,6 +233,37 @@ def test_one_name_per_quantity(runs):
         by_prom.setdefault(_prom_name(name), []).append(name)
     twins = {p: ns for p, ns in by_prom.items() if len(ns) > 1}
     assert not twins, twins
+
+
+def test_span_durations_are_one_registry_series(runs):
+    """The traced runs register ``span_seconds{category}``, and every
+    ``trace.<category>.<stat>`` the benchmark reads names a category
+    they recorded."""
+    assert _schemas(runs)["span_seconds"] == {("histogram",
+                                               ("category",))}
+    recorded = {dict(ls)["category"]
+                for _run, monitor, _stats in runs
+                for name, ls in monitor.metrics.histograms
+                if name == "span_seconds"}
+    read = {key[len("trace."):].rsplit(".", 1)[0]
+            for key in _STAT_KEYS.values() if key.startswith("trace.")}
+    assert read and read <= recorded, sorted(read - recorded)
+
+
+def test_every_perf_floor_is_emitted_by_a_bench():
+    """Each ``perf_floor.json`` floor or ceiling names a metric some
+    ``benchmarks/bench_*.py`` records with ``emit_result`` (a static
+    scan), so no gate checks a figure nothing produces."""
+    with open(os.path.join(ROOT, "benchmarks", "perf_floor.json"),
+              encoding="utf-8") as fh:
+        doc = json.load(fh)
+    gated = set(doc["floors"]) | set(doc.get("ceilings", {}))
+    emitted = set()
+    for path in glob.glob(os.path.join(ROOT, "benchmarks", "bench_*.py")):
+        with open(path, encoding="utf-8") as fh:
+            emitted.update(re.findall(
+                r'emit_result\(\s*"[^"]+",\s*"([^"]+)"', fh.read()))
+    assert gated and gated <= emitted, sorted(gated - emitted)
 
 
 # -- the DESIGN.md table ---------------------------------------------------
