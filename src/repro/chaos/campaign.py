@@ -72,19 +72,39 @@ class CaseResult:
         return "; ".join(parts)
 
 
+#: The signal each fault class surfaces through: the counter that moves
+#: when the fault bites a live operation -- a transfer held at a
+#: partition, jittered or retransmitted, a device transfer stalled, a
+#: node lost, a flipped bit caught by an integrity check.
+FAULT_SIGNALS = {
+    "crash": "chaos.crashes",
+    "partition": "chaos.partition_stalls",
+    "delay": "chaos.delays",
+    "drop": "chaos.retransmits",
+    "stall": "chaos.stalls",
+    "corrupt": "reliability.corruptions",
+}
+
+
 def _attach_case_obs(cluster, slos, obs_window: Optional[float],
                      threshold: float, warmup: int):
     """Install the live observability plane on a chaos case's cluster.
 
     The stock detector bank (backlog spike, WAL growth) is the
-    pipeline-shaped subset — chaos cases have no tenants — plus, when
-    the cluster traces, a detector on the windowed p99 of network
-    spans: partitions, delay/drop jitter and stalls all surface there
-    first.
+    pipeline-shaped subset — chaos cases have no tenants — plus one
+    ``fault:<kind>`` detector per fault class on the per-window
+    increase of its :data:`FAULT_SIGNALS` counter, and, when the
+    cluster traces, a detector on the windowed p99 of network spans.
     """
     from repro.obs import EwmaMadDetector, LiveObs
     live = LiveObs.attach(cluster, window=obs_window, slos=slos,
                           threshold=threshold, warmup=warmup)
+    for kind, metric in FAULT_SIGNALS.items():
+        def rate(store, _now, metric=metric):
+            return store.delta(metric, (), store.window)
+        live.detectors.append(EwmaMadDetector(
+            f"fault:{kind}", metric, rate, threshold=threshold,
+            warmup=warmup, direction="up"))
     tracer = cluster.tracer
     if tracer is not None and tracer.enabled:
         def net_p99(store, _now):

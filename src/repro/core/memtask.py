@@ -67,6 +67,9 @@ class MemoryTask:
     #: owns. The client's outbound path returns them to the node once
     #: the shipment has left it.
     pinned: int = 0
+    #: A serviced read's wire half, as for :attr:`BatchTask.reply`:
+    #: ``{source node: bytes}`` read but left where they were.
+    reply: Optional[Dict[int, int]] = None
 
     @property
     def nbytes(self) -> int:
@@ -100,8 +103,9 @@ class BatchTask:
     ``reply`` is the wire half of those results: ``{source node:
     bytes}`` the service read but left where they were. The runtime
     sends them to ``client_node`` -- one transfer per source node for
-    the whole request -- before ``done`` fires. Results that shipped
-    themselves (failover, page-path reads) are not in it.
+    the whole request -- after the service and before ``done`` fires.
+    Results that shipped themselves (failover, replicating reads) are
+    not in it; a write batch never has one.
     """
 
     kind: TaskKind

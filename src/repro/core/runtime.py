@@ -15,28 +15,31 @@ LabStor." Scheduling rules implemented here:
   it grows where a task is enqueued (:meth:`NodeRuntime.submit`), the
   moment more than two tasks per core wait, and a periodic controller
   gives cores back after sustained low backlog;
-* a :class:`~repro.core.memtask.BatchTask` fans out as one *shard*
-  per involved worker FIFO. Every shard sits in its page's FIFO, so
-  tasks submitted before the batch execute first and tasks submitted
-  after it wait for the batch — the per-page read-after-write
+* a write :class:`~repro.core.memtask.BatchTask` fans out as one
+  *shard* per involved worker FIFO. Every shard sits in its page's
+  FIFO, so tasks submitted before the batch execute first and tasks
+  submitted after it wait for the batch — the per-page read-after-write
   guarantee holds across the batched path. The worker that pops the
   batch's **last** shard (at which point every involved FIFO has
-  reached the batch) services the whole batch in one scache round and
-  sends its reply; the other shard workers block until it completes;
-* an ``OBJ_READ`` batch needs no such barrier (it orders against
-  nothing but its own pages): it runs as independent per-FIFO *parts*,
-  and its reply leaves once the last part is serviced;
-* either way what a batch read leaves for the client as **one reply**
-  -- one transfer per source node (:meth:`NodeRuntime._reply`) -- and
-  a task or a batch gets its core, its spans and its completion from
-  the one :meth:`NodeRuntime._service`.
+  reached the batch) services the whole batch in one scache round; the
+  other shard workers block until it completes;
+* a read batch needs no such barrier (it orders against nothing but
+  its own pages): it runs as independent per-FIFO *parts*
+  (:meth:`NodeRuntime._split_read`);
+* a read -- a single task or a split batch -- reads without shipping
+  and leaves the client **one reply**, one transfer per source node,
+  sent after its service (:meth:`NodeRuntime._reply`): it linearizes
+  at its service, and only the requester waits for the wire, not a
+  core, a FIFO or a blob lock;
+* a task, a barrier batch or a part gets its core, its spans and its
+  completion from the one :meth:`NodeRuntime._service`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.memtask import BatchTask, TaskKind
+from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.scache import ScacheExecutor
 from repro.sim import AllOf, Event, Resource, Store
 from repro.sim.rand import spawn_seed
@@ -50,25 +53,25 @@ LOW_LATENCY_THRESHOLD = 16 * 1024
 SCALE_DOWN_PERIODS = 3
 
 
+#: Task kinds that read: served without a barrier, answered by a reply.
+_READS = (TaskKind.READ, TaskKind.OBJ_READ)
+
+
 class _BatchState:
-    """Coordination record for one BatchTask inside a runtime.
+    """Coordination record for one barrier BatchTask inside a runtime.
 
     ``complete`` succeeds once the batch has been serviced (or failed);
     shard workers that were not the last to arrive wait on it so later
-    tasks in their FIFOs keep ordering with the batch. ``replies`` is
-    False for the parts of a split request: what they read leaves with
-    the request's one reply, not with theirs.
+    tasks in their FIFOs keep ordering with the batch.
     """
 
-    __slots__ = ("batch", "n_shards", "arrived", "complete", "replies")
+    __slots__ = ("batch", "n_shards", "arrived", "complete")
 
-    def __init__(self, batch: BatchTask, n_shards: int, sim,
-                 replies: bool = True):
+    def __init__(self, batch: BatchTask, n_shards: int, sim):
         self.batch = batch
         self.n_shards = n_shards
         self.arrived = 0
         self.complete = Event(sim)
-        self.replies = replies
 
 
 class _BatchShard:
@@ -155,8 +158,8 @@ class NodeRuntime:
         while True:
             task = yield self.queue.get()
             if isinstance(task, BatchTask):
-                if task.kind is TaskKind.OBJ_READ:
-                    self._split_obj_read_batch(task)
+                if task.kind in _READS:
+                    self._split_read(task)
                     continue
                 shards: Dict[int, None] = {}
                 for sub in task.tasks:
@@ -172,19 +175,16 @@ class NodeRuntime:
             idx = self._store_idx(task.vector_name, task.page_idx)
             self._stores[idx].put(task)
 
-    def _split_obj_read_batch(self, batch: BatchTask) -> None:
-        """Fan an OBJ_READ batch out as one independent single-shard
-        part per worker FIFO; once all parts are serviced, send the
-        request's one reply and hand back the part results in the
-        original task order.
+    def _split_read(self, batch: BatchTask) -> None:
+        """Fan a read batch out as one independent *part* per worker
+        FIFO; once all parts are serviced, hand back the part results
+        in the original task order with the request's one reply.
 
-        Read-only object batches need no cross-FIFO barrier: a shard
-        barrier would hold every involved worker FIFO until the last
-        one drains (convoying a serving node's whole low-latency pool
-        behind one slow page). Each part still sits in its pages' FIFO,
-        so the per-page read-after-write guarantee is untouched; a read
-        linearizes at its service, so the reply holds neither a core
-        nor a FIFO."""
+        Reads need no cross-FIFO barrier: a shard barrier would hold
+        every involved worker FIFO until the last one drains (convoying
+        a serving node's whole low-latency pool behind one slow page).
+        Each part still sits in its pages' FIFO, so the per-page
+        read-after-write guarantee is untouched."""
         groups: Dict[int, List[int]] = {}
         for pos, sub in enumerate(batch.tasks):
             groups.setdefault(
@@ -199,8 +199,7 @@ class NodeRuntime:
             part.done = Event(self.sim)
             part.submit_time = batch.submit_time
             part.ctx = batch.ctx
-            self._stores[idx].put(_BatchShard(
-                _BatchState(part, 1, self.sim, replies=False)))
+            self._stores[idx].put(part)
             parts.append((positions, part))
         # The parent batch counted once at submit(); every part's
         # worker decrements, so account for the extras.
@@ -210,43 +209,46 @@ class NodeRuntime:
         def merge():
             try:
                 yield AllOf(self.sim, [p.done for _pos, p in parts])
-                for _pos, part in parts:
-                    for src, nbytes in part.reply.items():
-                        batch.reply[src] = batch.reply.get(src, 0) + nbytes
-                yield from self._reply(batch)
             except (GeneratorExit, KeyboardInterrupt, SystemExit):
                 raise
-            except BaseException as exc:  # noqa: BLE001 - re-raised to
-                if batch.done is not None:  # the waiting client
-                    batch.done.fail(exc)
-                    return
-                raise
+            except BaseException as exc:  # noqa: BLE001 - one request,
+                self._fail(batch, f"batch:{batch.kind.value}", exc)
+                return                    # one failure
             results = [None] * len(batch.tasks)
             for positions, part in parts:
+                for src, nbytes in part.reply.items():
+                    batch.reply[src] = batch.reply.get(src, 0) + nbytes
                 for pos, value in zip(positions, part.done.value):
                     results[pos] = value
-            if batch.done is not None:
-                batch.done.succeed(results)
+            yield from self._reply(batch, results)
 
-        self.sim.process(
-            merge(), name=f"rt{self.node_id}.objmerge")
+        self.sim.process(merge(), name=f"rt{self.node_id}.merge")
 
-    def _reply(self, batch: BatchTask):
-        """Send a serviced batch's reply: what it read and left on each
-        source node (``batch.reply``) travels to the client in one
-        transfer per node, its ``net`` span naming the request as
-        ``cause``. Generator."""
-        for src, nbytes in batch.reply.items():
+    def _reply(self, unit, result):
+        """Answer a serviced read: what it read and left on each source
+        node (``unit.reply``) travels to the client in one transfer per
+        node, its ``net`` span naming the request as ``cause``; then
+        ``unit.done`` fires with ``result``. Generator."""
+        for src, nbytes in unit.reply.items():
             yield from self.system.network.transfer(
-                src, batch.client_node, nbytes, cause=batch.ctx)
+                src, unit.client_node, nbytes, cause=unit.ctx)
+        if unit.done is not None:
+            unit.done.succeed(result)
 
     def _worker(self, store: Store):
         while True:
             task = yield store.get()
-            if not isinstance(task, _BatchShard):
+            if isinstance(task, MemoryTask):
                 yield from self._service(
                     task, task.kind.value, self.executor.execute(task),
                     page=task.page_idx)
+                continue
+            if isinstance(task, BatchTask):
+                # A part of a split read: the request's merge answers.
+                yield from self._service(
+                    task, f"batch:{task.kind.value}",
+                    self.executor.execute_batch(task), part=True,
+                    count=len(task))
                 continue
             state = task.state
             state.arrived += 1
@@ -262,27 +264,23 @@ class NodeRuntime:
             try:
                 yield from self._service(
                     state.batch, f"batch:{state.batch.kind.value}",
-                    self._serve_batch(state), count=len(state.batch))
+                    self.executor.execute_batch(state.batch),
+                    count=len(state.batch))
             finally:
                 # Release the other shard workers only after the batch
                 # is fully serviced (read-after-write for later tasks).
                 state.complete.succeed()
 
-    def _serve_batch(self, state: _BatchState):
-        """One scache round for the whole batch, then its reply --
-        sent from inside the service, so a barrier batch's bytes are on
-        the wire before any later task of its FIFOs runs."""
-        results = yield from self.executor.execute_batch(state.batch)
-        if state.replies:
-            yield from self._reply(state.batch)
-        return results
-
-    def _service(self, unit, label: str, run, **attrs):
+    def _service(self, unit, label: str, run, part: bool = False,
+                 **attrs):
         """Give a MemoryTask or BatchTask a core of its size class and
         run it there (``run``: the generator that services it):
-        records the queue wait, opens the ``rt.service`` span,
-        completes ``unit.done`` with the result or the failure, which
-        it counts under ``label``. Generator."""
+        records the queue wait, opens the ``rt.service`` span and
+        completes the unit -- a read with bytes to send through
+        :meth:`_reply`, once the core is free, anything else at once;
+        a failure counted under ``label`` (:meth:`_fail`). A ``part``
+        of a split read only completes its ``done``: its request's
+        merge replies and counts. Generator."""
         tracer = self.system.tracer
         low = unit.nbytes < LOW_LATENCY_THRESHOLD
         pool = self.low_cores if low else self.high_cores
@@ -303,23 +301,33 @@ class NodeRuntime:
                              node=self.node_id, vector=unit.vector_name,
                              **attrs, nbytes=unit.nbytes, **causal):
                 result = yield from run
-            if unit.done is not None:
+            if unit.reply and not part:
+                self.sim.process(self._reply(unit, result),
+                                 name=f"rt{self.node_id}.reply")
+            elif unit.done is not None:
                 unit.done.succeed(result)
         except (GeneratorExit, KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:
-            # Labeled, so chaos triage can attribute task aborts to a
-            # node/kind/error without parsing tracebacks.
-            self.system.monitor.metrics.counter(
-                "rt_task_failures", node=self.node_id, kind=label,
-                error=type(exc).__name__).inc()
-            if unit.done is not None:
+            if part:
                 unit.done.fail(exc)
             else:
-                raise
+                self._fail(unit, label, exc)
         finally:
             self.inflight -= 1
             pool.release(req)
+
+    def _fail(self, unit, label: str, exc: BaseException) -> None:
+        """Fail a request: count it under ``label`` -- so chaos triage
+        can attribute aborts to a node/kind/error without parsing
+        tracebacks -- and hand the error to its waiter (re-raised when
+        nobody waits)."""
+        self.system.monitor.metrics.counter(
+            "rt_task_failures", node=self.node_id, kind=label,
+            error=type(exc).__name__).inc()
+        if unit.done is None:
+            raise exc
+        unit.done.fail(exc)
 
     def _scaling_controller(self):
         """The patient half of core scaling: once per organizer period,

@@ -80,7 +80,9 @@ class ScacheExecutor:
         if task.kind is TaskKind.READ:
             with tracer.span("read", "scache", node=self.node_id,
                              vector=vec.name, page=task.page_idx):
-                return (yield from self._read(vec, task))
+                (raw,), task.reply = yield from self._read_batch(
+                    vec, [task], task.client_node)
+                return raw
         if task.kind is TaskKind.WRITE:
             with tracer.span("write", "scache", node=self.node_id,
                              vector=vec.name, page=task.page_idx,
@@ -96,7 +98,9 @@ class ScacheExecutor:
                              nbytes=task.nbytes):
                 self.system.monitor.count("object.scache_reads",
                                           node=self.node_id)
-                return (yield from self._read(vec, task))
+                (raw,), task.reply = yield from self._read_batch(
+                    vec, [task], task.client_node)
+                return raw
         if task.kind is TaskKind.OBJ_WRITE:
             # Write-through: once the ack reaches the client, the bytes
             # must survive a primary crash — so durability copies ship
@@ -138,7 +142,9 @@ class ScacheExecutor:
             with tracer.span("read_batch", "scache.batch",
                              node=self.node_id, vector=vec.name,
                              count=len(batch)):
-                return (yield from self._read_batch(vec, batch))
+                results, batch.reply = yield from self._read_batch(
+                    vec, batch.tasks, batch.client_node)
+                return results
         if batch.kind is TaskKind.WRITE:
             with tracer.span("write_batch", "scache.batch",
                              node=self.node_id, vector=vec.name,
@@ -150,7 +156,9 @@ class ScacheExecutor:
                              count=len(batch), nbytes=batch.nbytes):
                 self.system.monitor.count("object.scache_reads",
                                           len(batch), node=self.node_id)
-                return (yield from self._read_batch(vec, batch))
+                results, batch.reply = yield from self._read_batch(
+                    vec, batch.tasks, batch.client_node)
+                return results
         results = []
         for task in batch.tasks:
             results.append((yield from self.execute(task)))
@@ -218,8 +226,9 @@ class ScacheExecutor:
 
     # -- reads ----------------------------------------------------------------
     def _get_page(self, vec: SharedVector, page_idx: int,
-                  client_node: int):
-        """Whole-page fetch with crash failover.
+                  client_node: int, extent=None):
+        """Whole-page fetch -- or ``extent = (offset, nbytes)`` of the
+        page -- shipped to ``client_node``, with crash failover.
 
         A primary can vanish between placement lookup and the device
         read (a node crash mid-request); hermes reports that as
@@ -228,13 +237,17 @@ class ScacheExecutor:
         """
         try:
             return (yield from self.system.hermes.get(
-                client_node, vec.name, page_idx))
+                client_node, vec.name, page_idx, extent))
         except BlobNotFound:
             self.system.monitor.count("reliability.read_failovers")
-            return (yield from self.system.reliability.recover_page(
-                vec, page_idx, client_node))
+            raw = yield from self.system.reliability.recover_page(
+                vec, page_idx, client_node)
+            return _cut(raw, extent)
 
     def _read(self, vec: SharedVector, task: MemoryTask):
+        """The per-task read that ships its own payload: what
+        :meth:`_read_batch` falls back to for replicating reads and
+        unhealthy placements."""
         hermes = self.system.hermes
         rel = self.system.reliability
         # Failure handling (§V extension): a lost primary recovers from
@@ -261,26 +274,19 @@ class ScacheExecutor:
             self._m_reads.inc()
             return _cut(raw, task.region)
         self._m_reads.inc()
-        if _extent(vec, task) is None \
-                or self.system.config.integrity_checks:
-            # Verification needs the whole page: a partial read of a
-            # checked page fetches all of it, verifies and slices (the
-            # fragment fast path used to return corrupted bytes of
-            # pages only ever read in pieces, e.g. the partition-
-            # boundary pages of a PGAS scan).
-            raw = yield from self._get_page(vec, task.page_idx,
-                                            task.client_node)
-            raw = yield from self._verified(vec, task.page_idx,
-                                            task.client_node, raw)
-            return _cut(raw, task.region)
-        try:
-            return (yield from hermes.get_partial(
-                task.client_node, vec.name, task.page_idx, *task.region))
-        except BlobNotFound:
-            self.system.monitor.count("reliability.read_failovers")
-            raw = yield from rel.recover_page(vec, task.page_idx,
-                                              task.client_node)
-            return _cut(raw, task.region)
+        if not self.system.config.integrity_checks:
+            return (yield from self._get_page(
+                vec, task.page_idx, task.client_node, _extent(vec, task)))
+        # Verification needs the whole page: a partial read of a
+        # checked page fetches all of it, verifies and slices (the
+        # fragment fast path used to return corrupted bytes of pages
+        # only ever read in pieces, e.g. the partition-boundary pages
+        # of a PGAS scan).
+        raw = yield from self._get_page(vec, task.page_idx,
+                                        task.client_node)
+        raw = yield from self._verified(vec, task.page_idx,
+                                        task.client_node, raw)
+        return _cut(raw, task.region)
 
     def _verified(self, vec: SharedVector, page_idx: int,
                   client_node: int, raw):
@@ -305,25 +311,28 @@ class ScacheExecutor:
                 and task.client_node != self.node_id
                 and _extent(vec, task) is None)
 
-    def _read_batch(self, vec: SharedVector, batch: BatchTask):
-        """Serve a batch of reads (each an extent of a page, possibly
-        all of it): one metadata/stage-in round for its distinct pages,
-        then one vectored hermes read of every healthy extent. Nothing
-        is shipped from here: the bytes read add up per source node in
-        ``batch.reply`` and the runtime sends the request's reply once.
-        Replicating reads and unhealthy placements (crashed primary,
-        lost replica) fall back to the per-task read path, which
-        recovers page by page and ships its own payload."""
+    def _read_batch(self, vec: SharedVector, tasks, client_node: int):
+        """Serve reads -- one task's or a whole batch's, each an extent
+        of a page, possibly all of it: one metadata/stage-in round for
+        their distinct pages, then one vectored hermes read of every
+        healthy extent. Nothing is shipped from here: the bytes read
+        add up per source node, and the runtime sends them as the
+        request's one reply after the service. Replicating reads and
+        unhealthy placements (crashed primary, lost replica) fall back
+        to :meth:`_read`, which recovers page by page and ships its own
+        payload. Generator; returns ``(results in order, {source node:
+        bytes})``."""
         hermes = self.system.hermes
-        results: list = [None] * len(batch.tasks)
+        results: list = [None] * len(tasks)
         if not vec.volatile:
             # Start stage-in for every absent page up front, so the
             # per-task fallbacks' backend reads overlap the vectored
             # read's.
             yield from self.system.stager.materialize(
-                vec, batch.pages, self.node_id, batch.client_node)
+                vec, [task.page_idx for task in tasks], self.node_id,
+                client_node)
         pending = []
-        for i, task in enumerate(batch.tasks):
+        for i, task in enumerate(tasks):
             info = hermes.mdm.peek(vec.name, task.page_idx)
             if (info is not None and self._dead(info)) \
                     or self._replicates(vec, task):
@@ -331,11 +340,9 @@ class ScacheExecutor:
             else:
                 pending.append(i)
         if not pending:
-            return results
-        pages = list(dict.fromkeys(
-            batch.tasks[i].page_idx for i in pending))
-        infos = yield from self.ensure_pages(vec, pages,
-                                             batch.client_node)
+            return results, {}
+        pages = list(dict.fromkeys(tasks[i].page_idx for i in pending))
+        infos = yield from self.ensure_pages(vec, pages, client_node)
         # A fault racing the shared stage-in (fail_node mid-batch) can
         # hand back a partially-restaged stripe: some pages resolved to
         # live placements, others to dead or missing entries. The
@@ -344,7 +351,7 @@ class ScacheExecutor:
         # restage), which re-checks residency page by page.
         healthy = []
         for i in pending:
-            task = batch.tasks[i]
+            task = tasks[i]
             info = infos.get(task.page_idx)
             if info is None or self._dead(info):
                 self.system.monitor.count("reliability.read_failovers")
@@ -352,21 +359,21 @@ class ScacheExecutor:
             else:
                 healthy.append(i)
         if not healthy:
-            return results
-        tasks = [batch.tasks[i] for i in healthy]
+            return results, {}
+        reads = [tasks[i] for i in healthy]
         try:
-            raws, batch.reply = yield from self._read_extents(
-                vec, batch.client_node, tasks)
+            raws, reply = yield from self._read_extents(
+                vec, client_node, reads)
         except BlobNotFound:
             # A node crashed under the vectored read.
             self.system.monitor.count("reliability.read_failovers")
-            for i, task in zip(healthy, tasks):
+            for i, task in zip(healthy, reads):
                 results[i] = yield from self._read(vec, task)
-            return results
+            return results, {}
         for i, raw in zip(healthy, raws):
             self._m_reads.inc()
             results[i] = raw
-        return results
+        return results, reply
 
     def _read_extents(self, vec: SharedVector, client_node: int, tasks):
         """The regions of ``tasks`` (healthy pages of one batch), read

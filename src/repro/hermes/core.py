@@ -476,11 +476,6 @@ class Hermes:
         finally:
             lock.release()
 
-    def get_partial(self, client_node: int, bucket: str, key,
-                    offset: int, nbytes: int):
-        return (yield from self.get(client_node, bucket, key,
-                                    (offset, nbytes)))
-
     def read_many(self, client_node: int, bucket: str, reads):
         """Vectored read that leaves the network alone (the data plane
         of every batched read).

@@ -54,6 +54,8 @@ class Network:
         self.monitor = monitor
         self._nics = [Resource(sim, capacity=1, name=f"nic{i}")
                       for i in range(n_nodes)]
+        # When the last message sent from src to dst lands, per pair.
+        self._landed: dict = {}
         self.bytes_moved = 0
         #: Span tracer; the embedding system installs its own.
         self.tracer = NOOP_TRACER
@@ -87,12 +89,17 @@ class Network:
         """Timed movement of ``nbytes`` from ``src`` to ``dst``.
 
         Generator: ``yield from net.transfer(...)``. Same-node
-        transfers cost a memcpy. The sending NIC is held for the
-        duration, serializing concurrent sends from one node.
-        ``link`` overrides the route's link class (e.g. a TCP stack
-        pinned to the slow 10 Gb/s network). ``cause`` is the id of the
-        span this message answers from another process (an RPC reply
-        names its request), stamped on the ``net`` span.
+        transfers cost a memcpy. The sending NIC is pipelined: it is
+        held only while it puts the bytes on the wire (``nbytes /
+        bandwidth``), serializing concurrent sends from one node; the
+        message then flies for the link's latency while the NIC sends
+        the next one. Messages between one ``(src, dst)`` pair land in
+        the order they left. ``link`` overrides the route's link class
+        (e.g. a TCP stack pinned to the slow 10 Gb/s network).
+        ``cause`` is the id of the span this message answers from
+        another process (an RPC reply names its request), stamped on
+        the ``net`` span, which covers the NIC wait, the send and the
+        flight.
         """
         self._check_node(src)
         self._check_node(dst)
@@ -110,12 +117,19 @@ class Network:
             if src == dst:
                 yield self.sim.timeout(link.xfer_time(nbytes))
             else:
-                req = self._nics[src].request()
+                nic = self._nics[src]
+                req = nic.request()
                 yield req
                 try:
-                    yield self.sim.timeout(link.xfer_time(nbytes))
+                    yield self.sim.timeout(nbytes / link.bandwidth)
                 finally:
-                    self._nics[src].release(req)
+                    nic.release(req)
+                # A pair's messages leave in NIC order; one on a slower
+                # link class must not be overtaken by the next.
+                land = max(self.sim.now + link.latency,
+                           self._landed.get((src, dst), 0.0))
+                self._landed[(src, dst)] = land
+                yield self.sim.timeout(land - self.sim.now)
         self.bytes_moved += nbytes
         if self.monitor is not None:
             handles = self._m_per_src.get(src)

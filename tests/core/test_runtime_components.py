@@ -38,6 +38,43 @@ def test_same_page_tasks_serialize_in_order(dsm):
     assert out == b"\xbb\xaa"
 
 
+def test_single_read_replies_after_its_service():
+    """A single remote READ's reply leaves after its service: with one
+    low-latency core on the owner, a second remote read starts its
+    service while the first one's reply is still on the wire."""
+    sim, system = build_system(low_latency_workers=1)
+    system.tracer.enabled = True
+    writer = system.client(rank=0, node=0)
+    reader = system.client(rank=1, node=1)
+    done = []
+
+    def write():
+        vec = yield from writer.vector("r", dtype=np.uint8, size=8 * 4096)
+        pages = [p for p in range(8) if vec.shared.owner_node(p, 1) == 0]
+        for p in pages:
+            yield from writer.submit(MemoryTask(
+                kind=TaskKind.WRITE, vector_name="r", page_idx=p,
+                client_node=0, fragments=[(0, bytes([p]) * 4096)]))
+        return pages[:2]
+
+    def read(page):
+        out = yield from reader.submit(MemoryTask(
+            kind=TaskKind.READ, vector_name="r", page_idx=page,
+            client_node=1, region=(0, 64)))
+        done.append(sim.now)
+        return out
+
+    (pages,) = run_procs(sim, write())
+    assert len(pages) == 2
+    t0 = sim.now
+    assert run_procs(sim, *map(read, pages)) == [
+        bytes([p]) * 64 for p in pages]
+    services = sorted(s.start for s in system.tracer.spans
+                      if s.name == "exec:read" and s.start >= t0)
+    assert len(services) == 2
+    assert services[1] < min(done)
+
+
 def test_dynamic_core_scaling_grows_under_load():
     # 64 KB pages so the writes exceed the 16 KB low-latency split and
     # land on the dynamically scaled high-latency core pool; a short
@@ -127,13 +164,24 @@ def test_failed_task_propagates_to_waiter(dsm):
 def test_failures_are_counted_under_the_task_or_batch_kind(dsm):
     """A failing task lands in ``rt_task_failures`` under its kind, a
     failing batch under ``batch:<kind>`` -- the labels chaos triage
-    reads."""
+    reads. A read batch split over two worker FIFOs fails in both
+    parts and still counts once: one request, one failure."""
     sim, system = dsm
-    read = dict(kind=TaskKind.READ, vector_name="no such vector",
-                client_node=0)
-    task = MemoryTask(page_idx=0, **read)
-    batch = BatchTask(tasks=[MemoryTask(page_idx=p, **read)
-                             for p in (0, 1)], **read)
+    rt = system.runtimes[0]
+    name = "no such vector"
+    other = next(p for p in range(1, 64)
+                 if rt._store_idx(name, p) != rt._store_idx(name, 0))
+
+    def read(kind, pages):
+        tasks = [MemoryTask(kind=kind, vector_name=name, page_idx=p,
+                            client_node=0) for p in pages]
+        return BatchTask(kind=kind, vector_name=name, client_node=0,
+                         tasks=tasks)
+
+    task = MemoryTask(kind=TaskKind.READ, vector_name=name, page_idx=0,
+                      client_node=0)
+    units = [task, read(TaskKind.READ, (0, other)),
+             read(TaskKind.OBJ_READ, (0, other))]
 
     def app(unit):
         unit.done = Event(sim)
@@ -143,8 +191,8 @@ def test_failures_are_counted_under_the_task_or_batch_kind(dsm):
         except MegaMmapError:
             return "failed"
 
-    assert run_procs(sim, app(task), app(batch)) == ["failed", "failed"]
-    for kind in ("read", "batch:read"):
+    assert run_procs(sim, *map(app, units)) == ["failed"] * 3
+    for kind in ("read", "batch:read", "batch:obj_read"):
         assert system.monitor.metrics.counter(
             "rt_task_failures", node=0, kind=kind,
             error="MegaMmapError").value == 1

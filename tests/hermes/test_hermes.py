@@ -127,14 +127,14 @@ def test_get_partial_range():
 
     def proc():
         yield from h.put(0, "bkt", "k", bytes(range(100)))
-        out = yield from h.get_partial(0, "bkt", "k", 20, 5)
+        out = yield from h.get(0, "bkt", "k", (20, 5))
         return out
 
     assert run(sim, proc()) == bytes([20, 21, 22, 23, 24])
 
 
 def test_read_many_is_the_vectored_twin_and_ships_nothing():
-    """``read_many`` returns what ``get_partial`` / ``get`` return, in
+    """``read_many`` returns what ``get`` returns for each extent, in
     order, and a manifest instead of transfers: one entry per source
     node, summing to the bytes returned. Every blob read counts once in
     ``hermes.gets``, the call once in ``hermes.vectored_gets``."""
@@ -169,7 +169,7 @@ def test_read_many_is_the_vectored_twin_and_ships_nothing():
     assert after[0] == before[0]            # nothing crossed the network
     assert after[1] - before[1] == len(raws)
     assert mon.counter("hermes.vectored_gets") == 1
-    # A partial read is a read: get_partial counts like get.
+    # A partial read is a read: it counts like a whole-blob get.
     assert mon.counter("hermes.gets") == 2 * len(raws)
 
 

@@ -46,6 +46,49 @@ def test_sender_nic_serializes_concurrent_sends():
     assert sim.now == pytest.approx(2.0)
 
 
+def test_sender_nic_pipelines_messages_in_flight():
+    """The NIC is held only to put a message on the wire: the second
+    send leaves while the first one flies, so two 100 B sends finish at
+    3 s (1 s each on the NIC, then 1 s of flight), not 4."""
+    sim = Simulator()
+    net = Network(sim, 3, intra=LinkSpec(bandwidth=100.0, latency=1.0))
+
+    def send(dst):
+        yield from net.transfer(0, dst, 100)
+
+    sim.process(send(1))
+    sim.process(send(2))
+    sim.run()
+    assert sim.now == pytest.approx(3.0)
+
+
+def test_one_pair_delivers_in_send_order():
+    """Messages between one (src, dst) pair land in the order they
+    left: a small message queued behind a large one lands after it,
+    and one on a faster link class does not overtake a slower one."""
+    sim = Simulator()
+    net = Network(sim, 2, intra=LinkSpec(bandwidth=100.0, latency=1.0))
+    slow = LinkSpec(bandwidth=100.0, latency=5.0)
+    landed = []
+
+    def send(name, nbytes, link=None):
+        yield from net.transfer(0, 1, nbytes, link=link)
+        landed.append((name, sim.now))
+
+    sim.process(send("large", 200))
+    sim.process(send("small", 100))
+    sim.run()
+    assert landed == [("large", pytest.approx(3.0)),
+                      ("small", pytest.approx(4.0))]
+    landed.clear()
+    t0 = sim.now
+    sim.process(send("slow", 100, link=slow))
+    sim.process(send("fast", 100))
+    sim.run()
+    assert landed == [("slow", pytest.approx(t0 + 6.0)),
+                      ("fast", pytest.approx(t0 + 6.0))]
+
+
 def test_different_senders_do_not_contend():
     sim = Simulator()
     net = Network(sim, 4, intra=LinkSpec(bandwidth=100.0, latency=0.0))
