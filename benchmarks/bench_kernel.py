@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.apps.datagen import write_parquet_points
+from repro.apps.grayscott import GSParams, gs_reference, mm_gray_scott
 from repro.apps.kmeans import mm_kmeans
 from repro.core import MM_READ_WRITE, MM_WRITE_ONLY, SeqTx
 from repro.sim.engine import Event, Simulator
@@ -251,3 +252,38 @@ def test_kmeans_pipeline_wallclock(benchmark, tmp_path):
     emit_result("kernel", "stagein.last_byte_s",
                 stats["stager.last_byte_s.peak"], "s", cfg)
     assert res.runtime > 0
+
+
+@pytest.mark.benchmark(group="kernel")
+def test_checkpoint_drain(benchmark, tmp_path, monkeypatch):
+    """Gray-Scott checkpointing every step, then the end-of-job drain
+    (``cluster.shutdown()``): how the checkpoint bytes went out. A
+    persist writes each PFS server's pages in one request, so the
+    drain is a handful of long sequential writes, not one seek per
+    page."""
+    # A relative prefix: pages are placed by a hash of the dataset URL.
+    monkeypatch.chdir(tmp_path)
+    L, steps = 64, 2
+
+    def run():
+        c = testbed(n_nodes=2, procs_per_node=2, page_size=PAGE)
+        c.run(mm_gray_scott, L, steps, 1, None, GSParams(),
+              "posix://./ckpt")
+        t0 = c.sim.now
+        c.shutdown()
+        return c.system.stats(), c.sim.now - t0
+
+    stats, drain = benchmark.pedantic(run, rounds=1, iterations=1)
+    u_ref, _v_ref = gs_reference(L, steps)
+    assert np.array_equal(np.fromfile(f"ckpt_{steps}.u", dtype=np.float64),
+                          u_ref.ravel())
+    requests = stats["stager.requests_out"]
+    rows = [dict(requests=int(requests),
+                 bytes_per_request=round(stats["stager.bytes_out"]
+                                         / requests),
+                 drain_s=round(drain, 4))]
+    print_table(f"Gray-Scott L={L} checkpoint drain (2 nodes)", rows)
+    cfg = dict(n_nodes=2, L=L, steps=steps, plotgap=1, page=PAGE)
+    emit_result("kernel", "stageout.bytes_per_request",
+                stats["stager.bytes_out"] / requests, "B", cfg)
+    emit_result("kernel", "stageout.drain_s", drain, "s", cfg)

@@ -28,7 +28,7 @@ def mpi_dbscan(ctx, url, eps, min_pts, seed=0, assign_path=None):
     ctx.alloc(nbytes + cnt * 4 * 8)  # records + float rows
     pfs = ctx.cluster.pfs
     if pfs is not None:
-        yield from pfs.charge(ctx.node, lo * itemsize, max(1, nbytes),
+        yield from pfs.charge(ctx.node, [(lo * itemsize, max(1, nbytes))],
                               write=False)
     raw = backend.read_range(lo * itemsize, nbytes)
     recs = np.frombuffer(raw, dtype=POINT3D)

@@ -117,7 +117,7 @@ class ScacheExecutor:
             return None
         if task.kind is TaskKind.FLUSH:
             yield from self.system.stager.stage_out(
-                vec, task.page_idx, self.node_id)
+                vec, [task.page_idx], self.node_id)
             return None
         if task.kind is TaskKind.DELETE:
             yield from self._delete(vec, task)

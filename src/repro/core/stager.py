@@ -10,7 +10,12 @@ deserialize a subset of data from the persistent backend."
 
 Stage-out is real: the backing file on disk ends up bit-exact with the
 vector. Time is charged through the PFS model (the paper's backends
-live on a parallel filesystem).
+live on a parallel filesystem), whose HDD servers pay a seek per
+request: so the unit of backend I/O is a *server run*, the bytes one
+request moves through one server's datafile. A demand stage-in carries
+the stripe that follows its own on that server, and a persist writes
+each server's dirty pages in one request; the run's bounds come from
+the PFS model (``stripe_size``, ``server_of``), not from a setting.
 """
 
 from __future__ import annotations
@@ -78,27 +83,25 @@ class DataStager:
         self._queued = Counter()
 
     # -- timing helper -----------------------------------------------------
-    def _charge_backend(self, node: int, nbytes: int, write: bool,
-                        offset: int = 0):
+    def _charge_backend(self, node: int, ranges, write: bool):
         if self.system.pfs is not None:
-            yield from self.system.pfs.charge(node, offset, nbytes,
-                                              write=write)
+            yield from self.system.pfs.charge(node, ranges, write=write)
 
-    def _backend_io(self, node: int, lo: int, hi: int, write: bool):
-        """Queue one request for backend bytes ``[lo, hi)`` and return
-        the generator that performs it. The request counts on its
-        servers from this call (not from the generator's first step)
-        until its last byte has moved."""
+    def _backend_io(self, node: int, extents, write: bool):
+        """Queue one request for the backend bytes ``[(lo, hi), ...]``
+        and return the generator that performs it. The request counts
+        on its servers from this call (not from the generator's first
+        step) until its last byte has moved."""
         pfs = self.system.pfs
-        servers = {pfs.server_of(s) for s in range(
+        servers = {pfs.server_of(s) for lo, hi in extents for s in range(
             lo // pfs.stripe_size, -(-hi // pfs.stripe_size))} \
             if pfs is not None else ()
         self._queued.update(servers)
 
         def transfer():
             try:
-                yield from self._charge_backend(node, hi - lo, write,
-                                                offset=lo)
+                yield from self._charge_backend(
+                    node, [(lo, hi - lo) for lo, hi in extents], write)
             finally:
                 self._queued.subtract(servers)
 
@@ -133,18 +136,20 @@ class DataStager:
         """Bring every absent page of ``pages`` into the scache (the
         only way one gets there short of being written whole). Generator.
 
-        The fill unit is the backend's stripe: a wanted page pulls in
-        the pages of its stripe(s) that the backend holds and that are
-        neither materialized (they may hold writes), being staged by a
+        The fill unit is a server run: a wanted page pulls in the pages
+        of its stripe(s) that the backend holds and that are neither
+        materialized (they may hold writes), being staged by a
         concurrent call (``vec.staging``: that request is joined, so
         each backend byte is read once) nor already fetched
-        (``vec.fragments``). One request per stripe, all issued at
-        once; a page straddling two stripes is published by whichever
-        of its requests lands last. Pages the backend does not cover
-        (volatile vectors, a vector longer than its file) are
-        zero-filled inline, and only when wanted. A request that dies
-        unregisters its pages and releases its joiners: its caller sees
-        the error, a joiner stages what is still absent itself.
+        (``vec.fragments``), and the request for that stripe also
+        carries the stripe that follows it in its server's datafile
+        (:meth:`_extension`). One request per demanded stripe, all
+        issued at once; a page straddling two stripes is published by
+        whichever of its requests lands last. Pages the backend does
+        not cover (volatile vectors, a vector longer than its file)
+        are zero-filled inline, and only when wanted. A request that
+        dies unregisters its pages and releases its joiners: its caller
+        sees the error, a joiner stages what is still absent itself.
 
         Issuing a request, and the return of its backend read, also
         gives every backend server the stager has left idle one stripe
@@ -172,22 +177,30 @@ class DataStager:
             joined, zeros, need = self._plan(vec, absent, bsize)
             cause = tracer.current_span_id()
             wanted, claimed = set(absent), dict(vec.earmarked)
+            # The wanted pages take their room before any extension.
+            plans = {s: self._runs(vec, s, wanted, claimed, call)
+                     for s in need}
             issued = []
-            for stripe in need:
-                runs, landing = self._runs(vec, stripe, wanted, claimed,
-                                           call)
+            for stripe, (runs, landing) in plans.items():
                 if len(runs) > 1:
                     self.system.monitor.count("stager.holes_skipped",
                                               len(runs) - 1)
-                issued += [self._issue(vec, stripe, run, landing, call,
-                                       cause) for run in runs]
+                requests = [[(stripe, run)] for run in runs]
+                ext = self._extension(vec, stripe, plans, claimed, call) \
+                    if runs else None
+                if ext is not None:
+                    requests[-1].append(ext[0])
+                    landing = {**landing, **ext[1]}
+                issued += [self._issue(vec, segments, landing, call, cause)
+                           for segments in requests]
             if issued:
                 self._read_ahead(vec, need[-1], call, issued[-1])
             if zeros:
                 # No backend wait: published inline.
+                segments = [(-1, zeros)]
                 yield from self._fetch(self._register(
-                    _Fetch(self.sim), vec, -1, zeros),
-                    vec, -1, zeros, call, cause)
+                    _Fetch(self.sim), vec, segments),
+                    vec, segments, call, cause)
             if issued:
                 yield AllOf(self.sim, [fetch.proc for fetch in issued])
             if not joined:
@@ -260,28 +273,57 @@ class DataStager:
                 runs.append([(q, lo, hi)])
         return runs, landing
 
-    def _register(self, fetch: _Fetch, vec: SharedVector, stripe: int,
-                  run) -> _Fetch:
-        for p, _lo, _hi in run:
-            vec.staging.setdefault(p, {})[stripe] = fetch
+    def _extension(self, vec: SharedVector, stripe: int, plans: dict,
+                   claimed: dict, call: _Call):
+        """``((stripe', run), {page: device})`` or None: what the
+        request for ``stripe`` reads beyond it -- the first run of
+        ``stripe' = stripe + n_servers``, the stripe that follows it in
+        its server's datafile and the one :meth:`_read_ahead` would
+        queue on that server next -- when no demand of this call asks
+        for that stripe, it is not in ``vec.no_ahead`` and it has
+        absent pages that pass the landing rule."""
+        pfs = self.system.pfs
+        if pfs is None or self._stop:
+            return None
+        nxt = stripe + len(pfs.devices)
+        if nxt in plans or nxt in vec.no_ahead \
+                or nxt * pfs.stripe_size >= call.bsize:
+            return None
+        runs, landing = self._runs(vec, nxt, (), claimed, call)
+        if not runs:
+            return None
+        if len(runs) > 1:
+            # One stripe nobody asked for: its next run waits its turn.
+            self.system.monitor.count("stager.holes_skipped")
+        return (nxt, runs[0]), landing
+
+    def _register(self, fetch: _Fetch, vec: SharedVector,
+                  segments) -> _Fetch:
+        for stripe, run in segments:
+            for p, _lo, _hi in run:
+                vec.staging.setdefault(p, {})[stripe] = fetch
         for dev, n in fetch.claims:
             vec.earmarked[dev] = vec.earmarked.get(dev, 0) + n
         return fetch
 
-    def _issue(self, vec: SharedVector, stripe: int, run, landing: dict,
+    def _issue(self, vec: SharedVector, segments, landing: dict,
                call: _Call, cause, trigger=None):
-        """Queue one backend request for ``run`` and start it; returns
-        the request. From here on its pages are in ``vec.staging``,
-        its server counts as busy and its pages' room is taken."""
-        read = self._backend_io(call.node, run[0][1], run[-1][2],
-                                write=False)
-        claims = [(landing[p], vec.page_nbytes(p)) for p, _lo, _hi in run
+        """Queue one backend request for ``segments`` (``[(stripe,
+        run), ...]``, all on one server) and start it; returns the
+        request. From here on its pages are in ``vec.staging``, its
+        server counts as busy and its pages' room is taken."""
+        read = self._backend_io(
+            call.node, [(run[0][1], run[-1][2]) for _s, run in segments],
+            write=False)
+        pages = dict.fromkeys(p for _s, run in segments
+                              for p, _lo, _hi in run)
+        claims = [(landing[p], vec.page_nbytes(p)) for p in pages
                   if landing.get(p) is not None]
         fetch = self._register(_Fetch(self.sim, read, claims, trigger),
-                               vec, stripe, run)
+                               vec, segments)
         fetch.proc = self.sim.process(
-            self._fetch(fetch, vec, stripe, run, call, cause),
-            name=f"stage_in {vec.name}@{stripe}")
+            self._fetch(fetch, vec, segments, call, cause),
+            name=f"stage_in {vec.name}@{segments[0][0]}")
         return fetch
 
     def _read_ahead(self, vec: SharedVector, stripe: int, call: _Call,
@@ -294,9 +336,9 @@ class DataStager:
         its backend read returns, so the chain runs until the file is
         materialized, nothing more would land, or the vector or the
         stager is gone -- and a demand request never finds more than
-        one stripe it did not ask for ahead of it on a server. A
-        read-ahead is an ordinary request (a later demand joins it)
-        that nobody waits for."""
+        one request it did not ask for ahead of it on a server. A
+        read-ahead is an ordinary one-stripe request (a later demand
+        joins it) that nobody waits for."""
         pfs, hermes = self.system.pfs, self.system.hermes
         if pfs is None or self._stop or vec.destroyed:
             return
@@ -322,85 +364,122 @@ class DataStager:
                 if len(runs) > 1:
                     # One request per server: the next run waits its turn.
                     self.system.monitor.count("stager.holes_skipped")
-                self._issue(vec, s, runs[0], landing, call, None, trigger)
+                self._issue(vec, [(s, runs[0])], landing, call, None,
+                            trigger)
                 idle.discard(pfs.server_of(s))
 
-    def _fetch(self, fetch: _Fetch, vec: SharedVector, stripe: int, run,
+    def _fetch(self, fetch: _Fetch, vec: SharedVector, segments,
                call: _Call, cause):
-        """One backend request: read ``[run[0].lo, run[-1].hi)``, cut
-        it into page pieces, publish the pages now complete with one
-        vectored put. Generator. A read-ahead that dies is dropped and
-        counted, and its stripe left to demand."""
+        """One backend request: read each segment's ``[run[0].lo,
+        run[-1].hi)`` in one backend charge, cut the bytes into page
+        pieces, publish the pages each segment completes with one
+        vectored put per segment. Generator. The first segment is what
+        the request is for: a demand's caller sees its failure. What
+        nobody asked for -- a read-ahead, a demand's extension -- that
+        dies is dropped and counted, and its stripe left to demand."""
         system = self.system
         node = call.node
-        lo, hi = run[0][1], run[-1][2]
+        extents = [(run[0][1], run[-1][2]) for _s, run in segments]
+        nbytes = sum(hi - lo for lo, hi in extents)
         ahead = fetch.trigger is not None
         ready = []
         try:
-            raw = b""
-            if hi > lo:
+            raws = [b""] * len(segments)
+            if nbytes:
                 with system.tracer.span(
                         "stage_in", "stager", node=node, vector=vec.name,
-                        tier="pfs", stripe=stripe, nbytes=hi - lo,
-                        pages=len(run), ahead=ahead,
+                        tier="pfs", stripe=segments[0][0],
+                        stripes=[s for s, _run in segments], nbytes=nbytes,
+                        pages=sum(len(run) for _s, run in segments),
+                        ahead=ahead,
                         cause=fetch.trigger.span_id if ahead else cause
                         ) as sp:
                     fetch.span_id = getattr(sp, "span_id", None)
                     yield from fetch.read
                 # The bytes are back, their publish is still to come:
                 # a server this leaves idle need not wait for it.
-                self._read_ahead(vec, stripe, call, fetch)
+                self._read_ahead(vec, segments[0][0], call, fetch)
                 if vec.destroyed:
                     raise VectorError(
                         f"vector {vec.name!r} destroyed under a stage-in")
-                raw = vec.ensure_backend().read_range(lo, hi - lo)
-                self._count(node, "in", hi - lo, ahead)
+                backend = vec.ensure_backend()
+                raws = [backend.read_range(lo, hi - lo)
+                        for lo, hi in extents]
+                self._count(node, "in", nbytes, ahead)
                 system.monitor.gauge("stager.last_byte_s").set(self.sim.now)
-                system.monitor.count("stager.reread_bytes", hi - lo - sum(
-                    b - a for _p, a, b in run))
-            for p, a, b in run:
-                got = vec.fragments.setdefault(p, {})
-                got[stripe] = (a - p * vec.page_size, raw[a - lo:b - lo])
-                if len(got) < len(self._pieces(vec, p, call.bsize)):
-                    continue  # a straddler still missing its other half
-                if system.hermes.mdm.peek(vec.name, p) is not None:
-                    del vec.fragments[p]
-                    continue  # written meanwhile: never overwrite it
-                data = bytearray(vec.page_nbytes(p))
-                for off, part in got.values():
-                    data[off:off + len(part)] = part
-                owner = vec.owner_node(p, call.client_node)
-                if owner in system.reliability.failed_nodes:
-                    owner = node
-                ready.append((p, bytes(data), owner))
-            if ready:
-                yield from system.hermes.put_many(node, vec.name, ready,
-                                                  score=call.score)
-                if system.config.integrity_checks:
-                    # Without a baseline CRC at materialization,
-                    # corruption of a staged-in page that is never
-                    # rewritten would pass verification.
-                    for p, data, _owner in ready:
-                        system.reliability.record(vec.name, p, data)
+                system.monitor.count("stager.reread_bytes", nbytes - sum(
+                    b - a for _s, run in segments for _p, a, b in run))
+            for i, (stripe, run) in enumerate(segments):
+                landed = self._complete(vec, stripe, run, raws[i],
+                                        extents[i][0], call)
+                ready += landed
+                try:
+                    yield from self._publish(vec, landed, call)
+                except _REQUEST_ERRORS:
+                    if i == 0:
+                        raise
+                    self._drop_ahead(vec, stripe)
         except _REQUEST_ERRORS:
             if not ahead:
                 raise
-            # Nobody waits for a read-ahead: its pages stay absent,
-            # the next demand stages them, nothing retries it.
-            vec.no_ahead.add(stripe)
-            system.monitor.count("stager.readahead_failed")
+            self._drop_ahead(vec, segments[0][0])
         finally:
             # The pieces of a page count as fetched until its publish
             # is over, or a fault in between would read them again.
             for p, _data, _owner in ready:
                 vec.fragments.pop(p, None)
-            for p, _a, _b in run:
-                del vec.staging[p][stripe]
-                if not vec.staging[p]:
-                    del vec.staging[p]
+            for stripe, run in segments:
+                for p, _a, _b in run:
+                    del vec.staging[p][stripe]
+                    if not vec.staging[p]:
+                        del vec.staging[p]
             for dev, n in fetch.claims:
                 vec.earmarked[dev] -= n
             fetch.done.succeed()
+
+    def _complete(self, vec: SharedVector, stripe: int, run, raw: bytes,
+                  lo: int, call: _Call):
+        """File the pieces of ``run`` (``raw`` = backend bytes from
+        ``lo``) and return ``[(page, bytes, owner)]``: the pages now
+        complete and still absent."""
+        system = self.system
+        ready = []
+        for p, a, b in run:
+            got = vec.fragments.setdefault(p, {})
+            got[stripe] = (a - p * vec.page_size, raw[a - lo:b - lo])
+            if len(got) < len(self._pieces(vec, p, call.bsize)):
+                continue  # a straddler still missing its other half
+            if system.hermes.mdm.peek(vec.name, p) is not None:
+                del vec.fragments[p]
+                continue  # written meanwhile: never overwrite it
+            data = bytearray(vec.page_nbytes(p))
+            for off, part in got.values():
+                data[off:off + len(part)] = part
+            owner = vec.owner_node(p, call.client_node)
+            if owner in system.reliability.failed_nodes:
+                owner = call.node
+            ready.append((p, bytes(data), owner))
+        return ready
+
+    def _publish(self, vec: SharedVector, ready, call: _Call):
+        """One vectored put of ``ready``. Generator."""
+        system = self.system
+        if not ready:
+            return
+        yield from system.hermes.put_many(call.node, vec.name, ready,
+                                          score=call.score)
+        if system.config.integrity_checks:
+            # Without a baseline CRC at materialization, corruption of
+            # a staged-in page that is never rewritten would pass
+            # verification.
+            for p, data, _owner in ready:
+                system.reliability.record(vec.name, p, data)
+
+    def _drop_ahead(self, vec: SharedVector, stripe: int) -> None:
+        """Nobody waits for a read-ahead or an extension: its pages
+        stay absent, the next demand stages them, nothing retries it."""
+        vec.no_ahead.add(stripe)
+        self.system.monitor.count("stager.readahead_failed")
 
     def drain(self, vec: SharedVector):
         """Wait out the stage-in requests of ``vec`` in flight (its
@@ -426,58 +505,80 @@ class DataStager:
             lock = self._stageout_locks[key] = Lock(self.sim)
         return lock
 
-    def stage_out(self, vec: SharedVector, page_idx: int, node: int):
-        """Persist one scache page to the backend. Generator.
+    def stage_out(self, vec: SharedVector, pages, node: int):
+        """Persist a run of scache pages -- ascending, on one PFS server
+        (or one page) -- to the backend in one request. Generator.
 
-        Stage-outs of the same page are serialized, and the dirty bit
-        is claimed *before* the page bytes are captured: a write that
-        lands after the snapshot re-dirties the page and a later pass
-        persists the fresh bytes. (Clearing the bit on completion
-        instead would wipe that re-dirty mark — the write's bytes
-        would never reach the backend — and two unserialized
+        Stage-outs of the same page are serialized (a run takes its
+        pages' locks in page order, so two runs never deadlock), and a
+        page's dirty bit is claimed *before* its bytes are captured: a
+        write that lands after the snapshot re-dirties the page and a
+        later pass persists the fresh bytes. (Clearing the bit on
+        completion instead would wipe that re-dirty mark — the write's
+        bytes would never reach the backend — and two unserialized
         stage-outs could also complete out of order, leaving the stale
         snapshot as the file's final content.)
         """
         if vec.volatile:
-            vec.dirty_pages.discard(page_idx)
+            vec.dirty_pages.difference_update(pages)
             return
-        lock = self._stageout_lock(vec, page_idx)
-        yield lock.acquire()
+        locks = [self._stageout_lock(vec, p) for p in pages]
+        for lock in locks:
+            yield lock.acquire()
         try:
-            vec.dirty_pages.discard(page_idx)
-            try:
-                raw = yield from self.system.hermes.get(
-                    node, vec.name, page_idx)
-            except BlobNotFound:
+            captured = []
+            for p in pages:
+                vec.dirty_pages.discard(p)
+                try:
+                    captured.append((p, (yield from self.system.hermes.get(
+                        node, vec.name, p))))
+                except BlobNotFound:
+                    pass
+            if not captured:
                 return
             backend = vec.ensure_backend()
-            start = page_idx * vec.page_size
-            backend.ensure_size(start + len(raw))
+            extents = [(p * vec.page_size, p * vec.page_size + len(raw))
+                       for p, raw in captured]
+            backend.ensure_size(extents[-1][1])
+            nbytes = sum(len(raw) for _p, raw in captured)
             with self.system.tracer.span(
                     "stage_out", "stager", node=node, vector=vec.name,
-                    page=page_idx, nbytes=len(raw)):
-                yield from self._backend_io(node, start, start + len(raw),
-                                            write=True)
-            # What stage-in fetched of this page ahead of time is stale.
-            vec.fragments.pop(page_idx, None)
-            backend.write_range(start, raw)
-            # Persisted pages are cold: zero the score so the
-            # organizer / placement demotes them aggressively to make
-            # room for new data (paper IV-B3).
-            self.system.hermes.set_score(vec.name, page_idx, 0.0)
-            self._count(node, "out", len(raw))
+                    page=captured[0][0], pages=len(captured),
+                    nbytes=nbytes):
+                yield from self._backend_io(node, extents, write=True)
+            for (p, raw), (start, _end) in zip(captured, extents):
+                # What stage-in fetched of this page ahead of time is
+                # stale.
+                vec.fragments.pop(p, None)
+                backend.write_range(start, raw)
+                # Persisted pages are cold: zero the score so the
+                # organizer / placement demotes them aggressively to
+                # make room for new data (paper IV-B3).
+                self.system.hermes.set_score(vec.name, p, 0.0)
+            self._count(node, "out", nbytes)
         finally:
-            lock.release()
+            for lock in locks:
+                lock.release()
 
     def persist(self, vec: SharedVector, node: int):
         """Flush every dirty page of ``vec`` (explicit msync / vector
-        close). Generator."""
+        close): each PFS server's pages in one request, a page that
+        straddles two stripes alone, the runs concurrently. Generator."""
         if vec.volatile:
             vec.dirty_pages.clear()
             return
         vec.ensure_backend().ensure_size(vec.nbytes)
-        for page_idx in sorted(vec.dirty_pages):
-            yield from self.stage_out(vec, page_idx, node)
+        pfs, runs = self.system.pfs, {}
+        for p in sorted(vec.dirty_pages):
+            stripes = list(self._pieces(vec, p, vec.nbytes))
+            key = ("page", p) if len(stripes) != 1 \
+                else pfs.server_of(stripes[0]) if pfs is not None else 0
+            runs.setdefault(key, []).append(p)
+        procs = [self.sim.process(self.stage_out(vec, run, node),
+                                  name=f"stage_out {vec.name}@{run[0]}")
+                 for run in runs.values()]
+        if procs:
+            yield AllOf(self.sim, procs)
         # A stage-out claims the dirty bit before it writes: a page a
         # background flusher is still writing is in neither set above,
         # and the vector is not persisted until that write is down.
@@ -497,7 +598,8 @@ class DataStager:
     def flusher(self, node: int):
         """Background process: actively flush dirty pages during
         computation (III-B: "MegaMmap actively flushes modified data to
-        storage during periods of computation")."""
+        storage during periods of computation"), one page per request:
+        it competes with demand stage-ins for the same servers."""
         period = self.system.config.flush_period
         while not self._stop:
             yield self.sim.timeout(period)
@@ -508,7 +610,7 @@ class DataStager:
                 mine = [p for p in sorted(vec.dirty_pages)
                         if vec.owner_node(p, node) == node]
                 for page_idx in mine:
-                    yield from self.stage_out(vec, page_idx, node)
+                    yield from self.stage_out(vec, [page_idx], node)
 
     def stop(self) -> None:
         self._stop = True

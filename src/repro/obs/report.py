@@ -27,6 +27,11 @@ LITTLE_RTOL = 0.5
 
 _SPARK = " .:-=+*#%@"
 
+#: The counters every monitored ``Device`` registers as
+#: ``<device>.<suffix>`` (``node0.nvme``, ``pfs4.hdd``) and the report's
+#: device lines read.
+DEVICE_SERIES = ("busy_s", "requests", "bytes_read", "bytes_write")
+
 
 def _sparkline(series, t0: float, t1: float, width: int = 40) -> str:
     """Render a step-function TimeSeries as a fixed-width occupancy
@@ -62,8 +67,10 @@ def analyze(graph: SpanGraph, monitor=None,
     """Distill a span graph into the report dict.
 
     ``monitor`` (live mode only — unavailable when analyzing a trace
-    file) adds per-tier occupancy timelines from the ``*.used`` gauges
-    and the independent backlog-gauge leg of the Little's-law check.
+    file) adds per-tier occupancy timelines from the ``*.used`` gauges,
+    each device's load (simulated seconds its queue was held, as a
+    share of the makespan; requests; bytes per request) and the
+    independent backlog-gauge leg of the Little's-law check.
     """
     t0, t1 = graph.window
     breakdown = graph.critical_breakdown()
@@ -94,6 +101,21 @@ def analyze(graph: SpanGraph, monitor=None,
                 "avg": gauge.time_average(),
                 "timeline": _sparkline(gauge.series, t0, t1),
             }
+    devices: Dict[str, Dict[str, float]] = {}
+    if monitor is not None:
+        for (name, _ls), c in sorted(monitor.metrics.counters.items()):
+            if not name.endswith(".requests") or not c.value:
+                continue
+            dev = name[:-len(".requests")]
+            series = [f"{dev}.{suffix}" for suffix in DEVICE_SERIES]
+            busy, n, read, write = map(monitor.counter, series)
+            devices[dev] = {
+                "busy_s": busy,
+                "busy_share": busy / graph.makespan
+                if graph.makespan else 0.0,
+                "requests": int(n),
+                "bytes_per_request": (read + write) / n,
+            }
     return {
         "t0": t0,
         "t1": t1,
@@ -108,6 +130,7 @@ def analyze(graph: SpanGraph, monitor=None,
             for s in graph.top_spans(top_k)],
         "queueing": queueing,
         "occupancy": occupancy,
+        "devices": devices,
     }
 
 
@@ -187,6 +210,16 @@ def render_report(analysis: Dict[str, Any],
                 f"  {dev:<14} |{occ['timeline']}| "
                 f"peak={occ['peak'] / 2 ** 20:.1f}MB "
                 f"avg={occ['avg'] / 2 ** 20:.1f}MB")
+    if analysis.get("devices"):
+        lines.append("")
+        lines.append("device load (busy share of the makespan, requests, "
+                     "bytes per request):")
+        for dev, d in sorted(analysis["devices"].items()):
+            lines.append(
+                f"  {dev:<14} {d['busy_share'] * 100:6.1f}%  "
+                f"busy={_fmt_s(d['busy_s']):>9}  "
+                f"requests={d['requests']:<7d} "
+                f"{d['bytes_per_request']:.0f} B/request")
     return "\n".join(lines)
 
 

@@ -189,8 +189,9 @@ class SparkSim:
             node = p % self.n_nodes
             raw = backend.read_range(lo * itemsize, (hi - lo) * itemsize)
             if pfs is not None:
-                yield from pfs.charge(self.driver_node, lo * itemsize,
-                                      max(1, len(raw)), write=False)
+                yield from pfs.charge(self.driver_node,
+                                      [(lo * itemsize, max(1, len(raw)))],
+                                      write=False)
             yield from self._tcp(self.driver_node, node, len(raw))
             partitions.append(
                 (node, np.frombuffer(raw, dtype=dtype).copy()))

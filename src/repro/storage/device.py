@@ -93,6 +93,8 @@ class Device:
         if monitor is not None:
             self._m_read = monitor.metrics.counter(f"{name}.bytes_read")
             self._m_write = monitor.metrics.counter(f"{name}.bytes_write")
+            self._m_busy = monitor.metrics.counter(f"{name}.busy_s")
+            self._m_requests = monitor.metrics.counter(f"{name}.requests")
             self._m_used = monitor.gauge(f"{name}.used")
         #: Fault-injection hook (``repro.chaos``). When set, each timed
         #: transfer asks ``chaos.stall_time(device, nbytes, write)`` for
@@ -134,6 +136,10 @@ class Device:
             self._queue.release(req)
         if self.monitor is not None:
             (self._m_write if write else self._m_read).inc(nbytes)
+            # Simulated seconds the queue was held, and for how many
+            # operations: busy share and bytes per request.
+            self._m_busy.inc(t)
+            self._m_requests.inc()
 
     def put(self, key, data):
         """Timed write of a blob (replaces any existing blob at ``key``).

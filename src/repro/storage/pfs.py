@@ -2,8 +2,9 @@
 
 Files are striped round-robin across server devices living on the
 storage rack; client I/O charges network transfer to each server plus
-the server device's transfer time, with stripes proceeding in parallel
-(the source of PFS aggregate bandwidth). Content is functional: each
+the server device's transfer time, servers proceeding in parallel (the
+source of PFS aggregate bandwidth) and each sequential run of a
+server's datafile paying one device latency. Content is functional: each
 file is a real bytearray, so baselines can read back what they wrote.
 """
 
@@ -79,9 +80,8 @@ class ParallelFS:
         return stripe_idx % len(self.devices)
 
     # -- striped timed I/O ----------------------------------------------------
-    def _stripe_op(self, client_node: int, stripe_idx: int, nbytes: int,
+    def _server_op(self, client_node: int, srv: int, nbytes: int,
                    write: bool):
-        srv = self.server_of(stripe_idx)
         if write:
             yield from self.network.transfer(
                 client_node, self.server_nodes[srv], nbytes)
@@ -91,21 +91,35 @@ class ParallelFS:
             yield from self.network.transfer(
                 self.server_nodes[srv], client_node, nbytes)
 
-    def charge(self, client_node: int, offset: int, nbytes: int,
-               write: bool):
-        """Timed striped transfer of a byte range whose content lives
-        elsewhere (the Data Stager's backends are real files): all its
-        stripe transfers, in parallel. Generator."""
-        procs = []
-        pos = offset
-        end = offset + nbytes
-        while pos < end:
-            stripe_idx = pos // self.stripe_size
-            take = min(end - pos, (stripe_idx + 1) * self.stripe_size - pos)
-            procs.append(self.sim.process(
-                self._stripe_op(client_node, stripe_idx, take, write),
-                name=f"pfs.stripe{stripe_idx}"))
-            pos += take
+    def charge(self, client_node: int, ranges, write: bool):
+        """Timed striped transfer of the byte ranges ``[(offset,
+        nbytes), ...]`` of one file whose content lives elsewhere (the
+        Data Stager's backends are real files). Generator.
+
+        Stripe ``k`` sits at offset ``(k // n_servers) * stripe_size``
+        of server ``k % n_servers``'s datafile, so each range is cut
+        into pieces of the servers' datafiles; pieces that abut there
+        merge, and each merged extent costs one device operation (one
+        latency) and one network transfer. The extents run in parallel,
+        the servers' FIFOs order what shares a server."""
+        n, unit = len(self.devices), self.stripe_size
+        extents, last = [], {}       # [server, lo, hi]; server -> extent
+        for offset, nbytes in sorted(ranges):
+            pos, end = offset, offset + nbytes
+            while pos < end:
+                stripe = pos // unit
+                take = min(end - pos, (stripe + 1) * unit - pos)
+                srv = self.server_of(stripe)
+                lo = (stripe // n) * unit + pos - stripe * unit
+                ext = last.get(srv)
+                if ext is None or ext[2] != lo:
+                    ext = last[srv] = [srv, lo, lo]
+                    extents.append(ext)
+                ext[2] += take
+                pos += take
+        procs = [self.sim.process(
+            self._server_op(client_node, srv, hi - lo, write),
+            name=f"pfs.server{srv}") for srv, lo, hi in extents]
         if procs:
             yield AllOf(self.sim, procs)
 
@@ -119,7 +133,8 @@ class ParallelFS:
             raise PfsError(f"negative offset {offset}")
         if offset > len(buf):
             buf.extend(b"\0" * (offset - len(buf)))
-        yield from self.charge(client_node, offset, len(data), write=True)
+        yield from self.charge(client_node, [(offset, len(data))],
+                               write=True)
         end = offset + len(data)
         if end > len(buf):
             buf.extend(b"\0" * (end - len(buf)))
@@ -132,7 +147,7 @@ class ParallelFS:
             raise PfsError(
                 f"range [{offset}, {offset + nbytes}) outside {path} "
                 f"of {len(buf)} bytes")
-        yield from self.charge(client_node, offset, nbytes, write=False)
+        yield from self.charge(client_node, [(offset, nbytes)], write=False)
         return bytes(buf[offset:offset + nbytes])
 
     @property

@@ -169,13 +169,13 @@ def test_stage_out_never_loses_a_concurrent_write(tmp_path):
     run_procs(sim, gate.held())                   # pre-held by the test
     orig = system.stager._charge_backend
 
-    def gated_charge(node, nbytes, write, offset=0):
+    def gated_charge(node, ranges, write):
         yield gate.acquire()
         gate.release()
-        yield from orig(node, nbytes, write, offset=offset)
+        yield from orig(node, ranges, write)
 
     system.stager._charge_backend = gated_charge
-    so = sim.process(system.stager.stage_out(svec, 0, 0), name="so")
+    so = sim.process(system.stager.stage_out(svec, [0], 0), name="so")
     sim.run(until=sim.now + 1e-3)                 # park at the gate
     assert not (tmp_path / "race.bin").exists() \
         or not np.array_equal(np.fromfile(tmp_path / "race.bin",
@@ -225,13 +225,13 @@ def test_shutdown_waits_for_a_stage_out_in_flight(tmp_path):
     svec = system.vectors[url]
     orig = system.stager._charge_backend
 
-    def slow_charge(node, nbytes, write, offset=0):
+    def slow_charge(node, ranges, write):
         yield sim.timeout(1.0)                    # a busy PFS server
-        yield from orig(node, nbytes, write, offset=offset)
+        yield from orig(node, ranges, write)
 
     system.stager._charge_backend = slow_charge
     # The flusher's pass: claims the dirty bit, parks on the backend.
-    sim.process(system.stager.stage_out(svec, 0, 0), name="flusher")
+    sim.process(system.stager.stage_out(svec, [0], 0), name="flusher")
     sim.run(until=sim.now + 1e-3)
     assert 0 not in svec.dirty_pages and sim.now < 0.5
     sim.run(until=sim.process(system.shutdown(), name="shutdown"))

@@ -298,7 +298,7 @@ def test_stage_out_zeroes_page_score(tmp_path):
         yield from vec.write_range(0, np.ones(4096, dtype=np.uint8))
         yield from vec.tx_end()
         yield from vec.flush(wait=True)
-        yield from system.stager.stage_out(vec.shared, 0, 0)
+        yield from system.stager.stage_out(vec.shared, [0], 0)
         return system.hermes.mdm.peek(url, 0).score
 
     (score,) = run_procs(sim, app())

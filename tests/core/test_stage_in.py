@@ -57,17 +57,17 @@ def _path_free(tmp_path, monkeypatch):
 
 
 def log_requests(system):
-    """Record every backend read request as (offset, nbytes), in the
-    order they were issued, and switch the tracer on: ``stage_ins``
-    then tells when each was issued, when its bytes were back and
-    whether anybody had asked for it."""
+    """Record every backend read request as its list of (offset,
+    nbytes) ranges, in the order they were issued, and switch the
+    tracer on: ``stage_ins`` then tells when each was issued, when its
+    bytes were back and whether anybody had asked for it."""
     reqs = []
     charge = system.stager._charge_backend
 
-    def logged(node, nbytes, write, offset=0):
+    def logged(node, ranges, write):
         if not write:
-            reqs.append((offset, nbytes))
-        yield from charge(node, nbytes, write, offset)
+            reqs.append(list(ranges))
+        yield from charge(node, ranges, write)
 
     system.stager._charge_backend = logged
     system.tracer.enabled = True
@@ -77,7 +77,8 @@ def log_requests(system):
 def stage_ins(system):
     """The finished backend read requests in the order they were
     issued (the order of ``log_requests``): ``stager:stage_in`` spans,
-    ``start`` = issued, ``end`` = bytes back, attrs ``stripe``,
+    ``start`` = issued, ``end`` = bytes back, attrs ``stripe`` (the one
+    the request is for), ``stripes`` (every stripe it reads),
     ``nbytes``, ``pages``, ``ahead``, ``cause``."""
     return sorted((sp for sp in system.tracer.spans
                    if sp.category == "stager" and sp.name == "stage_in"),
@@ -96,18 +97,27 @@ def settle(sim, system, url):
     return vec
 
 
-def check_read_ahead_kept_to_idle_servers(system):
-    """Every request nobody asked for went to a backend server on
-    which the stager had nothing queued: each stage-in issued there
-    before it had its bytes back by then -- so a demand request never
-    finds more than one such stripe ahead of it."""
+def check_requests(system):
+    """The per-request invariants. Each request stays on one backend
+    server and reads at most one stripe nobody asked for: a read-ahead
+    its one stripe, a demand the stripe that follows its own in that
+    server's datafile. Every read-ahead went to a server on which the
+    stager had nothing queued -- each stage-in issued there before it
+    had its bytes back by then -- so a demand request never finds more
+    than one request nobody asked for ahead of it."""
+    pfs = system.pfs
     spans = stage_ins(system)
     for i, sp in enumerate(spans):
+        stripes = sp.attrs["stripes"]
+        assert stripes[0] == sp.attrs["stripe"]
+        assert len({pfs.server_of(s) for s in stripes}) == 1, sp
         if not sp.attrs["ahead"]:
+            assert stripes[1:] in ([], [stripes[0] + len(pfs.devices)]), sp
             continue
-        server = system.pfs.server_of(sp.attrs["stripe"])
+        assert len(stripes) == 1, sp
+        server = pfs.server_of(sp.attrs["stripe"])
         for earlier in spans[:i]:
-            if system.pfs.server_of(earlier.attrs["stripe"]) == server:
+            if pfs.server_of(earlier.attrs["stripe"]) == server:
                 assert earlier.end <= sp.start, (earlier, sp)
         trigger = next(t for t in spans
                        if t.span_id == sp.attrs["cause"])
@@ -181,29 +191,35 @@ def test_random_interleavings_read_each_backend_byte_once(tmp_path, seed):
     touched = {s for ranges in asked for off, n in ranges
                for s in range(off // STRIPE, (off + n - 1) // STRIPE + 1)}
     assert len(reqs) == mon.counter("stager.requests_in")
+    # One range per stripe a request reads, none crossing a stripe.
+    assert all(len({off // STRIPE for off, _n in req}) == len(req)
+               for req in reqs)
     assert all(off // STRIPE == (off + n - 1) // STRIPE
-               for off, n in reqs)
+               for req in reqs for off, n in req)
     # A demand request is one for a stripe somebody touched (a demand
-    # that finds its stripe in flight joins instead); every other one
-    # is flagged read-ahead and went to an idle server. Between them
-    # no stripe of the file is asked for twice.
+    # that finds its stripe in flight joins instead), plus at most the
+    # next stripe on its server; every other one is flagged read-ahead
+    # and went to an idle server. Between them no stripe of the file
+    # is asked for twice.
     spans = stage_ins(system)
-    assert [(sp.attrs["stripe"], sp.attrs["nbytes"]) for sp in spans] \
-        == [(off // STRIPE, n) for off, n in reqs]
+    assert [(sp.attrs["stripes"], sp.attrs["nbytes"]) for sp in spans] \
+        == [([off // STRIPE for off, _n in req], sum(n for _o, n in req))
+            for req in reqs]
     demand = [sp for sp in spans if not sp.attrs["ahead"]]
     assert {sp.attrs["stripe"] for sp in demand} <= touched
     assert len(demand) <= len(touched) + mon.counter("stager.holes_skipped")
     assert len(spans) - len(demand) == mon.counter("stager.requests_ahead")
-    assert len(reqs) <= -(-nbytes // STRIPE) \
+    read = [off // STRIPE for req in reqs for off, _n in req]
+    assert len(read) <= -(-nbytes // STRIPE) \
         + mon.counter("stager.holes_skipped")
-    check_read_ahead_kept_to_idle_servers(system)
+    check_requests(system)
     # Every node has room faster than the backend: the chain ends with
     # the file materialized, whatever was asked for.
     assert blobs(system, url) == set(range(-(-nbytes // PAGE)))
     assert mon.counter("stager.readahead_failed") == 0
 
 
-def test_cold_scan_is_one_request_per_stripe(tmp_path):
+def test_cold_scan_is_one_request_per_server_run(tmp_path):
     sim, system = build(n_nodes=4)
     nbytes = 2 * STRIPE + 5000
     url, data = cold_file(tmp_path, nbytes)
@@ -211,43 +227,103 @@ def test_cold_scan_is_one_request_per_stripe(tmp_path):
     outs = run_procs(sim, *[
         reader(system, url, r, r % 4, [(0, nbytes)]) for r in range(8)])
     assert all(np.array_equal(out[0], data) for out in outs)
-    assert sorted(reqs) == [(0, STRIPE), (STRIPE, STRIPE),
-                            (2 * STRIPE, 5000)]
+    # Stripe 0 and the tail (stripe 2) abut in server 0's datafile:
+    # one request; server 1 reads stripe 1. Every byte once.
+    assert sorted(reqs) == [[(0, STRIPE), (2 * STRIPE, 5000)],
+                            [(STRIPE, STRIPE)]]
     assert system.pfs.bytes_read == nbytes
+    assert [d.bytes_read for d in system.pfs.devices] \
+        == [STRIPE + 5000, STRIPE]
+    check_requests(system)
+
+
+def test_demand_carries_the_next_stripe_on_its_server(tmp_path):
+    """One record of a cold three-stripe file (1 MiB stripes, as the
+    benchmark's): the request for stripe 0 also reads stripe 2, the
+    next stripe in server 0's datafile, so the last backend byte is in
+    one seek plus 1.3 MB of transfer after the fault -- not two seeks
+    later -- while server 1 reads stripe 1 beside it."""
+    sim, system = build(stripe=MB, page_size=64 * 1024,
+                        tiers=(DRAM.with_capacity(8 * MB),
+                               NVME.with_capacity(16 * MB)))
+    nbytes = 2 * MB + 300_000
+    url, data = cold_file(tmp_path, nbytes)
+    reqs = log_requests(system)
+    (out,) = run_procs(sim, reader(system, url, 0, 0, [(3, 1)]))
+    assert out[0][0] == data[3]
+    settle(sim, system, url)
+    assert reqs == [[(0, MB), (2 * MB, 300_000)], [(MB, MB)]]
+    demand, ahead = stage_ins(system)
+    assert demand.attrs["stripes"] == [0, 2] and not demand.attrs["ahead"]
+    assert ahead.attrs["stripes"] == [1] and ahead.start == demand.start
+    busier = MB + 300_000
+    wire = system.network.transfer_time(
+        system.pfs.server_nodes[0], 0, busier)
+    assert demand.end - demand.start == pytest.approx(
+        HDD.latency + busier / HDD.read_bw + wire)
+    assert system.monitor.gauge("stager.last_byte_s").peak \
+        == pytest.approx(demand.end)
+    assert system.monitor.counter("pfs2.hdd.requests") == 1
+    assert blobs(system, url) == set(range(-(-nbytes // (64 * 1024))))
 
 
 # -- (b) pages that straddle a stripe boundary --------------------------------
 
 def test_straddling_page_completes_when_both_stripes_are_in(tmp_path):
     page, stripe = 3000, 8192          # page 2 = [6000, 9000) straddles
-    # One server: stripe 1 is not read ahead while stripe 0 is on its
-    # way, so the straddler can be seen waiting for its other half.
+    # One server and a fault in the file's last stripe: no stripe
+    # follows it to carry, and stripe 0 is not read ahead while stripe
+    # 1 is on its way, so the straddler can be seen waiting for its
+    # other half.
     sim, system = build(page_size=page, stripe=stripe, servers=1)
     url, data = cold_file(tmp_path, 2 * stripe)
     reqs = log_requests(system)
-    (out,) = run_procs(sim, reader(system, url, 0, 0, [(10, 5)]))
-    assert np.array_equal(out[0], data[10:15])
-    # Stripe 0 is in and its server idle again: stripe 1 was asked for
-    # the moment stripe 0's bytes were back, by nobody.
-    assert reqs == [(0, stripe), (stripe, stripe)]
-    first, = stage_ins(system)
-    assert first.attrs["stripe"] == 0 and not first.attrs["ahead"]
-    # Pages wholly inside stripe 0 are in; the straddler waits for its
-    # other half, its head is kept so stripe 0 is never read again.
-    assert blobs(system, url) == {0, 1}
-    assert set(system.vectors[url].fragments) == {2}
-    # The fault on the straddler's tail joins the request in flight.
-    (out,) = run_procs(sim, reader(system, url, 1, 1, [(9500, 100)]))
+    (out,) = run_procs(sim, reader(system, url, 0, 0, [(9500, 100)]))
     assert np.array_equal(out[0], data[9500:9600])
+    # Stripe 1 is in and its server idle again: stripe 0 was asked for
+    # the moment stripe 1's bytes were back, by nobody.
+    assert reqs == [[(stripe, stripe)], [(0, stripe)]]
+    first, = stage_ins(system)
+    assert first.attrs["stripes"] == [1] and not first.attrs["ahead"]
+    # Pages wholly inside stripe 1 are in; the straddler waits for its
+    # other half, its tail is kept so stripe 1 is never read again.
+    assert blobs(system, url) == {3, 4, 5}
+    assert set(system.vectors[url].fragments) == {2}
+    # The fault on the straddler's head joins the request in flight.
+    (out,) = run_procs(sim, reader(system, url, 1, 1, [(6000, 100)]))
+    assert np.array_equal(out[0], data[6000:6100])
     second = stage_ins(system)[1]
     assert second.attrs["ahead"] and second.start == first.end
     assert second.attrs["cause"] == first.span_id
-    assert {0, 1, 2, 3, 4} <= blobs(system, url)
+    assert blobs(system, url) == set(range(6))
     (out,) = run_procs(sim, reader(system, url, 2, 0, [(6000, 3000)]))
     assert np.array_equal(out[0], data[6000:9000])
     settle(sim, system, url)
     assert len(reqs) == 2 and system.pfs.bytes_read == 2 * stripe
     assert not system.vectors[url].fragments
+    check_requests(system)
+
+
+def test_straddler_whose_stripes_share_a_request_is_published_by_it(
+        tmp_path):
+    """One server: the request for stripe 0 carries stripe 1, so both
+    halves of the straddler come back together and that request
+    publishes it -- its head waits in ``vec.fragments`` for nothing."""
+    page, stripe = 3000, 8192
+    sim, system = build(page_size=page, stripe=stripe, servers=1)
+    url, data = cold_file(tmp_path, 2 * stripe)
+    reqs = log_requests(system)
+    (out,) = run_procs(sim, reader(system, url, 0, 0, [(10, 5)]))
+    assert np.array_equal(out[0], data[10:15])
+    assert reqs == [[(0, stripe), (stripe, stripe)]]
+    (only,) = stage_ins(system)
+    assert only.attrs["stripes"] == [0, 1] and not only.attrs["ahead"]
+    assert blobs(system, url) == set(range(6))
+    assert not system.vectors[url].fragments
+    (out,) = run_procs(sim, reader(system, url, 1, 0, [(6000, 3000)]))
+    assert np.array_equal(out[0], data[6000:9000])
+    assert len(reqs) == 1 and system.pfs.bytes_read == 2 * stripe
+    check_requests(system)
 
 
 def test_no_request_crosses_a_stripe_or_reads_a_sub_page_sliver(tmp_path):
@@ -263,15 +339,16 @@ def test_no_request_crosses_a_stripe_or_reads_a_sub_page_sliver(tmp_path):
     for out, p in zip(outs, (2, 5, 8)):
         assert np.array_equal(out[0], data[p * page:(p + 1) * page])
     settle(sim, system, url)
-    for off, n in reqs:
+    ranges = [rng for req in reqs for rng in req]
+    for off, n in ranges:
         assert off // stripe == (off + n - 1) // stripe
         assert n >= page or off + n == nbytes
-    assert len(reqs) == len({off // stripe for off, _ in reqs})
-    assert system.pfs.bytes_read == sum(n for _off, n in reqs) <= nbytes
+    assert len(ranges) == len({off // stripe for off, _ in ranges})
+    assert system.pfs.bytes_read == sum(n for _off, n in ranges) <= nbytes
     # The straddlers' stripes were asked for, the rest was read ahead.
     assert {sp.attrs["stripe"] for sp in stage_ins(system)
             if not sp.attrs["ahead"]} <= {0, 1, 2, 3}
-    check_read_ahead_kept_to_idle_servers(system)
+    check_requests(system)
     assert blobs(system, url) == set(range(10))
     assert not system.vectors[url].fragments
 
@@ -319,40 +396,43 @@ def test_one_record_read_of_a_cold_vector(tmp_path):
     # The record's stripe is the one request anybody asked for, whole;
     # the 100-byte tail on the other server went out with it, and that
     # server, idle again 5 ms later, fetched stripe 0.
-    assert reqs[0] == (STRIPE, STRIPE)
+    assert reqs[0] == [(STRIPE, STRIPE)]
     assert set(range(16, 32)) <= blobs(system, url)
     settle(sim, system, url)
-    assert reqs == [(STRIPE, STRIPE), (2 * STRIPE, 100), (0, STRIPE)]
+    assert reqs == [[(STRIPE, STRIPE)], [(2 * STRIPE, 100)], [(0, STRIPE)]]
     assert [sp.attrs["ahead"] for sp in stage_ins(system)] \
         == [False, True, True]
-    check_read_ahead_kept_to_idle_servers(system)
+    check_requests(system)
     assert blobs(system, url) == set(range(33))
     assert system.pfs.bytes_read == 2 * STRIPE + 100
 
 
 def test_read_ahead_keeps_every_backend_server_busy(tmp_path):
-    """One record of a cold three-stripe file on two servers: the
-    stripe on the other server is issued at the same instant, the
-    third when its server's read returns (not when its publish ends),
-    and the scan that follows joins what is in flight and issues
-    nothing."""
+    """One record of a cold four-stripe file on two servers: the
+    request for stripe 0 carries stripe 2, stripe 1 on the other
+    server is issued at the same instant, stripe 3 when that server's
+    read returns (not when its publish ends), and the scan that
+    follows joins what is in flight and issues nothing."""
     sim, system = build(n_nodes=4)
-    nbytes = 2 * STRIPE + 20000
+    nbytes = 3 * STRIPE + 20000
     url, data = cold_file(tmp_path, nbytes)
     reqs = log_requests(system)
     outs = run_procs(
         sim, reader(system, url, 0, 0, [(3, 1)]),
-        *[reader(system, url, r, r % 4, [(0, nbytes)], [2e-3])
+        *[reader(system, url, r, r % 4, [(0, nbytes)], [8e-3])
           for r in range(1, 4)])
     assert outs[0][0][0] == data[3]
     assert all(np.array_equal(out[0], data) for out in outs[1:])
     settle(sim, system, url)
-    assert reqs == [(0, STRIPE), (STRIPE, STRIPE), (2 * STRIPE, 20000)]
+    assert reqs == [[(0, STRIPE), (2 * STRIPE, STRIPE)], [(STRIPE, STRIPE)],
+                    [(3 * STRIPE, 20000)]]
     s0, s1, s2 = stage_ins(system)
     assert [sp.attrs["ahead"] for sp in (s0, s1, s2)] == [False, True, True]
     assert s1.start == s0.start and s1.attrs["cause"] == s0.span_id
-    assert s2.start == s0.end and s2.attrs["cause"] == s0.span_id
+    assert s2.start == s1.end and s2.attrs["cause"] == s1.span_id
+    assert s2.start < s0.end          # server 1 never waits for server 0
     assert system.pfs.bytes_read == nbytes
+    check_requests(system)
     mon = system.monitor
     assert mon.counter("stager.requests_in") == 3
     assert mon.counter("stager.requests_ahead") == 2
@@ -375,7 +455,7 @@ def test_demand_joins_the_read_ahead_of_its_stripe(tmp_path):
         reader(system, url, 1, 1, [(STRIPE + 9, 4)], [1e-3]))
     assert np.array_equal(first[0], data[5:8])
     assert np.array_equal(second[0], data[STRIPE + 9:STRIPE + 13])
-    assert reqs == [(0, STRIPE), (STRIPE, STRIPE)]
+    assert reqs == [[(0, STRIPE)], [(STRIPE, STRIPE)]]
     demand, ahead = stage_ins(system)
     assert ahead.attrs["ahead"] and ahead.attrs["stripe"] == 1
     # Rank 1 arrived 1 ms into the read-ahead of its stripe: it issued
@@ -446,7 +526,7 @@ def test_vector_longer_than_its_backend(tmp_path):
     assert np.array_equal(out[1][:96], data[4 * PAGE + 4000:])
     assert not out[1][96:].any()
     settle(sim, system, url)
-    assert reqs == [(0, 5 * PAGE)]
+    assert reqs == [[(0, 5 * PAGE)]]
     assert blobs(system, url) == {0, 1, 2, 3, 4, 5, 12}
     assert system.monitor.counter("stager.requests_ahead") == 0
 
@@ -466,11 +546,11 @@ def test_no_read_ahead_into_a_tier_no_faster_than_the_backend(tmp_path):
     (out,) = run_procs(sim, reader(system, url, 0, 0, [(7, 3)]))
     assert np.array_equal(out[0], data[7:10])
     settle(sim, system, url)
-    assert reqs == [(0, 2 * PAGE)] and blobs(system, url) == {0, 1}
+    assert reqs == [[(0, 2 * PAGE)]] and blobs(system, url) == {0, 1}
     (out,) = run_procs(sim, reader(system, url, 0, 0, [(9 * PAGE, 10)]))
     assert np.array_equal(out[0], data[9 * PAGE:9 * PAGE + 10])
     settle(sim, system, url)
-    assert reqs[1:] == [(9 * PAGE, PAGE)]
+    assert reqs[1:] == [[(9 * PAGE, PAGE)]]
     assert blobs(system, url) == {0, 1, 9}
     assert system.monitor.counter("stager.requests_ahead") == 0
 
@@ -481,8 +561,8 @@ def test_no_read_ahead_for_a_tenant_at_its_admission_floor(tmp_path):
     page read ahead would land on the disk, so none is -- not inside
     the stripe, not on the idle server. Over NVMe the same floor still
     leaves a tier that beats the backend, and the file comes in."""
-    for slow, expect in ((HDD, [(PAGE, PAGE)]),
-                         (NVME, [(0, STRIPE), (STRIPE, STRIPE)])):
+    for slow, expect in ((HDD, [[(PAGE, PAGE)]]),
+                         (NVME, [[(0, STRIPE)], [(STRIPE, STRIPE)]])):
         sim, system = build(tiers=(DRAM.with_capacity(4 * MB),
                                    slow.with_capacity(16 * MB)))
         system.hermes.admission = lambda node, bucket, nbytes: 1
@@ -509,21 +589,22 @@ def test_read_ahead_counts_the_room_requests_in_flight_will_take(tmp_path):
     (out,) = run_procs(sim, reader(system, url, 0, 0, [(7, 3)]))
     assert np.array_equal(out[0], data[7:10])
     settle(sim, system, url)
-    assert reqs == [(0, STRIPE), (STRIPE, 4 * PAGE)]
+    assert reqs == [[(0, STRIPE)], [(STRIPE, 4 * PAGE)]]
     assert {info.tier for info in system.hermes.mdm.list_bucket(url)} \
         == {"dram"}
     assert system.dmshs[0].tier("hdd").bytes_written == 0
 
 
 def test_stopped_stager_reads_nothing_ahead(tmp_path):
+    """Neither on the idle server nor beyond the stripe asked for."""
     sim, system = build()
-    url, data = cold_file(tmp_path, 2 * STRIPE)
+    url, data = cold_file(tmp_path, 3 * STRIPE)
     reqs = log_requests(system)
     system.stager.stop()
     (out,) = run_procs(sim, reader(system, url, 0, 0, [(7, 3)]))
     assert np.array_equal(out[0], data[7:10])
     settle(sim, system, url)
-    assert reqs == [(0, STRIPE)]
+    assert reqs == [[(0, STRIPE)]]
 
 
 # -- a request that dies --------------------------------------------------------
@@ -585,22 +666,50 @@ def test_failed_read_ahead_is_dropped_and_its_stripe_left_to_demand(
         sim,
         reader(system, url, 0, 0, [(0, PAGE)]),
         reader(system, url, 1, 1, [(16 * PAGE, PAGE)], [1e-3]))
-    # Rank 0 asked for stripe 0 and got it. Stripe 1 went out beside
-    # it, unasked; rank 1 joined that request, saw it die, and staged
-    # the stripe itself.
+    # Rank 0 asked for stripe 0 and got it, with stripe 2 (next on its
+    # server). Stripe 1 went out beside it, unasked; rank 1 joined that
+    # request, saw it die, and staged the stripe itself.
     assert np.array_equal(first[0], data[:PAGE])
     assert np.array_equal(second[0], data[16 * PAGE:17 * PAGE])
     vec = settle(sim, system, url)
     assert system.monitor.counter("stager.readahead_failed") == 1
     assert vec.no_ahead == {1}
-    assert reqs == [(0, STRIPE), (STRIPE, STRIPE), (2 * STRIPE, STRIPE),
-                    (STRIPE, STRIPE)]
+    assert reqs == [[(0, STRIPE), (2 * STRIPE, STRIPE)], [(STRIPE, STRIPE)],
+                    [(STRIPE, STRIPE)]]
     assert [sp.attrs["ahead"] for sp in stage_ins(system)] \
-        == [False, True, True, False]
+        == [False, True, False]
+    check_requests(system)
     assert blobs(system, url) == set(range(48))
     (again,) = run_procs(sim, reader(system, url, 0, 0, [(0, 3 * STRIPE)]))
     assert np.array_equal(again[0], data)
-    assert len(reqs) == 4
+    assert len(reqs) == 3
+
+
+@pytest.mark.parametrize("exc", [DeviceFullError("full"),
+                                 BlobNotFound(("x", 0)),
+                                 PlacementError("no tier")])
+def test_failed_extension_leaves_the_demand_read_standing(tmp_path, exc):
+    """The stripe a demand request carries beyond the one asked for
+    is published on its own: when that publish fails, the caller still
+    reads the pages it asked for, and the failure is handled exactly
+    like a failed read-ahead -- dropped, counted, the stripe put in
+    ``vec.no_ahead`` -- so the next demand for it stages it."""
+    sim, system = build()
+    url, data = cold_file(tmp_path, 3 * STRIPE)
+    reqs = log_requests(system)
+    fail_first_publish(system, exc, of_page=32)
+    (out,) = run_procs(sim, reader(system, url, 0, 0, [(0, PAGE)]))
+    assert np.array_equal(out[0], data[:PAGE])
+    vec = settle(sim, system, url)
+    assert reqs == [[(0, STRIPE), (2 * STRIPE, STRIPE)], [(STRIPE, STRIPE)]]
+    assert system.monitor.counter("stager.readahead_failed") == 1
+    assert vec.no_ahead == {2}
+    assert blobs(system, url) == set(range(32))
+    (again,) = run_procs(sim, reader(system, url, 1, 1,
+                                     [(32 * PAGE, 3 * PAGE)]))
+    assert np.array_equal(again[0], data[32 * PAGE:35 * PAGE])
+    assert reqs[2:] == [[(2 * STRIPE, STRIPE)]]
+    assert blobs(system, url) == set(range(48))
 
 
 def test_read_ahead_that_keeps_failing_does_not_restart_itself(tmp_path):
@@ -620,8 +729,12 @@ def test_read_ahead_that_keeps_failing_does_not_restart_itself(tmp_path):
     (out,) = run_procs(sim, reader(system, url, 0, 0, [(0, PAGE)]))
     assert np.array_equal(out[0], data[:PAGE])
     vec = settle(sim, system, url)
-    # Each of the five other stripes was tried once, and that was it.
-    assert sorted(reqs) == [(s * STRIPE, STRIPE) for s in range(6)]
+    # Each of the five other stripes was tried once -- stripe 2 as the
+    # extension of the demand for stripe 0 -- and that was it.
+    assert sorted(rng for req in reqs for rng in req) \
+        == [(s * STRIPE, STRIPE) for s in range(6)]
+    assert len(reqs) == 5
+    check_requests(system)
     assert vec.no_ahead == {1, 2, 3, 4, 5}
     assert system.monitor.counter("stager.readahead_failed") == 5
     assert blobs(system, url) == set(range(16))
@@ -629,7 +742,7 @@ def test_read_ahead_that_keeps_failing_does_not_restart_itself(tmp_path):
 
 def test_vector_destroyed_under_an_inflight_read_ahead(tmp_path):
     sim, system = build()
-    url, data = cold_file(tmp_path, 3 * STRIPE)
+    url, data = cold_file(tmp_path, 4 * STRIPE)
     reqs = log_requests(system)
     client = system.client(rank=0, node=0)
 
@@ -638,7 +751,7 @@ def test_vector_destroyed_under_an_inflight_read_ahead(tmp_path):
         yield from vec.tx_begin(SeqTx(0, vec.size, MM_READ_ONLY))
         out = yield from vec.read_range(5, 3)
         yield from vec.tx_end()
-        assert vec.shared.staging  # stripe 2 is on its way
+        assert vec.shared.staging  # stripe 3 is on its way
         yield from vec.destroy(drop=True)
         return out, vec.shared
 
@@ -648,7 +761,8 @@ def test_vector_destroyed_under_an_inflight_read_ahead(tmp_path):
         sim.run(until=sim.now + 1e-3)
     # The request in flight came back to a vector that is gone: its
     # bytes were dropped, not published, and the chain stopped there.
-    assert reqs == [(0, STRIPE), (STRIPE, STRIPE), (2 * STRIPE, STRIPE)]
+    assert reqs == [[(0, STRIPE), (2 * STRIPE, STRIPE)], [(STRIPE, STRIPE)],
+                    [(3 * STRIPE, STRIPE)]]
     assert system.monitor.counter("stager.readahead_failed") == 1
     assert blobs(system, url) == set()
     assert not any(system.stager._queued.values())

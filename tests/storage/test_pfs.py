@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import LinkSpec, Network
-from repro.sim import Simulator
+from repro.sim import Monitor, Simulator
 from repro.storage.assise import AssiseFS
 from repro.storage.device import DeviceSpec
 from repro.storage.pfs import ParallelFS, PfsError
@@ -12,13 +12,15 @@ FAST_DEV = DeviceSpec("hdd", capacity=10 ** 9, read_bw=100.0, write_bw=100.0,
                       latency=0.0, cost_per_gb=0.02)
 
 
-def make_pfs(n_servers=2, stripe=100, link_bw=1e12):
+def make_pfs(n_servers=2, stripe=100, link_bw=1e12, spec=FAST_DEV,
+             monitor=None):
     sim = Simulator()
     # Nodes: 0..1 clients, then servers.
     net = Network(sim, 2 + n_servers,
                   intra=LinkSpec(bandwidth=link_bw, latency=0.0))
     pfs = ParallelFS(sim, net, server_nodes=list(range(2, 2 + n_servers)),
-                     server_spec=FAST_DEV, stripe_size=stripe)
+                     server_spec=spec, stripe_size=stripe,
+                     monitor=monitor(sim) if monitor else None)
     return sim, net, pfs
 
 
@@ -58,6 +60,40 @@ def test_pfs_single_server_serializes():
 
     run(sim, proc())
     assert sim.now == pytest.approx(2.0, rel=0.05)
+
+
+SEEK_DEV = DeviceSpec("hdd", capacity=10 ** 9, read_bw=100.0,
+                      write_bw=100.0, latency=1.0, cost_per_gb=0.02)
+
+
+@pytest.mark.parametrize("write", [False, True])
+@pytest.mark.parametrize("ranges, seconds, ops", [
+    # Stripes 0 and 2 sit back to back in server 0's datafile: one
+    # latency for both.
+    ([(0, 100), (200, 100)], 1.0 + 2.0, [1, 0]),
+    # Stripes 0 and 4 with stripe 2 absent do not abut: two.
+    ([(0, 100), (400, 100)], 2 * 1.0 + 2.0, [2, 0]),
+    # One range over stripes 0..3: each server reads its two stripes
+    # in one operation, the servers in parallel.
+    ([(0, 400)], 1.0 + 2.0, [1, 1]),
+    # The tail of stripe 0 and the head of stripe 2 abut too, given in
+    # any order.
+    ([(200, 50), (50, 50)], 1.0 + 1.0, [1, 0]),
+])
+def test_one_charge_pays_one_latency_per_server_run(ranges, seconds, ops,
+                                                    write):
+    """Stripe ``k`` lives at ``(k // n) * stripe`` of server ``k % n``:
+    a charge merges the pieces that abut in a server's datafile, and
+    each merged extent is one device operation."""
+    sim, _, pfs = make_pfs(n_servers=2, stripe=100, spec=SEEK_DEV,
+                           monitor=Monitor)
+    run(sim, pfs.charge(0, ranges, write=write))
+    assert sim.now == pytest.approx(seconds)
+    mon = pfs.devices[0].monitor
+    assert [mon.counter(f"{d.name}.requests") for d in pfs.devices] == ops
+    assert [mon.counter(f"{d.name}.busy_s") for d in pfs.devices] \
+        == pytest.approx([n * 1.0 + (d.bytes_written + d.bytes_read) / 100
+                          for n, d in zip(ops, pfs.devices)])
 
 
 def test_pfs_sparse_write_zero_fills():

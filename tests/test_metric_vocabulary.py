@@ -3,8 +3,9 @@
 Four tiny runs (KMeans, checkpointing Gray-Scott, object-path serving,
 a 2-job colocation) fill the registry; everything that *consumes* a
 metric by name — the benchmark's ``_STAT_KEYS``, the pipeline's stats
-row, the standard detector bank, the SLO defaults — must resolve to a
-series those runs registered, non-zero in at least one of them, and no
+row, the standard detector bank, the SLO defaults, ``repro report``'s
+per-device load lines — must resolve to a series those runs
+registered, non-zero in at least one of them, and no
 two registered names may collide in the Prometheus exposition. Span
 durations are one of those series (``span_seconds{category}``), and
 every floor CI enforces names a figure some benchmark emits. The
@@ -23,6 +24,7 @@ import pytest
 from benchmarks.e2e.workloads import _STAT_KEYS
 from repro import pipeline
 from repro.obs import SLOSpec, standard_detectors
+from repro.obs.report import DEVICE_SERIES
 from repro.pipeline import run_pipeline
 from repro.sim.monitor import _prom_name
 from repro.tenancy import run_colocation
@@ -58,6 +60,9 @@ cluster:
   page_size: 16384
   pcache_size: 65536
   durability: true
+  # The job and its checkpoint drain last ~40 ms: the organizer has to
+  # sweep inside them to demote the persisted (score 0) pages.
+  organizer_period: 0.01
 app:
   kind: mm_gray_scott
   L: 32
@@ -185,7 +190,8 @@ def _consumed():
     return names
 
 
-def test_every_consumed_name_is_a_registered_nonzero_series(runs):
+def _nonzero(runs):
+    """Names non-zero in at least one of the runs."""
     nonzero = set()
     for _run, monitor, stats in runs:
         m = monitor.metrics
@@ -199,6 +205,11 @@ def test_every_consumed_name_is_a_registered_nonzero_series(runs):
         # registry series; they resolve in the run's public stats.
         nonzero.update(key for key, value in stats.items() if value
                        and key.startswith(("trace.", "net.bytes_moved")))
+    return nonzero
+
+
+def test_every_consumed_name_is_a_registered_nonzero_series(runs):
+    nonzero = _nonzero(runs)
     idle = {n: who for n, who in _consumed().items() if n not in nonzero}
     assert set(idle) == set(NEEDS), (
         f"zero in all four runs without a stated reason: "
@@ -206,6 +217,24 @@ def test_every_consumed_name_is_a_registered_nonzero_series(runs):
         f"listed but moving: {sorted(set(NEEDS) - set(idle))}")
     # An exception is still a name some module emits.
     assert all(_emitters(name) != ["?"] for name in NEEDS)
+
+
+def test_every_device_registers_the_series_the_report_reads(runs):
+    """``repro report``'s device lines read ``<device>.<suffix>`` for
+    each suffix of ``DEVICE_SERIES``: every device of the four runs --
+    node tiers and PFS servers -- registers all of them as label-free
+    counters, and each suffix moves on both kinds."""
+    schemas, nonzero = _schemas(runs), _nonzero(runs)
+    devices = {name[:-len(".requests")] for name in schemas
+               if name.endswith(".requests")}
+    for dev in devices:
+        for suffix in DEVICE_SERIES:
+            assert schemas.get(f"{dev}.{suffix}") == {("counter", ())}, \
+                (dev, suffix)
+    for kind in ("node", "pfs"):
+        for suffix in DEVICE_SERIES:
+            assert any(f"{dev}.{suffix}" in nonzero for dev in devices
+                       if dev.startswith(kind)), (kind, suffix)
 
 
 def _schemas(runs):

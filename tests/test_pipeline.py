@@ -478,6 +478,7 @@ def test_cli_report_runs_pipeline_live(tmp_path, capsys):
     # occupancy timelines.
     assert "gauge L=" in out
     assert "tier occupancy" in out
+    assert "device load" in out
 
 
 def test_cli_report_json_and_out(tmp_path, capsys):
@@ -502,7 +503,8 @@ def test_cli_report_json_and_out(tmp_path, capsys):
 
 
 REPORT_KEYS = {"t0", "t1", "makespan", "n_spans", "critical_path",
-               "overlap_ratio", "top_spans", "queueing", "occupancy"}
+               "overlap_ratio", "top_spans", "queueing", "occupancy",
+               "devices"}
 CRITICAL_PATH_KEYS = {"total", "by_category", "by_node", "by_tier"}
 
 
@@ -531,8 +533,12 @@ def _check_report_schema(doc, live):
         assert doc["occupancy"]
         for occ in doc["occupancy"].values():
             assert {"peak", "avg", "timeline"} <= set(occ)
+        assert doc["devices"]
+        for dev in doc["devices"].values():
+            assert {"busy_s", "busy_share", "requests",
+                    "bytes_per_request"} <= set(dev)
     else:
-        assert doc["occupancy"] == {}
+        assert doc["occupancy"] == {} and doc["devices"] == {}
 
 
 def test_cli_report_json_golden_schema_both_modes(tmp_path, capsys):
