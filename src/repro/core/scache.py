@@ -63,6 +63,8 @@ class ScacheExecutor:
         self.sim = system.sim
         _m = system.monitor.metrics
         self._m_reads = _m.counter("scache.reads", node=node_id)
+        self._m_staged_reads = _m.counter("scache.staged_reads",
+                                          node=node_id)
         self._m_writes = _m.counter("scache.writes", node=node_id)
 
     def execute(self, task: MemoryTask):
@@ -259,20 +261,7 @@ class ScacheExecutor:
             return _cut(raw, task.region)
         yield from self.ensure_page(vec, task.page_idx, task.client_node)
         if self._replicates(vec, task):
-            try:
-                raw = yield from hermes.replicate(
-                    task.client_node, vec.name, task.page_idx)
-            except BlobNotFound:
-                self.system.monitor.count("reliability.read_failovers")
-                raw = yield from rel.recover_page(vec, task.page_idx,
-                                                  task.client_node)
-            raw = yield from self._verified(vec, task.page_idx,
-                                            task.client_node, raw)
-            info = hermes.mdm.peek(vec.name, task.page_idx)
-            if info is not None and info.replicas:
-                vec.replicated_pages.add(task.page_idx)
-            self._m_reads.inc()
-            return _cut(raw, task.region)
+            return (yield from self._replicated(vec, task))
         self._m_reads.inc()
         if not self.system.config.integrity_checks:
             return (yield from self._get_page(
@@ -286,6 +275,32 @@ class ScacheExecutor:
                                         task.client_node)
         raw = yield from self._verified(vec, task.page_idx,
                                         task.client_node, raw)
+        return _cut(raw, task.region)
+
+    def _replicated(self, vec: SharedVector, task: MemoryTask,
+                    staged=None):
+        """A replicating read (:meth:`_replicates`), shipped to the
+        client by hermes. ``staged = (bytes, tier)``: the page as this
+        node's stage-in just published it -- no device read, and nothing
+        to verify (``reliability.record`` checksummed these bytes)."""
+        hermes = self.system.hermes
+        held = None if staged is None \
+            else (staged[0], self.node_id, staged[1])
+        try:
+            raw = yield from hermes.replicate(
+                task.client_node, vec.name, task.page_idx, held)
+        except BlobNotFound:
+            self.system.monitor.count("reliability.read_failovers")
+            raw = yield from self.system.reliability.recover_page(
+                vec, task.page_idx, task.client_node)
+            staged = None
+        if staged is None:
+            raw = yield from self._verified(vec, task.page_idx,
+                                            task.client_node, raw)
+        info = hermes.mdm.peek(vec.name, task.page_idx)
+        if info is not None and info.replicas:
+            vec.replicated_pages.add(task.page_idx)
+        self._m_reads.inc()
         return _cut(raw, task.region)
 
     def _verified(self, vec: SharedVector, page_idx: int,
@@ -315,7 +330,9 @@ class ScacheExecutor:
         """Serve reads -- one task's or a whole batch's, each an extent
         of a page, possibly all of it: one metadata/stage-in round for
         their distinct pages, then one vectored hermes read of every
-        healthy extent. Nothing is shipped from here: the bytes read
+        healthy extent. A page the stage-in round published is not read
+        back: its read is answered with the bytes just stored, which
+        are on this node. Nothing is shipped from here: the bytes read
         add up per source node, and the runtime sends them as the
         request's one reply after the service. Replicating reads and
         unhealthy placements (crashed primary, lost replica) fall back
@@ -324,23 +341,25 @@ class ScacheExecutor:
         bytes})``."""
         hermes = self.system.hermes
         results: list = [None] * len(tasks)
-        if not vec.volatile:
-            # Start stage-in for every absent page up front, so the
-            # per-task fallbacks' backend reads overlap the vectored
-            # read's.
-            yield from self.system.stager.materialize(
-                vec, [task.page_idx for task in tasks], self.node_id,
-                client_node)
-        pending = []
+        # Start stage-in for every absent page up front, so the
+        # per-task fallbacks' backend reads overlap the vectored read's.
+        staged = yield from self.system.stager.materialize(
+            vec, [task.page_idx for task in tasks], self.node_id,
+            client_node)
+        reply, pending = {}, []
         for i, task in enumerate(tasks):
             info = hermes.mdm.peek(vec.name, task.page_idx)
-            if (info is not None and self._dead(info)) \
+            hit = staged.get(task.page_idx)
+            if hit is not None:
+                results[i] = yield from self._staged_read(vec, task, hit,
+                                                          reply)
+            elif (info is not None and self._dead(info)) \
                     or self._replicates(vec, task):
                 results[i] = yield from self._read(vec, task)
             else:
                 pending.append(i)
         if not pending:
-            return results, {}
+            return results, reply
         pages = list(dict.fromkeys(tasks[i].page_idx for i in pending))
         infos = yield from self.ensure_pages(vec, pages, client_node)
         # A fault racing the shared stage-in (fail_node mid-batch) can
@@ -359,21 +378,40 @@ class ScacheExecutor:
             else:
                 healthy.append(i)
         if not healthy:
-            return results, {}
+            return results, reply
         reads = [tasks[i] for i in healthy]
         try:
-            raws, reply = yield from self._read_extents(
+            raws, sent = yield from self._read_extents(
                 vec, client_node, reads)
         except BlobNotFound:
             # A node crashed under the vectored read.
             self.system.monitor.count("reliability.read_failovers")
             for i, task in zip(healthy, reads):
                 results[i] = yield from self._read(vec, task)
-            return results, {}
+            return results, reply
         for i, raw in zip(healthy, raws):
             self._m_reads.inc()
             results[i] = raw
+        for node, nbytes in sent.items():
+            reply[node] = reply.get(node, 0) + nbytes
         return results, reply
+
+    def _staged_read(self, vec: SharedVector, task: MemoryTask, staged,
+                     reply: dict):
+        """Answer ``task`` with ``staged = (bytes, tier)``, its page as
+        this node's stage-in just published it: a replicating read
+        still leaves its replica (and ships itself), a plain one adds
+        its extent to ``reply`` under this node. Generator."""
+        self._m_staged_reads.inc()
+        if self._replicates(vec, task):
+            return (yield from self._replicated(vec, task, staged))
+        raw, tier = staged
+        out = _cut(raw, task.region)
+        self.system.hermes.note_read(vec.name, task.page_idx, tier,
+                                     len(out))
+        self._m_reads.inc()
+        reply[self.node_id] = reply.get(self.node_id, 0) + len(out)
+        return out
 
     def _read_extents(self, vec: SharedVector, client_node: int, tasks):
         """The regions of ``tasks`` (healthy pages of one batch), read

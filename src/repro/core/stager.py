@@ -58,8 +58,10 @@ class _Fetch:
     promised (``[(device, nbytes)]``, in ``SharedVector.earmarked``
     until they are published), for a read-ahead the request whose
     issue or return triggered it, the process running it (none for an
-    inline zero-fill) and, when tracing, the id of its backend-wait
-    span."""
+    inline zero-fill), when tracing, the id of its backend-wait span,
+    the pages the calls waiting for it asked for, and what its publishes
+    stored of those: ``{page: (bytes, tier)}``, the bytes such a read
+    is answered with."""
 
     proc = span_id = None
 
@@ -68,6 +70,8 @@ class _Fetch:
         self.read = read
         self.claims = claims
         self.trigger = trigger
+        self.wanted = set()
+        self.staged = {}
 
 
 class DataStager:
@@ -134,7 +138,12 @@ class DataStager:
     def materialize(self, vec: SharedVector, pages, node: int,
                     client_node: int, score: float = 1.0):
         """Bring every absent page of ``pages`` into the scache (the
-        only way one gets there short of being written whole). Generator.
+        only way one gets there short of being written whole). Generator;
+        returns ``{page: (bytes, tier)}`` for the pages of ``pages`` that
+        the requests it issued or joined published: what they stored,
+        and where, so the read that faulted is answered with the bytes
+        that were just put there instead of reading them back. A page
+        written meanwhile, or whose publish failed, is not in it.
 
         The fill unit is a server run: a wanted page pulls in the pages
         of its stripe(s) that the backend holds and that are neither
@@ -157,11 +166,12 @@ class DataStager:
         """
         mdm = self.system.hermes.mdm
         tracer = self.system.tracer
+        pages = list(dict.fromkeys(pages))
+        staged = {}
         while True:
-            absent = [p for p in dict.fromkeys(pages)
-                      if mdm.peek(vec.name, p) is None]
+            absent = [p for p in pages if mdm.peek(vec.name, p) is None]
             if not absent:
-                return
+                return staged
             bsize = 0 if vec.volatile else min(
                 vec.ensure_backend().size(), vec.nbytes)
             stripes = {s for p in absent
@@ -195,23 +205,31 @@ class DataStager:
                            for segments in requests]
             if issued:
                 self._read_ahead(vec, need[-1], call, issued[-1])
+            for fetch in issued + joined:
+                fetch.wanted.update(absent)
             if zeros:
                 # No backend wait: published inline.
                 segments = [(-1, zeros)]
-                yield from self._fetch(self._register(
-                    _Fetch(self.sim), vec, segments),
-                    vec, segments, call, cause)
-            if issued:
-                yield AllOf(self.sim, [fetch.proc for fetch in issued])
+                fill = self._register(_Fetch(self.sim), vec, segments)
+                fill.wanted.update(absent)
+                yield from self._fetch(fill, vec, segments, call, cause)
+                issued.append(fill)
+            procs = [fetch.proc for fetch in issued if fetch.proc]
+            if procs:
+                yield AllOf(self.sim, procs)
+            if joined:
+                # A joined request may have died (it unregistered its
+                # pages): go round again and stage what is still absent.
+                with tracer.span("stage_in_join", "stager", node=node,
+                                 vector=vec.name) as sp:
+                    yield AllOf(self.sim, [f.done for f in joined])
+                    sp["wait_on"] = [f.span_id for f in joined
+                                     if f.span_id is not None]
+            for fetch in issued + joined:
+                staged.update((p, fetch.staged[p]) for p in absent
+                              if p in fetch.staged)
             if not joined:
-                return
-            # A joined request may have died (it unregistered its
-            # pages): go round again and stage what is still absent.
-            with tracer.span("stage_in_join", "stager", node=node,
-                             vector=vec.name) as sp:
-                yield AllOf(self.sim, [f.done for f in joined])
-                sp["wait_on"] = [f.span_id for f in joined
-                                 if f.span_id is not None]
+                return staged
 
     def _plan(self, vec: SharedVector, absent, bsize: int):
         """What a call must wait for and what it must fetch itself:
@@ -414,11 +432,15 @@ class DataStager:
                                         extents[i][0], call)
                 ready += landed
                 try:
-                    yield from self._publish(vec, landed, call)
+                    infos = yield from self._publish(vec, landed, call)
                 except _REQUEST_ERRORS:
                     if i == 0:
                         raise
                     self._drop_ahead(vec, stripe)
+                    continue
+                fetch.staged.update((p, (data, infos[p].tier))
+                                    for p, data, _owner in landed
+                                    if p in fetch.wanted)
         except _REQUEST_ERRORS:
             if not ahead:
                 raise
@@ -462,18 +484,20 @@ class DataStager:
         return ready
 
     def _publish(self, vec: SharedVector, ready, call: _Call):
-        """One vectored put of ``ready``. Generator."""
+        """One vectored put of ``ready``. Generator; returns ``{page:
+        BlobInfo}``."""
         system = self.system
         if not ready:
-            return
-        yield from system.hermes.put_many(call.node, vec.name, ready,
-                                          score=call.score)
+            return {}
+        infos = yield from system.hermes.put_many(
+            call.node, vec.name, ready, score=call.score)
         if system.config.integrity_checks:
             # Without a baseline CRC at materialization, corruption of
             # a staged-in page that is never rewritten would pass
             # verification.
             for p, data, _owner in ready:
                 system.reliability.record(vec.name, p, data)
+        return infos
 
     def _drop_ahead(self, vec: SharedVector, stripe: int) -> None:
         """Nobody waits for a read-ahead or an extension: its pages
@@ -517,7 +541,8 @@ class DataStager:
         completion instead would wipe that re-dirty mark — the write's
         bytes would never reach the backend — and two unserialized
         stage-outs could also complete out of order, leaving the stale
-        snapshot as the file's final content.)
+        snapshot as the file's final content.) A page a crash left with
+        no live copy to capture is not written and stays dirty.
         """
         if vec.volatile:
             vec.dirty_pages.difference_update(pages)
@@ -533,7 +558,9 @@ class DataStager:
                     captured.append((p, (yield from self.system.hermes.get(
                         node, vec.name, p))))
                 except BlobNotFound:
-                    pass
+                    if self.system.hermes.mdm.peek(vec.name, p) is not None:
+                        # Recovery restores it or reports the loss.
+                        vec.dirty_pages.add(p)
             if not captured:
                 return
             backend = vec.ensure_backend()

@@ -82,8 +82,8 @@ class Hermes:
         #: hot pages out of DRAM.
         self.admission = None
         #: ``read_hook(bucket, key, tier, nbytes)`` — untimed callback
-        #: per authoritative-copy read, for per-tenant tier hit ratios
-        #: and re-read bytes.
+        #: per blob read served (:meth:`note_read`), for per-tenant tier
+        #: hit ratios and re-read bytes.
         self.read_hook = None
         #: :class:`DeviceSpec` of the persistent backend the blobs can
         #: be re-read from (a PFS server), installed by the embedding
@@ -455,10 +455,16 @@ class Hermes:
             raw = yield from dev.get((bucket, key))
         else:
             raw = yield from dev.get_range((bucket, key), *extent)
-        if self.read_hook is not None:
-            self.read_hook(bucket, key, tier, len(raw))
+        self.note_read(bucket, key, tier, len(raw))
         self._count_op("gets", node, tier)
         return raw, node
+
+    def note_read(self, bucket: str, key, tier: str, nbytes: int) -> None:
+        """A read of ``nbytes`` of a blob served from its copy on
+        ``tier`` -- by a device read, or with the bytes a stage-in just
+        stored there (the read is the same to the tenancy hook)."""
+        if self.read_hook is not None:
+            self.read_hook(bucket, key, tier, nbytes)
 
     def _get(self, client_node, bucket, key, extent=None):
         """:meth:`_read`, shipped to ``client_node`` under the lock."""
@@ -556,25 +562,33 @@ class Hermes:
         return dev
 
     # -- replication (read-only global coherence) ---------------------------------
-    def replicate(self, client_node: int, bucket: str, key):
+    def replicate(self, client_node: int, bucket: str, key, staged=None):
         """Copy a blob onto the client's node for read availability.
 
         No-op when a local copy already exists or no local tier faster
         than the backend has room (:meth:`free_tier`).
         Returns the fetched bytes either way (callers replicate on the
-        read path).
+        read path). ``staged = (bytes, node, tier)``: the blob's bytes,
+        just stored on ``tier`` and still held on ``node`` -- shipped
+        from there, with no device read.
         """
         lock = self._lock(bucket, key)
         yield lock.acquire()
         try:
-            return (yield from self._replicate(client_node, bucket, key))
+            return (yield from self._replicate(client_node, bucket, key,
+                                               staged))
         finally:
             lock.release()
 
-    def _replicate(self, client_node: int, bucket: str, key):
+    def _replicate(self, client_node: int, bucket: str, key, staged):
         info = yield from self.mdm.get(client_node, bucket, key)
         remote = all(node != client_node for node, _ in info.placements)
-        raw = yield from self._get(client_node, bucket, key)
+        if staged is None:
+            raw = yield from self._get(client_node, bucket, key)
+        else:
+            raw, node, tier = staged
+            self.note_read(bucket, key, tier, len(raw))
+            yield from self.network.transfer(node, client_node, len(raw))
         if remote:
             # Replicas obey the same admission floor as primaries (an
             # over-quota tenant must not backfill DRAM via the

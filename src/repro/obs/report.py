@@ -32,6 +32,10 @@ _SPARK = " .:-=+*#%@"
 #: device lines read.
 DEVICE_SERIES = ("busy_s", "requests", "bytes_read", "bytes_write")
 
+#: The scache read counters the report prints side by side: every read
+#: served, and those answered with the bytes of their own stage-in.
+SCACHE_SERIES = ("scache.reads", "scache.staged_reads")
+
 
 def _sparkline(series, t0: float, t1: float, width: int = 40) -> str:
     """Render a step-function TimeSeries as a fixed-width occupancy
@@ -69,8 +73,9 @@ def analyze(graph: SpanGraph, monitor=None,
     ``monitor`` (live mode only — unavailable when analyzing a trace
     file) adds per-tier occupancy timelines from the ``*.used`` gauges,
     each device's load (simulated seconds its queue was held, as a
-    share of the makespan; requests; bytes per request) and the
-    independent backlog-gauge leg of the Little's-law check.
+    share of the makespan; requests; bytes per request), the scache's
+    reads (:data:`SCACHE_SERIES`) and the independent backlog-gauge
+    leg of the Little's-law check.
     """
     t0, t1 = graph.window
     breakdown = graph.critical_breakdown()
@@ -116,6 +121,8 @@ def analyze(graph: SpanGraph, monitor=None,
                 "requests": int(n),
                 "bytes_per_request": (read + write) / n,
             }
+    scache = {name.split(".", 1)[1]: int(monitor.counter(name))
+              for name in SCACHE_SERIES} if monitor is not None else {}
     return {
         "t0": t0,
         "t1": t1,
@@ -131,6 +138,7 @@ def analyze(graph: SpanGraph, monitor=None,
         "queueing": queueing,
         "occupancy": occupancy,
         "devices": devices,
+        "scache": scache,
     }
 
 
@@ -220,6 +228,11 @@ def render_report(analysis: Dict[str, Any],
                 f"busy={_fmt_s(d['busy_s']):>9}  "
                 f"requests={d['requests']:<7d} "
                 f"{d['bytes_per_request']:.0f} B/request")
+    if analysis.get("scache"):
+        lines.append("")
+        lines.append(f"scache reads        {analysis['scache']['reads']}  "
+                     f"({analysis['scache']['staged_reads']} answered "
+                     f"from their own stage-in)")
     return "\n".join(lines)
 
 

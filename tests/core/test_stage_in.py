@@ -827,3 +827,150 @@ def test_node_crash_under_an_inflight_request(tmp_path):
                                    [(0, 16 * PAGE)]))
     assert np.array_equal(out[0], data)
     assert not system.vectors[url].staging
+
+
+# -- a read is answered from its own stage-in -----------------------------------
+
+def device_reads(system):
+    """Bytes read from every scache device of every node."""
+    return sum(dev.bytes_read for dmsh in system.dmshs for dev in dmsh)
+
+
+def test_cold_read_over_a_local_hdd_is_not_read_back(tmp_path):
+    """A page that can only land on a node-local HDD (the admission
+    floor keeps it out of the DRAM): the fault's stage-in writes it
+    there, and the read is answered with the bytes just written -- the
+    disk sees one request, a write, and no second seek."""
+    sim, system = build(n_nodes=1, tiers=(DRAM.with_capacity(4 * MB),
+                                          HDD.with_capacity(16 * MB)))
+    system.hermes.admission = lambda node, bucket, nbytes: 1
+    url, data = cold_file(tmp_path, 2 * STRIPE)
+    reqs = log_requests(system)
+    (out,) = run_procs(sim, reader(system, url, 0, 0, [(PAGE, PAGE)]))
+    assert np.array_equal(out[0], data[PAGE:2 * PAGE])
+    settle(sim, system, url)
+    assert reqs == [[(PAGE, PAGE)]]
+    hdd = system.dmshs[0].tier("hdd")
+    assert system.monitor.counter("node0.hdd.requests") == 1
+    assert hdd.bytes_written == PAGE and hdd.bytes_read == 0
+    assert system.hermes.mdm.peek(url, 1).tier == "hdd"
+    mon = system.monitor
+    assert mon.counter("scache.staged_reads") == mon.counter(
+        "scache.reads") == 1
+    assert mon.counter("hermes.gets") == 0
+
+
+def test_replicating_read_of_a_just_staged_page_skips_the_primary(tmp_path):
+    """A whole page of a READ_ONLY_GLOBAL vector read from the node
+    that does not own it: the owner stages its stripe, and the read
+    ships the staged bytes to the reader and leaves the replica there
+    -- the primary's device is never read."""
+    sim, system = build()
+    url, data = cold_file(tmp_path, STRIPE)
+    # Which node owns a page is known once the vector exists.
+    run_procs(sim, reader(system, url, 9, 0, []))
+    vec = system.vectors[url]
+    page = next(p for p in range(16) if vec.owner_node(p, 1) == 0)
+    (out,) = run_procs(sim, reader(system, url, 0, 1,
+                                   [(page * PAGE, PAGE)]))
+    assert np.array_equal(out[0], data[page * PAGE:(page + 1) * PAGE])
+    info = system.hermes.mdm.peek(url, page)
+    assert info.node == 0
+    assert device_reads(system) == 0
+    # The replica still lands where the landing rule allows (DRAM with
+    # room on the reader's node), and the vector knows it.
+    assert info.replicas == [(1, "dram")]
+    assert page in vec.replicated_pages
+    assert system.dmshs[1].tier("dram").peek((url, page)) \
+        == data[page * PAGE:(page + 1) * PAGE].tobytes()
+    mon = system.monitor
+    assert mon.counter("hermes.replications") == 1
+    assert mon.counter("scache.staged_reads") == 1
+    assert mon.counter("hermes.gets") == 0
+
+
+@pytest.mark.parametrize("stripe", [0, 1])
+def test_read_that_joins_a_request_in_flight_is_not_read_back(tmp_path,
+                                                             stripe):
+    """A second fault 1 ms into the first one's stage-in -- of a page
+    of the stripe asked for, or of the stripe read ahead beside it,
+    served by the other node's runtime -- joins the request in flight
+    and is answered with what that request published: no device is
+    read for either."""
+    sim, system = build()
+    url, data = cold_file(tmp_path, 2 * STRIPE)
+    run_procs(sim, reader(system, url, 9, 0, []))
+    vec = system.vectors[url]
+    page = next(p for p in range(16 * stripe, 16 * stripe + 16)
+                if vec.owner_node(p, 0) != vec.owner_node(0, 0))
+    offset = page * PAGE + 9
+    reqs = log_requests(system)
+    first, second = run_procs(
+        sim, reader(system, url, 0, 0, [(5, 3)]),
+        reader(system, url, 1, 1, [(offset, 4)], [1e-3]))
+    assert np.array_equal(first[0], data[5:8])
+    assert np.array_equal(second[0], data[offset:offset + 4])
+    assert reqs == [[(0, STRIPE)], [(STRIPE, STRIPE)]]
+    (join,) = [sp for sp in system.tracer.spans
+               if sp.name == "stage_in_join"]
+    assert join.node != vec.owner_node(0, 0)
+    assert device_reads(system) == 0
+    mon = system.monitor
+    assert mon.counter("scache.staged_reads") == 2
+    assert mon.counter("hermes.gets") == 0
+
+
+def test_page_written_while_its_stripe_is_in_flight_reads_the_write(
+        tmp_path):
+    """A write that was past its write-allocate check when the stripe
+    went out lands before the publish: the stage-in leaves the page
+    alone, and the read of it is not answered from the stage-in -- it
+    reads the written bytes from the scache. Its neighbours are."""
+    sim, system = build()
+    url, data = cold_file(tmp_path, 16 * PAGE)
+    fresh = np.full(PAGE, 7, dtype=np.uint8)
+
+    def writer():
+        while url not in system.vectors \
+                or 5 not in system.vectors[url].staging:
+            yield sim.timeout(1e-5)
+        vec = system.vectors[url]
+        owner = vec.owner_node(5, 0)
+        yield from system.hermes.put(owner, url, 5, fresh.tobytes(),
+                                     target_node=owner)
+        vec.dirty_pages.add(5)
+        return 5 in vec.staging
+
+    out, in_flight = run_procs(
+        sim, reader(system, url, 0, 0, [(4 * PAGE, 3 * PAGE)]), writer())
+    assert in_flight                   # the write landed before the publish
+    expect = data[4 * PAGE:7 * PAGE].copy()
+    expect[PAGE:2 * PAGE] = fresh
+    assert np.array_equal(out[0], expect)
+    assert device_reads(system) == PAGE
+    assert system.monitor.counter("scache.staged_reads") == 2
+
+
+def test_first_read_of_a_staged_page_is_a_slow_read_not_a_re_read(
+        tmp_path):
+    """Tenancy sees a read answered from its stage-in as the read it
+    is: bytes from the tier the page landed on (here the HDD), first
+    touch -- and the next read of that page is a re-read."""
+    from repro.tenancy import QuotaManager, TenantQuota
+
+    sim, system = build(n_nodes=1, tiers=(DRAM.with_capacity(4 * MB),
+                                          HDD.with_capacity(16 * MB)))
+    qm = QuotaManager(system)
+    qm.register(TenantQuota(name="t", dram_quota=0))
+    url, data = cold_file(tmp_path, 2 * STRIPE)
+    qm.claim_bucket(url, "t")
+    (out,) = run_procs(sim, reader(system, url, 0, 0, [(PAGE, PAGE)]))
+    assert np.array_equal(out[0], data[PAGE:2 * PAGE])
+    assert system.hermes.mdm.peek(url, 1).tier == "hdd"
+    assert qm.read_stats("t") == (0, PAGE)
+    assert qm.reread_bytes("t") == 0
+    # Another rank (its own pcache) reads the page again.
+    (out,) = run_procs(sim, reader(system, url, 1, 0, [(PAGE, PAGE)]))
+    assert np.array_equal(out[0], data[PAGE:2 * PAGE])
+    assert qm.read_stats("t") == (0, 2 * PAGE)
+    assert qm.reread_bytes("t") == PAGE

@@ -141,3 +141,109 @@ def test_write_during_a_run_stage_out_is_persisted_by_the_next_pass(
     assert (np.delete(on_disk, np.s_[2 * page:3 * page]) == 1).all()
     assert system.monitor.counter("stager.requests_out") == 2
     assert not svec.dirty_pages
+
+
+def test_crash_of_the_persisting_node_during_a_run_keeps_the_file(
+        tmp_path, monkeypatch):
+    """The node running a persist crashes while its multi-page run is
+    on the wire (the run has claimed its pages' dirty bits and
+    captured their bytes; the crash wipes the node's scache copies):
+    after the node is back and the vector persisted again, the file
+    holds the last acknowledged bytes of every page."""
+    from repro.sim import Lock
+
+    monkeypatch.chdir(tmp_path)
+    page, stripe = 4096, 64 * 1024
+    sim, system = build(n_nodes=3, page_size=page, stripe=stripe,
+                        flush_period=1e9)
+    url = "posix://./crash.bin"
+    client = system.client(rank=0, node=0)
+    n_pages = 8
+    written = np.repeat(np.arange(1, n_pages + 1, dtype=np.uint8), page)
+
+    def writer():
+        vec = yield from client.vector(url, dtype=np.uint8,
+                                       size=n_pages * page)
+        yield from vec.tx_begin(SeqTx(0, n_pages * page, MM_WRITE_ONLY))
+        yield from vec.write_range(0, written)
+        yield from vec.tx_end()
+        yield from vec.flush(wait=True)            # scache yes, backend no
+
+    run_procs(sim, writer())
+    svec = system.vectors[url]
+    assert svec.dirty_pages == set(range(n_pages))
+    node = svec.owner_node(0, 0)
+    assert node in {info.node for info in
+                    system.hermes.mdm.list_bucket(url)}
+    gate = Lock(sim)
+    run_procs(sim, gate.held())                    # pre-held by the test
+    charge = system.stager._charge_backend
+
+    def gated(node_, ranges, write):
+        yield gate.acquire()
+        gate.release()
+        yield from charge(node_, ranges, write)
+
+    system.stager._charge_backend = gated
+    first = sim.process(system.stager.persist(svec, node))
+    sim.run(until=sim.now + 1e-3)                  # the run is on the wire
+    assert not svec.dirty_pages
+    assert system.reliability.fail_node(node) > 0
+    gate.release()
+    sim.run(until=first)
+    system.stager._charge_backend = charge
+    system.reliability.restore_node(node)
+    sim.run(until=sim.process(system.stager.persist(svec, node)))
+    on_disk = np.fromfile(tmp_path / "crash.bin", dtype=np.uint8)
+    assert np.array_equal(on_disk, written)
+    assert system.monitor.counter("stager.requests_out") == 1
+    assert not svec.dirty_pages
+
+
+def test_crash_during_a_run_capture_keeps_the_lost_pages_dirty(
+        tmp_path, monkeypatch):
+    """The crash comes while the run is still capturing its pages: a
+    page whose only copy the crash wiped was claimed but never written
+    to the backend. It stays dirty, so once the write-ahead log has
+    brought it back the next persist writes it, and the file ends with
+    the last acknowledged bytes."""
+    monkeypatch.chdir(tmp_path)
+    page, stripe = 4096, 64 * 1024
+    sim, system = build(n_nodes=3, page_size=page, stripe=stripe,
+                        flush_period=1e9, durability=True)
+    url = "posix://./capture.bin"
+    client = system.client(rank=0, node=0)
+    n_pages = 8
+    written = np.repeat(np.arange(1, n_pages + 1, dtype=np.uint8), page)
+
+    def writer():
+        vec = yield from client.vector(url, dtype=np.uint8,
+                                       size=n_pages * page)
+        yield from vec.tx_begin(SeqTx(0, n_pages * page, MM_WRITE_ONLY))
+        yield from vec.write_range(0, written)
+        yield from vec.tx_end()
+        yield from vec.flush(wait=True)            # the commit barrier
+
+    run_procs(sim, writer())
+    svec = system.vectors[url]
+    node = svec.owner_node(0, 0)
+    victim = next(n for n in range(3) if n != node)
+    lost = {p for p in range(1, n_pages) if svec.owner_node(p, 0) == victim}
+    assert lost
+    hermes, get = system.hermes, system.hermes.get
+
+    def crash_after_first_capture(*args, **kwargs):
+        raw = yield from get(*args, **kwargs)
+        if victim not in system.reliability.failed_nodes:
+            system.reliability.fail_node(victim)
+        return raw
+
+    hermes.get = crash_after_first_capture
+    sim.run(until=sim.process(system.stager.persist(svec, node)))
+    hermes.get = get
+    assert svec.dirty_pages == lost
+    sim.run(until=system.reliability.restore_node(victim))
+    sim.run(until=sim.process(system.stager.persist(svec, node)))
+    on_disk = np.fromfile(tmp_path / "capture.bin", dtype=np.uint8)
+    assert np.array_equal(on_disk, written)
+    assert not svec.dirty_pages

@@ -4,8 +4,8 @@ Four tiny runs (KMeans, checkpointing Gray-Scott, object-path serving,
 a 2-job colocation) fill the registry; everything that *consumes* a
 metric by name — the benchmark's ``_STAT_KEYS``, the pipeline's stats
 row, the standard detector bank, the SLO defaults, ``repro report``'s
-per-device load lines — must resolve to a series those runs
-registered, non-zero in at least one of them, and no
+per-device load lines and its scache reads line — must resolve to a
+series those runs registered, non-zero in at least one of them, and no
 two registered names may collide in the Prometheus exposition. Span
 durations are one of those series (``span_seconds{category}``), and
 every floor CI enforces names a figure some benchmark emits. The
@@ -24,7 +24,7 @@ import pytest
 from benchmarks.e2e.workloads import _STAT_KEYS
 from repro import pipeline
 from repro.obs import SLOSpec, standard_detectors
-from repro.obs.report import DEVICE_SERIES
+from repro.obs.report import DEVICE_SERIES, SCACHE_SERIES
 from repro.pipeline import run_pipeline
 from repro.sim.monitor import _prom_name
 from repro.tenancy import run_colocation
@@ -187,6 +187,8 @@ def _consumed():
     for objective in ("latency_p99", "hit_ratio"):
         spec = SLOSpec("s", objective, threshold_ms=1.0)
         names.setdefault(spec.metric, f"SLO default ({objective})")
+    for name in SCACHE_SERIES:
+        names.setdefault(name, "repro report scache reads")
     return names
 
 

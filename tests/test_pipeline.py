@@ -479,6 +479,7 @@ def test_cli_report_runs_pipeline_live(tmp_path, capsys):
     assert "gauge L=" in out
     assert "tier occupancy" in out
     assert "device load" in out
+    assert "answered from their own stage-in" in out
 
 
 def test_cli_report_json_and_out(tmp_path, capsys):
@@ -504,7 +505,7 @@ def test_cli_report_json_and_out(tmp_path, capsys):
 
 REPORT_KEYS = {"t0", "t1", "makespan", "n_spans", "critical_path",
                "overlap_ratio", "top_spans", "queueing", "occupancy",
-               "devices"}
+               "devices", "scache"}
 CRITICAL_PATH_KEYS = {"total", "by_category", "by_node", "by_tier"}
 
 
@@ -537,8 +538,10 @@ def _check_report_schema(doc, live):
         for dev in doc["devices"].values():
             assert {"busy_s", "busy_share", "requests",
                     "bytes_per_request"} <= set(dev)
+        assert set(doc["scache"]) == {"reads", "staged_reads"}
+        assert 0 < doc["scache"]["staged_reads"] <= doc["scache"]["reads"]
     else:
-        assert doc["occupancy"] == {} and doc["devices"] == {}
+        assert doc["occupancy"] == doc["devices"] == doc["scache"] == {}
 
 
 def test_cli_report_json_golden_schema_both_modes(tmp_path, capsys):
