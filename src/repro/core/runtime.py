@@ -150,8 +150,8 @@ class NodeRuntime:
         return self.inflight == 0
 
     def _store_idx(self, vector_name: str, page_idx: int) -> int:
-        return spawn_seed(0xBEEF, vector_name,
-                          page_idx) % len(self._stores)
+        placed = self.system.hermes.mdm.placement_name(vector_name)
+        return spawn_seed(0xBEEF, placed, page_idx) % len(self._stores)
 
     # -- processes ---------------------------------------------------------------
     def _scheduler(self):

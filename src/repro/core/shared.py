@@ -23,7 +23,7 @@ class SharedVector:
 
     def __init__(self, name: str, dtype, page_size: int,
                  length: int = 0, volatile: bool = True,
-                 n_nodes: int = 1):
+                 n_nodes: int = 1, placement: Optional[str] = None):
         self.name = name
         self.dtype = np.dtype(dtype)
         self.itemsize = self.dtype.itemsize
@@ -62,8 +62,9 @@ class SharedVector:
         self.earmarked: dict = {}
         self.no_ahead: Set[int] = set()
         self.destroyed = False
-        # Deterministic per-vector salt for page->node hashing.
-        self._salt = spawn_seed(0xC0FFEE, name)
+        # Deterministic per-vector salt for page->node hashing, keyed
+        # by the placement name (``hermes.mdm.placement_name``).
+        self._salt = spawn_seed(0xC0FFEE, placement or name)
 
     # -- geometry ---------------------------------------------------------
     @property

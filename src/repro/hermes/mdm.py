@@ -10,6 +10,7 @@ Python objects — the *time* is simulated, the bookkeeping is real.
 from __future__ import annotations
 
 import hashlib
+import os
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.hermes.blob import BlobInfo, BlobNotFound
@@ -20,6 +21,23 @@ from repro.sim import Simulator
 MDM_RPC_BYTES = 256
 #: Extra wire bytes per additional entry in a vectored metadata RPC.
 MDM_ITEM_BYTES = 32
+
+
+def placement_name(name: str, workdir: Optional[str]) -> str:
+    """The string a vector is placed by (its blobs' metadata nodes,
+    its pages' owners and worker FIFOs): the name as written, except
+    that an absolute dataset URL under the run's ``workdir`` is named
+    ``./`` plus its path relative to that workdir. One spec run in two
+    directories therefore places everything alike, and a relative URL
+    (``parquet://./x.parquet`` from workdir ``.``) already is that
+    name."""
+    scheme, sep, path = name.partition("://")
+    if not sep or workdir is None or not os.path.isabs(path):
+        return name
+    rel = os.path.relpath(path, os.path.abspath(workdir))
+    if rel == os.pardir or rel.startswith(os.pardir + os.sep):
+        return name
+    return f"{scheme}://./{rel}"
 
 
 def _stable_hash(bucket: str, key: object) -> int:
@@ -49,9 +67,22 @@ class MetadataManager:
         ]
         self.rpcs = 0
         self.cache_hits = 0
+        #: The run's workdir (set by whoever launches from a spec):
+        #: dataset URLs under it are placed by their relative path.
+        self.workdir: Optional[str] = None
+        self._placed: Dict[str, str] = {}
+
+    def placement_name(self, bucket: str) -> str:
+        """:func:`placement_name` of ``bucket`` under :attr:`workdir`."""
+        placed = self._placed.get(bucket)
+        if placed is None:
+            placed = self._placed[bucket] = placement_name(bucket,
+                                                           self.workdir)
+        return placed
 
     def owner_of(self, bucket: str, key: object) -> int:
-        return _stable_hash(bucket, key) % self.n_nodes
+        return _stable_hash(self.placement_name(bucket), key) \
+            % self.n_nodes
 
     def _rpc(self, client_node: int, owner: int):
         if client_node != owner:

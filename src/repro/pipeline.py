@@ -202,6 +202,7 @@ def launch(cluster: SimCluster, app: Dict[str, Any],
            urls: Urls) -> RunResult:
     """Run one ``app:`` section on the whole cluster, to completion."""
     entry = app_entry(app)
+    cluster.system.hermes.mdm.workdir = urls.workdir
     fn, args = entry.load(), entry.args(app, urls, cluster)
     if entry.driver:
         res = cluster.run_driver(fn(cluster, *args))

@@ -113,6 +113,7 @@ class JobScheduler:
         self.system = cluster.system
         self.jobs = list(jobs)
         self.workdir = workdir
+        self.system.hermes.mdm.workdir = workdir
         self.realloc_enabled = realloc
         names = [j.name for j in self.jobs]
         if len(set(names)) != len(names):

@@ -184,13 +184,12 @@ jobs:
 """
 
 
-def test_anomaly_events_do_not_steer_realloc(tmp_path, monkeypatch):
+def test_anomaly_events_do_not_steer_realloc(tmp_path):
     """The plane only observes: flooding ``obs.events`` with
     ``realloc_thrash`` (and any other detector's) events every tick
     leaves the reallocation loop's sweeps, its decision log and every
     job row exactly as in the same run with a quiet plane."""
     from repro.tenancy import run_colocation
-    monkeypatch.chdir(tmp_path)       # relative dataset URLs
 
     def colocate(flood):
         clusters = []
@@ -204,7 +203,8 @@ def test_anomaly_events_do_not_steer_realloc(tmp_path, monkeypatch):
                      "value": 9.0, "zscore": 9.0, "direction": "up"}
                     for name in ("realloc_thrash", "rt_backlog")))
 
-        res = run_colocation(COLOCATION, workdir=".", on_cluster=hook)
+        res = run_colocation(COLOCATION, workdir=str(tmp_path),
+                             on_cluster=hook)
         return res, clusters[0].system.tenancy.loop.sweeps
 
     quiet, quiet_sweeps = colocate(False)

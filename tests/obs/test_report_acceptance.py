@@ -44,12 +44,10 @@ PAGE = 64 * 1024
 EXCHANGE_PAGES = 16
 
 
-def test_kmeans_report_categories_sum_to_makespan(tmp_path, monkeypatch):
-    # A relative workdir: pages are placed by a hash of the dataset URL,
-    # and which node owns the one cold page decides what leads the path.
-    monkeypatch.chdir(tmp_path)
+def test_kmeans_report_categories_sum_to_makespan(tmp_path):
     trace = tmp_path / "km.json"
-    rows = run_pipeline(KMEANS_2N, workdir=".", trace_path=str(trace))
+    rows = run_pipeline(KMEANS_2N, workdir=str(tmp_path),
+                        trace_path=str(trace))
     assert len(rows) == 1 and not rows[0]["crashed"]
     graph = load_trace(str(trace))
     assert len(graph) > 0

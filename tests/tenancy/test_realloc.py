@@ -22,9 +22,7 @@ from tests.tenancy.test_scheduler import SPEC
 KB = 1024
 
 
-def test_organizer_moves_no_quotad_blob_while_the_loop_runs(
-        tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)            # dataset URLs stay relative
+def test_organizer_moves_no_quotad_blob_while_the_loop_runs(tmp_path):
     spec = SPEC.replace("  seed: 11\n",
                         "  seed: 11\n  realloc_period: 0.002\n")
     kept = {}
@@ -33,7 +31,7 @@ def test_organizer_moves_no_quotad_blob_while_the_loop_runs(
         cluster.tracer.enabled = True
         kept["cluster"] = cluster
 
-    res = run_colocation(spec, workdir=".", on_cluster=hook)
+    res = run_colocation(spec, workdir=str(tmp_path), on_cluster=hook)
     assert [r["status"] for r in res.rows] == ["ok"] * 3
     cluster = kept["cluster"]
     monitor = cluster.monitor

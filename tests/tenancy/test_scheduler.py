@@ -65,10 +65,8 @@ jobs:
 
 
 def test_same_seed_and_spec_is_bit_identical(tmp_path):
-    # Same workdir on purpose: dataset URLs embed the absolute path
-    # and feed bucket placement hashes, so "the same run" means the
-    # same spec, seed, *and* dataset location. The second run reuses
-    # the already-materialized datasets (same seed, same bytes).
+    # The second run reuses the already-materialized datasets (same
+    # seed, same bytes).
     r1 = run_colocation(SPEC, workdir=str(tmp_path))
     r2 = run_colocation(SPEC, workdir=str(tmp_path))
     assert r1.rows == r2.rows

@@ -150,7 +150,6 @@ NEEDS = {
 
 def _runs(workdir):
     """``[(run, monitor, stats)]`` of the four tiny runs, traced."""
-    os.chdir(workdir)                  # dataset URLs stay relative
     out = []
 
     def keep(name):
@@ -161,18 +160,15 @@ def _runs(workdir):
 
     for name, spec in (("kmeans", KMEANS), ("gray_scott", GRAY_SCOTT),
                        ("serving", SERVING)):
-        run_pipeline(spec, workdir=".", on_cluster=keep(name))
-    run_colocation(COLOCATION, workdir=".", on_cluster=keep("colocation"))
+        run_pipeline(spec, workdir=str(workdir), on_cluster=keep(name))
+    run_colocation(COLOCATION, workdir=str(workdir),
+                   on_cluster=keep("colocation"))
     return [(name, c.monitor, c.system.stats()) for name, c in out]
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    cwd = os.getcwd()
-    try:
-        return _runs(tmp_path_factory.mktemp("vocab"))
-    finally:
-        os.chdir(cwd)
+    return _runs(tmp_path_factory.mktemp("vocab"))
 
 
 def _consumed():

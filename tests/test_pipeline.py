@@ -140,13 +140,11 @@ def test_prepare_dataset_idempotent(tmp_path):
     assert (tmp_path / "d.parquet").read_bytes() == first
 
 
-def test_swept_dataset_size_is_regenerated_not_reused(tmp_path,
-                                                      monkeypatch):
+def test_swept_dataset_size_is_regenerated_not_reused(tmp_path):
     """A file is reused only when it was generated from the same
     parameters: the second variant of a ``dataset.n`` sweep stages in
     its own 4x larger dataset (it used to meet the first file and
     report the first row twice under the label 8000)."""
-    monkeypatch.chdir(tmp_path)    # placement hashes the dataset URL
     spec = MINI_KMEANS.replace("  n: 4000\n", "  n: 2000\n") + """
 sweep:
   - key: dataset.n
@@ -154,17 +152,17 @@ sweep:
       - 2000
       - 8000
 """
-    small, large = run_pipeline(spec, workdir=".")
+    small, large = run_pipeline(spec, workdir=str(tmp_path))
     assert (small["dataset.n"], large["dataset.n"]) == (2000, 8000)
     assert large["stager_in_mb"] == pytest.approx(
         4 * small["stager_in_mb"], rel=0.02)
     # Same parameters again: the file on disk is kept, byte for byte.
     before = (tmp_path / "pts.parquet").read_bytes()
     prepare_dataset({"kind": "points", "n": 8000, "k": 4, "seed": 7,
-                     "path": "pts.parquet"}, ".")
+                     "path": "pts.parquet"}, str(tmp_path))
     assert (tmp_path / "pts.parquet").read_bytes() == before
     prepare_dataset({"kind": "points", "n": 8000, "k": 4, "seed": 8,
-                     "path": "pts.parquet"}, ".")
+                     "path": "pts.parquet"}, str(tmp_path))
     assert (tmp_path / "pts.parquet").read_bytes() != before
 
 
@@ -319,8 +317,7 @@ def test_shipped_gray_scott_pipeline_checkpoints(tmp_path):
     assert not any(r["crashed"] for r in rows)
 
 
-def test_shipped_kmeans_pipeline_dram_sweep_moves_spill(tmp_path,
-                                                        monkeypatch):
+def test_shipped_kmeans_pipeline_dram_sweep_moves_spill(tmp_path):
     """Non-vacuity of ``mm_kmeans_mega.yaml``'s ``cluster.dram_mb``
     grid: the smaller DRAM sizes cannot hold the staged dataset next to
     the pcache, so pages spill to NVMe and the scans read them back
@@ -329,9 +326,7 @@ def test_shipped_kmeans_pipeline_dram_sweep_moves_spill(tmp_path,
     by prefetch, so ``pcache_faults`` is legitimately 0)."""
     path = os.path.join(os.path.dirname(__file__), os.pardir,
                         "pipelines", "mm_kmeans_mega.yaml")
-    # A relative workdir: pages are placed by a hash of the dataset URL.
-    monkeypatch.chdir(tmp_path)
-    rows = run_pipeline(os.path.abspath(path), workdir=".")
+    rows = run_pipeline(os.path.abspath(path), workdir=str(tmp_path))
     assert [r["cluster.dram_mb"] for r in rows] == [4, 0.5, 0.25]
     assert not any(r["crashed"] for r in rows)
     spill = [r["nvme_read_mb"] for r in rows]
@@ -636,3 +631,16 @@ def test_design_app_table_is_the_registry():
 
 if __name__ == "__main__":
     print(app_table())
+
+
+def test_placement_does_not_depend_on_the_workdir(tmp_path):
+    """Blob and page placement hash a dataset URL by its path relative
+    to the run's workdir: the same spec run in two directories of
+    different length gives the same run, stat for stat."""
+    spec = MINI_KMEANS.replace("  n: 4000\n", "  n: 40000\n")
+    stats = []
+    for sub in ("a", "a-much-longer-directory-name/b"):
+        run_pipeline(spec, workdir=str(tmp_path / sub),
+                     on_variant=lambda cluster, _v, _row:
+                     stats.append(cluster.system.stats()))
+    assert stats[0] == stats[1]
