@@ -256,12 +256,14 @@ def _cmd_chaos(args) -> int:
             "(first anomaly/alert at or after onset):")
         for kind in sorted(stats):
             row = stats[kind]
+            felt = "" if row["felt"] == row["faults"] \
+                else f" ({row['faults'] - row['felt']} met nothing)"
             if row["detected"]:
                 log(f"  {kind:<10} {row['detected']}/{row['faults']} "
                     f"detected, mean {row['mean_s'] * 1e3:.2f} ms, "
-                    f"max {row['max_s'] * 1e3:.2f} ms")
+                    f"max {row['max_s'] * 1e3:.2f} ms{felt}")
             else:
-                log(f"  {kind:<10} 0/{row['faults']} detected")
+                log(f"  {kind:<10} 0/{row['faults']} detected{felt}")
     if not bad:
         return 0
     first = bad[0]

@@ -37,8 +37,10 @@ class CaseResult:
     faults_skipped: int = 0
     runtime_s: float = 0.0
     #: One row per applied fault when the case ran with ``obs=True``:
-    #: ``{"kind", "t_fault", "t_detect", "detection_s", "signal"}``
-    #: (``t_detect``/``detection_s``/``signal`` None if nothing fired).
+    #: ``{"kind", "t_fault", "felt", "t_detect", "detection_s",
+    #: "signal"}`` (``t_detect``/``detection_s``/``signal`` None if
+    #: nothing fired; ``felt`` False for a window fault nothing met —
+    #: ``ChaosInjector.felt``).
     detections: List[dict] = field(default_factory=list)
     obs_anomalies: int = 0
     obs_alerts: int = 0
@@ -127,12 +129,12 @@ def _detection_rows(live, injector) -> List[dict]:
                     for a in live.slo.history]
     signals.sort()
     rows = []
-    for kind, t, _desc in injector.applied:
+    for i, (kind, t, _desc) in enumerate(injector.applied):
         if kind == "restart":
             continue
         hit = next(((ts, sig) for ts, sig in signals if ts >= t), None)
         rows.append({
-            "kind": kind, "t_fault": t,
+            "kind": kind, "t_fault": t, "felt": injector.felt(i),
             "t_detect": hit[0] if hit else None,
             "detection_s": (hit[0] - t) if hit else None,
             "signal": hit[1] if hit else None,
@@ -290,16 +292,19 @@ def run_campaign(pipeline: str, seeds: Sequence[int], *,
 def detection_stats(results: Sequence[CaseResult]) -> Dict[str, dict]:
     """Per-fault-kind detection rollup over a campaign.
 
-    Returns ``{kind: {"faults", "detected", "mean_s", "max_s"}}``
-    (latency stats over the detected subset; None when none were).
+    Returns ``{kind: {"faults", "felt", "detected", "mean_s",
+    "max_s"}}`` (``felt``: faults that met a transfer or device
+    operation; latency stats over the detected subset; None when none
+    were).
     """
     out: Dict[str, dict] = {}
     for res in results:
         for d in res.detections:
-            row = out.setdefault(d["kind"], {"faults": 0,
+            row = out.setdefault(d["kind"], {"faults": 0, "felt": 0,
                                              "detected": 0,
                                              "latencies": []})
             row["faults"] += 1
+            row["felt"] += d["felt"]
             if d["detection_s"] is not None:
                 row["detected"] += 1
                 row["latencies"].append(d["detection_s"])

@@ -18,7 +18,7 @@ a page loses data.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chaos.checker import HistoryRecorder, check_conservation
 from repro.chaos.plan import ChaosPlan, Fault
@@ -46,6 +46,10 @@ class ChaosInjector:
         self._windows = {
             kind: [f for f in plan.faults if f.kind == kind]
             for kind in ("partition", "delay", "drop", "stall")}
+        #: The window fault of each ``applied`` entry (by index), and
+        #: the window faults a transfer or device operation met.
+        self._window_at: Dict[int, Fault] = {}
+        self._felt: Set[Fault] = set()
         self._proc = None
 
     # -- installation ----------------------------------------------------
@@ -74,8 +78,17 @@ class ChaosInjector:
         for f in self._windows["partition"]:
             if f.time <= now < f.end \
                     and (src in f.nodes) != (dst in f.nodes):
+                self._felt.add(f)
                 heal = f.end if heal is None else max(heal, f.end)
         return heal
+
+    def felt(self, i: int) -> bool:
+        """Whether ``applied[i]`` did anything: a crash or corruption
+        always; a window fault when a transfer (or, for a stall, a
+        device operation) met it. A window nothing crossed left
+        nothing to detect."""
+        f = self._window_at.get(i)
+        return f is None or f in self._felt
 
     # -- network hook (Network.transfer yields through this) -------------
     def on_transfer(self, net, src: int, dst: int, nbytes: int, link):
@@ -92,6 +105,7 @@ class ChaosInjector:
         if f is not None:
             jitter = f.param * self.rng.random()
             if jitter > 0.0:
+                self._felt.add(f)
                 net.monitor and net.monitor.count("chaos.delays")
                 yield sim.timeout(jitter)
         f = self._active("drop", sim.now)
@@ -101,6 +115,7 @@ class ChaosInjector:
                     and self.rng.random() < f.param:
                 attempts += 1
             if attempts > 1:
+                self._felt.add(f)
                 # Each lost attempt re-pays the payload plus the loss
                 # signal at link speed. net.bytes stays goodput; the
                 # overhead lands on its own counter.
@@ -118,6 +133,7 @@ class ChaosInjector:
         f = self._active("stall", self.system.sim.now)
         if f is None or device.spec.kind == "dram":
             return 0.0
+        self._felt.add(f)
         if device.monitor is not None:
             device.monitor.count("chaos.stalls")
         return f.param * device.spec.xfer_time(nbytes, write)
@@ -144,6 +160,7 @@ class ChaosInjector:
                 # Window faults need no application step — the hooks
                 # consult the schedule — but the invariant sweep below
                 # still runs at every fault boundary.
+                self._window_at[len(self.applied)] = f
                 self._record(f.kind, f.node)
             self._sweep()
 

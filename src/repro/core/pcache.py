@@ -15,16 +15,29 @@ the node DRAM reservation and the tenant ledger (through the client),
 the prefetcher's free-budget window, the ``pcache_resident_bytes``
 gauge and the chaos checker's conservation clause
 (``sum(frame.held) == used``).
+
+A frame can be *cold*: a clean frame that a read-only-global phase has
+acknowledged (Algorithm 1 scored it 0) stays resident and valid
+instead of being evicted, and is the first frame taken back when room
+is needed — by a fault (:meth:`PCache.make_room`), by read-ahead
+(:meth:`PCache.room_for`) or by the tenant's quota
+(``MegaMmapClient.pcache_over_quota``). Its bytes count in ``used``
+and are free to whoever needs them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.intervals import IntervalSet
+
+#: Stamps the order frames turn cold in, across every handle: the
+#: tenant's quota takes back the coldest frame of any of its handles.
+_cold_order = count()
 
 
 class Frame:
@@ -145,6 +158,10 @@ class PCache:
         self.frames: Dict[int, Frame] = {}
         #: Bytes held by the frames of this handle.
         self.used = 0
+        #: Cold frames, coldest first: ``{page: cold stamp}``, and the
+        #: bytes they hold.
+        self.cold: Dict[int, int] = {}
+        self.cold_bytes = 0
         self._evict = evict
         self._use_seq = 0
         # Last-page fast path (paper III-E, Minimizing Indexing
@@ -176,10 +193,13 @@ class PCache:
 
     def ensure(self, page_idx: int) -> Frame:
         """The frame of ``page_idx``, created empty if absent (an empty
-        frame holds — and costs — nothing), LRU-touched."""
+        frame holds — and costs — nothing), LRU-touched and no longer
+        cold."""
         frame = self.lookup(page_idx)
         if frame is None:
             frame = self.frames[page_idx] = Frame()
+        elif page_idx in self.cold:
+            self.warm(page_idx)
         self._use_seq += 1
         frame.last_use = self._use_seq
         self.last_page = (page_idx, frame)
@@ -210,18 +230,69 @@ class PCache:
             self.client.reserve_pcache(grew)
             self._m_resident.add(grew)
 
+    # -- cold frames ---------------------------------------------------------
+    @property
+    def free(self) -> int:
+        """Bytes of the budget not held, or held only by cold frames."""
+        return self.budget - self.used + self.cold_bytes
+
+    def cool(self, page_idx: int) -> bool:
+        """Keep an acknowledged frame resident as the next to go
+        instead of evicting it; False (nothing done) for a frame that
+        is absent, dirty or still being filled — those are evicted."""
+        frame = self.frames.get(page_idx)
+        if frame is None or frame.dirty or frame.pending is not None:
+            return False
+        if page_idx not in self.cold:
+            self.cold[page_idx] = next(_cold_order)
+            self.cold_bytes += frame.held
+        return True
+
+    def warm(self, page_idx: int) -> None:
+        """A cold frame is in use again."""
+        del self.cold[page_idx]
+        self.cold_bytes -= self.frames[page_idx].held
+
+    def coldest(self) -> int:
+        """Cold stamp of this handle's coldest frame (call when any)."""
+        return next(iter(self.cold.values()))
+
+    def take_back_coldest(self) -> None:
+        """Drop the coldest frame: clean and settled, so it goes at
+        once, counted as a clean eviction."""
+        page_idx = next(iter(self.cold))
+        self.release(self.detach(page_idx), dirty=False)
+
+    def room_for(self, nbytes: int) -> bool:
+        """Whether ``nbytes`` more fit the budget and the tenant's
+        quota with cold frames taken back — coldest first, only as many
+        as needed, and none when even that would not fit. Never evicts
+        a frame in use: read-ahead admission."""
+        if nbytes > self.free:
+            return False
+        while self.used + nbytes > self.budget:
+            self.take_back_coldest()
+        return not self.client.pcache_over_quota(nbytes)
+
     def make_room(self, nbytes: int, exclude: Tuple[int, ...] = ()):
-        """Evict LRU frames until ``nbytes`` more fit the budget.
+        """Evict frames until ``nbytes`` more fit the budget: cold
+        frames first, coldest first, then the least recently used.
 
         ``exclude`` protects frames from eviction (the frames an
-        operation is filling must not be its own victims). Generator.
+        operation is filling must not be its own victims; they are
+        never cold — :meth:`ensure` warmed them). Generator.
         """
         # A tenant over its cluster-wide pcache quota self-evicts down
-        # toward it (soft enforcement: other handles' frames are out of
-        # reach, so the loop stops when this handle has nothing left).
+        # toward it, once the quota check has taken back the cold
+        # frames of all its handles (soft enforcement: other handles'
+        # frames in use are out of reach, so the loop stops when this
+        # handle has nothing left).
         frames = self.frames
         while (self.used + nbytes > self.budget
                or self.client.pcache_over_quota(nbytes)):
+            if self.cold:
+                self.take_back_coldest()
+                continue
             candidates = [p for p in frames if p not in exclude]
             if not candidates:
                 break
@@ -268,6 +339,8 @@ class PCache:
         """Take a frame out of the page table and this handle's budget;
         its DRAM stays reserved until :meth:`release` — or, for dirty
         bytes, until they have left the node."""
+        if page_idx in self.cold:
+            self.warm(page_idx)
         frame = self.frames.pop(page_idx, None)
         if frame is not None:
             self.used -= frame.held

@@ -6,7 +6,11 @@ page boundary (an *acknowledgment point*):
 1. **Evict** — pages touched since the last acknowledgment
    (``Tx[Head, Tail)``) are scored 0 and evicted from the pcache,
    unless the next pcache-full window (``Tx[Tail, Tail+N)``) will
-   retouch them (scored 1).
+   retouch them (scored 1). Under a read-only-global phase a clean
+   0-scored frame is not evicted but made *cold* (``PCache.cool``):
+   nobody writes in the phase, so it stays valid, and it is the first
+   frame taken back when room is needed. The budget evicts; the score
+   only says what goes first.
 2. **Prefetch** — future pages that fit in the remaining pcache budget
    are scored 1 (and asynchronously pulled into the pcache); pages
    beyond that are scored by time-to-fault: ``Score =
@@ -101,7 +105,7 @@ class Prefetcher:
     def _prefetch_scores(self, tx: Transaction) -> Dict[int, float]:
         vec = self.vector
         page_size = vec.shared.page_size
-        free = max(0, vec.pcache_budget - vec.pcache_used)
+        free = max(0, vec.pcache.free)
         n = free // page_size
         scores: Dict[int, float] = {}
         epp = vec.shared.elems_per_page
@@ -151,18 +155,22 @@ class Prefetcher:
     # -- applying the decisions -----------------------------------------------
     def _apply(self, tx: Transaction, scores: Dict[int, float]):
         vec = self.vector
+        pcache = vec.pcache
         # Read-ahead admission budget: the bytes free *before* this
-        # round's evictions. The evictions below free the just-touched
-        # window for the pages the application will fault next; handing
-        # that space to read-ahead as well admitted up to a full
-        # budget's worth of future pages (``_evict_scores`` sizes its
-        # retouch window from the *total* budget, and the max-merge
-        # carries those score-1 pages into this apply step), thrashing
-        # the pcache ahead of the synchronous access stream.
-        admit_budget = max(0, vec.pcache_budget - vec.pcache_used)
-        # EvictIfZeroScore over the touched window.
+        # round's evictions (cold frames count as free). The evictions
+        # below free the just-touched window for the pages the
+        # application will fault next; handing that space to read-ahead
+        # as well admitted up to a full budget's worth of future pages
+        # (``_evict_scores`` sizes its retouch window from the *total*
+        # budget, and the max-merge carries those score-1 pages into
+        # this apply step), thrashing the pcache ahead of the
+        # synchronous access stream.
+        admit_budget = max(0, pcache.free)
+        # EvictIfZeroScore over the touched window — where the phase
+        # has no writer, a clean frame is kept cold instead.
+        keep = vec.shared.policy.allows_replication
         for page_idx, score in scores.items():
-            if score == 0.0:
+            if score == 0.0 and not (keep and pcache.cool(page_idx)):
                 yield from vec.evict_page(page_idx)
         # Asynchronous pcache read-ahead for score-1 future pages that
         # are not (fully) resident yet — admitted in access order while

@@ -49,6 +49,10 @@ class TenantQuota:
     dram_used: int = 0
     active: bool = False
     manager: Optional["QuotaManager"] = field(default=None, repr=False)
+    #: The clients bound to this tenant (``MegaMmapClient.bind_tenant``):
+    #: the quota takes back cold frames from any of their handles.
+    clients: List = field(default_factory=list, repr=False,
+                          compare=False)
 
     def scoped_key(self, key: str) -> str:
         """Namespace volatile vector keys per tenant; nonvolatile URL

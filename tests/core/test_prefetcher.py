@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, RandTx, SeqTx
+from repro.core.coherence import CoherencePolicy
 from repro.core.prefetcher import MIN_SCORE
 from tests.core.conftest import build_system, run_procs
 
@@ -165,6 +166,25 @@ def test_read_ahead_bounded_by_free_budget_not_total(dsm):
     # (4 pages — a full budget) because the evictions of 0 and 1 freed
     # space mid-apply. Only the 2 actually-free pages may be admitted.
     assert resident == {2, 3}
+
+
+def test_read_ahead_bound_holds_when_passed_pages_stay_cold(dsm):
+    """The same bound under a read-only-global phase, where the pages
+    just passed are kept cold instead of evicted: their bytes are free
+    to the next round, not to this one's read-ahead."""
+    sim, system = dsm
+    tx = SeqTx(0, 16 * EPP, MM_READ_ONLY)
+    vec = _vector_with_tx(sim, system, 16 * EPP, budget_pages=4, tx=tx)
+    vec.shared.policy = CoherencePolicy.READ_ONLY_GLOBAL
+
+    def app():
+        yield from vec.read_range(0, 2 * EPP)
+        tx.advance(2 * EPP)
+        yield from vec.prefetcher.on_advance(tx)
+        return set(vec.frames), set(vec.pcache.cold)
+
+    ((resident, cold),) = run_procs(sim, app())
+    assert (resident, cold) == ({0, 1, 2, 3}, {0, 1})
 
 
 def test_disabled_prefetcher_still_acknowledges():
