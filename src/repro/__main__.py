@@ -290,6 +290,10 @@ def _cmd_chaos(args) -> int:
 def _cmd_top(args) -> int:
     from repro.obs import render_top, top_json
     runs = _run_target(args, obs=True)
+    for _t, c, _r in runs:
+        # Close the last, partial window: a run shorter than one
+        # window would show nothing, a longer one lose its tail.
+        c.system.obs.store.tick(c.sim.now)
     if args.json:
         _emit_json([top_json(c.system.obs) for _t, c, _r in runs])
     else:

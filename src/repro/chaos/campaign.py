@@ -36,6 +36,10 @@ class CaseResult:
     faults_applied: int = 0
     faults_skipped: int = 0
     runtime_s: float = 0.0
+    #: Barriers the durable deployment committed
+    #: (``durability.barriers``): the commits the durability clause
+    #: can hold to account. None when the deployment is not durable.
+    barriers: Optional[int] = None
     #: One row per applied fault when the case ran with ``obs=True``:
     #: ``{"kind", "t_fault", "felt", "t_detect", "detection_s",
     #: "signal"}`` (``t_detect``/``detection_s``/``signal`` None if
@@ -62,6 +66,8 @@ class CaseResult:
                  f"{self.faults_applied}/{n} faults applied",
                  f"{self.checked_reads} reads checked",
                  f"trace {self.trace_hash[:12]}"]
+        if self.barriers is not None:
+            parts.append(f"{self.barriers} barriers committed")
         if self.detections:
             parts.append(f"{self.detected}/{len(self.detections)} "
                          f"faults detected")
@@ -217,17 +223,19 @@ def run_case(pipeline: str, seed: int, *, horizon: float,
         res.faults_applied = sum(1 for k, _t, _f in injector.applied
                                  if k != "restart")
         res.faults_skipped = len(injector.skipped)
+        system = state["system"]
+        monitor = system.monitor  # type: ignore[attr-defined]
+        if system.durability.enabled:  # type: ignore[attr-defined]
+            res.barriers = int(monitor.counter("durability.barriers"))
         if "obs" in state:
             live = state["obs"]  # type: ignore[assignment]
-            system = state["system"]
             res.obs_anomalies = len(live.events)  # type: ignore
             res.obs_alerts = len(live.slo.history) \
                 if live.slo is not None else 0  # type: ignore
             res.detections = _detection_rows(live, injector)
-            metrics = system.monitor.metrics  # type: ignore
             for d in res.detections:
                 if d["detection_s"] is not None:
-                    metrics.histogram(
+                    monitor.metrics.histogram(
                         "alert.detection_s",
                         kind=d["kind"]).observe(d["detection_s"])
     if rows:

@@ -274,7 +274,7 @@ class DataStager:
         def room(q, redundant):
             return hermes.free_tier(
                 vec.owner_node(q, call.client_node), vec.name,
-                vec.page_nbytes(q), call.score, claimed, redundant)
+                vec.page_nbytes(q), claimed, redundant)
 
         # The wanted pages take their room first.
         landing = {q: room(q, False) for q in pages if q in wanted}
@@ -366,7 +366,7 @@ class DataStager:
         # steady state over a slow spill tier, where every fault comes
         # here), there is no need to go through the file's pages.
         if not idle or not any(
-                hermes.free_tier(n, vec.name, vec.page_size, call.score,
+                hermes.free_tier(n, vec.name, vec.page_size,
                                  dict(vec.earmarked), redundant=True)
                 for n in range(len(hermes.dmshs))):
             return

@@ -17,7 +17,7 @@ from repro.core.organizer import DataOrganizer
 from repro.core.runtime import NodeRuntime
 from repro.core.shared import SharedVector
 from repro.core.stager import DataStager
-from repro.hermes import Hermes, MinimizeIoTime
+from repro.hermes import Hermes
 from repro.net.fabric import Network
 from repro.sim import Monitor, Simulator, Tracer
 from repro.storage.dmsh import DMSH
@@ -46,9 +46,7 @@ class MegaMmapSystem:
         if network.monitor is None:
             network.monitor = self.monitor
         self.memcpy_bw = dmshs[0].tiers[0].spec.read_bw
-        self.hermes = Hermes(sim, network, dmshs,
-                             policy=MinimizeIoTime(),
-                             monitor=self.monitor)
+        self.hermes = Hermes(sim, network, dmshs, monitor=self.monitor)
         self.hermes.tracer = self.tracer
         self.hermes.evictor = self._evict_clean_pages
         self.hermes.backend = pfs.server_spec if pfs is not None else None

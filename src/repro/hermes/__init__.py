@@ -9,18 +9,12 @@ the DMSH". This package is that substrate, from scratch:
   simulated tier devices;
 * **MDM** — a distributed metadata manager (blob directory partitioned
   by key hash across nodes, lookups charged as small RPCs);
-* **DPE** — data placement engines choosing the target tier;
+* **DPE** — placement: fastest tier first, colder blobs demoted;
 * **buffer organizer** — promotes/demotes blobs between tiers.
 """
 
 from repro.hermes.blob import BlobInfo, BlobNotFound
-from repro.hermes.dpe import (
-    MinimizeIoTime,
-    PlacementError,
-    PlacementPolicy,
-    RoundRobin,
-    ScoreAware,
-)
+from repro.hermes.dpe import PlacementError
 from repro.hermes.mdm import MetadataManager
 from repro.hermes.core import Hermes
 
@@ -29,9 +23,5 @@ __all__ = [
     "BlobNotFound",
     "Hermes",
     "MetadataManager",
-    "MinimizeIoTime",
     "PlacementError",
-    "PlacementPolicy",
-    "RoundRobin",
-    "ScoreAware",
 ]

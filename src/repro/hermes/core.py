@@ -7,7 +7,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.hermes.blob import BlobInfo, BlobNotFound
-from repro.hermes.dpe import MinimizeIoTime, PlacementError, PlacementPolicy
+from repro.hermes.dpe import PlacementError
 from repro.hermes.mdm import MetadataManager
 from repro.net.fabric import Network
 from repro.sim import Lock, Monitor, Simulator
@@ -46,14 +46,12 @@ class Hermes:
     """
 
     def __init__(self, sim: Simulator, network: Network, dmshs: List[DMSH],
-                 policy: Optional[PlacementPolicy] = None,
                  monitor: Optional[Monitor] = None):
         if len(dmshs) > network.n_nodes:
             raise ValueError("more DMSHs than network nodes")
         self.sim = sim
         self.network = network
         self.dmshs = dmshs
-        self.policy = policy or MinimizeIoTime()
         self.monitor = monitor
         #: Span tracer; the embedding system installs its own.
         self.tracer = NOOP_TRACER
@@ -126,9 +124,9 @@ class Hermes:
                exclude: Optional[set] = None, bucket=None):
         """Choose a device for a new blob. Generator.
 
-        Order of attempts (paper III-D): (1) the policy's ideal tier if
-        it has room; (2) demote strictly colder residents out of the
-        ideal tier; (3) the next deeper tier with room; (4) demotion
+        Order of attempts (paper III-D): (1) the starting tier (the
+        fastest) if it has room; (2) demote strictly colder residents
+        out of it; (3) the next deeper tier with room; (4) demotion
         cascade anywhere; else :class:`PlacementError`. Devices named
         in ``exclude`` are skipped (capacity-race victims). The
         tenancy ``admission`` hook may raise the starting tier index —
@@ -137,19 +135,19 @@ class Hermes:
         """
         exclude = exclude or set()
         dmsh = self.dmshs[node]
-        idx, floor = self._first_tier(node, nbytes, score, bucket)
-        ideal = dmsh.tiers[idx]
-        if ideal.name not in exclude:
-            if ideal.fits(nbytes):
-                return ideal
+        idx, floor = self._first_tier(node, nbytes, bucket)
+        first = dmsh.tiers[idx]
+        if first.name not in exclude:
+            if first.fits(nbytes):
+                return first
             freed = yield from self._demote_colder(node, idx, nbytes,
                                                    score)
             if freed:
-                return ideal
+                return first
         for dev in dmsh.tiers[idx + 1:]:
             if dev.name not in exclude and dev.fits(nbytes):
                 return dev
-        # Last resort: cascade demotions from the ideal tier downward.
+        # Last resort: cascade demotions from the first tier downward.
         for j in range(idx, len(dmsh.tiers)):
             if dmsh.tiers[j].name in exclude:
                 continue
@@ -174,19 +172,16 @@ class Hermes:
             f"node {node}: no tier with {nbytes} bytes free "
             f"(composition {dmsh.describe()})")
 
-    def _first_tier(self, node: int, nbytes: int, score: float, bucket,
-                    ahead: int = 0):
+    def _first_tier(self, node: int, nbytes: int, bucket, ahead: int = 0):
         """``(index, floor)``: the tier a new blob's placement starts
-        at -- the policy's ideal tier, pushed down to the tenancy
-        admission floor -- and that floor. ``ahead`` is what the caller
-        has earmarked of the fast tier for blobs not yet placed."""
-        dmsh = self.dmshs[node]
-        idx = self.policy.ideal_index(dmsh, nbytes, score)
+        at -- the fastest tier, pushed down to the tenancy admission
+        floor -- and that floor. ``ahead`` is what the caller has
+        earmarked of the fast tier for blobs not yet placed."""
         floor = self._admission_floor(node, bucket, ahead + nbytes)
-        return max(idx, min(floor, len(dmsh.tiers) - 1)), floor
+        return min(floor, len(self.dmshs[node].tiers) - 1), floor
 
-    def free_tier(self, node: int, bucket, nbytes: int, score: float,
-                  claimed: dict, redundant: bool = False):
+    def free_tier(self, node: int, bucket, nbytes: int, claimed: dict,
+                  redundant: bool = False):
         """The device :meth:`_place` would pick for a new blob that may
         displace nothing (its steps 1 and 3: the first tier from the
         starting one with room), or None. ``claimed`` -- {device: bytes
@@ -199,7 +194,7 @@ class Hermes:
         to a tier as slow, it costs a write and a read for nothing."""
         fast = self.dmshs[node].tiers[0].spec.kind
         idx, _floor = self._first_tier(
-            node, nbytes, score, bucket,
+            node, nbytes, bucket,
             sum(n for dev, n in claimed.items() if dev.spec.kind == fast))
         for dev in self.dmshs[node].tiers[idx:]:
             if dev.free - claimed.get(dev, 0) >= nbytes:
@@ -595,8 +590,8 @@ class Hermes:
             # replication side door) and the landing rule of every
             # redundant copy: no tier with room that beats the backend,
             # no replica -- the read was served remotely just now.
-            local = self.free_tier(client_node, bucket, len(raw),
-                                   info.score, {}, redundant=True)
+            local = self.free_tier(client_node, bucket, len(raw), {},
+                                   redundant=True)
             if local is not None:
                 from repro.storage.device import DeviceFullError
                 try:

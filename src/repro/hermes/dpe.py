@@ -1,53 +1,13 @@
-"""Data placement engines: choose the tier for an incoming blob.
+"""Data placement: the error a placement raises when no tier fits.
 
-A policy names its *ideal* tier index; the Hermes core then handles
-capacity: demote colder residents out of the ideal tier, else fall
-deeper, else fail (paper III-D: "The organizer will first attempt to
-place pages in the fastest tiers if there is available capacity. Pages
-with lower scores in a tier will be prioritized for eviction to make
-space for higher-scoring data").
+Placement itself is one rule, in :meth:`repro.hermes.core.Hermes._place`
+(paper III-D: "The organizer will first attempt to place pages in the
+fastest tiers if there is available capacity. Pages with lower scores
+in a tier will be prioritized for eviction to make space for
+higher-scoring data"): start at the fastest tier, demote colder
+residents out of it, else fall deeper, else fail.
 """
-
-from __future__ import annotations
-
-from repro.storage.dmsh import DMSH
 
 
 class PlacementError(RuntimeError):
     """No tier can absorb the blob."""
-
-
-class PlacementPolicy:
-    """Strategy interface: the ideal tier index on ``dmsh``."""
-
-    def ideal_index(self, dmsh: DMSH, nbytes: int, score: float = 1.0) -> int:
-        raise NotImplementedError
-
-
-class MinimizeIoTime(PlacementPolicy):
-    """Hermes' default: always want the fastest tier."""
-
-    def ideal_index(self, dmsh: DMSH, nbytes: int, score: float = 1.0) -> int:
-        return 0
-
-
-class ScoreAware(PlacementPolicy):
-    """MegaMmap's organizer-facing policy: map the page score to a
-    tier — score 1.0 is the fastest tier, score 0.0 the deepest."""
-
-    def ideal_index(self, dmsh: DMSH, nbytes: int, score: float = 1.0) -> int:
-        n = len(dmsh.tiers)
-        return min(n - 1, int((1.0 - score) * n))
-
-
-class RoundRobin(PlacementPolicy):
-    """Spread blobs across tiers by turn (a capacity-balancing
-    baseline used in ablations)."""
-
-    def __init__(self):
-        self._next = 0
-
-    def ideal_index(self, dmsh: DMSH, nbytes: int, score: float = 1.0) -> int:
-        idx = self._next % len(dmsh.tiers)
-        self._next += 1
-        return idx

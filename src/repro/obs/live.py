@@ -176,8 +176,7 @@ class WindowedStore:
     def _scrape_histograms(self, t0: float, t1: float) -> None:
         for key, h in self.monitor.metrics.histograms.items():
             ring = self.histograms.get(key)
-            if ring is None or ring.series is not h:
-                # New, or dropped and re-created (``Tracer.reset``).
+            if ring is None:
                 ring = self.histograms[key] = _Slices(h, self.retention)
             lo = ring[-1][3] if ring else 0
             hi = len(h.observations)

@@ -250,7 +250,7 @@ def render_top(title: str, obs, limit: int) -> str:
     now = store.last_tick
     lines = [f"== top: {title} @ t={now:.3f}s  "
              f"(window {store.window * 1e3:g} ms x {store.retention}, "
-             f"{obs.ticks} ticks) =="]
+             f"{store.ticks} ticks) =="]
 
     counters = sorted(
         ((store.delta(name, ls), name, ls)
@@ -310,7 +310,7 @@ def render_top(title: str, obs, limit: int) -> str:
 def top_json(obs) -> dict:
     """``repro top --json``: :func:`render_top` as one document."""
     store = obs.store
-    doc = {"t": store.last_tick, "ticks": obs.ticks,
+    doc = {"t": store.last_tick, "ticks": store.ticks,
            "window_s": store.window, "retention": store.retention,
            "counters": {}, "gauges": {}, "histograms": {},
            "anomalies": list(obs.events)}

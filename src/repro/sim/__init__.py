@@ -33,14 +33,12 @@ from repro.sim.engine import (
 from repro.sim.monitor import Monitor, TimeSeries
 from repro.sim.rand import rng_stream, spawn_seed
 from repro.sim.resources import Request, Resource, Store
-from repro.sim.sync import Barrier, Condition, Lock
+from repro.sim.sync import Lock
 from repro.sim.trace import NOOP_TRACER, Span, Tracer
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Barrier",
-    "Condition",
     "Event",
     "Interrupt",
     "Lock",

@@ -23,13 +23,14 @@ heap without changing the processing order:
 * **Microqueue** — zero-delay events land in per-priority FIFO deques
   instead of the heap. Because time only advances when both deques are
   empty, every deque entry has ``time == now`` and FIFO order equals
-  ``seq`` order; :meth:`Simulator.step` merges the deque heads with
-  the heap head under the exact ``(time, priority, seq)`` comparison,
-  so the pop order is identical to the heap-only kernel.
+  ``seq`` order; the dispatch loop (``Simulator._run_cohorts``) merges
+  the deque heads with the heap head under the exact ``(time,
+  priority, seq)`` comparison, so the pop order is identical to the
+  heap-only kernel.
 * **Trampoline** — when a process yields an event that is *already
-  triggered* and is *exactly the event step() would pop next*, the
+  triggered* and is *exactly the event the loop would pop next*, the
   process consumes it inline (running any other callbacks first, just
-  as ``step()`` would) and keeps executing without returning to the
+  as the loop would) and keeps executing without returning to the
   scheduler. Chains of immediate events then run entirely inside one
   ``_resume`` call.
 
@@ -220,7 +221,7 @@ class Process(Event):
         heap = sim._heap
         pending = _PENDING
         # _tail is loop-invariant here: it is True iff this _resume ran
-        # as the sole callback of the event step() is processing, and
+        # as the sole callback of the event the loop is processing, and
         # the trampoline below always restores it after running nested
         # callbacks. _stop's identity can only change across run()
         # calls, never mid-chain (only its .processed flips).
@@ -271,12 +272,12 @@ class Process(Event):
             if tail and target._value is not pending \
                     and (stop is None or not stop.processed):
                 # Trampoline: the target is triggered and waiting in a
-                # microqueue. If it is exactly the event step() would
+                # microqueue. If it is exactly the event the loop would
                 # pop next — we are the last callback of the event
                 # being processed, so nothing runs between "now" and
                 # that pop — consume it inline instead of bouncing
                 # through the scheduler. Any other callbacks registered
-                # on the target run first, exactly as step() would run
+                # on the target run first, exactly as the loop would run
                 # them (our own continuation was not appended yet, so
                 # it comes last either way).
                 q = imm_urgent
@@ -377,7 +378,7 @@ class Simulator:
     The heap holds ``(time, priority, seq, event)`` entries; the two
     microqueues hold bare events (their seq in ``Event._qseq``) for
     zero-delay events at the current timestamp — one deque per
-    priority, so each is FIFO in ``seq``. :meth:`step` pops the
+    priority, so each is FIFO in ``seq``. :meth:`run` pops the
     minimum of the three heads under the ``(time, priority, seq)``
     order.
 
@@ -462,7 +463,7 @@ class Simulator:
         # Re-key already-pending entries with random ranks too: int
         # and tuple tie-break keys must never coexist in one heap (a
         # same-(time, priority) comparison between them would raise),
-        # and the microqueue merge in step() compares heap keys
+        # and the loop's microqueue merge compares heap keys
         # against integer ``_qseq`` values.
         entries = [(t, p, (rng.random(), s), e)
                    for t, p, s, e in self._heap]
@@ -504,70 +505,17 @@ class Simulator:
         heapq.heappush(self._heap, (self.now + delay, priority, seq, event))
         self.heap_events += 1
 
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` when nothing is scheduled."""
-        if self._imm_urgent or self._imm_normal:
-            return self.now
-        return self._heap[0][0] if self._heap else float("inf")
+    def _run_cohorts(self, stop_evt: Optional[Event],
+                     deadline: float) -> None:
+        """The dispatch loop: pop and process events in ``(time,
+        priority, seq)`` order until the schedule drains, ``stop_evt``
+        is processed, or the next event lies past ``deadline`` (the
+        clock then stops at the deadline).
 
-    def step(self) -> None:
-        """Pop and process a single event.
-
-        Raises :class:`SimulationError` when nothing is scheduled
-        (stepping an empty simulation is always a caller bug).
-        """
-        heap = self._heap
-        q = self._imm_urgent
-        prio = URGENT
-        if not q:
-            q = self._imm_normal
-            prio = NORMAL
-        event: Optional[Event] = None
-        if q:
-            # Microqueue entries are all at time == now; a heap entry
-            # only wins when it is at now with a strictly smaller
-            # (priority, seq) — the exact (time, priority, seq) order.
-            if heap:
-                h = heap[0]
-                if h[0] == self.now and (
-                        h[1] < prio or (h[1] == prio and h[2] < q[0]._qseq)):
-                    event = heapq.heappop(heap)[3]
-            if event is None:
-                event = q.popleft()
-        elif heap:
-            when, _prio, _seq, event = heapq.heappop(heap)
-            if when < self.now:  # pragma: no cover - defensive
-                raise SimulationError("time went backwards")
-            self.now = when
-        else:
-            raise SimulationError(
-                "step() on an empty schedule: no events are pending")
-        callbacks = event.callbacks
-        event.callbacks = None
-        if callbacks:
-            if len(callbacks) == 1:
-                # Tail position: the trampoline may run event chains
-                # inline from here (see Process._resume).
-                self._tail = True
-                callbacks[0](event)
-                self._tail = False
-            else:
-                for cb in callbacks:
-                    cb(event)
-        event.processed = True
-        if not event._ok and not callbacks:
-            # Nothing was waiting on this failure: surface it rather
-            # than letting the simulation silently continue.
-            raise event._value
-
-    def _run_cohorts(self, stop_evt: Optional[Event]) -> None:
-        """Deadline-free dispatch loop: :meth:`step`'s body inlined.
-
-        With no deadline there is nothing to ``peek()`` for between
-        events, so same-timestamp cohorts (the microqueue runs that
-        dominate a MegaMmap schedule) dispatch back-to-back in one
-        pass — same pop order as repeated ``step()`` calls, minus a
-        Python frame and a ``peek()`` per event.
+        Same-timestamp cohorts (the microqueue runs that dominate a
+        MegaMmap schedule) dispatch back-to-back. Microqueue entries
+        are all at ``now``, which never exceeds the deadline, so only
+        a heap pop checks it.
         """
         heap = self._heap
         iu = self._imm_urgent
@@ -583,6 +531,9 @@ class Simulator:
                 prio = NORMAL
             event: Optional[Event] = None
             if q:
+                # A heap entry only wins when it is at now with a
+                # strictly smaller (priority, seq) — the exact
+                # (time, priority, seq) order of the heap-only kernel.
                 if heap:
                     h = heap[0]
                     if h[0] == self.now and (
@@ -592,12 +543,18 @@ class Simulator:
                 if event is None:
                     event = q.popleft()
             else:
-                when, _prio, _seq, event = heappop(heap)
+                when = heap[0][0]
+                if when > deadline:
+                    self.now = deadline
+                    return
+                event = heappop(heap)[3]
                 self.now = when
             callbacks = event.callbacks
             event.callbacks = None
             if callbacks:
                 if len(callbacks) == 1:
+                    # Tail position: the trampoline may run event
+                    # chains inline from here (see Process._resume).
                     self._tail = True
                     callbacks[0](event)
                     self._tail = False
@@ -606,6 +563,8 @@ class Simulator:
                         cb(event)
             event.processed = True
             if not event._ok and not callbacks:
+                # Nothing was waiting on this failure: surface it
+                # rather than letting the simulation silently continue.
                 raise event._value
 
     def run(self, until: Optional[float | Event] = None) -> Any:
@@ -622,7 +581,7 @@ class Simulator:
             stop_evt = until
             if stop_evt.callbacks is not None:
                 # Mark the stop event as observed so a failure is
-                # reported by run() itself rather than from step().
+                # reported by run() itself rather than from the loop.
                 stop_evt.callbacks.append(lambda _evt: None)
         elif until is not None:
             deadline = float(until)
@@ -631,16 +590,7 @@ class Simulator:
         prev_stop = self._stop
         self._stop = stop_evt
         try:
-            if deadline == float("inf"):
-                self._run_cohorts(stop_evt)
-            else:
-                while self._heap or self._imm_urgent or self._imm_normal:
-                    if stop_evt is not None and stop_evt.processed:
-                        break
-                    if self.peek() > deadline:
-                        self.now = deadline
-                        return None
-                    self.step()
+            self._run_cohorts(stop_evt, deadline)
         finally:
             self._stop = prev_stop
         if stop_evt is not None:

@@ -9,10 +9,10 @@ faults), and the benchmark harness aggregates peaks/averages per run.
 
 Every quantity lives once, in :class:`MetricsRegistry`, as a counter,
 gauge or histogram keyed by ``(name, labels)`` — ``node=``, ``tier=``,
-``vector=``, any string labels — with Prometheus-text and JSON
-snapshot exporters. A name is the dotted one ``RunResult.stats``
-and ``stats_dict.csv`` carry (``hermes.gets``, ``node0.dram.used``);
-labels slice it further and never repeat what the name says.
+``vector=``, any string labels. A name is the dotted one
+``RunResult.stats`` and ``stats_dict.csv`` carry (``hermes.gets``,
+``node0.dram.used``); labels slice it further and never repeat what
+the name says.
 :class:`Monitor` fronts the registry for one-line call sites
 (``monitor.count("rpc.batches", n)``); hot sites fetch a handle once
 (``ctr = monitor.metrics.counter("pcache.faults", node=0)``) and pay
@@ -23,7 +23,6 @@ tracer uses.
 from __future__ import annotations
 
 import math
-import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.engine import Simulator
@@ -307,128 +306,6 @@ class LabeledHistogram:
         return nearest_rank(sorted(self.observations), q)
 
 
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-_METRIC_RE = re.compile(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)')
-_LABEL_RE = re.compile(r'\s*(\w+)\s*=\s*"((?:[^"\\]|\\.)*)"\s*(,)?')
-
-
-def _prom_name(name: str) -> str:
-    """Dotted metric name → Prometheus-legal name."""
-    return _NAME_RE.sub("_", name)
-
-
-def _prom_escape(value: str) -> str:
-    return (value.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _prom_unescape(value: str) -> str:
-    """Invert :func:`_prom_escape` with a single left-to-right scan.
-
-    Sequential ``str.replace`` passes corrupt values where one escape's
-    output is another escape's input: a literal backslash followed by
-    ``n`` escapes to ``\\\\n``, which a ``\\n``-first replace pass
-    wrongly turns into a newline. Scanning consumes each escape pair
-    exactly once.
-    """
-    if "\\" not in value:
-        return value
-    out = []
-    i = 0
-    n = len(value)
-    while i < n:
-        ch = value[i]
-        if ch == "\\" and i + 1 < n:
-            nxt = value[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt in ('"', "\\"):
-                out.append(nxt)
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def _split_label_block(line: str):
-    """Split one exposition line into (name, label-block, value).
-
-    Returns None for lines that are not samples. The label block is
-    extracted with a quote-aware scan: a ``}`` (or ``{``, or spaces)
-    inside a quoted label value — legal once values are escaped — must
-    not terminate the block, which is exactly what a ``\\{([^}]*)\\}``
-    regex gets wrong.
-    """
-    m = _METRIC_RE.match(line)
-    if not m:
-        return None
-    name = m.group(1)
-    rest = line[m.end():]
-    labelstr = None
-    if rest.startswith("{"):
-        in_quotes = False
-        escaped = False
-        end = -1
-        for i in range(1, len(rest)):
-            ch = rest[i]
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_quotes = not in_quotes
-            elif ch == "}" and not in_quotes:
-                end = i
-                break
-        if end < 0:
-            return None
-        labelstr = rest[1:end]
-        rest = rest[end + 1:]
-    value = rest.strip().split()
-    if len(value) < 1:
-        return None
-    return name, labelstr, value[0]
-
-
-def _prom_labels(labels: LabelSet) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{_prom_escape(v)}"' for k, v in labels)
-    return "{" + inner + "}"
-
-
-def parse_prometheus(text: str) -> Dict[Tuple[str, LabelSet], float]:
-    """Parse Prometheus exposition text back into
-    ``{(metric_name, labelset): value}`` — the round-trip half of
-    :meth:`MetricsRegistry.to_prometheus`, used by tests and by
-    ``repro diff`` when handed exported snapshots."""
-    out: Dict[Tuple[str, LabelSet], float] = {}
-    # Split on \n only: the exposition format escapes newlines in label
-    # values but leaves carriage returns raw, so splitlines() would cut
-    # a sample line in half at a CR inside a quoted value.
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parsed = _split_label_block(line)
-        if parsed is None:
-            continue
-        name, labelstr, value = parsed
-        labels: List[Tuple[str, str]] = []
-        if labelstr:
-            for lm in _LABEL_RE.finditer(labelstr):
-                labels.append((lm.group(1), _prom_unescape(lm.group(2))))
-        try:
-            fval = float(value)
-        except ValueError:
-            continue
-        out[(name, tuple(sorted(labels)))] = fval
-    return out
-
-
 class MetricsRegistry:
     """Dimensioned counters/gauges/histograms keyed by (name, labels).
 
@@ -464,55 +341,6 @@ class MetricsRegistry:
         if handle is None:
             handle = self.histograms[key] = LabeledHistogram()
         return handle
-
-    # -- export ------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-serializable dump: each series as ``{name, labels,
-        ...stats}``; gauges carry value/peak/avg, histograms carry
-        count/total and nearest-rank quantiles."""
-        counters = [
-            {"name": name, "labels": dict(ls), "value": c.value}
-            for (name, ls), c in sorted(self.counters.items())]
-        gauges = [
-            {"name": name, "labels": dict(ls), "value": g.value,
-             "peak": g.peak, "avg": g.time_average()}
-            for (name, ls), g in sorted(self.gauges.items())]
-        hists = [
-            {"name": name, "labels": dict(ls), "count": h.count,
-             "total": h.total,
-             "p50": h.percentile(50), "p95": h.percentile(95),
-             "p99": h.percentile(99)}
-            for (name, ls), h in sorted(self.histograms.items())]
-        return {"counters": counters, "gauges": gauges,
-                "histograms": hists}
-
-    def to_prometheus(self) -> str:
-        """Prometheus exposition text. Dotted names become
-        underscore-names; histograms render as summaries
-        (``quantile=`` series plus ``_count``/``_sum``)."""
-        lines: List[str] = []
-        typed = set()
-
-        def emit(name: str, kind: str, labels: LabelSet,
-                 value: float) -> None:
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} {kind}")
-            lines.append(f"{name}{_prom_labels(labels)} {value:g}")
-
-        for (name, ls), c in sorted(self.counters.items()):
-            emit(_prom_name(name), "counter", ls, c.value)
-        for (name, ls), g in sorted(self.gauges.items()):
-            emit(_prom_name(name), "gauge", ls, g.value)
-        for (name, ls), h in sorted(self.histograms.items()):
-            pname = _prom_name(name)
-            for q in (50, 95, 99):
-                emit(pname, "summary",
-                     ls + (("quantile", f"0.{q}"),),
-                     h.percentile(q))
-            emit(f"{pname}_count", "counter", ls, float(h.count))
-            emit(f"{pname}_sum", "counter", ls, h.total)
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 class Monitor:

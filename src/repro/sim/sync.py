@@ -1,53 +1,17 @@
-"""Synchronization primitives: barriers, locks, conditions.
+"""Synchronization primitive: the FIFO lock.
 
 The paper (III-A, "Supporting Arbitrary Application Structures") says
 MegaMmap "provides several synchronization options to ensure parallel
 application correctness. This includes distributed locks and barriers."
-These are the simulation-side equivalents; `repro.mpi` builds its
-``Comm.barrier`` on :class:`Barrier` plus network cost.
+:class:`Lock` is the simulation-side lock; barriers are
+``Comm.barrier``, the dissemination barrier in `repro.mpi.collectives`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
-
-
-class Barrier:
-    """A cyclic barrier for ``parties`` processes.
-
-    ``yield barrier.wait()`` blocks until all parties arrive; the
-    barrier then resets for the next phase. The wait event's value is
-    the generation number (0, 1, 2, ...), handy for phase bookkeeping.
-    """
-
-    __slots__ = ("sim", "parties", "name", "generation", "_waiting")
-
-    def __init__(self, sim: Simulator, parties: int, name: str = ""):
-        if parties < 1:
-            raise ValueError(f"parties must be >= 1, got {parties}")
-        self.sim = sim
-        self.parties = parties
-        self.name = name
-        self.generation = 0
-        self._waiting: list[Event] = []
-
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiting)
-
-    def wait(self) -> Event:
-        evt = Event(self.sim)
-        self._waiting.append(evt)
-        if len(self._waiting) == self.parties:
-            gen = self.generation
-            self.generation += 1
-            waiters, self._waiting = self._waiting, []
-            for w in waiters:
-                w.succeed(gen)
-        return evt
 
 
 class Lock:
@@ -95,41 +59,3 @@ class Lock:
         """Generator context helper: ``yield from lock.held()`` acquires;
         caller must still call :meth:`release`."""
         yield self.acquire()
-
-
-class Condition:
-    """A broadcast condition variable (edge-triggered).
-
-    Processes ``yield cond.wait()``; a later :meth:`notify_all` wakes
-    every current waiter with the given value.
-    """
-
-    __slots__ = ("sim", "name", "_waiters")
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._waiters: list[Event] = []
-
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiters)
-
-    def wait(self) -> Event:
-        evt = Event(self.sim)
-        self._waiters.append(evt)
-        return evt
-
-    def notify_all(self, value=None) -> int:
-        """Wake all waiters; returns how many were woken."""
-        waiters, self._waiters = self._waiters, []
-        for w in waiters:
-            w.succeed(value)
-        return len(waiters)
-
-    def notify(self, value=None) -> bool:
-        """Wake the oldest waiter if any; returns True if one was woken."""
-        if not self._waiters:
-            return False
-        self._waiters.pop(0).succeed(value)
-        return True

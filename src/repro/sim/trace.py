@@ -364,19 +364,6 @@ class Tracer:
         else:
             self.dropped += 1
 
-    def reset(self) -> None:
-        self.spans.clear()
-        for cat in self._hists:
-            del self.metrics.histograms[
-                ("span_seconds", (("category", cat),))]
-        self._hists.clear()
-        self._stacks.clear()
-        self.dropped = 0
-        self._next_id = 1
-        if self.sampler is not None:
-            self.sampler.sampled_out = 0
-            self.sampler.tail_promoted = 0
-
     # -- statistics --------------------------------------------------------
     def latency_summary(self) -> Dict[str, float]:
         """Flat dict of per-category latency statistics from the

@@ -170,6 +170,30 @@ def test_write_behind_campaign_gray_scott_with_checkpoints(tmp_path):
         == {"crash", "partition"}
 
 
+def test_durability_campaign_checks_committed_writes(tmp_path):
+    """Crash-only seeds on a durable deployment that writes: every seed
+    commits barriers, so the durability clause (no crash excuse for
+    barrier-committed bytes) is exercised, not vacuous. The KMeans
+    spec above commits none: it never writes a page.
+
+    A crash between a volatile stencil page's WRITE and its
+    asynchronous replica is a declared loss (``NodeFailedError`` /
+    ``BlobNotFound``), as in the write-behind campaign above; the
+    checker must be clean on every seed all the same."""
+    results = run_campaign(GS_CHECKPOINTED, range(10), kinds=("crash",),
+                           workdir=str(tmp_path))
+    for r in results:
+        assert r.barriers is not None and r.barriers > 0, r.summary()
+        assert not r.violations and not r.conservation, r.summary()
+        assert r.error is None or r.error.startswith(
+            ("NodeFailedError:", "BlobNotFound:")), r.summary()
+        assert r.checked_reads > 0
+    assert sum(r.faults_applied for r in results) > 0
+    assert sum(r.ok for r in results) >= 5, \
+        [r.summary() for r in results if not r.ok]
+    assert "barriers committed" in results[0].summary()
+
+
 def test_cli_durability_flag(tmp_path, capsys):
     from repro.__main__ import main
     wd = str(tmp_path)

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hermes import (
-    BlobNotFound,
-    Hermes,
-    MinimizeIoTime,
-    PlacementError,
-    RoundRobin,
-    ScoreAware,
-)
+from repro.hermes import BlobNotFound, Hermes, PlacementError
 from repro.net import LinkSpec, Network
 from repro.sim import Monitor, Simulator
 from repro.storage import DMSH, DeviceSpec
@@ -23,11 +16,11 @@ SLOW = DeviceSpec("hdd", capacity=10000, read_bw=1e4, write_bw=1e4,
                   latency=0.0)
 
 
-def make_hermes(n_nodes=2, tiers=(FAST, MID, SLOW), policy=None):
+def make_hermes(n_nodes=2, tiers=(FAST, MID, SLOW)):
     sim = Simulator()
     net = Network(sim, n_nodes, intra=LinkSpec(bandwidth=1e9, latency=0.0))
     dmshs = [DMSH(sim, tiers, node_id=i) for i in range(n_nodes)]
-    hermes = Hermes(sim, net, dmshs, policy=policy)
+    hermes = Hermes(sim, net, dmshs)
     return sim, hermes
 
 
@@ -284,29 +277,6 @@ def test_delete_frees_all_copies():
 
     assert run(sim, proc()) == (0, 0)
     assert h.mdm.peek("bkt", "k") is None
-
-
-def test_score_aware_policy_maps_low_score_deep():
-    sim, h = make_hermes(policy=ScoreAware())
-
-    def proc():
-        info = yield from h.put(0, "bkt", "cold", b"\0" * 10, score=0.0)
-        return info.tier
-
-    assert run(sim, proc()) == "hdd"
-
-
-def test_round_robin_policy_spreads():
-    sim, h = make_hermes(policy=RoundRobin())
-
-    def proc():
-        tiers = []
-        for i in range(3):
-            info = yield from h.put(0, "bkt", f"k{i}", b"\0" * 10)
-            tiers.append(info.tier)
-        return tiers
-
-    assert run(sim, proc()) == ["dram", "nvme", "hdd"]
 
 
 def test_mdm_remote_lookup_charges_rpc():

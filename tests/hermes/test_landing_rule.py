@@ -73,8 +73,8 @@ def test_free_tier_claims_only_what_it_grants(redundant):
     h.backend = BACKEND
     claimed = {}
     dram, hdd = h.dmshs[0].tiers
-    assert h.free_tier(0, "bkt", 600, 1.0, claimed, redundant) is dram
+    assert h.free_tier(0, "bkt", 600, claimed, redundant) is dram
     # 400 bytes of DRAM left: the next blob would go to the disk.
-    got = h.free_tier(0, "bkt", 600, 1.0, claimed, redundant)
+    got = h.free_tier(0, "bkt", 600, claimed, redundant)
     assert got is (None if redundant else hdd)
     assert claimed == ({dram: 600} if redundant else {dram: 600, hdd: 600})

@@ -167,6 +167,27 @@ def test_cli_top_human_output_on_pipeline(tmp_path, capsys):
     assert "-- gauges (last sample) --" in out
 
 
+def test_cli_top_closes_the_last_partial_window(tmp_path, capsys):
+    """A run shorter than one obs window still shows its counters: the
+    final partial window is closed once before rendering, in text and
+    JSON alike."""
+    path = tmp_path / "mini.yaml"
+    path.write_text(MINI_PIPELINE)
+    rc = main(["top", str(path), "--workdir", str(tmp_path / "wd"),
+               "--json"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert 0 < doc["t"] < doc["window_s"]
+    assert doc["ticks"] == 1
+    assert doc["counters"]
+    assert all(c["delta"] > 0 for c in doc["counters"].values())
+    rc = main(["top", str(path), "--workdir", str(tmp_path / "wd2")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "1 ticks) ==" in out
+    assert "-- counters (retained window) --" in out
+
+
 # -- CLI: repro slo ----------------------------------------------------------
 
 def test_cli_slo_exit_codes_and_json(tmp_path, capsys):

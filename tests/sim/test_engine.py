@@ -162,14 +162,94 @@ def test_run_until_failed_event_raises():
 
 
 def test_run_until_deadline_stops_clock_there():
-    sim = Simulator()
+    # Both kernels: an event at exactly the deadline runs, the clock
+    # stops at the deadline, and a later event stays pending until the
+    # next run().
+    for fast in (True, False):
+        sim = Simulator(fast=fast)
+        log = []
 
-    def proc():
-        yield sim.timeout(100.0)
+        def proc(delay, tag):
+            yield sim.timeout(delay)
+            log.append((tag, sim.now))
 
-    sim.process(proc())
-    sim.run(until=10.0)
-    assert sim.now == 10.0
+        sim.process(proc(100.0, "late"))
+        sim.process(proc(10.0, "at"))
+        sim.run(until=10.0)
+        assert sim.now == 10.0
+        assert log == [("at", 10.0)]
+        sim.run(until=50.0)
+        assert sim.now == 50.0 and log == [("at", 10.0)]
+        sim.run()
+        assert sim.now == 100.0
+        assert log == [("at", 10.0), ("late", 100.0)]
+
+
+def test_run_until_deadline_runs_same_time_cohort():
+    """A cohort of zero-delay events at the deadline (microqueue
+    entries under the fast kernel) all run before run() returns, in
+    the same order under both kernels."""
+    traces = []
+    for fast in (True, False):
+        sim = Simulator(fast=fast)
+        trace = []
+        gate = Event(sim)
+
+        def opener():
+            yield sim.timeout(1.0)
+            for i in range(3):
+                yield sim.timeout(0)
+                trace.append(("tick", i, sim.now))
+            gate.succeed("open")
+
+        def waiter(name):
+            v = yield gate
+            trace.append((name, v, sim.now))
+            yield sim.timeout(0.5)
+            trace.append((name, "late", sim.now))
+
+        sim.process(opener())
+        sim.process(waiter("a"))
+        sim.process(waiter("b"))
+        sim.run(until=1.0)
+        assert sim.now == 1.0
+        assert trace == [("tick", 0, 1.0), ("tick", 1, 1.0),
+                         ("tick", 2, 1.0), ("a", "open", 1.0),
+                         ("b", "open", 1.0)]
+        sim.run()
+        assert sim.now == 1.5
+        assert trace[5:] == [("a", "late", 1.5), ("b", "late", 1.5)]
+        traces.append(trace)
+    assert traces[0] == traces[1]
+
+
+def test_run_until_deadline_under_perturbation():
+    """With perturbation armed, running to a deadline and then on
+    pops the same events in the same order as one run() to the end."""
+    def run(deadlines):
+        sim = Simulator()
+        sim.enable_perturbation(seed=3)
+        log = []
+
+        def proc(tag, delay):
+            yield sim.timeout(delay)
+            log.append(tag)
+            yield sim.timeout(0)
+            log.append((tag, sim.now))
+
+        for i in range(6):
+            sim.process(proc(i, 2.0))
+        sim.process(proc("late", 3.0))
+        for d in deadlines:
+            sim.run(until=d)
+            assert sim.now == d
+            if d == 2.0:
+                assert "late" not in log and len(log) == 12
+        sim.run()
+        assert sim.now == 3.0
+        return log
+
+    assert run([2.0, 2.5]) == run([])
 
 
 def test_run_until_past_deadline_rejected():
@@ -330,13 +410,6 @@ def test_interrupt_terminated_process_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         p.interrupt()
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(4.0)
-    assert sim.peek() == 4.0
 
 
 def test_nested_yield_from_composition():

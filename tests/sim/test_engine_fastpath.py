@@ -13,7 +13,6 @@ from repro.sim import (
     AnyOf,
     Event,
     Interrupt,
-    SimulationError,
     Simulator,
 )
 
@@ -21,21 +20,6 @@ from repro.sim import (
 @pytest.fixture(params=[True, False], ids=["fast", "slow"])
 def fast(request):
     return request.param
-
-
-# -- empty-schedule guard ---------------------------------------------------
-def test_step_empty_schedule_raises(fast):
-    sim = Simulator(fast=fast)
-    with pytest.raises(SimulationError, match="empty schedule"):
-        sim.step()
-
-
-def test_step_empty_after_drain_raises(fast):
-    sim = Simulator(fast=fast)
-    sim.timeout(1.0)
-    sim.run()
-    with pytest.raises(SimulationError, match="empty schedule"):
-        sim.step()
 
 
 # -- conditions over already-triggered events -------------------------------
@@ -202,7 +186,7 @@ def test_zero_delay_timeout_orders_with_immediates(fast):
 # -- trampoline correctness -------------------------------------------------
 def test_trampoline_runs_other_callbacks_first(fast):
     # When a chain-consumed event has other waiters, they must observe
-    # it exactly as if step() had popped it (callbacks before resume).
+    # it exactly as if the loop had popped it (callbacks before resume).
     sim = Simulator(fast=fast)
     trace = []
     shared = Event(sim)

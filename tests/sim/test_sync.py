@@ -1,59 +1,8 @@
-"""Unit tests for Barrier, Lock, Condition."""
+"""Unit tests for Lock."""
 
 import pytest
 
-from repro.sim import Barrier, Condition, Lock, SimulationError, Simulator
-
-
-def test_barrier_releases_all_at_last_arrival():
-    sim = Simulator()
-    bar = Barrier(sim, parties=3)
-    times = []
-
-    def proc(delay):
-        yield sim.timeout(delay)
-        gen = yield bar.wait()
-        times.append((sim.now, gen))
-
-    for d in (1.0, 2.0, 3.0):
-        sim.process(proc(d))
-    sim.run()
-    assert times == [(3.0, 0), (3.0, 0), (3.0, 0)]
-
-
-def test_barrier_is_cyclic():
-    sim = Simulator()
-    bar = Barrier(sim, parties=2)
-    gens = []
-
-    def proc():
-        g0 = yield bar.wait()
-        g1 = yield bar.wait()
-        gens.append((g0, g1))
-
-    sim.process(proc())
-    sim.process(proc())
-    sim.run()
-    assert gens == [(0, 1), (0, 1)]
-
-
-def test_barrier_single_party_never_blocks():
-    sim = Simulator()
-    bar = Barrier(sim, parties=1)
-
-    def proc():
-        yield bar.wait()
-        return sim.now
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == 0.0
-
-
-def test_barrier_invalid_parties():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Barrier(sim, parties=0)
+from repro.sim import Lock, SimulationError, Simulator
 
 
 def test_lock_mutual_exclusion():
@@ -99,46 +48,3 @@ def test_lock_fifo():
         sim.process(proc(i))
     sim.run()
     assert order == [0, 1, 2]
-
-
-def test_condition_notify_all():
-    sim = Simulator()
-    cond = Condition(sim)
-    woken = []
-
-    def waiter(n):
-        v = yield cond.wait()
-        woken.append((n, v, sim.now))
-
-    def notifier():
-        yield sim.timeout(2.0)
-        n = cond.notify_all("go")
-        assert n == 2
-
-    sim.process(waiter(0))
-    sim.process(waiter(1))
-    sim.process(notifier())
-    sim.run()
-    assert woken == [(0, "go", 2.0), (1, "go", 2.0)]
-
-
-def test_condition_notify_one():
-    sim = Simulator()
-    cond = Condition(sim)
-    assert cond.notify() is False
-    woken = []
-
-    def waiter(n):
-        yield cond.wait()
-        woken.append(n)
-
-    def notifier():
-        yield sim.timeout(1.0)
-        assert cond.notify() is True
-
-    sim.process(waiter(0))
-    sim.process(waiter(1))
-    sim.process(notifier())
-    sim.run()
-    assert woken == [0]
-    assert cond.n_waiting == 1

@@ -169,17 +169,6 @@ def test_max_spans_cap_counts_drops_keeps_percentiles(sim):
     assert out["trace.dropped_spans"] == 7.0
 
 
-def test_reset(sim):
-    tr = Tracer(sim, enabled=True, max_spans=1)
-    tr.record("a", "x", 0, 0.0, 1.0)
-    tr.record("b", "x", 0, 0.0, 2.0)
-    assert tr.dropped == 1
-    tr.reset()
-    assert tr.spans == [] and tr.dropped == 0
-    assert tr.latency_summary() == {}
-    assert tr.metrics.histograms == {}
-
-
 # -- Chrome export ----------------------------------------------------------
 
 def test_chrome_export(sim, tmp_path):

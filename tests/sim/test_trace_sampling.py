@@ -169,12 +169,3 @@ def test_no_sampler_keeps_everything():
     sim.run(until=sim.process(work(), name="w"))
     assert len(tracer.spans) == 100
     assert "trace.sampled_out" not in tracer.latency_summary()
-
-
-def test_reset_clears_sampler_counters():
-    sim, tracer = _tracer(head_rate=0.1)
-    _burst(sim, tracer, 100)
-    assert tracer.sampler.sampled_out > 0
-    tracer.reset()
-    assert tracer.sampler.sampled_out == 0
-    assert tracer.sampler.tail_promoted == 0

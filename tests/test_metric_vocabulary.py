@@ -26,7 +26,6 @@ from repro import pipeline
 from repro.obs import SLOSpec, standard_detectors
 from repro.obs.report import DEVICE_SERIES, SCACHE_SERIES
 from repro.pipeline import run_pipeline
-from repro.sim.monitor import _prom_name
 from repro.tenancy import run_colocation
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -254,11 +253,13 @@ def test_one_name_per_quantity(runs):
     # schema, so an exact label match is the only match.
     mixed = {n: s for n, s in schemas.items() if len(s) > 1}
     assert not mixed, mixed
-    # `hermes.gets` and `hermes_gets` would be one Prometheus metric.
-    by_prom = {}
+    # No two names differ only in punctuation (`hermes.gets` and
+    # `hermes_gets` would read as one quantity).
+    by_spelling = {}
     for name in schemas:
-        by_prom.setdefault(_prom_name(name), []).append(name)
-    twins = {p: ns for p, ns in by_prom.items() if len(ns) > 1}
+        by_spelling.setdefault(re.sub(r"[^a-zA-Z0-9]", "_", name),
+                               []).append(name)
+    twins = {p: ns for p, ns in by_spelling.items() if len(ns) > 1}
     assert not twins, twins
 
 
