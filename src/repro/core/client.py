@@ -20,7 +20,7 @@ from repro.core.errors import VectorError
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.shared import SharedVector
 from repro.core.vector import Vector
-from repro.net.message import batched_nbytes
+from repro.net import batched_nbytes, fan_out
 from repro.sim import AllOf, Event
 
 #: Wire size of a task envelope (metadata without payload).
@@ -166,10 +166,8 @@ class MegaMmapClient:
             if not wait:
                 self._hand_off(target, task, nbytes)
                 return None
-            yield from self._behind(target)
-            yield from self.system.network.transfer(self.node, target,
-                                                    nbytes)
-            self.system.runtimes[target].submit(task)
+            yield from self._send(target, task, nbytes,
+                                  self._tails.get(target))
             result = yield task.done
             if self._m_task_lat is not None:
                 self._m_task_lat.observe(self.system.sim.now - t0)
@@ -187,7 +185,10 @@ class MegaMmapClient:
 
         ``wait=True`` ships every batch (each behind what this client
         already handed off to its owner) and returns the per-task
-        results in ``tasks`` order; ``wait=False`` hands every batch to
+        results in ``tasks`` order: the owners' batches leave together
+        (:func:`~repro.net.fan_out`), one owner's in order, so the call
+        waits one round trip, not one flight per owner before its last
+        request leaves. ``wait=False`` hands every batch to
         the outbound path (:meth:`_hand_off`) and returns at once, with
         completion tracked for :meth:`drain`. When batching is disabled
         (or a single task is given) this degrades to per-task
@@ -229,32 +230,39 @@ class MegaMmapClient:
         extra = {} if self.tenant is None else {
             "tenant": self.tenant.name}
         t0 = self.system.sim.now
+        sends = []
         for owner, batch, _chunk in batches:
             payloads = [t.nbytes
                         if t.kind in (TaskKind.WRITE, TaskKind.OBJ_WRITE)
                         else 0
                         for t in batch.tasks]
-            nbytes = batched_nbytes(payloads)
-            with self.system.tracer.span(
-                    f"submit_batch:{batch.kind.value}", "rpc.batch",
-                    node=self.node, target=owner, vector=batch.vector_name,
-                    count=len(batch), wait=wait, nbytes=nbytes,
-                    **extra) as sp:
-                if self.system.tracer.enabled:
+            sends.append((owner, batch, batched_nbytes(payloads)))
+        # One span for the call: every batch's shipment, service and
+        # reply names it as their cause, and a waited call's span
+        # lasts until the last reply is in.
+        with self.system.tracer.span(
+                f"submit_batch:{tasks[0].kind.value}", "rpc.batch",
+                node=self.node,
+                targets=list(dict.fromkeys(o for o, _b, _n in sends)),
+                vector=tasks[0].vector_name, count=len(tasks), wait=wait,
+                nbytes=sum(n for _o, _b, n in sends), **extra) as sp:
+            if self.system.tracer.enabled:
+                for _owner, batch, _nbytes in sends:
                     batch.ctx = sp.span_id
-                if not wait:
+            if not wait:
+                for owner, batch, nbytes in sends:
                     self._hand_off(owner, batch, nbytes)
-                    continue
-                yield from self._behind(owner)
-                yield from self.system.network.transfer(self.node, owner,
-                                                        nbytes)
-                self.system.runtimes[owner].submit(batch)
-        if not wait:
-            return None
-        results: List = [None] * len(tasks)
-        yield AllOf(self.system.sim, [b.done for _o, b, _c in batches])
+                return None
+            # Every owner's batches leave together; one owner's go in
+            # order, each behind what this client handed off to it.
+            yield from fan_out(self.system.sim, [
+                (owner, self._send(owner, batch, nbytes,
+                                   self._tails.get(owner)))
+                for owner, batch, nbytes in sends])
+            yield AllOf(self.system.sim, [b.done for _o, b, _c in batches])
         if self._m_task_lat is not None:
             self._m_task_lat.observe(self.system.sim.now - t0)
+        results: List = [None] * len(tasks)
         for _owner, batch, chunk in batches:
             for pos, value in zip(chunk, batch.done.value):
                 results[pos] = value
@@ -287,24 +295,11 @@ class MegaMmapClient:
             self._m_inflight.add(pinned)
         system.in_transit += 1
         self._outstanding.append((task.vector_name, task.done))
-        # The shipment's span continues the submit span that handed it
-        # off (same category), which it names as its cause.
-        span, category = ("ship_batch", "rpc.batch") \
-            if isinstance(task, BatchTask) else ("ship", "rpc")
-        causal = {} if task.ctx is None else {"cause": task.ctx}
 
         def ship():
             try:
                 try:
-                    with system.tracer.span(
-                            f"{span}:{task.kind.value}", category,
-                            node=self.node, target=target,
-                            vector=task.vector_name, nbytes=nbytes,
-                            **causal):
-                        if prev is not None and not prev.triggered:
-                            yield prev
-                        yield from system.network.transfer(
-                            self.node, target, nbytes)
+                    yield from self._wire(target, task, nbytes, prev)
                 finally:
                     # On the wire or lost with it: either way the
                     # bytes are no longer held here.
@@ -319,14 +314,29 @@ class MegaMmapClient:
 
         system.sim.process(ship(), name=f"ship {self.node}->{target}")
 
-    def _behind(self, target: int):
-        """Read-your-writes: hold a waited submission to ``target``
-        until everything already handed off to that node is enqueued
-        there — never later than when the hand-off itself blocked.
+    def _wire(self, target: int, task, nbytes: int, prev):
+        """A shipment's wire leg: wait until ``prev`` (the enqueue of
+        what was shipped to ``target`` before it) has happened, then
+        carry ``nbytes`` there. Its span continues the submit span
+        that asked (same category), which it names as its cause.
         Generator."""
-        tail = self._tails.get(target)
-        if tail is not None and not tail.triggered:
-            yield tail
+        span, category = ("ship_batch", "rpc.batch") \
+            if isinstance(task, BatchTask) else ("ship", "rpc")
+        causal = {} if task.ctx is None else {"cause": task.ctx}
+        with self.system.tracer.span(
+                f"{span}:{task.kind.value}", category, node=self.node,
+                target=target, vector=task.vector_name, nbytes=nbytes,
+                **causal):
+            if prev is not None and not prev.triggered:
+                yield prev
+            yield from self.system.network.transfer(self.node, target,
+                                                    nbytes)
+
+    def _send(self, target: int, task, nbytes: int, prev):
+        """A waited shipment: :meth:`_wire`, then enqueue ``task`` at
+        ``target``'s runtime. Generator."""
+        yield from self._wire(target, task, nbytes, prev)
+        self.system.runtimes[target].submit(task)
 
     def settle(self):
         """Wait until every task handed off so far is *enqueued* at its

@@ -28,9 +28,9 @@ LabStor." Scheduling rules implemented here:
   (:meth:`NodeRuntime._split_read`);
 * a read -- a single task or a split batch -- reads without shipping
   and leaves the client **one reply**, one transfer per source node,
-  sent after its service (:meth:`NodeRuntime._reply`): it linearizes
-  at its service, and only the requester waits for the wire, not a
-  core, a FIFO or a blob lock;
+  all sources' at once, sent after its service
+  (:meth:`NodeRuntime._reply`): it linearizes at its service, and only
+  the requester waits for the wire, not a core, a FIFO or a blob lock;
 * a task, a barrier batch or a part gets its core, its spans and its
   completion from the one :meth:`NodeRuntime._service`.
 """
@@ -41,6 +41,7 @@ from typing import Dict, List
 
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.scache import ScacheExecutor
+from repro.net import fan_out
 from repro.sim import AllOf, Event, Resource, Store
 from repro.sim.rand import spawn_seed
 
@@ -227,11 +228,15 @@ class NodeRuntime:
     def _reply(self, unit, result):
         """Answer a serviced read: what it read and left on each source
         node (``unit.reply``) travels to the client in one transfer per
-        node, its ``net`` span naming the request as ``cause``; then
-        ``unit.done`` fires with ``result``. Generator."""
-        for src, nbytes in unit.reply.items():
-            yield from self.system.network.transfer(
-                src, unit.client_node, nbytes, cause=unit.ctx)
+        node, every source's at once (:func:`~repro.net.fan_out`),
+        each ``net`` span naming the request as ``cause``; once the
+        last has landed, ``unit.done`` fires with ``result``.
+        Generator."""
+        network = self.system.network
+        yield from fan_out(self.sim, [
+            (src, network.transfer(src, unit.client_node, nbytes,
+                                   cause=unit.ctx))
+            for src, nbytes in unit.reply.items()])
         if unit.done is not None:
             unit.done.succeed(result)
 

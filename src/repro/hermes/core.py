@@ -9,7 +9,7 @@ import numpy as np
 from repro.hermes.blob import BlobInfo, BlobNotFound
 from repro.hermes.dpe import PlacementError
 from repro.hermes.mdm import MetadataManager
-from repro.net.fabric import Network
+from repro.net.fabric import Network, fan_out
 from repro.sim import Lock, Monitor, Simulator
 from repro.sim.trace import NOOP_TRACER
 from repro.storage.device import Device
@@ -353,7 +353,8 @@ class Hermes:
         ``items`` is an iterable of ``(key, data, target_node)``. Each
         blob is placed on its device individually (the device time is
         real either way), but the payloads cross the network in **one
-        transfer per destination node** and the metadata lookups and
+        transfer per destination node**, every destination's at once
+        (:func:`~repro.net.fan_out`), and the metadata lookups and
         publishes go out as one batched RPC per owner shard instead of
         one round trip per blob. Generator; returns ``{key: BlobInfo}``.
         """
@@ -369,8 +370,13 @@ class Hermes:
         by_dst: dict = {}
         for _key, data, node in items:
             by_dst[node] = by_dst.get(node, 0) + len(data)
-        for node, nbytes in by_dst.items():
-            yield from self.network.transfer(client_node, node, nbytes)
+        # Spawned (several peers), a transfer names this call's span.
+        cause = self.tracer.current_span_id() if len(by_dst) > 1 \
+            else None
+        yield from fan_out(self.sim, [
+            (node, self.network.transfer(client_node, node, nbytes,
+                                         cause=cause))
+            for node, nbytes in by_dst.items()])
         out = {}
         new_infos = []
         stored = []
@@ -511,12 +517,18 @@ class Hermes:
 
     def get_many(self, client_node: int, bucket: str, keys):
         """Vectored whole-blob fetch: :meth:`read_many` shipped to
-        ``client_node``. Generator; returns ``{key: bytes}``."""
+        ``client_node``, one transfer per source node, every source's
+        at once (:func:`~repro.net.fan_out`). Generator; returns
+        ``{key: bytes}``."""
         keys = list(keys)
         raws, manifest = yield from self.read_many(
             client_node, bucket, [(key, None) for key in keys])
-        for node, nbytes in manifest.items():
-            yield from self.network.transfer(node, client_node, nbytes)
+        cause = self.tracer.current_span_id() if len(manifest) > 1 \
+            else None
+        yield from fan_out(self.sim, [
+            (node, self.network.transfer(node, client_node, nbytes,
+                                         cause=cause))
+            for node, nbytes in manifest.items()])
         return dict(zip(keys, raws))
 
     def _live_copy(self, info: BlobInfo, client_node: int):

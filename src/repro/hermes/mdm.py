@@ -14,7 +14,7 @@ import os
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.hermes.blob import BlobInfo, BlobNotFound
-from repro.net.fabric import Network
+from repro.net.fabric import Network, fan_out
 from repro.sim import Simulator
 
 #: Wire size charged per metadata RPC (request + response envelope).
@@ -124,25 +124,36 @@ class MetadataManager:
         self._caches[client_node][(bucket, key)] = info
         return info
 
-    def _rpc_batched(self, client_node: int, owner: int, n_items: int):
-        """One metadata round trip carrying ``n_items`` entries."""
-        if client_node == owner:
-            return
-        self.rpcs += 1
-        nbytes = MDM_RPC_BYTES + MDM_ITEM_BYTES * max(0, n_items - 1)
-        yield from self.network.transfer(client_node, owner, nbytes)
-        yield from self.network.transfer(owner, client_node, nbytes)
+    def _rpc_many(self, client_node: int, owners: Dict[int, int]):
+        """One metadata round trip per remote owner shard, carrying
+        ``owners[owner]`` entries, every shard's at once
+        (:func:`~repro.net.fan_out`): the call waits for the last
+        reply, one round trip, not one per shard. Generator."""
+        net = self.network
+        # Spawned (several shards), a transfer names this call's span.
+        cause = net.tracer.current_span_id() if len(owners) > 1 else None
+
+        def round_trip(owner: int, n_items: int):
+            self.rpcs += 1
+            nbytes = MDM_RPC_BYTES + MDM_ITEM_BYTES * max(0, n_items - 1)
+            yield from net.transfer(client_node, owner, nbytes,
+                                    cause=cause)
+            yield from net.transfer(owner, client_node, nbytes,
+                                    cause=cause)
+
+        yield from fan_out(self.sim, [
+            (owner, round_trip(owner, n)) for owner, n in owners.items()])
 
     def put_many(self, client_node: int, infos):
         """Vectored :meth:`put`: one batched RPC per remote owner
-        shard instead of one round trip per entry. Generator."""
+        shard instead of one round trip per entry, all shards' at
+        once. Generator."""
         owners: Dict[int, int] = {}
         for info in infos:
             owner = self.owner_of(info.bucket, info.key)
             if owner != client_node:
                 owners[owner] = owners.get(owner, 0) + 1
-        for owner, n in owners.items():
-            yield from self._rpc_batched(client_node, owner, n)
+        yield from self._rpc_many(client_node, owners)
         for info in infos:
             owner = self.owner_of(info.bucket, info.key)
             self._shards[owner][(info.bucket, info.key)] = info
@@ -150,8 +161,9 @@ class MetadataManager:
 
     def try_get_many(self, client_node: int, bucket: str, keys):
         """Vectored :meth:`try_get`: cache-missed keys cost one
-        batched RPC per remote owner shard. Generator; returns
-        ``{key: Optional[BlobInfo]}`` (absent keys map to None)."""
+        batched RPC per remote owner shard, all shards' at once.
+        Generator; returns ``{key: Optional[BlobInfo]}`` (absent keys
+        map to None)."""
         out: Dict[object, Optional[BlobInfo]] = {}
         owners: Dict[int, int] = {}
         misses = []
@@ -164,8 +176,7 @@ class MetadataManager:
             owner = self.owner_of(bucket, key)
             if owner != client_node:
                 owners[owner] = owners.get(owner, 0) + 1
-        for owner, n in owners.items():
-            yield from self._rpc_batched(client_node, owner, n)
+        yield from self._rpc_many(client_node, owners)
         for key in misses:
             owner = self.owner_of(bucket, key)
             info = self._shards[owner].get((bucket, key))

@@ -7,8 +7,8 @@ and the other 10Gb/s), with RoCE enabled". Transfers are charged
 incast/fan-out contention emerges naturally.
 """
 
-from repro.net.fabric import LinkSpec, Network
+from repro.net.fabric import LinkSpec, Network, fan_out
 from repro.net.message import Mailbox, Message, batched_nbytes
 
 __all__ = ["LinkSpec", "Mailbox", "Message", "Network",
-           "batched_nbytes"]
+           "batched_nbytes", "fan_out"]

@@ -1,11 +1,20 @@
-"""Point-to-point transfer cost model over a two-rack topology."""
+"""Point-to-point transfer cost model over a two-rack topology.
+
+A call that talks to several peers -- a vectored request's per-owner
+batches, a read's per-source replies, a metadata round per owner shard
+-- sends through :func:`fan_out`: messages to different peers leave
+together (their flights overlap; one sending NIC still puts them on
+the wire one after another), messages to one peer go in call order,
+and the call waits once, for the last landing, instead of one flight
+per peer.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Tuple
 
-from repro.sim import Monitor, Resource, Simulator
+from repro.sim import AllOf, Monitor, Resource, Simulator
 from repro.sim.trace import NOOP_TRACER
 
 
@@ -144,3 +153,36 @@ class Network:
     def transfer_time(self, src: int, dst: int, nbytes: int) -> float:
         """Uncontended estimate (used by the prefetcher's score model)."""
         return self.link_for(src, dst).xfer_time(nbytes)
+
+
+def fan_out(sim: Simulator, sends: Iterable[Tuple[int, object]]):
+    """Run one call's per-peer messages together (generator).
+
+    ``sends`` lists ``(peer, generator)`` pairs: one message or RPC
+    each (a :meth:`Network.transfer`, a round trip, a shipment).
+    Every peer's sends start at once, each peer in a process of its
+    own, and the call returns when the last one has landed: messages
+    to different peers leave together, messages to one peer run one
+    after another in list order, so they land in that order whatever
+    the wire does to either. A call with a single peer runs inline,
+    in the caller's process: no extra process or event, the schedule
+    of a plain loop. A send that raises fails the call.
+
+    Inline, a send's spans nest under the caller's open span; spawned,
+    they have no parent in the caller's process, so a send spawned by
+    a traced call names the span that waits for it as its ``cause``.
+    """
+    chains: dict = {}
+    for peer, send in sends:
+        chains.setdefault(peer, []).append(send)
+    if len(chains) == 1:
+        yield from _in_order(*chains.values())
+    elif chains:
+        yield AllOf(sim, [
+            sim.process(_in_order(chain), name=f"fan-out ->{peer}")
+            for peer, chain in chains.items()])
+
+
+def _in_order(chain):
+    for send in chain:
+        yield from send
