@@ -70,8 +70,10 @@ def test_ablation_coherence(benchmark):
     # Replication only happens under the read-only policy...
     assert ro["replications"] > 0
     assert rw["replications"] == 0
-    # ...and repeated global reads are no slower with it.
-    assert ro["runtime_s"] <= rw["runtime_s"] * 1.05
+    # ...and repeated global reads are much faster with it (1.83x at
+    # 4 nodes). A run end rounded up to a 50 ms polling tick would
+    # bury both ~2 ms bodies and read ~1.03x.
+    assert rw["runtime_s"] / ro["runtime_s"] >= 1.5
     emit_result("ablation_coherence", "coherence.ro_speedup",
                 rw["runtime_s"] / max(ro["runtime_s"], 1e-9), "x",
                 dict(n_nodes=4, elements=N))

@@ -312,7 +312,7 @@ class MegaMmapClient:
                 task.done.fail(exc)   # task's waiter
             enqueued.succeed()
 
-        system.sim.process(ship(), name=f"ship {self.node}->{target}")
+        system.spawn_work(ship(), name=f"ship {self.node}->{target}")
 
     def _wire(self, target: int, task, nbytes: int, prev):
         """A shipment's wire leg: wait until ``prev`` (the enqueue of
@@ -334,9 +334,15 @@ class MegaMmapClient:
 
     def _send(self, target: int, task, nbytes: int, prev):
         """A waited shipment: :meth:`_wire`, then enqueue ``task`` at
-        ``target``'s runtime. Generator."""
-        yield from self._wire(target, task, nbytes, prev)
-        self.system.runtimes[target].submit(task)
+        ``target``'s runtime; work for :meth:`MegaMmapSystem.quiesce`
+        until then. Generator."""
+        system = self.system
+        system.begin_work()
+        try:
+            yield from self._wire(target, task, nbytes, prev)
+            system.runtimes[target].submit(task)
+        finally:
+            system.end_work()
 
     def settle(self):
         """Wait until every task handed off so far is *enqueued* at its
@@ -385,7 +391,7 @@ class MegaMmapClient:
                         self.node, o, TASK_ENVELOPE)
                 self.system.runtimes[o].submit(t)
 
-            self.system.sim.process(ship(), name="score-ship")
+            self.system.spawn_work(ship(), name="score-ship")
         if False:  # pragma: no cover - keeps this a generator
             yield
 

@@ -134,6 +134,7 @@ class NodeRuntime:
     def submit(self, task) -> None:
         """Enqueue a MemoryTask or BatchTask at this runtime."""
         self.inflight += 1
+        self.system.begin_work()
         task.submit_time = self.sim.now
         self._backlog_gauge.add(1)
         self._grow(self.backlog)
@@ -205,6 +206,7 @@ class NodeRuntime:
         # The parent batch counted once at submit(); every part's
         # worker decrements, so account for the extras.
         self.inflight += len(parts) - 1
+        self.system.begin_work(len(parts) - 1)
         self._backlog_gauge.add(len(parts) - 1)
 
         def merge():
@@ -223,7 +225,7 @@ class NodeRuntime:
                     results[pos] = value
             yield from self._reply(batch, results)
 
-        self.sim.process(merge(), name=f"rt{self.node_id}.merge")
+        self.system.spawn_work(merge(), name=f"rt{self.node_id}.merge")
 
     def _reply(self, unit, result):
         """Answer a serviced read: what it read and left on each source
@@ -307,8 +309,8 @@ class NodeRuntime:
                              **attrs, nbytes=unit.nbytes, **causal):
                 result = yield from run
             if unit.reply and not part:
-                self.sim.process(self._reply(unit, result),
-                                 name=f"rt{self.node_id}.reply")
+                self.system.spawn_work(self._reply(unit, result),
+                                       name=f"rt{self.node_id}.reply")
             elif unit.done is not None:
                 unit.done.succeed(result)
         except (GeneratorExit, KeyboardInterrupt, SystemExit):
@@ -321,6 +323,7 @@ class NodeRuntime:
         finally:
             self.inflight -= 1
             pool.release(req)
+            self.system.end_work()
 
     def _fail(self, unit, label: str, exc: BaseException) -> None:
         """Fail a request: count it under ``label`` -- so chaos triage

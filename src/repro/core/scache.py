@@ -54,6 +54,13 @@ def _write_score(vec: SharedVector) -> float:
         CoherencePolicy.APPEND_ONLY_GLOBAL) else 1.0
 
 
+#: The two read kinds are one read on the owner; the kind only names
+#: its spans (``read`` / ``read_batch`` vs ``obj_read`` /
+#: ``obj_read_batch``) and their category, so ``repro report`` can
+#: tell the page path from the object path.
+_READ_CATEGORY = {TaskKind.READ: "scache", TaskKind.OBJ_READ: "object"}
+
+
 class ScacheExecutor:
     """Executes MemoryTasks on behalf of one node's runtime workers."""
 
@@ -79,9 +86,11 @@ class ScacheExecutor:
         if tenancy is not None:
             tenancy.note_scache_op(vec.name, task.kind.value)
         tracer = self.system.tracer
-        if task.kind is TaskKind.READ:
-            with tracer.span("read", "scache", node=self.node_id,
-                             vector=vec.name, page=task.page_idx):
+        category = _READ_CATEGORY.get(task.kind)
+        if category is not None:
+            with tracer.span(task.kind.value, category, node=self.node_id,
+                             vector=vec.name, page=task.page_idx,
+                             nbytes=task.nbytes):
                 (raw,), task.reply = yield from self._read_batch(
                     vec, [task], task.client_node)
                 return raw
@@ -90,19 +99,6 @@ class ScacheExecutor:
                              vector=vec.name, page=task.page_idx,
                              nbytes=task.nbytes):
                 return (yield from self._write(vec, task))
-        if task.kind is TaskKind.OBJ_READ:
-            # Object-granular extent read (DOLMA regime): same scache
-            # semantics as a partial READ — crash failover, integrity
-            # verification — but attributed to the "object" category so
-            # ``repro report`` can tell the access paths apart.
-            with tracer.span("obj_read", "object", node=self.node_id,
-                             vector=vec.name, page=task.page_idx,
-                             nbytes=task.nbytes):
-                self.system.monitor.count("object.scache_reads",
-                                          node=self.node_id)
-                (raw,), task.reply = yield from self._read_batch(
-                    vec, [task], task.client_node)
-                return raw
         if task.kind is TaskKind.OBJ_WRITE:
             # Write-through: once the ack reaches the client, the bytes
             # must survive a primary crash — so durability copies ship
@@ -140,10 +136,12 @@ class ScacheExecutor:
             tenancy.note_scache_op(vec.name, batch.kind.value,
                                    len(batch))
         tracer = self.system.tracer
-        if batch.kind is TaskKind.READ:
-            with tracer.span("read_batch", "scache.batch",
-                             node=self.node_id, vector=vec.name,
-                             count=len(batch)):
+        category = _READ_CATEGORY.get(batch.kind)
+        if category is not None:
+            with tracer.span(f"{batch.kind.value}_batch",
+                             f"{category}.batch", node=self.node_id,
+                             vector=vec.name, count=len(batch),
+                             nbytes=batch.nbytes):
                 results, batch.reply = yield from self._read_batch(
                     vec, batch.tasks, batch.client_node)
                 return results
@@ -152,15 +150,6 @@ class ScacheExecutor:
                              node=self.node_id, vector=vec.name,
                              count=len(batch), nbytes=batch.nbytes):
                 return (yield from self._write_batch(vec, batch))
-        if batch.kind is TaskKind.OBJ_READ:
-            with tracer.span("obj_read_batch", "object.batch",
-                             node=self.node_id, vector=vec.name,
-                             count=len(batch), nbytes=batch.nbytes):
-                self.system.monitor.count("object.scache_reads",
-                                          len(batch), node=self.node_id)
-                results, batch.reply = yield from self._read_batch(
-                    vec, batch.tasks, batch.client_node)
-                return results
         results = []
         for task in batch.tasks:
             results.append((yield from self.execute(task)))
@@ -491,7 +480,7 @@ class ScacheExecutor:
             # critical path, like the paper's async eviction). Object
             # writes instead replicate synchronously before the ack
             # (the caller passes ``async_replicate=False``).
-            self.sim.process(
+            self.system.spawn_work(
                 rel.replicate_page(vec, task.page_idx),
                 name=f"replicate {vec.name}[{task.page_idx}]")
 

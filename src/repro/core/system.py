@@ -64,6 +64,10 @@ class MegaMmapSystem:
         #: Async tasks handed to a client's outbound path that have not
         #: reached their runtime yet (``MegaMmapClient._hand_off``).
         self.in_transit = 0
+        #: Work :meth:`quiesce` waits for (:meth:`begin_work`), and
+        #: the event it waits on while there is any.
+        self._work = 0
+        self._quiescing = None
         #: In-flight collective page fetches: (vector, page) -> entry.
         self._collective: Dict = {}
         self.organizer = DataOrganizer(self)
@@ -167,11 +171,49 @@ class MegaMmapSystem:
             raise ValueError(f"node {node} outside deployment")
         return MegaMmapClient(self, rank, node)
 
+    @property
+    def quiet(self) -> bool:
+        """No work is left that :meth:`quiesce` waits for."""
+        return not self._work
+
+    def begin_work(self, n: int = 1) -> None:
+        """Count ``n`` units of work :meth:`quiesce` waits for: a task
+        from its submit to a runtime until it is answered (its reply
+        landed), a shipment from its hand-off until its task is
+        enqueued, a background process a client or an owner started
+        (:meth:`spawn_work`). Each is closed by :meth:`end_work`."""
+        self._work += n
+
+    def end_work(self, n: int = 1) -> None:
+        """Close ``n`` units of :meth:`begin_work`; the last one wakes
+        :meth:`quiesce`."""
+        self._work -= n
+        if not self._work and self._quiescing is not None:
+            self._quiescing, wake = None, self._quiescing
+            wake.succeed()
+
+    def spawn_work(self, gen, name: str):
+        """Run ``gen`` in a process of its own that counts as work
+        (:meth:`begin_work`) from this call until it ends, however it
+        ends; returns the process."""
+        self.begin_work()
+
+        def run():
+            try:
+                return (yield from gen)
+            finally:
+                self.end_work()
+
+        return self.sim.process(run(), name=name)
+
     def quiesce(self):
-        """Wait until every runtime queue drains — and nothing handed
-        off by a client is still on its way to one (generator)."""
-        while self.in_transit or any(not rt.idle for rt in self.runtimes):
-            yield self.sim.timeout(self.config.organizer_period)
+        """Wait until the deployment is :attr:`quiet` (generator): it
+        returns at the instant the last unit of work ends, not at a
+        polling tick."""
+        while not self.quiet:
+            if self._quiescing is None:
+                self._quiescing = self.sim.event()
+            yield self._quiescing
 
     def shutdown(self):
         """Drain queues and persist all nonvolatile vectors (the

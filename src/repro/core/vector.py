@@ -37,7 +37,12 @@ class Chunk:
 
     ``data`` aliases the pcache frame: mutations hit the cache
     directly (and the run was pre-marked dirty for writing
-    transactions).
+    transactions) — but only while the frame extent it was cut from
+    is the frame's storage. A later ``write_range`` across an extent
+    boundary of the same frame merges the extents into a new buffer
+    (:meth:`~repro.core.pcache.Frame.span`); from then on ``data`` is
+    a detached copy: writes through it no longer reach the cache, and
+    the cache's later bytes no longer show in it.
     """
 
     start: int          # element index of data[0]
@@ -241,12 +246,13 @@ class Vector:
         want = tx.remaining if max_elems is None \
             else min(max_elems, tx.remaining)
         want = min(want, self.elems_per_page)
-        regions = tx.get_pages(tx.tail, want)
-        region = regions[0]
-        write_only = tx.writes and not tx.flags & TxFlags.READ
-        frame = yield from self._fault(
-            region.page_idx, (region.off, region.size),
-            allocate_only=write_only)
+        region = tx.get_pages(tx.tail, want)[0]
+        if tx.writes and not tx.flags & TxFlags.READ:
+            frame = yield from self._allocate(region.page_idx, region.off,
+                                              region.size)
+        else:
+            (frame,) = yield from self._read_pages(
+                [(region.page_idx, region.off, region.size)])
         n_elems = region.size // self.itemsize
         tx.advance(n_elems)
         end = region.off + region.size
@@ -292,48 +298,32 @@ class Vector:
         """Read ``count`` elements starting at ``elem_off`` (generator;
         returns a private copy).
 
-        Multi-page reads coalesce their page faults: the missing
-        regions of a wave of pages ship as one batched submission
-        (fault coalescing), paying one vectored RPC per owner node
-        instead of one round trip per page. Collective reads and
-        ``batching_enabled=False`` keep the per-page path.
+        The pages are read in waves, each one :meth:`_read_regions`
+        call: the missing extents of a wave ship as one batched
+        submission, one vectored RPC per owner node instead of one
+        round trip per page. A wave is the batch cap, and never more
+        pages than fit the pcache budget at once (the frames of a wave
+        are exempt from eviction, so an unbounded wave could
+        overcommit); it is one page under a collective read (each
+        page its own tree fan-out) and with ``batching_enabled=False``.
         """
         self._check_range(elem_off, count)
         h = self.client.system.history
         t0 = self.client.system.sim.now if h is not None else 0.0
         out = np.empty(count, dtype=self.dtype)
         spans = list(self._page_spans(elem_off, count))
-        cfg = self.client.system.config
-        collective = (self.tx is not None and self.tx.is_collective
-                      and not self.tx.writes)
-        if not cfg.batching_enabled or len(spans) == 1 or collective:
-            for page_idx, poff, n, doff in spans:
-                byte_off = poff * self.itemsize
-                nbytes = n * self.itemsize
-                frame = yield from self._fault(page_idx,
-                                               (byte_off, nbytes))
-                out[doff:doff + n] = frame.read(
-                    byte_off, byte_off + nbytes).view(self.dtype)
-            if h is not None:
-                h.on_read(self, elem_off, out, t0)
-            return out
-        # Wave size: the batch cap, and never more pages than fit the
-        # pcache budget at once (frames of the current wave are exempt
-        # from eviction, so an unbounded wave could overcommit).
-        budget_pages = max(1, self.pcache_budget
-                           // self.shared.page_size)
-        wave_cap = max(1, min(memtask.BATCH_MAX_PAGES, budget_pages))
+        wave_cap = 1
+        if self.client.system.config.batching_enabled \
+                and not self._collective:
+            budget_pages = self.pcache_budget // self.shared.page_size
+            wave_cap = max(1, min(memtask.BATCH_MAX_PAGES, budget_pages))
         for lo in range(0, len(spans), wave_cap):
             wave = spans[lo:lo + wave_cap]
-            frames = yield from self._fault_wave(
+            frames = yield from self._read_pages(
                 [(p, poff * self.itemsize, n * self.itemsize)
                  for p, poff, n, _ in wave])
             # Copy out before the next wave may evict these frames.
-            for page_idx, poff, n, doff in wave:
-                byte_off = poff * self.itemsize
-                nbytes = n * self.itemsize
-                out[doff:doff + n] = frames[page_idx].read(
-                    byte_off, byte_off + nbytes).view(self.dtype)
+            self._gather(out, wave, frames)
         if h is not None:
             h.on_read(self, elem_off, out, t0)
         return out
@@ -346,10 +336,7 @@ class Vector:
                                                         len(array)):
             byte_off = poff * self.itemsize
             nbytes = n * self.itemsize
-            # Write-allocate: the range is fully overwritten, so no
-            # read is needed — the fault only makes room for it.
-            frame = yield from self._fault(page_idx, (byte_off, nbytes),
-                                           allocate_only=True)
+            frame = yield from self._allocate(page_idx, byte_off, nbytes)
             # Assign the source slice's uint8 view directly — the frame
             # assignment is the one copy; a tobytes()/frombuffer round
             # trip would materialize the bytes twice per span.
@@ -428,23 +415,20 @@ class Vector:
     # and every request when the threshold is 0 — take the plain page
     # path via ``read_range``/``write_range``, bit-for-bit.
     #
-    # Fetched extents are installed into pcache frames as *valid*
-    # (never dirty) bytes, and a frame holds — and is charged for —
-    # only the extents it has, so the pcache doubles as an object cache
-    # at extent granularity: the zipf head of a serving workload stays
+    # An object read is the client's one read (``_read_regions``) with
+    # OBJ_READ tasks: a frame holds — and is charged for — only the
+    # extents it has, so the pcache doubles as an object cache at
+    # extent granularity: the zipf head of a serving workload stays
     # local until the byte budget is under pressure, while the misses
     # of a whole ``read_objects`` call — identical extents deduplicated
     # — batch into one vectored round trip per owner node instead of
     # one sequential fault per lookup.
     #
     # Coherence rule (read-your-writes):
-    #   * reads serve bytes that are valid in a resident pcache frame
-    #     from that frame (dirty ⊆ valid, so the rank's own uncommitted
-    #     page-path writes are always honoured), wait out any in-flight
-    #     frame install first, and fetch only the missing extents;
-    #   * fetched extents install with ``PCache.install`` — exactly
-    #     like a page fault's, preserving locally dirty bytes — never
-    #     whole pages;
+    #   * reads serve the bytes a resident frame holds valid (dirty ⊆
+    #     valid, so the rank's own uncommitted page-path writes are
+    #     always honoured) and fetch only the missing extents, which
+    #     install like any read's — never whole pages;
     #   * writes are write-through — the OBJ_WRITE ack means the owner
     #     applied (and, under replication, replicated) the bytes — and
     #     additionally patch the bytes a resident frame holds in place
@@ -473,42 +457,33 @@ class Vector:
         h = self.client.system.history
         t0 = self.client.system.sim.now if h is not None else 0.0
         outs: list = [None] * len(requests)
-        tasks: list = []
-        dests: list = []
-        seen: dict = {}
         gated = []
         for i, (elem_off, count) in enumerate(requests):
-            nbytes = count * self.itemsize
-            if not 0 < nbytes <= thr:
+            if not 0 < count * self.itemsize <= thr:
                 outs[i] = yield from self.read_range(elem_off, count)
                 continue
             self._check_range(elem_off, count)
-            gated.append(i)
-        # Frames of one vectored read protect each other from eviction
-        # while room is made for its misses (same rule as _fault_wave).
-        exclude = tuple({p for i in gated
-                         for p, _, _, _ in self._page_spans(*requests[i])})
-        total = 0
-        local = 0
-        for i in gated:
-            elem_off, count = requests[i]
-            out = np.empty(count, dtype=self.dtype)
-            outs[i] = out
-            total += count * self.itemsize
-            local += yield from self._object_plan(
-                elem_off, count, out.view(np.uint8), tasks, dests, seen)
-        if gated:
-            tracer = self.client.system.tracer
-            with tracer.span("read_objects", "object",
-                             node=self.client.node,
-                             vector=self.shared.name, count=len(gated),
-                             nbytes=total):
-                yield from self._object_fetch(tasks, dests, exclude)
-                self._count_object_reads(len(gated), total, len(tasks),
-                                         local)
+            gated.append((i, list(self._page_spans(elem_off, count))))
+        if not gated:
+            return outs
+        spans = [s for _i, req_spans in gated for s in req_spans]
+        total = sum(requests[i][1] for i, _s in gated) * self.itemsize
+        with self.client.system.tracer.span(
+                "read_objects", "object", node=self.client.node,
+                vector=self.shared.name, count=len(gated),
+                nbytes=total) as sp:
+            frames, fetched, local = yield from self._read_regions(
+                [(p, poff * self.itemsize, n * self.itemsize)
+                 for p, poff, n, _ in spans], TaskKind.OBJ_READ, sp)
+            self._count_object_reads(len(gated), total, len(fetched),
+                                     local)
+        frames = iter(frames)
+        for i, req_spans in gated:
+            outs[i] = np.empty(requests[i][1], dtype=self.dtype)
+            self._gather(outs[i], req_spans,
+                         [next(frames) for _ in req_spans])
             if h is not None:
-                for i in gated:
-                    h.on_read(self, requests[i][0], outs[i], t0)
+                h.on_read(self, requests[i][0], outs[i], t0)
         return outs
 
     def write_object(self, elem_off: int, array: np.ndarray):
@@ -536,7 +511,7 @@ class Vector:
         tracer = self.client.system.tracer
         with tracer.span("write_object", "object",
                          node=self.client.node,
-                         vector=self.shared.name, nbytes=nbytes):
+                         vector=self.shared.name, nbytes=nbytes) as sp:
             for page_idx, poff, n, soff in self._page_spans(
                     elem_off, len(array)):
                 byte_off = poff * self.itemsize
@@ -545,12 +520,9 @@ class Vector:
                 chunk = src[sbase:sbase + span_nbytes]
                 frame = self.pcache.lookup(page_idx)
                 if frame is not None:
-                    if frame.pending is not None \
-                            and not frame.pending.processed:
-                        # An in-flight install would clobber the patch
-                        # (install only preserves *dirty* bytes):
-                        # wait it out first.
-                        yield frame.pending
+                    # An in-flight install would clobber the patch
+                    # (install only preserves *dirty* bytes).
+                    yield from self._settle(frame, sp)
                     frame.patch(byte_off, chunk)
                     # Deliberately NOT marked dirty: the write-through
                     # ships the bytes now; dirty would ship them again
@@ -568,80 +540,6 @@ class Vector:
             # replication its replica — applied them): promote exactly
             # this range in the coherence model.
             h.on_promote(self, elem_off, nbytes)
-
-    def _object_plan(self, elem_off: int, count: int,
-                     out_u8: np.ndarray, tasks: list, dests: list,
-                     seen: dict):
-        """Plan one object read: copy locally-valid bytes from pcache
-        frames into ``out_u8`` and append OBJ_READ tasks + fill
-        destinations for the missing extents. ``seen`` dedups identical
-        extents across one vectored submission (zipf-hot keys repeat
-        within a query). Generator (may wait on in-flight installs);
-        returns the locally-served byte count."""
-        local = 0
-        for page_idx, poff, n, doff in self._page_spans(elem_off,
-                                                        count):
-            byte_off = poff * self.itemsize
-            nbytes = n * self.itemsize
-            dbase = doff * self.itemsize
-            # LRU-touch the frame like a fault would — the fetched
-            # extent is installed on arrival, so the hot set ends up
-            # cached without ever faulting a whole page.
-            frame = self.pcache.ensure(page_idx)
-            if frame.pending is not None \
-                    and not frame.pending.processed:
-                # Read-your-writes vs in-flight page installs:
-                # settle the frame before deciding what is local.
-                yield frame.pending
-            missing = self.pcache.missing(frame, byte_off,
-                                          byte_off + nbytes)
-            hit = nbytes - sum(e - s for s, e in missing)
-            if hit:
-                out_u8[dbase:dbase + nbytes] = \
-                    frame.read(byte_off, byte_off + nbytes)
-                local += hit
-            for m_start, m_end in missing:
-                dst = dbase + (m_start - byte_off)
-                key = (page_idx, m_start, m_end)
-                pos = seen.get(key)
-                if pos is None:
-                    pos = len(tasks)
-                    seen[key] = pos
-                    tasks.append(MemoryTask(
-                        kind=TaskKind.OBJ_READ,
-                        vector_name=self.shared.name, page_idx=page_idx,
-                        client_node=self.client.node,
-                        region=(m_start, m_end - m_start)))
-                    # Only the first occurrence installs the extent.
-                    dests.append((pos, out_u8, dst, m_end - m_start,
-                                  frame, m_start))
-                else:
-                    self.client.system.monitor.count("object.dedup_hits")
-                    dests.append((pos, out_u8, dst, m_end - m_start,
-                                  None, 0))
-        return local
-
-    def _object_fetch(self, tasks, dests, exclude):
-        """Fetch the planned extents in one vectored submission:
-        reserve exactly the missing bytes, then install them (valid,
-        never dirty — ``install`` preserves local dirty bytes) and
-        copy them into the output slots. Generator."""
-        if not tasks:
-            return
-        yield from self.pcache.reserve(
-            [(frame, m_start, m_start + size)
-             for _pos, _buf, _dst, size, frame, m_start in dests
-             if frame is not None], exclude=exclude)
-        raws = yield from self.client.submit_batch(tasks, wait=True)
-        for pos, buf, dst, size, frame, m_start in dests:
-            raw = raws[pos]
-            data = raw if isinstance(raw, np.ndarray) \
-                else np.frombuffer(raw, dtype=np.uint8)
-            if frame is not None:
-                # Harmless if the frame was evicted mid-flight: the
-                # orphaned buffer is garbage-collected with the frame.
-                self.pcache.install(frame, m_start, data)
-            buf[dst:dst + size] = data
 
     def _count_object_reads(self, n: int, nbytes: int, remote: int,
                             local: int) -> None:
@@ -681,127 +579,127 @@ class Vector:
             yield page_idx, poff, n, done
             done += n
 
-    # -- fault / evict / prefetch -------------------------------------------------------
-    def _fault(self, page_idx: int, region: Tuple[int, int],
-               allocate_only: bool = False, score: float = 1.0):
-        """Ensure ``region`` of ``page_idx`` is valid in the pcache.
+    def _gather(self, out: np.ndarray, spans, frames) -> None:
+        """Copy the ``_page_spans`` of a read out of their frames
+        (one frame per span) into ``out``."""
+        for (_page_idx, poff, n, doff), frame in zip(spans, frames):
+            off = poff * self.itemsize
+            out[doff:doff + n] = frame.read(
+                off, off + n * self.itemsize).view(self.dtype)
 
-        Generator; returns the Frame. ``allocate_only`` skips the
-        scache read (write-allocate for fully overwritten ranges).
-        """
-        off, size = region
-        page_nbytes = self.shared.page_nbytes(page_idx)
-        if off < 0 or off + size > page_nbytes:
-            raise VectorError(
-                f"region [{off}, {off + size}) outside page of "
-                f"{page_nbytes} bytes")
-        tracer = self.client.system.tracer
-        with tracer.span("fault", "pcache", node=self.client.node,
-                         vector=self.shared.name, page=page_idx,
-                         nbytes=size) as sp:
-            frame = yield from self._fault_timed(
-                page_idx, off, size, page_nbytes, allocate_only, sp)
-        return frame
+    # -- the read path / evict / prefetch --------------------------------------------
+    @property
+    def _collective(self) -> bool:
+        """Whether page reads go through the tree fan-out (paper III-C,
+        Collective): under a collective, non-writing transaction."""
+        return (self.tx is not None and self.tx.is_collective
+                and not self.tx.writes)
 
-    def _fault_timed(self, page_idx: int, off: int, size: int,
-                     page_nbytes: int, allocate_only: bool, sp):
-        pcache = self.pcache
-        frame = pcache.ensure(page_idx)
+    def _settle(self, frame: Frame, span):
+        """Wait out an in-flight install into ``frame`` before deciding
+        what it holds, and name the fill on ``span`` as ``wait_on``
+        (generator)."""
         if frame.pending is not None and not frame.pending.processed:
             yield frame.pending
+            # Read the fill's span id only *after* the wait: the fill
+            # process assigns it when its span opens.
             if frame.pending_span is not None \
                     and self.client.system.tracer.enabled:
-                # The fault blocked on an in-flight prefetch install;
-                # read the fill's span id only *after* the wait (the
-                # fill process assigns it when its span opens).
-                sp.attrs.setdefault("wait_on", []).append(
+                span.attrs.setdefault("wait_on", []).append(
                     frame.pending_span)
-        # Room is made for exactly the bytes the frame lacks — a whole
-        # page when none of it is resident, 64 B for a 64 B object.
-        if allocate_only:
-            # The caller overwrites the range and holds it itself.
-            lacking = sum(e - s
-                          for s, e in frame.valid.gaps(off, off + size))
-            if lacking:
-                yield from pcache.make_room(lacking, exclude=(page_idx,))
-            return frame
-        missing = pcache.missing(frame, off, off + size)
-        if missing:
-            sp["miss_bytes"] = sum(e - s for s, e in missing)
-            yield from pcache.reserve(
-                [(frame, s, e) for s, e in missing], exclude=(page_idx,))
-        collective = (self.tx is not None and self.tx.is_collective
-                      and not self.tx.writes)
-        for m_start, m_end in missing:
-            self._m_faults.inc()
-            task = MemoryTask(
-                kind=TaskKind.READ, vector_name=self.shared.name,
-                page_idx=page_idx, client_node=self.client.node,
-                region=(m_start, m_end - m_start))
-            if collective and (m_start, m_end) == (0, page_nbytes):
-                # Tree-based fan-out: one scache fetch, forwarded
-                # process-to-process (paper III-C, Collective).
-                raw = yield from self.client.system.collective_read(
-                    self.shared, page_idx, (m_start, m_end),
-                    self.client.node,
-                    lambda t=task: self.client.submit(t, wait=True))
-            else:
-                raw = yield from self.client.submit(task, wait=True)
-            # Do not clobber locally dirty bytes with stale data.
-            pcache.install(frame, m_start, raw)
-        return frame
 
-    def _fault_wave(self, regions):
-        """Fault one wave of page regions with a single batched READ
-        submission (generator; returns {page_idx: Frame}).
+    def _read_regions(self, regions, kind: TaskKind, span):
+        """The one client read: make every ``(page_idx, byte_off,
+        nbytes)`` of ``regions`` valid in the pcache (generator).
 
-        ``regions`` is [(page_idx, byte_off, nbytes), ...]. Frames of
-        the wave are protected from evicting each other; the caller
-        must copy data out before starting another wave.
+        A page fault, a chunk fault and an object read are all this.
+        Per region, in order: ensure its frame (LRU touch), settle it
+        (:meth:`_settle`) and list the extents it lacks — each
+        identical extent once (zipf-hot keys repeat within a query:
+        ``object.dedup_hits``). Room is made for exactly those bytes,
+        the frames of the call protecting each other from eviction;
+        they ship as one ``kind`` submission (one batch per owner
+        node; a lone whole page under a collective read takes the tree
+        fan-out) and install as valid, never dirty, bytes —
+        ``install`` keeps local dirty bytes, so read-your-writes holds.
+        Copy out before the next pcache operation may evict the
+        frames.
+
+        Returns ``(frames, fetched, local)``: one frame per region, the
+        READ/OBJ_READ tasks sent and the bytes already resident.
         """
-        exclude = tuple(p for p, _, _ in regions)
-        frames: Dict[int, Frame] = {}
-        tasks = []
-        installs = []
-        tracer = self.client.system.tracer
-        for page_idx, off, size in regions:
-            page_nbytes = self.shared.page_nbytes(page_idx)
-            if off < 0 or off + size > page_nbytes:
-                raise VectorError(
-                    f"region [{off}, {off + size}) outside page of "
-                    f"{page_nbytes} bytes")
-            frame = self.pcache.ensure(page_idx)
-            if frame.pending is not None and not frame.pending.processed:
-                with tracer.span("wait_install", "pcache",
-                                 node=self.client.node,
-                                 vector=self.shared.name,
-                                 page=page_idx) as wsp:
-                    yield frame.pending
-                    if frame.pending_span is not None \
-                            and tracer.enabled:
-                        wsp.attrs.setdefault("wait_on", []).append(
-                            frame.pending_span)
-            frames[page_idx] = frame
-            for m_start, m_end in self.pcache.missing(frame, off,
-                                                      off + size):
-                self._m_faults.inc()
-                tasks.append(MemoryTask(
-                    kind=TaskKind.READ, vector_name=self.shared.name,
-                    page_idx=page_idx, client_node=self.client.node,
-                    region=(m_start, m_end - m_start)))
-                installs.append((frame, m_start, m_end))
-        if tasks:
-            yield from self.pcache.reserve(installs, exclude=exclude)
-            with tracer.span("fault_batch", "pcache",
-                             node=self.client.node,
-                             vector=self.shared.name, count=len(tasks),
-                             nbytes=sum(t.region[1] for t in tasks)):
-                raws = yield from self.client.submit_batch(tasks,
-                                                           wait=True)
-            for (frame, m_start, _end), raw in zip(installs, raws):
-                # Do not clobber locally dirty bytes with stale data.
-                self.pcache.install(frame, m_start, raw)
+        pcache = self.pcache
+        frames = []
+        extents: Dict[Tuple[int, int, int], Tuple[Frame, int, int]] = {}
+        local = 0
+        for page_idx, off, nbytes in regions:
+            frame = pcache.ensure(page_idx)
+            yield from self._settle(frame, span)
+            frames.append(frame)
+            missing = pcache.missing(frame, off, off + nbytes)
+            local += nbytes - sum(e - s for s, e in missing)
+            for start, end in missing:
+                if (page_idx, start, end) in extents:
+                    self.client.system.monitor.count("object.dedup_hits")
+                else:
+                    extents[page_idx, start, end] = (frame, start, end)
+        if not extents:
+            return frames, [], local
+        span["miss_bytes"] = sum(e - s for _p, s, e in extents)
+        yield from pcache.reserve(
+            list(extents.values()),
+            exclude=tuple(dict.fromkeys(p for p, _o, _n in regions)))
+        tasks = [MemoryTask(kind=kind, vector_name=self.shared.name,
+                            page_idx=page_idx, client_node=self.client.node,
+                            region=(start, end - start))
+                 for page_idx, start, end in extents]
+        task = tasks[0]
+        if kind is TaskKind.READ and self._collective and len(tasks) == 1 \
+                and task.region == (0, self.shared.page_nbytes(
+                    task.page_idx)):
+            # A whole page under a collective read: tree-based fan-out,
+            # one scache fetch forwarded process to process (paper
+            # III-C, Collective).
+            raws = [(yield from self.client.system.collective_read(
+                self.shared, task.page_idx, (0, task.region[1]),
+                self.client.node,
+                lambda: self.client.submit(task, wait=True)))]
+        else:
+            raws = yield from self.client.submit_batch(tasks, wait=True)
+        for (frame, start, _end), raw in zip(extents.values(), raws):
+            pcache.install(frame, start, raw)
+        return frames, tasks, local
+
+    def _read_pages(self, regions):
+        """A page-path read of ``regions`` under one ``fault`` span,
+        counted in ``pcache.faults`` per extent fetched (generator;
+        returns the frames)."""
+        with self.client.system.tracer.span(
+                "fault", "pcache", node=self.client.node,
+                vector=self.shared.name, page=regions[0][0],
+                nbytes=sum(n for _p, _o, n in regions)) as sp:
+            frames, fetched, _local = yield from self._read_regions(
+                regions, TaskKind.READ, sp)
+        self._m_faults.inc(len(fetched))
         return frames
+
+    def _allocate(self, page_idx: int, off: int, nbytes: int):
+        """Write-allocate ``[off, off + nbytes)`` of ``page_idx``: the
+        caller overwrites the range and holds it itself, so nothing is
+        read — room is made for the bytes the frame lacks (generator;
+        returns the frame)."""
+        with self.client.system.tracer.span(
+                "fault", "pcache", node=self.client.node,
+                vector=self.shared.name, page=page_idx,
+                nbytes=nbytes) as sp:
+            frame = self.pcache.ensure(page_idx)
+            yield from self._settle(frame, sp)
+            lacking = sum(e - s for s, e in frame.valid.gaps(off,
+                                                             off + nbytes))
+            if lacking:
+                yield from self.pcache.make_room(lacking,
+                                                 exclude=(page_idx,))
+        return frame
 
     def evict_page(self, page_idx: int):
         """Drop a pcache frame, shipping dirty fragments to the scache.
@@ -820,11 +718,7 @@ class Vector:
         with tracer.span("evict", "pcache", node=self.client.node,
                          vector=self.shared.name, page=page_idx,
                          dirty_bytes=frame.dirty.total) as esp:
-            if frame.pending is not None and not frame.pending.processed:
-                yield frame.pending
-                if frame.pending_span is not None and tracer.enabled:
-                    esp.attrs.setdefault("wait_on", []).append(
-                        frame.pending_span)
+            yield from self._settle(frame, esp)
             shipped = yield from self._ship_dirty([(page_idx, frame)],
                                                   drop=True)
         self.pcache.release(frame, dirty=bool(shipped))
@@ -978,7 +872,7 @@ class Vector:
                     frame.pending = None
                     self._m_prefetches.inc()
 
-        proc = self.client.system.sim.process(fill(), name=proc_name)
+        proc = self.client.system.spawn_work(fill(), name=proc_name)
         for _page_idx, frame, _tasks in admitted:
             frame.pending = proc
 

@@ -233,6 +233,45 @@ def test_batching_disabled_uses_per_task_submits():
     assert system.monitor.counter("rpc.submits") == 4
 
 
+def test_page_read_missing_two_extents_is_one_round_trip():
+    """A page fault that misses two extents of one page sends them as
+    one READ batch -- one request, one reply, one round trip -- as an
+    object read does; it used to send them one after the other."""
+    sim, system = build_system()
+    client = system.client(rank=0, node=0)
+    mon = system.monitor
+    data = (np.arange(4 * PAGE) % 251).astype(np.uint8)
+
+    def app():
+        vec = yield from client.vector("two", dtype=np.uint8,
+                                       size=4 * PAGE)
+        p, q = [pg for pg in range(4)
+                if vec.shared.owner_node(pg, 0) == 1][:2]
+        yield from vec.write_range(0, data)
+        yield from vec.flush(wait=True)
+        for page in (p, q):             # the middle of each, resident
+            vec.pcache.release(vec.pcache.detach(page), dirty=False)
+            yield from vec.read_range(page * PAGE + 1024, 1024)
+        # One missing extent: the reference round trip.
+        t0 = sim.now
+        yield from vec.read_range(q * PAGE, 1024)
+        one = sim.now - t0
+        before = {k: mon.counter(k) for k in
+                  ("rpc.batches", "rpc.submits", "net.transfers",
+                   "pcache.faults")}
+        t0 = sim.now
+        out = yield from vec.read_range(p * PAGE, PAGE)
+        two = sim.now - t0
+        after = {k: mon.counter(k) - v for k, v in before.items()}
+        return out, p, one, two, after
+
+    ((out, p, one, two, after),) = run_procs(sim, app())
+    assert np.array_equal(out, data[p * PAGE:(p + 1) * PAGE])
+    assert after == {"rpc.batches": 1, "rpc.submits": 0,
+                     "net.transfers": 2, "pcache.faults": 2}
+    assert two < 1.5 * one
+
+
 def test_batch_trace_categories_present():
     sim, system = build_system()
     system.tracer.enabled = True

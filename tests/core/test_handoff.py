@@ -376,6 +376,69 @@ def test_cluster_run_waits_for_a_handed_off_write():
     assert system.monitor.counter("scache.writes") == 1
 
 
+def test_cluster_run_ends_when_the_last_write_behind_lands():
+    """The app returns with its eviction still on the wire: the run
+    ends at the instant the owner finishes servicing it, not at the
+    next ``organizer_period`` tick after that."""
+    c = testbed(n_nodes=2, procs_per_node=1, page_size=PAGE,
+                organizer_enabled=False, trace=True)
+    system = c.system
+    returned = {}
+
+    def app(ctx):
+        vec = yield from ctx.mm.vector("v", dtype=np.uint8, size=32 * PAGE)
+        if ctx.rank:
+            return
+        page = _page_owned_by(vec.shared, owner=1)
+        yield from vec.tx_begin(RandTx(0, 32 * PAGE, 1, MM_READ_WRITE))
+        yield from vec.write_range(page * PAGE, np.ones(PAGE, np.uint8))
+        yield from vec.evict_page(page)
+        returned["t"] = ctx.sim.now
+
+    res = c.run(app)
+    (write,) = [s for s in c.tracer.spans if s.name == "exec:write"]
+    assert returned["t"] < write.end
+    assert res.runtime == write.end
+    assert res.runtime < system.config.organizer_period
+
+
+@pytest.mark.parametrize("how", ["read_ahead", "unwaited_read", "score"])
+def test_cluster_run_ends_when_the_last_unwaited_message_lands(how):
+    """The app returns with traffic on the wire that nobody waits for:
+    a read-ahead fill, the reply of a read submitted without waiting,
+    a SCORE shipment. The run ends when the last of it has landed --
+    nothing lands after it, so its bytes are in the run's stats -- and
+    not at the next ``organizer_period`` tick."""
+    c = testbed(n_nodes=2, procs_per_node=1, page_size=PAGE,
+                organizer_enabled=False)
+    system = c.system
+    out = {}
+
+    def app(ctx):
+        vec = yield from ctx.mm.vector("v", dtype=np.uint8, size=32 * PAGE)
+        if ctx.rank:
+            return
+        page = _page_owned_by(vec.shared, owner=1)
+        yield from vec.write_range(page * PAGE, np.ones(PAGE, np.uint8))
+        yield from vec.flush(wait=True)
+        vec.pcache.release(vec.pcache.detach(page), dirty=False)
+        if how == "read_ahead":
+            vec.prefetch_page(page)
+        elif how == "unwaited_read":
+            yield from ctx.mm.submit(MemoryTask(
+                kind=TaskKind.READ, vector_name="v", page_idx=page,
+                client_node=0, region=(0, PAGE)), wait=False)
+        else:
+            yield from ctx.mm.submit_scores(vec.shared, [(page, 1.0, 0)])
+        out["returned"] = ctx.sim.now
+
+    res = c.run(app)
+    moved = system.network.bytes_moved
+    c.sim.run(until=c.sim.now + 1.0)
+    assert system.network.bytes_moved == moved
+    assert out["returned"] < res.runtime < system.config.organizer_period
+
+
 # -- (vii) the pool grows where the burst arrives ----------------------------
 
 def test_burst_grows_the_pool_before_the_first_task_completes():

@@ -255,3 +255,41 @@ def test_chunk_aliases_cache_until_eviction(dsm):
 
     (got,) = run_procs(sim, app())
     assert got == 5
+
+
+def test_chunk_aliases_its_extent_until_a_write_merges_extents(dsm):
+    """A chunk's ``data`` is the frame extent it was cut from; a
+    ``write_range`` across an extent boundary of that frame merges the
+    extents into a new buffer (``Frame.span``), and the chunk keeps
+    the old one: from then on it is a detached copy."""
+    sim, system = dsm
+    c0 = system.client(rank=0, node=0)
+
+    def app():
+        vec = yield from c0.vector("x", dtype=np.uint8, size=PAGE)
+        yield from vec.tx_begin(SeqTx(0, PAGE, MM_WRITE_ONLY))
+        chunk = yield from vec.next_chunk(max_elems=1024)
+        frame = vec.frames[0]
+        chunk.data[:] = 7
+        # A second extent that does not touch the chunk's: still aliased.
+        yield from vec.write_range(2048, np.full(1024, 1, np.uint8))
+        assert frame.starts == [0, 2048]
+        assert np.shares_memory(chunk.data, frame.bufs[0])
+        assert (frame.read(0, 1024) == 7).all()
+        chunk.data[0] = 8
+        assert frame.read(0, 1)[0] == 8
+        # Across both boundaries: one merged extent, the chunk detached.
+        yield from vec.write_range(512, np.full(2048, 2, np.uint8))
+        assert frame.starts == [0] and len(frame.bufs[0]) == 3072
+        assert not np.shares_memory(chunk.data, frame.bufs[0])
+        chunk.data[1] = 9
+        got = frame.read(0, 1024).copy()
+        yield from vec.tx_end()
+        return got, chunk.data.copy()
+
+    ((frame_bytes, chunk_bytes),) = run_procs(sim, app())
+    # The merge copied what the chunk had written before it...
+    assert frame_bytes[0] == 8 and (frame_bytes[1:512] == 7).all()
+    # ...but neither side sees the other's later writes.
+    assert (frame_bytes[512:] == 2).all() and chunk_bytes[1] == 9
+    assert (chunk_bytes[512:] == 7).all()
