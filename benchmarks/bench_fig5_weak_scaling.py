@@ -102,12 +102,12 @@ def run_weak_scaling(tmp_path):
         path = tmp_path / f"km{n}.parquet"
         write_parquet_points(str(path), km_n * n, 8, seed=n)
         url = f"parquet://{path}"
-        c = testbed(n_nodes=n)
+        c = testbed(n_nodes=n, workdir=tmp_path)
         mm = c.run(mm_kmeans, url, 8, 4)
         if c.tracer.enabled:  # MEGAMMAP_TRACE=1 / testbed(trace=True)
             export_trace(c, f"fig5_kmeans_mm_{n}n")
             breakdowns[("KMeans", n)] = critical_breakdown(c)
-        c2 = testbed(n_nodes=n)
+        c2 = testbed(n_nodes=n, workdir=tmp_path)
         sp = c2.run_driver(spark_kmeans(c2, url, 8, 4))
         rows.append(dict(app="KMeans", nodes=n, procs=c.spec.nprocs,
                          mm_s=mm.runtime, baseline="Spark",
@@ -119,9 +119,9 @@ def run_weak_scaling(tmp_path):
         path = tmp_path / f"db{n}.parquet"
         write_parquet_points(str(path), db_n * n, 8, seed=n)
         url = f"parquet://{path}"
-        c = testbed(n_nodes=n)
+        c = testbed(n_nodes=n, workdir=tmp_path)
         mm = c.run(mm_dbscan, url, 8.0, 16)
-        c2 = testbed(n_nodes=n)
+        c2 = testbed(n_nodes=n, workdir=tmp_path)
         mpi = c2.run(mpi_dbscan, url, 8.0, 16)
         rows.append(dict(app="DBSCAN", nodes=n, procs=c.spec.nprocs,
                          mm_s=mm.runtime, baseline="MPI",
@@ -136,10 +136,10 @@ def run_weak_scaling(tmp_path):
         lab_path = tmp_path / f"rf{n}.labels"
         (labels + 1).astype(np.int32).tofile(lab_path)
         url, lurl = f"hdf5://{snap}:parttype0", f"posix://{lab_path}"
-        c = testbed(n_nodes=n)
+        c = testbed(n_nodes=n, workdir=tmp_path)
         mm = c.run(mm_random_forest, url, lurl, 1, 10, 4, 0,
                    128 * 1024)
-        c2 = testbed(n_nodes=n)
+        c2 = testbed(n_nodes=n, workdir=tmp_path)
         sp = c2.run_driver(spark_random_forest(
             c2, url, lurl, num_trees=1, max_depth=10, oob=4))
         rows.append(dict(app="RF", nodes=n, procs=c.spec.nprocs,
@@ -150,9 +150,9 @@ def run_weak_scaling(tmp_path):
 
         # --- Gray-Scott: MegaMmap vs MPI (plotgap=0, in memory) ---
         L = _gs_l(n, scale)
-        c = testbed(n_nodes=n)
+        c = testbed(n_nodes=n, workdir=tmp_path)
         mm = c.run(mm_gray_scott, L, 3, 0, 2 * 1024 * 1024)
-        c2 = testbed(n_nodes=n)
+        c2 = testbed(n_nodes=n, workdir=tmp_path)
         mpi = c2.run(mpi_gray_scott, L, 3)
         rows.append(dict(app="Gray-Scott", nodes=n, procs=c.spec.nprocs,
                          mm_s=mm.runtime, baseline="MPI",
@@ -171,7 +171,7 @@ def _run_large_scale(tmp_path, n, scale):
     km_n = _per_node(KMEANS_PER_NODE, scale)
     path = tmp_path / f"km{n}.parquet"
     write_parquet_points(str(path), km_n * n, 8, seed=n)
-    c = testbed(n_nodes=n)
+    c = testbed(n_nodes=n, workdir=tmp_path)
     mm = c.run(mm_kmeans, f"parquet://{path}", 8, 4)
     rows.append(dict(app="KMeans", nodes=n, procs=c.spec.nprocs,
                      mm_s=mm.runtime, baseline=None,
@@ -180,7 +180,7 @@ def _run_large_scale(tmp_path, n, scale):
                      baseline_dram_mb=None))
 
     L = _gs_l(n, scale)
-    c = testbed(n_nodes=n)
+    c = testbed(n_nodes=n, workdir=tmp_path)
     mm = c.run(mm_gray_scott, L, 3, 0, 2 * 1024 * 1024)
     rows.append(dict(app="Gray-Scott", nodes=n, procs=c.spec.nprocs,
                      mm_s=mm.runtime, baseline=None,

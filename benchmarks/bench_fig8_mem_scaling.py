@@ -78,7 +78,8 @@ def run_mem_scaling(tmp_path):
         for frac in FRACTIONS:
             dram = max(256 * 1024, int(frac * ws))
             cluster = testbed(n_nodes=N_NODES, nvme_mb=NVME_MB,
-                              dram_mb=max(1, dram // 2 ** 20))
+                              dram_mb=max(1, dram // 2 ** 20),
+                              workdir=tmp_path)
             # Set the DRAM cap precisely (testbed rounds to MB).
             for dmsh in cluster.dmshs:
                 dmsh.tiers[0].spec = dmsh.tiers[0].spec.with_capacity(

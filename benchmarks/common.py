@@ -39,7 +39,7 @@ def testbed(n_nodes=4, procs_per_node=2, dram_mb=NODE_DRAM_MB,
             pmem_mb=0, nvme_mb=NODE_NVME_MB, ssd_mb=0, hdd_mb=0,
             page_size=64 * 1024, pcache=512 * 1024,
             pfs_spec=None, pfs_servers=2, seed=0,
-            trace=None, **cfg) -> SimCluster:
+            trace=None, workdir=None, **cfg) -> SimCluster:
     """A scaled replica of the paper's cluster.
 
     ``trace=True`` enables span tracing on the cluster (see
@@ -49,6 +49,10 @@ def testbed(n_nodes=4, procs_per_node=2, dram_mb=NODE_DRAM_MB,
     enables the always-on sampled mode instead: tail-based retention
     at a 10% head rate (unless the benchmark already pins
     ``trace_sample_rate``).
+
+    ``workdir`` is the directory the bench's dataset URLs live in:
+    placement then hashes each dataset's path relative to it, so the
+    numbers do not depend on where that directory is.
     """
     tiers = [scaled(DRAM, dram_mb * MB)]
     if pmem_mb:
@@ -64,7 +68,7 @@ def testbed(n_nodes=4, procs_per_node=2, dram_mb=NODE_DRAM_MB,
         cfg["trace_sample_rate"] = 0.1
     if trace is None:
         trace = env_trace not in ("", "0")
-    return SimCluster(
+    cluster = SimCluster(
         n_nodes=n_nodes, procs_per_node=procs_per_node,
         tiers=tuple(tiers),
         pfs_servers=pfs_servers,
@@ -74,6 +78,9 @@ def testbed(n_nodes=4, procs_per_node=2, dram_mb=NODE_DRAM_MB,
         seed=seed,
         trace=bool(trace),
     )
+    if workdir is not None:
+        cluster.system.hermes.mdm.workdir = str(workdir)
+    return cluster
 
 
 testbed.__test__ = False  # a helper whose name pytest would collect
