@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.datagen import POINT3D, as_xyz
-from repro.apps.kmeans.common import assign, weighted_kmeans
+from repro.apps.kmeans.common import assign, oversample, recluster, \
+    select
 from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
 from repro.sim.rand import rng_stream
 
@@ -51,23 +52,17 @@ def mm_kmeans(ctx, url, k, max_iter=4, seed=0, pcache=None,
     candidates = np.asarray([first])
     ell = 2 * k  # oversampling factor per round
     for _ in range(init_rounds):
-        cost_and_picks = [0.0, []]
+        share = [0.0, [np.empty((0, 5))]]  # running cost, kept rows
 
-        def sample(xyz, _start, acc=cost_and_picks, cand=candidates):
-            _, d2 = assign(xyz, cand)
-            acc[0] += float(d2.sum())
-            phi = max(d2.sum(), 1e-12)
-            take = rng.random(len(xyz)) < np.minimum(
-                1.0, ell * d2 / phi)
-            acc[1].append(xyz[take])
+        def sample(xyz, _start, share=share, cand=candidates):
+            share[0], rows = oversample(xyz, cand, rng.random(len(xyz)),
+                                        ell, share[0])
+            share[1].append(rows)
 
         yield from scan(sample)
-        picks = np.vstack(cost_and_picks[1]) if cost_and_picks[1] \
-            else np.empty((0, 3))
-        gathered = yield from ctx.comm.allgather(picks)
-        new = np.vstack([g for g in gathered if len(g)])
-        if len(new):
-            candidates = np.vstack([candidates, new])
+        gathered = yield from ctx.comm.allgather(
+            (share[0], np.concatenate(share[1])))
+        candidates = np.vstack([candidates, select(gathered)])
 
     # Weight candidates by attraction and recluster on rank 0.
     weights = np.zeros(len(candidates))
@@ -79,7 +74,7 @@ def mm_kmeans(ctx, url, k, max_iter=4, seed=0, pcache=None,
     yield from scan(weigh)
     weights = yield from ctx.comm.allreduce(weights, op=lambda a, b: a + b)
     if ctx.rank == 0:
-        centroids = weighted_kmeans(candidates, weights, k, seed)
+        centroids = recluster(candidates, weights, k, seed)
     else:
         centroids = None
     centroids = yield from ctx.comm.bcast(centroids, root=0)

@@ -13,7 +13,8 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.apps.datagen import POINT3D, as_xyz
-from repro.apps.kmeans.common import assign, weighted_kmeans
+from repro.apps.kmeans.common import assign, oversample, recluster, \
+    select
 from repro.apps.rf.common import (
     best_split,
     class_counts,
@@ -46,22 +47,19 @@ def mllib_kmeans(spark: SparkSim, url: str, k: int, max_iter: int = 4,
         candidates_b = yield from spark.broadcast(candidates)
 
         def sample(xyz, cand=candidates_b, r=rng):
-            _, d2 = assign(xyz, cand)
-            phi = max(float(d2.sum()), 1e-12)
-            take = r.random(len(xyz)) < np.minimum(1.0, ell * d2 / phi)
-            return xyz[take]
+            return oversample(xyz, cand, r.random(len(xyz)), ell, 0.0)
 
-        picks = yield from pts.tree_aggregate(
-            sample, lambda a, b: np.vstack([a, b]), factor=4.0)
-        if len(picks):
-            candidates = np.vstack([candidates, picks])
+        share = yield from pts.tree_aggregate(
+            sample, lambda a, b: (a[0] + b[0], np.vstack([a[1], b[1]])),
+            factor=4.0)
+        candidates = np.vstack([candidates, select([share])])
 
     candidates_b = yield from spark.broadcast(candidates)
     weights = yield from pts.tree_aggregate(
         lambda xyz: np.bincount(assign(xyz, candidates_b)[0],
                                 minlength=len(candidates_b)).astype(float),
         lambda a, b: a + b, factor=4.0)
-    centroids = weighted_kmeans(candidates, weights, k, seed)
+    centroids = recluster(candidates, weights, k, seed)
 
     inertia = 0.0
     for _ in range(max_iter):
