@@ -26,7 +26,7 @@ def run_ablation(tmp_path):
     rows = []
     for prefetch in (True, False):
         cluster = testbed(n_nodes=2, dram_mb=48,
-                          prefetch_enabled=prefetch)
+                          prefetch_enabled=prefetch, workdir=tmp_path)
         res = cluster.run(mm_kmeans, url, 8, 4, 0, 256 * 1024)
         rows.append(dict(
             prefetch=prefetch,

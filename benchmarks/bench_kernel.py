@@ -220,7 +220,7 @@ def test_kmeans_pipeline_wallclock(benchmark, tmp_path):
     url = f"parquet://{path}"
 
     def run():
-        c = testbed(n_nodes=2)
+        c = testbed(n_nodes=2, workdir=tmp_path)
         t0 = time.perf_counter()
         res = c.run(mm_kmeans, url, 8, 4)
         wall = time.perf_counter() - t0

@@ -4,12 +4,15 @@
 Run ``dump`` once in each checkout (parent clone and change; the
 checkout on ``PYTHONPATH`` is the one measured), then ``diff``::
 
-    cd /root/scratch/parent && PYTHONPATH=src:. python scripts/stats_superset.py dump /root/scratch/parent.json
-    cd /root/repo && PYTHONPATH=src:. python scripts/stats_superset.py dump /root/scratch/change.json
-    python scripts/stats_superset.py diff /root/scratch/parent.json /root/scratch/change.json
+    cd ../parent && PYTHONPATH=src:. python scripts/stats_superset.py dump ../parent.json
+    cd ../change && PYTHONPATH=src:. python scripts/stats_superset.py dump ../change.json
+    python scripts/stats_superset.py diff ../parent.json ../change.json
 
-``dump`` records, per workload, ``cluster.system.stats()``, the
-simulated metrics, per-layer counts, output digest and op counts.
+``dump OUT [SEED] [--traced]`` records, per workload,
+``cluster.system.stats()``, the simulated metrics, per-layer counts,
+output digest and op counts. ``--traced`` runs with the simulator's
+tracer on, so the record also holds the ``trace.*`` span totals (and
+the counts read from them); compare traced with traced.
 ``diff`` exits 1 if a key of the first file is missing from the second
 or its value differs (``kernel.*`` keys are host-side and skipped) and
 lists the keys the second file adds.
@@ -21,20 +24,25 @@ import sys
 import tempfile
 
 
-def dump(out_path: str, seed: int = 0, size: str = "full") -> None:
+def dump(out_path: str, seed: int = 0, traced: bool = False,
+         size: str = "full") -> None:
     from benchmarks.e2e.workloads import SIZES, WORKLOADS
-    out_path, doc = os.path.abspath(out_path), {}
+    out_path, doc, home = os.path.abspath(out_path), {}, os.getcwd()
     for name, wl in WORKLOADS.items():
-        os.chdir(tempfile.mkdtemp())    # dataset URLs are relative
-        state = wl.setup(seed, SIZES[size][name])
-        state["trace"] = False
-        wl.run(state)
-        out = wl.finish(state, size == "full")
-        doc[name] = {
-            "sim": out.sim, "counts": out.counts,
-            "checksum": out.checksum,
-            "ops": [out.ops_total, out.ops_failed, out.jobs_ok],
-            "stats": state["cluster"].system.stats()}
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)    # dataset URLs are relative
+            state = wl.setup(seed, SIZES[size][name])
+            state["trace"] = traced
+            if state["cluster"] is not None:
+                state["cluster"].tracer.enabled = traced
+            wl.run(state)
+            out = wl.finish(state, size == "full")
+            doc[name] = {
+                "sim": out.sim, "counts": out.counts,
+                "checksum": out.checksum,
+                "ops": [out.ops_total, out.ops_failed, out.jobs_ok],
+                "stats": state["cluster"].system.stats()}
+            os.chdir(home)
         print(name, out.checksum, flush=True)
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=0, sort_keys=True, default=float)
@@ -65,6 +73,8 @@ def diff(path_a: str, path_b: str) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1] == "dump":
-        dump(sys.argv[2], *map(int, sys.argv[3:4]))
+        args = [a for a in sys.argv[2:] if a != "--traced"]
+        dump(args[0], *map(int, args[1:2]),
+             traced="--traced" in sys.argv[2:])
     else:
         raise SystemExit(diff(sys.argv[2], sys.argv[3]))

@@ -13,6 +13,7 @@ way Gadget writes HDF5 snapshots.
 
 from __future__ import annotations
 
+import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -77,6 +78,16 @@ def generate_points(n: int, k: int, seed: int = 0,
     return out, labels
 
 
+def _start_afresh(path: str) -> None:
+    """A writer replaces ``path``; it never adds to an older file. (A
+    backend opened with ``create=True`` opens a file that exists: a
+    parquetsim one would get a second copy of the records appended,
+    an hdf5sim one its groups rewritten at the end, the old bytes left
+    behind as a hole.)"""
+    if os.path.exists(path):
+        os.remove(path)
+
+
 def write_gadget_like(path: str, n: int, k: int, seed: int = 0,
                       with_velocity: bool = True) -> np.ndarray:
     """Write a Gadget-like hdf5sim snapshot; returns the labels.
@@ -87,6 +98,7 @@ def write_gadget_like(path: str, n: int, k: int, seed: int = 0,
     """
     particles, labels = generate_points(n, k, seed,
                                         with_velocity=with_velocity)
+    _start_afresh(path)
     be = Hdf5SimBackend(parse_url(f"hdf5://{path}:parttype0"), create=True)
     be.write_group("parttype0", particles)
     be.write_group("labels", labels)
@@ -98,6 +110,7 @@ def write_parquet_points(path: str, n: int, k: int,
     """Write a parquetsim points file (Listing 1's ``points.parquet``);
     returns the labels."""
     points, labels = generate_points(n, k, seed, with_velocity=False)
+    _start_afresh(path)
     be = ParquetSimBackend(parse_url(f"parquet://{path}"), dtype=POINT3D,
                            create=True)
     be.append_records(points)

@@ -183,7 +183,7 @@ class CoherenceChecker:
 
     def on_promote(self, vec, elem_off: int, nbytes: int,
                    now: float) -> None:
-        """An acked write-through (the object path's OBJ_WRITE): the
+        """An acked write-through (``Vector.write_object``): the
         ack globally orders exactly this byte range — a flush scoped
         to the acked bytes, nothing else of the rank's pending state."""
         m = self._model(vec)

@@ -146,8 +146,7 @@ class MegaMmapClient:
         target = vec.owner_node(task.page_idx, task.client_node)
         task.done = Event(self.system.sim)
         nbytes = TASK_ENVELOPE + task.nbytes \
-            if task.kind in (TaskKind.WRITE, TaskKind.OBJ_WRITE) \
-            else TASK_ENVELOPE
+            if task.kind is TaskKind.WRITE else TASK_ENVELOPE
         self._m_submits.inc()
         h = self.system.history
         if h is not None:
@@ -232,9 +231,7 @@ class MegaMmapClient:
         t0 = self.system.sim.now
         sends = []
         for owner, batch, _chunk in batches:
-            payloads = [t.nbytes
-                        if t.kind in (TaskKind.WRITE, TaskKind.OBJ_WRITE)
-                        else 0
+            payloads = [t.nbytes if t.kind is TaskKind.WRITE else 0
                         for t in batch.tasks]
             sends.append((owner, batch, batched_nbytes(payloads)))
         # One span for the call: every batch's shipment, service and

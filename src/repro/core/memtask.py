@@ -26,9 +26,6 @@ class TaskKind(Enum):
     #: scache without installing a pcache frame on the client (DOLMA
     #: regime — sub-page objects served at object granularity).
     OBJ_READ = "obj_read"
-    #: Object-granular write-through: apply ``fragments`` directly in
-    #: the owner's scache; the ack makes the bytes globally visible.
-    OBJ_WRITE = "obj_write"
 
 
 @dataclass(slots=True)
@@ -43,6 +40,9 @@ class MemoryTask:
     buffer exclusively).
     ``region`` for READ tasks: (page offset, nbytes) to fetch; the
     whole page when None.
+    ``through`` for WRITE tasks: the ack means the owner applied the
+    bytes and, under replication, replicated them (write-through);
+    otherwise durability copies ship after the ack (write-behind).
     ``scores`` for SCORE tasks: list of (page_idx, score, node_hint).
     ``done`` fires with the result (bytes for READ, None otherwise).
     """
@@ -53,6 +53,7 @@ class MemoryTask:
     client_node: int
     region: Optional[Tuple[int, int]] = None
     fragments: List[Tuple[int, bytes]] = field(default_factory=list)
+    through: bool = False
     scores: List[Tuple[int, float, int]] = field(default_factory=list)
     done: Optional[Event] = None
     #: Sim time the task entered the owning runtime's queue; the
@@ -76,7 +77,7 @@ class MemoryTask:
         """Payload size used for the low/high-latency worker split."""
         if self.kind in (TaskKind.READ, TaskKind.OBJ_READ):
             return self.region[1] if self.region else 1 << 30
-        if self.kind in (TaskKind.WRITE, TaskKind.OBJ_WRITE):
+        if self.kind is TaskKind.WRITE:
             return sum(len(d) for _, d in self.fragments)
         return 0
 

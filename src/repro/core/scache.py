@@ -99,17 +99,6 @@ class ScacheExecutor:
                              vector=vec.name, page=task.page_idx,
                              nbytes=task.nbytes):
                 return (yield from self._write(vec, task))
-        if task.kind is TaskKind.OBJ_WRITE:
-            # Write-through: once the ack reaches the client, the bytes
-            # must survive a primary crash — so durability copies ship
-            # *before* the ack, not asynchronously after it.
-            with tracer.span("obj_write", "object", node=self.node_id,
-                             vector=vec.name, page=task.page_idx,
-                             nbytes=task.nbytes):
-                self.system.monitor.count("object.scache_writes",
-                                          node=self.node_id)
-                return (yield from self._write(vec, task,
-                                               sync_replicate=True))
         if task.kind is TaskKind.SCORE:
             self.system.organizer.ingest(vec, task.scores)
             return None
@@ -424,8 +413,7 @@ class ScacheExecutor:
         return extents, {self.node_id: sum(len(e) for e in extents)}
 
     # -- writes ----------------------------------------------------------------
-    def _write(self, vec: SharedVector, task: MemoryTask,
-               sync_replicate: bool = False):
+    def _write(self, vec: SharedVector, task: MemoryTask):
         hermes = self.system.hermes
         page_nbytes = vec.page_nbytes(task.page_idx)
         score = _write_score(vec)
@@ -447,16 +435,15 @@ class ScacheExecutor:
                         f"of {page_nbytes} bytes")
                 yield from hermes.put_partial(
                     self.node_id, vec.name, task.page_idx, off, data)
-        self._post_write(vec, task, async_replicate=not sync_replicate)
-        if sync_replicate and self.system.reliability.enabled:
-            yield from self.system.reliability.replicate_page(
-                vec, task.page_idx)
-        return None
+        yield from self._post_write(vec, task)
 
-    def _post_write(self, vec: SharedVector, task: MemoryTask,
-                    async_replicate: bool = True) -> None:
+    def _post_write(self, vec: SharedVector, task: MemoryTask):
         """Bookkeeping shared by the per-task and batched write paths:
-        dirty/replica tracking, integrity records, durability copies."""
+        dirty/replica tracking, integrity records, durability copies.
+        Generator: a write-through (``task.through``) replicates before
+        its ack, so the bytes it acknowledges survive a primary crash;
+        a write-behind's copies ship after it, off the critical path
+        (like the paper's async eviction)."""
         vec.dirty_pages.add(task.page_idx)
         vec.replicated_pages.discard(task.page_idx)
         self._m_writes.inc()
@@ -475,11 +462,11 @@ class ScacheExecutor:
                     # Intent for the next transaction barrier: the
                     # page's latest bytes on its primary node's log.
                     dur.stage(vec.name, task.page_idx, info.node, raw)
-        if rel.enabled and async_replicate:
-            # Durability copies ship asynchronously (off the write's
-            # critical path, like the paper's async eviction). Object
-            # writes instead replicate synchronously before the ack
-            # (the caller passes ``async_replicate=False``).
+        if not rel.enabled:
+            return
+        if task.through:
+            yield from rel.replicate_page(vec, task.page_idx)
+        else:
             self.system.spawn_work(
                 rel.replicate_page(vec, task.page_idx),
                 name=f"replicate {vec.name}[{task.page_idx}]")
@@ -524,7 +511,7 @@ class ScacheExecutor:
             yield from hermes.put_many(self.node_id, vec.name, items,
                                        score=score)
             for task in bulk:
-                self._post_write(vec, task)
+                yield from self._post_write(vec, task)
         for task in rest:
             yield from self._write(vec, task)
         return [None] * len(batch.tasks)

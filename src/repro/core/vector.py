@@ -429,11 +429,12 @@ class Vector:
     #     valid, so the rank's own uncommitted page-path writes are
     #     always honoured) and fetch only the missing extents, which
     #     install like any read's — never whole pages;
-    #   * writes are write-through — the OBJ_WRITE ack means the owner
-    #     applied (and, under replication, replicated) the bytes — and
-    #     additionally patch the bytes a resident frame holds in place
-    #     so the rank's later reads see its own object writes (bytes it
-    #     does not hold stay uncached).
+    #   * an object write is the client's one write (``_write_regions``)
+    #     sent through — the ack means the owner applied (and, under
+    #     replication, replicated) the bytes — and additionally patches
+    #     the bytes a resident frame holds in place so the rank's later
+    #     reads see its own object writes (bytes it does not hold stay
+    #     uncached).
 
     def read_object(self, elem_off: int, count: int):
         """Read one small object (``count`` elements) at object
@@ -488,7 +489,7 @@ class Vector:
 
     def write_object(self, elem_off: int, array: np.ndarray):
         """Write one small object through to the owner's scache
-        (generator).
+        (generator): :meth:`_write_regions` with ``through=True``.
 
         The ack makes the bytes globally visible (and replicated, when
         replication is on) — no dirty pcache state is left behind.
@@ -507,7 +508,7 @@ class Vector:
             # them, and the checker must already know the version.
             h.on_write(self, elem_off, array)
         src = array.view(np.uint8)
-        tasks: list = []
+        writes = []
         tracer = self.client.system.tracer
         with tracer.span("write_object", "object",
                          node=self.client.node,
@@ -515,9 +516,7 @@ class Vector:
             for page_idx, poff, n, soff in self._page_spans(
                     elem_off, len(array)):
                 byte_off = poff * self.itemsize
-                span_nbytes = n * self.itemsize
-                sbase = soff * self.itemsize
-                chunk = src[sbase:sbase + span_nbytes]
+                chunk = src[soff * self.itemsize:(soff + n) * self.itemsize]
                 frame = self.pcache.lookup(page_idx)
                 if frame is not None:
                     # An in-flight install would clobber the patch
@@ -528,13 +527,9 @@ class Vector:
                     # ships the bytes now; dirty would ship them again
                     # at commit. Ranges already dirty simply carry the
                     # new value to their commit — same final bytes.
-                tasks.append(MemoryTask(
-                    kind=TaskKind.OBJ_WRITE,
-                    vector_name=self.shared.name, page_idx=page_idx,
-                    client_node=self.client.node,
-                    fragments=[(byte_off, chunk.tobytes())]))
-            yield from self.client.submit_batch(tasks, wait=True)
-            self._count_object_writes(1, nbytes, len(tasks))
+                writes.append((page_idx, [(byte_off, chunk.tobytes())], 0))
+            sent = yield from self._write_regions(writes, through=True)
+            self._count_object_writes(1, nbytes, sent)
         if h is not None:
             # The ack globally orders the bytes (the owner — and under
             # replication its replica — applied them): promote exactly
@@ -725,14 +720,13 @@ class Vector:
 
     def _ship_dirty(self, pages, drop: bool):
         """Ship the dirty fragments of ``pages`` — ``[(page_idx,
-        frame), ...]`` — as writer MemoryTasks in one batched
-        asynchronous submission (under :meth:`flush`,
-        :meth:`evict_page` and write-behind). The caller pays the copy
-        out of the pcache — ``nbytes / memcpy_bw`` per page — and
-        nothing else: the submission is a hand-off
-        (:meth:`MegaMmapClient._hand_off`), the wire and the owner's
-        queue are the shipment's business. Generator; returns the
-        pages shipped.
+        frame), ...]`` — behind (:meth:`_write_regions` with
+        ``through=False``; under :meth:`flush`, :meth:`evict_page` and
+        write-behind). The caller pays the copy out of the pcache —
+        ``nbytes / memcpy_bw`` per page — and nothing else: the
+        submission is a hand-off (:meth:`MegaMmapClient._hand_off`),
+        the wire and the owner's queue are the shipment's business.
+        Generator; returns the pages shipped.
 
         ``drop``: the frames were detached, so their WRITE tasks own
         them and ship ndarray views (the simulated memcpy cost is the
@@ -744,7 +738,7 @@ class Vector:
         """
         system = self.client.system
         h = system.history
-        tasks = []
+        writes = []
         for page_idx, frame in pages:
             if not frame.dirty:
                 continue
@@ -759,15 +753,25 @@ class Vector:
             if not drop:
                 system.monitor.count("bytes.copied", nbytes)
             yield system.sim.timeout(nbytes / system.memcpy_bw)
-            tasks.append(MemoryTask(
-                kind=TaskKind.WRITE, vector_name=self.shared.name,
-                page_idx=page_idx, client_node=self.client.node,
-                fragments=fragments,
-                pinned=frame.held if drop else 0))
+            writes.append((page_idx, fragments, frame.held if drop else 0))
             frame.dirty.clear()
-        # One batched hand-off per owner node (a single task, or
-        # batching disabled, degrades to per-task hand-offs).
-        yield from self.client.submit_batch(tasks, wait=False)
+        return (yield from self._write_regions(writes, through=False))
+
+    def _write_regions(self, writes, through: bool):
+        """The one client write: ship ``writes`` — ``[(page_idx,
+        fragments, pinned), ...]`` — to the pages' owners as WRITE
+        MemoryTasks in one submission, one batch per owner node (a
+        single task, or batching disabled, degrades to per-task
+        submits). ``through`` waits for the owners' acks: an ack means
+        the owner applied the bytes and, when replication is on,
+        replicated them. Otherwise the tasks are handed off and the
+        call returns at once. Generator; returns how many tasks it sent."""
+        tasks = [MemoryTask(
+            kind=TaskKind.WRITE, vector_name=self.shared.name,
+            page_idx=page_idx, client_node=self.client.node,
+            fragments=fragments, pinned=pinned, through=through)
+            for page_idx, fragments, pinned in writes]
+        yield from self.client.submit_batch(tasks, wait=through)
         return len(tasks)
 
     def prefetch_page(self, page_idx: int) -> None:

@@ -72,6 +72,25 @@ def test_write_parquet_points_roundtrip(tmp_path):
     assert np.array_equal(recs, expect)
 
 
+@pytest.mark.parametrize("writer, url", [
+    (write_parquet_points, "parquet://{}"),
+    (write_gadget_like, "hdf5://{}:parttype0")])
+def test_writing_twice_to_one_path_replaces_the_file(tmp_path, writer,
+                                                     url):
+    """Two calls on one path leave ``n`` records, and the same file
+    bytes as one call."""
+    once, twice = f"{tmp_path}/once", f"{tmp_path}/twice"
+    writer(once, 300, 3, seed=5)
+    writer(twice, 300, 3, seed=5)
+    writer(twice, 300, 3, seed=5)
+    with open(once, "rb") as a, open(twice, "rb") as b:
+        assert a.read() == b.read()
+    be = open_backend(url.format(twice))
+    itemsize = POINT3D.itemsize if writer is write_parquet_points \
+        else PARTICLE.itemsize
+    assert be.size() == 300 * itemsize
+
+
 def test_count_loc_ignores_blanks_comments_docstrings():
     src = '''
 """Module docstring."""

@@ -3,8 +3,6 @@ signals (anomaly events / SLO alert fires) with bounded detection
 latency, and attaching the obs plane must not perturb the fault
 schedule or the execution it observes."""
 
-import os
-
 import pytest
 
 from repro.chaos import run_case
@@ -34,26 +32,14 @@ app:
 """
 
 
-# Blob placement hashes bucket URLs, and those embed the workdir
-# string verbatim — so every run here chdirs into a scratch dir and
-# uses the same *relative* workdir, making placement (and therefore
-# fault impact and detection timing) identical across invocations.
-WORKDIR = "wd"
-
-
 @pytest.fixture(scope="module")
 def horizon(tmp_path_factory):
-    scratch = tmp_path_factory.mktemp("probe")
-    old = os.getcwd()
-    os.chdir(scratch)
-    try:
-        return measure_horizon(SMALL_KMEANS, workdir=WORKDIR)
-    finally:
-        os.chdir(old)
+    return measure_horizon(SMALL_KMEANS,
+                           workdir=str(tmp_path_factory.mktemp("probe")))
 
 
-def test_every_fault_class_detected_with_bounded_latency(
-        tmp_path, monkeypatch, horizon):
+def test_every_fault_class_detected_with_bounded_latency(tmp_path,
+                                                         horizon):
     """The acceptance shape: across a few seeds, every injected fault
     class produces an obs signal, and the detection latency (onset to
     first anomaly/alert at or after it) stays within the horizon.
@@ -61,12 +47,11 @@ def test_every_fault_class_detected_with_bounded_latency(
     A window fault no transfer or device operation met (``felt``
     False) changed nothing, so nothing can detect it: it stays in the
     stats, and every fault that was felt must be detected. (This run
-    moves few bytes between nodes: seed 1's drop at 4.26 ms and delay
-    at 4.49 ms meet none, and no partition or stall here meets
+    moves few bytes between nodes: seed 1's drop at 4.21 ms and delay
+    at 4.43 ms meet none, and no partition or stall here meets
     anything.)"""
-    monkeypatch.chdir(tmp_path)
     results = [run_case(SMALL_KMEANS, seed, horizon=horizon,
-                        workdir=WORKDIR, obs=True)
+                        workdir=str(tmp_path), obs=True)
                for seed in range(3)]
     for res in results:
         assert res.ok, (res.error, res.violations[:3])
@@ -82,12 +67,10 @@ def test_every_fault_class_detected_with_bounded_latency(
         assert row["max_s"] <= horizon, (kind, row)
 
 
-def test_slo_alert_fires_during_injected_faults(tmp_path, monkeypatch,
-                                                horizon):
+def test_slo_alert_fires_during_injected_faults(tmp_path, horizon):
     """An availability SLO on the injector's own fault counters burns
     its budget the moment a network fault bites: the alert lifecycle
     runs under chaos, and alert fires count as detection signals."""
-    monkeypatch.chdir(tmp_path)
     window = horizon / 256.0
     slo = SLOSpec(name="no-injected-delays", objective="availability",
                   bad_metric="chaos.delays",
@@ -96,7 +79,7 @@ def test_slo_alert_fires_during_injected_faults(tmp_path, monkeypatch,
     # Seed 6 with the network-fault mix lands delay windows on live
     # transfers (chaos.delays increments), so the SLO has bad events.
     res = run_case(SMALL_KMEANS, 6, horizon=horizon,
-                   workdir=WORKDIR, obs=True, slos=[slo],
+                   workdir=str(tmp_path), obs=True, slos=[slo],
                    kinds=("delay", "drop", "stall", "partition"),
                    obs_window=window)
     assert res.ok, (res.error, res.violations[:3])
@@ -106,13 +89,11 @@ def test_slo_alert_fires_during_injected_faults(tmp_path, monkeypatch,
                for d in res.detections), res.detections
 
 
-def test_obs_plane_does_not_perturb_chaos_execution(
-        tmp_path, monkeypatch, horizon):
+def test_obs_plane_does_not_perturb_chaos_execution(tmp_path, horizon):
     """Scrape-at-tick under fault injection: the same seed with and
     without the obs plane must apply the same faults and produce the
     identical client-boundary history hash."""
-    monkeypatch.chdir(tmp_path)
-    wd = WORKDIR
+    wd = str(tmp_path)
     plain = run_case(SMALL_KMEANS, 5, horizon=horizon, workdir=wd)
     observed = run_case(SMALL_KMEANS, 5, horizon=horizon, workdir=wd,
                         obs=True)

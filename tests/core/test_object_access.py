@@ -23,6 +23,7 @@ from benchmarks.common import testbed
 from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.reliability import corrupt_page
+from repro.core.scache import ScacheExecutor
 from repro.net.message import batched_nbytes
 from repro.sim import Event
 from tests.core.conftest import build_system, run_procs
@@ -134,6 +135,41 @@ def test_straddling_object_crosses_page_boundary():
         assert pages == want      # page path sees the same bytes
     # The write really split into two per-page OBJ_WRITE tasks.
     assert c.monitor.counter("object.remote_tasks") >= 2
+
+
+def test_write_through_over_one_owners_pages_is_one_write_batch(
+        monkeypatch):
+    """An object over two pages of one remote owner ships as one WRITE
+    batch, served by the owner's batched write branch: one metadata
+    round for both pages. Its acknowledged bytes are there for a fresh
+    reader on another node."""
+    served = []
+    batched = ScacheExecutor._write_batch
+
+    def spy(self, vec, batch):
+        served.append((len(batch), [t.through for t in batch.tasks]))
+        return (yield from batched(self, vec, batch))
+
+    monkeypatch.setattr(ScacheExecutor, "_write_batch", spy)
+    sim, system = build_system(n_nodes=4, object_threshold_bytes=PAGE)
+    writer, reader = system.client(0, node=0), system.client(1, node=2)
+    data = (np.arange(192) % 251).astype(np.uint8)
+
+    def app():
+        vec = yield from writer.vector("wt2", dtype=np.uint8,
+                                       size=64 * PAGE)
+        owner = vec.shared.owner_node
+        page = next(p for p in range(63)
+                    if owner(p, 0) == owner(p + 1, 0) not in (0, 2))
+        yield from vec.write_object((page + 1) * PAGE - 96, data)
+        other = yield from reader.vector("wt2", dtype=np.uint8)
+        return (yield from other.read_object((page + 1) * PAGE - 96,
+                                             192))
+
+    out, = run_procs(sim, app())
+    assert served == [(2, [True, True])]
+    assert system.monitor.counter("rpc.batches") == 2  # write, read
+    assert np.array_equal(out, data)
 
 
 def test_concurrent_rank_writers_at_a_barrier():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
+from repro.core import MM_READ_ONLY, MM_READ_WRITE, MM_WRITE_ONLY, SeqTx
 from repro.core.reliability import NodeFailedError, corrupt_page
 from tests.core.conftest import build_system, run_procs
 
@@ -72,6 +72,48 @@ def test_read_survives_node_failure_with_replication():
     out, = run_procs(sim, _read(system.client(1, reader_node))())
     assert np.array_equal(out, data)
     assert system.monitor.counter("reliability.promotions") > 0
+
+
+def _replica_bytes(system, key, page_idx):
+    """The bytes every replica of a page holds right now."""
+    info = system.hermes.mdm.peek(key, page_idx)
+    return [bytes(system.dmshs[node].tier(tier).peek((key, page_idx)))
+            for node, tier in info.replicas]
+
+
+def test_write_through_replicates_before_its_ack_write_behind_after():
+    """The ack of ``write_object`` means the owner applied the bytes
+    and replicated them: when the call returns, the page's replica
+    already holds them, with no simulated time passing after the
+    return. The same bytes written behind (``write_range``, then
+    ``flush(wait=True)``: applied at the owner) reach the replica only
+    later, off the write's critical path."""
+    page = 4096
+    sim, system = build_system(n_nodes=2, replication_factor=2,
+                               object_threshold_bytes=page)
+    client = system.client(rank=0, node=0)
+    new = np.full(64, 7, np.uint8)
+    seen = {}
+
+    def app():
+        vec = yield from client.vector("wt", dtype=np.uint8,
+                                       size=4 * page)
+        yield from vec.write_object(page + 128, new)
+        seen["through"] = _replica_bytes(system, "wt", 1)
+        yield from vec.tx_begin(SeqTx(2 * page, page, MM_READ_WRITE))
+        yield from vec.write_range(2 * page + 128, new)
+        yield from vec.tx_end()
+        yield from vec.flush(wait=True)
+        seen["behind, at the ack"] = _replica_bytes(system, "wt", 2)
+        yield sim.timeout(0.5)
+        seen["behind, later"] = _replica_bytes(system, "wt", 2)
+
+    run_procs(sim, app())
+    held = {when: [r[128:192] == new.tobytes() for r in replicas]
+            for when, replicas in seen.items()}
+    assert held["through"] == [True], held
+    assert not any(held["behind, at the ack"]), held
+    assert held["behind, later"] == [True], held
 
 
 def test_volatile_data_lost_without_replication():
