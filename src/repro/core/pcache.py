@@ -49,12 +49,15 @@ class Frame:
     mirrors them as merged intervals, except while a fetch is in
     flight: storage is allocated — and charged — when the read is
     issued and turns valid when it is installed. ``dirty`` ⊆ ``valid``.
+    A read-only extent is shared (:meth:`share`): :meth:`span` and
+    :meth:`patch` copy it before writing (``copied``). A ``lent`` frame
+    (a chunk writes it past copy-on-write) never shares.
     """
 
     __slots__ = ("starts", "bufs", "held", "valid", "dirty", "last_use",
-                 "pending", "pending_span")
+                 "pending", "pending_span", "lent", "copied")
 
-    def __init__(self):
+    def __init__(self, copied=None):
         self.starts: List[int] = []
         self.bufs: List[np.ndarray] = []
         self.held = 0  # bytes of storage == what the frame is charged
@@ -66,6 +69,8 @@ class Frame:
         # a fault that blocks on ``pending`` records it as ``wait_on``
         # so the prefetch-issue -> install causal edge survives export.
         self.pending_span = None
+        self.lent = False
+        self.copied = copied  # the bytes.copied counter, if any
 
     @property
     def data(self) -> Optional[np.ndarray]:
@@ -96,7 +101,9 @@ class Frame:
         starts, bufs = self.starts, self.bufs
         i, j, view = self._overlapping(start, end)
         if view is not None:
-            return view, 0
+            if view.flags.writeable:
+                return view, 0
+            return self._own(i)[start - starts[i]:end - starts[i]], 0
         lo, hi = start, end
         if j > i:
             lo = min(lo, starts[i])
@@ -137,8 +144,25 @@ class Frame:
         for k in range(i, j):
             lo = max(start, starts[k])
             hi = min(end, starts[k] + len(bufs[k]))
-            bufs[k][lo - starts[k]:hi - starts[k]] = \
+            self._own(k)[lo - starts[k]:hi - starts[k]] = \
                 src[lo - start:hi - start]
+
+    def share(self, start: int, end: int) -> np.ndarray:
+        """Held ``[start, end)`` as a read-only view of one (merged)
+        extent, which the frame now shares."""
+        if self._overlapping(start, end)[2] is None:
+            self.span(start, end)
+        i = bisect_right(self.starts, start) - 1
+        self.bufs[i].flags.writeable = False
+        return self.bufs[i][start - self.starts[i]:end - self.starts[i]]
+
+    def _own(self, k: int) -> np.ndarray:
+        """Extent ``k``'s buffer, made private first if shared."""
+        if not self.bufs[k].flags.writeable:
+            self.bufs[k] = self.bufs[k].copy()
+            if self.copied is not None:
+                self.copied.inc(len(self.bufs[k]))
+        return self.bufs[k]
 
 
 class PCache:
@@ -197,7 +221,7 @@ class PCache:
         cold."""
         frame = self.lookup(page_idx)
         if frame is None:
-            frame = self.frames[page_idx] = Frame()
+            frame = self.frames[page_idx] = Frame(self._m_copied)
         elif page_idx in self.cold:
             self.warm(page_idx)
         self._use_seq += 1

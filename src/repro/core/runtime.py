@@ -158,6 +158,7 @@ class NodeRuntime:
     # -- processes ---------------------------------------------------------------
     def _scheduler(self):
         while True:
+            task = sub = state = None  # no payload held while waiting
             task = yield self.queue.get()
             if isinstance(task, BatchTask):
                 if task.kind in _READS:
@@ -244,6 +245,7 @@ class NodeRuntime:
 
     def _worker(self, store: Store):
         while True:
+            task = state = None  # no payload held while waiting
             task = yield store.get()
             if isinstance(task, MemoryTask):
                 yield from self._service(
@@ -266,8 +268,7 @@ class NodeRuntime:
                 yield state.complete
                 continue
             # Every involved FIFO has drained all earlier tasks for the
-            # batch's pages by now. (No local for the batch: this frame
-            # lives as long as the runtime and would keep its payload.)
+            # batch's pages by now.
             try:
                 yield from self._service(
                     state.batch, f"batch:{state.batch.kind.value}",

@@ -178,7 +178,7 @@ class ScacheExecutor:
             elif info.nbytes < vec.page_nbytes(p):
                 # The vector grew (append): extend the blob in place.
                 raw = yield from self._get_page(vec, p, self.node_id)
-                raw = raw + bytes(vec.page_nbytes(p) - len(raw))
+                raw = b"".join((raw, bytes(vec.page_nbytes(p) - len(raw))))
                 infos[p] = yield from hermes.put(
                     self.node_id, vec.name, p, raw, score=info.score,
                     target_node=info.node)

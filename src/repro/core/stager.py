@@ -553,6 +553,8 @@ class DataStager:
         try:
             captured = []
             for p in pages:
+                if p not in vec.dirty_pages:
+                    continue  # a stage-out that held the lock wrote it
                 vec.dirty_pages.discard(p)
                 try:
                     captured.append((p, (yield from self.system.hermes.get(

@@ -259,6 +259,7 @@ class Vector:
         if tx.writes:
             frame.dirty.add(region.off, end)
             frame.valid.add(region.off, end)
+            frame.lent = True
         view = self.pcache.hold(frame, region.off, end).view(self.dtype)
         start = region.page_idx * self.elems_per_page \
             + region.off // self.itemsize
@@ -728,13 +729,11 @@ class Vector:
         the wire and the owner's queue are the shipment's business.
         Generator; returns the pages shipped.
 
-        ``drop``: the frames were detached, so their WRITE tasks own
-        them and ship ndarray views (the simulated memcpy cost is the
-        same; only the host copy disappears) — and pin the frames'
-        DRAM on this node (``MemoryTask.pinned``) until the shipment
-        has left it. Otherwise they stay resident and writable, now
-        clean, and the fragments MUST be copies, or the app could
-        mutate them before the task runs.
+        Fragments ship as read-only views, stored as they are.
+        ``drop``: the frames were detached; their WRITE tasks own them
+        and pin their DRAM here (``MemoryTask.pinned``) until they
+        leave. A kept frame, now clean, shares a whole page's buffer
+        (:meth:`Frame.share`); a ``lent`` one ships copies.
         """
         system = self.client.system
         h = system.history
@@ -742,20 +741,28 @@ class Vector:
         for page_idx, frame in pages:
             if not frame.dirty:
                 continue
-            fragments = [
-                (start, frame.read(start, end) if drop
-                 else frame.read(start, end).tobytes())
-                for start, end in frame.dirty
-            ]
+            fragments = [(s, self._fragment(page_idx, frame, s, e, drop))
+                         for s, e in frame.dirty]
             if h is not None:
                 h.on_commit(self, page_idx, fragments)
             nbytes = frame.dirty.total
-            if not drop:
-                system.monitor.count("bytes.copied", nbytes)
             yield system.sim.timeout(nbytes / system.memcpy_bw)
             writes.append((page_idx, fragments, frame.held if drop else 0))
             frame.dirty.clear()
         return (yield from self._write_regions(writes, through=False))
+
+    def _fragment(self, page_idx, frame: Frame, start, end, drop: bool):
+        """A dirty range of ``frame`` as :meth:`_ship_dirty` ships it. A
+        kept frame shares a whole page only: a part is spliced, not kept."""
+        if drop:
+            view = frame.read(start, end)
+            if not frame.lent:
+                view.flags.writeable = False
+            return view
+        if frame.lent or end - start < self.shared.page_nbytes(page_idx):
+            self.client.system.monitor.count("bytes.copied", end - start)
+            return frame.read(start, end).tobytes()
+        return frame.share(start, end)
 
     def _write_regions(self, writes, through: bool):
         """The one client write: ship ``writes`` — ``[(page_idx,

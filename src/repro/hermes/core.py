@@ -20,13 +20,12 @@ def _as_payload(data):
     """Normalize a put payload to a zero-copy bytes-like object.
 
     ``bytes``/``memoryview`` pass through untouched and ndarrays become
-    flat uint8 views (so ``len()`` equals the byte count) — the single
-    persist copy happens in the destination :class:`Device`, not here.
-    Callers passing a view or ndarray hand over ownership: the buffer
-    must not be mutated while the put is in flight (the pcache
-    guarantees this by only shipping views of frames it has dropped).
-    A ``bytearray`` is defensively copied, as before, since it carries
-    no such ownership contract.
+    flat uint8 views (so ``len()`` equals the byte count), read-only
+    ones staying read-only. The destination :class:`Device` stores a
+    read-only buffer as it is and copies anything else. Callers passing
+    a writable view or ndarray hand over ownership: the buffer must not
+    be mutated while the put is in flight. A ``bytearray`` is
+    defensively copied, since it carries no such ownership contract.
     """
     if isinstance(data, np.ndarray):
         if data.dtype == np.uint8 and data.ndim == 1:

@@ -3,9 +3,9 @@
 Cost model: a transfer of ``n`` bytes takes ``latency + n/bandwidth``
 seconds and transfers are serialized per device (a FIFO queue, the
 common behaviour of a saturated device). Content is *real*: ``put``
-copies bytes in, ``get`` returns them bit-exact, so the DSM on top is
-functionally correct, while residency and movement costs reproduce the
-performance shape of tiered hardware.
+stores an immutable buffer, ``get`` returns it bit-exact, so the DSM
+on top is functionally correct, while residency and movement costs
+reproduce the performance shape of tiered hardware.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class Device:
         self.name = name
         self.monitor = monitor
         self._queue = Resource(sim, capacity=1, name=f"{name}.q")
-        self._blobs: Dict[object, bytes] = {}
+        self._blobs: Dict[object, object] = {}  # bytes or memoryview
         self.used = 0
         self.bytes_read = 0
         self.bytes_written = 0  # doubles as the wear counter
@@ -195,8 +195,10 @@ class Device:
                 f"range [{offset}, {offset + len(raw)}) outside blob of "
                 f"{len(blob)} bytes")
         yield from self._xfer(len(raw), write=True)
-        self._blobs[key] = blob[:offset] + raw + blob[offset + len(raw):]
         self.bytes_written += len(raw)
+        if len(raw) < len(blob):  # else the whole blob: store raw
+            raw = b"".join((blob[:offset], raw, blob[offset + len(raw):]))
+        self._blobs[key] = raw
 
     # -- reservations and charge-only transfers ----------------------------
     def reserve(self, nbytes: int, strict: bool = True) -> None:
@@ -234,7 +236,7 @@ class Device:
             self.bytes_read += nbytes
 
     # -- untimed management ops (metadata-only) ---------------------------
-    def peek(self, key) -> bytes:
+    def peek(self, key):
         """Untimed read (used by tests/verification, never by the DSM
         data path)."""
         return self._blobs[key]
@@ -247,17 +249,21 @@ class Device:
             self._m_used.set(self.used)
         return len(raw)
 
-    def _as_bytes(self, data) -> bytes:
-        """Materialize a payload as immutable bytes (the persist copy).
+    def _as_bytes(self, data):
+        """A payload as an immutable buffer (the persist boundary).
 
-        This is the ownership-transfer boundary of the write path: the
-        data plane above ships views/ndarrays, and the one real copy of
-        the payload happens here. Already-``bytes`` payloads are stored
-        as-is (immutable, no copy). The copy volume is surfaced as the
-        ``bytes.copied`` counter.
+        ``bytes`` and a read-only flat uint8 ndarray or memoryview are
+        stored as they are (behind a memoryview, so every blob reads
+        like bytes): whoever made them read-only never writes them
+        again. Anything else is copied here, the one real copy of the
+        write path, counted in the ``bytes.copied`` counter.
         """
         if type(data) is bytes:
             return data
+        if (isinstance(data, memoryview) and data.readonly) or (
+                isinstance(data, np.ndarray) and not data.flags.writeable
+                and data.dtype == np.uint8 and data.ndim == 1):
+            return memoryview(data)
         if isinstance(data, np.ndarray):
             raw = data.tobytes()
         else:

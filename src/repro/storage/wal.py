@@ -122,9 +122,9 @@ class WriteAheadLog:
 
     # -- staging (volatile) ----------------------------------------------
     def stage(self, vector: str, page: int, data) -> None:
-        """Register the latest shipped bytes of a page as an intent.
-        Untimed: staging is a host-memory bookkeeping step."""
-        self.staged[(vector, page)] = bytes(data)
+        """Register the latest shipped bytes of a page (a stored blob,
+        immutable) as an intent. Untimed: host-memory bookkeeping."""
+        self.staged[(vector, page)] = data
 
     def discard(self, vector: str, page: int) -> None:
         self.staged.pop((vector, page), None)

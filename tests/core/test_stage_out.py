@@ -247,3 +247,83 @@ def test_crash_during_a_run_capture_keeps_the_lost_pages_dirty(
     on_disk = np.fromfile(tmp_path / "capture.bin", dtype=np.uint8)
     assert np.array_equal(on_disk, written)
     assert not svec.dirty_pages
+
+
+def _flushed_file(tmp_path, monkeypatch, n_pages=4):
+    """A file-backed vector with ``n_pages`` pages (page ``p`` filled
+    with ``p + 1``) flushed to the scache but not staged out."""
+    monkeypatch.chdir(tmp_path)
+    page, stripe = 4096, 64 * 1024
+    sim, system = build(page_size=page, stripe=stripe, flush_period=1e9)
+    url = "posix://./once.bin"
+    client = system.client(rank=0, node=0)
+
+    def writer():
+        vec = yield from client.vector(url, dtype=np.uint8,
+                                       size=n_pages * page)
+        yield from vec.tx_begin(SeqTx(0, n_pages * page, MM_WRITE_ONLY))
+        yield from vec.write_range(0, np.repeat(
+            np.arange(1, n_pages + 1, dtype=np.uint8), page))
+        yield from vec.tx_end()
+        yield from vec.flush(wait=True)
+
+    run_procs(sim, writer())
+    return sim, system, system.vectors[url], page
+
+
+def test_a_flusher_racing_persist_writes_each_page_once(
+        tmp_path, monkeypatch):
+    """Persist plans a run over every dirty page; a flusher's pass that
+    takes page 3's lock first writes it, and the run, once it holds the
+    lock, skips the page instead of writing it a second time."""
+    sim, system, svec, page = _flushed_file(tmp_path, monkeypatch)
+    persist = sim.process(system.stager.persist(svec, 0))
+    sim.process(system.stager.stage_out(svec, [3], 0), name="flusher")
+    sim.run(until=persist)
+    mon = system.monitor
+    assert mon.counter("stager.bytes_out") == 4 * page
+    assert mon.counter("stager.requests_out") == 2
+    assert sum(d.bytes_written for d in system.pfs.devices) == 4 * page
+    on_disk = np.fromfile(tmp_path / "once.bin", dtype=np.uint8)
+    assert np.array_equal(on_disk, np.repeat(
+        np.arange(1, 5, dtype=np.uint8), page))
+
+
+def test_a_page_dirtied_again_between_two_stage_outs_is_written_twice(
+        tmp_path, monkeypatch):
+    """The flusher's pass captures page 3 and parks on the backend; a
+    write re-dirties the page before persist's run reaches its lock,
+    so the run writes the page again, with the fresh bytes."""
+    from repro.core.memtask import MemoryTask, TaskKind
+    from repro.sim import Lock
+
+    sim, system, svec, page = _flushed_file(tmp_path, monkeypatch)
+    gate = Lock(sim)
+    run_procs(sim, gate.held())                    # pre-held by the test
+    charge = system.stager._charge_backend
+
+    def gated(node, ranges, write):
+        yield gate.acquire()
+        gate.release()
+        yield from charge(node, ranges, write)
+
+    system.stager._charge_backend = gated
+    sim.process(system.stager.stage_out(svec, [3], 0), name="flusher")
+    sim.run(until=sim.now + 1e-3)                  # parked at the gate
+    assert svec.dirty_pages == {0, 1, 2}
+
+    def overlap():
+        task = MemoryTask(kind=TaskKind.WRITE, vector_name=svec.name,
+                          page_idx=3, client_node=0,
+                          fragments=[(0, bytes([9]) * page)])
+        yield from system.client(rank=0, node=0).submit(task, wait=True)
+
+    run_procs(sim, overlap())
+    persist = sim.process(system.stager.persist(svec, 0))
+    sim.run(until=sim.now + 1e-3)
+    gate.release()
+    sim.run(until=persist)
+    assert system.monitor.counter("stager.bytes_out") == 5 * page
+    on_disk = np.fromfile(tmp_path / "once.bin", dtype=np.uint8)
+    assert np.array_equal(on_disk, np.repeat(
+        np.array([1, 2, 3, 9], dtype=np.uint8), page))
