@@ -9,10 +9,15 @@ quiet window does not flip a steady re-reader into a donor. A tenant
 rereading a working set that misses DRAM has high density; a
 streaming antagonist touches enormous footprints once and scores low
 (MaxMem's signal: misses on pages that were hot). Quota then flows to
-the highest-density receiver, taken first from *idle* quota — a
-tenant holding fast-memory headroom it is not using — and only then
-from the lowest-density active tenant (bounded by ``min_dram`` and
-damped by a hysteresis factor). Every sweep — whether or not quota
+the highest-density running tenant whose footprint exceeds its quota
+— it stays a receiver while its smoothed density is positive, so a
+re-reader whose slow reads outlast a sweep does not drop out between
+them. Quota is taken first from *idle* quota — a tenant holding
+fast-memory headroom it is not using — and only then from the
+lowest-density active tenant (bounded by ``min_dram`` and damped by a
+hysteresis factor). A running donor gives one ``realloc_step`` per
+grant; a stopped one (finished, or not yet arrived) gives what the
+receiver is short in one grant. Every sweep — whether or not quota
 moved — *enforces* the current split: over-quota owners' coldest DRAM
 blobs demote to the next tier, and tenants with recent re-reads and
 unfilled quota get their hottest deep blobs promoted into the
@@ -132,12 +137,15 @@ class ReallocLoop:
         def density(t: TenantQuota) -> float:
             return self._ewma.get(t.name, 0.0)
 
-        # A receiver must be missing DRAM on data it had (re-reads,
-        # not first-touch stage-in) *and* able to use the grant: once
-        # its quota covers its whole scache footprint, more fast
-        # memory cannot convert any further misses.
+        # A receiver must be missing DRAM on data it had (a positive
+        # re-read density, so first-touch stage-in never qualifies)
+        # *and* able to use the grant: once its quota covers its whole
+        # scache footprint, more fast memory cannot convert any further
+        # misses. The smoothed density, not this window's re-reads,
+        # decides: one slow HDD read outlasts several sweeps, and a
+        # re-reader must not drop out between its reads.
         wanting = [t for t in active
-                   if self._rereads(t) > 0
+                   if density(t) > 0
                    and t.scache_used > t.dram_quota]
         if not wanting:
             return None
@@ -167,7 +175,12 @@ class ReallocLoop:
             donor = min(donors, key=lambda t: (density(t), t.name))
             if density(receiver) <= HYSTERESIS * density(donor):
                 return None
-        moved = min(self.step, donor.dram_quota - donor.min_dram)
+        # A stopped donor (finished, or not yet arrived) needs none of
+        # its surplus now: it covers the receiver's whole shortfall in
+        # one grant. A running donor gives one step at a time.
+        short = receiver.scache_used - receiver.dram_quota
+        want = self.step if donor.active else max(short, self.step)
+        moved = min(want, donor.dram_quota - donor.min_dram)
         if moved <= 0:
             return None
         donor.dram_quota -= moved
@@ -177,6 +190,8 @@ class ReallocLoop:
         mgr.log("realloc", sweep=self.sweeps, src=donor.name,
                 dst=receiver.name, bytes=moved,
                 src_idle=int(donor in idle),
+                src_active=int(donor.active),
+                dst_short=short,
                 src_density=round(density(donor), 9),
                 dst_density=round(density(receiver), 9),
                 src_reread=self._rereads(donor),

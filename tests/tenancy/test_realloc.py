@@ -7,10 +7,15 @@ promotions) but moves none of those blobs, so the two no longer undo
 each other's moves. A static campaign has no loop, and the organizer
 places as before, clamped to the owner's admission floor. (2) Quota
 goes to a tenant that misses on data it had — slow-tier *re-reads* —
-not to one whose slow reads are first-touch stage-in.
+not to one whose slow reads are first-touch stage-in. (3) A receiver
+stays eligible while its smoothed re-read density is positive, also in
+a sweep in which none of its slow reads completed. (4) A stopped
+donor covers the receiver's shortfall in one grant; a running donor
+gives one step.
 """
 
 import numpy as np
+import pytest
 
 from repro.core import MM_WRITE_ONLY, SeqTx
 from repro.core.organizer import SCORE_WINDOW
@@ -148,3 +153,74 @@ def test_static_campaign_promotion_stops_at_the_admission_floor():
     # the way to DRAM when its owner has room.
     assert promoted_tier(page) == "nvme"
     assert promoted_tier(2 * page) == "dram"
+
+
+def _rereader(donor_quota, donor_active):
+    """A manager with a donor holding ``donor_quota`` and a receiver
+    "reuse" whose 1 MB footprint sits below DRAM (quota 128 KB).
+    Returns (sim, qm, loop, read) where ``read()`` is a generator
+    reading all of "reuse"'s blobs once."""
+    sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64,
+                               organizer_enabled=False,
+                               realloc_step=64 * KB)
+    qm = QuotaManager(system)
+    qm.register(TenantQuota(name="donor", dram_quota=donor_quota,
+                            min_dram=64 * KB))
+    qm.register(TenantQuota(name="reuse", dram_quota=128 * KB,
+                            min_dram=64 * KB))
+    for name in ("donor", "reuse"):
+        qm.claim_bucket(name, name)
+    qm.activate("reuse")
+    if donor_active:
+        qm.activate("donor")
+    loop = ReallocLoop(qm)
+    h = system.hermes
+    blob = b"x" * (64 * KB)
+
+    def put():
+        for i in range(16):
+            yield from h.put(0, "reuse", i, blob)
+
+    def read():
+        for i in range(16):
+            yield from h.get(0, "reuse", i)
+
+    sim.run(until=sim.process(put()))
+    return sim, qm, loop, read
+
+
+@pytest.mark.parametrize("donor_quota", [2048 * KB, 512 * KB])
+@pytest.mark.parametrize("donor_active", [False, True])
+def test_a_stopped_donor_covers_the_shortfall_in_one_grant(donor_quota,
+                                                           donor_active):
+    sim, qm, loop, read = _rereader(donor_quota, donor_active)
+    sim.run(until=sim.process(read()))     # first touch
+    sim.run(until=sim.process(read()))     # re-reads below DRAM
+    donor, receiver = qm.tenants["donor"], qm.tenants["reuse"]
+    short = receiver.scache_used - receiver.dram_quota
+    surplus = donor.dram_quota - donor.min_dram
+    assert short == 896 * KB
+    assert loop.rebalance() == (donor, receiver,
+                                64 * KB if donor_active
+                                else min(surplus, short))
+    (entry,) = [e for e in qm.decisions if e["kind"] == "realloc"]
+    assert entry["src_active"] == int(donor_active)
+    assert entry["dst_short"] == short
+
+
+def test_a_rereader_stays_eligible_between_its_slow_reads():
+    # Its re-reads stop completing (each slow read outlasts several
+    # sweeps), but its footprint still exceeds its quota: the sweeps
+    # in between keep granting, from the running idle donor one step
+    # at a time.
+    sim, qm, loop, read = _rereader(512 * KB, True)
+    sim.run(until=sim.process(read()))
+    sim.run(until=sim.process(read()))
+    grants = [loop.rebalance() for _ in range(4)]
+    receiver = qm.tenants["reuse"]
+    assert all(g is not None and g[1] is receiver for g in grants)
+    assert receiver.dram_quota == 128 * KB + 4 * 64 * KB
+    log = [e for e in qm.decisions if e["kind"] == "realloc"]
+    assert log[0]["dst_reread"] > 0
+    assert [e["dst_reread"] for e in log[1:]] == [0, 0, 0]
+    assert all(e["dst_density"] > 0 for e in log)

@@ -77,21 +77,81 @@ def test_same_seed_and_spec_is_bit_identical(tmp_path):
     assert all(row["status"] == "ok" for row in r1.rows)
 
 
+#: A stencil tenant that finishes at once and a KMeans tenant whose
+#: 640 KB of points outgrow its 256 KB DRAM quota on an HDD capacity
+#: tier: the loop grants the finished tenant's surplus to it.
+REALLOC_SPEC = """
+name: Colocate-Realloc
+cluster:
+  n_nodes: 2
+  procs_per_node: 1
+  dram_mb: 2
+  nvme_mb: 0
+  hdd_mb: 64
+  seed: 11
+  page_size: 65536
+  realloc_period: 0.002
+  realloc_step: 65536
+tenancy:
+  realloc: true
+jobs:
+  - name: gsA
+    app:
+      kind: mm_gray_scott
+      L: 16
+      steps: 1
+    procs: 1
+    dram_quota_mb: 1
+    min_dram_mb: 0.125
+  - name: kmB
+    app:
+      kind: mm_kmeans
+      k: 4
+      max_iter: 6
+      pcache: 65536
+    dataset:
+      kind: points
+      n: 40000
+      k: 4
+      seed: 3
+      path: pts_b.parquet
+    procs: 2
+    arrival: 0.001
+    dram_quota_mb: 0.25
+    min_dram_mb: 0.125
+    pcache_quota_mb: 0.0625
+"""
+
+
 def test_decision_log_is_plain_rounded_dicts(tmp_path):
-    res = run_colocation(SPEC, workdir=str(tmp_path))
-    assert res.decisions, "campaign must log decisions"
-    for entry in res.decisions:
-        assert type(entry) is dict
-        assert set(entry) >= {"t", "kind"}
-        assert entry["kind"] in {"admit", "queue", "reject",
-                                 "complete", "crash", "realloc"}
-        # Rounded floats only: re-rounding must be the identity.
-        for v in entry.values():
-            if isinstance(v, float):
-                assert v == round(v, 9)
-    kinds = [e["kind"] for e in res.decisions]
-    assert kinds.count("admit") == 3
-    assert kinds.count("complete") == 3
+    for spec, jobs, step in ((SPEC, 3, None), (REALLOC_SPEC, 2, 65536)):
+        res = run_colocation(spec, workdir=str(tmp_path))
+        assert res.decisions, "campaign must log decisions"
+        for entry in res.decisions:
+            assert type(entry) is dict
+            assert set(entry) >= {"t", "kind"}
+            assert entry["kind"] in {"admit", "queue", "reject",
+                                     "complete", "crash", "realloc"}
+            # Rounded floats only: re-rounding must be the identity.
+            for v in entry.values():
+                if isinstance(v, float):
+                    assert v == round(v, 9)
+        kinds = [e["kind"] for e in res.decisions]
+        assert kinds.count("admit") == jobs
+        assert kinds.count("complete") == jobs
+        # A grant says whether its donor was running and how short the
+        # receiver was: a running donor gives one step, a stopped one
+        # up to the whole shortfall.
+        grants = [e for e in res.decisions if e["kind"] == "realloc"]
+        assert bool(grants) == (step is not None)
+        for e in grants:
+            assert e["src_active"] in (0, 1)
+            assert type(e["dst_short"]) is int and e["dst_short"] > 0
+            assert e["bytes"] <= (step if e["src_active"]
+                                  else max(e["dst_short"], step))
+        if grants:
+            assert any(not e["src_active"] and e["bytes"] > step
+                       for e in grants)
 
 
 def _cluster(dram_mb=8, seed=11):
