@@ -6,9 +6,10 @@ plane-by-plane through bounded pcaches — reads of the previous-parity
 field (ghost planes come straight from the DSM, replacing MPI ghost
 exchange) and writes of the next parity under a write-only
 transaction whose eviction is asynchronous. Checkpoints are
-file-backed vectors the Data Stager's flusher persists every 0.25 s
-(``flush_period``), overlapping compute (Fig. 7) only in longer runs:
-``grayscott_ckpt`` (0.122 s) persists them all at shutdown.
+file-backed vectors the Data Stager's flusher persists every
+``stager.FLUSH_PERIOD`` (0.25 s), overlapping compute (Fig. 7) only in
+longer runs: ``grayscott_ckpt`` (0.122 s) persists them all at
+shutdown.
 """
 
 from __future__ import annotations

@@ -33,20 +33,12 @@ class MegaMmapConfig:
     pcache_size:
         Default per-process private cache budget in bytes
         (overridden per vector by ``Vector.bound_memory``).
-    organizer_period:
-        Seconds between Data Organizer sweeps (III-D: "Periodically
-        (configurable by the user) the Data Organizer interprets the
-        scores").
     low_latency_workers / high_latency_workers:
         Worker counts per pool per node runtime.
     workers_min / workers_max:
         Dynamic worker scaling bounds (LabStor-style core adjustment).
-    flush_period:
-        Seconds between active stager flushes of dirty nonvolatile
-        pages (III-B: "MegaMmap actively flushes modified data to
-        storage during periods of computation").
-    prefetch_enabled / organizer_enabled:
-        Ablation switches.
+    prefetch_enabled:
+        Ablation switch.
     batching_enabled:
         Coalesce contiguous page operations into batched MemoryTasks
         shipped with one envelope per owner node (vectored RPCs); off
@@ -59,14 +51,11 @@ class MegaMmapConfig:
 
     page_size: int = 64 * KB
     pcache_size: int = 4 * MB
-    organizer_period: float = 0.05
     low_latency_workers: int = 2
     high_latency_workers: int = 2
     workers_min: int = 1
     workers_max: int = 4
-    flush_period: float = 0.25
     prefetch_enabled: bool = True
-    organizer_enabled: bool = True
     batching_enabled: bool = True
     compute_bw: float = 2e9
     #: Durability copies per scache page (paper §V extension): 1 = no

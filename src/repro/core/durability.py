@@ -48,14 +48,14 @@ class DurabilityManager:
 
     def __init__(self, system):
         self.system = system
-        self.enabled = bool(getattr(system.config, "durability", False))
+        self.enabled = system.config.durability
         #: One log per node (aligned with ``system.dmshs``).
         self.wals: List[WriteAheadLog] = []
         #: Global transaction-barrier sequence; every flush advances it.
         self.barrier_seq = 0
         if not self.enabled:
             return
-        every = int(getattr(system.config, "wal_snapshot_every", 8))
+        every = system.config.wal_snapshot_every
         for dmsh in system.dmshs:
             dev = dmsh.fastest_durable()
             if dev is None:

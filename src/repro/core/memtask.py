@@ -20,7 +20,6 @@ class TaskKind(Enum):
     READ = "read"
     WRITE = "write"
     SCORE = "score"
-    FLUSH = "flush"
     DELETE = "delete"
     #: Object-granular extent read: fetch ``region`` from the owner's
     #: scache without installing a pcache frame on the client (DOLMA

@@ -23,6 +23,10 @@ from repro.storage.device import DeviceFullError
 #: Seconds within which the organizer takes the max of the scores
 #: different processes set for the same page; older ones age out.
 SCORE_WINDOW = 0.2
+#: Seconds between a node's sweeps (III-D: "Periodically ... the Data
+#: Organizer interprets the scores"). Read at call time, as
+#: ``organizer.SWEEP_PERIOD``, so a test can patch it.
+SWEEP_PERIOD = 0.05
 
 
 @dataclass
@@ -154,11 +158,9 @@ class DataOrganizer:
 
     def run(self, node: int):
         """Background sweep loop for one node."""
-        period = self.system.config.organizer_period
         while not self._stop:
-            yield self.sim.timeout(period)
-            if self.system.config.organizer_enabled:
-                yield from self.sweep(node)
+            yield self.sim.timeout(SWEEP_PERIOD)
+            yield from self.sweep(node)
 
     def stop(self) -> None:
         self._stop = True

@@ -28,6 +28,12 @@ from repro.core.errors import MegaMmapError
 from repro.hermes.blob import BlobNotFound
 
 
+#: Seconds between replica-repair passes (four organizer sweeps). Read
+#: at call time, as ``reliability.REPAIR_PERIOD``, so a test can patch
+#: it.
+REPAIR_PERIOD = 4 * 0.05
+
+
 class NodeFailedError(MegaMmapError):
     """Data lived only on a failed node and has no replica/backend."""
 
@@ -43,8 +49,7 @@ class ReliabilityManager:
     # -- configuration -----------------------------------------------------
     @property
     def factor(self) -> int:
-        return max(1, getattr(self.system.config, "replication_factor",
-                              1))
+        return max(1, self.system.config.replication_factor)
 
     @property
     def enabled(self) -> bool:
@@ -107,10 +112,9 @@ class ReliabilityManager:
         this service periodically tops every page back up to
         ``factor`` distinct-node copies (the standard repair process
         of replicated stores). Generator service."""
-        period = 4 * self.system.config.organizer_period
         monitor = self.system.monitor
         while True:
-            yield self.system.sim.timeout(period)
+            yield self.system.sim.timeout(REPAIR_PERIOD)
             if not self.enabled:
                 continue
             for info in list(self.system.hermes.mdm.all_blobs()):

@@ -52,6 +52,9 @@ LOW_LATENCY_THRESHOLD = 16 * 1024
 #: high-latency worker pool gives back a core (a trickle of tasks must
 #: not pin the pool at ``workers_max`` forever).
 SCALE_DOWN_PERIODS = 3
+#: Seconds between the scaling controller's ticks. Read at call time,
+#: as ``runtime.SCALE_PERIOD``, so a test can patch it.
+SCALE_PERIOD = 0.05
 
 
 #: Task kinds that read: served without a barrier, answered by a reply.
@@ -146,10 +149,6 @@ class NodeRuntime:
         queue, in a worker FIFO, or popped by a worker that still waits
         for a core: the count the ``rt_backlog`` gauge reports."""
         return int(self._backlog_gauge.value)
-
-    @property
-    def idle(self) -> bool:
-        return self.inflight == 0
 
     def _store_idx(self, vector_name: str, page_idx: int) -> int:
         placed = self.system.hermes.mdm.placement_name(vector_name)
@@ -339,13 +338,12 @@ class NodeRuntime:
         unit.done.fail(exc)
 
     def _scaling_controller(self):
-        """The patient half of core scaling: once per organizer period,
-        give a high-latency core back after sustained low backlog
-        (paper III-B, LabStor-style). Growth does not wait for it --
-        see :meth:`submit`."""
-        cfg = self.system.config
+        """The patient half of core scaling: once per
+        :data:`SCALE_PERIOD`, give a high-latency core back after
+        sustained low backlog (paper III-B, LabStor-style). Growth does
+        not wait for it -- see :meth:`submit`."""
         while True:
-            yield self.sim.timeout(cfg.organizer_period)
+            yield self.sim.timeout(SCALE_PERIOD)
             self._scale_tick()
 
     def _grow(self, backlog: int) -> bool:

@@ -102,10 +102,6 @@ class ScacheExecutor:
         if task.kind is TaskKind.SCORE:
             self.system.organizer.ingest(vec, task.scores)
             return None
-        if task.kind is TaskKind.FLUSH:
-            yield from self.system.stager.stage_out(
-                vec, [task.page_idx], self.node_id)
-            return None
         if task.kind is TaskKind.DELETE:
             yield from self._delete(vec, task)
             return None

@@ -38,6 +38,10 @@ from repro.storage.pfs import STRIPE_SIZE
 #: read-ahead is dropped.
 _REQUEST_ERRORS = (BlobNotFound, PlacementError, DeviceFullError,
                    MegaMmapError, BackendError)
+#: Seconds between a node's background flushes of dirty nonvolatile
+#: pages. Read at call time, as ``stager.FLUSH_PERIOD``, so a test can
+#: patch it.
+FLUSH_PERIOD = 0.25
 
 
 class _Call(NamedTuple):
@@ -629,9 +633,8 @@ class DataStager:
         computation (III-B: "MegaMmap actively flushes modified data to
         storage during periods of computation"), one page per request:
         it competes with demand stage-ins for the same servers."""
-        period = self.system.config.flush_period
         while not self._stop:
-            yield self.sim.timeout(period)
+            yield self.sim.timeout(FLUSH_PERIOD)
             for vec in list(self.system.vectors.values()):
                 if vec.volatile or vec.destroyed:
                     continue

@@ -82,9 +82,8 @@ class MegaMmapSystem:
         self.runtimes = [NodeRuntime(self, i) for i in range(len(dmshs))]
         self._services = []
         for node in range(len(dmshs)):
-            if self.config.organizer_enabled:
-                self._services.append(sim.process(
-                    self.organizer.run(node), name=f"organizer{node}"))
+            self._services.append(sim.process(
+                self.organizer.run(node), name=f"organizer{node}"))
             self._services.append(sim.process(
                 self.stager.flusher(node), name=f"flusher{node}"))
 
@@ -224,9 +223,6 @@ class MegaMmapSystem:
         self.organizer.stop()
 
     # -- introspection -----------------------------------------------------------
-    def dram_used(self) -> int:
-        return sum(d.tiers[0].used for d in self.dmshs)
-
     def stats(self) -> Dict[str, float]:
         out = dict(self.monitor.summary())
         out["net.bytes_moved"] = self.network.bytes_moved

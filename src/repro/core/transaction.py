@@ -175,11 +175,6 @@ class Transaction:
                 f"({self.tail} + {n} > {self.count})")
         self.tail += n
 
-    def may_retouch(self) -> bool:
-        """Whether pages between head and tail may be accessed again
-        (Algorithm 1's note on random transactions)."""
-        return False
-
     def acknowledge_write(self, elem_off: int, count: int) -> range:
         """Acknowledge a range write of elements
         ``[elem_off, elem_off + count)``; returns the pages it lets the
@@ -188,7 +183,7 @@ class Transaction:
         Only contiguous streams (:class:`SeqTx`, stride-1
         :class:`StrideTx`) acknowledge range writes: the generic
         pattern cannot tell which pages a range write has finished
-        with, and a pattern that ``may_retouch`` says they are not.
+        with, and a random pattern may touch any page again.
         """
         return range(0)
 
@@ -374,6 +369,3 @@ class RandTx(Transaction):
             if pos >= end_access:
                 break
         return regions
-
-    def may_retouch(self) -> bool:
-        return True

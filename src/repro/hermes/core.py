@@ -246,9 +246,7 @@ class Hermes:
         for info in residents:
             if dev.fits(nbytes):
                 break
-            lower = dmsh.slower_than(dev)
-            while lower is not None and not lower.fits(info.nbytes):
-                lower = dmsh.slower_than(lower)
+            lower = dmsh.deeper_with_room(dev, info.nbytes)
             if lower is None:
                 break
             try:
@@ -282,20 +280,29 @@ class Hermes:
             yield from dev.put((bucket, key), data)
             info.score = max(info.score, score)
             return info
-        if info is not None:
-            # Remove the stale entry entirely so concurrent placement
-            # sweeps cannot pick it as a demotion candidate.
+        dev, info = yield from self._replace(client_node, bucket, key,
+                                             data, score, node, info)
+        yield from self.mdm.put(client_node, info)
+        yield from self._store_again_if_wiped(dev, (bucket, key), data)
+        self._count_op("puts", node, dev.spec.kind)
+        return info
+
+    def _replace(self, client_node, bucket, key, data, score, node,
+                 stale):
+        """Place ``data`` as a new blob on ``node`` (caller holds the
+        blob's lock). A ``stale`` entry goes first, with every copy of
+        it, so concurrent placement sweeps cannot pick it as a demotion
+        candidate. Generator; returns ``(device, BlobInfo)``, the entry
+        accounted but not yet published."""
+        if stale is not None:
             yield from self.mdm.delete(client_node, bucket, key)
-            yield from self._drop_all_copies(info)
+            yield from self._drop_all_copies(stale)
         dev = yield from self._put_with_retry(node, (bucket, key), data,
                                               score, bucket=bucket)
         info = BlobInfo(bucket=bucket, key=key, node=node,
                         tier=dev.spec.kind, nbytes=len(data), score=score)
         self._account(bucket, node, dev.spec.kind, len(data))
-        yield from self.mdm.put(client_node, info)
-        yield from self._store_again_if_wiped(dev, (bucket, key), data)
-        self._count_op("puts", node, dev.spec.kind)
-        return info
+        return dev, info
 
     def _store_again_if_wiped(self, dev, key, data):
         """A node crash between a blob's device put and its metadata
@@ -326,18 +333,10 @@ class Hermes:
                 dev = self._device(info.node, info.tier)
                 if (bucket, key) in dev:
                     return False  # a live copy exists; keep it
-            if info is not None:
-                # Dead entry (primary lost with no promoted replica):
-                # clear it and any stale copies before re-placing.
-                yield from self.mdm.delete(node, bucket, key)
-                yield from self._drop_all_copies(info)
-            dev = yield from self._put_with_retry(node, (bucket, key),
-                                                  data, score,
-                                                  bucket=bucket)
-            info = BlobInfo(bucket=bucket, key=key, node=node,
-                            tier=dev.spec.kind, nbytes=len(data),
-                            score=score)
-            self._account(bucket, node, dev.spec.kind, len(data))
+            # A dead entry (primary lost with no promoted replica) and
+            # its stale copies go before the blob is placed again.
+            dev, info = yield from self._replace(node, bucket, key, data,
+                                                 score, node, info)
             yield from self.mdm.put(node, info)
         finally:
             lock.release()
@@ -392,15 +391,8 @@ class Hermes:
                     info.score = max(info.score, score)
                     out[key] = info
                     continue
-                if info is not None:
-                    yield from self.mdm.delete(client_node, bucket, key)
-                    yield from self._drop_all_copies(info)
-                dev = yield from self._put_with_retry(
-                    node, (bucket, key), data, score, bucket=bucket)
-                info = BlobInfo(bucket=bucket, key=key, node=node,
-                                tier=dev.spec.kind, nbytes=len(data),
-                                score=score)
-                self._account(bucket, node, dev.spec.kind, len(data))
+                dev, info = yield from self._replace(
+                    client_node, bucket, key, data, score, node, info)
                 new_infos.append(info)
                 stored.append((dev, (bucket, key), data))
                 out[key] = info

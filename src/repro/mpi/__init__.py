@@ -1,7 +1,7 @@
 """Message-passing library over the simulated fabric (MPICH stand-in).
 
 API mirrors mpi4py's lower-case object interface: ``send``/``recv``/
-``isend``/``irecv`` plus tree-based collectives (``barrier``,
+``isend``/``sendrecv`` plus tree-based collectives (``barrier``,
 ``bcast``, ``reduce``, ``allreduce``, ``gather``, ``allgather``,
 ``scatter``, ``alltoall``) implemented, MPICH-style, on top of
 point-to-point binomial trees — so collective *cost* emerges from the

@@ -123,11 +123,6 @@ class Comm:
         msg = yield self._mailbox(self.rank).receive(source, tag)
         return msg.payload
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking receive: returns an event whose value is the
-        message; use ``(yield req).payload``."""
-        return self._mailbox(self.rank).receive(source, tag)
-
     def sendrecv(self, payload: Any, dest: int, source: int,
                  tag: int = 0):
         """Simultaneous exchange (deadlock-free)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Tuple
 
 from repro.sim import Event, Simulator
 
@@ -103,17 +103,6 @@ class Mailbox:
                 return evt
         self._waiters.append((source, tag, evt))
         return evt
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Message]:
-        """Peek without removing (``MPI_Probe``-like)."""
-        for msg in self._messages:
-            if _matches(msg, source, tag):
-                return msg
-        return None
-
-    @property
-    def pending(self) -> int:
-        return len(self._messages)
 
 
 def _matches(msg: Message, source: int, tag: int) -> bool:

@@ -71,14 +71,6 @@ class WindowStats:
         return sum(self.values)
 
     @property
-    def vmin(self) -> float:
-        return self.values[0] if self.values else float("inf")
-
-    @property
-    def vmax(self) -> float:
-        return self.values[-1] if self.values else float("-inf")
-
-    @property
     def mean(self) -> float:
         return self.total / self.count if self.values else 0.0
 

@@ -190,10 +190,6 @@ class Process(Event):
         self._target: Optional[Event] = None
         Initialize(sim, self)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:

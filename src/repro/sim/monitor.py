@@ -76,8 +76,8 @@ class TimeSeries:
     therefore O(``max_samples`` + ``ROLLED_LIMIT``) regardless of run
     length, while the whole-run aggregates stay **exact**:
 
-    * ``peak`` / ``minimum`` track running extremes over every sample
-      ever recorded;
+    * ``peak`` tracks the running maximum over every sample ever
+      recorded;
     * ``time_average(until)`` integrates base + rolled windows + raw
       tail, which reproduces the full step-function integral exactly
       for any ``until`` inside the raw tail (the only approximation is
@@ -92,7 +92,7 @@ class TimeSeries:
 
     __slots__ = ("samples", "max_samples", "rolled",
                  "_base_t0", "_base_t1", "_base_area",
-                 "_peak", "_min", "_count")
+                 "_peak", "_count")
 
     #: Raw-tail cap applied when no explicit ``max_samples`` is given.
     #: Large enough that short runs (every current test and report)
@@ -114,7 +114,6 @@ class TimeSeries:
         self._base_t1 = 0.0
         self._base_area = 0.0
         self._peak = float("-inf")
-        self._min = float("inf")
         self._count = 0
 
     def record(self, t: float, value: float) -> None:
@@ -124,8 +123,6 @@ class TimeSeries:
         self._count += 1
         if value > self._peak:
             self._peak = value
-        if value < self._min:
-            self._min = value
         if self.max_samples and len(self.samples) > self.max_samples:
             self._compact()
 
@@ -159,26 +156,12 @@ class TimeSeries:
             self._base_area += a
 
     @property
-    def retained(self) -> int:
-        """Raw samples currently held (tests assert the cap)."""
-        return len(self.samples)
-
-    @property
-    def count(self) -> int:
-        """Samples ever recorded (including compacted ones)."""
-        return self._count
-
-    @property
     def last(self) -> float:
         return self.samples[-1][1] if self.samples else 0.0
 
     @property
     def peak(self) -> float:
         return self._peak if self._count else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return self._min if self._count else 0.0
 
     @property
     def first_time(self) -> float:

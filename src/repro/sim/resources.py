@@ -10,7 +10,7 @@ Stores.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -132,15 +132,3 @@ class Store:
         else:
             self._getters.append(evt)
         return evt
-
-    def get_nowait(self) -> Optional[Any]:
-        """Next item or ``None`` if the store is empty (non-blocking)."""
-        if self._items:
-            return self._items.popleft()
-        return None
-
-    def drain(self) -> list[Any]:
-        """Remove and return all currently queued items."""
-        items = list(self._items)
-        self._items.clear()
-        return items

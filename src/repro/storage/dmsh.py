@@ -71,10 +71,12 @@ class DMSH:
                 return dev
         return None
 
-    def slower_than(self, dev: Device) -> Optional[Device]:
-        """Next deeper tier, or None if ``dev`` is the deepest."""
-        i = self.tiers.index(dev)
-        return self.tiers[i + 1] if i + 1 < len(self.tiers) else None
+    def deeper_with_room(self, dev: Device,
+                         nbytes: int) -> Optional[Device]:
+        """Fastest tier below ``dev`` that can absorb ``nbytes`` right
+        now, or None (a demotion's destination)."""
+        below = self.tiers[self.tiers.index(dev) + 1:]
+        return next((d for d in below if d.fits(nbytes)), None)
 
     def fastest_durable(self) -> Optional[Device]:
         """Fastest tier whose medium survives a node crash (PMEM

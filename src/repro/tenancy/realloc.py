@@ -234,9 +234,7 @@ class ReallocLoop:
                     or owner.name == protect \
                     or owner.dram_used <= owner.dram_quota:
                 continue
-            lower = dmsh.slower_than(dev)
-            while lower is not None and not lower.fits(info.nbytes):
-                lower = dmsh.slower_than(lower)
+            lower = dmsh.deeper_with_room(dev, info.nbytes)
             if lower is None:
                 continue
             try:
@@ -278,9 +276,8 @@ class ReallocLoop:
                         or moves >= MAX_MOVES:
                     break
                 dmsh = self.system.dmshs[info.node]
-                lower = dmsh.slower_than(dmsh.tier(fast))
-                while lower is not None and not lower.fits(info.nbytes):
-                    lower = dmsh.slower_than(lower)
+                lower = dmsh.deeper_with_room(dmsh.tier(fast),
+                                              info.nbytes)
                 if lower is None:
                     continue
                 try:

@@ -17,7 +17,14 @@ from benchmarks.common import testbed
 from repro.chaos.checker import check_conservation
 from repro.chaos.inject import ChaosInjector
 from repro.chaos.plan import ChaosPlan, Fault
-from repro.core import MM_READ_WRITE, MM_WRITE_ONLY, RandTx, SeqTx
+from repro.core import (
+    MM_READ_WRITE,
+    MM_WRITE_ONLY,
+    RandTx,
+    SeqTx,
+    organizer,
+    runtime,
+)
 from repro.core.memtask import MemoryTask, TaskKind
 from repro.sim import Event
 from tests.core.conftest import build_system, run_procs
@@ -29,8 +36,9 @@ HOG_BYTES = 8 * 1024 * 1024
 def _system(n_nodes=2, **cfg):
     cfg.setdefault("page_size", PAGE)
     cfg.setdefault("pcache_size", 16 * PAGE)
-    cfg.setdefault("organizer_enabled", False)
-    return build_system(n_nodes=n_nodes, dram_mb=64, **cfg)
+    sim, system = build_system(n_nodes=n_nodes, dram_mb=64, **cfg)
+    system.organizer.stop()
+    return sim, system
 
 
 def _page_owned_by(shared, owner, client_node=0, start=0):
@@ -215,7 +223,7 @@ def test_writes_to_two_owners_do_not_wait_for_each_other():
 
 def test_flush_returns_with_every_handoff_enqueued_at_its_owner():
     """A write may become visible before ``tx_end``, never after the
-    writer's ``flush`` returns (`CoherencePolicy.contract`): whoever
+    writer's ``flush`` returns (the checker's visibility window): whoever
     reads once ``tx_end`` has returned queues behind the write at the
     page's worker, although nobody waited for the write itself."""
     sim, system = _system()
@@ -296,7 +304,7 @@ def test_failed_shipment_surfaces_where_the_writer_waits(how):
     assert client._outstanding == []
     assert system.in_transit == 0
     assert dram.used == out["base"]
-    assert all(rt.idle for rt in system.runtimes)
+    assert not any(rt.inflight for rt in system.runtimes)
 
 
 # -- (v) the bytes stay charged while they are on the node -------------------
@@ -352,9 +360,9 @@ def test_cluster_run_waits_for_a_handed_off_write():
     still waits for the NIC: no runtime has heard of the task yet, but
     ``cluster.run`` (``system.quiesce``) must not return before it is
     serviced."""
-    c = testbed(n_nodes=2, procs_per_node=1, page_size=PAGE,
-                organizer_enabled=False)
+    c = testbed(n_nodes=2, procs_per_node=1, page_size=PAGE)
     system = c.system
+    system.organizer.stop()
     seen = {}
 
     def app(ctx):
@@ -368,7 +376,7 @@ def test_cluster_run_waits_for_a_handed_off_write():
         yield from vec.write_range(page * PAGE, np.ones(PAGE, np.uint8))
         yield from vec.evict_page(page)
         seen.update(in_transit=system.in_transit,
-                    idle=all(rt.idle for rt in system.runtimes))
+                    idle=not any(rt.inflight for rt in system.runtimes))
 
     c.run(app)
     assert seen == {"in_transit": 1, "idle": True}
@@ -379,10 +387,9 @@ def test_cluster_run_waits_for_a_handed_off_write():
 def test_cluster_run_ends_when_the_last_write_behind_lands():
     """The app returns with its eviction still on the wire: the run
     ends at the instant the owner finishes servicing it, not at the
-    next ``organizer_period`` tick after that."""
-    c = testbed(n_nodes=2, procs_per_node=1, page_size=PAGE,
-                organizer_enabled=False, trace=True)
-    system = c.system
+    next organizer tick after that."""
+    c = testbed(n_nodes=2, procs_per_node=1, page_size=PAGE, trace=True)
+    c.system.organizer.stop()
     returned = {}
 
     def app(ctx):
@@ -399,7 +406,7 @@ def test_cluster_run_ends_when_the_last_write_behind_lands():
     (write,) = [s for s in c.tracer.spans if s.name == "exec:write"]
     assert returned["t"] < write.end
     assert res.runtime == write.end
-    assert res.runtime < system.config.organizer_period
+    assert res.runtime < organizer.SWEEP_PERIOD
 
 
 @pytest.mark.parametrize("how", ["read_ahead", "unwaited_read", "score"])
@@ -408,10 +415,10 @@ def test_cluster_run_ends_when_the_last_unwaited_message_lands(how):
     a read-ahead fill, the reply of a read submitted without waiting,
     a SCORE shipment. The run ends when the last of it has landed --
     nothing lands after it, so its bytes are in the run's stats -- and
-    not at the next ``organizer_period`` tick."""
-    c = testbed(n_nodes=2, procs_per_node=1, page_size=PAGE,
-                organizer_enabled=False)
+    not at the next organizer tick."""
+    c = testbed(n_nodes=2, procs_per_node=1, page_size=PAGE)
     system = c.system
+    system.organizer.stop()
     out = {}
 
     def app(ctx):
@@ -436,7 +443,7 @@ def test_cluster_run_ends_when_the_last_unwaited_message_lands(how):
     moved = system.network.bytes_moved
     c.sim.run(until=c.sim.now + 1.0)
     assert system.network.bytes_moved == moved
-    assert out["returned"] < res.runtime < system.config.organizer_period
+    assert out["returned"] < res.runtime < organizer.SWEEP_PERIOD
 
 
 # -- (vii) the pool grows where the burst arrives ----------------------------
@@ -467,7 +474,7 @@ def test_burst_grows_the_pool_before_the_first_task_completes():
 
     (t0,) = run_procs(sim, app())
     grown = cfg.workers_max - cfg.workers_min
-    assert grown > 0 and 0 < first_done["after"] < cfg.organizer_period
+    assert grown > 0 and 0 < first_done["after"] < runtime.SCALE_PERIOD
     # Counted once per core.
     assert system.monitor.counter("rt0.scale_up") == grown
     cores = system.monitor.metrics.gauge("rt_cores", node=0, pool="high")

@@ -282,7 +282,8 @@ def _table(**cfg):
     shadow)``. The organizer is off: pages stay on their hashed
     owners."""
     cfg.setdefault("object_threshold_bytes", 256)
-    sim, system = build_system(n_nodes=4, organizer_enabled=False, **cfg)
+    sim, system = build_system(n_nodes=4, **cfg)
+    system.organizer.stop()
     shadow = (np.arange(TABLE_PAGES * PAGE) % 251).astype(np.uint8)
 
     def fill():
@@ -572,7 +573,7 @@ def test_a_failing_part_fails_the_batch_once_and_ships_no_reply():
     sim.run(until=sim.now + 1.0)
     assert fired == [False]
     assert not [t for t in log if t[3] is not None]
-    assert system.runtimes[owner].idle
+    assert system.runtimes[owner].inflight == 0
 
 
 def test_dead_primary_in_a_batch_fails_over_and_the_rest_replies_once(
@@ -583,9 +584,9 @@ def test_dead_primary_in_a_batch_fails_over_and_the_rest_replies_once(
     monkeypatch.chdir(tmp_path)
     shadow = (np.arange(TABLE_PAGES * PAGE) % 249).astype(np.uint8)
     shadow.tofile("kv.bin")
-    sim, system = build_system(n_nodes=4, organizer_enabled=False,
-                               prefetch_enabled=False,
+    sim, system = build_system(n_nodes=4, prefetch_enabled=False,
                                object_threshold_bytes=256)
+    system.organizer.stop()
     name = "posix://./kv.bin"
     log = _log_transfers(system)
 

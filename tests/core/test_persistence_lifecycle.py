@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from repro.apps.datagen import POINT3D
-from repro.core import MM_APPEND_ONLY, MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
+from repro.core import (
+    MM_APPEND_ONLY,
+    MM_READ_ONLY,
+    MM_WRITE_ONLY,
+    SeqTx,
+    stager,
+)
 from tests.core.conftest import build_system, run_procs
 
 
@@ -92,7 +98,8 @@ def test_append_log_survives_restart(tmp_path):
     assert np.array_equal(out["data"], np.arange(150, dtype=np.int64))
 
 
-def test_dirty_data_not_persisted_without_flush_or_shutdown(tmp_path):
+def test_dirty_data_not_persisted_without_flush_or_shutdown(tmp_path,
+                                                           monkeypatch):
     """Negative control: un-staged modifications stay in the scache
     only; the backing file keeps its old content until the stager
     runs (explicitly or at termination)."""
@@ -100,7 +107,8 @@ def test_dirty_data_not_persisted_without_flush_or_shutdown(tmp_path):
     (tmp_path / "lazy.bin").write_bytes(
         np.zeros(1000, dtype=np.float32).tobytes())
 
-    sim, system = build_system(flush_period=1e9)  # flusher never fires
+    monkeypatch.setattr(stager, "FLUSH_PERIOD", 1e9)  # flusher never fires
+    sim, system = build_system()
     c = system.client(rank=0, node=0)
 
     def app():
@@ -136,7 +144,7 @@ def test_destroy_drop_discards_everything(tmp_path):
     assert not np.any(on_disk == 1)
 
 
-def test_stage_out_never_loses_a_concurrent_write(tmp_path):
+def test_stage_out_never_loses_a_concurrent_write(tmp_path, monkeypatch):
     """Regression (flushed out by a placement-dependent chaos flake):
     a write landing between stage_out's page snapshot and its backend
     write used to be lost twice over — the stale snapshot became the
@@ -147,7 +155,8 @@ def test_stage_out_never_loses_a_concurrent_write(tmp_path):
     from repro.sim import AllOf, Lock
 
     url = f"posix://{tmp_path}/race.bin"
-    sim, system = build_system(flush_period=1e9)
+    monkeypatch.setattr(stager, "FLUSH_PERIOD", 1e9)
+    sim, system = build_system()
     c = system.client(rank=0, node=0)
     v1 = np.arange(1024, dtype=np.int32)          # exactly one page
     v2 = (v1 + 7777).astype(np.int32)
@@ -200,7 +209,7 @@ def test_stage_out_never_loses_a_concurrent_write(tmp_path):
     assert np.array_equal(on_disk, v2)
 
 
-def test_shutdown_waits_for_a_stage_out_in_flight(tmp_path):
+def test_shutdown_waits_for_a_stage_out_in_flight(tmp_path, monkeypatch):
     """Regression (a placement-dependent flake of the shipped
     Gray-Scott pipeline: one checkpoint page of zeros in the file on
     ~1 workdir path in 15): a stage-out claims the page's dirty bit
@@ -210,7 +219,8 @@ def test_shutdown_waits_for_a_stage_out_in_flight(tmp_path):
     never reached the file. A vector is persisted only once the
     stage-outs in flight on it are down too."""
     url = f"posix://{tmp_path}/tail.bin"
-    sim, system = build_system(flush_period=1e9)
+    monkeypatch.setattr(stager, "FLUSH_PERIOD", 1e9)
+    sim, system = build_system()
     c = system.client(rank=0, node=0)
     data = np.arange(1024, dtype=np.int32)        # exactly one page
 

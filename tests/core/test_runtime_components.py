@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx
+from repro.core import MM_READ_ONLY, MM_WRITE_ONLY, SeqTx, runtime, stager
 from repro.core.errors import MegaMmapError
 from repro.core.memtask import BatchTask, MemoryTask, TaskKind
 from repro.core.organizer import SCORE_WINDOW
@@ -75,12 +75,12 @@ def test_single_read_replies_after_its_service():
     assert services[1] < min(done)
 
 
-def test_dynamic_core_scaling_grows_under_load():
+def test_dynamic_core_scaling_grows_under_load(monkeypatch):
     # 64 KB pages so the writes exceed the 16 KB low-latency split and
     # land on the dynamically scaled high-latency core pool; a short
     # controller period so the backlog is observed while it exists.
-    sim, system = build_system(page_size=64 * 1024,
-                               organizer_period=1e-5)
+    monkeypatch.setattr(runtime, "SCALE_PERIOD", 1e-5)
+    sim, system = build_system(page_size=64 * 1024)
     client = system.client(rank=0, node=0)
     rt = system.runtimes[0]
     cfg = system.config
@@ -196,7 +196,7 @@ def test_failures_are_counted_under_the_task_or_batch_kind(dsm):
         assert system.monitor.metrics.counter(
             "rt_task_failures", node=0, kind=kind,
             error="MegaMmapError").value == 1
-    assert system.runtimes[0].idle
+    assert system.runtimes[0].inflight == 0
 
 
 # -- organizer ----------------------------------------------------------------
@@ -242,30 +242,12 @@ def test_organizer_score_window_takes_max(dsm):
     assert out == (0.9, 1)
 
 
-def test_organizer_disabled_ablation():
-    sim, system = build_system(organizer_enabled=False)
-    client = system.client(rank=0, node=0)
-
-    def app():
-        vec = yield from client.vector("v", dtype=np.uint8, size=4096)
-        yield from vec.tx_begin(SeqTx(0, 4096, MM_WRITE_ONLY))
-        yield from vec.write_range(0, np.ones(4096, dtype=np.uint8))
-        yield from vec.tx_end()
-        yield from vec.flush(wait=True)
-        yield from client.submit_scores(vec.shared, [(0, 0.0, 0)])
-        yield from client.drain()
-        yield sim.timeout(1.0)
-        return system.hermes.mdm.peek("v", 0).tier
-
-    (tier,) = run_procs(sim, app())
-    assert tier == "dram"  # never demoted
-    assert system.monitor.counter("organizer.moves") == 0
-
-
 # -- stager ---------------------------------------------------------------------
 
-def test_background_flusher_persists_without_explicit_sync(tmp_path):
-    sim, system = build_system(flush_period=0.01)
+def test_background_flusher_persists_without_explicit_sync(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(stager, "FLUSH_PERIOD", 0.01)
+    sim, system = build_system()
     client = system.client(rank=0, node=0)
     url = f"posix://{tmp_path}/bg.bin"
     data = np.arange(2048, dtype=np.float32)

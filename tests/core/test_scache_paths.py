@@ -76,29 +76,6 @@ def test_multiple_fragments_in_one_task(dsm):
     assert raw[2:100] == bytes(98)
 
 
-def test_flush_task_kind_persists_one_page(tmp_path):
-    sim, system = build_system()
-    client = system.client(rank=0, node=0)
-    url = f"posix://{tmp_path}/one.bin"
-
-    def app():
-        vec = yield from client.vector(url, dtype=np.uint8, size=8192)
-        yield from vec.tx_begin(SeqTx(0, 8192, MM_WRITE_ONLY))
-        yield from vec.write_range(0, np.ones(8192, dtype=np.uint8))
-        yield from vec.tx_end()
-        yield from vec.flush(wait=True)
-        t = MemoryTask(kind=TaskKind.FLUSH, vector_name=url,
-                       page_idx=0, client_node=0)
-        yield from client.submit(t, wait=True)
-        return sorted(vec.shared.dirty_pages)
-
-    (dirty,) = run_procs(sim, app())
-    assert 0 not in dirty          # page 0 staged out
-    assert 1 in dirty              # page 1 still pending
-    on_disk = np.fromfile(tmp_path / "one.bin", dtype=np.uint8)
-    assert np.all(on_disk[:4096] == 1)
-
-
 def test_replica_fast_path_requires_whole_page_region(dsm):
     """Regression: under READ_ONLY_GLOBAL the replica fast-path
     predicate was ``region[1] >= page_nbytes``, which also fired for

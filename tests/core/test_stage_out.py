@@ -4,7 +4,7 @@ server's pages in one request, and a run keeps claim-before-capture."""
 
 import numpy as np
 
-from repro.core import MM_WRITE_ONLY, SeqTx
+from repro.core import MM_WRITE_ONLY, SeqTx, stager
 from tests.core.conftest import run_procs
 from tests.core.test_stage_in import build
 
@@ -60,7 +60,8 @@ def test_persist_writes_each_server_run_in_one_request(
     the file is bit-exact."""
     monkeypatch.chdir(tmp_path)
     page, stripe = 4096, 64 * 1024
-    sim, system = build(page_size=page, stripe=stripe, flush_period=1e9)
+    monkeypatch.setattr(stager, "FLUSH_PERIOD", 1e9)
+    sim, system = build(page_size=page, stripe=stripe)
     system.tracer.enabled = True
     n_pages = 8 * stripe // page
     persist_pages(sim, system, "posix://./out.bin", page,
@@ -93,7 +94,8 @@ def test_write_during_a_run_stage_out_is_persisted_by_the_next_pass(
 
     monkeypatch.chdir(tmp_path)
     page, stripe = 4096, 64 * 1024
-    sim, system = build(page_size=page, stripe=stripe, flush_period=1e9)
+    monkeypatch.setattr(stager, "FLUSH_PERIOD", 1e9)
+    sim, system = build(page_size=page, stripe=stripe)
     url = "posix://./race.bin"
     client = system.client(rank=0, node=0)
 
@@ -154,8 +156,8 @@ def test_crash_of_the_persisting_node_during_a_run_keeps_the_file(
 
     monkeypatch.chdir(tmp_path)
     page, stripe = 4096, 64 * 1024
-    sim, system = build(n_nodes=3, page_size=page, stripe=stripe,
-                        flush_period=1e9)
+    monkeypatch.setattr(stager, "FLUSH_PERIOD", 1e9)
+    sim, system = build(n_nodes=3, page_size=page, stripe=stripe)
     url = "posix://./crash.bin"
     client = system.client(rank=0, node=0)
     n_pages = 8
@@ -209,8 +211,9 @@ def test_crash_during_a_run_capture_keeps_the_lost_pages_dirty(
     the last acknowledged bytes."""
     monkeypatch.chdir(tmp_path)
     page, stripe = 4096, 64 * 1024
+    monkeypatch.setattr(stager, "FLUSH_PERIOD", 1e9)
     sim, system = build(n_nodes=3, page_size=page, stripe=stripe,
-                        flush_period=1e9, durability=True)
+                        durability=True)
     url = "posix://./capture.bin"
     client = system.client(rank=0, node=0)
     n_pages = 8
@@ -254,7 +257,8 @@ def _flushed_file(tmp_path, monkeypatch, n_pages=4):
     with ``p + 1``) flushed to the scache but not staged out."""
     monkeypatch.chdir(tmp_path)
     page, stripe = 4096, 64 * 1024
-    sim, system = build(page_size=page, stripe=stripe, flush_period=1e9)
+    monkeypatch.setattr(stager, "FLUSH_PERIOD", 1e9)
+    sim, system = build(page_size=page, stripe=stripe)
     url = "posix://./once.bin"
     client = system.client(rank=0, node=0)
 

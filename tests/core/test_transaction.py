@@ -119,11 +119,6 @@ def test_rand_tx_is_a_permutation():
     assert elems == list(range(8, 56))
 
 
-def test_rand_tx_may_retouch():
-    assert RandTx(0, 8, 1, MM_READ_ONLY).may_retouch()
-    assert not SeqTx(0, 8, MM_READ_ONLY).may_retouch()
-
-
 def test_rand_tx_unbound_rejected():
     tx = RandTx(0, 8, 1, MM_READ_ONLY)
     with pytest.raises(TransactionError):
@@ -146,7 +141,6 @@ def test_policy_derivation():
 def test_policy_properties():
     assert CoherencePolicy.READ_ONLY_GLOBAL.allows_replication
     assert not CoherencePolicy.READ_WRITE_GLOBAL.allows_replication
-    assert CoherencePolicy.WRITE_ONLY_GLOBAL.asynchronous_writeback
     assert CoherencePolicy.READ_WRITE_LOCAL.local_affinity
 
 

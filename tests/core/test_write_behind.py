@@ -20,6 +20,7 @@ from repro.core import (
     RandTx,
     SeqTx,
     StrideTx,
+    organizer,
 )
 from tests.core.conftest import build_system, run_procs
 
@@ -459,8 +460,7 @@ def test_write_only_stream_is_not_hauled_back_to_its_writer():
                 yield from vec.write_range(off, data[off:off + PAGE // 2])
             yield from vec.tx_end()
             yield from vec.flush(wait=True)
-        yield from ctx.compute_seconds(
-            2.5 * ctx.cluster.spec.config.organizer_period)
+        yield from ctx.compute_seconds(2.5 * organizer.SWEEP_PERIOD)
 
     c = testbed(n_nodes=2, procs_per_node=1, nvme_mb=0, page_size=PAGE)
     c.run(app)

@@ -1,4 +1,4 @@
-"""MPI layer edge cases: wildcards, irecv, message ordering."""
+"""MPI layer edge cases: wildcards and message ordering."""
 
 import numpy as np
 import pytest
@@ -23,21 +23,6 @@ def test_recv_any_source_any_tag():
 
     res = run_spmd(sim, world, fn)
     assert res[0] == [10, 20]
-
-
-def test_irecv_returns_event_with_message():
-    sim, world = make_world(2)
-
-    def fn(comm):
-        if comm.rank == 0:
-            req = comm.irecv(source=1, tag=5)
-            msg = yield req
-            return msg.payload, msg.src, msg.tag
-        yield from comm.send("x", dest=0, tag=5)
-        return None
-
-    res = run_spmd(sim, world, fn)
-    assert res[0] == ("x", 1, 5)
 
 
 def test_message_ordering_same_source_same_tag():

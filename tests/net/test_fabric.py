@@ -202,14 +202,6 @@ def test_mailbox_fifo_among_matching():
     assert p.value == ("first", "second")
 
 
-def test_mailbox_probe_does_not_consume():
-    sim = Simulator()
-    box = Mailbox(sim)
-    box.deliver(Message(src=1, dst=0, tag=5, payload="p", nbytes=1))
-    assert box.probe(tag=5).payload == "p"
-    assert box.pending == 1
-
-
 def test_payload_nbytes_numpy_exact():
     assert payload_nbytes(np.zeros(10, dtype=np.float64)) == 80
 

@@ -12,7 +12,7 @@ from repro.sim import Monitor, Simulator
 def test_window_stats():
     ws = WindowStats(0.0, 1.0, [3.0, 1.0, 2.0])
     assert ws.count == 3
-    assert ws.vmin == 1.0 and ws.vmax == 3.0
+    assert ws.values == [1.0, 2.0, 3.0]
     assert ws.mean == pytest.approx(2.0)
 
 
@@ -62,7 +62,7 @@ def test_selector_matches_label_subsets():
     assert store.gauge_last("rt_backlog", {"node": 1}) == 4.0
     assert store.gauge_series("rt_backlog") == [(1.0, 7.0)]
     merged = store.window_stats("lat")
-    assert merged.count == 2 and (merged.vmin, merged.vmax) == (0.0, 1.0)
+    assert merged.values == [0.0, 1.0]
     assert store.window_stats("lat", {"node": 1}).count == 1
 
 
@@ -152,7 +152,7 @@ def test_trace_durations_scraped():
     sim._now = 1.0
     store.tick(1.0)
     stats = store.window_stats("span_seconds", {"category": "pcache"})
-    assert stats.count == 2 and stats.vmax == 0.5
+    assert stats.count == 2 and stats.values[-1] == 0.5
     assert store.window_stats("span_seconds").count == 3
     assert set(store.histograms) == {
         ("span_seconds", (("category", "pcache"),)),

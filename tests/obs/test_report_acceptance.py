@@ -213,7 +213,7 @@ def _repair_workload(ctx):
         dev = system.dmshs[node].tier(tier)
         if ("repaired", info.key) in dev:
             dev.delete(("repaired", info.key))
-        # Sleep past several repair periods (4 * organizer_period).
+        # Sleep past several repair periods (REPAIR_PERIOD).
         yield system.sim.timeout(1.0)
     yield from ctx.barrier()
 

@@ -13,7 +13,6 @@ def test_timeseries_peak_and_last():
     ts.record(2.0, 3.0)
     assert ts.peak == 10.0
     assert ts.last == 3.0
-    assert ts.minimum == 3.0
 
 
 def test_timeseries_rejects_out_of_order():

@@ -138,15 +138,3 @@ def test_store_fifo_across_getters():
     sim.process(producer())
     sim.run()
     assert got == [(0, "a"), (1, "b")]
-
-
-def test_store_get_nowait_and_drain():
-    sim = Simulator()
-    store = Store(sim)
-    assert store.get_nowait() is None
-    store.put(1)
-    store.put(2)
-    store.put(3)
-    assert store.get_nowait() == 1
-    assert store.drain() == [2, 3]
-    assert len(store) == 0

@@ -240,8 +240,10 @@ def test_dmsh_hardware_cost_composition():
     assert dmsh.hardware_cost() == pytest.approx(0.08 + 0.02)
 
 
-def test_dmsh_slower_than_walks_down():
+def test_dmsh_deeper_with_room_walks_down():
     sim = Simulator()
-    dmsh = DMSH(sim, [DRAM, NVME, HDD])
-    assert dmsh.slower_than(dmsh.tier("dram")).spec.kind == "nvme"
-    assert dmsh.slower_than(dmsh.tier("hdd")) is None
+    dmsh = DMSH(sim, [DRAM, NVME.with_capacity(1000), HDD])
+    dram = dmsh.tier("dram")
+    assert dmsh.deeper_with_room(dram, 1000).spec.kind == "nvme"
+    assert dmsh.deeper_with_room(dram, 1001).spec.kind == "hdd"
+    assert dmsh.deeper_with_room(dmsh.tier("hdd"), 1) is None

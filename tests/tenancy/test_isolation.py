@@ -39,8 +39,8 @@ def test_unquotaed_antagonist_demotes_the_victim():
     # Control: without quotas the attack works — the antagonist's
     # hotter placements push the victim's colder blobs out of DRAM.
     # (This is the behavior satellite 2 exists to prevent.)
-    sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64,
-                               organizer_enabled=False)
+    sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64)
+    system.organizer.stop()
     qm = QuotaManager(system)
     qm.register(TenantQuota(name="victim"))
     qm.register(TenantQuota(name="antag"))  # no quotas: unbounded
@@ -63,8 +63,8 @@ def test_quotaed_antagonist_spills_instead_of_evicting():
     # Same pressure, but the antagonist has a small DRAM quota: its
     # placements past the quota go straight to the next tier and the
     # victim's working set stays resident in DRAM, byte for byte.
-    sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64,
-                               organizer_enabled=False)
+    sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64)
+    system.organizer.stop()
     qm = QuotaManager(system)
     qm.register(TenantQuota(name="victim", dram_quota=768 * KB))
     qm.register(TenantQuota(name="antag", dram_quota=128 * KB))
@@ -94,8 +94,8 @@ def test_victim_hit_ratio_never_falls_below_its_quota_floor():
     # cannot pull that below 1.0. Without quotas the same scenario
     # drops the victim to a 0% fast-read ratio.
     def scenario(antag_quota):
-        sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64,
-                                   organizer_enabled=False)
+        sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64)
+        system.organizer.stop()
         qm = QuotaManager(system)
         qm.register(TenantQuota(name="victim", dram_quota=768 * KB))
         qm.register(TenantQuota(name="antag",
@@ -122,8 +122,8 @@ def test_over_quota_scache_footprint_also_floors_admission():
     # The second admission clause: a tenant whose *total* scache
     # footprint exceeds its scache quota is floored out of DRAM even
     # when its DRAM slice itself has room.
-    sim, system = build_system(n_nodes=1, dram_mb=4, nvme_mb=64,
-                               organizer_enabled=False)
+    sim, system = build_system(n_nodes=1, dram_mb=4, nvme_mb=64)
+    system.organizer.stop()
     qm = QuotaManager(system)
     qm.register(TenantQuota(name="A", scache_quota=256 * KB))
     qm.claim_bucket("a-bkt", "A")

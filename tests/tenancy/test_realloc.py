@@ -68,8 +68,8 @@ def test_first_touch_reader_gets_no_grant_while_a_rereader_misses():
     # DRAM), so the streamer is the only tenant with slow reads —
     # and must still get nothing. "idle" holds quota nobody uses.
     sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64,
-                               organizer_enabled=False,
                                realloc_step=64 * KB)
+    system.organizer.stop()
     qm = QuotaManager(system)
     for name in ("idle", "reuse", "stream"):
         qm.register(TenantQuota(name=name, dram_quota=256 * KB,
@@ -119,8 +119,8 @@ def test_static_campaign_promotion_stops_at_the_admission_floor():
     page = 4096
 
     def promoted_tier(quota_at_sweep):
-        sim, system = build_system(n_nodes=1, prefetch_enabled=False,
-                                   organizer_enabled=False)
+        sim, system = build_system(n_nodes=1, prefetch_enabled=False)
+        system.organizer.stop()
         qm = QuotaManager(system)
         qm.register(TenantQuota(name="A", dram_quota=page))
         client = system.client(rank=0, node=0)
@@ -161,8 +161,8 @@ def _rereader(donor_quota, donor_active):
     Returns (sim, qm, loop, read) where ``read()`` is a generator
     reading all of "reuse"'s blobs once."""
     sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64,
-                               organizer_enabled=False,
                                realloc_step=64 * KB)
+    system.organizer.stop()
     qm = QuotaManager(system)
     qm.register(TenantQuota(name="donor", dram_quota=donor_quota,
                             min_dram=64 * KB))

@@ -23,6 +23,7 @@ import pytest
 
 from benchmarks.e2e.workloads import _STAT_KEYS
 from repro import pipeline
+from repro.core import organizer, runtime
 from repro.obs import SLOSpec, standard_detectors
 from repro.obs.report import DEVICE_SERIES, SCACHE_SERIES
 from repro.pipeline import run_pipeline
@@ -59,9 +60,6 @@ cluster:
   page_size: 16384
   pcache_size: 65536
   durability: true
-  # The job and its checkpoint drain last ~40 ms: the organizer has to
-  # sweep inside them to demote the persisted (score 0) pages.
-  organizer_period: 0.01
 app:
   kind: mm_gray_scott
   L: 32
@@ -157,9 +155,16 @@ def _runs(workdir):
             out.append([name, cluster])
         return hook
 
-    for name, spec in (("kmeans", KMEANS), ("gray_scott", GRAY_SCOTT),
-                       ("serving", SERVING)):
-        run_pipeline(spec, workdir=str(workdir), on_cluster=keep(name))
+    run_pipeline(KMEANS, workdir=str(workdir), on_cluster=keep("kmeans"))
+    with pytest.MonkeyPatch.context() as mp:
+        # The job and its checkpoint drain last ~40 ms: the organizer
+        # has to sweep inside them to demote the persisted (score 0)
+        # pages, and the pool shrinks on the same tick.
+        mp.setattr(organizer, "SWEEP_PERIOD", 0.01)
+        mp.setattr(runtime, "SCALE_PERIOD", 0.01)
+        run_pipeline(GRAY_SCOTT, workdir=str(workdir),
+                     on_cluster=keep("gray_scott"))
+    run_pipeline(SERVING, workdir=str(workdir), on_cluster=keep("serving"))
     run_colocation(COLOCATION, workdir=str(workdir),
                    on_cluster=keep("colocation"))
     return [(name, c.monitor, c.system.stats()) for name, c in out]
