@@ -146,15 +146,15 @@ def test_colocation_realloc_beats_static(benchmark):
     assert dynamic["reallocs"] > 0
 
     # Aggregate throughput: the loop must beat static partitioning
-    # with real margin (measured 6.97x: 1.86 -> 12.97 jobs/s).
+    # with real margin (measured 7.9x: 1.83 -> 14.47 jobs/s).
     assert dynamic["jobs_per_sec"] >= 1.15 * static["jobs_per_sec"], (
         dynamic["jobs_per_sec"], static["jobs_per_sec"])
 
     # Antagonist-case per-tenant tail: under static slices every
     # victim re-reads most of its pages from the HDD tier and queues
     # behind the antagonist there; the loop must cap the worst
-    # victim's p97 well below static's worst (measured: -59%,
-    # 58.82 -> 24.27 ms).
+    # victim's p97 well below static's worst (measured: -45%,
+    # 57.13 -> 31.30 ms).
     sv = {r["job"]: r for r in _victims(static["rows"])}
     dv = {r["job"]: r for r in _victims(dynamic["rows"])}
     assert sv and set(sv) == set(dv)

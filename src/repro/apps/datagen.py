@@ -67,12 +67,15 @@ def generate_points(n: int, k: int, seed: int = 0,
         i += c
     pos[i:] = rng.uniform(0.0, BOX_SIZE, size=(n - i, 3))
     vel[i:] = rng.normal(0.0, 80.0, size=(n - i, 3))
-    # Shuffle so partitions are unbiased (as a real snapshot is).
+    # Shuffle so partitions are unbiased (as a real snapshot is). The
+    # velocities are drawn either way (they belong to the seeded
+    # stream) but only gathered when they are written.
     order = rng.permutation(n)
-    pos, vel, labels = pos[order], vel[order], labels[order]
+    pos, labels = pos[order], labels[order]
     for j, f in enumerate(("x", "y", "z")):
         out[f] = pos[:, j].astype(np.float32)
     if with_velocity:
+        vel = vel[order]
         for j, f in enumerate(("vx", "vy", "vz")):
             out[f] = vel[:, j].astype(np.float32)
     return out, labels

@@ -29,7 +29,7 @@ def mpi_dbscan(ctx, url, eps, min_pts, seed=0, assign_path=None):
     pfs = ctx.cluster.pfs
     if pfs is not None:
         yield from pfs.charge(ctx.node, [(lo * itemsize, max(1, nbytes))],
-                              write=False)
+                              write=False, file=url)
     raw = backend.read_range(lo * itemsize, nbytes)
     recs = np.frombuffer(raw, dtype=POINT3D)
     yield from ctx.compute_bytes(nbytes, factor=2.0)

@@ -10,9 +10,11 @@ deserialize a subset of data from the persistent backend."
 
 Stage-out is real: the backing file on disk ends up bit-exact with the
 vector. Time is charged through the PFS model (the paper's backends
-live on a parallel filesystem), whose HDD servers pay a seek per
-request: so the unit of backend I/O is a *server run*, the bytes one
-request moves through one server's datafile. A demand stage-in carries
+live on a parallel filesystem), whose HDD servers pay a seek for each
+request that does not continue the previous one on that server's
+datafile (each request names the vector's file): so the unit of
+backend I/O is a *server run*, the bytes one request moves through one
+server's datafile. A demand stage-in carries
 the stripe that follows its own on that server, and a persist writes
 each server's dirty pages in one request; the run's bounds come from
 the PFS model (``stripe_size``, ``server_of``), not from a setting.
@@ -78,6 +80,15 @@ class _Fetch:
         self.staged = {}
 
 
+class _Ranges(list):
+    """One backend request's ``[(offset, nbytes), ...]``, and the file
+    they are of (``file``, the stream a PFS server positions on)."""
+
+    def __init__(self, file, ranges):
+        super().__init__(ranges)
+        self.file = file
+
+
 class DataStager:
     """Per-deployment stager (one background flusher per node)."""
 
@@ -91,15 +102,17 @@ class DataStager:
         self._queued = Counter()
 
     # -- timing helper -----------------------------------------------------
-    def _charge_backend(self, node: int, ranges, write: bool):
+    def _charge_backend(self, node: int, ranges: "_Ranges", write: bool):
         if self.system.pfs is not None:
-            yield from self.system.pfs.charge(node, ranges, write=write)
+            yield from self.system.pfs.charge(node, ranges, write=write,
+                                              file=ranges.file)
 
-    def _backend_io(self, node: int, extents, write: bool):
-        """Queue one request for the backend bytes ``[(lo, hi), ...]``
-        and return the generator that performs it. The request counts
-        on its servers from this call (not from the generator's first
-        step) until its last byte has moved."""
+    def _backend_io(self, node: int, vec: SharedVector, extents,
+                    write: bool):
+        """Queue one request for the bytes ``[(lo, hi), ...]`` of
+        ``vec``'s backend and return the generator that performs it.
+        The request counts on its servers from this call (not from the
+        generator's first step) until its last byte has moved."""
         pfs = self.system.pfs
         servers = {pfs.server_of(s) for lo, hi in extents for s in range(
             lo // pfs.stripe_size, -(-hi // pfs.stripe_size))} \
@@ -108,8 +121,8 @@ class DataStager:
 
         def transfer():
             try:
-                yield from self._charge_backend(
-                    node, [(lo, hi - lo) for lo, hi in extents], write)
+                yield from self._charge_backend(node, _Ranges(
+                    vec.name, [(lo, hi - lo) for lo, hi in extents]), write)
             finally:
                 self._queued.subtract(servers)
 
@@ -335,8 +348,8 @@ class DataStager:
         request. From here on its pages are in ``vec.staging``, its
         server counts as busy and its pages' room is taken."""
         read = self._backend_io(
-            call.node, [(run[0][1], run[-1][2]) for _s, run in segments],
-            write=False)
+            call.node, vec,
+            [(run[0][1], run[-1][2]) for _s, run in segments], write=False)
         pages = dict.fromkeys(p for _s, run in segments
                               for p, _lo, _hi in run)
         claims = [(landing[p], vec.page_nbytes(p)) for p in pages
@@ -578,7 +591,7 @@ class DataStager:
                     "stage_out", "stager", node=node, vector=vec.name,
                     page=captured[0][0], pages=len(captured),
                     nbytes=nbytes):
-                yield from self._backend_io(node, extents, write=True)
+                yield from self._backend_io(node, vec, extents, write=True)
             for (p, raw), (start, _end) in zip(captured, extents):
                 # What stage-in fetched of this page ahead of time is
                 # stale.

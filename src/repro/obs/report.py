@@ -29,7 +29,8 @@ _SPARK = " .:-=+*#%@"
 
 #: The counters every monitored ``Device`` registers as
 #: ``<device>.<suffix>`` (``node0.nvme``, ``pfs4.hdd``) and the report's
-#: device lines read.
+#: device lines read. A rotational device also registers ``.seeks``
+#: (operations that paid the positioning latency).
 DEVICE_SERIES = ("busy_s", "requests", "bytes_read", "bytes_write")
 
 #: The scache read counters the report prints side by side: every read
@@ -114,12 +115,15 @@ def analyze(graph: SpanGraph, monitor=None,
             dev = name[:-len(".requests")]
             series = [f"{dev}.{suffix}" for suffix in DEVICE_SERIES]
             busy, n, read, write = map(monitor.counter, series)
+            seeks = monitor.metrics.counters.get((f"{dev}.seeks", ()))
             devices[dev] = {
                 "busy_s": busy,
                 "busy_share": busy / graph.makespan
                 if graph.makespan else 0.0,
                 "requests": int(n),
                 "bytes_per_request": (read + write) / n,
+                # None: no head, every operation pays the latency.
+                "seeks": None if seeks is None else int(seeks.value),
             }
     scache = {name.split(".", 1)[1]: int(monitor.counter(name))
               for name in SCACHE_SERIES} if monitor is not None else {}
@@ -221,13 +225,14 @@ def render_report(analysis: Dict[str, Any],
     if analysis.get("devices"):
         lines.append("")
         lines.append("device load (busy share of the makespan, requests, "
-                     "bytes per request):")
+                     "bytes per request, seeks of a rotational device):")
         for dev, d in sorted(analysis["devices"].items()):
+            seeks = "" if d["seeks"] is None else f"  seeks={d['seeks']}"
             lines.append(
                 f"  {dev:<14} {d['busy_share'] * 100:6.1f}%  "
                 f"busy={_fmt_s(d['busy_s']):>9}  "
                 f"requests={d['requests']:<7d} "
-                f"{d['bytes_per_request']:.0f} B/request")
+                f"{d['bytes_per_request']:.0f} B/request{seeks}")
     if analysis.get("scache"):
         lines.append("")
         lines.append(f"scache reads        {analysis['scache']['reads']}  "

@@ -70,9 +70,9 @@ class TimeSeries:
     Always-on monitoring records gauges for the whole run, so the raw
     sample list must not grow with run length. Once it exceeds
     ``max_samples`` the older half is *compacted*: its samples are
-    folded into one rolled-up window ``(t0, t1, area, min, max)``
-    appended to a bounded ring, and when the ring itself overflows its
-    oldest window folds into a single base accumulator. Memory is
+    folded into one rolled-up window ``(t0, t1, area)`` appended to a
+    bounded ring, and when the ring itself overflows its oldest window
+    folds into a single base accumulator. Memory is
     therefore O(``max_samples`` + ``ROLLED_LIMIT``) regardless of run
     length, while the whole-run aggregates stay **exact**:
 
@@ -106,10 +106,10 @@ class TimeSeries:
         self.samples: List[Tuple[float, float]] = []
         self.max_samples = (self.DEFAULT_MAX_SAMPLES
                             if max_samples is None else int(max_samples))
-        #: Rolled-up windows ``(t0, t1, area, vmin, vmax)`` oldest
-        #: first, contiguous: each window's t1 is the next segment's
-        #: start (the step function continues across the boundary).
-        self.rolled: List[Tuple[float, float, float, float, float]] = []
+        #: Rolled-up windows ``(t0, t1, area)`` oldest first,
+        #: contiguous: each window's t1 is the next segment's start
+        #: (the step function continues across the boundary).
+        self.rolled: List[Tuple[float, float, float]] = []
         self._base_t0 = 0.0
         self._base_t1 = 0.0
         self._base_area = 0.0
@@ -143,12 +143,10 @@ class TimeSeries:
         # The last evicted sample's value holds until the first
         # retained sample — the step function has no gap.
         area += evicted[-1][1] * (boundary_t - evicted[-1][0])
-        vmin = min(v for _, v in evicted)
-        vmax = max(v for _, v in evicted)
-        self.rolled.append((evicted[0][0], boundary_t, area, vmin, vmax))
+        self.rolled.append((evicted[0][0], boundary_t, area))
         self.samples = samples[keep_from:]
         if len(self.rolled) > self.ROLLED_LIMIT:
-            t0, t1, a, _vmin, _vmax = self.rolled.pop(0)
+            t0, t1, a = self.rolled.pop(0)
             if self._base_t1 == self._base_t0 == 0.0 \
                     and self._base_area == 0.0:
                 self._base_t0 = t0
@@ -184,7 +182,7 @@ class TimeSeries:
                 return self._base_area * frac
             else:
                 return 0.0
-        for (t0, t1, area, _vmin, _vmax) in self.rolled:
+        for (t0, t1, area) in self.rolled:
             if end >= t1:
                 total += area
             elif end > t0:

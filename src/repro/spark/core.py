@@ -191,7 +191,7 @@ class SparkSim:
             if pfs is not None:
                 yield from pfs.charge(self.driver_node,
                                       [(lo * itemsize, max(1, len(raw)))],
-                                      write=False)
+                                      write=False, file=url)
             yield from self._tcp(self.driver_node, node, len(raw))
             partitions.append(
                 (node, np.frombuffer(raw, dtype=dtype).copy()))

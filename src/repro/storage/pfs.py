@@ -3,9 +3,11 @@
 Files are striped round-robin across server devices living on the
 storage rack; client I/O charges network transfer to each server plus
 the server device's transfer time, servers proceeding in parallel (the
-source of PFS aggregate bandwidth) and each sequential run of a
-server's datafile paying one device latency. Content is functional: each
-file is a real bytearray, so baselines can read back what they wrote.
+source of PFS aggregate bandwidth). Each server operation names its
+file and the offset in that file's datafile on the server, so an HDD
+server pays its seek only where an operation does not continue the one
+before it. Content is functional: each file is a real bytearray, so
+baselines can read back what they wrote.
 """
 
 from __future__ import annotations
@@ -80,28 +82,29 @@ class ParallelFS:
         return stripe_idx % len(self.devices)
 
     # -- striped timed I/O ----------------------------------------------------
-    def _server_op(self, client_node: int, srv: int, nbytes: int,
-                   write: bool):
+    def _server_op(self, client_node: int, srv: int, file, lo: int,
+                   nbytes: int, write: bool):
+        dev = self.devices[srv]
         if write:
             yield from self.network.transfer(
                 client_node, self.server_nodes[srv], nbytes)
-            yield from self.devices[srv].charge(nbytes, write=True)
+            yield from dev.charge(nbytes, True, file, lo)
         else:
-            yield from self.devices[srv].charge(nbytes, write=False)
+            yield from dev.charge(nbytes, False, file, lo)
             yield from self.network.transfer(
                 self.server_nodes[srv], client_node, nbytes)
 
-    def charge(self, client_node: int, ranges, write: bool):
+    def charge(self, client_node: int, ranges, write: bool, file=None):
         """Timed striped transfer of the byte ranges ``[(offset,
-        nbytes), ...]`` of one file whose content lives elsewhere (the
+        nbytes), ...]`` of ``file``, whose content lives elsewhere (the
         Data Stager's backends are real files). Generator.
 
         Stripe ``k`` sits at offset ``(k // n_servers) * stripe_size``
         of server ``k % n_servers``'s datafile, so each range is cut
         into pieces of the servers' datafiles; pieces that abut there
-        merge, and each merged extent costs one device operation (one
-        latency) and one network transfer. The extents run in parallel,
-        the servers' FIFOs order what shares a server."""
+        merge, and each merged extent costs one device operation at its
+        datafile offset and one network transfer. The extents run in
+        parallel, the servers' FIFOs order what shares a server."""
         n, unit = len(self.devices), self.stripe_size
         extents, last = [], {}       # [server, lo, hi]; server -> extent
         for offset, nbytes in sorted(ranges):
@@ -118,7 +121,7 @@ class ParallelFS:
                 ext[2] += take
                 pos += take
         procs = [self.sim.process(
-            self._server_op(client_node, srv, hi - lo, write),
+            self._server_op(client_node, srv, file, lo, hi - lo, write),
             name=f"pfs.server{srv}") for srv, lo, hi in extents]
         if procs:
             yield AllOf(self.sim, procs)
@@ -134,7 +137,7 @@ class ParallelFS:
         if offset > len(buf):
             buf.extend(b"\0" * (offset - len(buf)))
         yield from self.charge(client_node, [(offset, len(data))],
-                               write=True)
+                               write=True, file=path)
         end = offset + len(data)
         if end > len(buf):
             buf.extend(b"\0" * (end - len(buf)))
@@ -147,7 +150,8 @@ class ParallelFS:
             raise PfsError(
                 f"range [{offset}, {offset + nbytes}) outside {path} "
                 f"of {len(buf)} bytes")
-        yield from self.charge(client_node, [(offset, nbytes)], write=False)
+        yield from self.charge(client_node, [(offset, nbytes)], write=False,
+                               file=path)
         return bytes(buf[offset:offset + nbytes])
 
     @property

@@ -47,9 +47,11 @@ SATA_SSD = DeviceSpec(kind="ssd", capacity=256 * GB, read_bw=5.0e8,
                       durable=True)
 
 #: HDD: ~7x slower than the SATA SSD (inside the paper's 6-10x band),
-#: 5 ms seek.
+#: 5 ms seek, paid only by an operation that does not continue the
+#: previous one (rotational: the device keeps a head position).
 HDD = DeviceSpec(kind="hdd", capacity=1 * TB, read_bw=7.2e7, write_bw=7.2e7,
-                 latency=5e-3, cost_per_gb=0.02, durable=True)
+                 latency=5e-3, cost_per_gb=0.02, durable=True,
+                 rotational=True)
 
 TIER_PRESETS = {spec.kind: spec
                 for spec in (DRAM, CXL, PMEM, NVME, SATA_SSD, HDD)}

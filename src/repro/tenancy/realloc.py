@@ -208,11 +208,15 @@ class ReallocLoop:
                 and info.node >= 0]
 
     def _make_room_fast(self, node: int, nbytes: int, protect: str):
-        """Demote over-quota owners' coldest fast-tier blobs until
-        ``nbytes`` fit. The loop conserves total quota at cluster
-        capacity, so a receiver with unfilled quota implies someone
-        else is over theirs; quota — not score — is the arbiter here.
-        Generator; returns True when the bytes fit."""
+        """Demote the coldest fast-tier blobs of over-quota and stopped
+        owners until ``nbytes`` fit. The loop conserves total quota at
+        cluster capacity, so a receiver with unfilled quota implies
+        someone else is over theirs -- across the cluster, not on each
+        node: a node's fast tier can be full of blobs within their
+        owners' quotas, and those of a stopped tenant (finished, or not
+        yet arrived) are the ones nobody reads now. Quota and activity
+        -- not score -- are the arbiter here. Generator; returns True
+        when the bytes fit."""
         from repro.hermes.blob import BlobNotFound
         from repro.storage.device import DeviceFullError
         mgr = self.manager
@@ -232,7 +236,8 @@ class ReallocLoop:
             owner = mgr.tenants.get(mgr.bucket_owner.get(info.bucket))
             if owner is None or owner.dram_quota is None \
                     or owner.name == protect \
-                    or owner.dram_used <= owner.dram_quota:
+                    or (owner.active
+                        and owner.dram_used <= owner.dram_quota):
                 continue
             lower = dmsh.deeper_with_room(dev, info.nbytes)
             if lower is None:
@@ -252,13 +257,20 @@ class ReallocLoop:
         and have unfilled quota. Runs every sweep — a quota grant is
         worthless until the granted bytes hold the receiver's data,
         and other tenants' stage-ins keep demoting pages between
-        grants. Generator; bounded by :data:`MAX_MOVES`."""
+        grants. Generator; bounded by :data:`MAX_MOVES` and by one
+        period: what is left waits for the next sweep, which may
+        decide otherwise."""
         from repro.hermes.blob import BlobNotFound
         from repro.storage.device import DeviceFullError
         mgr = self.manager
         hermes = self.system.hermes
         fast = mgr.fast_kind
         moves = 0
+        # A pass issues no move after one period: its moves queue
+        # behind the tenants' own reads on a busy HDD (17-40 ms per
+        # 256 KB page), and a pass of ten such moves held the next
+        # decision back by ~150 periods.
+        deadline = self.system.sim.now + self.period
         quotaed = sorted(
             (t for t in mgr.tenants.values()
              if t.dram_quota is not None),
@@ -273,7 +285,8 @@ class ReallocLoop:
                 key=lambda i: (i.score, i.bucket, str(i.key)))
             for info in victims:
                 if t.dram_used <= t.dram_quota \
-                        or moves >= MAX_MOVES:
+                        or moves >= MAX_MOVES \
+                        or self.system.sim.now >= deadline:
                     break
                 dmsh = self.system.dmshs[info.node]
                 lower = dmsh.deeper_with_room(dmsh.tier(fast),
@@ -302,7 +315,7 @@ class ReallocLoop:
                  if i.tier != fast),
                 key=lambda i: (-i.score, i.bucket, str(i.key)))
             for info in candidates:
-                if moves >= MAX_MOVES:
+                if moves >= MAX_MOVES or self.system.sim.now >= deadline:
                     break
                 if t.dram_used + info.nbytes > t.dram_quota:
                     continue

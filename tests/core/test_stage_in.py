@@ -412,20 +412,26 @@ def test_read_ahead_keeps_every_backend_server_busy(tmp_path):
     request for stripe 0 carries stripe 2, stripe 1 on the other
     server is issued at the same instant, stripe 3 when that server's
     read returns (not when its publish ends), and the scan that
-    follows joins what is in flight and issues nothing."""
+    follows joins what is in flight and issues nothing. Stripe 3
+    continues stripe 1 in server 1's datafile (no seek) and is back
+    before stripe 0's request, so the scan reads the file's tail
+    first, 6.2 ms in: while stripe 3 and the request for stripe 0 are
+    both in flight."""
     sim, system = build(n_nodes=4)
-    nbytes = 3 * STRIPE + 20000
+    head, tail = 3 * STRIPE, 60000
+    nbytes = head + tail
     url, data = cold_file(tmp_path, nbytes)
     reqs = log_requests(system)
     outs = run_procs(
         sim, reader(system, url, 0, 0, [(3, 1)]),
-        *[reader(system, url, r, r % 4, [(0, nbytes)], [8e-3])
-          for r in range(1, 4)])
+        *[reader(system, url, r, r % 4, [(head, tail), (0, head)],
+                 [6.2e-3, 0]) for r in range(1, 4)])
     assert outs[0][0][0] == data[3]
-    assert all(np.array_equal(out[0], data) for out in outs[1:])
+    assert all(np.array_equal(np.concatenate([out[1], out[0]]), data)
+               for out in outs[1:])
     settle(sim, system, url)
     assert reqs == [[(0, STRIPE), (2 * STRIPE, STRIPE)], [(STRIPE, STRIPE)],
-                    [(3 * STRIPE, 20000)]]
+                    [(3 * STRIPE, tail)]]
     s0, s1, s2 = stage_ins(system)
     assert [sp.attrs["ahead"] for sp in (s0, s1, s2)] == [False, True, True]
     assert s1.start == s0.start and s1.attrs["cause"] == s0.span_id
@@ -741,7 +747,10 @@ def test_read_ahead_that_keeps_failing_does_not_restart_itself(tmp_path):
 
 
 def test_vector_destroyed_under_an_inflight_read_ahead(tmp_path):
-    sim, system = build()
+    """One backend server: the demand carries stripe 1, stripe 2 is
+    read ahead when its bytes are back (continuing it in the datafile,
+    no seek) and is still in flight when the vector goes."""
+    sim, system = build(servers=1)
     url, data = cold_file(tmp_path, 4 * STRIPE)
     reqs = log_requests(system)
     client = system.client(rank=0, node=0)
@@ -751,7 +760,7 @@ def test_vector_destroyed_under_an_inflight_read_ahead(tmp_path):
         yield from vec.tx_begin(SeqTx(0, vec.size, MM_READ_ONLY))
         out = yield from vec.read_range(5, 3)
         yield from vec.tx_end()
-        assert vec.shared.staging  # stripe 3 is on its way
+        assert vec.shared.staging  # stripe 2 is on its way
         yield from vec.destroy(drop=True)
         return out, vec.shared
 
@@ -761,8 +770,7 @@ def test_vector_destroyed_under_an_inflight_read_ahead(tmp_path):
         sim.run(until=sim.now + 1e-3)
     # The request in flight came back to a vector that is gone: its
     # bytes were dropped, not published, and the chain stopped there.
-    assert reqs == [[(0, STRIPE), (2 * STRIPE, STRIPE)], [(STRIPE, STRIPE)],
-                    [(3 * STRIPE, STRIPE)]]
+    assert reqs == [[(0, STRIPE), (STRIPE, STRIPE)], [(2 * STRIPE, STRIPE)]]
     assert system.monitor.counter("stager.readahead_failed") == 1
     assert blobs(system, url) == set()
     assert not any(system.stager._queued.values())

@@ -176,6 +176,152 @@ def test_monitor_integration():
     assert mon.peak("d0.used") == 64
 
 
+# -- rotational devices: a head, and blobs at an append cursor ----------------
+
+KB4 = 4096
+
+
+def hdd(capacity=MB, monitor=True):
+    sim = Simulator()
+    mon = Monitor(sim) if monitor else None
+    return sim, Device(sim, HDD.with_capacity(capacity), "h0", monitor=mon)
+
+
+def seeks(dev):
+    return dev.monitor.counter(f"{dev.name}.seeks")
+
+
+def test_random_4k_hdd_reads_pay_a_seek_each():
+    sim, dev = hdd()
+    keys = list(range(32))
+
+    def fill():
+        for k in keys:
+            yield from dev.put(k, b"\0" * KB4)
+
+    run(sim, fill())
+    order = list(keys)
+    np.random.default_rng(0).shuffle(order)
+    # No key follows the one before it in the blob log.
+    assert all(b != a + 1 for a, b in zip(order, order[1:]))
+    t0, s0 = sim.now, seeks(dev)
+
+    def scan():
+        for k in order:
+            yield from dev.get(k)
+
+    run(sim, scan())
+    assert seeks(dev) - s0 == len(keys)
+    assert sim.now - t0 == pytest.approx(len(keys) * HDD.xfer_time(KB4, False))
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+def test_one_stream_pays_one_seek_then_bandwidth(concurrent):
+    """Consecutive extents of one stream, issued one after the other
+    or all queued at once (the head is read after the queue grant)."""
+    sim, dev = hdd()
+    ops = [dev.charge(KB4, False, "a", i * KB4) for i in range(8)]
+    if concurrent:
+        for op in ops:
+            sim.process(op)
+        sim.run()
+    else:
+        run(sim, (x for op in ops for x in op))
+    assert seeks(dev) == 1
+    assert sim.now == pytest.approx(HDD.latency + 8 * KB4 / HDD.read_bw)
+
+
+def test_two_interleaved_streams_pay_a_seek_per_switch():
+    sim, dev = hdd()
+
+    def proc():
+        for i in range(4):
+            for stream in ("a", "b"):
+                yield from dev.charge(KB4, False, stream, i * KB4)
+
+    run(sim, proc())
+    assert seeks(dev) == 8
+    assert sim.now == pytest.approx(8 * HDD.xfer_time(KB4, False))
+
+
+def test_an_operation_without_an_address_always_seeks():
+    sim, dev = hdd()
+
+    def proc():
+        yield from dev.charge(KB4, True)
+        yield from dev.charge(KB4, True)
+
+    run(sim, proc())
+    assert seeks(dev) == 2
+
+
+@pytest.mark.parametrize("spec", [NVME, DRAM], ids=["nvme", "dram"])
+def test_flash_and_dram_latency_does_not_depend_on_adjacency(spec):
+    sim = Simulator()
+    mon = Monitor(sim)
+    dev = Device(sim, spec.with_capacity(MB), "d0", monitor=mon)
+
+    def proc():
+        for i in range(8):
+            yield from dev.charge(KB4, False, "a", i * KB4)
+
+    run(sim, proc())
+    assert not spec.rotational
+    assert sim.now == pytest.approx(8 * spec.xfer_time(KB4, False))
+    assert ("d0.seeks", ()) not in mon.metrics.counters
+
+
+def test_demotion_burst_reads_back_with_one_seek_each_way():
+    """Blobs put back to back onto an HDD sit back to back in its blob
+    log: the burst is one run, and so is its in-order read-back."""
+    sim, dev = hdd()
+    n = 16
+
+    def proc():
+        for k in range(n):
+            yield from dev.put(("vec", k), b"\1" * KB4)
+        t_put = sim.now
+        for k in range(n):
+            yield from dev.get(("vec", k))
+        return t_put
+
+    t_put = run(sim, proc())
+    one_run = HDD.latency + n * KB4 / HDD.write_bw
+    assert t_put == pytest.approx(one_run)
+    assert sim.now == pytest.approx(2 * one_run)
+    assert seeks(dev) == 2
+    assert dev.monitor.counter("h0.requests") == 2 * n
+
+
+def test_same_size_overwrite_stays_in_place():
+    sim, dev = hdd()
+
+    def proc():
+        yield from dev.put("a", b"\0" * KB4)          # seek: 0
+        yield from dev.put("b", b"\0" * KB4)          # continues: 4K
+        yield from dev.get("a")                       # seek back to 0
+        yield from dev.put("b", b"\1" * KB4)          # in place at 4K
+        yield from dev.put("a", b"\1" * 2 * KB4)      # resized: cursor 8K
+        yield from dev.get_range("a", KB4, KB4)       # seek back to 12K
+
+    run(sim, proc())
+    assert dev._addr == {"a": 2 * KB4, "b": KB4}
+    assert seeks(dev) == 3
+
+
+def test_append_cursor_wraps_at_capacity():
+    sim, dev = hdd(capacity=3 * KB4)
+
+    def proc():
+        for k in range(3):
+            yield from dev.put(k, b"\0" * KB4)
+        dev.delete(0)
+        yield from dev.put(3, b"\0" * KB4)
+
+    run(sim, proc())
+    assert dev._addr == {1: KB4, 2: 2 * KB4, 3: 0}
+
+
 def test_perf_scores_are_ordered():
     assert DRAM.perf_score() > NVME.perf_score() > SATA_SSD.perf_score() \
         > HDD.perf_score()

@@ -96,6 +96,37 @@ def test_one_charge_pays_one_latency_per_server_run(ranges, seconds, ops,
                           for n, d in zip(ops, pfs.devices)])
 
 
+HEAD_DEV = DeviceSpec("hdd", capacity=10 ** 9, read_bw=100.0,
+                      write_bw=100.0, latency=1.0, cost_per_gb=0.02,
+                      rotational=True)
+
+
+def test_consecutive_datafile_extents_of_one_file_pay_one_seek():
+    """Stripes 0 and 2 of a file, charged one after the other, are
+    consecutive extents of server 0's datafile of that file: the
+    second continues the first. The same offset of another file is
+    another datafile, so it pays its own seek; coming back to the
+    first file pays one again."""
+    sim, _, pfs = make_pfs(n_servers=2, stripe=100, spec=HEAD_DEV,
+                           monitor=Monitor)
+
+    def proc():
+        yield from pfs.charge(0, [(0, 100)], write=False, file="/a")
+        yield from pfs.charge(0, [(200, 100)], write=False, file="/a")
+        t = sim.now
+        yield from pfs.charge(0, [(200, 100)], write=False, file="/b")
+        yield from pfs.charge(0, [(400, 100)], write=False, file="/a")
+        return t
+
+    t = run(sim, proc())
+    assert t == pytest.approx(1.0 + 2 * 1.0)
+    assert sim.now == pytest.approx(t + 2 * (1.0 + 1.0))
+    mon = pfs.devices[0].monitor
+    assert mon.counter(f"{pfs.devices[0].name}.requests") == 4
+    assert mon.counter(f"{pfs.devices[0].name}.seeks") == 3
+    assert mon.counter(f"{pfs.devices[1].name}.requests") == 0
+
+
 def test_pfs_sparse_write_zero_fills():
     sim, _, pfs = make_pfs()
 

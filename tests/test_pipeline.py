@@ -532,7 +532,7 @@ def _check_report_schema(doc, live):
         assert doc["devices"]
         for dev in doc["devices"].values():
             assert {"busy_s", "busy_share", "requests",
-                    "bytes_per_request"} <= set(dev)
+                    "bytes_per_request", "seeks"} <= set(dev)
         assert set(doc["scache"]) == {"reads", "staged_reads"}
         assert 0 < doc["scache"]["staged_reads"] <= doc["scache"]["reads"]
     else:
