@@ -11,7 +11,9 @@ not to one whose slow reads are first-touch stage-in. (3) A receiver
 stays eligible while its smoothed re-read density is positive, also in
 a sweep in which none of its slow reads completed. (4) A stopped
 donor covers the receiver's shortfall in one grant; a running donor
-gives one step.
+gives one step. (5) A promotion takes room from a stopped tenant's
+DRAM blobs, not from a running tenant within its quota. (6) An
+enforcement pass issues no move after one period.
 """
 
 import numpy as np
@@ -224,3 +226,81 @@ def test_a_rereader_stays_eligible_between_its_slow_reads():
     assert log[0]["dst_reread"] > 0
     assert [e["dst_reread"] for e in log[1:]] == [0, 0, 0]
     assert all(e["dst_density"] > 0 for e in log)
+
+
+def _promotion_setup(done_active):
+    """One node, 1 MB of DRAM: "done" holds eight 64 KB blobs in DRAM
+    within its quota, "reuse" (quota 1 MB, not wanting more) re-reads
+    16 blobs of which the rest of DRAM holds some and NVMe the others.
+    Returns (sim, system, qm, loop)."""
+    dram_blobs = 8
+    sim, system = build_system(n_nodes=1, dram_mb=1, nvme_mb=64,
+                               realloc_step=64 * KB)
+    system.organizer.stop()
+    qm = QuotaManager(system)
+    qm.register(TenantQuota(name="done", dram_quota=dram_blobs * 64 * KB,
+                            min_dram=64 * KB))
+    qm.register(TenantQuota(name="reuse", dram_quota=1024 * KB,
+                            min_dram=64 * KB))
+    for name in ("done", "reuse"):
+        qm.claim_bucket(name, name)
+        qm.activate(name)
+    loop = ReallocLoop(qm)
+    h, blob = system.hermes, b"x" * (64 * KB)
+
+    def fill():
+        for i in range(dram_blobs):
+            yield from h.put(0, "done", i, blob)
+        for i in range(16):
+            yield from h.put(0, "reuse", i, blob)
+
+    def read():
+        for i in range(16):
+            yield from h.get(0, "reuse", i)
+
+    sim.run(until=sim.process(fill()))
+    if not done_active:
+        qm.deactivate("done")
+    sim.run(until=sim.process(read()))     # first touch
+    sim.run(until=sim.process(read()))     # re-reads below DRAM
+    assert loop.rebalance() is None        # footprint within quota
+    return sim, system, qm, loop
+
+
+def _tiers(system, bucket, n):
+    return [system.hermes.mdm.peek(bucket, i).tier for i in range(n)]
+
+
+@pytest.mark.parametrize("done_active", [True, False])
+def test_a_stopped_tenants_dram_makes_room_for_a_promotion(done_active):
+    """Quota is conserved over the cluster, not per node: a node's DRAM
+    can be full of blobs within their owners' quotas. A running owner
+    keeps them; a stopped one's give way to a re-reader's promotion."""
+    sim, system, qm, loop = _promotion_setup(done_active)
+    dram = system.dmshs[0].tier("dram")
+    reuse, done = qm.tenants["reuse"], qm.tenants["done"]
+    assert not dram.fits(64 * KB)
+    assert done.dram_used == done.dram_quota
+    assert "nvme" in _tiers(system, "reuse", 16)
+    before = reuse.dram_used
+    sim.run(until=sim.process(loop.enforce_all()))
+    if done_active:
+        assert reuse.dram_used == before
+        assert _tiers(system, "done", 8) == ["dram"] * 8
+    else:
+        assert reuse.dram_used > before
+        assert done.dram_used < done.dram_quota
+
+
+def test_an_enforcement_pass_issues_no_move_after_one_period():
+    """Each move of a pass waits for its devices; once a period has
+    passed the pass stops, and the next sweep carries on."""
+    sim, system, qm, loop = _promotion_setup(False)
+    deep = _tiers(system, "reuse", 16).count("nvme")
+    assert deep >= 3
+    loop.period = 1e-9                     # shorter than any move
+    sim.run(until=sim.process(loop.enforce_all()))
+    assert _tiers(system, "reuse", 16).count("nvme") == deep - 1
+    loop.period = 1.0
+    sim.run(until=sim.process(loop.enforce_all()))
+    assert _tiers(system, "reuse", 16).count("nvme") < deep - 2
