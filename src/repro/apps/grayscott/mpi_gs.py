@@ -80,7 +80,6 @@ class HermesIo:
         self.hermes = cluster.system.hermes
         self.pfs = cluster.pfs
         self.bucket = bucket
-        self._pending = 0
 
     def write(self, node: int, path: str, offset: int, data):
         data = bytes(data)
@@ -91,7 +90,6 @@ class HermesIo:
             # Local tiers full: fall through to the PFS directly.
             yield from self.pfs.write(node, path, offset, data)
             return
-        self._pending += 1
 
         def drain():
             yield from self.pfs.write(node, path, offset, data)
@@ -100,14 +98,5 @@ class HermesIo:
                                               (path, offset))
             except KeyError:
                 pass
-            self._pending -= 1
 
         self.cluster.sim.process(drain(), name="hermes-io.drain")
-
-    def read(self, node: int, path: str, offset: int, nbytes: int):
-        yield from self.flush()
-        return (yield from self.pfs.read(node, path, offset, nbytes))
-
-    def flush(self):
-        while self._pending > 0:
-            yield self.cluster.sim.timeout(1e-4)

@@ -2,8 +2,8 @@
 
 API mirrors mpi4py's lower-case object interface: ``send``/``recv``/
 ``isend``/``sendrecv`` plus tree-based collectives (``barrier``,
-``bcast``, ``reduce``, ``allreduce``, ``gather``, ``allgather``,
-``scatter``, ``alltoall``) implemented, MPICH-style, on top of
+``bcast``, ``reduce``, ``allreduce``, ``allgather``, ``alltoall``)
+implemented, MPICH-style, on top of
 point-to-point binomial trees — so collective *cost* emerges from the
 fabric model rather than being hard-coded. All blocking calls are
 generators: ``data = yield from comm.recv(...)``.

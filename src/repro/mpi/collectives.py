@@ -12,7 +12,7 @@ Every function is a generator taking a bound :class:`~repro.mpi.comm.Comm`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 
 def _relative(rank: int, root: int, size: int) -> int:
@@ -92,31 +92,6 @@ def barrier(comm):
         dist <<= 1
 
 
-def gather(comm, value: Any, root: int = 0):
-    """Binomial-tree gather; root returns the list ordered by rank."""
-    tag = comm._next_coll_tag()
-    size, rank = comm.size, comm.rank
-    rel = _relative(rank, root, size)
-    # Each rank accumulates {comm_rank: value} from its subtree.
-    acc = {rank: value}
-    mask = 1
-    while mask < size:
-        if rel & mask:
-            parent_rel = rel & ~mask
-            yield from comm.send(acc, _absolute(parent_rel, root, size),
-                                 tag=tag)
-            return None
-        child_rel = rel | mask
-        if child_rel < size:
-            child_acc = yield from comm.recv(
-                source=_absolute(child_rel, root, size), tag=tag)
-            acc.update(child_acc)
-        mask <<= 1
-    if rel == 0:
-        return [acc[r] for r in range(size)]
-    return None
-
-
 def allgather(comm, value: Any):
     """Ring allgather: p-1 rounds, each forwarding the next slice."""
     tag = comm._next_coll_tag()
@@ -135,26 +110,6 @@ def allgather(comm, value: Any):
         result[idx] = val
         held = idx
     return result
-
-
-def scatter(comm, values: Optional[List[Any]], root: int = 0):
-    """Root distributes ``values[i]`` to comm rank ``i``."""
-    tag = comm._next_coll_tag()
-    size, rank = comm.size, comm.rank
-    if rank == root:
-        if values is None or len(values) != size:
-            raise ValueError(
-                f"scatter root needs exactly {size} values")
-        reqs = []
-        for dest in range(size):
-            if dest == root:
-                continue
-            reqs.append(comm.isend(values[dest], dest, tag=tag))
-        for req in reqs:
-            yield req
-        return values[root]
-    item = yield from comm.recv(source=root, tag=tag)
-    return item
 
 
 def alltoall(comm, values: List[Any]):

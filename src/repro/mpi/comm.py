@@ -156,17 +156,9 @@ class Comm:
         from repro.mpi.collectives import allreduce
         return allreduce(self, value, op)
 
-    def gather(self, value: Any, root: int = 0):
-        from repro.mpi.collectives import gather
-        return gather(self, value, root)
-
     def allgather(self, value: Any):
         from repro.mpi.collectives import allgather
         return allgather(self, value)
-
-    def scatter(self, values: Optional[List[Any]], root: int = 0):
-        from repro.mpi.collectives import scatter
-        return scatter(self, values, root)
 
     def alltoall(self, values: List[Any]):
         from repro.mpi.collectives import alltoall

@@ -310,9 +310,6 @@ class SpanGraph:
         return sorted(self.spans, key=lambda s: s.duration,
                       reverse=True)[:k]
 
-    def categories(self) -> List[str]:
-        return sorted({s.category for s in self.spans})
-
     # -- construction ------------------------------------------------------
     @classmethod
     def from_tracer(cls, tracer) -> "SpanGraph":

@@ -207,17 +207,6 @@ class WindowedStore:
         rings = select(self.gauges, name, labels)
         return sum(ring[-1][2] for ring in rings) if rings else None
 
-    def gauge_series(self, name: str, labels=(),
-                     window_s: Optional[float] = None
-                     ) -> List[Tuple[float, float]]:
-        """``(t1, value)`` samples over the trailing window, matching
-        series added tick by tick."""
-        out: Dict[float, float] = {}
-        for _t0, t1, v in self._windows(self.gauges, name, labels,
-                                        window_s, None):
-            out[t1] = out.get(t1, 0.0) + v
-        return sorted(out.items())
-
     def window_stats(self, name: str, labels=(),
                      window_s: Optional[float] = None,
                      now: Optional[float] = None
@@ -355,15 +344,6 @@ class LiveObs:
                                   direction=event["direction"])
         for cb in self.on_tick:
             cb(self, now)
-
-    # -- consumption -------------------------------------------------------
-    def events_since(self, t: float,
-                     detector: Optional[str] = None
-                     ) -> List[Dict[str, Any]]:
-        """Anomaly events at or after simulated time ``t``."""
-        return [e for e in self.events
-                if e["t"] >= t and (detector is None
-                                    or e["detector"] == detector)]
 
     def alert_active(self) -> bool:
         """Whether any attached SLO alert is currently firing (the

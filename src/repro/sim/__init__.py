@@ -22,9 +22,7 @@ Public surface::
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -38,9 +36,7 @@ from repro.sim.trace import NOOP_TRACER, Span, Tracer
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Lock",
     "Monitor",
     "NOOP_TRACER",

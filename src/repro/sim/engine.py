@@ -61,14 +61,6 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """An occurrence at a point in simulated time.
 
@@ -95,12 +87,6 @@ class Event:
     @property
     def triggered(self) -> bool:
         return self._value is not _PENDING
-
-    @property
-    def ok(self) -> bool:
-        if not self.triggered:
-            raise SimulationError("event value not yet available")
-        return bool(self._ok)
 
     @property
     def value(self) -> Any:
@@ -179,7 +165,7 @@ class Process(Event):
     returns (value = return value) or raises (event fails).
     """
 
-    __slots__ = ("gen", "name", "_target")
+    __slots__ = ("gen", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         if not hasattr(gen, "send"):
@@ -187,23 +173,7 @@ class Process(Event):
         super().__init__(sim)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._target: Optional[Event] = None
         Initialize(sim, self)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError(f"{self.name} already terminated")
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        evt = Event(self.sim)
-        evt.callbacks = [self._resume]
-        evt._ok = False
-        evt._value = Interrupt(cause)
-        self.sim._schedule(evt, URGENT)
 
     # -- engine hook ----------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -303,14 +273,17 @@ class Process(Event):
                         evt = target
                         continue
             cbs.append(self._resume)
-            self._target = target
             sim._active = None
             sim.trampolines += tramps
             return
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf: composite over several events."""
+class AllOf(Event):
+    """Triggers when all constituent events have triggered.
+
+    Value is the list of constituent values, in construction order.
+    Fails fast if any constituent fails.
+    """
 
     __slots__ = ("events", "_count")
 
@@ -331,19 +304,6 @@ class _Condition(Event):
                 evt.callbacks.append(self._check)
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when all constituent events have triggered.
-
-    Value is the list of constituent values, in construction order.
-    Fails fast if any constituent fails.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         if self.triggered:
             return
         if not event._ok:
@@ -352,20 +312,6 @@ class AllOf(_Condition):
         self._count += 1
         if self._count == len(self.events):
             self.succeed([e._value for e in self.events])
-
-
-class AnyOf(_Condition):
-    """Triggers when the first constituent event triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
 
 
 class Simulator:
@@ -434,12 +380,6 @@ class Simulator:
 
     def process(self, gen: Generator, name: str = "") -> Process:
         return Process(self, gen, name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def enable_perturbation(self, seed: int) -> None:
         """Arm randomized tie-breaking among same-timestamp events.

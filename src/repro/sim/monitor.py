@@ -154,10 +154,6 @@ class TimeSeries:
             self._base_area += a
 
     @property
-    def last(self) -> float:
-        return self.samples[-1][1] if self.samples else 0.0
-
-    @property
     def peak(self) -> float:
         return self._peak if self._count else 0.0
 
@@ -278,10 +274,6 @@ class LabeledHistogram:
     @property
     def count(self) -> int:
         return len(self.observations)
-
-    @property
-    def total(self) -> float:
-        return sum(self.observations)
 
     def percentile(self, q: float) -> float:
         return nearest_rank(sorted(self.observations), q)

@@ -49,11 +49,6 @@ class Resource:
         self._users: set[Request] = set()
         self._queue: deque[Request] = deque()
 
-    @property
-    def count(self) -> int:
-        """Number of slots currently held."""
-        return len(self._users)
-
     def set_capacity(self, capacity: int) -> None:
         """Adjust capacity at runtime (dynamic CPU-core scaling).
 
@@ -68,11 +63,6 @@ class Resource:
             self._users.add(nxt)
             nxt.succeed(nxt)
 
-    @property
-    def queued(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._queue)
-
     def request(self) -> Request:
         req = Request(self)
         if len(self._users) < self.capacity:
@@ -86,7 +76,7 @@ class Resource:
         if req in self._users:
             self._users.discard(req)
         elif req in self._queue:
-            # Cancelling a queued request is allowed (e.g., interrupt).
+            # Cancelling a queued request is allowed (a waiter that gave up).
             self._queue.remove(req)
             return
         else:
@@ -95,12 +85,6 @@ class Resource:
             nxt = self._queue.popleft()
             self._users.add(nxt)
             nxt.succeed(nxt)
-
-    def acquire(self):
-        """Generator helper: ``req = yield from res.acquire()``."""
-        req = self.request()
-        yield req
-        return req
 
 
 class Store:
@@ -113,9 +97,6 @@ class Store:
         self.name = name
         self._items: deque[Any] = deque()
         self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: Any) -> None:
         """Deposit an item; wakes the oldest waiting getter immediately."""

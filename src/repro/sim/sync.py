@@ -54,8 +54,3 @@ class Lock:
             self._waiters.popleft().succeed()
         else:
             self._locked = False
-
-    def held(self):
-        """Generator context helper: ``yield from lock.held()`` acquires;
-        caller must still call :meth:`release`."""
-        yield self.acquire()

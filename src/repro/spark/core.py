@@ -198,12 +198,6 @@ class SparkSim:
         rdd = RDD(self, partitions, name="input")
         return rdd
 
-    def parallelize(self, arrays: List[np.ndarray]) -> RDD:
-        """Distribute in-memory arrays round-robin (untimed setup)."""
-        partitions = [(i % self.n_nodes, arr)
-                      for i, arr in enumerate(arrays)]
-        return RDD(self, partitions, name="parallelize")
-
     def broadcast(self, value):
         """Driver -> all executors (generator)."""
         for node in range(self.n_nodes):

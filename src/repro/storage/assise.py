@@ -1,18 +1,17 @@
-"""Client-local NVM caching filesystem (Assise stand-in).
+"""Client-local NVM write-back filesystem (Assise stand-in).
 
-Assise (OSDI '20) keeps a client-local NVM log/cache in front of the
-shared filesystem: writes land in local NVM and are flushed back
-asynchronously; reads hit the local cache when possible. This model
-reproduces exactly that timing behaviour (synchronous local-NVM cost,
-asynchronous remote flush, cache-hit reads) over :class:`ParallelFS`
-as the shared tier. Authoritative file content lives in the PFS — the
-local cache tracks *extents* for hit/miss timing, which keeps the data
-path simple without changing any byte a caller observes.
+Assise (OSDI '20) keeps a client-local NVM log in front of the shared
+filesystem: writes land in local NVM and are flushed back
+asynchronously. This model reproduces that write timing (synchronous
+local-NVM cost, synchronous chain replication, asynchronous remote
+flush) over :class:`ParallelFS` as the shared tier, which holds the
+file content. The Fig. 6 baselines only write checkpoints, so the
+read side (local-cache hits, read-your-writes drains) is not modelled.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.sim import Simulator
 from repro.storage.device import Device, DeviceSpec
@@ -41,32 +40,6 @@ class AssiseFS:
             node: Device(sim, nvm_spec, name=f"assise{node}.nvm")
             for node in client_nodes
         }
-        # Per node: list of (path, offset, nbytes) cached extents (LRU
-        # order: oldest first) plus bytes used.
-        self._extents: Dict[int, List[Tuple[str, int, int]]] = {
-            node: [] for node in client_nodes
-        }
-        self._pending: Dict[int, int] = {node: 0 for node in client_nodes}
-
-    def _cache_insert(self, node: int, path: str, offset: int,
-                      nbytes: int) -> None:
-        cache = self.caches[node]
-        extents = self._extents[node]
-        while extents and not cache.fits(nbytes):
-            _, _, old_n = extents.pop(0)
-            cache.unreserve(old_n)
-        if cache.fits(nbytes):
-            cache.reserve(nbytes)
-            extents.append((path, offset, nbytes))
-
-    def _cache_hit(self, node: int, path: str, offset: int,
-                   nbytes: int) -> bool:
-        for i, (p, off, n) in enumerate(self._extents[node]):
-            if p == path and off <= offset and offset + nbytes <= off + n:
-                # LRU touch.
-                self._extents[node].append(self._extents[node].pop(i))
-                return True
-        return False
 
     def write(self, client_node: int, path: str, offset: int, data):
         """Local NVM write + synchronous chain replication, then an
@@ -80,29 +53,5 @@ class AssiseFS:
             yield from self.pfs.network.transfer(client_node, peer,
                                                  len(data))
             yield from self.caches[peer].charge(len(data), write=True)
-        self._cache_insert(client_node, path, offset, len(data))
-        self._pending[client_node] += len(data)
-
-        def flush():
-            yield from self.pfs.write(client_node, path, offset, data)
-            self._pending[client_node] -= len(data)
-
-        self.sim.process(flush(), name=f"assise.flush@{client_node}")
-
-    def read(self, client_node: int, path: str, offset: int, nbytes: int):
-        """Cache-hit local read or remote PFS read."""
-        yield from self.drain(client_node)  # read-your-writes
-        if self._cache_hit(client_node, path, offset, nbytes):
-            # Served from local NVM: no network, no PFS time. Content
-            # comes from the (already drained) authoritative PFS copy.
-            cache = self.caches[client_node]
-            yield from cache.charge(nbytes, write=False)
-            return bytes(self.pfs._file(path)[offset:offset + nbytes])
-        data = yield from self.pfs.read(client_node, path, offset, nbytes)
-        self._cache_insert(client_node, path, offset, nbytes)
-        return data
-
-    def drain(self, client_node: int):
-        """Wait for this node's async flushes to land (fsync)."""
-        while self._pending[client_node] > 0:
-            yield self.sim.timeout(1e-4)
+        self.sim.process(self.pfs.write(client_node, path, offset, data),
+                         name=f"assise.flush@{client_node}")

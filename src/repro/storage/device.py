@@ -148,9 +148,6 @@ class Device:
     def keys(self):
         return self._blobs.keys()
 
-    def size_of(self, key) -> int:
-        return len(self._blobs[key])
-
     # -- timed transfers -------------------------------------------------
     def _xfer(self, nbytes: int, write: bool, stream=None, offset=None):
         """One operation of ``nbytes``; ``offset`` (in ``stream``) is

@@ -40,9 +40,6 @@ class DMSH:
     def __iter__(self):
         return iter(self.tiers)
 
-    def __len__(self) -> int:
-        return len(self.tiers)
-
     def tier(self, kind: str) -> Device:
         for dev in self.tiers:
             if dev.spec.kind == kind:

@@ -101,13 +101,7 @@ class Hdf5SimBackend(Backend):
                 f"no group {self.group!r} in {self.path}; "
                 f"have {sorted(self._index)}") from None
 
-    # -- group management (used by datagen and the stager) ----------------
-    def groups(self) -> list[str]:
-        return sorted(self._index)
-
-    def group_dtype(self) -> np.dtype:
-        return np.dtype(self._entry["dtype"])
-
+    # -- group management (used by datagen) --------------------------------
     def write_group(self, name: str, array: np.ndarray) -> None:
         """Create/replace a whole group from a NumPy array."""
         raw = array.tobytes()
@@ -123,15 +117,6 @@ class Hdf5SimBackend(Backend):
             index[name] = {"offset": offset, "nbytes": len(raw),
                            "dtype": array.dtype.str}
             self._save_index(fh, index)
-
-    def read_group(self, name: str) -> np.ndarray:
-        entry = self._index.get(name)
-        if entry is None:
-            raise BackendError(f"no group {name!r} in {self.path}")
-        with open(self.path, "rb") as fh:
-            fh.seek(entry["offset"])
-            raw = fh.read(entry["nbytes"])
-        return np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).copy()
 
     # -- flat image over this backend's group -----------------------------
     def size(self) -> int:

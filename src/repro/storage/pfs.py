@@ -6,8 +6,8 @@ the server device's transfer time, servers proceeding in parallel (the
 source of PFS aggregate bandwidth). Each server operation names its
 file and the offset in that file's datafile on the server, so an HDD
 server pays its seek only where an operation does not continue the one
-before it. Content is functional: each file is a real bytearray, so
-baselines can read back what they wrote.
+before it. Content is functional: each file is a real bytearray
+holding what the baselines wrote.
 """
 
 from __future__ import annotations
@@ -56,21 +56,6 @@ class ParallelFS:
         self._files: Dict[str, bytearray] = {}
 
     # -- namespace ----------------------------------------------------------
-    def exists(self, path: str) -> bool:
-        return path in self._files
-
-    def create(self, path: str) -> None:
-        self._files.setdefault(path, bytearray())
-
-    def size(self, path: str) -> int:
-        return len(self._file(path))
-
-    def delete(self, path: str) -> None:
-        self._files.pop(path, None)
-
-    def paths(self) -> List[str]:
-        return sorted(self._files)
-
     def _file(self, path: str) -> bytearray:
         if path not in self._files:
             raise PfsError(f"no such PFS file: {path}")
@@ -129,11 +114,10 @@ class ParallelFS:
     def write(self, client_node: int, path: str, offset: int, data):
         """Timed striped write; creates/grows the file as needed.
         Generator."""
-        data = bytes(data)
-        self.create(path)
-        buf = self._files[path]
         if offset < 0:
             raise PfsError(f"negative offset {offset}")
+        data = bytes(data)
+        buf = self._files.setdefault(path, bytearray())
         if offset > len(buf):
             buf.extend(b"\0" * (offset - len(buf)))
         yield from self.charge(client_node, [(offset, len(data))],
@@ -142,22 +126,3 @@ class ParallelFS:
         if end > len(buf):
             buf.extend(b"\0" * (end - len(buf)))
         buf[offset:end] = data
-
-    def read(self, client_node: int, path: str, offset: int, nbytes: int):
-        """Timed striped read; returns bytes. Generator."""
-        buf = self._file(path)
-        if offset < 0 or offset + nbytes > len(buf):
-            raise PfsError(
-                f"range [{offset}, {offset + nbytes}) outside {path} "
-                f"of {len(buf)} bytes")
-        yield from self.charge(client_node, [(offset, nbytes)], write=False,
-                               file=path)
-        return bytes(buf[offset:offset + nbytes])
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(d.bytes_written for d in self.devices)
-
-    @property
-    def bytes_read(self) -> int:
-        return sum(d.bytes_read for d in self.devices)

@@ -60,8 +60,3 @@ TIER_PRESETS = {spec.kind: spec
 def scaled(spec: DeviceSpec, capacity: int) -> DeviceSpec:
     """Preset with an explicit capacity (e.g. the MB-scaled testbed)."""
     return spec.with_capacity(capacity)
-
-
-def dollars(spec: DeviceSpec, nbytes: int) -> float:
-    """Financial cost of ``nbytes`` on this tier (paper Fig. 7 axis)."""
-    return spec.cost_per_gb * nbytes / GB

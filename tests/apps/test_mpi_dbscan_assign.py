@@ -16,7 +16,6 @@ def test_mpi_dbscan_writes_assignment_file(tmp_path):
     cluster = make_cluster()
     cluster.run(mpi_dbscan, f"parquet://{path}", 2.5, 8, 0,
                 "/out/assign.bin")
-    assert cluster.pfs.exists("/out/assign.bin")
     raw = bytes(cluster.pfs._file("/out/assign.bin"))
     labels = np.frombuffer(raw, dtype=np.int64)
     assert len(labels) == 2000

@@ -16,7 +16,6 @@ def test_spark_kmeans_writes_assignments_to_pfs(tmp_path):
     res = cluster.run_driver(spark_kmeans(
         cluster, f"parquet://{path}", 4, 3, 0, "/out/assignments"))
     centroids, _ = res.values[0]
-    assert cluster.pfs.exists("/out/assignments")
     raw = bytes(cluster.pfs._file("/out/assignments"))
     labels = np.frombuffer(raw, dtype=np.int32)
     assert len(labels) == 3000

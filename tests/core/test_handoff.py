@@ -26,7 +26,7 @@ from repro.core import (
     runtime,
 )
 from repro.core.memtask import MemoryTask, TaskKind
-from repro.sim import Event
+from repro.sim import AllOf, Event
 from tests.core.conftest import build_system, run_procs
 
 PAGE = 256 * 1024
@@ -467,9 +467,13 @@ def test_burst_grows_the_pool_before_the_first_task_completes():
         # the pool is already at its cap.
         assert sim.now == t0
         assert rt.high_cores.capacity == cfg.workers_max
-        yield sim.any_of([t.done for t in tasks])
+        first = Event(sim)
+        for task in tasks:
+            task.done.callbacks.append(
+                lambda _evt: first.triggered or first.succeed())
+        yield first
         first_done["after"] = sim.now - t0
-        yield sim.all_of([t.done for t in tasks])
+        yield AllOf(sim, [t.done for t in tasks])
         return t0
 
     (t0,) = run_procs(sim, app())

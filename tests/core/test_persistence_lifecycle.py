@@ -175,7 +175,7 @@ def test_stage_out_never_loses_a_concurrent_write(tmp_path, monkeypatch):
     # Gate the backend charge so the stage-out parks *after* it
     # snapshotted the page but *before* the file write.
     gate = Lock(sim)
-    run_procs(sim, gate.held())                   # pre-held by the test
+    gate.acquire()                                # pre-held by the test
     orig = system.stager._charge_backend
 
     def gated_charge(node, ranges, write):

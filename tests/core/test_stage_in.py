@@ -153,6 +153,11 @@ def reader(system, url, rank, node, ranges, delays=None, **open_kw):
     return app()
 
 
+def pfs_bytes_read(system):
+    """Bytes the PFS servers' devices read, over all servers."""
+    return sum(d.bytes_read for d in system.pfs.devices)
+
+
 def blobs(system, url):
     return {info.key for info in system.hermes.mdm.list_bucket(url)}
 
@@ -185,8 +190,8 @@ def test_random_interleavings_read_each_backend_byte_once(tmp_path, seed):
             assert np.array_equal(got, data[off:off + n]), (off, n)
     settle(sim, system, url)
     mon = system.monitor
-    assert system.pfs.bytes_read == mon.counter("stager.bytes_in")
-    assert system.pfs.bytes_read \
+    assert pfs_bytes_read(system) == mon.counter("stager.bytes_in")
+    assert pfs_bytes_read(system) \
         <= nbytes + mon.counter("stager.reread_bytes")
     touched = {s for ranges in asked for off, n in ranges
                for s in range(off // STRIPE, (off + n - 1) // STRIPE + 1)}
@@ -231,7 +236,7 @@ def test_cold_scan_is_one_request_per_server_run(tmp_path):
     # one request; server 1 reads stripe 1. Every byte once.
     assert sorted(reqs) == [[(0, STRIPE), (2 * STRIPE, 5000)],
                             [(STRIPE, STRIPE)]]
-    assert system.pfs.bytes_read == nbytes
+    assert pfs_bytes_read(system) == nbytes
     assert [d.bytes_read for d in system.pfs.devices] \
         == [STRIPE + 5000, STRIPE]
     check_requests(system)
@@ -299,7 +304,7 @@ def test_straddling_page_completes_when_both_stripes_are_in(tmp_path):
     (out,) = run_procs(sim, reader(system, url, 2, 0, [(6000, 3000)]))
     assert np.array_equal(out[0], data[6000:9000])
     settle(sim, system, url)
-    assert len(reqs) == 2 and system.pfs.bytes_read == 2 * stripe
+    assert len(reqs) == 2 and pfs_bytes_read(system) == 2 * stripe
     assert not system.vectors[url].fragments
     check_requests(system)
 
@@ -322,7 +327,7 @@ def test_straddler_whose_stripes_share_a_request_is_published_by_it(
     assert not system.vectors[url].fragments
     (out,) = run_procs(sim, reader(system, url, 1, 0, [(6000, 3000)]))
     assert np.array_equal(out[0], data[6000:9000])
-    assert len(reqs) == 1 and system.pfs.bytes_read == 2 * stripe
+    assert len(reqs) == 1 and pfs_bytes_read(system) == 2 * stripe
     check_requests(system)
 
 
@@ -344,7 +349,7 @@ def test_no_request_crosses_a_stripe_or_reads_a_sub_page_sliver(tmp_path):
         assert off // stripe == (off + n - 1) // stripe
         assert n >= page or off + n == nbytes
     assert len(ranges) == len({off // stripe for off, _ in ranges})
-    assert system.pfs.bytes_read == sum(n for _off, n in ranges) <= nbytes
+    assert pfs_bytes_read(system) == sum(n for _off, n in ranges) <= nbytes
     # The straddlers' stripes were asked for, the rest was read ahead.
     assert {sp.attrs["stripe"] for sp in stage_ins(system)
             if not sp.attrs["ahead"]} <= {0, 1, 2, 3}
@@ -404,7 +409,7 @@ def test_one_record_read_of_a_cold_vector(tmp_path):
         == [False, True, True]
     check_requests(system)
     assert blobs(system, url) == set(range(33))
-    assert system.pfs.bytes_read == 2 * STRIPE + 100
+    assert pfs_bytes_read(system) == 2 * STRIPE + 100
 
 
 def test_read_ahead_keeps_every_backend_server_busy(tmp_path):
@@ -437,7 +442,7 @@ def test_read_ahead_keeps_every_backend_server_busy(tmp_path):
     assert s1.start == s0.start and s1.attrs["cause"] == s0.span_id
     assert s2.start == s1.end and s2.attrs["cause"] == s1.span_id
     assert s2.start < s0.end          # server 1 never waits for server 0
-    assert system.pfs.bytes_read == nbytes
+    assert pfs_bytes_read(system) == nbytes
     check_requests(system)
     mon = system.monitor
     assert mon.counter("stager.requests_in") == 3
@@ -482,7 +487,7 @@ def test_volatile_vector_stages_nothing_and_fills_only_what_is_asked():
                                    size=64 * PAGE))
     assert not out[0].any() and not out[1].any()
     sim.run(until=sim.now + 0.1)
-    assert reqs == [] and system.pfs.bytes_read == 0
+    assert reqs == [] and pfs_bytes_read(system) == 0
     assert blobs(system, "vol") == {3, 9}
 
 

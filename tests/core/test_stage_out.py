@@ -111,7 +111,7 @@ def test_write_during_a_run_stage_out_is_persisted_by_the_next_pass(
     svec = system.vectors[url]
     assert svec.dirty_pages == {0, 1, 2, 3}
     gate = Lock(sim)
-    run_procs(sim, gate.held())                    # pre-held by the test
+    gate.acquire()                                 # pre-held by the test
     charge = system.stager._charge_backend
 
     def gated(node, ranges, write):
@@ -178,7 +178,7 @@ def test_crash_of_the_persisting_node_during_a_run_keeps_the_file(
     assert node in {info.node for info in
                     system.hermes.mdm.list_bucket(url)}
     gate = Lock(sim)
-    run_procs(sim, gate.held())                    # pre-held by the test
+    gate.acquire()                                 # pre-held by the test
     charge = system.stager._charge_backend
 
     def gated(node_, ranges, write):
@@ -303,7 +303,7 @@ def test_a_page_dirtied_again_between_two_stage_outs_is_written_twice(
 
     sim, system, svec, page = _flushed_file(tmp_path, monkeypatch)
     gate = Lock(sim)
-    run_procs(sim, gate.held())                    # pre-held by the test
+    gate.acquire()                                 # pre-held by the test
     charge = system.stager._charge_backend
 
     def gated(node, ranges, write):

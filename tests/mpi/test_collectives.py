@@ -120,19 +120,6 @@ def test_barrier_synchronizes(nprocs):
     assert all(t >= nprocs - 1 for t in res)
 
 
-@pytest.mark.parametrize("nprocs", [1, 2, 5, 8])
-def test_gather_ordered_by_rank(nprocs):
-    sim, world = make_world(nprocs)
-
-    def fn(comm):
-        out = yield from comm.gather(comm.rank * 10, root=0)
-        return out
-
-    res = run_spmd(sim, world, fn)
-    assert res[0] == [r * 10 for r in range(nprocs)]
-    assert all(r is None for r in res[1:])
-
-
 @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 8, 16])
 def test_allgather_ring(nprocs):
     sim, world = make_world(nprocs)
@@ -143,32 +130,6 @@ def test_allgather_ring(nprocs):
 
     expected = [r ** 2 for r in range(nprocs)]
     assert run_spmd(sim, world, fn) == [expected] * nprocs
-
-
-@pytest.mark.parametrize("nprocs", [1, 2, 4, 5])
-def test_scatter(nprocs):
-    sim, world = make_world(nprocs)
-
-    def fn(comm):
-        values = [f"item{i}" for i in range(nprocs)] if comm.rank == 0 \
-            else None
-        out = yield from comm.scatter(values, root=0)
-        return out
-
-    assert run_spmd(sim, world, fn) == [f"item{i}" for i in range(nprocs)]
-
-
-def test_scatter_wrong_length_rejected():
-    sim, world = make_world(2)
-
-    def fn(comm):
-        if comm.rank == 0:
-            yield from comm.scatter([1], root=0)
-        else:
-            yield from comm.scatter(None, root=0)
-
-    with pytest.raises(ValueError):
-        run_spmd(sim, world, fn)
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 3, 4, 8])

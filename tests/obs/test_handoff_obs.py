@@ -12,6 +12,7 @@ from repro.__main__ import main
 from repro.core import MM_WRITE_ONLY, SeqTx
 from repro.obs import LiveObs, SpanGraph, analyze
 from repro.pipeline import build_cluster, run_pipeline
+from repro.sim.monitor import select
 
 PAGE = 64 * 1024
 
@@ -137,12 +138,12 @@ def test_cores_and_inflight_gauges_reach_the_live_plane():
         assert store.gauge_last(
             "rt_cores", dict(node=node, pool="low")) \
             == cfg.low_latency_workers
-    high = [v for _t, v in store.gauge_series(
-        "rt_cores", dict(node=1, pool="high"))]
+    (ring,) = select(store.gauges, "rt_cores", dict(node=1, pool="high"))
+    high = [v for _t0, _t1, v in ring]
     assert cfg.workers_min <= min(high) and max(high) <= cfg.workers_max
     assert max(high) > cfg.workers_min      # the burst grew the pool
-    inflight = [v for _t, v in store.gauge_series(
-        "pcache_inflight_bytes", dict(node=0))]
+    (ring,) = select(store.gauges, "pcache_inflight_bytes", dict(node=0))
+    inflight = [v for _t0, _t1, v in ring]
     assert max(inflight) >= PAGE and inflight[-1] == 0
     assert store.gauge_last("pcache_inflight_bytes", dict(node=1)) == 0
 

@@ -60,7 +60,6 @@ def test_selector_matches_label_subsets():
     assert store.rate("hermes.gets", window_s=1.0) == pytest.approx(7.0)
     assert store.gauge_last("rt_backlog") == 7.0
     assert store.gauge_last("rt_backlog", {"node": 1}) == 4.0
-    assert store.gauge_series("rt_backlog") == [(1.0, 7.0)]
     merged = store.window_stats("lat")
     assert merged.values == [0.0, 1.0]
     assert store.window_stats("lat", {"node": 1}).count == 1
@@ -72,11 +71,13 @@ def test_gauge_point_samples_and_series():
     g.set(4.0)
     sim._now = 1.0
     store.tick(1.0)
+    assert store.gauge_last("backlog") == 4.0
     g.set(7.0)
     sim._now = 2.0
     store.tick(2.0)
     assert store.gauge_last("backlog") == 7.0
-    assert store.gauge_series("backlog") == [(1.0, 4.0), (2.0, 7.0)]
+    assert list(store.gauges[("backlog", ())]) == [(0.0, 1.0, 4.0),
+                                                  (1.0, 2.0, 7.0)]
     assert store.gauge_last("missing") is None
 
 
@@ -179,13 +180,12 @@ def test_ticker_scrapes_on_sim_time():
     assert seen == []
 
 
-def test_on_tick_callback_and_events_since():
+def test_on_tick_callback():
     sim = Simulator()
     mon = Monitor(sim)
     obs = LiveObs(sim, mon, window=1.0, retention=8).install()
     ticks = []
     obs.on_tick.append(lambda o, now: ticks.append(now))
-    obs.events.append({"t": 2.0, "detector": "x", "value": 1.0})
 
     def work():
         yield sim.timeout(3.0)
@@ -194,5 +194,3 @@ def test_on_tick_callback_and_events_since():
     # The t=3.0 tick races the until-event (same timestamp, later
     # seq), so only the strictly earlier ticks are guaranteed.
     assert ticks[:2] == [1.0, 2.0]
-    assert obs.events_since(2.0) and not obs.events_since(2.5)
-    assert obs.events_since(0.0, detector="y") == []

@@ -4,9 +4,7 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -341,25 +339,6 @@ def test_all_of_empty_fires_immediately():
     assert p.value == []
 
 
-def test_any_of_returns_first_value():
-    sim = Simulator()
-
-    def child(delay, val):
-        yield sim.timeout(delay)
-        return val
-
-    def parent():
-        v = yield AnyOf(sim, [
-            sim.process(child(3.0, "slow")),
-            sim.process(child(1.0, "fast")),
-        ])
-        return v, sim.now
-
-    p = sim.process(parent())
-    sim.run()
-    assert p.value == ("fast", 1.0)
-
-
 def test_all_of_fails_fast_on_child_failure():
     sim = Simulator()
 
@@ -379,37 +358,6 @@ def test_all_of_fails_fast_on_child_failure():
     p = sim.process(parent())
     sim.run()
     assert p.value == 1.0
-
-
-def test_interrupt_wakes_process_with_cause():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as i:
-            return ("interrupted", i.cause, sim.now)
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt(cause="wakeup")
-
-    t = sim.process(sleeper())
-    sim.process(interrupter(t))
-    sim.run()
-    assert t.value == ("interrupted", "wakeup", 2.0)
-
-
-def test_interrupt_terminated_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_nested_yield_from_composition():

@@ -10,9 +10,7 @@ import pytest
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Simulator,
 )
 
@@ -23,20 +21,6 @@ def fast(request):
 
 
 # -- conditions over already-triggered events -------------------------------
-def test_any_of_over_already_triggered_events(fast):
-    sim = Simulator(fast=fast)
-
-    def proc():
-        a = Event(sim).succeed("a")
-        b = Event(sim).succeed("b")
-        v = yield AnyOf(sim, [a, b])
-        return v
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == "a"
-
-
 def test_all_of_over_already_triggered_events(fast):
     sim = Simulator(fast=fast)
 
@@ -67,49 +51,6 @@ def test_all_of_over_processed_events(fast):
     p = sim.process(proc())
     sim.run()
     assert p.value == ["a", "b"]
-
-
-def test_any_of_mixed_triggered_and_pending(fast):
-    sim = Simulator(fast=fast)
-    pending = Event(sim)
-
-    def proc():
-        fired = Event(sim).succeed("now")
-        v = yield AnyOf(sim, [pending, fired])
-        return v
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == "now"
-    assert not pending.triggered
-
-
-# -- interrupts vs the microqueue -------------------------------------------
-def test_interrupt_process_blocked_on_immediate_event(fast):
-    # The interrupt must detach the victim from an event already
-    # sitting in the microqueue; the event itself still gets processed.
-    sim = Simulator(fast=fast)
-    trace = []
-    imm = Event(sim)
-
-    def victim():
-        try:
-            yield imm
-            trace.append("value")
-        except Interrupt as exc:
-            trace.append(("interrupted", exc.cause))
-
-    def attacker(p):
-        imm.succeed("v")
-        p.interrupt("bang")
-        return
-        yield
-
-    p = sim.process(victim())
-    sim.process(attacker(p))
-    sim.run()
-    assert trace == [("interrupted", "bang")]
-    assert imm.processed
 
 
 # -- FIFO ordering across the microqueue/heap boundary ----------------------

@@ -12,7 +12,7 @@ def test_timeseries_peak_and_last():
     ts.record(1.0, 10.0)
     ts.record(2.0, 3.0)
     assert ts.peak == 10.0
-    assert ts.last == 3.0
+    assert ts.samples[-1] == (2.0, 3.0)
 
 
 def test_timeseries_rejects_out_of_order():

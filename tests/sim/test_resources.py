@@ -59,32 +59,18 @@ def test_resource_cancel_queued_request():
     res = Resource(sim, capacity=1)
     r1 = res.request()
     r2 = res.request()
-    assert res.queued == 1
     res.release(r2)  # cancel while queued
-    assert res.queued == 0
     res.release(r1)
-    assert res.count == 0
+    sim.run()
+    assert not r2.triggered  # the cancelled request is never granted
+    r3 = res.request()
+    assert r3.triggered      # and holds no slot: the next one is free
 
 
 def test_resource_invalid_capacity():
     sim = Simulator()
     with pytest.raises(ValueError):
         Resource(sim, capacity=0)
-
-
-def test_resource_acquire_helper():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def proc():
-        req = yield from res.acquire()
-        assert res.count == 1
-        res.release(req)
-        return "ok"
-
-    p = sim.process(proc())
-    sim.run()
-    assert p.value == "ok"
 
 
 def test_store_put_then_get():

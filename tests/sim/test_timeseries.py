@@ -75,8 +75,8 @@ def test_long_run_stays_under_sample_cap():
         ts.record(i * 0.001, float(i % 17))
     assert len(ts.samples) <= 128
     assert len(ts.rolled) <= TimeSeries.ROLLED_LIMIT
-    # last/peak are exact over the whole run.
-    assert ts.last == float(99_999 % 17)
+    # The newest sample and the peak are exact over the whole run.
+    assert ts.samples[-1][1] == float(99_999 % 17)
     assert ts.peak == 16.0
 
 
@@ -101,7 +101,7 @@ def test_time_average_exact_after_compaction():
     assert bounded.time_average(until=until) == pytest.approx(
         unbounded.time_average(until=until), rel=1e-12)
     assert bounded.peak == unbounded.peak
-    assert bounded.last == unbounded.last
+    assert bounded.samples[-1] == unbounded.samples[-1]
 
 
 def test_default_cap_applies():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps.datagen import POINT3D, write_parquet_points
-from repro.spark.core import RDD, SparkOom, SparkSim
+from repro.apps.datagen import POINT3D, as_xyz, write_parquet_points
+from repro.spark.core import SparkOom, SparkSim
 from tests.apps.conftest import make_cluster
 
 
@@ -17,74 +17,75 @@ def run(cluster, gen):
     return cluster.sim.run(until=cluster.sim.process(gen))
 
 
-def test_parallelize_and_collect():
+def load(cluster, spark, tmp_path, n=1000):
+    """A cached RDD of ``n`` points, read from a file as the apps do."""
+    path = tmp_path / "pts.parquet"
+    write_parquet_points(str(path), n, 2, seed=1)
+    return run(cluster, spark.read_records(f"parquet://{path}", POINT3D))
+
+
+def dram_used(cluster):
+    return sum(d.tiers[0].used for d in cluster.dmshs)
+
+
+def test_map_partitions_materializes_new_rdd(tmp_path):
     cluster, spark = make_spark()
-    rdd = spark.parallelize([np.arange(4), np.arange(4, 8)])
+    rdd = load(cluster, spark, tmp_path)
 
     def driver():
-        parts = yield from rdd.collect()
-        return np.concatenate(parts)
+        doubled = yield from rdd.map_partitions(lambda a: as_xyz(a) * 2)
+        return doubled
 
-    out = run(cluster, driver())
-    assert np.array_equal(out, np.arange(8))
+    doubled = run(cluster, driver())
+    assert doubled.n_partitions == rdd.n_partitions
+    for (n0, src), (n1, out) in zip(rdd.partitions, doubled.partitions):
+        assert n0 == n1 and np.array_equal(out, as_xyz(src) * 2)
 
 
-def test_map_partitions_materializes_new_rdd():
+def test_memory_amplification_parents_stay_resident(tmp_path):
     cluster, spark = make_spark()
-    rdd = spark.parallelize([np.arange(4), np.arange(4)])
+    before = dram_used(cluster)
+    rdd = load(cluster, spark, tmp_path)
 
     def driver():
-        doubled = yield from rdd.map_partitions(lambda a: a * 2)
-        parts = yield from doubled.collect()
-        return parts
-
-    parts = run(cluster, driver())
-    assert all(np.array_equal(p, np.arange(4) * 2) for p in parts)
-
-
-def test_memory_amplification_parents_stay_resident():
-    cluster, spark = make_spark()
-    data = [np.zeros(1000, dtype=np.float64) for _ in range(2)]
-    before = sum(d.tiers[0].used for d in cluster.dmshs)
-    rdd = spark.parallelize(data)
-
-    def driver():
-        stage2 = yield from rdd.map_partitions(lambda a: a + 1)
+        stage2 = yield from rdd.map_partitions(lambda a: a.copy())
         return stage2
 
     run(cluster, driver())
-    after = sum(d.tiers[0].used for d in cluster.dmshs)
+    nbytes = sum(part.nbytes for _node, part in rdd.partitions)
     # Two materialized copies x mem_factor (JVM overhead).
-    assert after - before == pytest.approx(2 * 16000 * spark.mem_factor)
+    assert dram_used(cluster) - before == pytest.approx(
+        2 * nbytes * spark.mem_factor)
 
 
-def test_unpersist_releases_memory():
+def test_unpersist_releases_memory(tmp_path):
     cluster, spark = make_spark()
-    rdd = spark.parallelize([np.zeros(1000)])
-    used = sum(d.tiers[0].used for d in cluster.dmshs)
-    assert used > 0
+    rdd = load(cluster, spark, tmp_path)
+    assert dram_used(cluster) > 0
     rdd.unpersist()
     rdd.unpersist()  # idempotent
-    assert sum(d.tiers[0].used for d in cluster.dmshs) == 0
+    assert dram_used(cluster) == 0
 
 
-def test_executor_oom():
+def test_executor_oom(tmp_path):
     cluster, spark = make_spark(dram_mb=1)
     with pytest.raises(SparkOom):
-        spark.parallelize([np.zeros(1_000_000)])  # 8 MB > 1 MB DRAM
+        # 1.2 MB of points, 2x JVM overhead, over two 1 MB nodes.
+        load(cluster, spark, tmp_path, n=100_000)
 
 
-def test_tree_aggregate_sums_partitions():
+def test_tree_aggregate_sums_partitions(tmp_path):
     cluster, spark = make_spark()
-    rdd = spark.parallelize([np.full(10, i, dtype=np.float64)
-                             for i in range(4)])
+    rdd = load(cluster, spark, tmp_path)
 
     def driver():
         total = yield from rdd.tree_aggregate(
-            lambda a: float(a.sum()), lambda x, y: x + y)
+            lambda a: float(as_xyz(a).sum()), lambda x, y: x + y)
         return total
 
-    assert run(cluster, driver()) == pytest.approx(10 * (0 + 1 + 2 + 3))
+    expected = sum(float(as_xyz(p).sum()) for _n, p in rdd.partitions)
+    assert rdd.n_partitions > 2
+    assert run(cluster, driver()) == pytest.approx(expected)
 
 
 def test_read_records_loads_real_file(tmp_path):
@@ -122,9 +123,9 @@ def test_tcp_is_slower_than_fabric():
     assert t_tcp > t_fab
 
 
-def test_jvm_factor_scales_compute_time():
+def test_jvm_factor_scales_compute_time(tmp_path):
     cluster, spark = make_spark()
-    rdd = spark.parallelize([np.zeros(100_000, dtype=np.float64)])
+    rdd = load(cluster, spark, tmp_path, n=60_000)
 
     def driver():
         t0 = cluster.sim.now
@@ -132,6 +133,8 @@ def test_jvm_factor_scales_compute_time():
         return cluster.sim.now - t0
 
     elapsed = run(cluster, driver())
-    expected = spark.jvm_factor * 5.0 * 800_000 \
+    # The partitions run in parallel: the largest one sets the time.
+    largest = max(part.nbytes for _node, part in rdd.partitions)
+    expected = spark.jvm_factor * 5.0 * largest \
         / cluster.spec.config.compute_bw
     assert elapsed == pytest.approx(expected, rel=0.01)

@@ -14,7 +14,7 @@ from repro.storage import (
     DeviceFullError,
     DeviceSpec,
 )
-from repro.storage.tiers import GB, MB, dollars
+from repro.storage.tiers import GB, MB
 
 
 def run(sim, gen):
@@ -334,9 +334,9 @@ def test_hdd_is_6_to_10x_slower_than_ssd():
 
 
 def test_dollars_matches_paper_costs():
-    assert dollars(HDD, GB) == pytest.approx(0.02)
-    assert dollars(SATA_SSD, GB) == pytest.approx(0.04)
-    assert dollars(NVME, GB) == pytest.approx(0.08)
+    assert HDD.cost_per_gb == pytest.approx(0.02)
+    assert SATA_SSD.cost_per_gb == pytest.approx(0.04)
+    assert NVME.cost_per_gb == pytest.approx(0.08)
 
 
 def test_dmsh_orders_fastest_first():

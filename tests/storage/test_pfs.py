@@ -32,12 +32,8 @@ def test_pfs_write_read_roundtrip():
     sim, _, pfs = make_pfs()
     data = bytes(range(250))
 
-    def proc():
-        yield from pfs.write(0, "/f", 0, data)
-        out = yield from pfs.read(0, "/f", 0, 250)
-        return out
-
-    assert run(sim, proc()) == data
+    run(sim, pfs.write(0, "/f", 0, data))
+    assert bytes(pfs._file("/f")) == data
 
 
 def test_pfs_striping_parallelizes_across_servers():
@@ -130,33 +126,34 @@ def test_consecutive_datafile_extents_of_one_file_pay_one_seek():
 def test_pfs_sparse_write_zero_fills():
     sim, _, pfs = make_pfs()
 
-    def proc():
-        yield from pfs.write(0, "/f", 10, b"xy")
-        out = yield from pfs.read(0, "/f", 0, 12)
-        return out
-
-    assert run(sim, proc()) == b"\0" * 10 + b"xy"
+    run(sim, pfs.write(0, "/f", 10, b"xy"))
+    assert bytes(pfs._file("/f")) == b"\0" * 10 + b"xy"
 
 
 def test_pfs_read_missing_file_rejected():
+    _, _, pfs = make_pfs()
+    with pytest.raises(PfsError):
+        pfs._file("/nope")
+
+
+def test_pfs_accounting():
     sim, _, pfs = make_pfs()
 
     def proc():
-        yield from pfs.read(0, "/nope", 0, 1)
+        yield from pfs.write(0, "/f", 0, b"\0" * 300)
+        yield from pfs.charge(0, [(0, 100)], write=False, file="/f")
 
-    with pytest.raises(PfsError):
-        run(sim, proc())
+    run(sim, proc())
+    assert sum(d.bytes_written for d in pfs.devices) == 300
+    assert sum(d.bytes_read for d in pfs.devices) == 100
 
 
-def test_pfs_read_out_of_range_rejected():
+def test_pfs_negative_offset_rejected_without_creating_the_file():
     sim, _, pfs = make_pfs()
-
-    def proc():
-        yield from pfs.write(0, "/f", 0, b"abc")
-        yield from pfs.read(0, "/f", 2, 5)
-
     with pytest.raises(PfsError):
-        run(sim, proc())
+        run(sim, pfs.write(0, "/f", -1, b"x"))
+    with pytest.raises(PfsError):
+        pfs._file("/f")
 
 
 def test_pfs_overwrite_and_size():
@@ -165,34 +162,9 @@ def test_pfs_overwrite_and_size():
     def proc():
         yield from pfs.write(0, "/f", 0, b"aaaa")
         yield from pfs.write(0, "/f", 2, b"bb")
-        return pfs.size("/f")
-
-    assert run(sim, proc()) == 4
-    assert bytes(pfs._file("/f")) == b"aabb"
-
-
-def test_pfs_delete_and_paths():
-    sim, _, pfs = make_pfs()
-
-    def proc():
-        yield from pfs.write(0, "/a", 0, b"x")
-        yield from pfs.write(0, "/b", 0, b"y")
-        pfs.delete("/a")
-        return pfs.paths()
-
-    assert run(sim, proc()) == ["/b"]
-
-
-def test_pfs_accounting():
-    sim, _, pfs = make_pfs()
-
-    def proc():
-        yield from pfs.write(0, "/f", 0, b"\0" * 300)
-        yield from pfs.read(0, "/f", 0, 100)
 
     run(sim, proc())
-    assert pfs.bytes_written == 300
-    assert pfs.bytes_read == 100
+    assert bytes(pfs._file("/f")) == b"aabb"
 
 
 # -- Assise stand-in ------------------------------------------------------------
@@ -212,15 +184,16 @@ def test_assise_write_is_locally_fast_then_flushes():
 
     def proc():
         yield from fs.write(0, "/f", 0, b"\0" * 100)
-        t_local = sim.now
-        yield from fs.drain(0)
-        return t_local
+        return sim.now
 
     t_local = run(sim, proc())
     # Local NVM write (0.1s) + synchronous chain replication to the
     # peer's NVM (0.1s); the 1s PFS write drains asynchronously.
     assert t_local == pytest.approx(0.2, rel=0.05)
-    assert pfs.size("/f") == 100
+    assert "/f" not in pfs._files or len(pfs._file("/f")) == 0
+    sim.run()
+    assert sim.now == pytest.approx(t_local + 1.0, rel=0.05)
+    assert len(pfs._file("/f")) == 100
 
 
 def test_assise_without_replication_is_local_only():
@@ -233,54 +206,3 @@ def test_assise_without_replication_is_local_only():
         return sim.now
 
     assert run(sim, proc()) == pytest.approx(0.1, rel=0.05)
-
-
-def test_assise_read_your_writes():
-    sim, pfs, fs = make_assise()
-
-    def proc():
-        yield from fs.write(0, "/f", 0, b"hello world!")
-        out = yield from fs.read(0, "/f", 6, 5)
-        return out
-
-    assert run(sim, proc()) == b"world"
-
-
-def test_assise_cache_hit_avoids_pfs_read():
-    sim, pfs, fs = make_assise()
-
-    def proc():
-        yield from fs.write(0, "/f", 0, b"\0" * 100)
-        yield from fs.drain(0)
-        before = pfs.bytes_read
-        yield from fs.read(0, "/f", 0, 100)  # extent is cached
-        return pfs.bytes_read - before
-
-    assert run(sim, proc()) == 0
-
-
-def test_assise_remote_node_misses_cache():
-    sim, pfs, fs = make_assise()
-
-    def proc():
-        yield from fs.write(0, "/f", 0, b"\0" * 100)
-        yield from fs.drain(0)
-        before = pfs.bytes_read
-        yield from fs.read(1, "/f", 0, 100)  # other node: cold cache
-        return pfs.bytes_read - before
-
-    assert run(sim, proc()) == 100
-
-
-def test_assise_cache_eviction_when_full():
-    sim, pfs, fs = make_assise()
-
-    def proc():
-        # NVM capacity is 1000; write 3 x 400-byte extents.
-        for i in range(3):
-            yield from fs.write(0, f"/f{i}", 0, bytes([i]) * 400)
-        yield from fs.drain(0)
-        return fs.caches[0].used
-
-    used = run(sim, proc())
-    assert used <= 1000

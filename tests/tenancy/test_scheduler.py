@@ -209,7 +209,7 @@ def test_finished_job_returns_its_pcache_to_the_node():
     assert [t.pcache_used for t in sched.qm.tenants.values()] == [0, 0]
     for dmsh in cluster.dmshs:
         dram = dmsh.tiers[0]
-        assert dram.used == sum(dram.size_of(k) for k in dram.keys())
+        assert dram.used == sum(len(dram.peek(k)) for k in dram.keys())
 
 
 def test_duplicate_job_names_rejected():

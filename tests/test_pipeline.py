@@ -346,21 +346,21 @@ def test_shipped_kmeans_pipeline_dram_sweep_moves_spill(tmp_path):
 def test_shipped_serving_pipeline_pcache_size_moves_local_hits(tmp_path):
     """Non-vacuity of ``serving_obj.yaml``'s ``pcache_size``: the byte
     budget decides how much of the zipf head is served locally. At the
-    shipped 96 queries a rank's whole working set (~33 KB of 64 B
-    extents) fits every budget from 128 KB up — the sweep is flat by
-    construction — so the sweep runs with 8x the queries, where 128 KB
-    is under pressure and 1 MB is not."""
+    shipped budgets a rank's whole working set (~33 KB of 64 B extents
+    at 96 queries) fits — the sweep would be flat by construction — so
+    the sweep runs over a 512 KB table (8 192 keys) at 8 KB, where the
+    working set is under pressure, and 128 KB, where it is not."""
     path = os.path.join(os.path.dirname(__file__), os.pardir,
                         "pipelines", "serving_obj.yaml")
     with open(path, encoding="utf-8") as fh:
-        spec = fh.read().replace("queries: 96", "queries: 768")
-    assert "queries: 768" in spec
+        spec = fh.read().replace("n_keys: 131072", "n_keys: 8192")
+    assert "n_keys: 8192" in spec
     spec += """
 sweep:
   - key: cluster.pcache_size
     values:
+      - 8192
       - 131072
-      - 1048576
 """
     seen = []
 
@@ -371,7 +371,7 @@ sweep:
 
     rows = run_pipeline(spec, workdir=str(tmp_path),
                         on_variant=on_variant)
-    assert [r["cluster.pcache_size"] for r in rows] == [131072, 1048576]
+    assert [r["cluster.pcache_size"] for r in rows] == [8192, 131072]
     (small_hits, small_evictions), (large_hits, large_evictions) = seen
     assert small_evictions > 0 == large_evictions
     assert small_hits < large_hits
