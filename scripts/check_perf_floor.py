@@ -24,9 +24,10 @@ Usage::
 the substring — e.g. ``--match recovery`` lets the durability-smoke CI
 job enforce only the recovery floors without requiring the kernel
 benchmarks to have run in that job. ``--exclude`` is the complement
-and may repeat: ``--exclude colocation --exclude serving`` lets the
-otherwise-unfiltered bench-perf job skip the floors whose benchmarks
-run in the colocation-smoke and serving-smoke jobs. ``--json`` prints
+and may repeat: ``--exclude colocation --exclude serving --exclude
+recovery --exclude obs.`` lets the otherwise-unfiltered bench-perf job
+skip the bounds whose benchmarks run in the colocation-smoke,
+serving-smoke, durability-smoke and obs-smoke jobs. ``--json`` prints
 the full machine-readable verdict (per-metric status + failures) to
 stdout instead of the human table; the exit code is unchanged.
 """

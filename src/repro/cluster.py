@@ -74,10 +74,6 @@ class RunResult:
     peak_dram_total: float    # sum over nodes of peak DRAM bytes
     stats: dict
 
-    @property
-    def crashed(self) -> bool:
-        return self.oom
-
 
 class AppContext:
     """Everything one application process sees."""
@@ -103,9 +99,6 @@ class AppContext:
         JVM overheads...)."""
         bw = self.cluster.spec.config.compute_bw
         yield self.sim.timeout(factor * nbytes / bw)
-
-    def compute_seconds(self, seconds: float):
-        yield self.sim.timeout(seconds)
 
     # -- explicit memory accounting (baselines) -----------------------------------
     def alloc(self, nbytes: int) -> int:

@@ -126,9 +126,5 @@ class BatchTask:
     def pinned(self) -> int:
         return sum(t.pinned for t in self.tasks)
 
-    @property
-    def pages(self) -> List[int]:
-        return [t.page_idx for t in self.tasks]
-
     def __len__(self) -> int:
         return len(self.tasks)

@@ -72,14 +72,6 @@ class Frame:
         self.lent = False
         self.copied = copied  # the bytes.copied counter, if any
 
-    @property
-    def data(self) -> Optional[np.ndarray]:
-        """The buffer of a frame held as one extent from byte 0 (a
-        dense page); None for a frame of scattered extents."""
-        if len(self.bufs) == 1 and self.starts[0] == 0:
-            return self.bufs[0]
-        return None
-
     def _overlapping(self, start: int, end: int):
         """``(i, j, view)``: the index range of the extents
         intersecting ``[start, end)``, and a view of the range when a

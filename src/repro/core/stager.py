@@ -12,12 +12,12 @@ Stage-out is real: the backing file on disk ends up bit-exact with the
 vector. Time is charged through the PFS model (the paper's backends
 live on a parallel filesystem), whose HDD servers pay a seek for each
 request that does not continue the previous one on that server's
-datafile (each request names the vector's file): so the unit of
-backend I/O is a *server run*, the bytes one request moves through one
-server's datafile. A demand stage-in carries
-the stripe that follows its own on that server, and a persist writes
-each server's dirty pages in one request; the run's bounds come from
-the PFS model (``stripe_size``, ``server_of``), not from a setting.
+datafile (each request names the vector's file). A stage-in request
+reads one run of one stripe; the stripe that follows it on its server
+is read ahead when its bytes are back, and so continues the datafile.
+A persist writes each server's dirty pages in one request; both take
+their bounds from the PFS model (``stripe_size``, ``server_of``), not
+from a setting.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class _Fetch:
     until they are published), for a read-ahead the request whose
     issue or return triggered it, the process running it (none for an
     inline zero-fill), when tracing, the id of its backend-wait span,
-    the pages the calls waiting for it asked for, and what its publishes
+    the pages the calls waiting for it asked for, and what its publish
     stored of those: ``{page: (bytes, tier)}``, the bytes such a read
     is answered with."""
 
@@ -162,16 +162,14 @@ class DataStager:
         that were just put there instead of reading them back. A page
         written meanwhile, or whose publish failed, is not in it.
 
-        The fill unit is a server run: a wanted page pulls in the pages
-        of its stripe(s) that the backend holds and that are neither
+        The fill unit is a stripe: a wanted page pulls in the pages of
+        its stripe(s) that the backend holds and that are neither
         materialized (they may hold writes), being staged by a
         concurrent call (``vec.staging``: that request is joined, so
         each backend byte is read once) nor already fetched
-        (``vec.fragments``), and the request for that stripe also
-        carries the stripe that follows it in its server's datafile
-        (:meth:`_extension`). One request per demanded stripe, all
-        issued at once; a page straddling two stripes is published by
-        whichever of its requests lands last. Pages the backend does
+        (``vec.fragments``). One request per run of a demanded stripe,
+        all issued at once; a page straddling two stripes is published
+        by whichever of its requests lands last. Pages the backend does
         not cover (volatile vectors, a vector longer than its file)
         are zero-filled inline, and only when wanted. A request that
         dies unregisters its pages and releases its joiners: its caller
@@ -204,32 +202,23 @@ class DataStager:
             joined, zeros, need = self._plan(vec, absent, bsize)
             cause = tracer.current_span_id()
             wanted, claimed = set(absent), dict(vec.earmarked)
-            # The wanted pages take their room before any extension.
-            plans = {s: self._runs(vec, s, wanted, claimed, call)
-                     for s in need}
             issued = []
-            for stripe, (runs, landing) in plans.items():
+            for stripe in need:
+                runs, landing = self._runs(vec, stripe, wanted, claimed, call)
                 if len(runs) > 1:
                     self.system.monitor.count("stager.holes_skipped",
                                               len(runs) - 1)
-                requests = [[(stripe, run)] for run in runs]
-                ext = self._extension(vec, stripe, plans, claimed, call) \
-                    if runs else None
-                if ext is not None:
-                    requests[-1].append(ext[0])
-                    landing = {**landing, **ext[1]}
-                issued += [self._issue(vec, segments, landing, call, cause)
-                           for segments in requests]
+                issued += [self._issue(vec, stripe, run, landing, call, cause)
+                           for run in runs]
             if issued:
                 self._read_ahead(vec, need[-1], call, issued[-1])
             for fetch in issued + joined:
                 fetch.wanted.update(absent)
             if zeros:
                 # No backend wait: published inline.
-                segments = [(-1, zeros)]
-                fill = self._register(_Fetch(self.sim), vec, segments)
+                fill = self._register(_Fetch(self.sim), vec, -1, zeros)
                 fill.wanted.update(absent)
-                yield from self._fetch(fill, vec, segments, call, cause)
+                yield from self._fetch(fill, vec, -1, zeros, call, cause)
                 issued.append(fill)
             procs = [fetch.proc for fetch in issued if fetch.proc]
             if procs:
@@ -308,57 +297,29 @@ class DataStager:
                 runs.append([(q, lo, hi)])
         return runs, landing
 
-    def _extension(self, vec: SharedVector, stripe: int, plans: dict,
-                   claimed: dict, call: _Call):
-        """``((stripe', run), {page: device})`` or None: what the
-        request for ``stripe`` reads beyond it -- the first run of
-        ``stripe' = stripe + n_servers``, the stripe that follows it in
-        its server's datafile and the one :meth:`_read_ahead` would
-        queue on that server next -- when no demand of this call asks
-        for that stripe, it is not in ``vec.no_ahead`` and it has
-        absent pages that pass the landing rule."""
-        pfs = self.system.pfs
-        if pfs is None or self._stop:
-            return None
-        nxt = stripe + len(pfs.devices)
-        if nxt in plans or nxt in vec.no_ahead \
-                or nxt * pfs.stripe_size >= call.bsize:
-            return None
-        runs, landing = self._runs(vec, nxt, (), claimed, call)
-        if not runs:
-            return None
-        if len(runs) > 1:
-            # One stripe nobody asked for: its next run waits its turn.
-            self.system.monitor.count("stager.holes_skipped")
-        return (nxt, runs[0]), landing
-
-    def _register(self, fetch: _Fetch, vec: SharedVector,
-                  segments) -> _Fetch:
-        for stripe, run in segments:
-            for p, _lo, _hi in run:
-                vec.staging.setdefault(p, {})[stripe] = fetch
+    def _register(self, fetch: _Fetch, vec: SharedVector, stripe: int,
+                  run) -> _Fetch:
+        for p, _lo, _hi in run:
+            vec.staging.setdefault(p, {})[stripe] = fetch
         for dev, n in fetch.claims:
             vec.earmarked[dev] = vec.earmarked.get(dev, 0) + n
         return fetch
 
-    def _issue(self, vec: SharedVector, segments, landing: dict,
+    def _issue(self, vec: SharedVector, stripe: int, run, landing: dict,
                call: _Call, cause, trigger=None):
-        """Queue one backend request for ``segments`` (``[(stripe,
-        run), ...]``, all on one server) and start it; returns the
-        request. From here on its pages are in ``vec.staging``, its
-        server counts as busy and its pages' room is taken."""
-        read = self._backend_io(
-            call.node, vec,
-            [(run[0][1], run[-1][2]) for _s, run in segments], write=False)
-        pages = dict.fromkeys(p for _s, run in segments
-                              for p, _lo, _hi in run)
-        claims = [(landing[p], vec.page_nbytes(p)) for p in pages
+        """Queue one backend request for ``run`` of ``stripe`` and start
+        it; returns the request. From here on its pages are in
+        ``vec.staging``, its server counts as busy and its pages' room
+        is taken."""
+        read = self._backend_io(call.node, vec, [(run[0][1], run[-1][2])],
+                                write=False)
+        claims = [(landing[p], vec.page_nbytes(p)) for p, _lo, _hi in run
                   if landing.get(p) is not None]
         fetch = self._register(_Fetch(self.sim, read, claims, trigger),
-                               vec, segments)
+                               vec, stripe, run)
         fetch.proc = self.sim.process(
-            self._fetch(fetch, vec, segments, call, cause),
-            name=f"stage_in {vec.name}@{segments[0][0]}")
+            self._fetch(fetch, vec, stripe, run, call, cause),
+            name=f"stage_in {vec.name}@{stripe}")
         return fetch
 
     def _read_ahead(self, vec: SharedVector, stripe: int, call: _Call,
@@ -399,79 +360,61 @@ class DataStager:
                 if len(runs) > 1:
                     # One request per server: the next run waits its turn.
                     self.system.monitor.count("stager.holes_skipped")
-                self._issue(vec, [(s, runs[0])], landing, call, None,
-                            trigger)
+                self._issue(vec, s, runs[0], landing, call, None, trigger)
                 idle.discard(pfs.server_of(s))
 
-    def _fetch(self, fetch: _Fetch, vec: SharedVector, segments,
+    def _fetch(self, fetch: _Fetch, vec: SharedVector, stripe: int, run,
                call: _Call, cause):
-        """One backend request: read each segment's ``[run[0].lo,
-        run[-1].hi)`` in one backend charge, cut the bytes into page
-        pieces, publish the pages each segment completes with one
-        vectored put per segment. Generator. The first segment is what
-        the request is for: a demand's caller sees its failure. What
-        nobody asked for -- a read-ahead, a demand's extension -- that
-        dies is dropped and counted, and its stripe left to demand."""
+        """One backend request: read ``[run[0].lo, run[-1].hi)`` in one
+        backend charge, cut the bytes into page pieces, publish the
+        pages it completes with one vectored put. Generator. A demand's
+        caller sees its failure; a read-ahead that dies is dropped and
+        counted, and its stripe left to demand."""
         system = self.system
         node = call.node
-        extents = [(run[0][1], run[-1][2]) for _s, run in segments]
-        nbytes = sum(hi - lo for lo, hi in extents)
+        lo, hi = run[0][1], run[-1][2]
         ahead = fetch.trigger is not None
         ready = []
         try:
-            raws = [b""] * len(segments)
-            if nbytes:
+            raw = b""
+            if hi > lo:
                 with system.tracer.span(
                         "stage_in", "stager", node=node, vector=vec.name,
-                        tier="pfs", stripe=segments[0][0],
-                        stripes=[s for s, _run in segments], nbytes=nbytes,
-                        pages=sum(len(run) for _s, run in segments),
-                        ahead=ahead,
+                        tier="pfs", stripe=stripe, nbytes=hi - lo,
+                        pages=len(run), ahead=ahead,
                         cause=fetch.trigger.span_id if ahead else cause
                         ) as sp:
                     fetch.span_id = getattr(sp, "span_id", None)
                     yield from fetch.read
                 # The bytes are back, their publish is still to come:
                 # a server this leaves idle need not wait for it.
-                self._read_ahead(vec, segments[0][0], call, fetch)
+                self._read_ahead(vec, stripe, call, fetch)
                 if vec.destroyed:
                     raise VectorError(
                         f"vector {vec.name!r} destroyed under a stage-in")
-                backend = vec.ensure_backend()
-                raws = [backend.read_range(lo, hi - lo)
-                        for lo, hi in extents]
-                self._count(node, "in", nbytes, ahead)
+                raw = vec.ensure_backend().read_range(lo, hi - lo)
+                self._count(node, "in", hi - lo, ahead)
                 system.monitor.gauge("stager.last_byte_s").set(self.sim.now)
-                system.monitor.count("stager.reread_bytes", nbytes - sum(
-                    b - a for _s, run in segments for _p, a, b in run))
-            for i, (stripe, run) in enumerate(segments):
-                landed = self._complete(vec, stripe, run, raws[i],
-                                        extents[i][0], call)
-                ready += landed
-                try:
-                    infos = yield from self._publish(vec, landed, call)
-                except _REQUEST_ERRORS:
-                    if i == 0:
-                        raise
-                    self._drop_ahead(vec, stripe)
-                    continue
-                fetch.staged.update((p, (data, infos[p].tier))
-                                    for p, data, _owner in landed
-                                    if p in fetch.wanted)
+                system.monitor.count("stager.reread_bytes", hi - lo - sum(
+                    b - a for _p, a, b in run))
+            ready = self._complete(vec, stripe, run, raw, lo, call)
+            infos = yield from self._publish(vec, ready, call)
+            fetch.staged.update((p, (data, infos[p].tier))
+                                for p, data, _owner in ready
+                                if p in fetch.wanted)
         except _REQUEST_ERRORS:
             if not ahead:
                 raise
-            self._drop_ahead(vec, segments[0][0])
+            self._drop_ahead(vec, stripe)
         finally:
             # The pieces of a page count as fetched until its publish
             # is over, or a fault in between would read them again.
             for p, _data, _owner in ready:
                 vec.fragments.pop(p, None)
-            for stripe, run in segments:
-                for p, _a, _b in run:
-                    del vec.staging[p][stripe]
-                    if not vec.staging[p]:
-                        del vec.staging[p]
+            for p, _a, _b in run:
+                del vec.staging[p][stripe]
+                if not vec.staging[p]:
+                    del vec.staging[p]
             for dev, n in fetch.claims:
                 vec.earmarked[dev] -= n
             fetch.done.succeed()
@@ -517,8 +460,8 @@ class DataStager:
         return infos
 
     def _drop_ahead(self, vec: SharedVector, stripe: int) -> None:
-        """Nobody waits for a read-ahead or an extension: its pages
-        stay absent, the next demand stages them, nothing retries it."""
+        """Nobody waits for a read-ahead: its pages stay absent, the
+        next demand stages them, nothing retries it."""
         vec.no_ahead.add(stripe)
         self.system.monitor.count("stager.readahead_failed")
 

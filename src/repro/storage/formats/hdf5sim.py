@@ -1,11 +1,11 @@
 """A group-addressed chunked container format (``hdf5://`` scheme).
 
 Structural stand-in for HDF5: one file holds many named *groups*, each
-a contiguous dataset region with dtype metadata. Layout::
+a contiguous dataset region. Layout::
 
     [magic "HD5S"][u64 index_offset][data regions ...][JSON index]
 
-The JSON index maps group name -> {offset, nbytes, dtype}. Growing a
+The JSON index maps group name -> {offset, nbytes}. Growing a
 group relocates it to the end of the file (like HDF5's free-space
 reuse, simplified: old space is left as a hole until compaction).
 The vector key ``hdf5:///path/df.h5:mygroup`` addresses one group.
@@ -35,7 +35,6 @@ class Hdf5SimBackend(Backend):
         super().__init__(url)
         self.path = url.path
         self.group = url.params or DEFAULT_GROUP
-        self.dtype = np.dtype(dtype) if dtype is not None else None
         if not os.path.exists(self.path):
             if not create:
                 raise BackendError(f"no such file: {self.path}")
@@ -80,9 +79,7 @@ class Hdf5SimBackend(Backend):
         with open(self.path, "r+b") as fh:
             index = self._load_index()
             _, idx_off = self._read_header(fh)
-            entry = {"offset": idx_off, "nbytes": 0,
-                     "dtype": self.dtype.str if self.dtype else "|u1"}
-            index[self.group] = entry
+            index[self.group] = {"offset": idx_off, "nbytes": 0}
             fh.seek(idx_off)
             fh.truncate()
             self._save_index(fh, index)
@@ -114,8 +111,7 @@ class Hdf5SimBackend(Backend):
             fh.truncate()
             offset = fh.tell()
             fh.write(raw)
-            index[name] = {"offset": offset, "nbytes": len(raw),
-                           "dtype": array.dtype.str}
+            index[name] = {"offset": offset, "nbytes": len(raw)}
             self._save_index(fh, index)
 
     # -- flat image over this backend's group -----------------------------
@@ -159,6 +155,5 @@ class Hdf5SimBackend(Backend):
             fh.seek(new_off)
             fh.write(old)
             fh.write(b"\0" * (nbytes - len(old)))
-            index[self.group] = {"offset": new_off, "nbytes": nbytes,
-                                 "dtype": entry["dtype"]}
+            index[self.group] = {"offset": new_off, "nbytes": nbytes}
             self._save_index(fh, index)

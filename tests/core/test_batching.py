@@ -318,7 +318,7 @@ def test_batch_task_aggregates():
                       client_node=0, tasks=tasks)
     assert len(batch) == 3
     assert batch.nbytes == 30
-    assert batch.pages == [3, 4, 7]
+    assert [t.page_idx for t in batch.tasks] == [3, 4, 7]
 
 
 def test_coalesce_page_runs():

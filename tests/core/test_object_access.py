@@ -545,7 +545,7 @@ def test_a_failing_part_fails_the_batch_once_and_ships_no_reply():
     inner = executor.execute_batch
 
     def failing(batch):
-        if bad in batch.pages:
+        if bad in [t.page_idx for t in batch.tasks]:
             yield sim.timeout(1e-4)     # the healthy parts finish first
             raise RuntimeError("part failed")
         return (yield from inner(batch))

@@ -134,7 +134,7 @@ def test_frame_holds_exactly_the_extents_it_was_given():
     frame = Frame()
     a, grew = frame.span(100, 164)
     a[:] = 1
-    assert (grew, frame.held, frame.data) == (64, 64, None)
+    assert (grew, frame.held, frame.starts) == (64, 64, [100])
     # Touching extents stay separate buffers: no recopy of neighbours.
     b, grew = frame.span(164, 200)
     b[:] = 2
@@ -161,8 +161,8 @@ def test_frame_holds_exactly_the_extents_it_was_given():
     # One extent from byte 0 is what "dense" means.
     whole, grew = frame.span(0, 400)
     assert grew == 400 - 210 and frame.held == 400
-    assert frame.data is not None and np.shares_memory(whole, frame.data)
-    assert frame.data[100:150].tolist() == [1] * 50
+    assert frame.starts == [0] and np.shares_memory(whole, frame.bufs[0])
+    assert frame.bufs[0][100:150].tolist() == [1] * 50
 
 
 def test_dense_frame_hands_out_aliasing_chunks():
@@ -177,8 +177,9 @@ def test_dense_frame_hands_out_aliasing_chunks():
         yield from vec.tx_begin(SeqTx(0, 2 * EPP, MM_READ_WRITE))
         chunk = yield from vec.next_chunk()
         frame = vec.frames[0]
-        assert len(frame.data) == PAGE and frame.held == PAGE
-        assert np.shares_memory(chunk.data, frame.data)
+        assert frame.starts == [0] and len(frame.bufs[0]) == PAGE
+        assert frame.held == PAGE
+        assert np.shares_memory(chunk.data, frame.bufs[0])
         chunk.data[:] = 7
         assert frame.read(0, 8).view(np.int64)[0] == 7
         assert vec.pcache_used == PAGE
@@ -410,7 +411,7 @@ def test_prefetch_reads_ahead_the_missing_remainder_of_a_page():
         assert vec.pcache_used == PAGE + OBJ
         yield frame.pending
         assert list(frame.valid) == [(0, PAGE)] and frame.held == PAGE
-        assert len(frame.data) == PAGE
+        assert frame.starts == [0] and len(frame.bufs[0]) == PAGE
         # Only the three gaps around the two resident extents moved.
         assert _counter(system, "bytes.copied") - copied == PAGE - 2 * OBJ
         faults = _counter(system, "pcache.faults")

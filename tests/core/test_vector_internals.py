@@ -249,7 +249,7 @@ def test_chunk_aliases_cache_until_eviction(dsm):
         chunk.data[:] = 5
         # The frame sees the mutation (aliasing, not a copy).
         frame = vec.frames[0]
-        got = frame.data[:4].view(np.int32)[0]
+        got = frame.read(0, 4).view(np.int32)[0]
         yield from vec.tx_end()
         return int(got)
 

@@ -460,7 +460,7 @@ def test_write_only_stream_is_not_hauled_back_to_its_writer():
                 yield from vec.write_range(off, data[off:off + PAGE // 2])
             yield from vec.tx_end()
             yield from vec.flush(wait=True)
-        yield from ctx.compute_seconds(2.5 * organizer.SWEEP_PERIOD)
+        yield ctx.sim.timeout(2.5 * organizer.SWEEP_PERIOD)
 
     c = testbed(n_nodes=2, procs_per_node=1, nvme_mb=0, page_size=PAGE)
     c.run(app)

@@ -111,7 +111,7 @@ def test_flush_snapshot_survives_later_frame_writes():
         yield from vec.flush(wait=True)
         for frame in vec.frames.values():
             with pytest.raises(ValueError):
-                frame.data[:] = 7
+                frame.bufs[0][:] = 7
         yield from vec.tx_end()
         ready.succeed()
 

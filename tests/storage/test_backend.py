@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage import BackendError, open_backend, parse_url
-from repro.storage.formats.hdf5sim import Hdf5SimBackend
+from repro.storage.formats.hdf5sim import HEADER, Hdf5SimBackend
 from repro.storage.formats.parquetsim import ParquetSimBackend
 
 
@@ -105,8 +105,8 @@ def test_hdf5_group_roundtrip(tmp_path):
     data = np.arange(12, dtype=np.float32)
     be.write_group("pos", data)
     assert np.array_equal(_group(path, "pos", np.float32), data)
-    assert open_backend(f"hdf5://{path}:pos")._index["pos"]["dtype"] \
-        == np.dtype(np.float32).str
+    assert open_backend(f"hdf5://{path}:pos")._index["pos"] \
+        == {"offset": HEADER.size, "nbytes": data.nbytes}
 
 
 def test_hdf5_multiple_groups_independent(tmp_path):

