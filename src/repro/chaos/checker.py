@@ -351,7 +351,7 @@ def check_conservation(system, vectors=()) -> List[str]:
                 problems.append(
                     f"{dev.name}: used {dev.used} outside "
                     f"[0, {dev.capacity}]")
-            blob_bytes = sum(len(b) for b in dev._blobs.values())
+            blob_bytes = dev.stored_bytes()
             if dev is dmsh.tiers[0]:
                 blob_bytes += int(system.monitor.metrics.gauge(
                     "pcache_inflight_bytes", node=node).value)

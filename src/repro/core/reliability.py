@@ -14,9 +14,10 @@ This module implements both extensions:
   the primary). :func:`fail_node` drops a node's devices; reads fail
   over to a surviving replica and the page is re-replicated lazily.
 * **Integrity checksums** — every page write records a CRC32; reads
-  verify it. :func:`corrupt_page` flips bits in a stored blob (the
-  DRAM bit-flip of §V); a checksum mismatch triggers recovery from a
-  replica or, for persisted pages, a backend re-stage.
+  verify it. :func:`corrupt_page` flips a bit in a stored blob on
+  whatever tier holds it (the memory corruption of §V); a checksum
+  mismatch triggers recovery from a replica or, for persisted pages,
+  a backend re-stage.
 """
 
 from __future__ import annotations
@@ -276,8 +277,9 @@ class ReliabilityManager:
 
 def corrupt_page(system, vec_name: str, page_idx: int,
                  byte_offset: int = 0) -> bool:
-    """Test hook: flip a bit of a stored page blob (a DRAM bit flip,
-    paper §V Memory Corruption). Returns True if a blob was hit."""
+    """Test hook: flip a bit of a stored page blob on whatever tier
+    its primary copy is (paper §V Memory Corruption). Returns True if
+    a blob was hit."""
     info = system.hermes.mdm.peek(vec_name, page_idx)
     if info is None:
         return False
@@ -285,7 +287,5 @@ def corrupt_page(system, vec_name: str, page_idx: int,
     key = (vec_name, page_idx)
     if key not in dev:
         return False
-    raw = bytearray(dev.peek(key))
-    raw[byte_offset % len(raw)] ^= 0x01
-    dev._blobs[key] = bytes(raw)
+    dev.flip_bit(key, byte_offset)
     return True

@@ -11,15 +11,22 @@ bandwidth only. Blobs on such a device take their address from an
 append cursor, so a burst of puts is one run and reads back as one.
 Every other device pays ``latency`` per operation. ``DeviceSpec.xfer_time``
 (latency included) stays the estimate that placement reads. Content is
-*real*: ``put`` stores an immutable buffer, ``get`` returns it
-bit-exact, so the DSM on top is functionally correct, while residency
-and movement costs reproduce the performance shape of tiered hardware.
+*real*: ``get`` returns what ``put`` stored, bit-exact, so the DSM on
+top is functionally correct, while residency and movement costs
+reproduce the performance shape of tiered hardware. A byte-addressable
+tier (DRAM, CXL, PMEM) stores an immutable buffer and hands it out
+again; a block tier (NVMe, SSD, HDD) keeps its blobs' bytes in one
+anonymous file on the host, so host memory follows the simulated
+memory tiers, not the capacity tiers.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
+import weakref
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -48,8 +55,9 @@ class DeviceSpec:
         Dollars per GB (paper IV-B3: HDD $.02, SATA SSD $.04,
         NVMe $.08).
     byte_addressable:
-        True for DRAM/CXL (no block granularity penalty is modelled
-        either way; the flag informs placement policies).
+        True for DRAM/CXL/PMEM (no block granularity penalty is
+        modelled either way; the flag informs placement policies, and
+        a device without it keeps its blobs' bytes in a host file).
     durable:
         True for media whose contents survive a node crash (PMEM,
         NVMe, SSD, HDD). The durability subsystem hosts its
@@ -100,6 +108,14 @@ class Device:
     cursor's address, a same-size overwrite keeps its own. The cursor
     wraps at capacity; the space an older copy leaves behind is not
     reclaimed or charged (no compaction is modelled).
+
+    Host side, ``_blobs`` maps a key to the stored buffer on a
+    byte-addressable tier, and to ``(host offset, nbytes, medium
+    address)`` on a block tier, whose bytes sit in an unlinked file in
+    the current directory, opened at the first put. The host offset is
+    not the medium address: a blob's extent comes from an exact-size
+    free list (a freed extent goes to the next blob of its size) or
+    the end of the file, which never shrinks.
     """
 
     def __init__(self, sim: Simulator, spec: DeviceSpec, name: str,
@@ -109,13 +125,18 @@ class Device:
         self.name = name
         self.monitor = monitor
         self._queue = Resource(sim, capacity=1, name=f"{name}.q")
-        self._blobs: Dict[object, object] = {}  # bytes or memoryview
+        self._blobs: Dict[object, object] = {}
+        # A device with a head is a block device.
+        self._in_file = spec.rotational or not spec.byte_addressable
+        self._file = None
+        self._holes: Dict[int, List[int]] = {}  # nbytes -> free offsets
+        self.file_bytes = 0     # the host file's size
         self.used = 0
         self.bytes_read = 0
         self.bytes_written = 0  # doubles as the wear counter
         self._head = None       # (stream, offset) after the last op
-        self._addr: Dict[object, int] = {}  # rotational: blob -> address
         self._cursor = 0
+        self._m_file = None
         if monitor is not None:
             self._m_read = monitor.metrics.counter(f"{name}.bytes_read")
             self._m_write = monitor.metrics.counter(f"{name}.bytes_write")
@@ -124,6 +145,8 @@ class Device:
             if spec.rotational:
                 self._m_seeks = monitor.metrics.counter(f"{name}.seeks")
             self._m_used = monitor.gauge(f"{name}.used")
+            if self._in_file:
+                self._m_file = monitor.metrics.counter("storage.file_bytes")
         #: Fault-injection hook (``repro.chaos``). When set, each timed
         #: transfer asks ``chaos.stall_time(device, nbytes, write)`` for
         #: extra service time (slow-tier stall windows). ``None`` (the
@@ -147,6 +170,16 @@ class Device:
 
     def keys(self):
         return self._blobs.keys()
+
+    def _nbytes(self, blob) -> int:
+        """Size of a ``_blobs`` entry (0 for ``None``)."""
+        if blob is None:
+            return 0
+        return blob[1] if self._in_file else len(blob)
+
+    def stored_bytes(self) -> int:
+        """Bytes of all blobs held (reservations not included)."""
+        return sum(map(self._nbytes, self._blobs.values()))
 
     # -- timed transfers -------------------------------------------------
     def _xfer(self, nbytes: int, write: bool, stream=None, offset=None):
@@ -184,12 +217,72 @@ class Device:
         (``None`` on a device without a head)."""
         if not self.spec.rotational:
             return None
-        addr = self._addr.get(key)
-        if addr is None or len(self._blobs.get(key, b"")) != nbytes:
-            if self._cursor + nbytes > self.spec.capacity:
-                self._cursor = 0
-            addr, self._cursor = self._cursor, self._cursor + nbytes
+        blob = self._blobs.get(key)
+        if blob is not None and blob[1] == nbytes:
+            return blob[2]
+        if self._cursor + nbytes > self.spec.capacity:
+            self._cursor = 0
+        addr, self._cursor = self._cursor, self._cursor + nbytes
         return addr
+
+    def _store(self, key, raw, addr) -> None:
+        """Keep ``raw`` as the blob at ``key``: the buffer itself on a
+        byte-addressable tier; on a block tier, written over a
+        same-size blob or into a free extent of its size, else at the
+        end of the device's file."""
+        if not self._in_file:
+            self._blobs[key] = raw
+            return
+        n = len(raw)
+        old = self._blobs.get(key)
+        if old is not None and old[1] == n:
+            host = old[0]
+        else:
+            if old is not None:
+                self._holes.setdefault(old[1], []).append(old[0])
+            holes = self._holes.get(n)
+            if holes:
+                host = holes.pop()
+            else:
+                if self._file is None:
+                    self._file = tempfile.TemporaryFile(dir=".")
+                    weakref.finalize(self, self._file.close)
+                host = self.file_bytes
+                self.file_bytes += n
+                if self._m_file is not None:
+                    self._m_file.inc(n)
+        self._pwrite(raw, host)
+        self._blobs[key] = (host, n, addr)
+
+    def _pwrite(self, raw, host: int) -> None:
+        if os.pwrite(self._file.fileno(), raw, host) != len(raw):
+            raise OSError(f"{self.name}: short write to the device file")
+
+    def _read(self, key, offset: int = 0, nbytes: Optional[int] = None):
+        """Untimed read of ``nbytes`` of blob ``key`` from ``offset``
+        (``None``: the whole blob) as ``(bytes, medium address)``. A
+        byte-addressable tier hands out its stored, immutable buffer
+        or a view into it; a block tier reads a fresh buffer."""
+        blob = self._blobs[key]
+        size = self._nbytes(blob)
+        whole = nbytes is None
+        if whole:
+            nbytes = size
+        if offset < 0 or offset + nbytes > size:
+            raise IndexError(
+                f"range [{offset}, {offset + nbytes}) outside blob of "
+                f"{size} bytes")
+        if not self._in_file:
+            return (blob if whole
+                    else memoryview(blob)[offset:offset + nbytes]), None
+        return (os.pread(self._file.fileno(), nbytes, blob[0] + offset),
+                self._at(blob, offset))
+
+    def _at(self, blob, offset: int):
+        """Medium address of byte ``offset`` of ``blob`` (``None`` on a
+        device without a head)."""
+        addr = blob[2] if self._in_file else None
+        return None if addr is None else addr + offset
 
     def put(self, key, data):
         """Timed write of a blob (replaces any existing blob at ``key``).
@@ -199,7 +292,7 @@ class Device:
         Generator: use ``yield from device.put(k, d)``.
         """
         raw = self._as_bytes(data)
-        delta = len(raw) - len(self._blobs.get(key, b""))
+        delta = len(raw) - self._nbytes(self._blobs.get(key))
         if delta > self.free:
             raise DeviceFullError(
                 f"{self.name}: need {delta} more bytes, only {self.free} free")
@@ -207,53 +300,53 @@ class Device:
         yield from self._xfer(len(raw), True, offset=addr)
         # Re-check: a concurrent writer may have consumed capacity
         # while this transfer was queued.
-        delta = len(raw) - len(self._blobs.get(key, b""))
+        delta = len(raw) - self._nbytes(self._blobs.get(key))
         if delta > self.free:
             raise DeviceFullError(
                 f"{self.name}: need {delta} more bytes, only {self.free} free")
-        self._blobs[key] = raw
-        if addr is not None:
-            self._addr[key] = addr
+        self._store(key, raw, addr)
         self.used += delta
         self.bytes_written += len(raw)
         if self.monitor is not None:
             self._m_used.set(self.used)
 
     def get(self, key):
-        """Timed read returning the blob's bytes. Generator."""
-        raw = self._blobs[key]
-        yield from self._xfer(len(raw), False, offset=self._addr.get(key))
+        """Timed read returning the blob's bytes (read when the call
+        is made). Generator."""
+        raw, addr = self._read(key)
+        yield from self._xfer(len(raw), False, offset=addr)
         self.bytes_read += len(raw)
         return raw
 
-    def _at(self, key, offset: int):
-        """Medium address of byte ``offset`` of blob ``key``."""
-        addr = self._addr.get(key)
-        return None if addr is None else addr + offset
-
     def get_range(self, key, offset: int, nbytes: int):
-        """Timed partial read of ``nbytes`` starting at ``offset``."""
-        raw = self._blobs[key]
-        if offset < 0 or offset + nbytes > len(raw):
-            raise IndexError(
-                f"range [{offset}, {offset + nbytes}) outside blob of "
-                f"{len(raw)} bytes")
-        yield from self._xfer(nbytes, False, offset=self._at(key, offset))
+        """Timed partial read of ``nbytes`` starting at ``offset``: on
+        a byte-addressable tier a view into the stored (immutable)
+        bytes, so the read costs no host-side copy up the stack; on a
+        block tier a fresh buffer read from the device's file."""
+        raw, addr = self._read(key, offset, nbytes)
+        yield from self._xfer(nbytes, False, offset=addr)
         self.bytes_read += nbytes
-        # A view into the stored (immutable) bytes: partial reads cost
-        # no host-side copy anywhere up the stack.
-        return memoryview(raw)[offset:offset + nbytes]
+        return raw
 
     def put_range(self, key, offset: int, data):
         """Timed partial overwrite inside an existing blob."""
         raw = self._as_bytes(data)
         blob = self._blobs[key]
-        if offset < 0 or offset + len(raw) > len(blob):
+        size = self._nbytes(blob)
+        if offset < 0 or offset + len(raw) > size:
             raise IndexError(
                 f"range [{offset}, {offset + len(raw)}) outside blob of "
-                f"{len(blob)} bytes")
-        yield from self._xfer(len(raw), True, offset=self._at(key, offset))
+                f"{size} bytes")
+        yield from self._xfer(len(raw), True, offset=self._at(blob, offset))
         self.bytes_written += len(raw)
+        # Into the blob as it is now: a crash or a put may have dropped
+        # or resized it while the transfer was queued.
+        blob = self._blobs.get(key)
+        if blob is None or offset + len(raw) > self._nbytes(blob):
+            return
+        if self._in_file:
+            self._pwrite(raw, blob[0] + offset)
+            return
         if len(raw) < len(blob):  # else the whole blob: store raw
             raw = b"".join((blob[:offset], raw, blob[offset + len(raw):]))
         self._blobs[key] = raw
@@ -296,18 +389,33 @@ class Device:
 
     # -- untimed management ops (metadata-only) ---------------------------
     def peek(self, key):
-        """Untimed read (used by tests/verification, never by the DSM
-        data path)."""
-        return self._blobs[key]
+        """Untimed read of a whole blob (verification, integrity and
+        write-ahead staging; never a data-path read)."""
+        return self._read(key)[0]
+
+    def flip_bit(self, key, offset: int) -> None:
+        """Untimed fault injection: flip the low bit of byte ``offset``
+        (modulo the blob's size) of blob ``key``."""
+        blob = self._blobs[key]
+        if self._in_file:
+            host = blob[0] + offset % blob[1]
+            byte = os.pread(self._file.fileno(), 1, host)[0]
+            self._pwrite(bytes((byte ^ 0x01,)), host)
+            return
+        raw = bytearray(blob)
+        raw[offset % len(raw)] ^= 0x01
+        self._blobs[key] = bytes(raw)
 
     def delete(self, key) -> int:
         """Free a blob; returns bytes released. Untimed (TRIM-like)."""
-        raw = self._blobs.pop(key)
-        self._addr.pop(key, None)
-        self.used -= len(raw)
+        blob = self._blobs.pop(key)
+        nbytes = self._nbytes(blob)
+        if self._in_file:
+            self._holes.setdefault(nbytes, []).append(blob[0])
+        self.used -= nbytes
         if self.monitor is not None:
             self._m_used.set(self.used)
-        return len(raw)
+        return nbytes
 
     def _as_bytes(self, data):
         """A payload as an immutable buffer (the persist boundary).

@@ -6,12 +6,16 @@ the server device's transfer time, servers proceeding in parallel (the
 source of PFS aggregate bandwidth). Each server operation names its
 file and the offset in that file's datafile on the server, so an HDD
 server pays its seek only where an operation does not continue the one
-before it. Content is functional: each file is a real bytearray
-holding what the baselines wrote.
+before it. Content is functional: each file's bytes sit in an
+unlinked host file in the current directory, written where the
+baselines wrote them; a hole reads as zeros.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
+import weakref
 from typing import Dict, List, Optional
 
 from repro.net.fabric import Network
@@ -53,13 +57,15 @@ class ParallelFS:
                    monitor=monitor)
             for node in server_nodes
         ]
-        self._files: Dict[str, bytearray] = {}
+        self._files: Dict[str, object] = {}  # path -> host file
 
     # -- namespace ----------------------------------------------------------
-    def _file(self, path: str) -> bytearray:
+    def _file(self, path: str) -> bytes:
+        """Untimed read of a whole file's content."""
         if path not in self._files:
             raise PfsError(f"no such PFS file: {path}")
-        return self._files[path]
+        fd = self._files[path].fileno()
+        return os.pread(fd, os.fstat(fd).st_size, 0)
 
     def server_of(self, stripe_idx: int) -> int:
         """Index (into ``devices`` / ``server_nodes``) of the server
@@ -117,12 +123,10 @@ class ParallelFS:
         if offset < 0:
             raise PfsError(f"negative offset {offset}")
         data = bytes(data)
-        buf = self._files.setdefault(path, bytearray())
-        if offset > len(buf):
-            buf.extend(b"\0" * (offset - len(buf)))
+        if path not in self._files:
+            f = self._files[path] = tempfile.TemporaryFile(dir=".")
+            weakref.finalize(self, f.close)
         yield from self.charge(client_node, [(offset, len(data))],
                                write=True, file=path)
-        end = offset + len(data)
-        if end > len(buf):
-            buf.extend(b"\0" * (end - len(buf)))
-        buf[offset:end] = data
+        if os.pwrite(self._files[path].fileno(), data, offset) != len(data):
+            raise PfsError(f"short write to the host file of {path}")

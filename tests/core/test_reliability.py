@@ -183,6 +183,39 @@ def test_corruption_detected_and_recovered_from_replica():
     assert system.monitor.counter("reliability.corruptions") > 0
 
 
+def test_corruption_of_an_nvme_page_flips_one_bit_and_is_recovered():
+    """A page whose primary sits on NVMe (bytes in the device's file):
+    the injected flip changes exactly one bit of the stored blob, and
+    the read that detects it restores the page from its replica."""
+    sim, system = build_system(n_nodes=3, replication_factor=2,
+                               integrity_checks=True)
+    app, data = _write(system, system.client(rank=0, node=0))
+    run_procs(sim, app())
+    info = system.hermes.mdm.peek("v", 0)
+    primary = info.node
+    run_procs(sim, system.hermes.move("v", 0, primary, "nvme"))
+    nvme = system.dmshs[primary].tier("nvme")
+    before = np.frombuffer(nvme.peek(("v", 0)), dtype=np.uint8)
+    assert corrupt_page(system, "v", 0, byte_offset=5)
+    after = np.frombuffer(nvme.peek(("v", 0)), dtype=np.uint8)
+    assert np.unpackbits(before ^ after).sum() == 1
+
+    def reread():
+        client = system.client(1, primary)
+        vec = yield from client.vector("v", dtype=np.int32)
+        yield from vec.tx_begin(SeqTx(0, N, MM_READ_ONLY))
+        out = yield from vec.read_range(0, N)
+        yield from vec.tx_end()
+        return out
+
+    out, = run_procs(sim, reread())
+    assert np.array_equal(out, data)
+    assert system.monitor.counter("reliability.corruptions") > 0
+    info = system.hermes.mdm.peek("v", 0)
+    restored = system.dmshs[info.node].tier(info.tier).peek(("v", 0))
+    assert np.array_equal(np.frombuffer(restored, dtype=np.uint8), before)
+
+
 def test_corruption_recovered_from_backend(tmp_path):
     sim, system = build_system(n_nodes=2, integrity_checks=True)
     c0 = system.client(rank=0, node=0)

@@ -1,5 +1,8 @@
 """Unit tests for the Device model and DMSH."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +139,31 @@ def test_put_range_partial_overwrite():
     assert run(sim, proc()) == b"\0\0\0\xff\xff\0\0\0\0\0"
 
 
+@pytest.mark.parametrize("spec", [DRAM, NVME], ids=["dram", "nvme"])
+def test_put_range_lands_in_the_blob_as_it_is_when_it_ends(spec):
+    """A blob deleted while a partial write is in flight stays deleted,
+    and one re-put meanwhile takes the write into its new content."""
+    sim = Simulator()
+    dev = Device(sim, spec.with_capacity(MB), "d0")
+
+    def proc():
+        yield from dev.put("gone", b"\0" * 4096)
+        yield from dev.put("kept", b"\0" * 4096)
+        reput = sim.process(dev.put("kept", b"\1" * 200))
+        yield sim.timeout(0)        # the re-put holds the queue
+        writes = [sim.process(dev.put_range(key, 0, b"\xff" * 100))
+                  for key in ("gone", "kept")]
+        yield sim.timeout(0)        # both writes queue behind it
+        dev.delete("gone")
+        for done in [reput, *writes]:
+            yield done
+
+    run(sim, proc())
+    assert "gone" not in dev
+    assert dev.peek("kept") == b"\xff" * 100 + b"\1" * 100
+    assert dev.used == dev.stored_bytes() == 200
+
+
 def test_device_serializes_concurrent_transfers():
     sim = Simulator()
     spec = DeviceSpec("x", capacity=MB, read_bw=100.0, write_bw=100.0,
@@ -189,6 +217,11 @@ def hdd(capacity=MB, monitor=True):
 
 def seeks(dev):
     return dev.monitor.counter(f"{dev.name}.seeks")
+
+
+def addrs(dev):
+    """Each blob's address in the device's blob log."""
+    return {key: blob[2] for key, blob in dev._blobs.items()}
 
 
 def test_random_4k_hdd_reads_pay_a_seek_each():
@@ -305,7 +338,7 @@ def test_same_size_overwrite_stays_in_place():
         yield from dev.get_range("a", KB4, KB4)       # seek back to 12K
 
     run(sim, proc())
-    assert dev._addr == {"a": 2 * KB4, "b": KB4}
+    assert addrs(dev) == {"a": 2 * KB4, "b": KB4}
     assert seeks(dev) == 3
 
 
@@ -319,7 +352,7 @@ def test_append_cursor_wraps_at_capacity():
         yield from dev.put(3, b"\0" * KB4)
 
     run(sim, proc())
-    assert dev._addr == {1: KB4, 2: 2 * KB4, 3: 0}
+    assert addrs(dev) == {1: KB4, 2: 2 * KB4, 3: 0}
 
 
 def test_perf_scores_are_ordered():
@@ -393,3 +426,115 @@ def test_dmsh_deeper_with_room_walks_down():
     assert dmsh.deeper_with_room(dram, 1000).spec.kind == "nvme"
     assert dmsh.deeper_with_room(dram, 1001).spec.kind == "hdd"
     assert dmsh.deeper_with_room(dmsh.tier("hdd"), 1) is None
+
+
+# -- where a block tier keeps its bytes: one anonymous file per device ------
+
+def _extents_disjoint(dev):
+    spans = sorted((host, host + n) for host, n, _addr in dev._blobs.values())
+    return all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("spec", [NVME, HDD], ids=["nvme", "hdd"])
+def test_block_store_matches_a_dict_model(spec, seed):
+    """Random puts (overwrites at a new size included), partial writes,
+    whole and partial reads and deletes against a dict of bytes: every
+    read is bit-exact, ``used`` is the model's total, and no two live
+    blobs share a byte of the host file."""
+    sim = Simulator()
+    dev = Device(sim, spec.with_capacity(MB), "d0")
+    rng = np.random.default_rng(seed)
+    model = {}
+
+    def payload(n):
+        return rng.integers(0, 256, n, dtype=np.uint8).tobytes()
+
+    def proc():
+        for _ in range(400):
+            op = rng.integers(5)
+            key = int(rng.integers(8))
+            if op == 0 or key not in model:
+                model[key] = payload(int(rng.choice([0, 16, 100, 4096])))
+                yield from dev.put(key, model[key])
+            elif op == 1 and model[key]:
+                lo = int(rng.integers(len(model[key])))
+                part = payload(int(rng.integers(1, len(model[key]) - lo + 1)))
+                yield from dev.put_range(key, lo, part)
+                old = model[key]
+                model[key] = old[:lo] + part + old[lo + len(part):]
+            elif op == 2:
+                assert bytes((yield from dev.get(key))) == model[key]
+            elif op == 3 and model[key]:
+                lo = int(rng.integers(len(model[key])))
+                n = int(rng.integers(len(model[key]) - lo + 1))
+                part = yield from dev.get_range(key, lo, n)
+                assert bytes(part) == model[key][lo:lo + n]
+            elif op == 4:
+                assert dev.delete(key) == len(model.pop(key))
+            assert dev.used == sum(map(len, model.values()))
+            assert _extents_disjoint(dev)
+        assert {k: bytes(dev.peek(k)) for k in dev.keys()} == model
+
+    run(sim, proc())
+
+
+def test_block_blobs_stay_off_the_python_heap():
+    """16 MB of blobs put onto an NVMe device leave the traced heap
+    within 1 MB: the bytes went to the device's file."""
+    sim = Simulator()
+    dev = Device(sim, NVME.with_capacity(32 * MB), "d0")
+
+    def proc():
+        for k in range(16):
+            yield from dev.put(k, bytes([k]) * MB)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run(sim, proc())
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < MB
+    assert dev.peek(7) == bytes([7]) * MB
+
+
+def test_freed_extents_are_reused_by_same_size_blobs():
+    """1 000 put/delete cycles with at most four blobs alive at once:
+    the file never grows past those four."""
+    sim = Simulator()
+    dev = Device(sim, NVME.with_capacity(MB), "d0")
+
+    def proc():
+        for k in range(1000):
+            yield from dev.put(k, bytes([k % 256]) * KB4)
+            if k >= 3:
+                dev.delete(k - 3)
+
+    run(sim, proc())
+    assert dev.file_bytes == os.fstat(dev._file.fileno()).st_size \
+        <= 4 * KB4
+    assert all(dev.peek(k) == bytes([k % 256]) * KB4
+               for k in range(997, 1000))
+
+
+def test_a_run_leaves_no_file_behind(tmp_path, monkeypatch):
+    """Device files and PFS files are unlinked at creation: a cluster
+    whose NVMe tiers held blobs leaves only its checkpoints in the
+    directory it ran in."""
+    from repro.apps.grayscott import GSParams, mm_gray_scott
+    from repro.pipeline import build_cluster
+
+    monkeypatch.chdir(tmp_path)
+    cluster = build_cluster(dict(n_nodes=2, procs_per_node=1, dram_mb=1,
+                                 nvme_mb=32, page_size=16 * 1024))
+    cluster.run(mm_gray_scott, 32, 2, 1, None, GSParams(), "posix://ck",
+                True)
+    cluster.sim.run(until=cluster.sim.process(
+        cluster.pfs.write(0, "/x", 0, b"payload")))
+    cluster.shutdown()
+    assert cluster.system.stats()["storage.file_bytes"] > 0
+    assert cluster.pfs._file("/x") == b"payload"
+    left = sorted(p.name for p in tmp_path.rglob("*"))
+    assert left == ["ck_1.u", "ck_1.v", "ck_2.u", "ck_2.v"]
