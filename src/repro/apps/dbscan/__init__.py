@@ -2,8 +2,8 @@
 
 Recursive kd-style median splits partition space across processes
 (exchanging points alltoall), each process clusters its cell locally
-(scipy cKDTree region queries), and the µclusters are merged across
-cell boundaries with a union-find over eps-close core points.
+(scipy cKDTree region queries), and the µclusters joined across cell
+boundaries by eps-close pairs are merged as connected components.
 """
 
 from repro.apps.dbscan.common import merge_labels, local_dbscan, reference_dbscan

@@ -5,6 +5,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 
@@ -43,66 +45,48 @@ def local_dbscan(xyz: np.ndarray, eps: float, min_pts: int
     return labels, is_core
 
 
-class UnionFind:
-    """Path-compressed union-find over hashable ids."""
-
-    def __init__(self):
-        self.parent: Dict = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def merge_labels(boundary_xyz: List[np.ndarray],
                  boundary_ids: List[np.ndarray],
                  boundary_core: List[np.ndarray],
-                 eps: float) -> Dict:
-    """Union µcluster ids whose core points from different processes
-    lie within eps. ``boundary_ids`` carries (rank, local_label) pairs
-    encoded as rank * 2^32 + label. Returns the union-find parent map.
+                 eps: float) -> Dict[int, int]:
+    """Merge µclusters joined across processes by an eps-close pair.
+
+    ``boundary_ids`` carries (rank, local_label) pairs encoded as
+    rank * 2^32 + label. Two µclusters merge when an eps-close pair of
+    their points has at least one core side (border points attach to
+    the core's cluster; two cores always merge). Returns each gid's
+    global id: the smallest gid of its connected component, so the
+    result depends only on the boundary sets, not on their order.
     """
-    uf = UnionFind()
     pts = [p for p in boundary_xyz if len(p)]
     if not pts:
-        return uf.parent
+        return {}
     all_xyz = np.vstack(pts)
     all_ids = np.concatenate([i for i in boundary_ids if len(i)])
     all_core = np.concatenate([c for c in boundary_core if len(c)])
-    for gid in all_ids:
-        uf.find(int(gid))
-    tree = cKDTree(all_xyz)
-    pairs = tree.query_pairs(eps, output_type="ndarray")
-    for a, b in pairs:
-        if all_ids[a] == all_ids[b]:
-            continue
-        # Merge when at least one side is core (border points attach
-        # to the core's cluster; two cores always merge).
-        if all_core[a] or all_core[b]:
-            uf.union(int(all_ids[a]), int(all_ids[b]))
-    return uf.parent
+    gids, node = np.unique(all_ids, return_inverse=True)
+    # cKDTree.query's bound is strict, and a pair at exactly eps joins.
+    bound = np.nextafter(eps, np.inf)
+    edges = [np.empty((2, 0), dtype=np.int64)]
+    for u in np.unique(node[all_core]):
+        others = node != u
+        tree = cKDTree(all_xyz[(node == u) & all_core])
+        dist, _ = tree.query(all_xyz[others], distance_upper_bound=bound)
+        hit = np.unique(node[others][np.isfinite(dist)])
+        edges.append(np.vstack([np.full(len(hit), u), hit]))
+    rows, cols = np.hstack(edges)
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)),
+                       shape=(len(gids), len(gids)))
+    _, comp = connected_components(graph, directed=False)
+    # gids is sorted, so a component's first node holds its smallest gid.
+    smallest = gids[np.unique(comp, return_index=True)[1]]
+    return dict(zip(gids.tolist(), smallest[comp].tolist()))
 
 
 def encode_gid(rank: int, label: np.ndarray) -> np.ndarray:
     """(rank, local label) -> global µcluster id; noise stays -1."""
     gid = rank * (1 << 32) + label
     return np.where(label < 0, -1, gid)
-
-
-def resolve(parent: Dict, gid: int) -> int:
-    while parent.get(gid, gid) != gid:
-        gid = parent[gid]
-    return gid
 
 
 def reference_dbscan(xyz: np.ndarray, eps: float,

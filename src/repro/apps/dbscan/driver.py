@@ -9,8 +9,9 @@ points are loaded and results stored). Steps:
    owning side (the paper's kd-tree construction, IV-A2);
 2. local DBSCAN in each process's cell;
 3. boundary merge — points within eps of the cell's bounding box are
-   allgathered with their µcluster ids and core flags; a union-find
-   over eps-close pairs merges µclusters into global clusters.
+   allgathered with their µcluster ids and core flags; the connected
+   components of the µclusters joined by eps-close pairs are the
+   global clusters.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.apps.dbscan.common import (
     encode_gid,
     local_dbscan,
     merge_labels,
-    resolve,
 )
 from repro.sim.rand import rng_stream
 
@@ -83,7 +83,10 @@ def cluster_cell(ctx, pts: np.ndarray, eps: float, min_pts: int):
     b_core = yield from ctx.comm.allgather(is_core[near])
     yield from ctx.compute_bytes(
         sum(b.nbytes for b in b_xyz if len(b)) + 1, factor=8.0)
-    parent = merge_labels(b_xyz, b_gid, b_core, eps)
-    merged = np.asarray([resolve(parent, int(g)) if g >= 0 else -1
-                         for g in gids], dtype=np.int64)
-    return pts[:, 3].astype(np.int64), merged
+    merged = merge_labels(b_xyz, b_gid, b_core, eps)
+    # Global id by local label; the appended entry maps noise (-1).
+    n_local = labels.max(initial=-1) + 1
+    table = np.append(encode_gid(ctx.rank, np.arange(n_local)), -1)
+    mine = np.unique(labels[near])
+    table[mine] = [merged[int(g)] for g in table[mine]]
+    return pts[:, 3].astype(np.int64), table[labels]
