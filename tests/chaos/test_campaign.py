@@ -53,6 +53,18 @@ def test_same_seed_same_trace_hash(tmp_path, horizon):
     assert a.plan.faults == b.plan.faults
 
 
+def test_same_seed_same_trace_hash_in_any_workdir(tmp_path, horizon):
+    """The hash folds in vector names as placed, not the absolute
+    dataset URL: one seed in two workdirs of different depth hashes
+    alike."""
+    deeper = tmp_path / "b" / "deeper"
+    deeper.mkdir(parents=True)
+    a = run_case(SMALL_KMEANS, 5, horizon=horizon, workdir=str(tmp_path))
+    b = run_case(SMALL_KMEANS, 5, horizon=horizon, workdir=str(deeper))
+    assert a.ok and b.ok and a.events == b.events
+    assert a.trace_hash == b.trace_hash
+
+
 def test_different_seed_different_trace_hash(tmp_path, horizon):
     wd = str(tmp_path)
     a = run_case(SMALL_KMEANS, 1, horizon=horizon, workdir=wd)
