@@ -13,15 +13,48 @@ checkout on ``PYTHONPATH`` is the one measured), then ``diff``::
 output digest and op counts. ``--traced`` runs with the simulator's
 tracer on, so the record also holds the ``trace.*`` span totals (and
 the counts read from them); compare traced with traced.
+It also records the per-seed summary line (trace hash, faults
+applied, reads checked) of the four chaos campaigns CI runs
+(:data:`CAMPAIGNS`, seeds from 0, each in a temporary workdir; the
+trace hash does not depend on the workdir).
 ``diff`` exits 1 if a key of the first file is missing from the second
-or its value differs (``kernel.*`` keys are host-side and skipped) and
-lists the keys the second file adds.
+or its value differs (``kernel.*`` keys are host-side and skipped), or
+a campaign's seed lines differ, and lists the keys the second file
+adds.
 """
 
 import json
 import os
 import sys
 import tempfile
+
+#: The CI chaos campaigns: name -> (spec, seeds, ``run_campaign``
+#: keywords), as ``python -m repro chaos`` runs them with ``--faults
+#: crash,partition,corrupt``, ``--perturb`` and ``--durability``.
+CAMPAIGNS = {
+    "kmeans": ("pipelines/chaos_kmeans_2n.yaml", 10,
+               {"kinds": ("crash", "partition", "corrupt")}),
+    "kmeans_perturb": ("pipelines/chaos_kmeans_2n.yaml", 5,
+                       {"perturb": True}),
+    "kmeans_durability": ("pipelines/chaos_kmeans_2n.yaml", 25,
+                          {"kinds": ("crash",)}),
+    "serving": ("pipelines/chaos_serving_2n.yaml", 6,
+                {"kinds": ("crash", "partition", "corrupt")}),
+}
+
+
+def dump_chaos() -> dict:
+    """{campaign: [per-seed summary line]} of :data:`CAMPAIGNS`."""
+    from repro.chaos.campaign import run_campaign
+    out = {}
+    for name, (spec, seeds, kw) in CAMPAIGNS.items():
+        with tempfile.TemporaryDirectory() as work:
+            results = run_campaign(os.path.abspath(spec), range(seeds),
+                                   workdir=work, **kw)
+        out[name] = [r.summary() for r in results]
+        print(name, sum(r.ok for r in results), "/", seeds, "clean",
+              flush=True)
+    return out
 
 
 def dump(out_path: str, seed: int = 0, traced: bool = False,
@@ -44,6 +77,7 @@ def dump(out_path: str, seed: int = 0, traced: bool = False,
                 "stats": state["cluster"].system.stats()}
             os.chdir(home)
         print(name, out.checksum, flush=True)
+    doc["chaos"] = dump_chaos()
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=0, sort_keys=True, default=float)
 
@@ -53,6 +87,14 @@ def diff(path_a: str, path_b: str) -> int:
             open(path_b, encoding="utf-8") as fb:
         a, b = json.load(fa), json.load(fb)
     bad = 0
+    for name, lines in a.pop("chaos", {}).items():
+        other = b.get("chaos", {}).get(name, [])
+        if lines != other:
+            bad += 1
+            print(f"chaos {name}: {len(lines)} -> {len(other)} seeds")
+            for x, y in zip(lines, other):
+                if x != y:
+                    print(f"  {x}\n  -> {y}")
     for wl, rec in a.items():
         for part in ("sim", "counts", "stats"):
             for key, value in rec[part].items():

@@ -187,9 +187,7 @@ class ChaosInjector:
                 if n != node and n not in rel.failed_nodes]
         if not live:
             return False
-        for info in self.system.hermes.mdm.all_blobs():
-            if info.node != node:
-                continue
+        for info in self.system.hermes.residents(node):
             vec = self.system.vectors.get(info.bucket)
             if vec is None or vec.destroyed:
                 continue

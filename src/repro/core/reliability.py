@@ -148,20 +148,22 @@ class ReliabilityManager:
         # below (they are reservations, not blobs).
         self.system.durability.on_fail_node(node)
         hermes.mdm.drop_caches(node)
-        for dmsh in [self.system.dmshs[node]]:
-            for dev in dmsh:
-                for key in list(dev.keys()):
-                    dev.delete(key)
-                    lost += 1
-        for info in list(hermes.mdm.all_blobs()):
-            info.replicas = [(n, t) for n, t in info.replicas
-                             if n != node]
-            if info.node == node:
-                if info.replicas:
-                    info.node, info.tier = info.replicas.pop(0)
-                    self.system.monitor.count("reliability.promotions")
-                else:
-                    info.node = -1  # data gone (unless on the backend)
+        for dev in self.system.dmshs[node]:
+            for key in list(dev.keys()):
+                dev.delete(key)
+                lost += 1
+                info = hermes.mdm.peek(*key)
+                if info is None:
+                    continue
+                info.replicas = [(n, t) for n, t in info.replicas
+                                 if n != node]
+                if info.node == node:
+                    if info.replicas:
+                        info.node, info.tier = info.replicas.pop(0)
+                        self.system.monitor.count(
+                            "reliability.promotions")
+                    else:
+                        info.node = -1  # gone (unless on the backend)
         return lost
 
     def restore_node(self, node: int):

@@ -145,8 +145,8 @@ class MegaMmapSystem:
         returns True when enough capacity was freed."""
         dmsh = self.dmshs[node]
         candidates = sorted(
-            (info for info in list(self.hermes.mdm.all_blobs())
-             if info.node == node and info.score <= 0.05),
+            (info for info in self.hermes.residents(node)
+             if info.score <= 0.05),
             key=lambda i: i.score)
         for info in candidates:
             vec = self.vectors.get(info.bucket)

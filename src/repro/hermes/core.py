@@ -233,28 +233,53 @@ class Hermes:
                        score: float):
         """Demote strictly colder blobs out of tier ``tier_idx`` until
         ``nbytes`` fit there. Generator; returns True on success."""
-        dmsh = self.dmshs[node]
-        dev = dmsh.tiers[tier_idx]
-        residents = sorted(
-            (info for info in self.mdm.all_blobs()
-             if info.node == node and info.tier == dev.spec.kind
-             and info.score < score),
+        dev = self.dmshs[node].tiers[tier_idx]
+        colder = sorted(
+            (info for info in self.residents(node, dev.spec.kind)
+             if info.score < score),
             key=lambda i: i.score)
-        if dev.free + sum(i.nbytes for i in residents) < nbytes:
+        if dev.free + sum(i.nbytes for i in colder) < nbytes:
             return False
-        from repro.storage.device import DeviceFullError
-        for info in residents:
+        for info in colder:
             if dev.fits(nbytes):
                 break
-            lower = dmsh.deeper_with_room(dev, info.nbytes)
-            if lower is None:
-                break
-            try:
-                yield from self.move(info.bucket, info.key, node,
-                                     lower.spec.kind)
-            except (BlobNotFound, DeviceFullError):
-                continue  # blob vanished or lost a race; try the next
+            yield from self.demote(info)
         return dev.fits(nbytes)
+
+    def residents(self, node: int,
+                  tier: Optional[str] = None) -> List[BlobInfo]:
+        """The entries whose authoritative copy is on ``tier`` of
+        ``node`` (any of its tiers where ``tier`` is None): the
+        device's keys, less the replicas it also holds. The device's
+        key set is the index. Untimed."""
+        devs = self.dmshs[node] if tier is None \
+            else [self._device(node, tier)]
+        out = []
+        for dev in devs:
+            for bucket, key in dev.keys():
+                info = self.mdm.peek(bucket, key)
+                if info is not None and info.node == node \
+                        and info.tier == dev.spec.kind:
+                    out.append(info)
+        return out
+
+    def demote(self, info: BlobInfo, by: str = "hermes"):
+        """One demotion: move ``info``'s blob to the fastest tier below
+        its own, on its node, with room for it (``by`` as for
+        :meth:`move`). Generator; returns True when it moved, False
+        when no deeper tier has room or the blob vanished or lost a
+        capacity race meanwhile."""
+        from repro.storage.device import DeviceFullError
+        dmsh = self.dmshs[info.node]
+        lower = dmsh.deeper_with_room(dmsh.tier(info.tier), info.nbytes)
+        if lower is None:
+            return False
+        try:
+            yield from self.move(info.bucket, info.key, info.node,
+                                 lower.spec.kind, by=by)
+        except (BlobNotFound, DeviceFullError):
+            return False
+        return True
 
     # -- data path --------------------------------------------------------------
     def put(self, client_node: int, bucket: str, key, data,

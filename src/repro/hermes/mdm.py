@@ -220,12 +220,12 @@ class MetadataManager:
         self._caches[node].clear()
 
     def peek(self, bucket: str, key: object) -> Optional[BlobInfo]:
-        """Untimed lookup (tests/verification only)."""
+        """Untimed lookup (no RPC is charged)."""
         owner = self.owner_of(bucket, key)
         return self._shards[owner].get((bucket, key))
 
     def list_bucket(self, bucket: str) -> Iterable[BlobInfo]:
-        """Untimed scan over all shards (organizer/stager sweep)."""
+        """Untimed scan over all shards (``Vector.destroy``)."""
         for shard in self._shards:
             for (b, _k), info in list(shard.items()):
                 if b == bucket:

@@ -203,35 +203,33 @@ class ReallocLoop:
     # -- enforcement -----------------------------------------------------
     def _owned_blobs(self, name: str):
         mgr = self.manager
-        return [info for info in self.system.hermes.mdm.all_blobs()
-                if mgr.bucket_owner.get(info.bucket) == name
-                and info.node >= 0]
-
-    def _make_room_fast(self, node: int, nbytes: int, protect: str):
-        """Demote the coldest fast-tier blobs of over-quota and stopped
-        owners until ``nbytes`` fit. The loop conserves total quota at
-        cluster capacity, so a receiver with unfilled quota implies
-        someone else is over theirs -- across the cluster, not on each
-        node: a node's fast tier can be full of blobs within their
-        owners' quotas, and those of a stopped tenant (finished, or not
-        yet arrived) are the ones nobody reads now. Quota and activity
-        -- not score -- are the arbiter here. Generator; returns True
-        when the bytes fit."""
-        from repro.hermes.blob import BlobNotFound
-        from repro.storage.device import DeviceFullError
-        mgr = self.manager
         hermes = self.system.hermes
+        return [info for node in range(len(self.system.dmshs))
+                for info in hermes.residents(node)
+                if mgr.bucket_owner.get(info.bucket) == name]
+
+    def _make_room_fast(self, node: int, nbytes: int, protect: str,
+                        budget: int, deadline: float):
+        """Demote the coldest fast-tier blobs of over-quota and stopped
+        owners until ``nbytes`` fit -- on what is left of the pass's
+        budget: at most ``budget`` blobs, none at or after
+        ``deadline``. The loop conserves total quota at cluster
+        capacity, so a receiver with unfilled quota implies someone
+        else is over theirs -- across the cluster, not on each node: a
+        node's fast tier can be full of blobs within their owners'
+        quotas, and those of a stopped tenant (finished, or not yet
+        arrived) are the ones nobody reads now. Quota and activity --
+        not score -- are the arbiter here. Generator; returns the
+        number of blobs demoted."""
+        mgr = self.manager
         fast = mgr.fast_kind
-        dmsh = self.system.dmshs[node]
-        dev = dmsh.tier(fast)
-        if dev.fits(nbytes):
-            return True
-        victims = sorted(
-            (info for info in hermes.mdm.all_blobs()
-             if info.node == node and info.tier == fast),
-            key=lambda i: (i.score, i.bucket, str(i.key)))
+        dev = self.system.dmshs[node].tier(fast)
+        victims = sorted(self.system.hermes.residents(node, fast),
+                         key=lambda i: (i.score, i.bucket, str(i.key)))
+        moves = 0
         for info in victims:
-            if dev.fits(nbytes):
+            if dev.fits(nbytes) or moves >= budget \
+                    or self.system.sim.now >= deadline:
                 break
             owner = mgr.tenants.get(mgr.bucket_owner.get(info.bucket))
             if owner is None or owner.dram_quota is None \
@@ -239,16 +237,9 @@ class ReallocLoop:
                     or (owner.active
                         and owner.dram_used <= owner.dram_quota):
                 continue
-            lower = dmsh.deeper_with_room(dev, info.nbytes)
-            if lower is None:
-                continue
-            try:
-                yield from hermes.move(info.bucket, info.key,
-                                       info.node, lower.spec.kind,
-                                       by="realloc")
-            except (BlobNotFound, DeviceFullError):
-                continue
-        return dev.fits(nbytes)
+            moves += yield from self.system.hermes.demote(info,
+                                                          by="realloc")
+        return moves
 
     def enforce_all(self):
         """Make placements match quotas: demote every over-quota
@@ -288,18 +279,7 @@ class ReallocLoop:
                         or moves >= MAX_MOVES \
                         or self.system.sim.now >= deadline:
                     break
-                dmsh = self.system.dmshs[info.node]
-                lower = dmsh.deeper_with_room(dmsh.tier(fast),
-                                              info.nbytes)
-                if lower is None:
-                    continue
-                try:
-                    yield from hermes.move(info.bucket, info.key,
-                                           info.node, lower.spec.kind,
-                                           by="realloc")
-                    moves += 1
-                except (BlobNotFound, DeviceFullError):
-                    continue
+                moves += yield from hermes.demote(info, by="realloc")
         # Promote: tenants that are actually missing (re-reads this
         # window) fill their quota headroom, hottest blobs first.
         active_names = {t.name for t in mgr.active_tenants()}
@@ -319,14 +299,15 @@ class ReallocLoop:
                     break
                 if t.dram_used + info.nbytes > t.dram_quota:
                     continue
-                dmsh = self.system.dmshs[info.node]
-                dev = dmsh.tier(fast)
+                dev = self.system.dmshs[info.node].tier(fast)
                 if not dev.fits(info.nbytes):
                     # The fast tier is usually packed: evict whoever
-                    # is over their (possibly just shrunk) quota.
-                    fits = yield from self._make_room_fast(
-                        info.node, info.nbytes, t.name)
-                    if not fits:
+                    # is over their (possibly just shrunk) quota, on
+                    # the pass's budget.
+                    moves += yield from self._make_room_fast(
+                        info.node, info.nbytes, t.name,
+                        MAX_MOVES - moves, deadline)
+                    if not dev.fits(info.nbytes) or moves >= MAX_MOVES:
                         continue
                 try:
                     yield from hermes.move(info.bucket, info.key,

@@ -7,18 +7,25 @@ sequences:
 * capacity: no device ever exceeds its capacity; `used` equals the sum
   of its blobs;
 * metadata: every MDM entry's placements exist on the named devices,
-  and no device holds a blob without a metadata entry.
+  and no device holds a blob without a metadata entry;
+* residency: ``Hermes.residents(node, tier)`` -- read off the device --
+  is exactly the entries whose primary is there, replicas excluded;
+* node failure: after ``fail_node``, no entry names the failed node and
+  each primary it held with a replica elsewhere is promoted.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.reliability import ReliabilityManager
 from repro.hermes import Hermes, PlacementError
 from repro.hermes.blob import BlobNotFound
 from repro.net import LinkSpec, Network
-from repro.sim import Simulator
+from repro.sim import Monitor, Simulator
 from repro.storage import DMSH, DeviceSpec
 from repro.storage.device import DeviceFullError
 
@@ -43,15 +50,32 @@ ops = st.lists(
         st.tuples(st.just("move"), st.sampled_from(KEYS),
                   st.sampled_from(["dram", "nvme"]), st.integers(0, 1)),
         st.tuples(st.just("delete"), st.sampled_from(KEYS)),
+        st.tuples(st.just("replicate"), st.sampled_from(KEYS),
+                  st.integers(0, 1)),
     ),
     min_size=1, max_size=20,
 )
 
 
+def _assert_residency(h):
+    """``residents`` equals the matching filter of ``all_blobs()``,
+    per device and per node."""
+    def keys(infos):
+        return sorted((i.bucket, i.key) for i in infos)
+
+    for node, dmsh in enumerate(h.dmshs):
+        for dev in dmsh:
+            assert keys(h.residents(node, dev.spec.kind)) == keys(
+                i for i in h.mdm.all_blobs()
+                if (i.node, i.tier) == (node, dev.spec.kind))
+        assert keys(h.residents(node)) == keys(
+            i for i in h.mdm.all_blobs() if i.node == node)
+
+
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(ops=ops)
-def test_random_blob_ops_hold_invariants(ops):
+@given(ops=ops, fail=st.sampled_from([None, 0, 1]))
+def test_random_blob_ops_hold_invariants(ops, fail):
     sim = Simulator()
     net = Network(sim, 2, intra=LinkSpec(bandwidth=1e9, latency=0.0))
     dmshs = [DMSH(sim, TIERS, node_id=i) for i in range(2)]
@@ -66,6 +90,10 @@ def test_random_blob_ops_hold_invariants(ops):
                 if kind == "put":
                     _, key, size, fill, node = op
                     data = bytes([fill]) * size
+                    # A write phase drops the replicas first, as the
+                    # coherence layer does (an in-place put updates
+                    # the primary only).
+                    yield from h.invalidate_replicas(node, "bkt", key)
                     yield from h.put(node, "bkt", key, data,
                                      target_node=node)
                     model[key] = bytearray(data)
@@ -95,6 +123,11 @@ def test_random_blob_ops_hold_invariants(ops):
                         continue
                     yield from h.delete(0, "bkt", key)
                     del model[key]
+                elif kind == "replicate":
+                    _, key, node = op
+                    if key not in model:
+                        continue
+                    yield from h.replicate(node, "bkt", key)
             except (PlacementError, DeviceFullError):
                 # Capacity refusals are legal outcomes; the model keeps
                 # the previous state only if the blob is still intact.
@@ -130,3 +163,23 @@ def test_random_blob_ops_hold_invariants(ops):
         for node, tier in info.placements:
             dev = h.dmshs[node].tier(tier)
             assert ("bkt", info.key) in dev
+    _assert_residency(h)
+
+    if fail is None:
+        return
+    before = {i.key: i.placements for i in live.values()}
+    system = SimpleNamespace(
+        hermes=h, dmshs=dmshs, monitor=Monitor(sim),
+        durability=SimpleNamespace(on_fail_node=lambda node: None))
+    ReliabilityManager(system).fail_node(fail)
+    for key, placements in before.items():
+        info = live[key]
+        assert fail not in (n for n, _t in info.placements), info
+        if placements[0][0] != fail:
+            assert info.placements[0] == placements[0]
+            continue
+        elsewhere = [p for p in placements[1:] if p[0] != fail]
+        assert (info.node, info.tier) == (elsewhere[0] if elsewhere
+                                          else (-1, placements[0][1]))
+    assert not any(dev.keys() for dev in dmshs[fail])
+    _assert_residency(h)

@@ -13,7 +13,9 @@ a sweep in which none of its slow reads completed. (4) A stopped
 donor covers the receiver's shortfall in one grant; a running donor
 gives one step. (5) A promotion takes room from a stopped tenant's
 DRAM blobs, not from a running tenant within its quota. (6) An
-enforcement pass issues no move after one period.
+enforcement pass issues no move after one period, and no more than
+:data:`MAX_MOVES`, the demotions that make a promotion's room
+included.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ import pytest
 from repro.core import MM_WRITE_ONLY, SeqTx
 from repro.core.organizer import SCORE_WINDOW
 from repro.tenancy import QuotaManager, TenantQuota, run_colocation
+from repro.tenancy import realloc
 from repro.tenancy.realloc import ReallocLoop
 from tests.core.conftest import build_system, run_procs
 from tests.tenancy.test_scheduler import SPEC
@@ -304,3 +307,22 @@ def test_an_enforcement_pass_issues_no_move_after_one_period():
     loop.period = 1.0
     sim.run(until=sim.process(loop.enforce_all()))
     assert _tiers(system, "reuse", 16).count("nvme") < deep - 2
+
+
+def test_a_promotions_room_comes_out_of_the_passs_move_budget(
+        monkeypatch):
+    """Each promotion here needs one demotion first. With a budget of
+    three, the pass demotes, promotes, demotes -- and stops: the
+    second promotion's room took the last move, so it waits for the
+    next sweep."""
+    monkeypatch.setattr(realloc, "MAX_MOVES", 3)
+    sim, system, qm, loop = _promotion_setup(False)
+    deep = _tiers(system, "reuse", 16).count("nvme")
+    assert deep >= 2
+    monitor = system.monitor
+    before = monitor.counter("hermes.moves")
+    sim.run(until=sim.process(loop.enforce_all()))
+    assert monitor.counter("hermes.moves") - before == 3
+    assert monitor.counter("tenancy.realloc_moves") == 3
+    assert _tiers(system, "done", 8).count("nvme") == 2
+    assert _tiers(system, "reuse", 16).count("nvme") == deep - 1
