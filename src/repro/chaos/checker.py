@@ -401,18 +401,14 @@ class HistoryRecorder:
             elif isinstance(f, int):
                 h.update(struct.pack("<q", f))
             else:
-                raw = str(f).encode()
+                # A name hashes as placed (``mdm.placement_name``): one
+                # seed, one hash in any workdir. Other strings pass as is.
+                raw = self.system.hermes.mdm.placement_name(str(f)).encode()
                 h.update(struct.pack("<i", len(raw)))
                 h.update(raw)
 
     def trace_hash(self) -> str:
         return self._hash.hexdigest()
-
-    def _name(self, name: str) -> str:
-        """A vector name as hashed: its placement name
-        (``hermes.mdm.placement_name``), so one seed gives one hash in
-        any workdir."""
-        return self.system.hermes.mdm.placement_name(name)
 
     def _track(self, vec) -> None:
         if id(vec) not in self._seen_handles:
@@ -424,9 +420,8 @@ class HistoryRecorder:
         self._track(vec)
         now = float(self.system.sim.now)
         b = _as_u8(out)
-        self._log(b"r", now, t0, vec.client.rank,
-                  self._name(vec.shared.name), elem_off, len(b),
-                  zlib.crc32(b))
+        self._log(b"r", now, t0, vec.client.rank, vec.shared.name,
+                  elem_off, len(b), zlib.crc32(b))
         if self.checker is not None:
             self.checker.on_read(vec, elem_off, out, t0, now)
 
@@ -434,9 +429,8 @@ class HistoryRecorder:
         self._track(vec)
         now = float(self.system.sim.now)
         b = _as_u8(array)
-        self._log(b"w", now, vec.client.rank,
-                  self._name(vec.shared.name), elem_off, len(b),
-                  zlib.crc32(b))
+        self._log(b"w", now, vec.client.rank, vec.shared.name,
+                  elem_off, len(b), zlib.crc32(b))
         if self.checker is not None:
             self.checker.on_write(vec, elem_off, array, now)
 
@@ -444,54 +438,51 @@ class HistoryRecorder:
         self._track(vec)
         now = float(self.system.sim.now)
         total = sum(len(d) for _s, d in fragments)
-        self._log(b"c", now, vec.client.rank,
-                  self._name(vec.shared.name), page_idx, total)
+        self._log(b"c", now, vec.client.rank, vec.shared.name,
+                  page_idx, total)
         if self.checker is not None:
             self.checker.on_commit(vec, page_idx, fragments, now)
 
     def on_flush(self, vec) -> None:
         self._track(vec)
         now = float(self.system.sim.now)
-        self._log(b"f", now, vec.client.rank,
-                  self._name(vec.shared.name))
+        self._log(b"f", now, vec.client.rank, vec.shared.name)
         if self.checker is not None:
             self.checker.on_flush(vec, now)
 
     def on_promote(self, vec, elem_off: int, nbytes: int) -> None:
         self._track(vec)
         now = float(self.system.sim.now)
-        self._log(b"p", now, vec.client.rank,
-                  self._name(vec.shared.name), elem_off, nbytes)
+        self._log(b"p", now, vec.client.rank, vec.shared.name,
+                  elem_off, nbytes)
         if self.checker is not None:
             self.checker.on_promote(vec, elem_off, nbytes, now)
 
     def on_append(self, vec, start: int, count: int) -> None:
         self._track(vec)
         now = float(self.system.sim.now)
-        self._log(b"a", now, vec.client.rank,
-                  self._name(vec.shared.name), start, count)
+        self._log(b"a", now, vec.client.rank, vec.shared.name, start,
+                  count)
         if self.checker is not None:
             self.checker.on_append(vec, start, count, now)
 
     def on_invalidate(self, vec) -> None:
         self._track(vec)
         now = float(self.system.sim.now)
-        self._log(b"i", now, vec.client.rank,
-                  self._name(vec.shared.name))
+        self._log(b"i", now, vec.client.rank, vec.shared.name)
         if self.checker is not None:
             self.checker.on_invalidate(vec, now)
 
     def on_task(self, client, kind: str, vec_name: str, detail: int,
                 target: int) -> None:
         self._log(b"t", float(self.system.sim.now), client.rank, kind,
-                  self._name(vec_name), detail, target)
+                  vec_name, detail, target)
 
     # -- injector-facing surface -----------------------------------------
     def on_chaos(self, kind: str, *fields) -> None:
-        """Fold an applied fault into the trace hash (a corrupted
-        page's vector name as :meth:`_name` hashes it)."""
+        """Fold an applied fault into the trace hash."""
         self._log(b"x", float(self.system.sim.now), kind,
-                  *[f if isinstance(f, (int, float)) else self._name(str(f))
+                  *[f if isinstance(f, (int, float)) else str(f)
                     for f in fields])
         if self.checker is not None and kind == "crash":
             self.checker.on_crash(int(fields[0]),

@@ -160,10 +160,9 @@ class ReliabilityManager:
                 if info.node == node:
                     if info.replicas:
                         info.node, info.tier = info.replicas.pop(0)
-                        self.system.monitor.count(
-                            "reliability.promotions")
+                        self.system.monitor.count("reliability.promotions")
                     else:
-                        info.node = -1  # gone (unless on the backend)
+                        info.node = -1  # data gone (unless on the backend)
         return lost
 
     def restore_node(self, node: int):

@@ -12,7 +12,7 @@ from repro.hermes.mdm import MetadataManager
 from repro.net.fabric import Network, fan_out
 from repro.sim import Lock, Monitor, Simulator
 from repro.sim.trace import NOOP_TRACER
-from repro.storage.device import Device
+from repro.storage.device import Device, DeviceFullError
 from repro.storage.dmsh import DMSH
 
 
@@ -211,7 +211,6 @@ class Hermes:
         tier that loses twice is excluded (a churning near-full tier
         must not starve the put when deeper tiers have room).
         Generator; returns the device that accepted the blob."""
-        from repro.storage.device import DeviceFullError
         losses: dict = {}
         exclude: set = set()
         for _ in range(4 * len(self.dmshs[node].tiers) + 4):
@@ -246,8 +245,7 @@ class Hermes:
             yield from self.demote(info)
         return dev.fits(nbytes)
 
-    def residents(self, node: int,
-                  tier: Optional[str] = None) -> List[BlobInfo]:
+    def residents(self, node: int, tier: Optional[str] = None) -> list:
         """The entries whose authoritative copy is on ``tier`` of
         ``node`` (any of its tiers where ``tier`` is None): the
         device's keys, less the replicas it also holds. The device's
@@ -264,12 +262,10 @@ class Hermes:
         return out
 
     def demote(self, info: BlobInfo, by: str = "hermes"):
-        """One demotion: move ``info``'s blob to the fastest tier below
-        its own, on its node, with room for it (``by`` as for
-        :meth:`move`). Generator; returns True when it moved, False
-        when no deeper tier has room or the blob vanished or lost a
-        capacity race meanwhile."""
-        from repro.storage.device import DeviceFullError
+        """Move ``info``'s blob one step down its node: to the fastest
+        deeper tier with room (``by`` as for :meth:`move`). Generator;
+        returns True when it moved, False when none had room or the
+        blob vanished or lost a capacity race meanwhile."""
         dmsh = self.dmshs[info.node]
         lower = dmsh.deeper_with_room(dmsh.tier(info.tier), info.nbytes)
         if lower is None:
@@ -621,7 +617,6 @@ class Hermes:
             local = self.free_tier(client_node, bucket, len(raw), {},
                                    redundant=True)
             if local is not None:
-                from repro.storage.device import DeviceFullError
                 try:
                     yield from local.put((bucket, key), raw)
                 except DeviceFullError:

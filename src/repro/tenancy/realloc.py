@@ -203,24 +203,22 @@ class ReallocLoop:
     # -- enforcement -----------------------------------------------------
     def _owned_blobs(self, name: str):
         mgr = self.manager
-        hermes = self.system.hermes
         return [info for node in range(len(self.system.dmshs))
-                for info in hermes.residents(node)
+                for info in self.system.hermes.residents(node)
                 if mgr.bucket_owner.get(info.bucket) == name]
 
     def _make_room_fast(self, node: int, nbytes: int, protect: str,
                         budget: int, deadline: float):
         """Demote the coldest fast-tier blobs of over-quota and stopped
-        owners until ``nbytes`` fit -- on what is left of the pass's
-        budget: at most ``budget`` blobs, none at or after
-        ``deadline``. The loop conserves total quota at cluster
-        capacity, so a receiver with unfilled quota implies someone
-        else is over theirs -- across the cluster, not on each node: a
-        node's fast tier can be full of blobs within their owners'
-        quotas, and those of a stopped tenant (finished, or not yet
-        arrived) are the ones nobody reads now. Quota and activity --
-        not score -- are the arbiter here. Generator; returns the
-        number of blobs demoted."""
+        owners until ``nbytes`` fit, on what is left of the pass's
+        budget: ``budget`` moves, none at or after ``deadline``. The
+        loop conserves total quota at cluster capacity, so a receiver
+        with unfilled quota implies someone else is over theirs --
+        across the cluster, not on each node: a node's fast tier can be
+        full of blobs within their owners' quotas, and those of a
+        stopped tenant (finished, or not yet arrived) are the ones
+        nobody reads now. Quota and activity -- not score -- are the
+        arbiter here. Generator; returns the number of blobs demoted."""
         mgr = self.manager
         fast = mgr.fast_kind
         dev = self.system.dmshs[node].tier(fast)
@@ -302,8 +300,7 @@ class ReallocLoop:
                 dev = self.system.dmshs[info.node].tier(fast)
                 if not dev.fits(info.nbytes):
                     # The fast tier is usually packed: evict whoever
-                    # is over their (possibly just shrunk) quota, on
-                    # the pass's budget.
+                    # is over their (possibly just shrunk) quota.
                     moves += yield from self._make_room_fast(
                         info.node, info.nbytes, t.name,
                         MAX_MOVES - moves, deadline)
