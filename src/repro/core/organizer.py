@@ -123,7 +123,10 @@ class DataOrganizer:
             if target_node != node and info.node != node:
                 continue
             dmsh = self.system.dmshs[target_node]
-            desired = dmsh.tier_for_score(pend.score, info.nbytes)
+            desired = dmsh.tier_for_score(
+                pend.score, info.nbytes,
+                current=dmsh.tier(info.tier)
+                if target_node == info.node else None)
             if desired is None:
                 continue
             if hermes.admission is not None:

@@ -489,6 +489,12 @@ class DataStager:
             lock = self._stageout_locks[key] = Lock(self.sim)
         return lock
 
+    def staging_out(self, name: str, page_idx: int) -> bool:
+        """A stage-out of the page holds its lock: its bytes may not
+        have reached the backend yet. Untimed."""
+        lock = self._stageout_locks.get((name, page_idx))
+        return lock is not None and lock.locked
+
     def stage_out(self, vec: SharedVector, pages, node: int):
         """Persist a run of scache pages -- ascending, on one PFS server
         (or one page) -- to the backend in one request. Generator.

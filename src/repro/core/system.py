@@ -49,6 +49,7 @@ class MegaMmapSystem:
         self.hermes = Hermes(sim, network, dmshs, monitor=self.monitor)
         self.hermes.tracer = self.tracer
         self.hermes.evictor = self._evict_clean_pages
+        self.hermes.clean = self.page_is_clean
         self.hermes.backend = pfs.server_spec if pfs is not None else None
         self.vectors: Dict[str, SharedVector] = {}
         #: Chaos history recorder (``repro.chaos.checker``). When set,
@@ -138,6 +139,17 @@ class MegaMmapSystem:
         self.monitor.count("collective.forwards")
         return data
 
+    def page_is_clean(self, info) -> bool:
+        """The backend already holds the page blob's bytes: its vector
+        is nonvolatile and live, the page is not dirty and no
+        stage-out of it is in flight (its dirty bit is cleared before
+        its bytes reach the backend). Such a page may be dropped and
+        staged in again (``Hermes.clean``). Untimed."""
+        vec = self.vectors.get(info.bucket)
+        return vec is not None and not vec.volatile \
+            and not vec.destroyed and info.key not in vec.dirty_pages \
+            and not self.stager.staging_out(vec.name, info.key)
+
     def _evict_clean_pages(self, node: int, nbytes: int):
         """Drop persisted (clean, cold) scache pages on ``node`` to
         free ``nbytes`` — the OS-page-cache analogue for nonvolatile
@@ -149,16 +161,7 @@ class MegaMmapSystem:
              if info.score <= 0.05),
             key=lambda i: i.score)
         for info in candidates:
-            vec = self.vectors.get(info.bucket)
-            if vec is None or vec.volatile or vec.destroyed:
-                continue
-            if info.key in vec.dirty_pages:
-                continue  # not persisted yet; dropping would lose data
-            try:
-                yield from self.hermes.delete(node, info.bucket,
-                                              info.key)
-                self.monitor.count("scache.clean_drops")
-            except KeyError:
+            if not (yield from self.hermes.drop_clean(info, "evictor")):
                 continue
             if dmsh.fastest_with_room(nbytes) is not None:
                 return True

@@ -64,6 +64,11 @@ class Hermes:
         #: blobs to free capacity, like the OS page cache dropping
         #: clean pages. Consulted as placement's last resort.
         self.evictor = None
+        #: Optional untimed predicate ``clean(info) -> bool`` installed
+        #: by the embedding system: the backend already holds the
+        #: blob's bytes, so the blob may be dropped and re-staged
+        #: instead of moved (:meth:`demote`). None: nothing is clean.
+        self.clean = None
         #: Tenancy hooks (all optional, installed by a QuotaManager).
         #: ``accountant(bucket, node, tier, delta_bytes)`` — untimed
         #: callback fired when the authoritative copy of a blob is
@@ -197,12 +202,19 @@ class Hermes:
             sum(n for dev, n in claimed.items() if dev.spec.kind == fast))
         for dev in self.dmshs[node].tiers[idx:]:
             if dev.free - claimed.get(dev, 0) >= nbytes:
-                if redundant and self.backend is not None \
-                        and dev.spec.read_bw <= self.backend.read_bw:
+                if redundant and self.no_faster_than_backend(dev):
                     return None
                 claimed[dev] = claimed.get(dev, 0) + nbytes
                 return dev
         return None
+
+    def no_faster_than_backend(self, dev: Device) -> bool:
+        """``dev`` reads no faster than the persistent backend: a copy
+        there of bytes the backend holds costs a write and buys no
+        read (:meth:`free_tier`'s landing rule, :meth:`demote`'s drop
+        rule). False where no backend is modelled."""
+        return self.backend is not None \
+            and dev.spec.read_bw <= self.backend.read_bw
 
     def _put_with_retry(self, node: int, key, data, score: float,
                         bucket=None):
@@ -263,18 +275,48 @@ class Hermes:
 
     def demote(self, info: BlobInfo, by: str = "hermes"):
         """Move ``info``'s blob one step down its node: to the fastest
-        deeper tier with room (``by`` as for :meth:`move`). Generator;
-        returns True when it moved, False when none had room or the
-        blob vanished or lost a capacity race meanwhile."""
+        deeper tier with room (``by`` as for :meth:`move`). A clean blob
+        whose destination reads no faster than the backend is dropped
+        instead (:meth:`drop_clean`): its next read stages it in from
+        the backend as fast. Generator; returns True when it moved,
+        False when it was dropped, none had room, or the blob vanished
+        or lost a capacity race meanwhile."""
         dmsh = self.dmshs[info.node]
         lower = dmsh.deeper_with_room(dmsh.tier(info.tier), info.nbytes)
         if lower is None:
+            return False
+        if self.no_faster_than_backend(lower) \
+                and (yield from self.drop_clean(info, by)):
             return False
         try:
             yield from self.move(info.bucket, info.key, info.node,
                                  lower.spec.kind, by=by)
         except (BlobNotFound, DeviceFullError):
             return False
+        return True
+
+    def drop_clean(self, info: BlobInfo, by: str):
+        """Delete ``info``'s blob, every copy of it, if it is still
+        where it was and still :attr:`clean` once its lock is held: the
+        backend holds the bytes and the next read stages them in again.
+        Counted in ``scache.clean_drops{by}``, never as a move.
+        Generator; returns True when the blob was dropped."""
+        if self.clean is None or not self.clean(info):
+            return False
+        where = (info.node, info.tier)
+        lock = self._lock(info.bucket, info.key)
+        yield lock.acquire()
+        try:
+            if self.mdm.peek(info.bucket, info.key) is not info \
+                    or (info.node, info.tier) != where \
+                    or not self.clean(info):
+                return False
+            yield from self.mdm.delete(info.node, info.bucket, info.key)
+            yield from self._drop_all_copies(info)
+        finally:
+            lock.release()
+        if self.monitor is not None:
+            self.monitor.count("scache.clean_drops", by=by)
         return True
 
     # -- data path --------------------------------------------------------------
@@ -296,10 +338,7 @@ class Hermes:
         yield from self.network.transfer(client_node, node, len(data))
         if info is not None and info.node == node \
                 and info.nbytes == len(data):
-            # In-place update of the authoritative copy.
-            dev = self._device(info.node, info.tier)
-            yield from dev.put((bucket, key), data)
-            info.score = max(info.score, score)
+            yield from self._put_in_place(info, data, score)
             return info
         dev, info = yield from self._replace(client_node, bucket, key,
                                              data, score, node, info)
@@ -307,6 +346,15 @@ class Hermes:
         yield from self._store_again_if_wiped(dev, (bucket, key), data)
         self._count_op("puts", node, dev.spec.kind)
         return info
+
+    def _put_in_place(self, info: BlobInfo, data, score: float):
+        """Overwrite the authoritative copy where it is (caller holds
+        the blob's lock). Its replicas hold the old bytes: they go, or
+        a read served from one would return them. Generator."""
+        dev = self._device(info.node, info.tier)
+        yield from dev.put((info.bucket, info.key), data)
+        self._drop_replicas(info)
+        info.score = max(info.score, score)
 
     def _replace(self, client_node, bucket, key, data, score, node,
                  stale):
@@ -406,10 +454,7 @@ class Hermes:
                 info = self.mdm.peek(bucket, key)
                 if info is not None and info.node == node \
                         and info.nbytes == len(data):
-                    # In-place update of the authoritative copy.
-                    dev = self._device(info.node, info.tier)
-                    yield from dev.put((bucket, key), data)
-                    info.score = max(info.score, score)
+                    yield from self._put_in_place(info, data, score)
                     out[key] = info
                     continue
                 dev, info = yield from self._replace(
@@ -633,11 +678,16 @@ class Hermes:
         info = yield from self.mdm.try_get(client_node, bucket, key)
         if info is None:
             return 0
+        return self._drop_replicas(info)
+
+    def _drop_replicas(self, info: BlobInfo) -> int:
+        """Delete every replica of ``info``, keeping the authoritative
+        copy; returns how many a device still held. Untimed."""
         dropped = 0
         for node, tier in info.replicas:
             dev = self._device(node, tier)
-            if (bucket, key) in dev:
-                dev.delete((bucket, key))
+            if (info.bucket, info.key) in dev:
+                dev.delete((info.bucket, info.key))
                 dropped += 1
         info.replicas.clear()
         return dropped

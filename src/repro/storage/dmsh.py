@@ -53,18 +53,23 @@ class DMSH:
                 return dev
         return None
 
-    def tier_for_score(self, score: float, nbytes: int) -> Optional[Device]:
+    def tier_for_score(self, score: float, nbytes: int,
+                       current: Optional[Device] = None
+                       ) -> Optional[Device]:
         """Map a page score in [0, 1] to a target tier with room.
 
         The fastest tier accepts scores above its own performance-rank
         threshold; lower scores map to deeper tiers. If the mapped tier
-        is full, the next deeper tier with room is chosen.
+        is full, the next deeper tier with room is chosen. ``current``,
+        the tier that already holds the page, has room for it: a page
+        stays where it is rather than move down for want of space
+        beside itself.
         """
         n = len(self.tiers)
         # score 1.0 -> tier 0; score 0.0 -> deepest tier.
         idx = min(n - 1, int((1.0 - score) * n))
         for dev in self.tiers[idx:]:
-            if dev.fits(nbytes):
+            if dev is current or dev.fits(nbytes):
                 return dev
         return None
 

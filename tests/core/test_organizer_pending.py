@@ -63,3 +63,30 @@ def test_fresh_scores_for_materialized_pages_still_apply():
 
     (still_pending,) = run_procs(sim, app())
     assert not still_pending
+
+
+def test_a_hot_page_on_a_full_fast_tier_stays_there():
+    """A score-1.0 page already in a full DRAM tier maps to DRAM: its
+    own tier fits it, so the sweep leaves it where it is instead of
+    moving it down for want of room beside itself."""
+    sim, system = build_system(prefetch_enabled=False)
+    org = system.organizer
+    client = system.client(rank=0, node=0)
+    dram = system.dmshs[0].tier("dram")
+
+    def app():
+        vec = yield from client.vector("h", dtype=np.uint8, size=4096)
+        yield from vec.tx_begin(SeqTx(0, 4096, MM_WRITE_ONLY))
+        yield from vec.write_range(0, np.ones(4096, dtype=np.uint8))
+        yield from vec.tx_end()
+        yield from vec.flush(wait=True)
+        info = system.hermes.mdm.peek("h", 0)
+        assert (info.node, info.tier) == (0, "dram")
+        dram.reserve(dram.free)
+        org.ingest(vec.shared, [(0, 1.0, 0)])
+        yield from org.sweep(0)
+        return info.tier
+
+    (tier,) = run_procs(sim, app())
+    assert tier == "dram"
+    assert system.monitor.counter("hermes.moves") == 0

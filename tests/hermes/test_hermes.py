@@ -221,6 +221,27 @@ def test_invalidate_replicas_keeps_primary():
     assert h.dmshs[0].tier("dram").used == 0
 
 
+@pytest.mark.parametrize("vectored", [False, True])
+def test_in_place_put_leaves_no_stale_replica(vectored):
+    """A same-size put updates the primary where it is; a replica
+    made before it must not serve the old bytes afterwards."""
+    sim, h = make_hermes()
+
+    def proc():
+        yield from h.put(1, "bkt", "k", b"old!" * 25)
+        yield from h.replicate(0, "bkt", "k")
+        assert h.mdm.peek("bkt", "k").replicas == [(0, "dram")]
+        if vectored:
+            yield from h.put_many(1, "bkt", [("k", b"new!" * 25, 1)])
+        else:
+            yield from h.put(1, "bkt", "k", b"new!" * 25)
+        return (yield from h.get(0, "bkt", "k"))
+
+    assert run(sim, proc()) == b"new!" * 25
+    assert h.mdm.peek("bkt", "k").replicas == []
+    assert ("bkt", "k") not in h.dmshs[0].tier("dram")
+
+
 def test_move_demotes_blob_between_tiers():
     sim, h = make_hermes()
 

@@ -405,6 +405,19 @@ def test_dmsh_tier_for_score_maps_extremes():
     assert dmsh.tier_for_score(0.0, 10).spec.kind == "hdd"
 
 
+def test_dmsh_tier_for_score_counts_the_current_tier_as_fitting():
+    sim = Simulator()
+    dmsh = DMSH(sim, [DRAM.with_capacity(MB), NVME.with_capacity(MB),
+                      HDD.with_capacity(MB)])
+    dram = dmsh.tier("dram")
+    dram.reserve(dram.free)
+    assert dmsh.tier_for_score(1.0, 10).spec.kind == "nvme"
+    assert dmsh.tier_for_score(1.0, 10, current=dram) is dram
+    # Another page's tier does not make room in a full one.
+    nvme = dmsh.tier("nvme")
+    assert dmsh.tier_for_score(1.0, 10, current=nvme) is nvme
+
+
 def test_dmsh_describe_label():
     sim = Simulator()
     dmsh = DMSH(sim, [DRAM.with_capacity(48 * MB),
