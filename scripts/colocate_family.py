@@ -5,13 +5,14 @@ The benchmark's ``colocate_mixed`` spec places every blob by a hash of
 its dataset's name, so one spec is one draw of that placement lottery
 (seeds move it only by arrival jitter). Variant 0 is the spec as
 shipped; variant ``i`` > 0 renames every ``path: <x>.parquet`` to
-``<x>_v<i>.parquet``, which re-deals every placement. Each variant is
-the benchmark's own ``colocate_mixed`` run (its set-up, run and
-checks, full size), in a fresh interpreter inside a temporary
-directory, so nothing is written to the checkout::
+``<x>_v<i>.parquet``, which re-deals every placement. Each of the
+``VARIANTS`` variants is the benchmark's own ``colocate_mixed`` run
+(its set-up, run and checks, full size, seed ``SEED``), in a fresh
+interpreter inside a temporary directory, so nothing is written to
+the checkout. Every run is the whole family: no variant is dropped::
 
-    python scripts/colocate_family.py [--variants 12] [--seed 0]
-        [--out family.json] [--baseline parent_family.json]
+    python scripts/colocate_family.py [--out family.json]
+        [--baseline parent_family.json]
 
 It prints one row per variant (jobs/s, victim p99, makespan, failed
 checks), then the median, min and max over the family; with
@@ -33,6 +34,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPEC = os.path.join(ROOT, "benchmarks", "e2e", "workloads",
                     "colocate_mixed.yaml")
+#: The family: variant 0 (the spec as shipped) and 11 renamings.
+VARIANTS = 12
+SEED = 0
 #: Per-variant values kept, and which way is better.
 METRICS = {"sim_jobs_per_s": "higher", "sim_victim_p99_ms": "lower",
            "sim_runtime_s": "lower", "sim_peak_dram_node_mb": "lower"}
@@ -46,13 +50,13 @@ def variant_spec(text: str, i: int) -> str:
                   lambda m: f"path: {m.group(1)}_v{i}.parquet", text)
 
 
-def child(spec: str, seed: int) -> None:
+def child(spec: str) -> None:
     """Run the benchmark's ``colocate_mixed`` on ``spec`` in the
     current directory; print one JSON object."""
     from benchmarks.e2e import workloads
     workloads.COLOCATE_SPEC = spec
     wl = workloads.WORKLOADS["colocate_mixed"]
-    state = wl.setup(seed, workloads.SIZES["full"]["colocate_mixed"])
+    state = wl.setup(SEED, workloads.SIZES["full"]["colocate_mixed"])
     state["trace"] = False
     wl.run(state)
     out = wl.finish(state, True)
@@ -63,7 +67,7 @@ def child(spec: str, seed: int) -> None:
     print(json.dumps(row))
 
 
-def run_variant(text: str, i: int, seed: int) -> dict:
+def run_variant(text: str, i: int) -> dict:
     env = dict(os.environ, PYTHONHASHSEED="0", OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONDONTWRITEBYTECODE="1",
@@ -76,8 +80,7 @@ def run_variant(text: str, i: int, seed: int) -> dict:
         with open(spec, "w", encoding="utf-8") as fh:
             fh.write(variant_spec(text, i))
         proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", spec,
-             "--seed", str(seed)],
+            [sys.executable, os.path.abspath(__file__), "--child", spec],
             cwd=work, env=env, text=True, capture_output=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -163,21 +166,19 @@ def table(rows: list, base: list = None) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--variants", type=int, default=12)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", help="write the rows and summary as JSON")
     ap.add_argument("--baseline",
                     help="an --out file of another tree to compare with")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        child(args.child, args.seed)
+        child(args.child)
         return 0
     with open(SPEC, encoding="utf-8") as fh:
         text = fh.read()
     rows = []
-    for i in range(args.variants):
-        rows.append(run_variant(text, i, args.seed))
+    for i in range(VARIANTS):
+        rows.append(run_variant(text, i))
         print(json.dumps(rows[-1]), flush=True)
     base = None
     if args.baseline:
@@ -189,9 +190,9 @@ def main(argv=None) -> int:
         with open(os.environ["GITHUB_STEP_SUMMARY"], "a",
                   encoding="utf-8") as fh:
             fh.write(f"### colocate_mixed name family, seed "
-                     f"{args.seed}\n\n{report}")
+                     f"{SEED}\n\n{report}")
     if args.out:
-        record = {"seed": args.seed, "variants": args.variants,
+        record = {"seed": SEED, "variants": VARIANTS,
                   "rows": rows, "summary": summary(rows)}
         if base:
             record["wins"] = wins(rows, base)

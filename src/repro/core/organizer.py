@@ -146,8 +146,15 @@ class DataOrganizer:
                                 or not tiers[floor].fits(info.nbytes):
                             continue
                         desired = tiers[floor]
-            if (desired.spec.kind != info.tier
-                    or target_node != info.node):
+            moves = (desired.spec.kind != info.tier
+                     or target_node != info.node)
+            if moves and hermes.no_faster_than_backend(desired) \
+                    and (yield from hermes.drop_clean(info, "organizer")):
+                # Clean, and bound for a tier that reads no faster
+                # than the backend holding it: dropped, as
+                # Hermes.demote does.
+                moves = False
+            if moves:
                 try:
                     yield from hermes.move(vec_name, page_idx,
                                            target_node, desired.spec.kind,

@@ -304,17 +304,12 @@ class Hermes:
         if self.clean is None or not self.clean(info):
             return False
         where = (info.node, info.tier)
-        lock = self._lock(info.bucket, info.key)
-        yield lock.acquire()
-        try:
-            if self.mdm.peek(info.bucket, info.key) is not info \
-                    or (info.node, info.tier) != where \
-                    or not self.clean(info):
-                return False
-            yield from self.mdm.delete(info.node, info.bucket, info.key)
-            yield from self._drop_all_copies(info)
-        finally:
-            lock.release()
+        gone = yield from self.delete(
+            info.node, info.bucket, info.key,
+            unless=lambda: self.mdm.peek(info.bucket, info.key) is not info
+            or (info.node, info.tier) != where or not self.clean(info))
+        if gone is None:
+            return False
         if self.monitor is not None:
             self.monitor.count("scache.clean_drops", by=by)
         return True
@@ -739,10 +734,16 @@ class Hermes:
                                src_tier=from_tier, dst_tier=to_tier)
         return info
 
-    def delete(self, client_node: int, bucket: str, key):
+    def delete(self, client_node: int, bucket: str, key, unless=None):
+        """Delete the blob, every copy of it. ``unless``, an untimed
+        predicate, is checked once the blob's lock is held: when it
+        holds, nothing is deleted. Generator; returns the deleted
+        entry, or None."""
         lock = self._lock(bucket, key)
         yield lock.acquire()
         try:
+            if unless is not None and unless():
+                return None
             info = yield from self.mdm.delete(client_node, bucket, key)
             yield from self._drop_all_copies(info)
             return info

@@ -118,3 +118,31 @@ def test_a_volatile_page_still_moves(tmp_path):
     fill(system, "nvme")
     assert demote(sim, system, name, 1) is True
     assert moved_to(system, name, 1) == "hdd"
+
+
+def sweep(sim, system, url, page, score):
+    """Hand the organizer one score for ``page`` and run node 0's
+    sweep."""
+    org = system.organizer
+    org.ingest(system.vectors[url], [(page, score, 0)])
+    run_procs(sim, org.sweep(0))
+
+
+def test_the_organizer_drops_a_clean_page_it_would_write_to_hdd(tmp_path):
+    sim, system, url, _data = staged(tmp_path)
+    fill(system, "nvme")
+    sweep(sim, system, url, 1, 0.0)
+    assert system.hermes.mdm.peek(url, 1) is None
+    assert system.dmshs[0].tier("hdd").bytes_written == 0
+    assert drops(system, by="organizer") == 1
+    assert system.monitor.counter("hermes.moves") == 0
+
+
+def test_the_organizer_still_moves_a_dirty_page_to_hdd(tmp_path):
+    sim, system, url, _data = staged(tmp_path)
+    fill(system, "nvme")
+    system.vectors[url].dirty_pages.add(1)
+    sweep(sim, system, url, 1, 0.0)
+    assert system.hermes.mdm.peek(url, 1).tier == "hdd"
+    assert drops(system, by="organizer") == 0
+    assert system.monitor.counter("hermes.moves") == 1

@@ -413,9 +413,14 @@ def test_dmsh_tier_for_score_counts_the_current_tier_as_fitting():
     dram.reserve(dram.free)
     assert dmsh.tier_for_score(1.0, 10).spec.kind == "nvme"
     assert dmsh.tier_for_score(1.0, 10, current=dram) is dram
-    # Another page's tier does not make room in a full one.
-    nvme = dmsh.tier("nvme")
-    assert dmsh.tier_for_score(1.0, 10, current=nvme) is nvme
+    # Only the page's own tier counts: the other full tiers are still
+    # skipped.
+    for kind in ("nvme", "hdd"):
+        dev = dmsh.tier(kind)
+        dev.reserve(dev.free)
+    assert dmsh.tier_for_score(1.0, 10) is None
+    hdd = dmsh.tier("hdd")
+    assert dmsh.tier_for_score(1.0, 10, current=hdd) is hdd
 
 
 def test_dmsh_describe_label():
